@@ -51,7 +51,7 @@ fn bench_switch(c: &mut Criterion) {
         });
     });
     // Batched delivery of identical-program TPP frames: the plan cache and
-    // the shared batch context (clock, exec options, route memo) amortize
+    // the shared batch context (clock, exec options) amortize
     // per-frame setup, so per-packet cost must beat `tpp_packet` above.
     for batch in [8usize, 32] {
         g.throughput(Throughput::Elements(batch as u64));

@@ -30,19 +30,18 @@
 //! batch buffer in one call ([`Scheduler::pop_batch`]). The coordinator
 //! walks the batch in key order and hands maximal runs to batch-aware node
 //! entry points: link arrivals targeting the same switch go through
-//! [`Switch::receive_batch`] (amortizing clock stores and route lookups
-//! across back-to-back frames, like an ASIC pipeline), and transmit
-//! completions on the same switch pop their next frames through
-//! [`Switch::dequeue_batch`]. Batching is *behavior-invariant*: handlers
-//! that schedule new events at the current timestamp are merged back into
-//! the key order via [`Scheduler::peek_next`], so the pop sequence — and
-//! therefore [`NetStats::digest`] — is bit-identical to the
-//! one-event-at-a-time loop.
+//! [`Switch::receive_batch`] (amortizing clock stores across back-to-back
+//! frames, like an ASIC pipeline), and transmit completions on the same
+//! switch pop their next frames through [`Switch::dequeue_batch`].
+//! Batching is *behavior-invariant*: handlers that schedule new events at
+//! the current timestamp are merged back into the key order via
+//! [`Scheduler::peek_next`], so the pop sequence — and therefore
+//! [`NetStats::digest`] — is bit-identical to the one-event-at-a-time
+//! loop.
 //!
 //! Inside [`Switch::receive_batch`] the same contract governs *execution*
 //! batching: only batch-invariant inputs are hoisted out of the per-frame
-//! loop — the clock, exec/pipeline options, the route-lookup memo, and the
-//! program plan (via the per-switch plan cache, which keys on the exact
+//! loop — the clock, exec/pipeline options, and the program plan (via the per-switch plan cache, which keys on the exact
 //! bytes the planner reads). Everything a TPP can observe changing — queue
 //! stats, stage SRAM, flow counters, CSTORE effects — is read and written
 //! strictly per frame, in arrival order. [`NetStats`] surfaces the

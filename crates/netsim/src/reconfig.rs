@@ -41,8 +41,7 @@ use crate::net::{Network, NodeId};
 #[derive(Clone, Debug, PartialEq)]
 pub enum ReconfigAction {
     /// Insert or replace the `/32` route for `dst` on `switch` (bumps the
-    /// flow-table version, so batched-delivery `LookupHint` memoization
-    /// self-invalidates).
+    /// flow-table version).
     RouteSet { switch: NodeId, dst: Ipv4Address, action: Action },
     /// Withdraw the `/32` route for `dst` on `switch`; subsequent packets
     /// blackhole with a `NoRoute` drop.

@@ -5,8 +5,9 @@
 //! * [`memmap`] — the concrete state behind the unified address space:
 //!   per-switch globals, per-stage SRAM + flow-table stats, per-port link
 //!   stats, per-queue stats, and the per-packet indirections (Tables 6–8).
-//! * [`tables`] — longest-prefix flow tables and ECMP group tables with
-//!   deterministic flow hashing (§3.1, §2.4).
+//! * [`tables`] — longest-prefix flow tables (indexed by exact prefix: one
+//!   hash probe per distinct prefix length present) and ECMP group tables
+//!   with deterministic flow hashing (§3.1, §2.4).
 //! * [`pipeline`] — the distributed TCPU (§3.5): per-stage, out-of-order
 //!   instruction execution with parse-time PUSH/POP serialization, proven
 //!   equivalent to the reference interpreter for well-ordered programs.
@@ -22,17 +23,16 @@
 //! ## Batch-execution contract
 //!
 //! [`Switch::receive_batch`] processes a delivery batch under one shared
-//! context: the clock is set once, one route-lookup memo ([`LookupHint`])
-//! and one [`tpp_core::exec::ExecOptions`] snapshot serve every frame, and
-//! plans come from the per-switch [`PlanCache`]. Only **batch-invariant**
-//! inputs may be hoisted: the clock, switch identity, link speeds,
-//! exec/pipeline options, the route memo (which self-invalidates on table
-//! version bumps), and the decoded program plan. Everything a TPP can
-//! *observe changing* — queue stats, stage SRAM, flow counters, per-packet
-//! context, CSTORE effects — is still read and written strictly per frame,
-//! in arrival order. The FNV trace digests (netsim `NetStats::digest`,
-//! fabric golden digests) pin this equivalence: batched and sequential
-//! execution must be bit-identical.
+//! context: the clock is set once, one [`tpp_core::exec::ExecOptions`]
+//! snapshot serves every frame, and plans come from the per-switch
+//! [`PlanCache`]. Only **batch-invariant** inputs may be hoisted: the
+//! clock, switch identity, link speeds, exec/pipeline options, and the
+//! decoded program plan. Everything a TPP can *observe changing* — queue
+//! stats, stage SRAM, flow counters, per-packet context, CSTORE effects —
+//! is still read and written strictly per frame, in arrival order. The
+//! FNV trace digests (netsim `NetStats::digest`, fabric golden digests)
+//! pin this equivalence: batched and sequential execution must be
+//! bit-identical.
 
 #![forbid(unsafe_code)]
 
@@ -48,4 +48,4 @@ pub use memmap::{MatchedEntries, PacketContext, SwitchBus, SwitchMemory};
 pub use pipeline::{PipelineConfig, TppRun};
 pub use plan_cache::{PlanCache, PlanCacheStats, PLAN_CACHE_SLOTS};
 pub use switch::{DropReason, ReceiveOutcome, Switch, SwitchConfig};
-pub use tables::{Action, FlowKey, FlowTable, GroupTable, LookupHint};
+pub use tables::{Action, FlowKey, FlowTable, GroupTable};

@@ -11,8 +11,7 @@
 //!
 //! Real ASIC pipelines process packets back-to-back; the simulator mirrors
 //! that with *batch* entry points: [`Switch::receive_batch`] ingests every
-//! frame arriving at one instant with the clock stored once and a shared
-//! route-lookup memo ([`crate::tables::LookupHint`]), and
+//! frame arriving at one instant with the clock stored once, and
 //! [`Switch::dequeue_batch`] pops the next frame of several ready ports in
 //! one call. Both are exactly equivalent to looping the single-frame
 //! forms — the batching amortizes bus setup, it never reorders effects.
@@ -23,7 +22,7 @@ use crate::cost::{CostProfile, ASIC};
 use crate::memmap::{FlowEntryStats, PacketContext, SwitchBus, SwitchMemory};
 use crate::pipeline::{PipelineConfig, TppRun};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
-use crate::tables::{Action, FlowKey, FlowTable, GroupTable, LookupHint};
+use crate::tables::{Action, FlowKey, FlowTable, GroupTable};
 use tpp_core::addr::layout;
 use tpp_core::exec::ExecOptions;
 use tpp_core::wire::{
@@ -200,22 +199,21 @@ impl Switch {
 
     /// Control-plane route withdrawal: remove the `/32` entry for `dst`.
     /// Returns whether an entry existed. Bumps flow-table and switch
-    /// versions on removal, so batch-scoped lookup hints self-invalidate
-    /// and subsequent packets toward `dst` drop with `NoRoute`.
+    /// versions on removal; subsequent packets toward `dst` drop with
+    /// `NoRoute`.
     pub fn remove_host_route(&mut self, dst: Ipv4Address) -> bool {
-        let id = self.table.entries().iter().find(|e| e.prefix == (dst, 32)).map(|e| e.entry_id);
-        let Some(id) = id else { return false };
-        let removed = self.table.remove(id);
-        if removed {
-            self.sync_table_meta();
-        }
-        removed
+        let Some(id) = self.table.find_exact((dst, 32)).map(|e| e.entry_id) else {
+            return false;
+        };
+        self.table.remove(id);
+        self.sync_table_meta();
+        true
     }
 
     /// The `/32` action currently installed for `dst`, if any (control-plane
     /// read used by the dependency-ordered update scheduler).
     pub fn host_route(&self, dst: Ipv4Address) -> Option<Action> {
-        self.table.entries().iter().find(|e| e.prefix == (dst, 32)).map(|e| e.action)
+        self.table.find_exact((dst, 32)).map(|e| e.action)
     }
 
     pub fn add_group(&mut self, ports: Vec<u8>) -> u16 {
@@ -251,23 +249,20 @@ impl Switch {
     /// A frame arrives on `in_port` at `now_ns`.
     pub fn receive(&mut self, now_ns: u64, in_port: u8, frame: Vec<u8>) -> ReceiveOutcome {
         self.mem.set_clock(now_ns);
-        let mut hint = LookupHint::default();
         let opts = self.exec_options();
-        self.receive_one(now_ns, in_port, frame, &opts, &mut hint)
+        self.receive_one(now_ns, in_port, frame, &opts)
     }
 
     /// Ingest a batch of frames all arriving at `now_ns`, appending one
     /// [`ReceiveOutcome`] per frame (in order) to `out` and draining
     /// `frames`. Equivalent to calling [`Switch::receive`] per frame, but
     /// the batch-invariant inputs are snapshotted once — the memory-map
-    /// clock, the [`ExecOptions`], a batch-scoped routing memo
-    /// ([`LookupHint`]) — and programs plan through the per-switch
-    /// [`PlanCache`], so back-to-back frames carrying the same probe skip
-    /// both the linear LPM scan and re-planning. Everything a TPP can
-    /// observe changing (queue stats, stage SRAM, flow counters, CSTORE
-    /// effects) is still read and written per frame, in arrival order —
-    /// the matched entry's counters still advance per frame; TPPs can't
-    /// tell the difference.
+    /// clock and the [`ExecOptions`] — and programs plan through the
+    /// per-switch [`PlanCache`], so back-to-back frames carrying the same
+    /// probe skip re-planning. Everything a TPP can observe changing
+    /// (queue stats, stage SRAM, flow counters, CSTORE effects) is still
+    /// read and written per frame, in arrival order; TPPs can't tell the
+    /// difference.
     pub fn receive_batch(
         &mut self,
         now_ns: u64,
@@ -275,10 +270,9 @@ impl Switch {
         out: &mut Vec<ReceiveOutcome>,
     ) {
         self.mem.set_clock(now_ns);
-        let mut hint = LookupHint::default();
         let opts = self.exec_options();
         for (in_port, frame) in frames.drain(..) {
-            let outcome = self.receive_one(now_ns, in_port, frame, &opts, &mut hint);
+            let outcome = self.receive_one(now_ns, in_port, frame, &opts);
             out.push(outcome);
         }
     }
@@ -289,7 +283,6 @@ impl Switch {
         in_port: u8,
         mut frame: Vec<u8>,
         opts: &ExecOptions,
-        hint: &mut LookupHint,
     ) -> ReceiveOutcome {
         let len = frame.len() as u64;
         {
@@ -403,7 +396,7 @@ impl Switch {
             ctx.path_hash = key.hash_with(self.cfg.ecmp_hash_dst_port);
             self.mem.stages[rs].lookup_pkts += 1;
             self.mem.stages[rs].lookup_bytes += len;
-            match self.table.lookup_hinted(dst_ip, len, hint) {
+            match self.table.lookup(dst_ip, len) {
                 Some(entry) => {
                     self.mem.stages[rs].match_pkts += 1;
                     self.mem.stages[rs].match_bytes += len;
@@ -877,7 +870,7 @@ mod tests {
         // Same frames (a mix of plain, TPP-carrying, and unroutable)
         // through receive_batch vs one-at-a-time receive: identical
         // outcomes, identical queue/link/table counters, identical bytes
-        // out — the hinted route lookup must be observationally invisible.
+        // out.
         let build_frames = || {
             let tpp = TppBuilder::stack_mode()
                 .push_m("Queue:QueueOccupancy")
@@ -910,11 +903,7 @@ mod tests {
         let rs = sw_seq.cfg.pipeline.routing_stage();
         assert_eq!(sw_batch.mem.stages[rs].lookup_pkts, sw_seq.mem.stages[rs].lookup_pkts);
         assert_eq!(sw_batch.mem.stages[rs].match_pkts, sw_seq.mem.stages[rs].match_pkts);
-        assert_eq!(
-            sw_batch.table.entries()[0].match_pkts,
-            sw_seq.table.entries()[0].match_pkts,
-            "hinted lookups must bump entry counters like full scans"
-        );
+        assert_eq!(sw_batch.table.entries()[0].match_pkts, sw_seq.table.entries()[0].match_pkts);
         // Drain both and compare the rewritten bytes (TPP results included).
         for t in 10..=13u64 {
             assert_eq!(sw_batch.dequeue(t, 2), sw_seq.dequeue(t, 2));

@@ -111,7 +111,11 @@ fn allocs_per_run(sw: &mut Switch, mut frame: Vec<u8>, rounds: usize) -> u64 {
 #[test]
 fn steady_state_forwarding_is_allocation_free() {
     let mut sw = Switch::new(SwitchConfig::new(7, 4));
-    sw.add_host_route(Ipv4Address::from_host_id(2), Action::Output(2));
+    // 128 host routes, the table of a k=8 fat-tree switch: the route lookup
+    // under the counter probes a populated prefix index.
+    for h in 0..128 {
+        sw.add_host_route(Ipv4Address::from_host_id(2 + h), Action::Output(2));
+    }
 
     // A TPP exercising stack pushes across ingress and egress stages.
     let tpp = TppBuilder::stack_mode()
