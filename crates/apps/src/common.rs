@@ -3,7 +3,9 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use tpp_core::wire::{ethernet, ipv4, udp, EthernetRepr, Ipv4Address, Ipv4Packet, UdpDatagram};
+use tpp_core::wire::{
+    ethernet, ipv4, udp, udp_frame_into, Ipv4Address, Ipv4Packet, UdpDatagram, UdpFrameRepr,
+};
 use tpp_endhost::shim::mac_of_ip;
 use tpp_netsim::Time;
 
@@ -29,21 +31,17 @@ pub fn udp_frame(
     dst_port: u16,
     payload_len: usize,
 ) -> Vec<u8> {
-    let u = udp::Repr { src_port, dst_port, payload_len };
-    let udp_b = u.encapsulate(src_ip, dst_ip, &vec![0u8; payload_len]);
-    let ip = ipv4::Repr {
-        src: src_ip,
-        dst: dst_ip,
-        protocol: ipv4::protocol::UDP,
-        ttl: 64,
-        payload_len: udp_b.len(),
+    let hdr = UdpFrameRepr {
+        src_mac: mac_of_ip(src_ip),
+        dst_mac: mac_of_ip(dst_ip),
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
     };
-    EthernetRepr {
-        dst: mac_of_ip(dst_ip),
-        src: mac_of_ip(src_ip),
-        ethertype: ethernet::ethertype::IPV4,
-    }
-    .encapsulate(&ip.encapsulate(&udp_b))
+    let mut frame = Vec::new();
+    udp_frame_into(&mut frame, &hdr, payload_len, &[]);
+    frame
 }
 
 /// Parsed view of a received UDP frame.
@@ -235,6 +233,36 @@ mod tests {
         assert_eq!(info.src_port, 7);
         assert_eq!(info.dst_port, 9);
         assert_eq!(info.payload_len, 100);
+    }
+
+    #[test]
+    fn udp_frame_matches_the_nested_construction() {
+        use tpp_core::wire::EthernetRepr;
+        // The layer-by-layer build `udp_frame` used to do, as its oracle.
+        let nested = |src_ip, dst_ip, src_port, dst_port, payload_len: usize| {
+            let u = udp::Repr { src_port, dst_port, payload_len };
+            let udp_b = u.encapsulate(src_ip, dst_ip, &vec![0u8; payload_len]);
+            let ip = ipv4::Repr {
+                src: src_ip,
+                dst: dst_ip,
+                protocol: ipv4::protocol::UDP,
+                ttl: 64,
+                payload_len: udp_b.len(),
+            };
+            EthernetRepr {
+                dst: mac_of_ip(dst_ip),
+                src: mac_of_ip(src_ip),
+                ethertype: ethernet::ethertype::IPV4,
+            }
+            .encapsulate(&ip.encapsulate(&udp_b))
+        };
+        let (a, b) = (Ipv4Address::from_host_id(3), Ipv4Address::from_host_id(0x00fe_dcba));
+        for payload_len in [0, 1, 40, 999, 1000, 1458] {
+            for (sp, dp) in [(DATA_PORT, DATA_PORT), (1, 0xffff), (40_001, 9)] {
+                assert_eq!(udp_frame(a, b, sp, dp, payload_len), nested(a, b, sp, dp, payload_len));
+                assert_eq!(udp_frame(b, a, sp, dp, payload_len), nested(b, a, sp, dp, payload_len));
+            }
+        }
     }
 
     #[test]

@@ -162,6 +162,60 @@ pub fn build_standalone(
     eth_repr.encapsulate(&ip_bytes)
 }
 
+/// Addressing of a UDP frame between two hosts (see [`udp_frame_into`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UdpFrameRepr {
+    pub src_mac: EthernetAddress,
+    pub dst_mac: EthernetAddress,
+    pub src_ip: Ipv4Address,
+    pub dst_ip: Ipv4Address,
+    pub src_port: u16,
+    pub dst_port: u16,
+}
+
+/// Write an Ethernet/IPv4/UDP frame carrying `payload_len` zero payload
+/// bytes into `buf` in one pass, replacing whatever `buf` held (its
+/// capacity is reused). The simulated traffic sources use it: only the
+/// lengths of their payloads matter.
+///
+/// A non-empty `section` is piggy-backed in transparent mode exactly as
+/// [`insert_transparent`] would: it follows the Ethernet header, whose
+/// ethertype becomes 0x6666. It must be a TPP section serialized with
+/// `encap_proto` = IPv4, the ethertype it displaces.
+pub fn udp_frame_into(buf: &mut Vec<u8>, hdr: &UdpFrameRepr, payload_len: usize, section: &[u8]) {
+    debug_assert!(
+        section.is_empty() || section[8..10] == ethernet::ethertype::IPV4.to_be_bytes(),
+        "a piggy-backed section must name IPv4 as its encapsulated protocol"
+    );
+    let ip_off = ethernet::HEADER_LEN + section.len();
+    let udp_off = ip_off + ipv4::HEADER_LEN;
+    let udp_len = udp::HEADER_LEN + payload_len;
+    // Exact growth: a recycled buffer that is too small grows once, to the
+    // frame's size, not to twice its old capacity.
+    buf.clear();
+    buf.reserve_exact(udp_off + udp_len);
+    buf.resize(udp_off + udp_len, 0);
+
+    let ethertype =
+        if section.is_empty() { ethernet::ethertype::IPV4 } else { ethernet::ethertype::TPP };
+    EthernetRepr { dst: hdr.dst_mac, src: hdr.src_mac, ethertype }
+        .emit(&mut EthernetFrame::new_unchecked(&mut buf[..]));
+    buf[ethernet::HEADER_LEN..ip_off].copy_from_slice(section);
+    ipv4::Repr {
+        src: hdr.src_ip,
+        dst: hdr.dst_ip,
+        protocol: ipv4::protocol::UDP,
+        ttl: 64,
+        payload_len: udp_len,
+    }
+    .emit(&mut Ipv4Packet::new_unchecked(&mut buf[ip_off..]));
+    let mut d = UdpDatagram::new_unchecked(&mut buf[udp_off..]);
+    d.set_src_port(hdr.src_port);
+    d.set_dst_port(hdr.dst_port);
+    d.set_len(udp_len as u16);
+    d.fill_checksum(hdr.src_ip, hdr.dst_ip);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +331,58 @@ mod tests {
         assert!(extract_tpp(&outer).is_none());
         // but it's still recognized as a (damaged) TPP location
         assert!(matches!(locate_tpp(&outer), TppLocation::Transparent { .. }));
+    }
+
+    /// The nested construction `udp_frame_into` replaced, kept as its
+    /// oracle: one allocation per layer, then a copy for the TPP.
+    fn nested_udp_frame(hdr: &UdpFrameRepr, payload_len: usize, tpp: Option<&Tpp>) -> Vec<u8> {
+        let u = udp::Repr { src_port: hdr.src_port, dst_port: hdr.dst_port, payload_len };
+        let udp_bytes = u.encapsulate(hdr.src_ip, hdr.dst_ip, &vec![0u8; payload_len]);
+        let ip = ipv4::Repr {
+            src: hdr.src_ip,
+            dst: hdr.dst_ip,
+            protocol: ipv4::protocol::UDP,
+            ttl: 64,
+            payload_len: udp_bytes.len(),
+        };
+        let plain = EthernetRepr {
+            dst: hdr.dst_mac,
+            src: hdr.src_mac,
+            ethertype: ethernet::ethertype::IPV4,
+        }
+        .encapsulate(&ip.encapsulate(&udp_bytes));
+        match tpp {
+            Some(t) => insert_transparent(&plain, t),
+            None => plain,
+        }
+    }
+
+    #[test]
+    fn udp_frame_into_matches_nested_construction() {
+        let hdr = UdpFrameRepr {
+            src_mac: mac(1),
+            dst_mac: mac(0x0102_0304),
+            src_ip: Ipv4Address::from_host_id(1),
+            dst_ip: Ipv4Address::from_host_id(0x0102_0304),
+            src_port: 5001,
+            dst_port: 0xfffe,
+        };
+        let tpp = sample_tpp();
+        let section = Tpp { encap_proto: ethernet::ethertype::IPV4, ..tpp.clone() }.serialize();
+        // A dirty, longer buffer: the writer must not let old bytes through.
+        let mut buf = vec![0xAAu8; 4096];
+        for payload_len in [0usize, 1, 2, 7, 255, 256, 1000, 1458] {
+            udp_frame_into(&mut buf, &hdr, payload_len, &[]);
+            assert_eq!(buf, nested_udp_frame(&hdr, payload_len, None), "plain, {payload_len}");
+            udp_frame_into(&mut buf, &hdr, payload_len, &section);
+            assert_eq!(buf, nested_udp_frame(&hdr, payload_len, Some(&tpp)), "tpp, {payload_len}");
+            buf.iter_mut().for_each(|b| *b = 0x55);
+        }
+        // The frame is what the parse graph expects.
+        udp_frame_into(&mut buf, &hdr, 64, &section);
+        let (stripped, inner) = strip_transparent(&buf).unwrap();
+        assert_eq!(stripped.instrs, tpp.instrs);
+        assert_eq!(inner, nested_udp_frame(&hdr, 64, None));
     }
 
     #[test]

@@ -180,6 +180,9 @@ impl Executor {
     /// Check timeouts: returns frames to retransmit and probes that failed
     /// permanently. Call when [`Executor::next_deadline`] passes.
     pub fn poll(&mut self, now: u64) -> (Vec<Vec<u8>>, Vec<ProbeOutcome>) {
+        if self.next_deadline().is_none_or(|deadline| deadline > now) {
+            return (Vec::new(), Vec::new());
+        }
         let mut resend = Vec::new();
         let mut done = Vec::new();
         let expired: Vec<u32> =

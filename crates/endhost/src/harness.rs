@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use tpp_core::probe::Probe;
 use tpp_core::wire::{build_standalone, Ipv4Address, Tpp};
-use tpp_netsim::{HostApp, HostCtx};
+use tpp_netsim::{HostApp, HostCtx, Time};
 
 use crate::cp::{CentralCp, CpError, Policy};
 use crate::executor::{Executor, ExecutorConfig, ProbeOutcome};
@@ -154,6 +154,24 @@ struct Core {
     /// Bytes of standalone probe/update traffic sent (first transmissions
     /// and retries) — the §2.2 control-overhead numerator.
     probe_bytes_sent: u64,
+    /// When the one live [`RETRY_TOKEN`] timer fires, if one is armed. It is
+    /// never later than the executor's earliest deadline, so every
+    /// retransmission goes out at the instant it falls due.
+    retry_armed: Option<Time>,
+}
+
+impl Core {
+    /// Make sure a retry timer fires at the executor's earliest deadline.
+    /// Timers cannot be cancelled: one armed for a later instant stays in
+    /// the scheduler and is ignored when it fires (see `on_timer`).
+    fn arm_retry(&mut self, ctx: &mut HostCtx<'_>) {
+        let Some(deadline) = self.exec.as_ref().and_then(Executor::next_deadline) else { return };
+        let at = deadline.max(ctx.now);
+        if self.retry_armed.is_none_or(|armed| at < armed) {
+            ctx.set_timer_at(at, RETRY_TOKEN);
+            self.retry_armed = Some(at);
+        }
+    }
 }
 
 struct Handlers<S> {
@@ -189,6 +207,7 @@ impl<S: Send + 'static> Harness<S> {
                 regs: Vec::new(),
                 aggregate_local: Vec::new(),
                 probe_bytes_sent: 0,
+                retry_armed: None,
             },
             handlers: Handlers {
                 on_start: None,
@@ -466,9 +485,7 @@ impl Io<'_, '_> {
         map(&mut frame);
         self.core.probe_bytes_sent += frame.len() as u64;
         self.ctx.send(frame);
-        if let Some(deadline) = exec.next_deadline() {
-            self.ctx.set_timer_at(deadline, RETRY_TOKEN);
-        }
+        self.core.arm_retry(self.ctx);
         Some(token)
     }
 
@@ -573,9 +590,7 @@ impl<S> Endhost<S> {
             self.core.probe_bytes_sent += frame.len() as u64;
             ctx.send(frame);
         }
-        if let Some(deadline) = self.core.exec.as_ref().and_then(Executor::next_deadline) {
-            ctx.set_timer_at(deadline, RETRY_TOKEN);
-        }
+        self.core.arm_retry(ctx);
         if let Some(cb) = &mut self.handlers.on_failed {
             for outcome in failed {
                 if let ProbeOutcome::Failed { token } = outcome {
@@ -638,7 +653,12 @@ impl<S: Send + 'static> HostApp for Endhost<S> {
 
     fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
         if token == RETRY_TOKEN {
-            self.poll_retries(ctx);
+            // Only the armed timer is live. One that an earlier deadline
+            // superseded fires before anything it could resend is due.
+            if self.core.retry_armed == Some(ctx.now) {
+                self.core.retry_armed = None;
+                self.poll_retries(ctx);
+            }
             return;
         }
         if let Some(cb) = &mut self.handlers.on_timer {
@@ -700,5 +720,72 @@ mod tests {
             .listen(read_probe().app_id(7), |_, _, _| {})
             .build();
         assert!(matches!(err, Err(HarnessError::DuplicateAppId(7))));
+    }
+
+    /// A host that logs when each frame reaches it and never answers.
+    struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<Time>>>);
+    impl HostApp for Recorder {
+        fn on_frame(&mut self, ctx: &mut HostCtx<'_>, _frame: Vec<u8>) {
+            self.0.lock().unwrap().push(ctx.now);
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn one_retry_timer_serves_every_pending_probe() {
+        use tpp_netsim::{LinkSpec, Network, MILLIS};
+        // 100 probes, one every 100 us, into a peer that never echoes: each
+        // is retransmitted twice (after 1.03 ms, then 2.06 ms more) and then
+        // fails. The odd timeout keeps launches and retries off each other's
+        // instants, so every frame sees the same wire latency.
+        const PROBES: u64 = 100;
+        const GAP: Time = 100_000;
+        const TIMEOUT: Time = 1_030_000;
+        let cfg = ExecutorConfig {
+            max_retries: 2,
+            timeout_ns: TIMEOUT,
+            max_backoff_exp: 3,
+            jitter_div: 0,
+        };
+        let peer = Ipv4Address::from_host_id(1);
+        let launcher = Harness::new(0u64)
+            .executor(cfg)
+            .launch(read_probe().app_id(1), |_, _, _| {})
+            .on_start(|_, io| io.ctx.set_timer(0, 0))
+            .on_timer(move |launched: &mut u64, io, _| {
+                io.launch(1, peer).expect("registered");
+                *launched += 1;
+                if *launched < PROBES {
+                    io.ctx.set_timer(GAP, 0);
+                }
+            })
+            .build()
+            .unwrap();
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut net = Network::new(1);
+        let a = net.add_host(Box::new(launcher));
+        let b = net.add_host(Box::new(Recorder(log.clone())));
+        net.connect(a, b, LinkSpec::new(1000, 1000));
+        net.run_until(30 * MILLIS);
+
+        let app = net.app_mut::<Endhost<u64>>(a);
+        let exec = app.executor().unwrap();
+        assert_eq!((exec.sent, exec.retransmitted, exec.failed), (PROBES, 2 * PROBES, PROBES));
+        // Every first transmission and every retry left at its own deadline.
+        let log = log.lock().unwrap();
+        let wire = log[0];
+        let mut want: Vec<Time> = (0..PROBES)
+            .flat_map(|k| [0, TIMEOUT, 3 * TIMEOUT].map(|after| k * GAP + after + wire))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(*log, want);
+        // 300 frames cost three events each, 100 launch timers, and one retry
+        // timer per distinct deadline (300, plus the few a newer, earlier
+        // deadline superseded). Re-arming on every launch and every firing
+        // kept one live chain per probe and cost over 20,000 events here.
+        assert!(net.stats.events_processed < 1_500, "{}", net.stats.events_processed);
+        assert_eq!(net.pending_events(), 1, "only the utilization tick is left");
     }
 }

@@ -12,10 +12,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use tpp_core::asm::TppBuilder;
-use tpp_core::wire::{
-    ethernet, insert_transparent, ipv4, udp, EthernetAddress, EthernetRepr, Ipv4Address, Tpp,
-};
+use tpp_core::wire::{ethernet, udp_frame_into, EthernetAddress, Ipv4Address, Tpp, UdpFrameRepr};
 use tpp_netsim::{HostApp, HostCtx, Time};
+
+/// UDP port of the generated traffic, both ends.
+const TRAFFIC_PORT: u16 = 5001;
 
 /// How each generator picks destinations (see [`TrafficGen`]). Every
 /// pattern draws only from the host's own RNG stream and per-host state,
@@ -100,7 +101,9 @@ pub struct TrafficGen {
     /// Node ids of all hosts in the topology (potential destinations).
     peers: Arc<Vec<u32>>,
     rng: Option<StdRng>,
-    tpp: Tpp,
+    /// The visibility TPP as the wire section every `tpp_every`-th frame
+    /// carries, serialized once: nothing in it varies per frame.
+    section: Vec<u8>,
     sent: u64,
     /// This host's position in `peers` (set in `start`).
     my_index: usize,
@@ -113,26 +116,33 @@ pub struct TrafficGen {
     pub delivered: Arc<AtomicU64>,
 }
 
+/// The §2.1 visibility program: per-hop switch id, port, and queue
+/// occupancy — its result words depend on queue state at every hop,
+/// which makes the trace digest sensitive to any ordering slip.
+fn visibility_tpp() -> Tpp {
+    TppBuilder::stack_mode()
+        .push_m("Switch:SwitchID")
+        .unwrap()
+        .push_m("PacketMetadata:OutputPort")
+        .unwrap()
+        .push_m("Queue:QueueOccupancy")
+        .unwrap()
+        .hops(6)
+        .build()
+        .unwrap()
+}
+
 impl TrafficGen {
     pub fn new(cfg: TrafficConfig, peers: Arc<Vec<u32>>, delivered: Arc<AtomicU64>) -> Self {
-        // The §2.1 visibility program: per-hop switch id, port, and queue
-        // occupancy — its result words depend on queue state at every hop,
-        // which makes the trace digest sensitive to any ordering slip.
-        let tpp = TppBuilder::stack_mode()
-            .push_m("Switch:SwitchID")
-            .unwrap()
-            .push_m("PacketMetadata:OutputPort")
-            .unwrap()
-            .push_m("Queue:QueueOccupancy")
-            .unwrap()
-            .hops(6)
-            .build()
-            .unwrap();
+        // Piggy-backed on IPv4 frames only, so the displaced ethertype is
+        // known here.
+        let section =
+            Tpp { encap_proto: ethernet::ethertype::IPV4, ..visibility_tpp() }.serialize();
         TrafficGen {
             cfg,
             peers,
             rng: None,
-            tpp,
+            section,
             sent: 0,
             my_index: 0,
             flow_dst: 0,
@@ -226,37 +236,43 @@ impl TrafficGen {
         }
     }
 
-    fn build_frame(&mut self, src_ip: Ipv4Address, src_mac: EthernetAddress, dst: u32) -> Vec<u8> {
-        let dst_ip = Ipv4Address::from_host_id(dst);
-        let u = udp::Repr { src_port: 5001, dst_port: 5001, payload_len: self.cfg.payload };
-        let udp_b = u.encapsulate(src_ip, dst_ip, &vec![0u8; self.cfg.payload]);
-        let ip = ipv4::Repr {
-            src: src_ip,
-            dst: dst_ip,
-            protocol: ipv4::protocol::UDP,
-            ttl: 64,
-            payload_len: udp_b.len(),
-        };
-        let plain = EthernetRepr {
-            dst: EthernetAddress::from_node_id(dst),
-            src: src_mac,
-            ethertype: ethernet::ethertype::IPV4,
-        }
-        .encapsulate(&ip.encapsulate(&udp_b));
+    /// Write the next frame to `dst` into `buf` (a buffer from
+    /// [`HostCtx::take_buf`]) in one pass: every `tpp_every`-th carries the
+    /// TPP section between the Ethernet and IPv4 headers.
+    fn build_frame(
+        &mut self,
+        buf: &mut Vec<u8>,
+        src_ip: Ipv4Address,
+        src_mac: EthernetAddress,
+        dst: u32,
+    ) {
         self.sent += 1;
-        if self.cfg.tpp_every > 0 && self.sent.is_multiple_of(self.cfg.tpp_every as u64) {
-            insert_transparent(&plain, &self.tpp)
-        } else {
-            plain
-        }
+        let with_tpp =
+            self.cfg.tpp_every > 0 && self.sent.is_multiple_of(self.cfg.tpp_every as u64);
+        let hdr = UdpFrameRepr {
+            src_mac,
+            dst_mac: EthernetAddress::from_node_id(dst),
+            src_ip,
+            dst_ip: Ipv4Address::from_host_id(dst),
+            src_port: TRAFFIC_PORT,
+            dst_port: TRAFFIC_PORT,
+        };
+        let section: &[u8] = if with_tpp { &self.section } else { &[] };
+        udp_frame_into(buf, &hdr, self.cfg.payload, section);
+    }
+
+    /// Seat the generator on host `node`: its private RNG stream and its
+    /// position in the peer list.
+    fn seat(&mut self, node: u32) {
+        self.rng = Some(StdRng::seed_from_u64(self.cfg.seed ^ ((node as u64) << 20)));
+        self.my_index =
+            self.peers.iter().position(|&p| p == node).expect("host is in the peer list");
     }
 }
 
 impl HostApp for TrafficGen {
     fn start(&mut self, ctx: &mut HostCtx<'_>) {
-        self.rng = Some(StdRng::seed_from_u64(self.cfg.seed ^ ((ctx.node.0 as u64) << 20)));
-        self.my_index =
-            self.peers.iter().position(|&p| p == ctx.node.0).expect("host is in the peer list");
+        self.seat(ctx.node.0);
         if self.is_passive() {
             return; // receive-only: no timer, no RNG draws
         }
@@ -271,7 +287,8 @@ impl HostApp for TrafficGen {
         }
         for _ in 0..self.cfg.frames_per_tick {
             let dst = self.next_dst(ctx.node.0);
-            let frame = self.build_frame(ctx.ip, ctx.mac, dst);
+            let mut frame = ctx.take_buf();
+            self.build_frame(&mut frame, ctx.ip, ctx.mac, dst);
             ctx.send(frame);
         }
         ctx.set_timer(self.cfg.tick_ns, 0);
@@ -300,4 +317,95 @@ pub fn install_traffic(
         net.set_app(h, Box::new(TrafficGen::new(cfg.clone(), peers.clone(), delivered.clone())));
     }
     delivered
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpp_core::wire::{insert_transparent, ipv4, udp, EthernetRepr};
+
+    /// The nested construction `build_frame` used to do (four allocations,
+    /// then a clone-and-serialize of the TPP), kept as its oracle.
+    fn nested_frame(
+        src_ip: Ipv4Address,
+        src_mac: EthernetAddress,
+        dst: u32,
+        payload: usize,
+        tpp: Option<&Tpp>,
+    ) -> Vec<u8> {
+        let dst_ip = Ipv4Address::from_host_id(dst);
+        let u = udp::Repr { src_port: 5001, dst_port: 5001, payload_len: payload };
+        let udp_b = u.encapsulate(src_ip, dst_ip, &vec![0u8; payload]);
+        let ip = ipv4::Repr {
+            src: src_ip,
+            dst: dst_ip,
+            protocol: ipv4::protocol::UDP,
+            ttl: 64,
+            payload_len: udp_b.len(),
+        };
+        let plain = EthernetRepr {
+            dst: EthernetAddress::from_node_id(dst),
+            src: src_mac,
+            ethertype: ethernet::ethertype::IPV4,
+        }
+        .encapsulate(&ip.encapsulate(&udp_b));
+        match tpp {
+            Some(t) => insert_transparent(&plain, t),
+            None => plain,
+        }
+    }
+
+    #[test]
+    fn frames_match_the_nested_construction_for_every_pattern() {
+        let patterns = [
+            TrafficPattern::Uniform,
+            TrafficPattern::HeavyTailed { mean_frames: 5 },
+            TrafficPattern::Incast { sinks: 2 },
+            TrafficPattern::Shuffle,
+            TrafficPattern::FanOut,
+            TrafficPattern::InterDcTransfer { sites: 2 },
+        ];
+        // Sparse ids: the high bytes of a destination must reach the frame.
+        let peers = Arc::new(vec![20u32, 300, 70_000, 9, 0x00ab_cdef, 41, 5, 1_000_000]);
+        let tpp = visibility_tpp();
+        for pattern in patterns {
+            for (tpp_every, payload) in [(0usize, 256usize), (1, 0), (3, 1000), (4, 256)] {
+                // Between them peers 0 and 3 send under every pattern: peer
+                // 0 is an Incast sink, peer 3 only listens under FanOut.
+                for node in [peers[0], peers[3]] {
+                    let cfg = TrafficConfig {
+                        pattern: pattern.clone(),
+                        tpp_every,
+                        payload,
+                        ..TrafficConfig::default()
+                    };
+                    let mut g = TrafficGen::new(cfg, peers.clone(), Arc::default());
+                    g.seat(node);
+                    if g.is_passive() {
+                        continue;
+                    }
+                    let (src_ip, src_mac) =
+                        (Ipv4Address::from_host_id(node), EthernetAddress::from_node_id(node));
+                    // One buffer reused dirty, like one coming off the pool.
+                    let mut buf = vec![0xEEu8; 64];
+                    let (mut with, mut without) = (0, 0);
+                    for n in 1..=24u64 {
+                        let dst = g.next_dst(node);
+                        g.build_frame(&mut buf, src_ip, src_mac, dst);
+                        let carries = tpp_every > 0 && n % tpp_every as u64 == 0;
+                        let want =
+                            nested_frame(src_ip, src_mac, dst, payload, carries.then_some(&tpp));
+                        assert_eq!(buf, want, "{pattern:?} every {tpp_every} frame {n} to {dst}");
+                        if carries {
+                            with += 1;
+                        } else {
+                            without += 1;
+                        }
+                    }
+                    assert_eq!(with > 0, tpp_every > 0);
+                    assert_eq!(without > 0, tpp_every != 1);
+                }
+            }
+        }
+    }
 }

@@ -90,15 +90,44 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte slice (frame contents feed the trace digest).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// `FNV_PRIME^8 mod 2^64`: eight FNV-1a steps over zero bytes, folded.
+const FNV_PRIME_POW8: u64 = {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < 8 {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// One FNV-1a step per byte: `h = (h ^ b) * FNV_PRIME`, wrapping.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// 64-bit FNV-1a over a byte slice: the frame hash of the trace digest (see
+/// [`NetStats::trace`]). The value is the standard byte-serial FNV-1a on
+/// every input; only the walk differs. A zero byte leaves `h ^ b == h`, so
+/// its step is a bare multiply by the prime, and an all-zero 8-byte word is
+/// one multiply by [`FNV_PRIME_POW8`]. Simulated payloads and unwritten TPP
+/// packet memory are runs of zero bytes, which makes this the common case;
+/// any other word, and the tail, take the byte steps.
+#[inline]
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let word = u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        h = if word == 0 { h.wrapping_mul(FNV_PRIME_POW8) } else { fnv1a_bytes(h, w) };
+    }
+    fnv1a_bytes(h, words.remainder())
 }
 
 /// The interface hosts implement to participate in the simulation.
@@ -172,7 +201,9 @@ impl HostCtx<'_> {
         self.effects.push(Effect::Timer { at: at.max(self.now), token });
     }
     /// A cleared, possibly recycled buffer for building a frame to
-    /// [`send`](HostCtx::send).
+    /// [`send`](HostCtx::send). Pairs with [`recycle`](HostCtx::recycle):
+    /// a traffic source that sinks its peers' frames, like
+    /// `tpp_fabric::TrafficGen`, sends in the buffers it received.
     pub fn take_buf(&mut self) -> Vec<u8> {
         self.pool.get()
     }
@@ -318,12 +349,25 @@ pub struct NetStats {
     pub plan_cache_evictions: u64,
     /// Order-independent trace accumulator: a wrapping sum of one strong
     /// mix per frame arrival, folding in the arrival time, the receiving
-    /// `(node, port)`, and an FNV-1a hash of the full frame bytes. Because
-    /// wrapping addition is commutative and associative, shards can fold
-    /// arrivals in any interleaving and still merge to the exact value the
-    /// single-threaded run produces — while any difference in a timestamp,
-    /// a route, or a single payload byte (e.g. a TPP result word) changes
-    /// the sum.
+    /// `(node, port)`, and an FNV-1a hash of the full frame bytes. Per
+    /// arrival of `frame` at `(node, port)` at time `now`:
+    ///
+    /// ```text
+    /// tag    = node << 8 | port
+    /// trace += splitmix64(fnv1a(frame) ^ splitmix64(now ^ splitmix64(tag)))
+    /// ```
+    ///
+    /// where `fnv1a` is the standard 64-bit FNV-1a (offset basis
+    /// `0xcbf29ce484222325`, prime `0x100000001b3`, one `h = (h ^ b) * prime`
+    /// step per byte). The definition is frozen: golden digests pin it. The
+    /// implementation may only use exact identities of it, such as folding
+    /// the eight steps of an all-zero word into one multiply by `prime^8`.
+    ///
+    /// Because wrapping addition is commutative and associative, shards can
+    /// fold arrivals in any interleaving and still merge to the exact value
+    /// the single-threaded run produces — while any difference in a
+    /// timestamp, a route, or a single payload byte (e.g. a TPP result
+    /// word) changes the sum.
     pub trace: u64,
 }
 
@@ -450,6 +494,10 @@ pub struct Network {
     rx_outcomes: Vec<ReceiveOutcome>,
     deq_ports: Vec<u8>,
     deq_frames: Vec<(u8, Vec<u8>)>,
+    /// Reusable effect list for host callbacks: taken for the callback,
+    /// drained by `apply_effects`, and put back. `apply_effects` never
+    /// re-enters a host callback, so one list serves them all.
+    effects: Vec<Effect>,
 }
 
 impl Network {
@@ -470,6 +518,7 @@ impl Network {
             rx_outcomes: Vec::new(),
             deq_ports: Vec::new(),
             deq_frames: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -692,7 +741,7 @@ impl Network {
                 _ => false,
             };
             if needs_start {
-                let mut effects = Vec::new();
+                let mut effects = std::mem::take(&mut self.effects);
                 {
                     let (kind, pool) = self.nodes.kind_and_pool_mut(node);
                     let NodeKind::Host(h) = kind else { unreachable!() };
@@ -712,14 +761,17 @@ impl Network {
         }
     }
 
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect>) {
-        for e in effects {
+    /// Apply what a host callback asked for, in order, and hand the emptied
+    /// list back as the next callback's scratch.
+    fn apply_effects(&mut self, node: NodeId, mut effects: Vec<Effect>) {
+        for e in effects.drain(..) {
             match e {
                 Effect::Send(frame) => self.host_enqueue(node, frame),
                 Effect::Timer { at, token } => self.schedule_ev(at, Ev::HostTimer { node, token }),
                 Effect::Violation(kind) => self.stats.count_violation(kind),
             }
         }
+        self.effects = effects;
     }
 
     fn host_enqueue(&mut self, node: NodeId, frame: Vec<u8>) {
@@ -838,7 +890,7 @@ impl Network {
             }
             NodeKind::Host(h) => {
                 h.rx_frames += 1;
-                let mut effects = Vec::new();
+                let mut effects = std::mem::take(&mut self.effects);
                 {
                     let mut ctx =
                         HostCtx { now, node, ip: h.ip, mac: h.mac, effects: &mut effects, pool };
@@ -852,10 +904,10 @@ impl Network {
 
     fn handle_timer(&mut self, node: NodeId, token: u64) {
         let now = self.scheduler.now();
-        let mut effects = Vec::new();
+        let (kind, pool) = self.nodes.kind_and_pool_mut(node);
+        let NodeKind::Host(h) = kind else { return };
+        let mut effects = std::mem::take(&mut self.effects);
         {
-            let (kind, pool) = self.nodes.kind_and_pool_mut(node);
-            let NodeKind::Host(h) = kind else { return };
             let mut ctx = HostCtx { now, node, ip: h.ip, mac: h.mac, effects: &mut effects, pool };
             h.app.on_timer(&mut ctx, token);
         }
@@ -1271,6 +1323,87 @@ mod tests {
 
     fn two_hosts_one_switch(rate_mbps: u64, delay_ns: u64, count: usize) -> (Network, ReceivedLog) {
         two_hosts_one_switch_seeded(1, rate_mbps, delay_ns, count)
+    }
+
+    /// FNV-1a as first written, one step per byte: the oracle for the
+    /// word-walking [`fnv1a`].
+    fn fnv1a_bytewise(bytes: &[u8]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    #[test]
+    fn fnv1a_is_the_published_function() {
+        // Test vectors of the FNV reference distribution (64-bit FNV-1a).
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_bytewise(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv1a_zero_runs_at_every_length_and_alignment() {
+        // A zero run of every length 0..=40 starting at every offset 0..8 of
+        // a non-zero buffer, at every total length that leaves 0..8 tail
+        // bytes: runs cover whole words, straddle them, and end in the tail.
+        for total in 48..56usize {
+            for start in 0..8usize {
+                for run in 0..=40usize {
+                    let mut buf: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
+                    buf[start..start + run].fill(0);
+                    assert_eq!(fnv1a(&buf), fnv1a_bytewise(&buf), "{total} {start} {run}");
+                    // The same run pushed against the end of the buffer.
+                    let mut buf: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
+                    buf[total - run..].fill(0);
+                    assert_eq!(fnv1a(&buf), fnv1a_bytewise(&buf), "{total} tail {run}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fnv1a_all_zero_and_no_zero_inputs_of_every_length() {
+        let zeros = vec![0u8; 2048];
+        let dense: Vec<u8> = (0..2048).map(|i| (i % 255) as u8 + 1).collect();
+        for len in 0..=2048 {
+            assert_eq!(fnv1a(&zeros[..len]), fnv1a_bytewise(&zeros[..len]), "zeros {len}");
+            assert_eq!(fnv1a(&dense[..len]), fnv1a_bytewise(&dense[..len]), "dense {len}");
+            // Unaligned starts: the walk is by offset in the slice, not by
+            // address, but a frame can sit anywhere.
+            let from = len.min(3);
+            assert_eq!(fnv1a(&zeros[from..len]), fnv1a_bytewise(&zeros[from..len]));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fnv1a_equals_the_bytewise_loop(
+            mut bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=2048),
+            starts in proptest::collection::vec(0usize..2048, 12),
+            lens in proptest::collection::vec(0usize..=40, 12),
+            sparse in proptest::prelude::any::<bool>(),
+        ) {
+            // Random bytes almost never hold a zero word: punch zero runs in,
+            // or keep only one byte in sixteen (a frame of zero payload with
+            // a few live fields).
+            if sparse {
+                for (i, b) in bytes.iter_mut().enumerate() {
+                    if i % 16 != 5 {
+                        *b = 0;
+                    }
+                }
+            }
+            for (start, len) in starts.into_iter().zip(lens) {
+                let start = start.min(bytes.len());
+                let end = (start + len).min(bytes.len());
+                bytes[start..end].fill(0);
+            }
+            proptest::prop_assert_eq!(fnv1a(&bytes), fnv1a_bytewise(&bytes));
+        }
     }
 
     #[test]

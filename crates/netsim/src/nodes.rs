@@ -24,6 +24,10 @@ pub const DEFAULT_POOL_HIGH_WATER: usize = 1024;
 /// collects those carcasses and hands them back out via [`FramePool::get`] /
 /// [`crate::net::HostCtx::take_buf`] so multi-hop simulations stop
 /// round-tripping the allocator for a fresh `Vec<u8>` on every such event.
+/// The loop closes in `tpp_fabric::TrafficGen`: it recycles every frame it
+/// sinks and builds every frame it sends in a buffer from `take_buf`, so a
+/// steady-state cell allocates almost nothing per frame (asserted by
+/// `crates/fabric/tests/alloc_steady.rs`).
 /// In a sharded run each shard owns its own pool, preserving the
 /// zero-allocation steady state without cross-core contention.
 ///

@@ -1120,27 +1120,23 @@ mod scheduler_tests {
     use tpp_core::asm::TppBuilder;
     use tpp_core::wire::{self, insert_transparent, ipv4, udp, EthernetAddress};
 
+    fn plain_frame(src: u32, dst: u32, payload: usize) -> Vec<u8> {
+        let hdr = wire::UdpFrameRepr {
+            src_mac: EthernetAddress::from_node_id(src),
+            dst_mac: EthernetAddress::from_node_id(dst),
+            src_ip: Ipv4Address::from_host_id(src),
+            dst_ip: Ipv4Address::from_host_id(dst),
+            src_port: 1,
+            dst_port: 2,
+        };
+        let mut frame = Vec::new();
+        wire::udp_frame_into(&mut frame, &hdr, payload, &[]);
+        frame
+    }
+
     fn frame_to_queue(src: u32, dst: u32, queue: u8, payload: usize) -> Vec<u8> {
         // Steer into a queue via a TPP that writes [PacketMetadata:OutputQueue].
-        let inner = {
-            let src_ip = Ipv4Address::from_host_id(src);
-            let dst_ip = Ipv4Address::from_host_id(dst);
-            let u = udp::Repr { src_port: 1, dst_port: 2, payload_len: payload };
-            let udp_b = u.encapsulate(src_ip, dst_ip, &vec![0u8; payload]);
-            let ip = ipv4::Repr {
-                src: src_ip,
-                dst: dst_ip,
-                protocol: ipv4::protocol::UDP,
-                ttl: 64,
-                payload_len: udp_b.len(),
-            };
-            wire::EthernetRepr {
-                dst: EthernetAddress::from_node_id(dst),
-                src: EthernetAddress::from_node_id(src),
-                ethertype: ethernet::ethertype::IPV4,
-            }
-            .encapsulate(&ip.encapsulate(&udp_b))
-        };
+        let inner = plain_frame(src, dst, payload);
         let mut tpp = TppBuilder::hop_mode(1)
             .store_m("PacketMetadata:OutputQueue", 0)
             .unwrap()
@@ -1195,26 +1191,7 @@ mod scheduler_tests {
             .build()
             .unwrap();
         tpp.write_word(0, 200).unwrap();
-        let inner = {
-            let src_ip = Ipv4Address::from_host_id(1);
-            let dst_ip = Ipv4Address::from_host_id(2);
-            let u = udp::Repr { src_port: 1, dst_port: 2, payload_len: 16 };
-            let udp_b = u.encapsulate(src_ip, dst_ip, &[0u8; 16]);
-            let ip = ipv4::Repr {
-                src: src_ip,
-                dst: dst_ip,
-                protocol: ipv4::protocol::UDP,
-                ttl: 64,
-                payload_len: udp_b.len(),
-            };
-            wire::EthernetRepr {
-                dst: EthernetAddress::from_node_id(2),
-                src: EthernetAddress::from_node_id(1),
-                ethertype: ethernet::ethertype::IPV4,
-            }
-            .encapsulate(&ip.encapsulate(&udp_b))
-        };
-        s.receive(0, 0, insert_transparent(&inner, &tpp));
+        s.receive(0, 0, insert_transparent(&plain_frame(1, 2, 16), &tpp));
         s.dequeue(1, 2);
         assert_eq!(s.mem.queues[2][0].limit_bytes, 200);
         // Now a second full-size packet overflows immediately.
