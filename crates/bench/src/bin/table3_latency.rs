@@ -10,15 +10,7 @@ use tpp_switch::{ASIC, NETFPGA};
 
 fn main() {
     // Bounded by default; CI smoke runs set TPP_BENCH_ITERS lower still.
-    // A set-but-invalid value must fail loudly — before any measurement —
-    // not silently unbound the smoke run.
-    let iters: u64 = match std::env::var("TPP_BENCH_ITERS") {
-        Ok(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("TPP_BENCH_ITERS must be a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        Err(_) => 200_000,
-    };
+    let iters = tpp_bench::bench_iters(200_000);
     println!("# Table 3 — hardware latency cost model (§6.1)");
     println!("{:>24} {:>12} {:>12}", "task", "NetFPGA", "ASIC");
     type CostCell = fn(&tpp_switch::CostProfile) -> String;

@@ -21,3 +21,16 @@
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect::<Vec<_>>().join("  ")
 }
+
+/// Iterations for a timed loop: `TPP_BENCH_ITERS` when set (CI smoke runs
+/// set it low), else `default`. A set-but-invalid value must fail loudly —
+/// before any measurement — not silently unbound the smoke run.
+pub fn bench_iters(default: u64) -> u64 {
+    match std::env::var("TPP_BENCH_ITERS") {
+        Ok(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+            eprintln!("TPP_BENCH_ITERS must be a positive integer, got {v:?}");
+            std::process::exit(2);
+        }),
+        Err(_) => default,
+    }
+}

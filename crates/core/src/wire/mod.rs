@@ -80,16 +80,39 @@ pub fn extract_tpp(frame: &[u8]) -> Option<(TppLocation, Tpp)> {
 /// outer ethertype becomes 0x6666 and the original ethertype moves into the
 /// TPP's `encap_proto` field. The original L3+ payload follows the section.
 pub fn insert_transparent(frame: &[u8], tpp: &Tpp) -> Vec<u8> {
-    let eth = ethernet::Frame::new_unchecked(frame);
-    let mut t = tpp.clone();
-    t.encap_proto = eth.ethertype();
-    let section = t.serialize();
-    let mut out = Vec::with_capacity(frame.len() + section.len());
+    let (section, payload) = (ethernet::HEADER_LEN, ethernet::HEADER_LEN + tpp.section_len());
+    let mut out = Vec::with_capacity(frame.len() + tpp.section_len());
     out.extend_from_slice(&frame[..12]); // dst + src
     out.extend_from_slice(&ethernet::ethertype::TPP.to_be_bytes());
-    out.extend_from_slice(&section);
-    out.extend_from_slice(eth.payload());
+    out.resize(payload, 0);
+    tpp.emit(&mut out[section..]);
+    // The section went out naming `tpp`'s own `encap_proto`: name the
+    // displaced ethertype instead, and account for the swap in the checksum.
+    let displaced = u16::from_be_bytes([frame[12], frame[13]]);
+    let check = u16::from_be_bytes([out[section + 6], out[section + 7]]);
+    let check = checksum::update(check, tpp.encap_proto, displaced);
+    out[section + 6..section + 8].copy_from_slice(&check.to_be_bytes());
+    out[section + 8..section + 10].copy_from_slice(&displaced.to_be_bytes());
+    out.extend_from_slice(&frame[ethernet::HEADER_LEN..]);
     out
+}
+
+/// [`insert_transparent`] in the frame's own buffer, for a section serialized
+/// ahead of time: no allocation when `frame` has `section.len()` bytes of
+/// spare capacity, one exact growth when it has not, and no checksum pass.
+/// `section` must name the frame's ethertype as its `encap_proto`, and
+/// `frame` must hold an Ethernet header.
+pub fn insert_transparent_in_place(frame: &mut Vec<u8>, section: &[u8]) {
+    debug_assert!(
+        section[8..10] == frame[12..14],
+        "a piggy-backed section must name the ethertype it displaces"
+    );
+    let (at, old_len) = (ethernet::HEADER_LEN, frame.len());
+    frame.reserve_exact(section.len());
+    frame.resize(old_len + section.len(), 0);
+    frame.copy_within(at..old_len, at + section.len());
+    frame[12..14].copy_from_slice(&ethernet::ethertype::TPP.to_be_bytes());
+    frame[at..at + section.len()].copy_from_slice(section);
 }
 
 /// Rebuild the inner frame of a transparent-mode packet: the original MAC
@@ -107,6 +130,20 @@ pub fn restore_inner_frame(
     inner.extend_from_slice(&encap_proto.to_be_bytes());
     inner.extend_from_slice(&frame[section + consumed..]);
     inner
+}
+
+/// [`restore_inner_frame`] in the frame's own buffer: the restored ethertype
+/// overwrites 0x6666 and the payload closes up over the TPP section. No
+/// allocation; `frame` keeps its capacity.
+pub fn restore_inner_frame_in_place(
+    frame: &mut Vec<u8>,
+    section: usize,
+    consumed: usize,
+    encap_proto: u16,
+) {
+    frame[section - 2..section].copy_from_slice(&encap_proto.to_be_bytes());
+    frame.copy_within(section + consumed.., section);
+    frame.truncate(frame.len() - consumed);
 }
 
 /// Remove a transparent-mode TPP from a frame, restoring the original

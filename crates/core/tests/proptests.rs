@@ -7,7 +7,10 @@ use tpp_core::analysis::{find_hazards, serialize_pushes};
 use tpp_core::asm::{assemble, disassemble};
 use tpp_core::exec::{execute, execute_in_place, ExecOptions, InstrStatus, MapBus};
 use tpp_core::isa::{decode_program, encode_program, Instruction, Opcode};
-use tpp_core::wire::{checksum, AddrMode, Tpp, TppView, TppViewMut};
+use tpp_core::wire::{
+    checksum, insert_transparent, insert_transparent_in_place, restore_inner_frame,
+    restore_inner_frame_in_place, AddrMode, Tpp, TppView, TppViewMut,
+};
 
 fn arb_opcode() -> impl Strategy<Value = Opcode> {
     prop_oneof![
@@ -344,5 +347,32 @@ proptest! {
         prop_assert_eq!(out_a.wrote, out_b.wrote);
         prop_assert_eq!(frame_a, frame_b, "frames diverged (incl. checksum)");
         prop_assert_eq!(bus_a.mem, bus_b.mem, "switch-memory side effects diverged");
+    }
+
+    /// `insert_transparent` emits once and patches `encap_proto` through the
+    /// incremental checksum: the frame must be the one the definition gives,
+    /// `serialize()` of a clone that names the displaced ethertype — whatever
+    /// `encap_proto` the TPP came with. The in-place splice of that section
+    /// must build the same bytes, and the in-place strip must undo it as
+    /// `restore_inner_frame` does.
+    #[test]
+    fn insert_transparent_matches_serialize_of_clone(
+        tpp in arb_tpp(),
+        own_encap in any::<u16>(),
+        ethertype in any::<u16>(),
+        macs in prop::collection::vec(any::<u8>(), 12),
+        payload in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let tpp = Tpp { encap_proto: own_encap, ..tpp };
+        let frame = [&macs[..], &ethertype.to_be_bytes(), &payload].concat();
+        let section = Tpp { encap_proto: ethertype, ..tpp.clone() }.serialize();
+        let want = [&macs[..], &0x6666u16.to_be_bytes(), &section, &payload].concat();
+        prop_assert_eq!(insert_transparent(&frame, &tpp), want.clone());
+        let mut in_place = frame.clone();
+        insert_transparent_in_place(&mut in_place, &section);
+        prop_assert_eq!(&in_place, &want);
+        prop_assert_eq!(restore_inner_frame(&want, 14, section.len(), ethertype), frame.clone());
+        restore_inner_frame_in_place(&mut in_place, 14, section.len(), ethertype);
+        prop_assert_eq!(in_place, frame);
     }
 }

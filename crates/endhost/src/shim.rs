@@ -11,6 +11,13 @@
 //!
 //! Completed TPPs travel on a dedicated UDP port ([`TPP_ECHO_PORT`]) as
 //! *payload*, so switches do not re-execute them on the return path.
+//!
+//! Both directions work in the frame they are handed: a stamped frame is the
+//! caller's buffer with the filter entry's pre-serialized section spliced in,
+//! and a stripped frame is the received buffer with the section closed up.
+//! The shim allocates only for what it surfaces beside the frame (an echo
+//! frame, an owned completed [`Tpp`]) and, on transmit, when the caller's
+//! buffer has no room for the section.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -18,9 +25,10 @@ use std::collections::BTreeMap;
 
 use crate::filter::{Filter, FilterEntry, FilterTable};
 use tpp_core::wire::{
-    ethernet, insert_transparent, ipv4, locate_tpp, udp, EthernetAddress, EthernetRepr,
-    Ipv4Address, Ipv4Packet, Tpp, TppLocation, TppView, UdpDatagram,
+    ethernet, insert_transparent_in_place, ipv4, locate_tpp, restore_inner_frame_in_place, udp,
+    EthernetAddress, EthernetRepr, Ipv4Address, Ipv4Packet, Tpp, TppLocation, TppView, UdpDatagram,
 };
+use tpp_switch::FlowKey;
 
 /// Completed TPPs are carried back to applications as the payload of UDP
 /// datagrams to this port (one above the TPP execution port 0x6666, which
@@ -180,7 +188,16 @@ impl Shim {
     }
 
     /// Transmit-side interposition: possibly piggy-back a TPP.
-    pub fn outgoing(&mut self, frame: Vec<u8>) -> Vec<u8> {
+    ///
+    /// The frame returned is the buffer passed in. A stamped frame grows in
+    /// place by the selected entry's pre-serialized section: no allocation
+    /// when the buffer has that much spare capacity, one exact growth when
+    /// it has not.
+    ///
+    /// Exactly one sampling coin is drawn per frame that reaches the filter
+    /// table: a plain IPv4 frame, with a non-empty table. Frames that
+    /// already carry a TPP, and frames without a 5-tuple, draw none.
+    pub fn outgoing(&mut self, mut frame: Vec<u8>) -> Vec<u8> {
         self.counters.tx_frames += 1;
         if self.filters.is_empty() {
             return frame;
@@ -189,52 +206,54 @@ impl Shim {
         if !matches!(locate_tpp(&frame), TppLocation::None) {
             return frame;
         }
-        let Some(key) = tpp_switch::FlowKey::from_frame(&frame) else {
+        // Only IPv4 frames have a key, and IPv4 is the protocol the sections
+        // `select` hands out say they encapsulate.
+        let Some(key) = FlowKey::from_frame(&frame) else {
             return frame;
         };
         let coin: f64 = self.rng.random();
-        match self.filters.select(&key, coin) {
-            Some((_, tpp)) => {
-                self.counters.tx_stamped += 1;
-                insert_transparent(&frame, &tpp)
-            }
-            None => frame,
+        if let Some((_, section)) = self.filters.select(&key, coin) {
+            self.counters.tx_stamped += 1;
+            insert_transparent_in_place(&mut frame, section);
         }
+        frame
     }
 
     /// Receive-side interposition. TPP sections are validated and read
     /// through borrowed [`TppView`]s over the frame bytes; the owned [`Tpp`]
     /// is materialized only when a completion is surfaced to a local
     /// application, and echo frames carry the section bytes verbatim.
-    pub fn incoming(&mut self, frame: Vec<u8>) -> Incoming {
+    pub fn incoming(&mut self, mut frame: Vec<u8>) -> Incoming {
         self.counters.rx_frames += 1;
         match locate_tpp(&frame) {
-            TppLocation::Transparent { section } => match TppView::parse(&frame[section..]) {
-                Ok((view, consumed)) => {
-                    self.counters.rx_stripped += 1;
-                    let inner = tpp_core::wire::restore_inner_frame(
-                        &frame,
-                        section,
-                        consumed,
-                        view.encap_proto(),
-                    );
-                    let flow = tpp_switch::FlowKey::from_frame(&inner)
-                        .map(|k| FlowRef {
+            TppLocation::Transparent { section } => {
+                let Ok((view, consumed)) = TppView::parse(&frame[section..]) else {
+                    self.counters.parse_failures += 1;
+                    return Incoming { discarded: true, ..Incoming::default() };
+                };
+                self.counters.rx_stripped += 1;
+                let encap_proto = view.encap_proto();
+                // The instrumented packet's flow, from the IPv4 header right
+                // behind the section; the default when something else is.
+                let flow = match Ipv4Packet::new_checked(&frame[section + consumed..]) {
+                    Some(ip) if encap_proto == ethernet::ethertype::IPV4 => {
+                        let k = FlowKey::from_ipv4(&ip);
+                        FlowRef {
                             src: k.src,
                             dst: k.dst,
                             src_port: k.src_port,
                             dst_port: k.dst_port,
-                        })
-                        .unwrap_or_default();
-                    let mut out = self.route_completed(&view, flow);
-                    out.deliver = Some(inner);
-                    out
-                }
-                Err(_) => {
-                    self.counters.parse_failures += 1;
-                    Incoming { discarded: true, ..Incoming::default() }
-                }
-            },
+                        }
+                    }
+                    _ => FlowRef::default(),
+                };
+                // Everything that reads the section goes first: stripping
+                // the frame in place overwrites it.
+                let mut out = self.route_completed(&view, flow);
+                restore_inner_frame_in_place(&mut frame, section, consumed, encap_proto);
+                out.deliver = Some(frame);
+                out
+            }
             TppLocation::Standalone { section, ip, udp } => {
                 let (src, dst) = match Ipv4Packet::new_checked(&frame[ip..]) {
                     Some(p) => (p.src(), p.dst()),
@@ -490,6 +509,34 @@ mod tests {
         let out = rx.incoming(stamped);
         assert!(out.discarded && out.deliver.is_none());
         assert_eq!(rx.counters.parse_failures, 1);
+    }
+
+    #[test]
+    fn non_ipv4_payload_stripped_with_default_flow() {
+        // A TPP riding on something other than IPv4 (only a foreign sender
+        // builds one: `outgoing` stamps IPv4 alone) is still stripped to the
+        // frame `restore_inner_frame` builds, and attributed to no flow.
+        const ARP: u16 = 0x0806;
+        let arp = EthernetRepr {
+            dst: EthernetAddress::from_node_id(2),
+            src: EthernetAddress::from_node_id(1),
+            ethertype: ARP,
+        }
+        .encapsulate(&[0x45; 28]);
+        let stamped = tpp_core::wire::insert_transparent(&arp, &probe_tpp(7));
+        let section = ethernet::HEADER_LEN;
+        let (view, consumed) = TppView::parse(&stamped[section..]).unwrap();
+        assert_eq!(view.encap_proto(), ARP);
+        let rebuilt = tpp_core::wire::restore_inner_frame(&stamped, section, consumed, ARP);
+        assert_eq!(rebuilt, arp);
+
+        let mut rx = shim_for(2);
+        rx.set_aggregator(7, Ipv4Address::from_host_id(2));
+        let out = rx.incoming(stamped);
+        assert_eq!(out.deliver, Some(rebuilt));
+        let done = out.completed.expect("local completion");
+        assert_eq!(done.flow, FlowRef::default());
+        assert_eq!(done.from, Ipv4Address::default());
     }
 
     #[test]

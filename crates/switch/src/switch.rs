@@ -237,12 +237,14 @@ impl Switch {
     }
 
     /// Advance time-driven state. Call at least once per utilization
-    /// interval.
+    /// interval. A `now_ns` earlier than the last closed utilization window
+    /// closes none, and neither does a zero `util_interval_ns`.
     pub fn tick(&mut self, now_ns: u64) {
         self.mem.now_ns = now_ns;
-        while now_ns - self.last_util_ns >= self.cfg.util_interval_ns {
-            self.last_util_ns += self.cfg.util_interval_ns;
-            self.mem.update_utilization(self.cfg.util_interval_ns);
+        let interval = self.cfg.util_interval_ns;
+        while interval != 0 && now_ns.saturating_sub(self.last_util_ns) >= interval {
+            self.last_util_ns += interval;
+            self.mem.update_utilization(interval);
         }
     }
 
@@ -853,6 +855,43 @@ mod tests {
         sw.tick(1_000_000);
         let util = sw.mem.links[2].tx_util_bps;
         assert!(util > 2000 && util < 3000, "expected ~2500 (EWMA of 5000), got {util}");
+    }
+
+    /// A switch that carried ~50% load on port 2 over one closed window.
+    fn ticked_switch() -> Switch {
+        let mut sw = basic_switch();
+        sw.set_link_speed(2, 100);
+        for _ in 0..10 {
+            sw.receive(0, 0, host_frame(1, 2, 583, 1, 2));
+            sw.dequeue(0, 2);
+        }
+        sw.tick(3_000_000);
+        sw
+    }
+
+    #[test]
+    fn tick_with_an_earlier_clock_closes_no_window() {
+        // `now_ns - last_util_ns` underflowed: a panic in debug builds,
+        // ~10^13 loop iterations in release.
+        let mut sw = ticked_switch();
+        let util = sw.mem.links[2].tx_util_bps;
+        sw.tick(1_000);
+        assert_eq!(sw.mem.now_ns, 1_000);
+        assert_eq!(sw.mem.links[2].tx_util_bps, util);
+        // Windows resume where they left off once the clock is past them.
+        sw.tick(4_000_000);
+        assert_ne!(sw.mem.links[2].tx_util_bps, util);
+    }
+
+    #[test]
+    fn tick_with_a_zero_interval_terminates() {
+        // `now_ns - last_util_ns >= 0` never turned false.
+        let mut sw = ticked_switch();
+        let util = sw.mem.links[2].tx_util_bps;
+        sw.cfg.util_interval_ns = 0;
+        sw.tick(5_000_000);
+        assert_eq!(sw.mem.now_ns, 5_000_000);
+        assert_eq!(sw.mem.links[2].tx_util_bps, util);
     }
 
     #[test]
