@@ -1,10 +1,10 @@
 //! Engine-scale benchmark: raw scheduler throughput (events/sec) of the
 //! hierarchical timing wheel vs the legacy `BinaryHeap` queue at 1k / 10k /
-//! 100k scheduled events, plus the batched end-to-end delivery loop.
+//! 100k scheduled events, plus the end-to-end delivery loop.
 //!
 //! * `wheel/{n}` — schedule `n` keyed events with delays mixed across every
-//!   wheel level, then drain with same-timestamp batch pops (spill
-//!   threshold 0: pure wheel).
+//!   wheel level, then drain one pop at a time (spill threshold 0: pure
+//!   wheel).
 //! * `hybrid/{n}` — the same schedule through the default [`Scheduler`],
 //!   which starts on its heap backend and spills into the wheel at the
 //!   crossover threshold — the configuration every simulation actually
@@ -16,9 +16,8 @@
 //!   vs. half the events pushed out to 1–10 ms, where WAN propagation
 //!   lands (wheel levels 3–4, not the overflow heap). The ratio between
 //!   the two is the scheduler's multi-site tax; it must stay within 10%.
-//! * `delivery/batched` — one simulated window of heavy traffic on a k=4
-//!   fat-tree through the batched `Network` loop (`receive_batch` /
-//!   `dequeue_batch` under the wheel), digest-pinned so the workload can't
+//! * `delivery` — one simulated window of heavy traffic on a k=4 fat-tree
+//!   through the `Network` loop, digest-pinned so the workload can't
 //!   silently drift.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -39,27 +38,11 @@ fn delay_for(i: u64) -> u64 {
 fn drive_wheel(n: u64) -> u64 {
     let mut q = Scheduler::with_spill_threshold(0);
     let mut popped = 0u64;
-    let mut batch = Vec::new();
     for i in 0..n {
         q.schedule_keyed(q.now() + delay_for(i), i % 7, i);
     }
-    while q.pop_batch(&mut batch).is_some() {
-        popped += batch.len() as u64;
-        batch.clear();
-    }
-    popped
-}
-
-fn drive_hybrid(n: u64) -> u64 {
-    let mut q = Scheduler::new();
-    let mut popped = 0u64;
-    let mut batch = Vec::new();
-    for i in 0..n {
-        q.schedule_keyed(q.now() + delay_for(i), i % 7, i);
-    }
-    while q.pop_batch(&mut batch).is_some() {
-        popped += batch.len() as u64;
-        batch.clear();
+    while q.pop().is_some() {
+        popped += 1;
     }
     popped
 }
@@ -84,18 +67,16 @@ fn delay_mixed(i: u64) -> u64 {
 }
 
 /// Schedule/drain through the default scheduler with an arbitrary delay
-/// profile (the WAN-mix arms share this driver so only the profile
-/// differs).
+/// profile (the hybrid and WAN-mix arms share this driver so only the
+/// profile differs).
 fn drive_profile(n: u64, delay: fn(u64) -> u64) -> u64 {
     let mut q = Scheduler::new();
     let mut popped = 0u64;
-    let mut batch = Vec::new();
     for i in 0..n {
         q.schedule_keyed(q.now() + delay(i), i % 7, i);
     }
-    while q.pop_batch(&mut batch).is_some() {
-        popped += batch.len() as u64;
-        batch.clear();
+    while q.pop().is_some() {
+        popped += 1;
     }
     popped
 }
@@ -140,14 +121,16 @@ fn bench_engine(c: &mut Criterion) {
             _ => "100k",
         };
         assert_eq!(drive_wheel(n), n, "wheel must pop every scheduled event");
-        assert_eq!(drive_hybrid(n), n, "hybrid must pop every scheduled event");
+        assert_eq!(drive_profile(n, delay_for), n, "hybrid must pop every scheduled event");
         assert_eq!(drive_heap(n), n, "heap must pop every scheduled event");
         assert_eq!(drive_profile(n, delay_pure_ns), n, "pure-ns must pop every event");
         assert_eq!(drive_profile(n, delay_mixed), n, "mixed ns/ms must pop every event");
         let mut g = c.benchmark_group("engine_scale");
         g.throughput(Throughput::Elements(n));
         g.bench_function(format!("wheel/{label}"), |b| b.iter(|| black_box(drive_wheel(n))));
-        g.bench_function(format!("hybrid/{label}"), |b| b.iter(|| black_box(drive_hybrid(n))));
+        g.bench_function(format!("hybrid/{label}"), |b| {
+            b.iter(|| black_box(drive_profile(n, delay_for)));
+        });
         g.bench_function(format!("heap/{label}"), |b| b.iter(|| black_box(drive_heap(n))));
         g.bench_function(format!("pure_ns/{label}"), |b| {
             b.iter(|| black_box(drive_profile(n, delay_pure_ns)));
@@ -158,16 +141,16 @@ fn bench_engine(c: &mut Criterion) {
         g.finish();
     }
 
-    // End-to-end batched delivery, digest-pinned against drift: the same
+    // End-to-end delivery, digest-pinned against drift: the same
     // run twice must agree, and the event count sets the throughput unit.
     let (digest, events) = run_delivery();
     assert_eq!(run_delivery(), (digest, events), "delivery workload must be deterministic");
     let mut g = c.benchmark_group("engine_scale");
     g.throughput(Throughput::Elements(events));
-    g.bench_function("delivery/batched", |b| {
+    g.bench_function("delivery", |b| {
         b.iter(|| {
             let got = run_delivery();
-            assert_eq!(got.0, digest, "batched delivery digest drifted");
+            assert_eq!(got.0, digest, "delivery digest drifted");
             black_box(got)
         });
     });

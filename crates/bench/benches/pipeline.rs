@@ -50,29 +50,6 @@ fn bench_switch(c: &mut Criterion) {
             black_box(sw.dequeue(now, 2));
         });
     });
-    // Batched delivery of identical-program TPP frames: the plan cache and
-    // the shared batch context (clock, exec options) amortize
-    // per-frame setup, so per-packet cost must beat `tpp_packet` above.
-    for batch in [8usize, 32] {
-        g.throughput(Throughput::Elements(batch as u64));
-        g.bench_function(format!("tpp_packet_batch{batch}"), |b| {
-            let mut sw = make_switch();
-            let mut now = 0u64;
-            let mut frames: Vec<(u8, Vec<u8>)> = Vec::with_capacity(batch);
-            let mut outcomes = Vec::with_capacity(batch);
-            b.iter(|| {
-                now += 1000;
-                frames.clear();
-                frames.extend((0..batch).map(|_| (0u8, stamped.clone())));
-                outcomes.clear();
-                sw.receive_batch(now, &mut frames, &mut outcomes);
-                black_box(&outcomes);
-                for _ in 0..batch {
-                    black_box(sw.dequeue(now, 2));
-                }
-            });
-        });
-    }
     g.finish();
 }
 

@@ -2,15 +2,12 @@
 //! per-opcode execution cost through the reference interpreter and the
 //! staged pipeline.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use tpp_core::addr::resolve_mnemonic;
 use tpp_core::asm::TppBuilder;
-use tpp_core::exec::{
-    execute, execute_batch, execute_in_place, execute_in_place_verified, ExecOptions, MapBus,
-    PlanTemplate,
-};
+use tpp_core::exec::{execute, execute_in_place, execute_in_place_verified, ExecOptions, MapBus};
 use tpp_core::verify::{verify, VerifyOptions};
 use tpp_core::wire::{Tpp, TppView, TppViewMut};
 use tpp_switch::memmap::{PacketContext, SwitchBus, SwitchMemory};
@@ -152,91 +149,12 @@ fn bench_verified(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batch execution through a cached plan template — the shape the switch's
-/// plan cache produces when every frame of a batch carries the same probe.
-///
-/// * `hit` — plan once (with the verifier token), then run all `BATCH`
-///   frames back-to-back through `execute_batch` on the unchecked path.
-/// * `miss` — re-validate and re-plan every frame (pre-cache behavior).
-/// * `mixed` — two interleaved programs, each hitting its own cached
-///   template (the realistic multi-flow batch).
-fn bench_batch(c: &mut Criterion) {
-    const BATCH: usize = 32;
-    let sid = resolve_mnemonic("Switch:SwitchID").unwrap();
-    let q = resolve_mnemonic("Queue:QueueOccupancy").unwrap();
-    let reg = resolve_mnemonic("Link:AppSpecific_0").unwrap();
-    let opts = ExecOptions::default();
-    let progs = programs();
-    let lookup = |name: &str| progs.iter().find(|(n, _)| *n == name).unwrap().1.clone();
-    let decode = |tpp: &Tpp| {
-        let bytes = tpp.serialize();
-        let token =
-            verify(tpp, VerifyOptions::default()).token().expect("bench programs verify clean");
-        let (view, _) = TppView::parse(&bytes).unwrap();
-        (PlanTemplate::decode(&view, &opts).with_token(token), bytes)
-    };
-
-    let mut g = c.benchmark_group("tcpu_batch");
-    g.throughput(Throughput::Elements(BATCH as u64));
-
-    let (template, bytes) = decode(&lookup("push5"));
-    g.bench_function("hit", |b| {
-        let mut bus = MapBus::with(&[(sid, 7), (q, 100), (reg, 0)]);
-        let mut frames: Vec<Vec<u8>> = vec![bytes.clone(); BATCH];
-        let mut out = Vec::with_capacity(BATCH);
-        b.iter(|| {
-            for f in &mut frames {
-                f.copy_from_slice(&bytes);
-            }
-            out.clear();
-            execute_batch(
-                &template,
-                frames.iter_mut().map(Vec::as_mut_slice),
-                &mut bus,
-                &opts,
-                &mut out,
-            );
-            black_box(&out);
-        });
-    });
-
-    g.bench_function("miss", |b| {
-        let mut bus = MapBus::with(&[(sid, 7), (q, 100), (reg, 0)]);
-        let mut frames: Vec<Vec<u8>> = vec![bytes.clone(); BATCH];
-        b.iter(|| {
-            for f in &mut frames {
-                f.copy_from_slice(&bytes);
-                let (mut view, _) = TppViewMut::parse(f).unwrap();
-                let template = PlanTemplate::decode(&view.as_view(), &opts);
-                black_box(template.execute_one(&mut view, &mut bus, &opts));
-            }
-        });
-    });
-
-    let (t_push, b_push) = decode(&lookup("push5"));
-    let (t_load, b_load) = decode(&lookup("load5"));
-    let templates = [t_push, t_load];
-    let sources = [b_push, b_load];
-    g.bench_function("mixed", |b| {
-        let mut bus = MapBus::with(&[(sid, 7), (q, 100), (reg, 0)]);
-        let mut frames: Vec<Vec<u8>> = (0..BATCH).map(|i| sources[i % 2].clone()).collect();
-        b.iter(|| {
-            for (i, f) in frames.iter_mut().enumerate() {
-                f.copy_from_slice(&sources[i % 2]);
-                let mut view = TppViewMut::from_validated(f);
-                black_box(templates[i % 2].execute_one(&mut view, &mut bus, &opts));
-            }
-        });
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(700))
         .sample_size(30);
-    targets = bench_reference, bench_in_place, bench_verified, bench_pipeline, bench_batch
+    targets = bench_reference, bench_in_place, bench_verified, bench_pipeline
 }
 criterion_main!(benches);

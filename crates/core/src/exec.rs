@@ -7,6 +7,13 @@
 //! its tests assert equivalence with this interpreter for hazard-free
 //! programs.
 //!
+//! The owned [`execute`] is that reference, and nothing but tests and
+//! host-side dry runs call it. What a switch runs is the in-place
+//! interpreter over wire bytes, and there is one of it: [`step_in_place`],
+//! generic over a packet-memory [`Bounds`] policy and the bus type.
+//! [`execute_in_place`], [`execute_in_place_verified`] and the switch's
+//! staged pipeline all step through it.
+//!
 //! Key semantics:
 //!
 //! * Instructions that access unmapped memory are **skipped**, not faulted:
@@ -23,7 +30,7 @@ use crate::addr::{Address, Word};
 use crate::isa::{Instruction, Opcode, MAX_INSTRUCTIONS};
 use crate::verify::Verified;
 use crate::wire::tpp::Tpp;
-use crate::wire::view::{TppView, TppViewMut};
+use crate::wire::view::TppViewMut;
 
 /// Result of a switch-memory write attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -370,8 +377,202 @@ impl InPlaceOutcome {
     }
 }
 
+/// Packet-memory bounds policy of the in-place interpreter: a zero-sized
+/// type parameter, so each policy compiles to its own straight-line step.
+pub trait Bounds {
+    /// Every stack-limit and word-index condition on packet memory is
+    /// already proven, so the step tests none of them.
+    const PROVEN: bool;
+}
+
+/// Test every packet-memory access; out of bounds skips gracefully (§3.3).
+pub struct Checked;
+
+/// The caller holds a proof (a covering [`Verified`] token, or the switch's
+/// plan-time bounds check) that no access this hop leaves packet memory. A
+/// false claim panics on a slice index; it cannot touch bytes outside the
+/// section.
+pub struct Trusted;
+
+impl Bounds for Checked {
+    const PROVEN: bool = false;
+}
+
+impl Bounds for Trusted {
+    const PROVEN: bool = true;
+}
+
+fn read_word<P: Bounds>(view: &TppViewMut<'_>, idx: usize) -> Option<Word> {
+    if P::PROVEN {
+        Some(view.read_word_trusted(idx))
+    } else {
+        view.read_word(idx)
+    }
+}
+
+fn write_word<P: Bounds>(view: &mut TppViewMut<'_>, idx: usize, v: Word) -> Option<()> {
+    if P::PROVEN {
+        view.write_word_trusted(idx, v);
+        Some(())
+    } else {
+        view.write_word(idx, v)
+    }
+}
+
+/// Attempt a switch-memory write, honouring the administrative kill-switch
+/// (§4.3). Returns whether it took effect.
+fn bus_write<B: MemoryBus + ?Sized>(
+    bus: &mut B,
+    addr: Address,
+    v: Word,
+    allow_writes: bool,
+    wrote: &mut bool,
+) -> bool {
+    let ok = allow_writes && bus.write(addr, v) == WriteOutcome::Ok;
+    *wrote |= ok;
+    ok
+}
+
+/// The §3.5 serialization of one PUSH/POP: the packet-memory word it owns,
+/// with `sp` moved past it. `None`, `sp` untouched, for any other opcode and
+/// for a PUSH onto a full stack or a POP from an empty one. Stack movement is
+/// a parse-time constant — SP moves identically whether the instruction then
+/// runs, skips or is suppressed — so callers resolve it before asking whether
+/// the instruction is live. [`Trusted`] drops only the two clamps.
+pub fn stack_slot<P: Bounds>(opcode: Opcode, sp: &mut u8, memory_words: usize) -> Option<u8> {
+    match opcode {
+        Opcode::Push if P::PROVEN || usize::from(*sp) < memory_words => {
+            *sp += 1;
+            Some(*sp - 1)
+        }
+        Opcode::Pop if P::PROVEN || *sp > 0 => {
+            *sp -= 1;
+            Some(*sp)
+        }
+        _ => None,
+    }
+}
+
+/// Execute one instruction in place: the only in-place step there is. The
+/// program-order loop behind [`execute_in_place`] and the switch's staged
+/// pipeline both call it, each with its own [`Bounds`] policy and bus type.
+///
+/// `slot` is the PUSH/POP word its caller resolved with [`stack_slot`]
+/// (`None`: the instruction skips); SP is the caller's business, not the
+/// step's. A failed conditional is reported as [`InstrStatus::CondFailed`] /
+/// [`InstrStatus::PredicateFalse`]; the caller suppresses what follows.
+pub fn step_in_place<P: Bounds, B: MemoryBus + ?Sized>(
+    view: &mut TppViewMut<'_>,
+    bus: &mut B,
+    ins: &Instruction,
+    slot: Option<u8>,
+    allow_writes: bool,
+    wrote: &mut bool,
+) -> InstrStatus {
+    let done = |ok: bool| if ok { InstrStatus::Executed } else { InstrStatus::Skipped };
+    match ins.opcode {
+        Opcode::Push => {
+            let Some(word) = slot else { return InstrStatus::Skipped };
+            let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
+            done(write_word::<P>(view, word.into(), v).is_some())
+        }
+        Opcode::Pop => {
+            // A denied write leaves switch memory untouched; the slot is
+            // released all the same.
+            let Some(v) = slot.and_then(|word| read_word::<P>(view, word.into())) else {
+                return InstrStatus::Skipped;
+            };
+            done(bus_write(bus, ins.addr, v, allow_writes, wrote))
+        }
+        Opcode::Load => {
+            let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
+            done(write_word::<P>(view, view.hop_word_index(ins.op1), v).is_some())
+        }
+        Opcode::Store => {
+            let Some(v) = read_word::<P>(view, view.hop_word_index(ins.op1)) else {
+                return InstrStatus::Skipped;
+            };
+            done(bus_write(bus, ins.addr, v, allow_writes, wrote))
+        }
+        Opcode::Cstore => {
+            // CSTORE [X], [Packet:hop[Pre]], [Packet:hop[Post]]  (§3.3.3)
+            let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
+            let pre_idx = view.hop_word_index(ins.op1);
+            let (Some(pre), Some(post)) =
+                (read_word::<P>(view, pre_idx), read_word::<P>(view, view.hop_word_index(ins.op2)))
+            else {
+                return InstrStatus::Skipped;
+            };
+            // A refused write behaves like a failed comparison; either way
+            // the observed value goes back so the end-host can tell.
+            let succeeded = x == pre && bus_write(bus, ins.addr, post, allow_writes, wrote);
+            let _ = write_word::<P>(view, pre_idx, if succeeded { post } else { x });
+            if succeeded {
+                InstrStatus::Executed
+            } else {
+                InstrStatus::CondFailed
+            }
+        }
+        Opcode::Cexec => {
+            // CEXEC [X], [Packet:hop[mask]], [Packet:hop[value]]
+            let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
+            let (Some(mask), Some(value)) = (
+                read_word::<P>(view, view.hop_word_index(ins.op1)),
+                read_word::<P>(view, view.hop_word_index(ins.op2)),
+            ) else {
+                return InstrStatus::Skipped;
+            };
+            if x & mask == value {
+                InstrStatus::Executed
+            } else {
+                InstrStatus::PredicateFalse
+            }
+        }
+    }
+}
+
+/// The program-order loop over [`step_in_place`], under bounds policy `P`.
+fn run_in_place<P: Bounds>(
+    view: &mut TppViewMut<'_>,
+    bus: &mut dyn MemoryBus,
+    opts: &ExecOptions,
+) -> InPlaceOutcome {
+    let n = view.n_instr();
+    if n > opts.max_instructions || n > MAX_INSTRUCTIONS {
+        return InPlaceOutcome { status: StatusVec::default(), wrote: false, rejected: true };
+    }
+    let mut status = StatusVec::default();
+    let mut wrote = false;
+    let mut live = true; // flipped off by failed CSTORE / false CEXEC
+
+    for idx in 0..n {
+        let ins = view.instr(idx);
+        // A suppressed PUSH/POP still consumes or releases its slot.
+        let mut sp = view.sp();
+        let slot = stack_slot::<P>(ins.opcode, &mut sp, view.memory_words());
+        if slot.is_some() {
+            view.set_sp(sp);
+        }
+        if !live {
+            status.push(InstrStatus::Suppressed);
+            continue;
+        }
+        let st = step_in_place::<P, _>(view, bus, &ins, slot, opts.allow_writes, &mut wrote);
+        live = !matches!(st, InstrStatus::CondFailed | InstrStatus::PredicateFalse);
+        status.push(st);
+    }
+    if wrote {
+        view.set_wrote(true);
+    }
+    if opts.increment_hop {
+        let hop = view.hop();
+        view.set_hop(hop.wrapping_add(1));
+    }
+    InPlaceOutcome { status, wrote, rejected: false }
+}
+
 /// Execute a TPP **in place over its wire bytes** — the zero-allocation
-/// fast path a switch runs per packet.
+/// form of [`execute`], every packet-memory access bounds-checked.
 ///
 /// Observationally equivalent to [`execute`] on the parsed section
 /// (property-tested in `tests/proptests.rs`): packet-memory words, the
@@ -385,44 +586,7 @@ pub fn execute_in_place(
     bus: &mut dyn MemoryBus,
     opts: &ExecOptions,
 ) -> InPlaceOutcome {
-    let n = view.n_instr();
-    if n > opts.max_instructions || n > MAX_INSTRUCTIONS {
-        return InPlaceOutcome { status: StatusVec::default(), wrote: false, rejected: true };
-    }
-    let mut status = StatusVec::default();
-    let mut wrote = false;
-    let mut live = true;
-
-    for idx in 0..n {
-        let ins = view.instr(idx);
-        if !live {
-            // A suppressed PUSH/POP still consumes/releases its parse-time
-            // stack slot (see `execute`).
-            match ins.opcode {
-                Opcode::Push if (view.sp() as usize) < view.memory_words() => {
-                    let sp = view.sp();
-                    view.set_sp(sp + 1);
-                }
-                Opcode::Pop if view.sp() > 0 => {
-                    let sp = view.sp();
-                    view.set_sp(sp - 1);
-                }
-                _ => {}
-            }
-            status.push(InstrStatus::Suppressed);
-            continue;
-        }
-        let st = step_in_place(view, bus, &ins, opts, &mut wrote, &mut live);
-        status.push(st);
-    }
-    if wrote {
-        view.set_wrote(true);
-    }
-    if opts.increment_hop {
-        let hop = view.hop();
-        view.set_hop(hop.wrapping_add(1));
-    }
-    InPlaceOutcome { status, wrote, rejected: false }
+    run_in_place::<Checked>(view, bus, opts)
 }
 
 /// Execute a **verified** TPP in place, skipping the per-instruction
@@ -430,11 +594,10 @@ pub fn execute_in_place(
 ///
 /// The token is the proof object [`verify`](crate::verify::verify) returns
 /// for a passing program: within its hop/SP window, no PUSH can overflow, no
-/// POP can underflow, and no hop-addressed access can leave packet memory —
-/// so this path replaces every `Option`-returning word access with a direct
-/// one and drops the stack-limit branches. One `covers` check per packet
-/// replaces them all; a packet outside the verified window (e.g. past the
-/// proven hop range) falls back to the fully checked [`execute_in_place`].
+/// POP can underflow, and no hop-addressed access can leave packet memory.
+/// One `covers` check per packet selects the [`Trusted`] policy; a packet
+/// outside the verified window (e.g. past the proven hop range) runs under
+/// [`Checked`], exactly as [`execute_in_place`] would.
 ///
 /// Bus semantics are unchanged: unmapped operands still skip gracefully and
 /// the administrative write switch still applies — the proof is about
@@ -447,385 +610,10 @@ pub fn execute_in_place_verified(
     opts: &ExecOptions,
     token: &Verified,
 ) -> InPlaceOutcome {
-    if !token.covers(view.hop(), view.sp()) {
-        return execute_in_place(view, bus, opts);
-    }
-    let n = view.n_instr();
-    if n > opts.max_instructions || n > MAX_INSTRUCTIONS {
-        return InPlaceOutcome { status: StatusVec::default(), wrote: false, rejected: true };
-    }
-    let mut status = StatusVec::default();
-    let mut wrote = false;
-    let mut live = true;
-
-    for idx in 0..n {
-        let ins = view.instr(idx);
-        if !live {
-            // Suppressed PUSH/POP still moves the parse-time SP; the token
-            // proves the clamp conditions can never trigger.
-            match ins.opcode {
-                Opcode::Push => {
-                    let sp = view.sp();
-                    view.set_sp(sp + 1);
-                }
-                Opcode::Pop => {
-                    let sp = view.sp();
-                    view.set_sp(sp - 1);
-                }
-                _ => {}
-            }
-            status.push(InstrStatus::Suppressed);
-            continue;
-        }
-        let st = step_in_place_trusted(view, bus, &ins, opts, &mut wrote, &mut live);
-        status.push(st);
-    }
-    if wrote {
-        view.set_wrote(true);
-    }
-    if opts.increment_hop {
-        let hop = view.hop();
-        view.set_hop(hop.wrapping_add(1));
-    }
-    InPlaceOutcome { status, wrote, rejected: false }
-}
-
-/// [`step_in_place`] minus the packet-memory bounds checks — every word
-/// access here is covered by the caller's [`Verified`] token.
-fn step_in_place_trusted(
-    view: &mut TppViewMut<'_>,
-    bus: &mut dyn MemoryBus,
-    ins: &Instruction,
-    opts: &ExecOptions,
-    wrote: &mut bool,
-    live: &mut bool,
-) -> InstrStatus {
-    match ins.opcode {
-        Opcode::Push => {
-            let sp = view.sp() as usize;
-            view.set_sp(sp as u8 + 1);
-            let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            view.write_word_trusted(sp, v);
-            InstrStatus::Executed
-        }
-        Opcode::Pop => {
-            let sp = view.sp() - 1;
-            view.set_sp(sp);
-            let v = view.read_word_trusted(sp as usize);
-            if !opts.allow_writes {
-                return InstrStatus::Skipped;
-            }
-            match bus.write(ins.addr, v) {
-                WriteOutcome::Ok => {
-                    *wrote = true;
-                    InstrStatus::Executed
-                }
-                _ => InstrStatus::Skipped,
-            }
-        }
-        Opcode::Load => {
-            let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            view.write_hop_word_trusted(ins.op1, v);
-            InstrStatus::Executed
-        }
-        Opcode::Store => {
-            let v = view.read_hop_word_trusted(ins.op1);
-            if !opts.allow_writes {
-                return InstrStatus::Skipped;
-            }
-            match bus.write(ins.addr, v) {
-                WriteOutcome::Ok => {
-                    *wrote = true;
-                    InstrStatus::Executed
-                }
-                _ => InstrStatus::Skipped,
-            }
-        }
-        Opcode::Cstore => {
-            let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            let pre = view.read_hop_word_trusted(ins.op1);
-            let post = view.read_hop_word_trusted(ins.op2);
-            let mut observed = x;
-            let mut succeeded = false;
-            if x == pre && opts.allow_writes {
-                match bus.write(ins.addr, post) {
-                    WriteOutcome::Ok => {
-                        *wrote = true;
-                        succeeded = true;
-                        observed = post;
-                    }
-                    WriteOutcome::Denied | WriteOutcome::Unmapped => {}
-                }
-            }
-            view.write_hop_word_trusted(ins.op1, observed);
-            if succeeded {
-                InstrStatus::Executed
-            } else {
-                *live = false;
-                InstrStatus::CondFailed
-            }
-        }
-        Opcode::Cexec => {
-            let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            let mask = view.read_hop_word_trusted(ins.op1);
-            let value = view.read_hop_word_trusted(ins.op2);
-            if x & mask == value {
-                InstrStatus::Executed
-            } else {
-                *live = false;
-                InstrStatus::PredicateFalse
-            }
-        }
-    }
-}
-
-fn step_in_place(
-    view: &mut TppViewMut<'_>,
-    bus: &mut dyn MemoryBus,
-    ins: &Instruction,
-    opts: &ExecOptions,
-    wrote: &mut bool,
-    live: &mut bool,
-) -> InstrStatus {
-    match ins.opcode {
-        Opcode::Push => {
-            let sp = view.sp() as usize;
-            if sp >= view.memory_words() {
-                return InstrStatus::Skipped; // stack overflow: no side effect
-            }
-            view.set_sp(sp as u8 + 1);
-            let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            view.write_word(sp, v).expect("slot bounds checked");
-            InstrStatus::Executed
-        }
-        Opcode::Pop => {
-            if view.sp() == 0 {
-                return InstrStatus::Skipped; // stack underflow
-            }
-            let sp = view.sp() - 1;
-            view.set_sp(sp);
-            let Some(v) = view.read_word(sp as usize) else {
-                return InstrStatus::Skipped;
-            };
-            if !opts.allow_writes {
-                return InstrStatus::Skipped;
-            }
-            match bus.write(ins.addr, v) {
-                WriteOutcome::Ok => {
-                    *wrote = true;
-                    InstrStatus::Executed
-                }
-                _ => InstrStatus::Skipped,
-            }
-        }
-        Opcode::Load => {
-            let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            match view.write_hop_word(ins.op1, v) {
-                Some(()) => InstrStatus::Executed,
-                None => InstrStatus::Skipped,
-            }
-        }
-        Opcode::Store => {
-            let Some(v) = view.read_hop_word(ins.op1) else { return InstrStatus::Skipped };
-            if !opts.allow_writes {
-                return InstrStatus::Skipped;
-            }
-            match bus.write(ins.addr, v) {
-                WriteOutcome::Ok => {
-                    *wrote = true;
-                    InstrStatus::Executed
-                }
-                _ => InstrStatus::Skipped,
-            }
-        }
-        Opcode::Cstore => {
-            let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            let (Some(pre), Some(post)) =
-                (view.read_hop_word(ins.op1), view.read_hop_word(ins.op2))
-            else {
-                return InstrStatus::Skipped;
-            };
-            let mut observed = x;
-            let mut succeeded = false;
-            if x == pre && opts.allow_writes {
-                match bus.write(ins.addr, post) {
-                    WriteOutcome::Ok => {
-                        *wrote = true;
-                        succeeded = true;
-                        observed = post;
-                    }
-                    WriteOutcome::Denied | WriteOutcome::Unmapped => {}
-                }
-            }
-            let _ = view.write_hop_word(ins.op1, observed);
-            if succeeded {
-                InstrStatus::Executed
-            } else {
-                *live = false;
-                InstrStatus::CondFailed
-            }
-        }
-        Opcode::Cexec => {
-            let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            let (Some(mask), Some(value)) =
-                (view.read_hop_word(ins.op1), view.read_hop_word(ins.op2))
-            else {
-                return InstrStatus::Skipped;
-            };
-            if x & mask == value {
-                InstrStatus::Executed
-            } else {
-                *live = false;
-                InstrStatus::PredicateFalse
-            }
-        }
-    }
-}
-
-/// A TPP program decoded **once** and reusable across every frame that
-/// carries the same instruction words — the planning half of batch TCPU
-/// execution.
-///
-/// Probe flows send the *same* program on every packet, so the per-frame
-/// instruction decode, the budget check, and (when attached) the PR 9
-/// static-verifier proof are all redundant after the first frame. A
-/// `PlanTemplate` pays them at plan time: [`PlanTemplate::execute_one`]
-/// then steps straight over the pre-decoded instruction array, choosing the
-/// unchecked trusted path per frame when the carried [`Verified`] token
-/// covers that frame's hop/SP window.
-///
-/// Both consumers of the in-place interpreter share this entry point: the
-/// switch's plan cache (which keys cached `TppRun`s on the same instruction
-/// bytes) and [`execute_batch`], the core-level batch loop.
-#[derive(Clone, Copy, Debug)]
-pub struct PlanTemplate {
-    n_instr: u8,
-    instrs: [Instruction; MAX_INSTRUCTIONS],
-    rejected: bool,
-    token: Option<Verified>,
-}
-
-impl PlanTemplate {
-    /// Decode the program of a validated view. The template bakes in the
-    /// budget verdict (`opts.max_instructions` and the architectural
-    /// [`MAX_INSTRUCTIONS`] cap), so reuse it only under the same options —
-    /// exactly what a per-switch plan cache guarantees.
-    pub fn decode(view: &TppView<'_>, opts: &ExecOptions) -> PlanTemplate {
-        let n = view.n_instr();
-        let rejected = n > opts.max_instructions || n > MAX_INSTRUCTIONS;
-        let filler = Instruction::load(Address::new(0), 0);
-        let mut t =
-            PlanTemplate { n_instr: 0, instrs: [filler; MAX_INSTRUCTIONS], rejected, token: None };
-        if !rejected {
-            t.n_instr = n as u8;
-            for idx in 0..n {
-                t.instrs[idx] = view.instr(idx);
-            }
-        }
-        t
-    }
-
-    /// Attach a static-verifier token so cache hits can take the unchecked
-    /// fast path (see [`execute_in_place_verified`]). The token must have
-    /// been issued for this exact program.
-    #[must_use]
-    pub fn with_token(mut self, token: Verified) -> Self {
-        self.token = Some(token);
-        self
-    }
-
-    /// The decoded program (empty for rejected templates).
-    pub fn instrs(&self) -> &[Instruction] {
-        &self.instrs[..self.n_instr as usize]
-    }
-
-    pub fn rejected(&self) -> bool {
-        self.rejected
-    }
-
-    pub fn token(&self) -> Option<&Verified> {
-        self.token.as_ref()
-    }
-
-    /// Execute one frame's **pre-validated** TPP section against `bus`.
-    ///
-    /// Equivalent to [`execute_in_place`] (or, when the carried token
-    /// covers this frame's hop/SP, [`execute_in_place_verified`]) on the
-    /// same bytes — the caller promises the section was validated by
-    /// [`TppView::parse`] and carries exactly this template's instruction
-    /// words. Batch-invariant work (decode, budget check, token identity)
-    /// is already done; only the per-frame word loop runs here.
-    pub fn execute_one(
-        &self,
-        view: &mut TppViewMut<'_>,
-        bus: &mut dyn MemoryBus,
-        opts: &ExecOptions,
-    ) -> InPlaceOutcome {
-        if self.rejected {
-            return InPlaceOutcome { status: StatusVec::default(), wrote: false, rejected: true };
-        }
-        let trusted = self.token.is_some_and(|t| t.covers(view.hop(), view.sp()));
-        let mut status = StatusVec::default();
-        let mut wrote = false;
-        let mut live = true;
-
-        for ins in self.instrs() {
-            if !live {
-                // A suppressed PUSH/POP still moves the parse-time SP; on
-                // the trusted path the token proves the clamps can't fire.
-                match ins.opcode {
-                    Opcode::Push if trusted || (view.sp() as usize) < view.memory_words() => {
-                        let sp = view.sp();
-                        view.set_sp(sp + 1);
-                    }
-                    Opcode::Pop if trusted || view.sp() > 0 => {
-                        let sp = view.sp();
-                        view.set_sp(sp - 1);
-                    }
-                    _ => {}
-                }
-                status.push(InstrStatus::Suppressed);
-                continue;
-            }
-            let st = if trusted {
-                step_in_place_trusted(view, bus, ins, opts, &mut wrote, &mut live)
-            } else {
-                step_in_place(view, bus, ins, opts, &mut wrote, &mut live)
-            };
-            status.push(st);
-        }
-        if wrote {
-            view.set_wrote(true);
-        }
-        if opts.increment_hop {
-            let hop = view.hop();
-            view.set_hop(hop.wrapping_add(1));
-        }
-        InPlaceOutcome { status, wrote, rejected: false }
-    }
-}
-
-/// Execute one decoded [`PlanTemplate`] over a whole batch of frames,
-/// appending one [`InPlaceOutcome`] per frame (in order) to `out`.
-///
-/// Every section must be a **pre-validated** TPP section carrying exactly
-/// the template's instruction words — the batch-invariant decode and proof
-/// are paid once, and the per-frame loop is a straight word-op pass over
-/// the fixed 4-byte layout. Frames execute strictly in order: bus writes
-/// made by frame *i* are visible to frame *i+1*, exactly as if each frame
-/// had been executed singly.
-pub fn execute_batch<'a, I>(
-    template: &PlanTemplate,
-    sections: I,
-    bus: &mut dyn MemoryBus,
-    opts: &ExecOptions,
-    out: &mut Vec<InPlaceOutcome>,
-) where
-    I: IntoIterator<Item = &'a mut [u8]>,
-{
-    for bytes in sections {
-        let mut view = TppViewMut::from_validated(bytes);
-        out.push(template.execute_one(&mut view, bus, opts));
+    if token.covers(view.hop(), view.sp()) {
+        run_in_place::<Trusted>(view, bus, opts)
+    } else {
+        run_in_place::<Checked>(view, bus, opts)
     }
 }
 
@@ -1162,98 +950,5 @@ mod tests {
         assert_eq!(t.read_word(0), Some(5));
         assert_eq!(t.hop, 2);
         assert_eq!(t.sp, 1, "overflowing push skips with no SP side effect");
-    }
-
-    /// A template executed per frame must be byte- and status-identical to
-    /// the per-frame interpreters it replaces (checked without a token,
-    /// verified with one).
-    #[test]
-    fn plan_template_matches_per_frame_interpreters() {
-        let qsize = a("Queue:QueueOccupancy");
-        let reg = a("Link:AppSpecific_0");
-        let sid = a("Switch:SwitchID");
-        let mut cstore =
-            hop_tpp(vec![Instruction::cstore(reg, 0, 1), Instruction::store(reg, 2)], 12, 2);
-        cstore.write_word(0, 19).unwrap();
-        cstore.write_word(1, 20).unwrap();
-        cstore.write_word(2, 6000).unwrap();
-        let cases = [
-            stack_tpp(vec![Instruction::push(qsize), Instruction::pop(reg)], 8),
-            cstore,
-            stack_tpp(vec![Instruction::push(sid); 6], 64), // over budget
-        ];
-        let opts = ExecOptions::default();
-        for tpp in &cases {
-            let bytes = tpp.serialize();
-            let mk_bus = || MapBus::with(&[(qsize, 42), (reg, 77), (sid, 7)]);
-
-            let mut ref_frame = bytes.clone();
-            let mut ref_bus = mk_bus();
-            let (mut rv, _) = TppViewMut::parse(&mut ref_frame).unwrap();
-            let ref_out = execute_in_place(&mut rv, &mut ref_bus, &opts);
-
-            let mut t_frame = bytes.clone();
-            let mut t_bus = mk_bus();
-            let template = {
-                let (view, _) = TppView::parse(&t_frame).unwrap();
-                PlanTemplate::decode(&view, &opts)
-            };
-            assert_eq!(template.rejected(), ref_out.rejected);
-            let (mut tv, _) = TppViewMut::parse(&mut t_frame).unwrap();
-            let t_out = template.execute_one(&mut tv, &mut t_bus, &opts);
-
-            assert_eq!(t_frame, ref_frame, "template bytes != per-frame bytes");
-            assert_eq!(t_out.status.as_slice(), ref_out.status.as_slice());
-            assert_eq!(t_out.wrote, ref_out.wrote);
-            assert_eq!(t_bus.mem, ref_bus.mem);
-
-            // With a token the template must match the verified path.
-            let verdict = crate::verify::verify(tpp, crate::verify::VerifyOptions::default());
-            let Some(token) = verdict.token() else { continue };
-            let mut v_frame = bytes.clone();
-            let mut v_bus = mk_bus();
-            let (mut vv, _) = TppViewMut::parse(&mut v_frame).unwrap();
-            let v_out = execute_in_place_verified(&mut vv, &mut v_bus, &opts, &token);
-            let mut tk_frame = bytes.clone();
-            let mut tk_bus = mk_bus();
-            let tk = template.with_token(token);
-            let (mut tkv, _) = TppViewMut::parse(&mut tk_frame).unwrap();
-            let tk_out = tk.execute_one(&mut tkv, &mut tk_bus, &opts);
-            assert_eq!(tk_frame, v_frame, "tokened template bytes != verified path");
-            assert_eq!(tk_out.status.as_slice(), v_out.status.as_slice());
-            assert_eq!(tk_bus.mem, v_bus.mem);
-        }
-    }
-
-    #[test]
-    fn execute_batch_runs_frames_in_order() {
-        // Each frame CSTOREs version v -> v+1: only strict in-order
-        // execution lets every swap succeed.
-        let reg = a("Link:AppSpecific_0");
-        let mut frames: Vec<Vec<u8>> = (0..4u32)
-            .map(|v| {
-                let mut t = hop_tpp(vec![Instruction::cstore(reg, 0, 1)], 8, 1);
-                t.write_word(0, v).unwrap();
-                t.write_word(1, v + 1).unwrap();
-                t.serialize()
-            })
-            .collect();
-        let opts = ExecOptions::default();
-        let template = {
-            let (view, _) = TppView::parse(&frames[0]).unwrap();
-            PlanTemplate::decode(&view, &opts)
-        };
-        let mut bus = MapBus::with(&[(reg, 0)]);
-        let mut out = Vec::new();
-        execute_batch(
-            &template,
-            frames.iter_mut().map(Vec::as_mut_slice),
-            &mut bus,
-            &opts,
-            &mut out,
-        );
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|o| o.status.as_slice() == [InstrStatus::Executed]));
-        assert_eq!(bus.get(reg), Some(4), "4 chained swaps applied in order");
     }
 }

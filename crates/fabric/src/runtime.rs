@@ -2,11 +2,10 @@
 //!
 //! A shard kernel is not a private engine: it is the same layered
 //! `tpp-netsim` core — timing-wheel `Scheduler`, `LinkFabric`, `NodeStore`
-//! — driven through the same batched `Network` coordinator, just with
-//! remote markers in the node layer and the full port table in the link
-//! layer. Each epoch simply calls the kernel's `run_until` (same-timestamp
-//! batch delivery included) and exchanges the link layer's boundary frames
-//! at the barrier.
+//! — driven through the same `Network` coordinator, just with remote
+//! markers in the node layer and the full port table in the link layer.
+//! Each epoch simply calls the kernel's `run_until` and exchanges the link
+//! layer's boundary frames at the barrier.
 //!
 //! Both executors — thread-per-shard and sequential — run the *same*
 //! epoch/exchange schedule and therefore produce bit-identical results;

@@ -304,14 +304,13 @@ impl Cell {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"schema\":1,\"topology\":\"{}\",\"workload\":\"{}\",",
+                "{{\"schema\":2,\"topology\":\"{}\",\"workload\":\"{}\",",
                 "\"churn\":\"{}\",",
                 "\"shards\":{},\"speedup\":{},\"duration_ns\":{},",
                 "\"hosts\":{},\"switches\":{},\"frames_delivered\":{},",
                 "\"frames_dropped\":{},\"frames_corrupted\":{},",
                 "\"reconfigs\":{},\"violations\":{},",
                 "\"events\":{},",
-                "\"rx_batches\":{},\"rx_batch_frames\":{},\"rx_batch_max\":{},",
                 "\"plan_cache_hits\":{},\"plan_cache_misses\":{},",
                 "\"plan_cache_evictions\":{},",
                 "\"trace\":\"{:#018x}\",\"digest\":\"{:#018x}\",",
@@ -331,9 +330,6 @@ impl Cell {
             self.stats.reconfigs_applied,
             self.stats.violations(),
             self.stats.events_processed,
-            self.stats.rx_batches,
-            self.stats.rx_batch_frames,
-            self.stats.rx_batch_max,
             self.stats.plan_cache_hits,
             self.stats.plan_cache_misses,
             self.stats.plan_cache_evictions,

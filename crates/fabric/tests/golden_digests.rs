@@ -1,13 +1,20 @@
-//! Golden-digest differential test for the layered engine refactor.
+//! Golden-digest differential test: the behaviour of the simulator, pinned.
 //!
-//! The [`tpp_netsim::NetStats::digest`] values below were recorded on the
-//! pre-refactor engine (`BinaryHeap` event queue, one-frame-at-a-time
-//! `Switch::receive`) for twelve scenarios: {star, leaf-spine, fat-tree(4)}
-//! × {clean, link faults} × {single-threaded, 4 fabric shards}. The
-//! timing-wheel scheduler, the LinkFabric/NodeStore decomposition, and the
-//! batched `receive_batch`/`dequeue_batch` delivery path must reproduce
-//! every digest bit-for-bit — any divergence in a timestamp, a route, a
+//! The first twelve [`tpp_netsim::NetStats::digest`] values below were
+//! recorded on the original engine (`BinaryHeap` event queue, one event and
+//! one frame at a time) for {star, leaf-spine, fat-tree(4)} × {clean, link
+//! faults} × {single-threaded, 4 fabric shards}. Every engine since — the
+//! timing-wheel scheduler, the LinkFabric/NodeStore decomposition, a
+//! same-timestamp batch delivery path that came and went — has had to
+//! reproduce each one bit for bit: any divergence in a timestamp, a route, a
 //! fault draw, or a single TPP result word changes the value.
+//!
+//! The seventh scenario pins two regimes the first six never enter, both of
+//! which that batch path special-cased: switches with zero base pipeline
+//! latency, whose kicks land at the *current* timestamp, and 400 Gb/s links,
+//! on which a minimum-size frame serializes in a nanosecond or less, so a
+//! transmit completion can chain more work at its own timestamp. Its pair
+//! was recorded on the last commit that still had the batch path.
 //!
 //! To re-record after an *intentional* behavior change, run with
 //! `GOLDEN_PRINT=1 cargo test -p tpp-fabric --test golden_digests -- --nocapture`
@@ -60,8 +67,8 @@ fn run_sharded(s: &Scenario, n_shards: usize) -> u64 {
 }
 
 /// `(scenario, digest at 1 shard, digest at 4 shards)` — both columns were
-/// recorded on the pre-refactor engine and (by PR 3's determinism tests)
-/// agree with each other.
+/// recorded on the engine the header names and (by PR 3's determinism
+/// tests) agree with each other.
 const GOLDEN: &[(Scenario, u64, u64)] = &[
     (
         Scenario {
@@ -168,6 +175,28 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
         GOLDEN_FAT_TREE_FAULTS_1,
         GOLDEN_FAT_TREE_FAULTS_4,
     ),
+    (
+        Scenario {
+            name: "fat_tree4/zero_latency_400g",
+            build: || {
+                let mut t = TopologySpec::FatTree { k: 4 }
+                    .builder()
+                    .link_mbps(400_000)
+                    .host_mbps(400_000)
+                    .delay_ns(1000)
+                    .seed(15)
+                    .build();
+                for &sw in &t.switches {
+                    t.net.switch_mut(sw).cfg.cost.base_latency_ns = 0;
+                }
+                t
+            },
+            faults: &[],
+            strategy: PartitionStrategy::RoundRobin,
+        },
+        GOLDEN_ZERO_LATENCY_400G_1,
+        GOLDEN_ZERO_LATENCY_400G_4,
+    ),
 ];
 
 const GOLDEN_STAR_CLEAN_1: u64 = 0xF11C_1AE0_79FB_127B;
@@ -182,6 +211,8 @@ const GOLDEN_FAT_TREE_CLEAN_1: u64 = 0xEECD_4E22_7828_0281;
 const GOLDEN_FAT_TREE_CLEAN_4: u64 = 0xEECD_4E22_7828_0281;
 const GOLDEN_FAT_TREE_FAULTS_1: u64 = 0x2D4C_9941_7FA7_D594;
 const GOLDEN_FAT_TREE_FAULTS_4: u64 = 0x2D4C_9941_7FA7_D594;
+const GOLDEN_ZERO_LATENCY_400G_1: u64 = 0xA10C_98C6_7607_6B1B;
+const GOLDEN_ZERO_LATENCY_400G_4: u64 = 0xA10C_98C6_7607_6B1B;
 
 #[test]
 fn digests_match_pre_refactor_engine() {
@@ -195,12 +226,12 @@ fn digests_match_pre_refactor_engine() {
         }
         assert_eq!(
             got_1, *want_1,
-            "{}: single-threaded digest diverged from the pre-refactor engine",
+            "{}: single-threaded digest diverged from the recorded engine",
             scenario.name
         );
         assert_eq!(
             got_4, *want_4,
-            "{}: 4-shard digest diverged from the pre-refactor engine",
+            "{}: 4-shard digest diverged from the recorded engine",
             scenario.name
         );
     }

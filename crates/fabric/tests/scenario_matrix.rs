@@ -162,16 +162,13 @@ fn cell_json_has_the_schema_fields() {
     let cell = run(WorkloadSpec::uniform(), 2);
     let json = cell.to_json();
     for key in [
-        "\"schema\":1",
+        "\"schema\":2",
         "\"topology\":\"fat_tree4\"",
         "\"workload\":\"uniform\"",
         "\"shards\":2",
         "\"speedup\":1",
         "\"duration_ns\":2000000",
         "\"frames_delivered\":",
-        "\"rx_batches\":",
-        "\"rx_batch_frames\":",
-        "\"rx_batch_max\":",
         "\"plan_cache_hits\":",
         "\"plan_cache_misses\":",
         "\"plan_cache_evictions\":",
@@ -185,15 +182,12 @@ fn cell_json_has_the_schema_fields() {
 }
 
 #[test]
-fn batched_execution_engages_and_is_observable() {
-    // The batching/plan-cache efficacy counters must actually move on a
-    // real cell (fat-tree, TPP-stamping uniform workload): delivery
-    // batches form, and the plan cache absorbs repeated probe programs.
+fn plan_cache_engages_and_is_observable() {
+    // The plan-cache efficacy counters must actually move on a real cell
+    // (fat-tree, TPP-stamping uniform workload): the cache absorbs
+    // repeated probe programs.
     let cell = run(WorkloadSpec::uniform(), 1);
     let s = &cell.stats;
-    assert!(s.rx_batches > 0, "no delivery batches formed: {s:?}");
-    assert!(s.rx_batch_frames >= s.rx_batches, "batch frame total below batch count: {s:?}");
-    assert!(s.rx_batch_max >= 1, "max batch size unset: {s:?}");
     assert!(s.plan_cache_misses > 0, "plan cache never consulted: {s:?}");
     assert!(
         s.plan_cache_hits > s.plan_cache_misses,

@@ -35,9 +35,7 @@
 //!   levels; each event cascades at most `LEVELS - 1` times in its life.
 //! * A level-0 slot is exactly 1 ns wide, so every event in it shares one
 //!   timestamp. Draining a level-0 slot and sorting it by `(key, seq)`
-//!   yields precisely the heap's pop order — and hands the caller the whole
-//!   same-timestamp *batch* at once ([`Scheduler::pop_batch`]), which the
-//!   network loop turns into batched frame delivery.
+//!   yields precisely the heap's pop order.
 //! * Deadlines further out than the wheel span go to a sorted *overflow
 //!   heap* and migrate into the wheel when the clock gets close enough.
 //!   Because every wheel event shares the clock's high bits and every
@@ -133,8 +131,8 @@ pub struct Scheduler<E> {
     slots: Vec<Vec<Entry<E>>>,
     /// One occupancy bit per slot, per level — O(1) next-slot scans.
     occupied: [u64; LEVELS],
-    /// Per-slot minimum `(time, key)` so `peek` is exact without draining.
-    slot_min: Vec<(Time, u64)>,
+    /// Per-slot minimum timestamp so `peek_time` is exact without draining.
+    slot_min: Vec<Time>,
     /// Per-slot maximum timestamp. Together with `slot_min` this detects
     /// *clustered* slots — every entry mapping to one destination slot —
     /// which cascade as a wholesale `Vec` move instead of entry-by-entry
@@ -145,9 +143,9 @@ pub struct Scheduler<E> {
     slot_max: Vec<Time>,
     /// Deadlines beyond the wheel span, earliest first.
     overflow: BinaryHeap<Entry<E>>,
-    /// The staged batch: every not-yet-popped event of timestamp
-    /// `ready_time`, sorted by `(key, seq)`. Late arrivals for the same
-    /// timestamp merge in by key, preserving the heap ordering contract.
+    /// Every not-yet-popped event of timestamp `ready_time`, sorted by
+    /// `(key, seq)`. Late arrivals for the same timestamp merge in by key,
+    /// preserving the heap ordering contract.
     ready: VecDeque<Entry<E>>,
     ready_time: Time,
     /// Recycled slot storage: draining a slot parks its `Vec` here, and
@@ -158,22 +156,14 @@ pub struct Scheduler<E> {
     /// capacity every transition re-grows that slot from zero (realloc +
     /// memcpy each doubling). Bounded so idle capacity can't accumulate.
     spare_pool: Vec<Vec<Entry<E>>>,
-    /// Count of inserts that landed exactly at the current clock value.
-    /// Batch consumers snapshot this to learn whether a handler scheduled
-    /// new work at the timestamp being drained (the only case where a
-    /// mid-batch merge against [`Scheduler::peek_next`] is needed).
-    now_inserts: u64,
     /// Small-queue backend: until the first spill, every pending event
-    /// (except the staged `ready` batch) lives here and the wheel is empty.
+    /// (except those staged in `ready`) lives here and the wheel is empty.
     heap: BinaryHeap<Entry<E>>,
     /// Queue length beyond which the heap backend spills into the wheel.
     spill_threshold: usize,
     /// Latched on the first spill: from then on inserts go to the wheel.
     spilled: bool,
 }
-
-/// The name the network loop grew up with; kept as an alias.
-pub type EventQueue<E> = Scheduler<E>;
 
 impl<E> Default for Scheduler<E> {
     fn default() -> Self {
@@ -194,7 +184,6 @@ impl<E> Default for Scheduler<E> {
             ready: VecDeque::new(),
             ready_time: 0,
             spare_pool: Vec::new(),
-            now_inserts: 0,
             heap: BinaryHeap::new(),
             spill_threshold: SPILL_THRESHOLD,
             spilled: false,
@@ -246,13 +235,10 @@ impl<E> Scheduler<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        if at == self.now {
-            self.now_inserts += 1;
-        }
         let entry = Entry { time: at, key, seq, event };
         if !self.ready.is_empty() && at == self.ready_time {
-            // The batch for this timestamp is already staged: merge by key
-            // (every staged entry has a smaller seq, so key alone decides).
+            // This timestamp is already staged: merge by key (every staged
+            // entry has a smaller seq, so key alone decides).
             let pos = self.ready.partition_point(|e| (e.key, e.seq) <= (key, seq));
             self.ready.insert(pos, entry);
             return;
@@ -273,7 +259,7 @@ impl<E> Scheduler<E> {
         self.spilled = true;
         if self.slots.is_empty() {
             self.slots = (0..LEVELS * SLOTS).map(|_| Vec::new()).collect();
-            self.slot_min = vec![(Time::MAX, u64::MAX); LEVELS * SLOTS];
+            self.slot_min = vec![Time::MAX; LEVELS * SLOTS];
             self.slot_max = vec![0; LEVELS * SLOTS];
         }
         for entry in std::mem::take(&mut self.heap) {
@@ -294,13 +280,8 @@ impl<E> Scheduler<E> {
         match level_slot(self.now, entry.time) {
             Some((level, slot)) => {
                 let idx = level * SLOTS + slot;
-                let min = &mut self.slot_min[idx];
-                if (entry.time, entry.key) < *min {
-                    *min = (entry.time, entry.key);
-                }
-                if entry.time > self.slot_max[idx] {
-                    self.slot_max[idx] = entry.time;
-                }
+                self.slot_min[idx] = self.slot_min[idx].min(entry.time);
+                self.slot_max[idx] = self.slot_max[idx].max(entry.time);
                 let bucket = &mut self.slots[idx];
                 if bucket.capacity() == 0 {
                     if let Some(recycled) = self.spare_pool.pop() {
@@ -337,14 +318,14 @@ impl<E> Scheduler<E> {
         None
     }
 
-    /// Make `ready` hold the earliest pending timestamp's full batch.
+    /// Make `ready` hold every event of the earliest pending timestamp.
     /// Returns false when no events remain anywhere.
     fn stage_next(&mut self) -> bool {
         if !self.ready.is_empty() {
             return true;
         }
         // Heap backend: pops already come out in `(time, key, seq)` order,
-        // so draining the top timestamp yields the batch pre-sorted.
+        // so draining the top timestamp yields it pre-sorted.
         if let Some(top) = self.heap.peek() {
             let t = top.time;
             debug_assert!(t >= self.now);
@@ -379,7 +360,7 @@ impl<E> Scheduler<E> {
                 self.now = deadline;
                 let idx = slot; // level 0
                 self.occupied[0] &= !(1 << slot);
-                self.slot_min[idx] = (Time::MAX, u64::MAX);
+                self.slot_min[idx] = Time::MAX;
                 self.slot_max[idx] = 0;
                 let mut batch = std::mem::take(&mut self.slots[idx]);
                 batch.sort_unstable_by_key(|e| (e.key, e.seq));
@@ -400,13 +381,13 @@ impl<E> Scheduler<E> {
             self.occupied[level] &= !(1 << slot);
             let lo = self.slot_min[idx];
             let hi = self.slot_max[idx];
-            self.slot_min[idx] = (Time::MAX, u64::MAX);
+            self.slot_min[idx] = Time::MAX;
             self.slot_max[idx] = 0;
             // Clustered fast path: when the earliest and latest deadlines
             // in the slot map to the same destination, every entry does —
             // move the storage wholesale (see the `slot_max` field docs).
             if let (Some(dst_lo), Some(dst_hi)) =
-                (level_slot(self.now, lo.0), level_slot(self.now, hi))
+                (level_slot(self.now, lo), level_slot(self.now, hi))
             {
                 if dst_lo == dst_hi {
                     let (l2, s2) = dst_lo;
@@ -420,12 +401,8 @@ impl<E> Scheduler<E> {
                         self.slots[dst].append(&mut moved);
                         self.recycle(moved);
                     }
-                    if lo < self.slot_min[dst] {
-                        self.slot_min[dst] = lo;
-                    }
-                    if hi > self.slot_max[dst] {
-                        self.slot_max[dst] = hi;
-                    }
+                    self.slot_min[dst] = self.slot_min[dst].min(lo);
+                    self.slot_max[dst] = self.slot_max[dst].max(hi);
                     self.occupied[l2] |= 1 << s2;
                     continue;
                 }
@@ -452,93 +429,25 @@ impl<E> Scheduler<E> {
         Some((e.time, e.event))
     }
 
-    /// Drain the *entire* earliest-timestamp batch — every event sharing
-    /// that timestamp, in `(key, seq)` order — into `out` (appended as
-    /// `(key, event)` pairs), advancing the clock. Returns the batch
-    /// timestamp, or `None` when no events remain.
-    ///
-    /// Handlers may keep scheduling at the returned timestamp; such events
-    /// are *not* part of this batch (they pop on a later call), so a caller
-    /// that needs exact heap-equivalent interleaving must merge against
-    /// [`Scheduler::peek_next`] while it works through the batch.
-    pub fn pop_batch(&mut self, out: &mut Vec<(u64, E)>) -> Option<Time> {
-        // Heap-backend fast path: with nothing staged, the top-timestamp
-        // run can drain straight into the caller's batch, skipping the
-        // `ready` round-trip. Identical to staging then draining — pops
-        // come out in `(time, key, seq)` order and `ready` stays empty,
-        // so the same-timestamp merge in `schedule_keyed` is inactive
-        // either way.
-        if self.ready.is_empty() {
-            if let Some(top) = self.heap.peek() {
-                let t = top.time;
-                debug_assert!(t >= self.now);
-                self.now = t;
-                self.ready_time = t;
-                while self.heap.peek().is_some_and(|e| e.time == t) {
-                    let e = self.heap.pop().unwrap();
-                    self.len -= 1;
-                    out.push((e.key, e.event));
-                }
-                return Some(t);
-            }
-        }
-        if !self.stage_next() {
-            return None;
-        }
-        let t = self.ready_time;
-        self.len -= self.ready.len();
-        out.extend(self.ready.drain(..).map(|e| (e.key, e.event)));
-        Some(t)
-    }
-
-    /// Timestamp of the next event without popping.
+    /// Timestamp of the next event without popping. Exact — per-slot minima
+    /// make this a scan of at most one candidate slot per level plus the
+    /// heap and overflow heads, with no cascading.
     pub fn peek_time(&self) -> Option<Time> {
-        self.peek_next().map(|(t, _)| t)
-    }
-
-    /// Monotone count of inserts that landed exactly at the current clock.
-    /// Snapshot before working through a drained batch; if unchanged, no
-    /// handler has scheduled at the batch timestamp and no merge check is
-    /// needed.
-    pub fn now_insert_marks(&self) -> u64 {
-        self.now_inserts
-    }
-
-    /// `(timestamp, order key)` of the next event without popping. Exact —
-    /// per-slot minima make this a scan of at most one candidate slot per
-    /// level plus the overflow head, with no cascading.
-    pub fn peek_next(&self) -> Option<(Time, u64)> {
         if self.len == 0 {
             return None;
         }
-        let mut best: Option<(Time, u64)> =
-            self.ready.front().map(|front| (self.ready_time, front.key));
+        let mut best = if self.ready.is_empty() { Time::MAX } else { self.ready_time };
         for level in 0..LEVELS {
             let pos = (self.now >> (BITS * level as u32)) & SLOT_MASK;
             let bits = self.occupied[level] & (!0u64 << pos);
             if bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                let cand = self.slot_min[level * SLOTS + slot];
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
+                best = best.min(self.slot_min[level * SLOTS + bits.trailing_zeros() as usize]);
             }
         }
-        // Heap-backend candidate: the top minimizes `(time, key, seq)`, so
-        // its `(time, key)` is the exact minimum of the backend.
-        if let Some(h) = self.heap.peek() {
-            let cand = (h.time, h.key);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
+        for head in [self.heap.peek(), self.overflow.peek()].into_iter().flatten() {
+            best = best.min(head.time);
         }
-        if let Some(o) = self.overflow.peek() {
-            let cand = (o.time, o.key);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        best
+        Some(best)
     }
 }
 
@@ -730,24 +639,8 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_one_timestamp_in_key_order() {
-        let mut q = Scheduler::new();
-        q.schedule_keyed(10, 2, "b");
-        q.schedule_keyed(10, 1, "a");
-        q.schedule_keyed(20, 0, "later");
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), Some(10));
-        assert_eq!(out, vec![(1, "a"), (2, "b")]);
-        assert_eq!(q.now(), 10);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), Some(20));
-        assert_eq!(out, vec![(0, "later")]);
-        assert_eq!(q.pop_batch(&mut out), None);
-    }
-
-    #[test]
     fn late_same_timestamp_arrivals_merge_by_key() {
-        // After popping part of a timestamp's batch, a newly scheduled
+        // After popping some of a timestamp's events, a newly scheduled
         // event at that same timestamp with a smaller key must pop before
         // the already-staged larger-key events (heap semantics).
         let mut q = Scheduler::new();
@@ -755,7 +648,7 @@ mod tests {
         q.schedule_keyed(10, 9, "z");
         assert_eq!(q.pop(), Some((10, "b")));
         q.schedule_keyed(10, 5, "mid");
-        assert_eq!(q.peek_next(), Some((10, 5)));
+        assert_eq!(q.peek_time(), Some(10));
         assert_eq!(q.pop(), Some((10, "mid")));
         assert_eq!(q.pop(), Some((10, "z")));
     }
@@ -766,7 +659,6 @@ mod tests {
         // timestamp, not the slot boundary.
         let mut q = Scheduler::with_spill_threshold(0);
         q.schedule_keyed(5000 + 4096 * 3, 7, "x");
-        assert_eq!(q.peek_next(), Some((5000 + 4096 * 3, 7)));
         assert_eq!(q.peek_time(), Some(5000 + 4096 * 3));
         assert_eq!(q.now(), 0, "peek must not advance the clock");
         assert_eq!(q.pop(), Some((5000 + 4096 * 3, "x")));
@@ -866,7 +758,7 @@ mod tests {
         let span = 64u64.pow(6);
         q.schedule_at(3 * span + 7, "far");
         q.schedule_at(5, "near");
-        assert_eq!(q.peek_next(), Some((5, 0)));
+        assert_eq!(q.peek_time(), Some(5));
         assert_eq!(q.pop(), Some((5, "near")));
         assert_eq!(q.pop(), Some((3 * span + 7, "far")));
         assert_eq!(q.pop(), None);

@@ -5,14 +5,14 @@
 //! three explicit layers under a thin coordinator:
 //!
 //! * [`engine`] — the scheduler layer: a deterministic hierarchical
-//!   timing-wheel event queue with same-timestamp batch draining.
+//!   timing-wheel event queue with content-keyed same-timestamp order.
 //! * [`link`] — the link layer: full-duplex rate/delay links, per-link
 //!   fault injection (drops, corruption), transmit sequencing, and
-//!   in-flight frame batches.
+//!   in-flight frame queues.
 //! * [`nodes`] — the node layer: switches (from `tpp-switch`), hosts with
 //!   pluggable applications, and the frame-buffer pool.
-//! * [`net`] — the coordinator gluing the layers into the batched event
-//!   loop (and the shard kernel of `tpp-fabric`).
+//! * [`net`] — the coordinator gluing the layers into the event loop (and
+//!   the shard kernel of `tpp-fabric`).
 //! * [`scenario`] — declarative topology construction: a [`TopologySpec`]
 //!   (star, dumbbell, line, leaf-spine, fat-trees plain/oversubscribed/
 //!   asymmetric, jellyfish, edge-list import) built by [`TopologyBuilder`],

@@ -4,7 +4,7 @@
 //! [`crate::net`]): it owns every full-duplex link's state — peer wiring,
 //! rate/delay/fault parameters, transmitter busy flags, per-link fault RNG
 //! streams and transmit sequence numbers — plus the per-`(node, port)`
-//! *in-flight batches*: frames that have left a transmitter and are
+//! *in-flight queues*: frames that have left a transmitter and are
 //! propagating toward a receiver. The layer computes serialization and
 //! propagation delay and draws fault decisions; it never touches the event
 //! queue or the nodes, which is what lets a `tpp-fabric` shard reuse it
@@ -135,11 +135,6 @@ impl LinkFabric {
         self.ports[node.0 as usize][port as usize].busy = false;
     }
 
-    /// The link parameters of `(node, port)`.
-    pub fn spec(&self, node: NodeId, port: u8) -> LinkSpec {
-        self.ports[node.0 as usize][port as usize].spec
-    }
-
     /// Degrade a link (both directions); returns the peer endpoint so the
     /// coordinator can mirror status into switch memory maps.
     pub(crate) fn set_faults(
@@ -222,7 +217,7 @@ impl LinkFabric {
         }
     }
 
-    /// Hand a frame to the in-flight batch heading for `(node, port)`.
+    /// Hand a frame to the in-flight queue heading for `(node, port)`.
     pub(crate) fn push_in_flight(&mut self, node: NodeId, port: u8, frame: Vec<u8>) {
         self.in_flight[node.0 as usize][port as usize].push_back(frame);
     }
@@ -248,7 +243,7 @@ impl LinkFabric {
     }
 
     /// A per-shard copy for [`crate::net::Network::split`]: the full port
-    /// table (specs, peers, fault streams) with empty in-flight batches.
+    /// table (specs, peers, fault streams) with empty in-flight queues.
     pub(crate) fn split_clone(&self) -> LinkFabric {
         LinkFabric {
             ports: self.ports.clone(),

@@ -1,4 +1,4 @@
-//! The network coordinator: three layers and the batched event loop.
+//! The network coordinator: three layers and the event loop.
 //!
 //! The model is deliberately explicit (smoltcp-style simplicity): every
 //! packet is a real Ethernet frame (`Vec<u8>`); switches and hosts parse
@@ -11,10 +11,10 @@
 //! each ignorant of the others:
 //!
 //! * [`Scheduler`] — the hierarchical timing-wheel event queue (see
-//!   [`crate::engine`]): time, ordering, and same-timestamp batching.
+//!   [`crate::engine`]): time and ordering.
 //! * [`LinkFabric`] — link wiring, rate/delay computation, per-link fault
 //!   RNG streams and transmit sequence numbers, and the per-`(node, port)`
-//!   in-flight frame batches.
+//!   in-flight frame queues.
 //! * [`NodeStore`] — switches, hosts, remote markers, and the
 //!   [`FramePool`] buffer freelist.
 //!
@@ -24,30 +24,12 @@
 //! shard kernel is not a different engine, just a `Network` whose node
 //! store holds `Remote` markers for non-local slots.
 //!
-//! # Batched delivery
+//! # The event loop
 //!
-//! The scheduler drains *all* events sharing a timestamp into a reusable
-//! batch buffer in one call ([`Scheduler::pop_batch`]). The coordinator
-//! walks the batch in key order and hands maximal runs to batch-aware node
-//! entry points: link arrivals targeting the same switch go through
-//! [`Switch::receive_batch`] (amortizing clock stores across back-to-back
-//! frames, like an ASIC pipeline), and transmit completions on the same
-//! switch pop their next frames through [`Switch::dequeue_batch`].
-//! Batching is *behavior-invariant*: handlers that schedule new events at
-//! the current timestamp are merged back into the key order via
-//! [`Scheduler::peek_next`], so the pop sequence — and therefore
-//! [`NetStats::digest`] — is bit-identical to the one-event-at-a-time
-//! loop.
-//!
-//! Inside [`Switch::receive_batch`] the same contract governs *execution*
-//! batching: only batch-invariant inputs are hoisted out of the per-frame
-//! loop — the clock, exec/pipeline options, and the program plan (via the per-switch plan cache, which keys on the exact
-//! bytes the planner reads). Everything a TPP can observe changing — queue
-//! stats, stage SRAM, flow counters, CSTORE effects — is read and written
-//! strictly per frame, in arrival order. [`NetStats`] surfaces the
-//! efficacy counters (`rx_batches`, `rx_batch_frames`, `rx_batch_max`,
-//! `plan_cache_hits`/`misses`/`evictions`); none of them enter the digest,
-//! which pins batched execution bit-identical to sequential.
+//! [`Network::run_until`] is the plain discrete-event loop: peek the next
+//! timestamp, pop one event, dispatch it. Handlers that schedule new events
+//! at the current timestamp need no special case — the scheduler merges
+//! them into `(key, insertion)` order before the next pop.
 //!
 //! # The network as a shard kernel
 //!
@@ -252,10 +234,7 @@ enum Ev {
 /// [`Scheduler`](crate::engine::Scheduler) docs): packed from event content
 /// so per-shard queues reproduce the global tie-break order. Layout:
 /// `kind:6 | node:32 | sub:26`. Utilization ticks sort first at a boundary,
-/// then arrivals, transmit completions, kicks, and host timers. A welcome
-/// side effect of key order: all arrivals for one switch are *adjacent* in
-/// a same-timestamp batch, ports ascending — exactly the shape
-/// [`Switch::receive_batch`] wants.
+/// then arrivals, transmit completions, kicks, and host timers.
 fn ev_key(ev: &Ev) -> u64 {
     const fn pack(kind: u64, node: u32, sub: u64) -> u64 {
         (kind << 58) | ((node as u64) << 26) | (sub & 0x03FF_FFFF)
@@ -327,16 +306,11 @@ pub struct NetStats {
     pub violations_blackhole: u64,
     /// Probes completing over paths outside the allowed set.
     pub violations_path: u64,
-    /// Delivery batches executed through `Switch::receive_batch`. Like
-    /// `events_processed`, batching geometry varies with the partitioning
-    /// (shards split co-timed arrivals), so these stay out of the digest.
+    /// Frames handed to `Switch::receive`. Kept, with `rx_batch_frames`,
+    /// only because the repo benchmark reads both; they leave with ROADMAP 2a.
     pub rx_batches: u64,
-    /// Total frames delivered through those batches (so the mean batch
-    /// size is `rx_batch_frames / rx_batches`).
+    /// Equal to `rx_batches`: every frame is delivered on its own.
     pub rx_batch_frames: u64,
-    /// Largest single delivery batch observed ([`NetStats::merge`] takes
-    /// the max across shards).
-    pub rx_batch_max: u64,
     /// TPP plan-cache hits summed over every switch, snapshotted when
     /// `run_until` returns (same convention as `pool_retained`). Hit/miss
     /// totals are bookkeeping — a hit returns a byte-identical plan — so
@@ -421,7 +395,6 @@ impl NetStats {
         self.violations_path += other.violations_path;
         self.rx_batches += other.rx_batches;
         self.rx_batch_frames += other.rx_batch_frames;
-        self.rx_batch_max = self.rx_batch_max.max(other.rx_batch_max);
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
         self.plan_cache_evictions += other.plan_cache_evictions;
@@ -463,13 +436,6 @@ impl NetStats {
     }
 }
 
-/// Above this link rate a minimum-size frame could serialize in under a
-/// nanosecond, letting a transmit completion chain more same-timestamp
-/// work whose keys fall *inside* a batched dequeue run. Such links (well
-/// beyond any profile the experiments use) take the single-event path,
-/// where the [`Scheduler::peek_next`] merge preserves exact order.
-const BATCH_SAFE_RATE_MBPS: u64 = 100_000;
-
 /// The simulated network (equally: one shard kernel of a partitioned run):
 /// a thin coordinator over the scheduler, link, and node layers.
 pub struct Network {
@@ -488,12 +454,6 @@ pub struct Network {
     reconfig_plan: ReconfigPlan,
     /// Plan entries already turned into scheduled events.
     reconfigs_scheduled: usize,
-    /// Reusable buffers for the batched delivery loop.
-    batch: Vec<(u64, Ev)>,
-    rx_frames: Vec<(u8, Vec<u8>)>,
-    rx_outcomes: Vec<ReceiveOutcome>,
-    deq_ports: Vec<u8>,
-    deq_frames: Vec<(u8, Vec<u8>)>,
     /// Reusable effect list for host callbacks: taken for the callback,
     /// drained by `apply_effects`, and put back. `apply_effects` never
     /// re-enters a host callback, so one list serves them all.
@@ -513,11 +473,6 @@ impl Network {
             hosts_started: false,
             reconfig_plan: Vec::new(),
             reconfigs_scheduled: 0,
-            batch: Vec::new(),
-            rx_frames: Vec::new(),
-            rx_outcomes: Vec::new(),
-            deq_ports: Vec::new(),
-            deq_frames: Vec::new(),
             effects: Vec::new(),
         }
     }
@@ -872,6 +827,8 @@ impl Network {
         let (kind, pool) = self.nodes.kind_and_pool_mut(node);
         match kind {
             NodeKind::Switch(sw) => {
+                self.stats.rx_batches += 1;
+                self.stats.rx_batch_frames += 1;
                 match sw.receive(now, port, frame) {
                     ReceiveOutcome::Enqueued { port: out, proc_latency_ns, .. } => {
                         // The pipeline needs proc_latency before the frame is
@@ -914,8 +871,7 @@ impl Network {
         self.apply_effects(node, effects);
     }
 
-    /// Dispatch one event the classic way (the non-batched path: host
-    /// events, util ticks, and anything the batch segmenter opts out of).
+    /// Dispatch one event.
     fn handle_event(&mut self, ev: Ev) {
         match ev {
             Ev::Arrive { node, port } => self.handle_arrive(node, port),
@@ -939,196 +895,14 @@ impl Network {
         }
     }
 
-    /// Deliver a run of same-timestamp arrivals to one switch through
-    /// [`Switch::receive_batch`], then schedule the pipeline kicks in the
-    /// same order the one-at-a-time loop would have.
-    fn deliver_switch_batch(&mut self, t: Time, node: NodeId, events: &[(u64, Ev)]) {
-        let mut frames = std::mem::take(&mut self.rx_frames);
-        let mut outcomes = std::mem::take(&mut self.rx_outcomes);
-        frames.clear();
-        outcomes.clear();
-        for &(_, ev) in events {
-            let Ev::Arrive { port, .. } = ev else { unreachable!("segmenter produced non-arrive") };
-            if let Some(frame) = self.links.pop_in_flight(node, port) {
-                self.stats.frames_delivered += 1;
-                self.stats.observe_arrival(t, node, port, &frame);
-                frames.push((port, frame));
-            }
-        }
-        if !frames.is_empty() {
-            self.stats.rx_batches += 1;
-            self.stats.rx_batch_frames += frames.len() as u64;
-            self.stats.rx_batch_max = self.stats.rx_batch_max.max(frames.len() as u64);
-        }
-        let mut any_drop = false;
-        {
-            let sw = self.nodes.switch_mut(node);
-            sw.receive_batch(t, &mut frames, &mut outcomes);
-        }
-        for oc in &outcomes {
-            match *oc {
-                ReceiveOutcome::Enqueued { port: out, proc_latency_ns, .. } => {
-                    self.schedule_ev(t + proc_latency_ns, Ev::Kick { node, port: out });
-                }
-                ReceiveOutcome::Dropped(reason) => {
-                    self.stats.count_switch_drop(reason);
-                    any_drop = true;
-                }
-            }
-        }
-        if any_drop {
-            let (kind, pool) = self.nodes.kind_and_pool_mut(node);
-            let NodeKind::Switch(sw) = kind else { unreachable!("segmenter checked is_switch") };
-            while let Some(buf) = sw.take_retired() {
-                pool.put(buf);
-            }
-        }
-        self.rx_frames = frames;
-        self.rx_outcomes = outcomes;
-    }
-
-    /// Handle a run of same-timestamp transmit completions (or kicks) on
-    /// one switch: free the transmitters, pop the next frame of every
-    /// ready port through [`Switch::dequeue_batch`], and put each on the
-    /// wire in port order — the exact sequence the one-at-a-time loop
-    /// produces, since the events arrived key-sorted by port.
-    fn txdone_switch_batch(&mut self, t: Time, node: NodeId, events: &[(u64, Ev)], tx_done: bool) {
-        let mut ports = std::mem::take(&mut self.deq_ports);
-        ports.clear();
-        for &(_, ev) in events {
-            let port = match ev {
-                Ev::TxDone { port, .. } if tx_done => {
-                    self.links.clear_busy(node, port);
-                    port
-                }
-                Ev::Kick { port, .. } if !tx_done => port,
-                _ => unreachable!("segmenter produced a mixed run"),
-            };
-            // Duplicate kicks for one port are adjacent (key-sorted): only
-            // the first can win the transmitter, exactly like the
-            // one-at-a-time loop where the second kick finds the port busy.
-            if ports.last() == Some(&port) {
-                continue;
-            }
-            if self.links.is_connected(node, port) && !self.links.is_busy(node, port) {
-                ports.push(port);
-            }
-        }
-        let mut frames = std::mem::take(&mut self.deq_frames);
-        frames.clear();
-        self.nodes.switch_mut(node).dequeue_batch(t, &ports, &mut frames);
-        for (port, frame) in frames.drain(..) {
-            self.launch_frame(t, node, port, frame);
-        }
-        self.deq_ports = ports;
-        self.deq_frames = frames;
-    }
-
-    /// Whether every port in a prospective dequeue run serializes even a
-    /// minimum-size frame in ≥ 1 ns (see [`BATCH_SAFE_RATE_MBPS`]).
-    fn dequeue_batch_safe(&self, node: NodeId, events: &[(u64, Ev)]) -> bool {
-        events.iter().all(|&(_, ev)| match ev {
-            Ev::TxDone { port, .. } | Ev::Kick { port, .. } => {
-                !self.links.is_connected(node, port)
-                    || self.links.spec(node, port).rate_mbps <= BATCH_SAFE_RATE_MBPS
-            }
-            _ => true,
-        })
-    }
-
-    /// Process one same-timestamp batch in exact heap order: maximal
-    /// same-switch runs go through the batch entry points; everything else
-    /// dispatches singly. Handlers scheduling *new* events at `t` are
-    /// merged back in by key via [`Scheduler::peek_next`].
-    fn process_batch_at(&mut self, t: Time, batch: &[(u64, Ev)]) {
-        let mut i = 0;
-        // Merge checks are only needed once a handler has actually
-        // scheduled at `t` (the insert-at-now counter moves); the common
-        // all-future-work case pays nothing.
-        let mut mark = self.scheduler.now_insert_marks();
-        while i < batch.len() {
-            if self.scheduler.now_insert_marks() != mark {
-                loop {
-                    match self.scheduler.peek_next() {
-                        Some((pt, pk)) if pt == t && pk < batch[i].0 => {
-                            let (_, ev) = self.scheduler.pop().unwrap();
-                            self.stats.events_processed += 1;
-                            self.handle_event(ev);
-                        }
-                        // Still events pending at `t` with keys at or past
-                        // the cursor: leave the mark dirty so later batch
-                        // items keep checking.
-                        Some((pt, _)) if pt == t => break,
-                        _ => {
-                            mark = self.scheduler.now_insert_marks();
-                            break;
-                        }
-                    }
-                }
-            }
-            let run_end = |kind_match: &dyn Fn(&Ev) -> bool| {
-                let mut j = i + 1;
-                while j < batch.len() && kind_match(&batch[j].1) {
-                    j += 1;
-                }
-                j
-            };
-            match batch[i].1 {
-                Ev::Arrive { node, .. } if self.nodes.is_switch(node) => {
-                    let j = run_end(&|ev| matches!(*ev, Ev::Arrive { node: n, .. } if n == node));
-                    self.deliver_switch_batch(t, node, &batch[i..j]);
-                    i = j;
-                }
-                Ev::TxDone { node, .. } if self.nodes.is_switch(node) => {
-                    let j = run_end(&|ev| matches!(*ev, Ev::TxDone { node: n, .. } if n == node));
-                    if self.dequeue_batch_safe(node, &batch[i..j]) {
-                        self.txdone_switch_batch(t, node, &batch[i..j], true);
-                        i = j;
-                    } else {
-                        self.handle_event(batch[i].1);
-                        i += 1;
-                    }
-                }
-                Ev::Kick { node, .. } if self.nodes.is_switch(node) => {
-                    let j = run_end(&|ev| matches!(*ev, Ev::Kick { node: n, .. } if n == node));
-                    // A zero-base-latency pipeline lets an arrival merged
-                    // mid-run schedule a kick at the *current* timestamp,
-                    // whose key can fall inside this run's span — only the
-                    // single-event path (merge check before every event)
-                    // reproduces heap order then. With base latency > 0
-                    // such kicks always land at a later timestamp.
-                    let kicks_at_now_possible =
-                        self.nodes.switch(node).cfg.cost.base_latency_ns == 0;
-                    if !kicks_at_now_possible && self.dequeue_batch_safe(node, &batch[i..j]) {
-                        self.txdone_switch_batch(t, node, &batch[i..j], false);
-                        i = j;
-                    } else {
-                        self.handle_event(batch[i].1);
-                        i += 1;
-                    }
-                }
-                ev => {
-                    self.handle_event(ev);
-                    i += 1;
-                }
-            }
-        }
-    }
-
     /// Run until `until` (ns) or until no events remain.
     pub fn run_until(&mut self, until: Time) {
         self.ensure_started();
-        let mut batch = std::mem::take(&mut self.batch);
-        while let Some(t) = self.scheduler.peek_time() {
-            if t > until {
-                break;
-            }
-            batch.clear();
-            self.scheduler.pop_batch(&mut batch);
-            self.stats.events_processed += batch.len() as u64;
-            self.process_batch_at(t, &batch);
+        while self.scheduler.peek_time().is_some_and(|t| t <= until) {
+            let (_, ev) = self.scheduler.pop().expect("peeked event");
+            self.stats.events_processed += 1;
+            self.handle_event(ev);
         }
-        self.batch = batch;
         self.stats.pool_retained = self.nodes.pool.len() as u64;
         // Snapshot plan-cache totals across this kernel's switches (remote
         // shard slots hold no switch, so fabric-wide sums stay correct).

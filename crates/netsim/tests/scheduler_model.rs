@@ -6,9 +6,8 @@
 //! 262143/262144, and past the 64^6 overflow horizon) plus
 //! millisecond-scale horizons (1ms and the 64^4 boundary, the WAN event
 //! mix that exercises multi-level cascades and the clustered-slot
-//! wholesale move), arbitrary order keys, interleaved single pops and
-//! whole-timestamp batch drains — and must agree on every pop, every
-//! peek, and every length along the way.
+//! wholesale move), arbitrary order keys, interleaved pops — and must agree
+//! on every pop, every peek, and every length along the way.
 //! Same-timestamp keyed ordering is the load-bearing property: the sharded
 //! fabric replays tie-breaks from keys alone, so a wheel that reordered a
 //! single equal-time pair would silently break digest determinism.
@@ -22,8 +21,7 @@ use proptest::prelude::*;
 use tpp_netsim::engine::{HeapQueue, Scheduler};
 
 prop_compose! {
-    /// One operation: `(kind, delay, key)`. Kinds 0-1 schedule (weighting
-    /// the mix toward insertion), 2 pops, 3 batch-drains.
+    /// One operation: `(kind, delay, key)`. Kinds 0-1 schedule, 2-3 pop.
     fn arb_op()(
         kind in 0u8..4,
         delay_class in 0usize..12,
@@ -47,7 +45,6 @@ proptest! {
         let mut wheel = Scheduler::with_spill_threshold(threshold);
         let mut heap = HeapQueue::new();
         let mut next_id = 0u64;
-        let mut batch: Vec<(u64, u64)> = Vec::new();
         for &(kind, delay, key) in &ops {
             match kind {
                 0 | 1 => {
@@ -56,24 +53,7 @@ proptest! {
                     heap.schedule_keyed(at, key, next_id);
                     next_id += 1;
                 }
-                2 => prop_assert_eq!(wheel.pop(), heap.pop()),
-                _ => {
-                    batch.clear();
-                    match wheel.pop_batch(&mut batch) {
-                        None => prop_assert_eq!(heap.pop(), None),
-                        Some(tb) => {
-                            for &(_key, id) in &batch {
-                                let (ht, hv) = heap.pop().expect("heap holds the batch too");
-                                prop_assert_eq!(ht, tb, "batch event at the batch timestamp");
-                                prop_assert_eq!(hv, id, "batch preserves (key, seq) pop order");
-                            }
-                            prop_assert!(
-                                heap.peek_time() != Some(tb),
-                                "pop_batch must drain the whole timestamp"
-                            );
-                        }
-                    }
-                }
+                _ => prop_assert_eq!(wheel.pop(), heap.pop()),
             }
             prop_assert_eq!(wheel.len(), heap.len());
             prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "peek must be exact");
@@ -91,8 +71,8 @@ proptest! {
         }
     }
 
-    /// Scheduling *at the current timestamp* while that timestamp's batch
-    /// is partially drained must merge by key exactly like the heap.
+    /// Scheduling *at the current timestamp* while that timestamp is
+    /// partially drained must merge by key exactly like the heap.
     #[test]
     fn same_timestamp_merge_matches_heap(
         keys in prop::collection::vec(0u64..6, 2..40),

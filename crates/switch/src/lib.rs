@@ -12,27 +12,23 @@
 //!   instruction execution with parse-time PUSH/POP serialization, proven
 //!   equivalent to the reference interpreter for well-ordered programs.
 //! * [`plan_cache`] — program-keyed cache of decoded [`TppRun`] plans, so
-//!   the thousandth probe of a flow skips re-planning (and, via the PR 9
-//!   verifier token, per-instruction bounds checks) entirely.
+//!   the thousandth probe of a flow skips re-planning (and, via the
+//!   plan-time bounds proof, per-instruction bounds checks) entirely.
 //! * [`switch`] — the full switch: ingress parse/execute/route/enqueue,
 //!   drop-tail queues with enqueue snapshots, egress execute/rewrite,
 //!   reflection (§4.4), write kill-switch (§4.3).
 //! * [`cost`] — the hardware cost model (Tables 3–4): `NetFPGA` and ASIC
 //!   cycle costs, worst-case added latency, resource accounting.
 //!
-//! ## Batch-execution contract
+//! ## Plan-cache contract
 //!
-//! [`Switch::receive_batch`] processes a delivery batch under one shared
-//! context: the clock is set once, one [`tpp_core::exec::ExecOptions`]
-//! snapshot serves every frame, and plans come from the per-switch
-//! [`PlanCache`]. Only **batch-invariant** inputs may be hoisted: the
-//! clock, switch identity, link speeds, exec/pipeline options, and the
-//! decoded program plan. Everything a TPP can *observe changing* — queue
+//! A cached plan may hold only what is a function of the bytes the cache
+//! keys on: the decoded program, its PUSH/POP slots, stage assignment and
+//! bounds proof. Everything a TPP can *observe changing* — the clock, queue
 //! stats, stage SRAM, flow counters, per-packet context, CSTORE effects —
-//! is still read and written strictly per frame, in arrival order. The
-//! FNV trace digests (netsim `NetStats::digest`, fabric golden digests)
-//! pin this equivalence: batched and sequential execution must be
-//! bit-identical.
+//! is read and written per frame, in arrival order. The FNV trace digests
+//! (netsim `NetStats::digest`, fabric golden digests) pin that a hit and a
+//! fresh plan are indistinguishable.
 
 #![forbid(unsafe_code)]
 

@@ -325,11 +325,9 @@ impl SwitchMemory {
         }
     }
 
-    /// Set the switch wall clock. The batch entry points
-    /// ([`crate::switch::Switch::receive_batch`] /
-    /// [`crate::switch::Switch::dequeue_batch`]) call this once per batch —
-    /// part of the memory-map bus setup shared by every frame of the batch,
-    /// since all frames of a batch observe the same instant.
+    /// Set the switch wall clock: [`crate::switch::Switch::receive`] and
+    /// [`crate::switch::Switch::dequeue`] call this with the instant the
+    /// frame observes, before any TPP instruction reads the clock.
     pub fn set_clock(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
     }

@@ -20,7 +20,9 @@
 
 use crate::memmap::SwitchBus;
 use tpp_core::addr::{meta_ns, Address, Namespace};
-use tpp_core::exec::{ExecOptions, InstrStatus, MemoryBus, PlanTemplate, StatusVec, WriteOutcome};
+use tpp_core::exec::{
+    stack_slot, step_in_place, Bounds, Checked, ExecOptions, InstrStatus, StatusVec, Trusted,
+};
 use tpp_core::isa::{Instruction, Opcode, MAX_INSTRUCTIONS};
 use tpp_core::wire::{Tpp, TppView, TppViewMut};
 
@@ -122,18 +124,6 @@ pub fn check_pipeline_order(tpp: &Tpp, cfg: &PipelineConfig) -> bool {
 /// execute loop never resolves namespaces per frame.
 const UNMAPPED_STAGE: u16 = u16::MAX;
 
-/// How one instruction addresses packet memory after parse-time
-/// serialization of PUSH/POP (§3.5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    /// Hop-relative operands straight from the instruction.
-    Direct,
-    /// A preassigned absolute word index (serialized PUSH/POP).
-    Stack(usize),
-    /// Statically impossible (stack underflow / memory overflow).
-    Invalid,
-}
-
 /// The in-flight execution state of one TPP as it traverses the pipeline.
 ///
 /// Planned once at ingress parse from a validated [`TppView`], carried
@@ -149,7 +139,11 @@ pub struct TppRun {
     pub section: usize,
     n_instr: u8,
     instrs: [Instruction; MAX_INSTRUCTIONS],
-    slots: [Slot; MAX_INSTRUCTIONS],
+    /// The packet-memory word each PUSH/POP was serialized to at parse time
+    /// (§3.5); `None` for a statically impossible one (stack underflow or
+    /// memory overflow) and for every other opcode. SP is one byte on the
+    /// wire, so a word index is too.
+    slots: [Option<u8>; MAX_INSTRUCTIONS],
     /// Plan-time stage assignment per instruction ([`stage_of`] resolved
     /// once; [`UNMAPPED_STAGE`] = skips gracefully), so the per-frame
     /// execute loop is a flat integer compare instead of a namespace
@@ -167,8 +161,8 @@ pub struct TppRun {
     /// Plan-time proof that every packet-memory access this hop is in
     /// bounds: serialized stack slots landed below `memory_words` and every
     /// hop-relative operand falls inside the current hop's window. When
-    /// set, [`TppRun::exec_one`] uses the unchecked view accessors — the
-    /// eBPF-style "verify once, run unchecked" fast path.
+    /// set, [`TppRun::exec_stages`] steps under the [`Trusted`] bounds
+    /// policy — the eBPF-style "verify once, run unchecked" fast path.
     trusted: bool,
     /// Header snapshot taken at plan time (the view owns the live bytes).
     pub reflect: bool,
@@ -177,37 +171,27 @@ pub struct TppRun {
 
 impl TppRun {
     /// Parse-time planning over a validated view at byte offset `section`
-    /// of its frame: decode the program into a [`PlanTemplate`], then
-    /// specialize it to this frame's header. Like the in-place interpreter,
-    /// the pipeline enforces the architectural [`MAX_INSTRUCTIONS`] budget
-    /// even when `opts.max_instructions` is configured above it.
+    /// of its frame: decode the program, serialize PUSH/POP to preassigned
+    /// offsets from this frame's SP, resolve each instruction's pipeline
+    /// stage, and prove the hop-window bounds. The plan cache reuses the
+    /// *whole* result for frames whose header prefix and instruction words
+    /// match exactly, making this path per-program, not per-frame. Like the
+    /// in-place interpreter, the pipeline enforces the architectural
+    /// [`MAX_INSTRUCTIONS`] budget even when `opts.max_instructions` is
+    /// configured above it.
     pub fn plan(
         view: &TppView<'_>,
         section: usize,
         opts: &ExecOptions,
         cfg: &PipelineConfig,
     ) -> TppRun {
-        TppRun::from_template(&PlanTemplate::decode(view, opts), view, section, cfg)
-    }
-
-    /// Specialize a pre-decoded [`PlanTemplate`] to one frame: serialize
-    /// PUSH/POP to preassigned offsets from this frame's SP, resolve each
-    /// instruction's pipeline stage, and prove the hop-window bounds. This
-    /// is the frame-dependent half of planning — the plan cache reuses the
-    /// *whole* result for frames whose header prefix and instruction words
-    /// match exactly, making this path per-program, not per-frame.
-    pub fn from_template(
-        template: &PlanTemplate,
-        view: &TppView<'_>,
-        section: usize,
-        cfg: &PipelineConfig,
-    ) -> TppRun {
+        let n = view.n_instr();
         let filler = Instruction::load(Address::new(0), 0);
         let mut run = TppRun {
             section,
             n_instr: 0,
             instrs: [filler; MAX_INSTRUCTIONS],
-            slots: [Slot::Direct; MAX_INSTRUCTIONS],
+            slots: [None; MAX_INSTRUCTIONS],
             stages: [UNMAPPED_STAGE; MAX_INSTRUCTIONS],
             status: [None; MAX_INSTRUCTIONS],
             fail_idx: None,
@@ -215,7 +199,7 @@ impl TppRun {
             wrote: false,
             executed_ops: [Opcode::Load; MAX_INSTRUCTIONS],
             n_executed: 0,
-            rejected: template.rejected(),
+            rejected: n > opts.max_instructions || n > MAX_INSTRUCTIONS,
             trusted: false,
             reflect: view.reflect(),
             hop: view.hop(),
@@ -223,12 +207,11 @@ impl TppRun {
         if run.rejected {
             return run;
         }
-        let n = template.instrs().len();
         run.n_instr = n as u8;
-        let mut sp = view.sp() as usize;
+        let mut sp = view.sp();
         let words = view.memory_words();
         for idx in 0..n {
-            let ins = template.instrs()[idx];
+            let ins = view.instr(idx);
             run.instrs[idx] = ins;
             run.stages[idx] = match stage_of(ins.addr, cfg) {
                 // A pipeline deeper than the u16 sentinel is architecturally
@@ -236,36 +219,16 @@ impl TppRun {
                 Some(s) => s as u16,
                 None => UNMAPPED_STAGE,
             };
-            run.slots[idx] = match ins.opcode {
-                Opcode::Push => {
-                    if sp < words {
-                        sp += 1;
-                        Slot::Stack(sp - 1)
-                    } else {
-                        Slot::Invalid
-                    }
-                }
-                Opcode::Pop => {
-                    if sp > 0 {
-                        sp -= 1;
-                        Slot::Stack(sp)
-                    } else {
-                        Slot::Invalid
-                    }
-                }
-                _ => Slot::Direct,
-            };
+            run.slots[idx] = stack_slot::<Checked>(ins.opcode, &mut sp, words);
         }
-        run.final_sp = sp.min(u8::MAX as usize) as u8;
+        run.final_sp = sp;
 
         // Plan-time bounds proof for the unchecked fast path: every
         // serialized stack slot below `memory_words` and every hop-relative
         // operand inside this hop's window.
         let hop_base = view.hop() as usize * view.per_hop_words();
         run.trusted = (0..n).all(|idx| match run.instrs[idx].opcode {
-            Opcode::Push | Opcode::Pop => {
-                matches!(run.slots[idx], Slot::Stack(w) if w < words)
-            }
+            Opcode::Push | Opcode::Pop => run.slots[idx].is_some_and(|w| usize::from(w) < words),
             Opcode::Load | Opcode::Store => hop_base + usize::from(run.instrs[idx].op1) < words,
             Opcode::Cstore | Opcode::Cexec => {
                 hop_base + usize::from(run.instrs[idx].op1) < words
@@ -282,8 +245,9 @@ impl TppRun {
 
     /// Execute all instructions assigned to stages in `range` (processed in
     /// stage order, program order within a stage), mutating the TPP section
-    /// inside `frame` in place. Stage assignment was resolved at plan time
-    /// (`TppRun::stages`), so the scan over instructions is branch-cheap.
+    /// inside `frame` in place. The pipeline is a stage filter over the one
+    /// in-place step ([`step_in_place`]): stage assignment, PUSH/POP slots
+    /// and the bounds policy were all resolved at plan time.
     pub fn exec_stages(
         &mut self,
         frame: &mut [u8],
@@ -294,6 +258,20 @@ impl TppRun {
         if self.rejected {
             return;
         }
+        if self.trusted {
+            self.exec_stages_under::<Trusted>(frame, bus, range, opts);
+        } else {
+            self.exec_stages_under::<Checked>(frame, bus, range, opts);
+        }
+    }
+
+    fn exec_stages_under<P: Bounds>(
+        &mut self,
+        frame: &mut [u8],
+        bus: &mut SwitchBus<'_>,
+        range: std::ops::Range<usize>,
+        opts: &ExecOptions,
+    ) {
         let mut view = TppViewMut::from_validated(&mut frame[self.section..]);
         for stage in range {
             for idx in 0..self.n_instr as usize {
@@ -308,7 +286,14 @@ impl TppRun {
                     self.status[idx] = Some(InstrStatus::Suppressed);
                     continue;
                 }
-                let st = self.exec_one(&mut view, bus, idx, opts);
+                let st = step_in_place::<P, _>(
+                    &mut view,
+                    bus,
+                    &ins,
+                    self.slots[idx],
+                    opts.allow_writes,
+                    &mut self.wrote,
+                );
                 if matches!(st, InstrStatus::CondFailed | InstrStatus::PredicateFalse) {
                     self.fail_idx = Some(self.fail_idx.map_or(idx, |f| f.min(idx)));
                 }
@@ -317,128 +302,6 @@ impl TppRun {
                     self.n_executed += 1;
                 }
                 self.status[idx] = Some(st);
-            }
-        }
-    }
-
-    fn exec_one(
-        &mut self,
-        view: &mut TppViewMut<'_>,
-        bus: &mut SwitchBus<'_>,
-        idx: usize,
-        opts: &ExecOptions,
-    ) -> InstrStatus {
-        let ins = self.instrs[idx];
-        match ins.opcode {
-            Opcode::Push => {
-                let Slot::Stack(word) = self.slots[idx] else { return InstrStatus::Skipped };
-                let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-                if self.trusted {
-                    view.write_word_trusted(word, v);
-                    return InstrStatus::Executed;
-                }
-                match view.write_word(word, v) {
-                    Some(()) => InstrStatus::Executed,
-                    None => InstrStatus::Skipped,
-                }
-            }
-            Opcode::Pop => {
-                let Slot::Stack(word) = self.slots[idx] else { return InstrStatus::Skipped };
-                let v = if self.trusted {
-                    view.read_word_trusted(word)
-                } else {
-                    match view.read_word(word) {
-                        Some(v) => v,
-                        None => return InstrStatus::Skipped,
-                    }
-                };
-                if !opts.allow_writes {
-                    return InstrStatus::Skipped;
-                }
-                match bus.write(ins.addr, v) {
-                    WriteOutcome::Ok => {
-                        self.wrote = true;
-                        InstrStatus::Executed
-                    }
-                    _ => InstrStatus::Skipped,
-                }
-            }
-            Opcode::Load => {
-                let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-                if self.trusted {
-                    view.write_hop_word_trusted(ins.op1, v);
-                    return InstrStatus::Executed;
-                }
-                match view.write_hop_word(ins.op1, v) {
-                    Some(()) => InstrStatus::Executed,
-                    None => InstrStatus::Skipped,
-                }
-            }
-            Opcode::Store => {
-                let v = if self.trusted {
-                    view.read_hop_word_trusted(ins.op1)
-                } else {
-                    match view.read_hop_word(ins.op1) {
-                        Some(v) => v,
-                        None => return InstrStatus::Skipped,
-                    }
-                };
-                if !opts.allow_writes {
-                    return InstrStatus::Skipped;
-                }
-                match bus.write(ins.addr, v) {
-                    WriteOutcome::Ok => {
-                        self.wrote = true;
-                        InstrStatus::Executed
-                    }
-                    _ => InstrStatus::Skipped,
-                }
-            }
-            Opcode::Cstore => {
-                let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-                let (pre, post) = if self.trusted {
-                    (view.read_hop_word_trusted(ins.op1), view.read_hop_word_trusted(ins.op2))
-                } else {
-                    match (view.read_hop_word(ins.op1), view.read_hop_word(ins.op2)) {
-                        (Some(pre), Some(post)) => (pre, post),
-                        _ => return InstrStatus::Skipped,
-                    }
-                };
-                let mut observed = x;
-                let mut succeeded = false;
-                if x == pre && opts.allow_writes {
-                    if let WriteOutcome::Ok = bus.write(ins.addr, post) {
-                        self.wrote = true;
-                        succeeded = true;
-                        observed = post;
-                    }
-                }
-                if self.trusted {
-                    view.write_hop_word_trusted(ins.op1, observed);
-                } else {
-                    let _ = view.write_hop_word(ins.op1, observed);
-                }
-                if succeeded {
-                    InstrStatus::Executed
-                } else {
-                    InstrStatus::CondFailed
-                }
-            }
-            Opcode::Cexec => {
-                let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-                let (mask, value) = if self.trusted {
-                    (view.read_hop_word_trusted(ins.op1), view.read_hop_word_trusted(ins.op2))
-                } else {
-                    match (view.read_hop_word(ins.op1), view.read_hop_word(ins.op2)) {
-                        (Some(mask), Some(value)) => (mask, value),
-                        _ => return InstrStatus::Skipped,
-                    }
-                };
-                if x & mask == value {
-                    InstrStatus::Executed
-                } else {
-                    InstrStatus::PredicateFalse
-                }
             }
         }
     }
@@ -490,7 +353,7 @@ mod tests {
     use crate::memmap::{PacketContext, SwitchMemory};
     use tpp_core::addr::resolve_mnemonic;
     use tpp_core::asm::{assemble, TppBuilder};
-    use tpp_core::exec::{execute as ref_execute, MapBus};
+    use tpp_core::exec::{execute as ref_execute, MapBus, MemoryBus};
 
     fn a(m: &str) -> Address {
         resolve_mnemonic(m).unwrap()

@@ -8,13 +8,6 @@
 //! * [`Switch::dequeue`] — the port is ready to transmit: pop the next
 //!   frame, execute the egress portion of its TPP, rewrite the packet.
 //! * [`Switch::tick`] — advance time-driven state (link-utilization EWMAs).
-//!
-//! Real ASIC pipelines process packets back-to-back; the simulator mirrors
-//! that with *batch* entry points: [`Switch::receive_batch`] ingests every
-//! frame arriving at one instant with the clock stored once, and
-//! [`Switch::dequeue_batch`] pops the next frame of several ready ports in
-//! one call. Both are exactly equivalent to looping the single-frame
-//! forms — the batching amortizes bus setup, it never reorders effects.
 
 use std::collections::VecDeque;
 
@@ -249,43 +242,9 @@ impl Switch {
     }
 
     /// A frame arrives on `in_port` at `now_ns`.
-    pub fn receive(&mut self, now_ns: u64, in_port: u8, frame: Vec<u8>) -> ReceiveOutcome {
+    pub fn receive(&mut self, now_ns: u64, in_port: u8, mut frame: Vec<u8>) -> ReceiveOutcome {
         self.mem.set_clock(now_ns);
-        let opts = self.exec_options();
-        self.receive_one(now_ns, in_port, frame, &opts)
-    }
-
-    /// Ingest a batch of frames all arriving at `now_ns`, appending one
-    /// [`ReceiveOutcome`] per frame (in order) to `out` and draining
-    /// `frames`. Equivalent to calling [`Switch::receive`] per frame, but
-    /// the batch-invariant inputs are snapshotted once — the memory-map
-    /// clock and the [`ExecOptions`] — and programs plan through the
-    /// per-switch [`PlanCache`], so back-to-back frames carrying the same
-    /// probe skip re-planning. Everything a TPP can observe changing
-    /// (queue stats, stage SRAM, flow counters, CSTORE effects) is still
-    /// read and written per frame, in arrival order; TPPs can't tell the
-    /// difference.
-    pub fn receive_batch(
-        &mut self,
-        now_ns: u64,
-        frames: &mut Vec<(u8, Vec<u8>)>,
-        out: &mut Vec<ReceiveOutcome>,
-    ) {
-        self.mem.set_clock(now_ns);
-        let opts = self.exec_options();
-        for (in_port, frame) in frames.drain(..) {
-            let outcome = self.receive_one(now_ns, in_port, frame, &opts);
-            out.push(outcome);
-        }
-    }
-
-    fn receive_one(
-        &mut self,
-        now_ns: u64,
-        in_port: u8,
-        mut frame: Vec<u8>,
-        opts: &ExecOptions,
-    ) -> ReceiveOutcome {
+        let opts = &self.exec_options();
         let len = frame.len() as u64;
         {
             let l = &mut self.mem.links[in_port as usize];
@@ -497,28 +456,7 @@ impl Switch {
     /// non-empty queues), run the egress pipeline, rewrite the TPP.
     pub fn dequeue(&mut self, now_ns: u64, port: u8) -> Option<Vec<u8>> {
         self.mem.set_clock(now_ns);
-        let opts = self.exec_options();
-        self.dequeue_one(now_ns, port, &opts)
-    }
-
-    /// Pop the next frame of *each* listed port at one instant, appending
-    /// `(port, frame)` pairs (in the given port order) to `out`. The
-    /// batched counterpart of [`Switch::dequeue`], used by the link layer
-    /// when several transmitters on one switch free up at the same
-    /// timestamp: the memory-map clock is stored once, and per-port egress
-    /// execution runs in exactly the order the caller passes — ports are
-    /// disjoint, so the result is identical to single dequeues.
-    pub fn dequeue_batch(&mut self, now_ns: u64, ports: &[u8], out: &mut Vec<(u8, Vec<u8>)>) {
-        self.mem.set_clock(now_ns);
-        let opts = self.exec_options();
-        for &port in ports {
-            if let Some(frame) = self.dequeue_one(now_ns, port, &opts) {
-                out.push((port, frame));
-            }
-        }
-    }
-
-    fn dequeue_one(&mut self, now_ns: u64, port: u8, opts: &ExecOptions) -> Option<Vec<u8>> {
+        let opts = &self.exec_options();
         let p = port as usize;
         let nq = layout::QUEUES_PER_PORT as usize;
         let start = self.rr_next[p];
@@ -541,7 +479,7 @@ impl Switch {
             l.tx_bytes_interval += len;
         }
 
-        pkt.ctx.queue_wait_ns = Some((now_ns - pkt.enq_ns).min(u32::MAX as u64) as u32);
+        pkt.ctx.queue_wait_ns = Some(now_ns.saturating_sub(pkt.enq_ns).min(u32::MAX as u64) as u32);
 
         if let Some(run) = pkt.run.as_mut() {
             let cfg = self.cfg.pipeline;
@@ -884,6 +822,25 @@ mod tests {
     }
 
     #[test]
+    fn dequeue_with_an_earlier_clock_reads_zero_queue_wait() {
+        // `now_ns - pkt.enq_ns` underflowed: a panic in debug builds, a
+        // wrapped (then clamped) wait of u32::MAX ns in release.
+        let mut sw = basic_switch();
+        let tpp = TppBuilder::stack_mode()
+            .push_m("PacketMetadata:QueueWaitNs")
+            .unwrap()
+            .hops(1)
+            .build()
+            .unwrap();
+        let out = sw.receive(100, 0, insert_transparent(&host_frame(1, 2, 64, 1, 2), &tpp));
+        assert!(matches!(out, ReceiveOutcome::Enqueued { port: 2, .. }));
+        let sent = sw.dequeue(50, 2).expect("the frame comes back");
+        let (_, executed) = wire::extract_tpp(&sent).unwrap();
+        assert_eq!(executed.sp, 1);
+        assert_eq!(executed.words()[0], 0);
+    }
+
+    #[test]
     fn tick_with_a_zero_interval_terminates() {
         // `now_ns - last_util_ns >= 0` never turned false.
         let mut sw = ticked_switch();
@@ -902,234 +859,6 @@ mod tests {
         sw.add_host_route(Ipv4Address::from_host_id(3), Action::Output(1));
         assert_eq!(sw.mem.stages[rs].version, v0 + 1);
         assert_eq!(sw.mem.stages[rs].refcount, 2);
-    }
-
-    #[test]
-    fn receive_batch_equivalent_to_sequential_receives() {
-        // Same frames (a mix of plain, TPP-carrying, and unroutable)
-        // through receive_batch vs one-at-a-time receive: identical
-        // outcomes, identical queue/link/table counters, identical bytes
-        // out.
-        let build_frames = || {
-            let tpp = TppBuilder::stack_mode()
-                .push_m("Queue:QueueOccupancy")
-                .unwrap()
-                .push_m("FlowEntry$3:MatchPkts")
-                .unwrap()
-                .hops(2)
-                .build()
-                .unwrap();
-            vec![
-                (0u8, host_frame(1, 2, 64, 1000, 2000)),
-                (1u8, insert_transparent(&host_frame(1, 2, 64, 1001, 2000), &tpp)),
-                (0u8, host_frame(1, 2, 64, 1002, 2000)),
-                (3u8, host_frame(1, 99, 64, 1003, 2000)), // no route
-                (1u8, insert_transparent(&host_frame(1, 2, 64, 1004, 2000), &tpp)),
-            ]
-        };
-        let mut sw_seq = basic_switch();
-        let seq_outcomes: Vec<ReceiveOutcome> =
-            build_frames().into_iter().map(|(p, f)| sw_seq.receive(7, p, f)).collect();
-
-        let mut sw_batch = basic_switch();
-        let mut frames = build_frames();
-        let mut batch_outcomes = Vec::new();
-        sw_batch.receive_batch(7, &mut frames, &mut batch_outcomes);
-        assert!(frames.is_empty(), "receive_batch drains its input");
-        assert_eq!(batch_outcomes, seq_outcomes);
-
-        // Counters TPPs can observe agree exactly.
-        let rs = sw_seq.cfg.pipeline.routing_stage();
-        assert_eq!(sw_batch.mem.stages[rs].lookup_pkts, sw_seq.mem.stages[rs].lookup_pkts);
-        assert_eq!(sw_batch.mem.stages[rs].match_pkts, sw_seq.mem.stages[rs].match_pkts);
-        assert_eq!(sw_batch.table.entries()[0].match_pkts, sw_seq.table.entries()[0].match_pkts);
-        // Drain both and compare the rewritten bytes (TPP results included).
-        for t in 10..=13u64 {
-            assert_eq!(sw_batch.dequeue(t, 2), sw_seq.dequeue(t, 2));
-        }
-    }
-
-    /// Property generalization of the test above: random batches mixing
-    /// plain frames, routable/unroutable destinations, several distinct
-    /// TPP programs at varying hop positions (plan-cache hits, misses,
-    /// and — via direct-mapped slot collisions — evictions), and frames
-    /// with corrupted TPP sections. Batched and sequential receive must
-    /// produce identical outcomes, byte-identical frames out, identical
-    /// observable counters, and identical plan-cache statistics.
-    /// (Deterministic eviction coverage lives in
-    /// `plan_cache::tests::bounded_size_with_eviction`.)
-    mod batch_equivalence {
-        use super::*;
-        use proptest::prelude::*;
-
-        #[derive(Clone, Debug)]
-        enum Spec {
-            Plain { dst: u32, sport: u16 },
-            Probe { prog: usize, hop: u8, dst: u32, sport: u16 },
-            Corrupt { prog: usize, sport: u16, flip: usize },
-        }
-
-        fn pool() -> Vec<Tpp> {
-            let sid = resolve_mnemonic("Switch:SwitchID").unwrap();
-            let q = resolve_mnemonic("Queue:QueueOccupancy").unwrap();
-            let r0 = resolve_mnemonic("Link:AppSpecific_0").unwrap();
-            let r1 = resolve_mnemonic("Link:AppSpecific_1").unwrap();
-            vec![
-                TppBuilder::stack_mode().push(sid).hops(4).build().unwrap(),
-                TppBuilder::stack_mode()
-                    .push(q)
-                    .push_m("FlowEntry$3:MatchPkts")
-                    .unwrap()
-                    .hops(4)
-                    .build()
-                    .unwrap(),
-                TppBuilder::hop_mode(2).load(sid, 0).load(q, 1).hops(4).build().unwrap(),
-                TppBuilder::hop_mode(2).cstore(r0, 0, 1).store(r1, 1).hops(4).build().unwrap(),
-            ]
-        }
-
-        fn frame_of(spec: &Spec, port: u8) -> (u8, Vec<u8>) {
-            match *spec {
-                Spec::Plain { dst, sport } => (port, host_frame(1, dst, 64, sport, 2000)),
-                Spec::Probe { prog, hop, dst, sport } => {
-                    let mut t = pool()[prog].clone();
-                    t.hop = hop;
-                    (port, insert_transparent(&host_frame(1, dst, 64, sport, 2000), &t))
-                }
-                Spec::Corrupt { prog, sport, flip } => {
-                    let t = pool()[prog].clone();
-                    let mut f = insert_transparent(&host_frame(1, 2, 64, sport, 2000), &t);
-                    // Any single-bit flip inside the section header breaks
-                    // the section checksum (or the length/version checks),
-                    // so the parse fails identically on both paths.
-                    f[ethernet::HEADER_LEN + flip % 12] ^= 0x40;
-                    (port, f)
-                }
-            }
-        }
-
-        prop_compose! {
-            fn spec()(
-                kind in 0u8..3,
-                prog in 0usize..4,
-                hop in 0u8..6,
-                routable in any::<bool>(),
-                sport in 1000u16..2000u16,
-                flip in 0usize..12,
-            ) -> Spec {
-                let dst = if routable { 2 } else { 99 };
-                match kind {
-                    0 => Spec::Plain { dst, sport },
-                    1 => Spec::Probe { prog, hop, dst, sport },
-                    _ => Spec::Corrupt { prog, sport, flip },
-                }
-            }
-        }
-
-        /// Every per-port counter a TPP (or the simulator) can observe.
-        #[allow(clippy::type_complexity)]
-        fn link_counters(sw: &Switch) -> Vec<(u64, u64, u64, u64, u64, u64, u64, Vec<u32>)> {
-            sw.mem
-                .links
-                .iter()
-                .map(|l| {
-                    (
-                        l.rx_pkts,
-                        l.rx_bytes,
-                        l.tx_pkts,
-                        l.tx_bytes,
-                        l.drop_pkts,
-                        l.drop_bytes,
-                        l.err_pkts,
-                        l.app.to_vec(),
-                    )
-                })
-                .collect()
-        }
-
-        proptest! {
-            #[test]
-            fn receive_batch_equals_sequential(
-                specs in proptest::collection::vec(spec(), 1..24),
-            ) {
-                let frames: Vec<(u8, Vec<u8>)> = specs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| frame_of(s, (i % 4) as u8))
-                    .collect();
-
-                let mut sw_seq = basic_switch();
-                let seq_outcomes: Vec<ReceiveOutcome> =
-                    frames.iter().cloned().map(|(p, f)| sw_seq.receive(7, p, f)).collect();
-
-                let mut sw_batch = basic_switch();
-                let mut input = frames.clone();
-                let mut batch_outcomes = Vec::new();
-                sw_batch.receive_batch(7, &mut input, &mut batch_outcomes);
-                prop_assert!(input.is_empty(), "receive_batch drains its input");
-                prop_assert_eq!(&batch_outcomes, &seq_outcomes);
-
-                // The cache sees the identical plan() sequence either way,
-                // so hit/miss/eviction counts must agree exactly.
-                prop_assert_eq!(sw_batch.plan_cache_stats(), sw_seq.plan_cache_stats());
-
-                // Counters a TPP could observe agree exactly.
-                prop_assert_eq!(link_counters(&sw_batch), link_counters(&sw_seq));
-                let rs = sw_seq.cfg.pipeline.routing_stage();
-                prop_assert_eq!(
-                    sw_batch.mem.stages[rs].lookup_pkts,
-                    sw_seq.mem.stages[rs].lookup_pkts
-                );
-                prop_assert_eq!(
-                    sw_batch.mem.stages[rs].match_pkts,
-                    sw_seq.mem.stages[rs].match_pkts
-                );
-                prop_assert_eq!(sw_batch.mem.tpp_rejected, sw_seq.mem.tpp_rejected);
-                for (a, b) in sw_batch.table.entries().iter().zip(sw_seq.table.entries()) {
-                    prop_assert_eq!(a.match_pkts, b.match_pkts);
-                    prop_assert_eq!(a.match_bytes, b.match_bytes);
-                }
-
-                // Drain every port: byte-identical frames, in order.
-                for port in 0..4u8 {
-                    loop {
-                        let a = sw_batch.dequeue(50, port);
-                        let b = sw_seq.dequeue(50, port);
-                        let done = a.is_none();
-                        prop_assert_eq!(a, b);
-                        if done {
-                            break;
-                        }
-                    }
-                }
-                prop_assert_eq!(sw_batch.mem.tpp_executed, sw_seq.mem.tpp_executed);
-            }
-        }
-    }
-
-    #[test]
-    fn dequeue_batch_equivalent_to_sequential_dequeues() {
-        let fill = |sw: &mut Switch| {
-            sw.add_host_route(Ipv4Address::from_host_id(3), Action::Output(3));
-            for i in 0..3 {
-                sw.receive(i, 0, host_frame(1, 2, 100, 1000 + i as u16, 2000));
-                sw.receive(i, 1, host_frame(1, 3, 100, 1100 + i as u16, 2000));
-            }
-        };
-        let mut sw_seq = basic_switch();
-        fill(&mut sw_seq);
-        let mut sw_batch = basic_switch();
-        fill(&mut sw_batch);
-
-        let mut batched = Vec::new();
-        sw_batch.dequeue_batch(50, &[2, 3], &mut batched);
-        let expect: Vec<(u8, Vec<u8>)> =
-            [2u8, 3].into_iter().filter_map(|p| sw_seq.dequeue(50, p).map(|f| (p, f))).collect();
-        assert_eq!(batched, expect);
-        // A port with nothing queued contributes no pair.
-        batched.clear();
-        sw_batch.dequeue_batch(60, &[0], &mut batched);
-        assert!(batched.is_empty());
     }
 
     #[test]

@@ -5,11 +5,7 @@ Compares a fresh bench_record.sh run against the committed per-PR
 baseline (the "current" section of the newest BENCH_pr*.json) on the
 hot paths that track the simulator's fast path:
 
-  * switch_forward/tpp_packet*      — per-packet TPP execution cost,
-                                      including the batched arms
-                                      (tpp_packet_batch8/32)
-  * tcpu_batch/*                    — batch execution through a cached
-                                      plan template (hit/miss/mixed)
+  * switch_forward/tpp_packet       — per-packet TPP execution cost
   * engine_scale/hybrid/*           — the default scheduler drain
   * matrix_cell wall_ms             — one end-to-end evaluation cell
 
@@ -37,7 +33,7 @@ import os
 import sys
 
 DEFAULT_THRESHOLD = 0.25
-HOT_PREFIXES = ("switch_forward/tpp_packet", "tcpu_batch/", "engine_scale/hybrid")
+HOT_PREFIXES = ("switch_forward/tpp_packet", "engine_scale/hybrid")
 
 
 def run_section(doc):

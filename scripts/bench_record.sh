@@ -43,7 +43,7 @@ cargo bench -p tpp-bench --bench tcpu_exec | tee -a "$RAW"
 # k=8 fat-tree (digest equality is asserted inside the bench).
 cargo bench -p tpp-bench --bench fabric_scale | tee -a "$RAW"
 # Scheduler core: timing wheel vs legacy BinaryHeap at 1k/10k/100k events,
-# plus the batched end-to-end delivery loop (digest-pinned).
+# plus the end-to-end delivery loop (digest-pinned).
 cargo bench -p tpp-bench --bench engine_scale | tee -a "$RAW"
 # Runtime reconfiguration throughput: route and link reconfig events
 # through the scheduler, plus a rerouting link-flap churn cell under load
