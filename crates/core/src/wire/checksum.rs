@@ -2,19 +2,49 @@
 //! TPP section (Figure 7b field 6).
 
 /// Ones'-complement sum of `data`, folded to 16 bits.
+///
+/// Taken eight bytes at a time in native byte order, with end-around carry,
+/// and put into network order once at the end. The value equals the sum of
+/// the big-endian 16-bit words of `data` (an odd last byte padded with a zero)
+/// on every input: the ones'-complement sum is byte-order independent (RFC
+/// 1071 section 2(B)), and because `2^16 = 1 (mod 0xFFFF)` the four lanes of
+/// a word, and a carry out of the top one, all weigh the same. That is also
+/// why the tail may enter as a 4-, a 2- and a 1-byte piece in whichever lanes
+/// a widening puts them, as long as each piece is read in memory order. The
+/// two encodings of zero come out as they always have: an end-around-carry
+/// add never turns a non-zero accumulator into zero, so only all-zero data
+/// sums to `0`, and any other multiple of `0xFFFF` to `0xFFFF`.
 pub fn sum(data: &[u8]) -> u16 {
-    let mut acc: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    #[inline]
+    fn add(acc: u64, word: u64) -> u64 {
+        let (sum, carry) = acc.overflowing_add(word);
+        // A carry leaves `sum <= u64::MAX - 1`: the increment cannot wrap.
+        sum + u64::from(carry)
     }
-    if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
+    let mut acc: u64 = 0;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        acc = add(acc, u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")));
     }
+    let mut rest = words.remainder();
+    if let Some((four, after)) = rest.split_first_chunk::<4>() {
+        acc = add(acc, u64::from(u32::from_ne_bytes(*four)));
+        rest = after;
+    }
+    if let Some((two, after)) = rest.split_first_chunk::<2>() {
+        acc = add(acc, u64::from(u16::from_ne_bytes(*two)));
+        rest = after;
+    }
+    if let [last] = rest {
+        // Zero-padded in memory order: the odd byte keeps the lane half it
+        // has on the wire.
+        acc = add(acc, u64::from(u16::from_ne_bytes([*last, 0])));
+    }
+    let mut acc = (acc >> 32) + (acc & 0xFFFF_FFFF);
     while acc > 0xFFFF {
-        acc = (acc & 0xFFFF) + (acc >> 16);
+        acc = (acc >> 16) + (acc & 0xFFFF);
     }
-    acc as u16
+    u16::from_be(acc as u16)
 }
 
 /// Compute the checksum field value for `data` (with its checksum field
@@ -74,6 +104,64 @@ pub fn pseudo_header_sum(src: [u8; 4], dst: [u8; 4], protocol: u8, length: u16) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sum as first written, one big-endian 16-bit word at a time: the
+    /// oracle for the word-wise [`sum`].
+    fn sum_pairwise(data: &[u8]) -> u16 {
+        let mut acc: u32 = 0;
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            acc += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+        while acc > 0xFFFF {
+            acc = (acc & 0xFFFF) + (acc >> 16);
+        }
+        acc as u16
+    }
+
+    #[test]
+    fn sum_equals_the_pairwise_loop_at_every_length_offset_and_fill() {
+        // Every length that leaves 0..8 tail bytes, from every start offset
+        // in a word (a header can sit anywhere in a frame), over the fills
+        // that reach both encodings of zero, every carry, and single bytes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let random: Vec<u8> = (0..608)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        let sparse: Vec<u8> =
+            random.iter().enumerate().map(|(i, &b)| if i % 16 == 5 { b } else { 0 }).collect();
+        let fills = [vec![0x00; 608], vec![0xFF; 608], random, sparse];
+        for (f, fill) in fills.iter().enumerate() {
+            for start in 0..8 {
+                for len in 0..=600 {
+                    let data = &fill[start..start + len];
+                    assert_eq!(sum(data), sum_pairwise(data), "fill {f} start {start} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_keeps_both_encodings_of_zero() {
+        // All-zero data is the only input that sums to 0; any other multiple
+        // of 0xFFFF folds to 0xFFFF, carries out of the top lane included.
+        assert_eq!(sum(&[0; 64]), 0);
+        assert_eq!(sum(&[0xFF; 64]), 0xFFFF);
+        assert_eq!(sum(&[0x00, 0x01, 0xFF, 0xFE]), 0xFFFF);
+        let mut data = [0u8; 24];
+        data[6..8].copy_from_slice(&[0xFF, 0xFF]);
+        data[14..16].copy_from_slice(&[0x00, 0x01]);
+        data[22..24].copy_from_slice(&[0xFF, 0xFE]);
+        assert_eq!((sum(&data), sum_pairwise(&data)), (0xFFFF, 0xFFFF));
+    }
 
     #[test]
     fn rfc1071_example() {

@@ -159,7 +159,15 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         let c = checksum::checksum(&self.buffer.as_ref()[..HEADER_LEN]);
         self.buffer.as_mut()[10..12].copy_from_slice(&c.to_be_bytes());
     }
-    /// Decrement TTL and incrementally fix the checksum.
+    /// Decrement TTL and recompute the header checksum from scratch
+    /// ([`fill_checksum`](Packet::fill_checksum)), not by an RFC 1624
+    /// incremental update. The difference shows on a damaged header, and is
+    /// pinned behaviour: the switch does not verify the IPv4 checksum, so a
+    /// header that took a bit flip on a faulty link leaves the next switch
+    /// with a *valid* checksum over the damaged bytes, where an incremental
+    /// update would carry the error along. The fault-injecting golden
+    /// digests hold this; whether a switch should verify and drop instead is
+    /// an open question (ROADMAP, hostile-input hardening).
     pub fn decrement_ttl(&mut self) {
         let ttl = self.ttl();
         self.buffer.as_mut()[8] = ttl.saturating_sub(1);
@@ -267,6 +275,21 @@ mod tests {
         let p = Packet::new_checked(&bytes[..]).unwrap();
         assert_eq!(p.ttl(), 63);
         assert!(p.verify_checksum());
+    }
+
+    #[test]
+    fn ttl_decrement_revalidates_a_damaged_header() {
+        // A full recompute, not an incremental update: the error a link
+        // fault put in the header does not survive the next TTL rewrite.
+        for damaged in [1, 4, 9, 12, 19] {
+            let mut bytes = sample_repr().encapsulate(b"abcde");
+            bytes[damaged] ^= 0x10;
+            assert!(!Packet::new_unchecked(&bytes[..]).verify_checksum(), "byte {damaged}");
+            Packet::new_unchecked(&mut bytes[..]).decrement_ttl();
+            let p = Packet::new_unchecked(&bytes[..]);
+            assert_eq!(p.ttl(), 63);
+            assert!(p.verify_checksum(), "byte {damaged}");
+        }
     }
 
     #[test]

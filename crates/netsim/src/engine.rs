@@ -50,12 +50,15 @@
 //! pending events). [`Scheduler`] therefore starts on an internal
 //! `BinaryHeap` backend and *spills* — once, one-way — into the wheel the
 //! first time its length crosses [`Scheduler::with_spill_threshold`]'s
-//! threshold (default [`SPILL_THRESHOLD`]). Both backends pop in identical
-//! `(time, key, seq)` order, so the switch is invisible to callers;
-//! threshold 0 forces the wheel from the first event, `usize::MAX` pins the
-//! heap forever. The wheel's bucket storage is allocated lazily at the
-//! first spill, so a scheduler that never crosses the threshold costs no
-//! more to construct than the heap it wraps.
+//! threshold (default [`SPILL_THRESHOLD`]). Until then the heap *is* the
+//! queue: it already yields `(time, key, seq)` order, so a pop is one
+//! `BinaryHeap::pop` and a clock update, and nothing is staged. After the
+//! spill the heap stays empty and every pop goes through the wheel's staged
+//! level-0 slot. Both backends pop in identical order, so the switch is
+//! invisible to callers; threshold 0 forces the wheel from the first event,
+//! `usize::MAX` pins the heap forever. The wheel's bucket storage is
+//! allocated lazily at the first spill, so a scheduler that never crosses
+//! the threshold costs no more to construct than the heap it wraps.
 //!
 //! The pre-wheel `BinaryHeap` implementation survives as [`HeapQueue`]: it
 //! is the reference model the property tests compare the wheel against,
@@ -143,9 +146,10 @@ pub struct Scheduler<E> {
     slot_max: Vec<Time>,
     /// Deadlines beyond the wheel span, earliest first.
     overflow: BinaryHeap<Entry<E>>,
-    /// Every not-yet-popped event of timestamp `ready_time`, sorted by
-    /// `(key, seq)`. Late arrivals for the same timestamp merge in by key,
-    /// preserving the heap ordering contract.
+    /// The wheel's staged level-0 slot: every not-yet-popped event of
+    /// timestamp `ready_time`, sorted by `(key, seq)`. Late arrivals for the
+    /// same timestamp merge in by key, preserving the heap ordering
+    /// contract. Only the wheel fills it; it is empty until the spill.
     ready: VecDeque<Entry<E>>,
     ready_time: Time,
     /// Recycled slot storage: draining a slot parks its `Vec` here, and
@@ -156,8 +160,8 @@ pub struct Scheduler<E> {
     /// capacity every transition re-grows that slot from zero (realloc +
     /// memcpy each doubling). Bounded so idle capacity can't accumulate.
     spare_pool: Vec<Vec<Entry<E>>>,
-    /// Small-queue backend: until the first spill, every pending event
-    /// (except those staged in `ready`) lives here and the wheel is empty.
+    /// Small-queue backend: until the first spill every pending event lives
+    /// here and the wheel is empty; after it, this is empty for good.
     heap: BinaryHeap<Entry<E>>,
     /// Queue length beyond which the heap backend spills into the wheel.
     spill_threshold: usize,
@@ -236,18 +240,18 @@ impl<E> Scheduler<E> {
         self.next_seq += 1;
         self.len += 1;
         let entry = Entry { time: at, key, seq, event };
-        if !self.ready.is_empty() && at == self.ready_time {
-            // This timestamp is already staged: merge by key (every staged
-            // entry has a smaller seq, so key alone decides).
-            let pos = self.ready.partition_point(|e| (e.key, e.seq) <= (key, seq));
-            self.ready.insert(pos, entry);
-            return;
-        }
         if !self.spilled {
             self.heap.push(entry);
             if self.len > self.spill_threshold {
                 self.spill();
             }
+            return;
+        }
+        if !self.ready.is_empty() && at == self.ready_time {
+            // This timestamp is already staged: merge by key (every staged
+            // entry has a smaller seq, so key alone decides).
+            let pos = self.ready.partition_point(|e| (e.key, e.seq) <= (key, seq));
+            self.ready.insert(pos, entry);
             return;
         }
         self.insert_wheel(entry);
@@ -318,23 +322,10 @@ impl<E> Scheduler<E> {
         None
     }
 
-    /// Make `ready` hold every event of the earliest pending timestamp.
-    /// Returns false when no events remain anywhere.
+    /// Wheel backend: make `ready` hold every event of the earliest pending
+    /// timestamp. Returns false when no events remain anywhere.
     fn stage_next(&mut self) -> bool {
         if !self.ready.is_empty() {
-            return true;
-        }
-        // Heap backend: pops already come out in `(time, key, seq)` order,
-        // so draining the top timestamp yields it pre-sorted.
-        if let Some(top) = self.heap.peek() {
-            let t = top.time;
-            debug_assert!(t >= self.now);
-            self.now = t;
-            self.ready_time = t;
-            while self.heap.peek().is_some_and(|e| e.time == t) {
-                let e = self.heap.pop().unwrap();
-                self.ready.push_back(e);
-            }
             return true;
         }
         loop {
@@ -420,19 +411,31 @@ impl<E> Scheduler<E> {
 
     /// Pop the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        if !self.stage_next() {
-            return None;
-        }
-        let e = self.ready.pop_front().unwrap();
+        let e = if !self.spilled {
+            // Heap backend: the heap's own order is the contract's order.
+            let e = self.heap.pop()?;
+            debug_assert!(e.time >= self.now);
+            self.now = e.time;
+            e
+        } else {
+            if !self.stage_next() {
+                return None;
+            }
+            self.ready.pop_front().expect("stage_next filled the staged slot")
+        };
         self.len -= 1;
         debug_assert_eq!(self.now, e.time);
         Some((e.time, e.event))
     }
 
-    /// Timestamp of the next event without popping. Exact — per-slot minima
-    /// make this a scan of at most one candidate slot per level plus the
-    /// heap and overflow heads, with no cascading.
+    /// Timestamp of the next event without popping. Exact: the heap's head
+    /// before the spill; after it, per-slot minima make this a scan of at
+    /// most one candidate slot per level plus the staged slot and the
+    /// overflow head, with no cascading.
     pub fn peek_time(&self) -> Option<Time> {
+        if !self.spilled {
+            return self.heap.peek().map(|e| e.time);
+        }
         if self.len == 0 {
             return None;
         }
@@ -444,7 +447,7 @@ impl<E> Scheduler<E> {
                 best = best.min(self.slot_min[level * SLOTS + bits.trailing_zeros() as usize]);
             }
         }
-        for head in [self.heap.peek(), self.overflow.peek()].into_iter().flatten() {
+        if let Some(head) = self.overflow.peek() {
             best = best.min(head.time);
         }
         Some(best)

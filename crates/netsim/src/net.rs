@@ -74,15 +74,20 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-/// `FNV_PRIME^8 mod 2^64`: eight FNV-1a steps over zero bytes, folded.
-const FNV_PRIME_POW8: u64 = {
-    let mut p = 1u64;
-    let mut i = 0;
-    while i < 8 {
-        p = p.wrapping_mul(FNV_PRIME);
-        i += 1;
+/// Longest run of all-zero words [`fnv1a`] folds into one multiply; a longer
+/// run takes one more per `ZERO_RUN_MAX` words. 64 words cover the 256-byte
+/// payload of a traffic-generator frame in one step and a 1,000-byte one in two.
+const ZERO_RUN_MAX: usize = 64;
+/// `FNV_PRIME^(8 n) mod 2^64` at index `n`: the `8 n` FNV-1a steps over a run
+/// of `n` all-zero words, folded into one factor.
+const ZERO_RUN_POW: [u64; ZERO_RUN_MAX + 1] = {
+    let mut pow = [1u64; ZERO_RUN_MAX + 1];
+    let mut n = 1;
+    while n <= ZERO_RUN_MAX {
+        pow[n] = FNV_PRIME.wrapping_pow(8 * n as u32);
+        n += 1;
     }
-    p
+    pow
 };
 
 /// One FNV-1a step per byte: `h = (h ^ b) * FNV_PRIME`, wrapping.
@@ -94,22 +99,39 @@ fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The FNV-1a steps over `n` all-zero words: a zero byte leaves `h ^ b == h`,
+/// so each step is a bare multiply by the prime and the run is one multiply
+/// by a power of it.
+#[inline]
+fn fnv1a_zero_words(mut h: u64, mut n: usize) -> u64 {
+    while n > ZERO_RUN_MAX {
+        h = h.wrapping_mul(ZERO_RUN_POW[ZERO_RUN_MAX]);
+        n -= ZERO_RUN_MAX;
+    }
+    h.wrapping_mul(ZERO_RUN_POW[n])
+}
+
 /// 64-bit FNV-1a over a byte slice: the frame hash of the trace digest (see
 /// [`NetStats::trace`]). The value is the standard byte-serial FNV-1a on
-/// every input; only the walk differs. A zero byte leaves `h ^ b == h`, so
-/// its step is a bare multiply by the prime, and an all-zero 8-byte word is
-/// one multiply by [`FNV_PRIME_POW8`]. Simulated payloads and unwritten TPP
-/// packet memory are runs of zero bytes, which makes this the common case;
-/// any other word, and the tail, take the byte steps.
+/// every input; only the walk differs. It goes by 8-byte words, counts
+/// consecutive all-zero ones and folds each run with [`fnv1a_zero_words`]:
+/// simulated payloads and unwritten TPP packet memory are runs of zero bytes,
+/// which makes this the common case and takes the dependent multiply per word
+/// out of it. Any other word, and the tail, take the byte steps.
 #[inline]
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
+    let mut zero_words = 0;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        let word = u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        h = if word == 0 { h.wrapping_mul(FNV_PRIME_POW8) } else { fnv1a_bytes(h, w) };
+        if u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")) == 0 {
+            zero_words += 1;
+        } else {
+            h = fnv1a_bytes(fnv1a_zero_words(h, zero_words), w);
+            zero_words = 0;
+        }
     }
-    fnv1a_bytes(h, words.remainder())
+    fnv1a_bytes(fnv1a_zero_words(h, zero_words), words.remainder())
 }
 
 /// The interface hosts implement to participate in the simulation.
@@ -335,7 +357,8 @@ pub struct NetStats {
     /// `0xcbf29ce484222325`, prime `0x100000001b3`, one `h = (h ^ b) * prime`
     /// step per byte). The definition is frozen: golden digests pin it. The
     /// implementation may only use exact identities of it, such as folding
-    /// the eight steps of an all-zero word into one multiply by `prime^8`.
+    /// the `8 n` steps of a run of `n` all-zero words into one multiply by
+    /// `prime^(8 n)`.
     ///
     /// Because wrapping addition is commutative and associative, shards can
     /// fold arrivals in any interleaving and still merge to the exact value
@@ -1124,18 +1147,32 @@ mod tests {
         // A zero run of every length 0..=40 starting at every offset 0..8 of
         // a non-zero buffer, at every total length that leaves 0..8 tail
         // bytes: runs cover whole words, straddle them, and end in the tail.
-        for total in 48..56usize {
-            for start in 0..8usize {
-                for run in 0..=40usize {
-                    let mut buf: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
-                    buf[start..start + run].fill(0);
-                    assert_eq!(fnv1a(&buf), fnv1a_bytewise(&buf), "{total} {start} {run}");
-                    // The same run pushed against the end of the buffer.
-                    let mut buf: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
-                    buf[total - run..].fill(0);
-                    assert_eq!(fnv1a(&buf), fnv1a_bytewise(&buf), "{total} tail {run}");
+        // Then the same with runs longer than the power table: the 1,000-byte
+        // payload of an `app_rcp` data frame and a 9,000-byte jumbo, each a
+        // few bytes either side, so the last table chunk takes every size.
+        let long_runs = (990..=1010).chain(8990..=9010);
+        for (pad, runs) in [(48, (0..=40).collect::<Vec<_>>()), (9100, long_runs.collect())] {
+            for total in pad..pad + 8 {
+                for start in 0..8usize {
+                    for &run in &runs {
+                        let mut buf: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
+                        buf[start..start + run].fill(0);
+                        assert_eq!(fnv1a(&buf), fnv1a_bytewise(&buf), "{total} {start} {run}");
+                        // The same run pushed against the end of the buffer.
+                        let mut buf: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
+                        buf[total - run..].fill(0);
+                        assert_eq!(fnv1a(&buf), fnv1a_bytewise(&buf), "{total} tail {run}");
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fnv1a_zero_run_powers_are_the_repeated_prime() {
+        for n in 0..=3 * ZERO_RUN_MAX + 1 {
+            let stepped = (0..8 * n).fold(FNV_OFFSET, |h, _| h.wrapping_mul(FNV_PRIME));
+            assert_eq!(fnv1a_zero_words(FNV_OFFSET, n), stepped, "{n} zero words");
         }
     }
 
@@ -1156,14 +1193,16 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn fnv1a_equals_the_bytewise_loop(
-            mut bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=2048),
-            starts in proptest::collection::vec(0usize..2048, 12),
-            lens in proptest::collection::vec(0usize..=40, 12),
+            mut bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=9216),
+            starts in proptest::collection::vec(0usize..9216, 14),
+            short in proptest::collection::vec(0usize..=40, 12),
+            long in proptest::collection::vec(8 * ZERO_RUN_MAX..=9000, 2),
             sparse in proptest::prelude::any::<bool>(),
         ) {
             // Random bytes almost never hold a zero word: punch zero runs in,
-            // or keep only one byte in sixteen (a frame of zero payload with
-            // a few live fields).
+            // a dozen short ones and two longer than the power table (up to a
+            // jumbo frame's payload), or keep only one byte in sixteen (a
+            // frame of zero payload with a few live fields).
             if sparse {
                 for (i, b) in bytes.iter_mut().enumerate() {
                     if i % 16 != 5 {
@@ -1171,7 +1210,7 @@ mod tests {
                     }
                 }
             }
-            for (start, len) in starts.into_iter().zip(lens) {
+            for (start, len) in starts.into_iter().zip(short.into_iter().chain(long)) {
                 let start = start.min(bytes.len());
                 let end = (start + len).min(bytes.len());
                 bytes[start..end].fill(0);

@@ -89,15 +89,37 @@ pub enum ReceiveOutcome {
     Dropped(DropReason),
 }
 
-struct QueuedPacket {
+/// One frame waiting in an output queue. Forwarding a plain frame needs no
+/// more than its buffer; what a TPP carries from ingress to egress rides in
+/// the queue's [`OutQueue::tpps`], so this stays a fraction of a cache line.
+struct QueuedFrame {
     frame: Vec<u8>,
-    run: Option<TppRun>,
-    loc: TppLocation,
-    ctx: PacketContext,
-    enq_ns: u64,
+    /// This frame's TPP state is queued in `tpps`, and is at its front when
+    /// the frame is at the front of `frames`.
+    has_tpp: bool,
     /// Reflect back toward the source after egress execution.
     reflect: bool,
 }
+
+/// The ingress-to-egress state of one queued TPP.
+struct QueuedTpp {
+    run: TppRun,
+    ctx: PacketContext,
+    enq_ns: u64,
+}
+
+/// One output queue of one port: the frames in FIFO order and, in the same
+/// order, the TPP state of those that carry one. Two contiguous rings popped
+/// in lock-step, both allocation-free once grown to their working size.
+#[derive(Default)]
+struct OutQueue {
+    frames: VecDeque<QueuedFrame>,
+    tpps: VecDeque<QueuedTpp>,
+}
+
+const QUEUES_PER_PORT: usize = layout::QUEUES_PER_PORT as usize;
+// `Switch::nonempty` keeps one bit per queue of a port in a `u8`.
+const _: () = assert!(QUEUES_PER_PORT <= u8::BITS as usize);
 
 /// A TPP-capable switch.
 pub struct Switch {
@@ -105,7 +127,11 @@ pub struct Switch {
     pub mem: SwitchMemory,
     pub table: FlowTable,
     pub groups: GroupTable,
-    queues: Vec<Vec<VecDeque<QueuedPacket>>>,
+    /// `n_ports * QUEUES_PER_PORT` output queues, port-major.
+    queues: Vec<OutQueue>,
+    /// Per port, bit `q` is set while queue `q` holds a frame: `dequeue`
+    /// picks the next queue to serve without touching the empty ones.
+    nonempty: Vec<u8>,
     rr_next: Vec<usize>,
     last_util_ns: u64,
     /// Frame buffers of dropped packets, retained (bounded) for reuse so
@@ -126,21 +152,19 @@ const MAX_RETIRED: usize = 64;
 impl Switch {
     pub fn new(cfg: SwitchConfig) -> Self {
         let mem = SwitchMemory::new(cfg.switch_id, cfg.n_ports, cfg.pipeline.total_stages());
-        let queues = (0..cfg.n_ports)
-            .map(|_| (0..layout::QUEUES_PER_PORT as usize).map(|_| VecDeque::new()).collect())
-            .collect();
         let mut sw = Switch {
             mem,
             table: FlowTable::default(),
             groups: GroupTable::default(),
-            queues,
+            queues: (0..cfg.n_ports * QUEUES_PER_PORT).map(|_| OutQueue::default()).collect(),
+            nonempty: vec![0; cfg.n_ports],
             rr_next: vec![0; cfg.n_ports],
             last_util_ns: 0,
             retired: Vec::new(),
             plan_cache: PlanCache::default(),
             cfg,
         };
-        for q in 0..layout::QUEUES_PER_PORT as usize {
+        for q in 0..QUEUES_PER_PORT {
             for p in 0..sw.cfg.n_ports {
                 sw.mem.queues[p][q].limit_bytes = sw.cfg.queue_limit_bytes;
             }
@@ -226,7 +250,7 @@ impl Switch {
     }
 
     pub fn has_queued(&self, port: u8) -> bool {
-        self.queues[port as usize].iter().any(|q| !q.is_empty())
+        self.nonempty[port as usize] != 0
     }
 
     /// Advance time-driven state. Call at least once per utilization
@@ -269,7 +293,7 @@ impl Switch {
         let pcfg = self.cfg.pipeline;
         let loc = locate_tpp(&frame);
         let mut tpp_damaged = false;
-        let (mut run, ip_offset): (Option<TppRun>, usize) = match loc {
+        let (run, ip_offset): (Option<TppRun>, usize) = match loc {
             TppLocation::Transparent { section } => match TppView::parse(&frame[section..]) {
                 Ok((view, consumed)) if view.encap_proto() == ethernet::ethertype::IPV4 => {
                     let run = self.plan_cache.plan(&view, &frame[section..], section, opts, &pcfg);
@@ -304,13 +328,14 @@ impl Switch {
             return self.drop_malformed(in_port, frame);
         }
 
-        // Routing header checks (TTL) on the routed IP header.
-        let (dst_ip, ttl) = {
-            let Some(ip) = Ipv4Packet::new_checked(&frame[ip_offset..]) else {
-                return self.drop_malformed(in_port, frame);
-            };
-            (ip.dst(), ip.ttl())
+        // Routing header checks (TTL) on the routed IP header, parsed once:
+        // the flow key reads addresses, protocol and L4 ports, which neither
+        // the TTL rewrite nor a TPP (it writes inside its own section only)
+        // can change before the routing stage hashes them.
+        let Some(ip) = Ipv4Packet::new_checked(&frame[ip_offset..]) else {
+            return self.drop_malformed(in_port, frame);
         };
+        let (dst_ip, ttl, key) = (ip.dst(), ip.ttl(), FlowKey::from_ipv4(&ip));
         if ttl <= 1 {
             let l = &mut self.mem.links[in_port as usize];
             l.drop_bytes += len;
@@ -318,61 +343,58 @@ impl Switch {
             self.retire(frame);
             return ReceiveOutcome::Dropped(DropReason::TtlExpired);
         }
-        {
-            let mut ip = Ipv4Packet::new_unchecked(&mut frame[ip_offset..]);
-            ip.decrement_ttl();
-        }
+        Ipv4Packet::new_unchecked(&mut frame[ip_offset..]).decrement_ttl();
 
-        let mut ctx = PacketContext::new(in_port, frame.len() as u32, now_ns, self.mem.n_stages);
-        if let Some(r) = &run {
-            ctx.hop_count = r.hop as u32;
-        }
+        // Only a frame that carries a TPP gets per-packet TPP state (Fig. 6:
+        // everything else forwards without engaging the TCPU).
+        let mut tpp = run.map(|run| {
+            let mut ctx = PacketContext::new(in_port, len as u32, now_ns, self.mem.n_stages);
+            ctx.hop_count = run.hop as u32;
+            QueuedTpp { run, ctx, enq_ns: now_ns }
+        });
 
         // Execute the pre-routing ingress stages in place.
         let cfg = pcfg;
-        if let Some(r) = &mut run {
-            if r.rejected {
+        let rs = cfg.routing_stage();
+        if let Some(t) = &mut tpp {
+            if t.run.rejected {
                 self.mem.tpp_rejected += 1;
             }
-            let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut ctx };
-            r.exec_stages(&mut frame, &mut bus, 0..cfg.routing_stage(), opts);
+            let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut t.ctx };
+            t.run.exec_stages(&mut frame, &mut bus, 0..rs, opts);
         }
 
         // Targeted TPP addressed to this switch (§4.4): execute and reflect.
         let reflect_here = dst_ip == self.cfg.ip
-            || run.as_ref().is_some_and(|r| r.reflect)
+            || tpp.as_ref().is_some_and(|t| t.run.reflect)
                 && matches!(loc, TppLocation::Standalone { .. });
 
         // Routing lookup at the routing stage.
-        let rs = cfg.routing_stage();
         let out_port: Option<u8> = if reflect_here {
             Some(in_port)
         } else {
-            // The routed IP header was located above — hash it directly
-            // instead of re-walking the parse graph (which would re-validate
-            // a transparent TPP section).
-            let key = Ipv4Packet::new_checked(&frame[ip_offset..])
-                .map(|ip| FlowKey::from_ipv4(&ip))
-                .unwrap_or_default();
-            ctx.path_hash = key.hash_with(self.cfg.ecmp_hash_dst_port);
+            let path_hash = key.hash_with(self.cfg.ecmp_hash_dst_port);
             self.mem.stages[rs].lookup_pkts += 1;
             self.mem.stages[rs].lookup_bytes += len;
             match self.table.lookup(dst_ip, len) {
                 Some(entry) => {
                     self.mem.stages[rs].match_pkts += 1;
                     self.mem.stages[rs].match_bytes += len;
-                    ctx.matched_entry.set(
-                        rs,
-                        FlowEntryStats {
-                            entry_id: entry.entry_id,
-                            insert_clock: entry.insert_clock,
-                            match_pkts: entry.match_pkts,
-                            match_bytes: entry.match_bytes,
-                        },
-                    );
+                    if let Some(t) = &mut tpp {
+                        t.ctx.path_hash = path_hash;
+                        t.ctx.matched_entry.set(
+                            rs,
+                            FlowEntryStats {
+                                entry_id: entry.entry_id,
+                                insert_clock: entry.insert_clock,
+                                match_pkts: entry.match_pkts,
+                                match_bytes: entry.match_bytes,
+                            },
+                        );
+                    }
                     match entry.action {
                         Action::Output(p) => Some(p),
-                        Action::Group(g) => self.groups.select(g, ctx.path_hash),
+                        Action::Group(g) => self.groups.select(g, path_hash),
                         Action::Drop => None,
                     }
                 }
@@ -386,17 +408,20 @@ impl Switch {
             self.retire(frame);
             return ReceiveOutcome::Dropped(DropReason::NoRoute);
         };
-        ctx.out_port = Some(out_port % self.cfg.n_ports as u8);
+        let mut out_port = out_port % self.cfg.n_ports as u8;
+        let mut queue = 0;
 
         // Execute the routing stage itself (output port now visible; a TPP
         // write to [PacketMetadata:OutputPort] supersedes the lookup, §3.2).
-        if let Some(r) = &mut run {
-            let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut ctx };
-            r.exec_stages(&mut frame, &mut bus, rs..cfg.n_ingress, opts);
+        if let Some(t) = &mut tpp {
+            t.ctx.out_port = Some(out_port);
+            let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut t.ctx };
+            t.run.exec_stages(&mut frame, &mut bus, rs..cfg.n_ingress, opts);
+            out_port = t.ctx.out_port.expect("set above; a TPP can only overwrite it")
+                % self.cfg.n_ports as u8;
+            t.ctx.out_port = Some(out_port);
+            queue = t.ctx.out_queue % QUEUES_PER_PORT as u8;
         }
-        let out_port = ctx.out_port.unwrap() % self.cfg.n_ports as u8;
-        ctx.out_port = Some(out_port);
-        let queue = ctx.out_queue % layout::QUEUES_PER_PORT as u8;
 
         // Drop-tail admission against the queue limit.
         let qstats = &self.mem.queues[out_port as usize][queue as usize];
@@ -412,8 +437,10 @@ impl Switch {
         }
 
         // Enqueue-time snapshot: the congestion this packet experienced.
-        ctx.enq_qdepth_bytes = Some(qstats.bytes as u32);
-        ctx.enq_qdepth_pkts = Some(qstats.pkts as u32);
+        if let Some(t) = &mut tpp {
+            t.ctx.enq_qdepth_bytes = Some(qstats.bytes as u32);
+            t.ctx.enq_qdepth_pkts = Some(qstats.pkts as u32);
+        }
         {
             let q = &mut self.mem.queues[out_port as usize][queue as usize];
             q.bytes += len;
@@ -426,19 +453,17 @@ impl Switch {
         // Pipeline latency: baseline plus what the executed instructions
         // cost so far (egress instructions are charged at dequeue).
         let proc_latency_ns = self.cfg.cost.base_latency_ns
-            + run
+            + tpp
                 .as_ref()
-                .map(|r| self.cfg.cost.tpp_latency_ns(r.executed_ops().iter().copied()))
+                .map(|t| self.cfg.cost.tpp_latency_ns(t.run.executed_ops().iter().copied()))
                 .unwrap_or(0);
 
-        self.queues[out_port as usize][queue as usize].push_back(QueuedPacket {
-            frame,
-            run,
-            loc,
-            ctx,
-            enq_ns: now_ns,
-            reflect: reflect_here,
-        });
+        let q = &mut self.queues[out_port as usize * QUEUES_PER_PORT + queue as usize];
+        q.frames.push_back(QueuedFrame { frame, has_tpp: tpp.is_some(), reflect: reflect_here });
+        if let Some(t) = tpp {
+            q.tpps.push_back(t);
+        }
+        self.nonempty[out_port as usize] |= 1 << queue;
         ReceiveOutcome::Enqueued { port: out_port, queue, proc_latency_ns }
     }
 
@@ -458,12 +483,23 @@ impl Switch {
         self.mem.set_clock(now_ns);
         let opts = &self.exec_options();
         let p = port as usize;
-        let nq = layout::QUEUES_PER_PORT as usize;
-        let start = self.rr_next[p];
-        let qi = (0..nq).map(|i| (start + i) % nq).find(|&i| !self.queues[p][i].is_empty())?;
-        self.rr_next[p] = (qi + 1) % nq;
-        let mut pkt = self.queues[p][qi].pop_front().unwrap();
-        let len = pkt.frame.len() as u64;
+        // The first non-empty queue at or after the round-robin pointer,
+        // else (wrapping) the first one before it.
+        let nonempty = self.nonempty[p];
+        if nonempty == 0 {
+            return None;
+        }
+        let ahead = nonempty & (u8::MAX << self.rr_next[p]);
+        let qi = if ahead != 0 { ahead } else { nonempty }.trailing_zeros() as usize;
+        self.rr_next[p] = (qi + 1) % QUEUES_PER_PORT;
+        let q = &mut self.queues[p * QUEUES_PER_PORT + qi];
+        let QueuedFrame { mut frame, has_tpp, reflect } =
+            q.frames.pop_front().expect("non-empty by its bit");
+        let tpp = if has_tpp { q.tpps.pop_front() } else { None };
+        if q.frames.is_empty() {
+            self.nonempty[p] &= !(1 << qi);
+        }
+        let len = frame.len() as u64;
 
         {
             let q = &mut self.mem.queues[p][qi];
@@ -479,45 +515,45 @@ impl Switch {
             l.tx_bytes_interval += len;
         }
 
-        pkt.ctx.queue_wait_ns = Some(now_ns.saturating_sub(pkt.enq_ns).min(u32::MAX as u64) as u32);
-
-        if let Some(run) = pkt.run.as_mut() {
+        if let Some(QueuedTpp { mut run, mut ctx, enq_ns }) = tpp {
+            ctx.queue_wait_ns = Some(now_ns.saturating_sub(enq_ns).min(u32::MAX as u64) as u32);
             let cfg = self.cfg.pipeline;
             {
-                let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut pkt.ctx };
-                run.exec_stages(
-                    &mut pkt.frame,
-                    &mut bus,
-                    cfg.egress_stage()..cfg.total_stages(),
-                    opts,
-                );
+                let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut ctx };
+                run.exec_stages(&mut frame, &mut bus, cfg.egress_stage()..cfg.total_stages(), opts);
             }
             // In-place completion: SP/wrote/hop land in the frame with the
             // checksum folded incrementally — no re-serialization.
-            run.finish(&mut pkt.frame, opts);
+            run.finish(&mut frame, opts);
             if !run.rejected {
                 self.mem.tpp_executed += 1;
             }
         }
 
-        if pkt.reflect {
-            reflect_frame(&mut pkt.frame, pkt.loc);
+        if reflect {
+            reflect_frame(&mut frame);
         }
-        Some(pkt.frame)
+        Some(frame)
     }
 }
 
-/// Send a standalone TPP back toward its source (§4.4 "Reflective TPP"):
-/// swap Ethernet and IP addresses. Swapping src/dst leaves both the IPv4
-/// header checksum and the UDP pseudo-header checksum unchanged (the ones'
-/// complement sum is commutative), and the UDP destination port stays
-/// 0x6666 so the origin's parse graph still recognizes the TPP.
-pub fn reflect_frame(frame: &mut [u8], loc: TppLocation) {
+/// Send a frame back toward its source (§4.4 "Reflective TPP"): swap the
+/// Ethernet addresses and, for a standalone TPP, the IP addresses. Swapping
+/// src/dst leaves both the IPv4 header checksum and the UDP pseudo-header
+/// checksum unchanged (the ones' complement sum is commutative), and the UDP
+/// destination port stays 0x6666 so the origin's parse graph still
+/// recognizes the TPP.
+///
+/// Where the IP header sits is read off the frame here, not carried with it
+/// from ingress: reflection is the rare targeted probe, and nothing a switch
+/// rewrites (TTL, checksums, the TPP section) moves a frame on the Figure 7a
+/// parse graph.
+pub fn reflect_frame(frame: &mut [u8]) {
     // Swap MACs.
     for i in 0..6 {
         frame.swap(i, i + 6);
     }
-    if let TppLocation::Standalone { ip, .. } = loc {
+    if let TppLocation::Standalone { ip, .. } = locate_tpp(frame) {
         for i in 0..4 {
             frame.swap(ip + 12 + i, ip + 16 + i);
         }
@@ -578,6 +614,13 @@ mod tests {
         assert_eq!(sw.mem.links[0].rx_pkts, 1);
         assert_eq!(sw.mem.links[2].tx_pkts, 1);
         assert!(!sw.has_queued(2));
+    }
+
+    #[test]
+    fn a_queued_plain_frame_is_little_more_than_its_buffer() {
+        // The guard on the queue layout: TPP state lives beside the frame
+        // ring, not in it, so a deep queue of plain frames stays compact.
+        assert!(std::mem::size_of::<QueuedFrame>() <= 40);
     }
 
     #[test]
@@ -696,6 +739,71 @@ mod tests {
         let (_, executed) = wire::extract_tpp(&sent).unwrap();
         assert_eq!(executed.words()[0], 7);
         assert_eq!(executed.hop, 1);
+    }
+
+    /// What a switch makes of `frame` when it reflects it without running a
+    /// TPP: TTL rewritten, Ethernet addresses swapped, and the IP addresses
+    /// too when `swap_ips`.
+    fn reflected_unexecuted(frame: &[u8], swap_ips: bool) -> Vec<u8> {
+        let mut want = frame.to_vec();
+        let ip_at = ethernet::HEADER_LEN;
+        Ipv4Packet::new_unchecked(&mut want[ip_at..]).decrement_ttl();
+        for i in 0..6 {
+            want.swap(i, i + 6);
+        }
+        if swap_ips {
+            for i in 0..4 {
+                want.swap(ip_at + 12 + i, ip_at + 16 + i);
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn damaged_standalone_tpp_to_switch_ip_reflects_uninstrumented() {
+        // The section fails validation, so no TPP runs, yet the frame is a
+        // standalone TPP on the parse graph and is addressed to the switch:
+        // it goes back the way it came, IP addresses swapped like any
+        // reflected standalone TPP, with no TPP state to lean on.
+        let mut sw = basic_switch();
+        let tpp =
+            TppBuilder::stack_mode().push_m("Switch:SwitchID").unwrap().hops(1).build().unwrap();
+        let mut frame = build_standalone(
+            EthernetAddress::from_node_id(1),
+            EthernetAddress::from_node_id(1000),
+            Ipv4Address::from_host_id(1),
+            sw.cfg.ip,
+            5000,
+            &tpp,
+        );
+        let TppLocation::Standalone { section, .. } = locate_tpp(&frame) else {
+            panic!("built as a standalone TPP");
+        };
+        frame[section + 4] ^= 0xFF;
+        assert!(TppView::parse(&frame[section..]).is_err());
+
+        let out = sw.receive(0, 1, frame.clone());
+        assert!(matches!(out, ReceiveOutcome::Enqueued { port: 1, queue: 0, .. }), "{out:?}");
+        assert_eq!((sw.mem.tpp_rejected, sw.mem.tpp_executed), (1, 0));
+        assert_eq!(sw.dequeue(5, 1).unwrap(), reflected_unexecuted(&frame, true));
+        assert_eq!(sw.mem.tpp_executed, 0);
+    }
+
+    #[test]
+    fn plain_frame_to_switch_ip_reflects_with_macs_swapped_only() {
+        let mut sw = basic_switch();
+        let mut frame = host_frame(1, 2, 100, 1000, 2000);
+        {
+            let mut ip = Ipv4Packet::new_unchecked(&mut frame[ethernet::HEADER_LEN..]);
+            ip.set_dst(sw.cfg.ip);
+            ip.fill_checksum();
+        }
+        assert_eq!(locate_tpp(&frame), TppLocation::None);
+
+        let out = sw.receive(0, 3, frame.clone());
+        assert!(matches!(out, ReceiveOutcome::Enqueued { port: 3, queue: 0, .. }), "{out:?}");
+        assert_eq!(sw.dequeue(5, 3).unwrap(), reflected_unexecuted(&frame, false));
+        assert_eq!((sw.mem.tpp_rejected, sw.mem.tpp_executed), (0, 0));
     }
 
     #[test]
@@ -979,8 +1087,7 @@ mod scheduler_tests {
             5555,
             &tpp,
         );
-        let loc = wire::locate_tpp(&frame);
-        reflect_frame(&mut frame, loc);
+        reflect_frame(&mut frame);
         let eth = EthernetFrame::new_checked(&frame[..]).unwrap();
         assert_eq!(eth.dst(), EthernetAddress::from_node_id(1));
         assert_eq!(eth.src(), EthernetAddress::from_node_id(9));

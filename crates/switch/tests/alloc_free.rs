@@ -5,11 +5,15 @@
 //! phase (queue rings grow to their working capacity), a measured run of
 //! `receive` + `dequeue` cycles must perform **zero** allocations. The frame
 //! buffer itself is recycled by the caller, exactly like the simulator does:
-//! `dequeue` hands back the same `Vec` that `receive` consumed.
+//! `dequeue` hands back the same `Vec` that `receive` consumed. A second
+//! test holds the same over a deep queue of interleaved plain and TPP frames,
+//! where the frame ring and the TPP-state ring beside it advance in lock-step.
 //!
-//! This is the one `unsafe` block in the workspace (every crate lib is
-//! `#![forbid(unsafe_code)]`): a `GlobalAlloc` impl is inherently unsafe
-//! to declare, and each method body is audited below.
+//! Every crate lib is `#![forbid(unsafe_code)]`; the workspace's only
+//! `unsafe` is in test and tool targets like this one (the counting
+//! allocators of the `alloc_*` tests, the `sim_profile` sampler). A
+//! `GlobalAlloc` impl is inherently unsafe to declare, and each method body
+//! is audited below.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -146,4 +150,51 @@ fn steady_state_forwarding_is_allocation_free() {
         plain_allocs, 0,
         "plain forwarding path allocated {plain_allocs} times in 64 rounds"
     );
+}
+
+#[test]
+fn deep_queue_of_interleaved_plain_and_tpp_frames_is_allocation_free() {
+    const QUEUED: usize = 96;
+    let mut sw = Switch::new(SwitchConfig::new(7, 4));
+    sw.add_host_route(Ipv4Address::from_host_id(2), Action::Output(2));
+    let tpp = TppBuilder::stack_mode()
+        .push_m("Switch:SwitchID")
+        .unwrap()
+        .push_m("Queue:QueueOccupancy")
+        .unwrap()
+        .hops(5)
+        .build()
+        .unwrap();
+    let stamped = insert_transparent(&host_frame(250), &tpp);
+    let plain = host_frame(250);
+
+    // Fill: every third frame carries a TPP, so runs of plain frames sit
+    // between the entries of the TPP-state ring.
+    let mut now = 0u64;
+    for i in 0..QUEUED {
+        now += 1000;
+        let frame = if i % 3 == 0 { stamped.clone() } else { plain.clone() };
+        let out = sw.receive(now, 0, frame);
+        assert!(matches!(out, ReceiveOutcome::Enqueued { port: 2, queue: 0, .. }), "{out:?}");
+    }
+    assert_eq!(sw.mem.queues[2][0].pkts, QUEUED as u64);
+
+    // Steady state at that depth: the head leaves, goes round and joins the
+    // tail in the buffer it left in (a used-up TPP still validates, plans and
+    // queues its state). Two full rotations warm both rings up.
+    let mut rotate = |rounds: usize| {
+        let before = allocs_on_this_thread();
+        for _ in 0..rounds {
+            now += 1000;
+            let frame = sw.dequeue(now, 2).expect("queue stays full");
+            let out = sw.receive(now, 0, frame);
+            assert!(matches!(out, ReceiveOutcome::Enqueued { port: 2, queue: 0, .. }), "{out:?}");
+        }
+        allocs_on_this_thread() - before
+    };
+    rotate(2 * QUEUED);
+    let allocs = rotate(10 * QUEUED);
+    assert_eq!(allocs, 0, "a {QUEUED}-deep mixed queue allocated {allocs} times in 10 rotations");
+    assert_eq!(sw.mem.queues[2][0].pkts, QUEUED as u64);
+    assert_eq!(sw.mem.tpp_executed, 12 * QUEUED as u64 / 3, "every TPP frame engaged the TCPU");
 }
