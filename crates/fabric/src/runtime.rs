@@ -1,16 +1,16 @@
 //! The sharded runtime: conservative lookahead epochs over shard kernels.
 //!
 //! A shard kernel is not a private engine: it is the same layered
-//! `tpp-netsim` core — timing-wheel `Scheduler`, `LinkFabric`, `NodeStore`
-//! — driven through the same `Network` coordinator, just with remote
-//! markers in the node layer and the full port table in the link layer.
+//! `tpp-netsim` core — `Scheduler`, `LinkFabric`, `NodeStore` — driven
+//! through the same `Network` coordinator, just with remote markers in the
+//! node layer and the full port table in the link layer.
 //! Each epoch simply calls the kernel's `run_until` and exchanges the link
 //! layer's boundary frames at the barrier.
 //!
 //! Both executors — thread-per-shard and sequential — run the *same*
 //! epoch/exchange schedule and therefore produce bit-identical results;
 //! the sequential path exists for single-core machines (no barrier or
-//! context-switch overhead, but still the smaller per-shard event wheels
+//! context-switch overhead, but still the smaller per-shard event queues
 //! and working sets) and for debugging.
 
 use std::sync::{Barrier, Mutex};
@@ -156,7 +156,7 @@ impl Fabric {
     /// different horizons for the same `dur`; drive differential
     /// comparisons with `run_until` and absolute times.
     pub fn run_for(&mut self, dur: Time) {
-        let until = self.now() + dur;
+        let until = self.now().saturating_add(dur);
         self.run_until(until);
     }
 

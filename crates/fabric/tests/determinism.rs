@@ -8,7 +8,7 @@
 use std::sync::atomic::Ordering;
 
 use tpp_fabric::{install_traffic, ExecMode, Fabric, PartitionStrategy, TrafficConfig};
-use tpp_netsim::{NetStats, Topology, TopologySpec, MILLIS};
+use tpp_netsim::{HostApp, HostCtx, NetStats, Time, Topology, TopologySpec, MILLIS};
 
 /// Sim horizon: long enough for thousands of multi-hop deliveries and a
 /// few utilization intervals, short enough for quick tests.
@@ -203,6 +203,34 @@ fn run_until_never_moves_the_clock_backwards() {
     assert_eq!(fabric.stats(), stats);
     fabric.run_for(MILLIS); // and run_for still advances from 4ms, not 2ms
     assert_eq!(fabric.now(), 5 * MILLIS);
+}
+
+/// `Fabric::run_for` computed `now + dur` unguarded: past the first barrier
+/// `Time::MAX` panicked in debug builds and wrapped to a stale target (a
+/// silent no-op) in release builds. A run to the end of time does not
+/// return, so a host timer past the first horizon ends this one.
+#[test]
+#[should_panic(expected = "ran past the first horizon")]
+fn run_for_time_max_runs_on_instead_of_wrapping() {
+    struct LateApp;
+    impl HostApp for LateApp {
+        fn start(&mut self, ctx: &mut HostCtx<'_>) {
+            ctx.set_timer(5 * MILLIS, 0);
+        }
+        fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {
+            panic!("ran past the first horizon");
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+    let mut t =
+        TopologySpec::Star { hosts: 4 }.builder().host_mbps(1000).delay_ns(1000).seed(3).build();
+    t.net.set_app(t.hosts[0], Box::new(LateApp));
+    let mut fabric = Fabric::new(t.net, 2, PartitionStrategy::RoundRobin);
+    fabric.set_mode(ExecMode::Sequential);
+    fabric.run_until(MILLIS);
+    fabric.run_for(Time::MAX);
 }
 
 #[test]

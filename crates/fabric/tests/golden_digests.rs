@@ -3,11 +3,11 @@
 //! The first twelve [`tpp_netsim::NetStats::digest`] values below were
 //! recorded on the original engine (`BinaryHeap` event queue, one event and
 //! one frame at a time) for {star, leaf-spine, fat-tree(4)} × {clean, link
-//! faults} × {single-threaded, 4 fabric shards}. Every engine since — the
-//! timing-wheel scheduler, the LinkFabric/NodeStore decomposition, a
-//! same-timestamp batch delivery path that came and went — has had to
-//! reproduce each one bit for bit: any divergence in a timestamp, a route, a
-//! fault draw, or a single TPP result word changes the value.
+//! faults} × {single-threaded, 4 fabric shards}. Every engine since — a
+//! hierarchical-wheel scheduler and a same-timestamp batch delivery path
+//! that both came and went, the LinkFabric/NodeStore decomposition — has
+//! had to reproduce each one bit for bit: any divergence in a timestamp, a
+//! route, a fault draw, or a single TPP result word changes the value.
 //!
 //! The seventh scenario pins two regimes the first six never enter, both of
 //! which that batch path special-cased: switches with zero base pipeline
@@ -16,13 +16,23 @@
 //! transmit completion can chain more work at its own timestamp. Its pair
 //! was recorded on the last commit that still had the batch path.
 //!
+//! The eighth is the only regime that wheel ever served: `fig_scale`'s k=8
+//! fat-tree under its heavy traffic, whose single-shard run holds more than
+//! 2,048 pending events inside the first 100 µs (2,939 at the peak), the
+//! length at which that scheduler left its heap for the wheel. Its pair was
+//! recorded on the last commit that still had the wheel, where the run
+//! crossed over, so it pins that the plain heap pops that schedule in the
+//! same order.
+//!
 //! To re-record after an *intentional* behavior change, run with
 //! `GOLDEN_PRINT=1 cargo test -p tpp-fabric --test golden_digests -- --nocapture`
 //! and update the table (and say why in the commit message).
 
 use std::sync::atomic::Ordering;
 
-use tpp_fabric::{install_traffic, ExecMode, Fabric, PartitionStrategy, TrafficConfig};
+use tpp_fabric::{
+    install_traffic, ExecMode, Fabric, PartitionStrategy, TrafficConfig, TrafficPattern,
+};
 use tpp_netsim::{NodeId, Topology, TopologySpec, MILLIS};
 
 const HORIZON: u64 = 8 * MILLIS;
@@ -31,12 +41,29 @@ fn traffic() -> TrafficConfig {
     TrafficConfig { stop_at: 6 * MILLIS, ..TrafficConfig::default() }
 }
 
+/// `fig_scale`'s traffic, cut to a horizon the debug profile runs in seconds.
+const SCALE_HORIZON: u64 = 100_000;
+
+fn scale_traffic() -> TrafficConfig {
+    TrafficConfig {
+        frames_per_tick: 16,
+        tick_ns: 5_000,
+        payload: 256,
+        tpp_every: 4,
+        stop_at: SCALE_HORIZON,
+        seed: 8,
+        pattern: TrafficPattern::Uniform,
+    }
+}
+
 struct Scenario {
     name: &'static str,
     build: fn() -> Topology,
     /// `(node, port, drop_prob, corrupt_prob)` applied before any split.
     faults: &'static [(u32, u8, f64, f64)],
     strategy: PartitionStrategy,
+    traffic: fn() -> TrafficConfig,
+    horizon: u64,
 }
 
 fn build(s: &Scenario) -> Topology {
@@ -50,8 +77,8 @@ fn build(s: &Scenario) -> Topology {
 fn run_single(s: &Scenario) -> u64 {
     let mut t = build(s);
     let hosts = t.hosts.clone();
-    let delivered = install_traffic(&mut t.net, &hosts, &traffic());
-    t.net.run_until(HORIZON);
+    let delivered = install_traffic(&mut t.net, &hosts, &(s.traffic)());
+    t.net.run_until(s.horizon);
     assert!(delivered.load(Ordering::Relaxed) > 100, "{}: workload too small", s.name);
     t.net.stats.digest()
 }
@@ -59,10 +86,10 @@ fn run_single(s: &Scenario) -> u64 {
 fn run_sharded(s: &Scenario, n_shards: usize) -> u64 {
     let mut t = build(s);
     let hosts = t.hosts.clone();
-    let _ = install_traffic(&mut t.net, &hosts, &traffic());
+    let _ = install_traffic(&mut t.net, &hosts, &(s.traffic)());
     let mut fabric = Fabric::new(t.net, n_shards, s.strategy);
     fabric.set_mode(ExecMode::Sequential);
-    fabric.run_until(HORIZON);
+    fabric.run_until(s.horizon);
     fabric.stats().digest()
 }
 
@@ -83,6 +110,8 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
             },
             faults: &[],
             strategy: PartitionStrategy::RoundRobin,
+            traffic,
+            horizon: HORIZON,
         },
         GOLDEN_STAR_CLEAN_1,
         GOLDEN_STAR_CLEAN_4,
@@ -100,6 +129,8 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
             },
             faults: &[(0, 0, 0.2, 0.05), (0, 3, 0.1, 0.0)],
             strategy: PartitionStrategy::RoundRobin,
+            traffic,
+            horizon: HORIZON,
         },
         GOLDEN_STAR_FAULTS_1,
         GOLDEN_STAR_FAULTS_4,
@@ -118,6 +149,8 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
             },
             faults: &[],
             strategy: PartitionStrategy::Locality,
+            traffic,
+            horizon: HORIZON,
         },
         GOLDEN_LEAF_SPINE_CLEAN_1,
         GOLDEN_LEAF_SPINE_CLEAN_4,
@@ -136,6 +169,8 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
             },
             faults: &[(0, 0, 0.2, 0.05), (1, 1, 0.1, 0.0)],
             strategy: PartitionStrategy::Locality,
+            traffic,
+            horizon: HORIZON,
         },
         GOLDEN_LEAF_SPINE_FAULTS_1,
         GOLDEN_LEAF_SPINE_FAULTS_4,
@@ -153,6 +188,8 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
             },
             faults: &[],
             strategy: PartitionStrategy::Locality,
+            traffic,
+            horizon: HORIZON,
         },
         GOLDEN_FAT_TREE_CLEAN_1,
         GOLDEN_FAT_TREE_CLEAN_4,
@@ -171,6 +208,8 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
             // Degrade one core uplink and one edge downlink.
             faults: &[(0, 0, 0.15, 0.02), (12, 2, 0.1, 0.0)],
             strategy: PartitionStrategy::Locality,
+            traffic,
+            horizon: HORIZON,
         },
         GOLDEN_FAT_TREE_FAULTS_1,
         GOLDEN_FAT_TREE_FAULTS_4,
@@ -193,9 +232,30 @@ const GOLDEN: &[(Scenario, u64, u64)] = &[
             },
             faults: &[],
             strategy: PartitionStrategy::RoundRobin,
+            traffic,
+            horizon: HORIZON,
         },
         GOLDEN_ZERO_LATENCY_400G_1,
         GOLDEN_ZERO_LATENCY_400G_4,
+    ),
+    (
+        Scenario {
+            name: "fat_tree8/fig_scale",
+            build: || {
+                TopologySpec::FatTree { k: 8 }
+                    .builder()
+                    .link_mbps(10_000)
+                    .delay_ns(1000)
+                    .seed(8)
+                    .build()
+            },
+            faults: &[],
+            strategy: PartitionStrategy::Locality,
+            traffic: scale_traffic,
+            horizon: SCALE_HORIZON,
+        },
+        GOLDEN_FAT_TREE8_SCALE_1,
+        GOLDEN_FAT_TREE8_SCALE_4,
     ),
 ];
 
@@ -213,6 +273,8 @@ const GOLDEN_FAT_TREE_FAULTS_1: u64 = 0x2D4C_9941_7FA7_D594;
 const GOLDEN_FAT_TREE_FAULTS_4: u64 = 0x2D4C_9941_7FA7_D594;
 const GOLDEN_ZERO_LATENCY_400G_1: u64 = 0xA10C_98C6_7607_6B1B;
 const GOLDEN_ZERO_LATENCY_400G_4: u64 = 0xA10C_98C6_7607_6B1B;
+const GOLDEN_FAT_TREE8_SCALE_1: u64 = 0xCD1C_49BD_B3D6_FCE6;
+const GOLDEN_FAT_TREE8_SCALE_4: u64 = 0xCD1C_49BD_B3D6_FCE6;
 
 #[test]
 fn digests_match_pre_refactor_engine() {

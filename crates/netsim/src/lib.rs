@@ -4,8 +4,8 @@
 //! authors' Mininet/Open vSwitch testbed — see DESIGN.md §2), organized as
 //! three explicit layers under a thin coordinator:
 //!
-//! * [`engine`] — the scheduler layer: a deterministic hierarchical
-//!   timing-wheel event queue with content-keyed same-timestamp order.
+//! * [`engine`] — the scheduler layer: a deterministic binary-heap event
+//!   queue with content-keyed same-timestamp order.
 //! * [`link`] — the link layer: full-duplex rate/delay links, per-link
 //!   fault injection (drops, corruption), transmit sequencing, and
 //!   in-flight frame queues.

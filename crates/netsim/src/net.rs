@@ -10,8 +10,8 @@
 //! [`Network`] itself is a thin coordinator over three explicit layers,
 //! each ignorant of the others:
 //!
-//! * [`Scheduler`] — the hierarchical timing-wheel event queue (see
-//!   [`crate::engine`]): time and ordering.
+//! * [`Scheduler`] — the event queue (see [`crate::engine`]): time and
+//!   ordering.
 //! * [`LinkFabric`] — link wiring, rate/delay computation, per-link fault
 //!   RNG streams and transmit sequence numbers, and the per-`(node, port)`
 //!   in-flight frame queues.
@@ -196,9 +196,10 @@ impl HostCtx<'_> {
     pub fn send(&mut self, frame: Vec<u8>) {
         self.effects.push(Effect::Send(frame));
     }
-    /// Request a timer callback at `now + delay`.
+    /// Request a timer callback at `now + delay`; a delay that would pass
+    /// the end of time (`Time::MAX`, "never") lands there.
     pub fn set_timer(&mut self, delay: Time, token: u64) {
-        self.effects.push(Effect::Timer { at: self.now + delay, token });
+        self.effects.push(Effect::Timer { at: self.now.saturating_add(delay), token });
     }
     /// Request a timer callback at an absolute time.
     pub fn set_timer_at(&mut self, at: Time, token: u64) {
@@ -694,7 +695,7 @@ impl Network {
     fn ensure_started(&mut self) {
         if !self.util_tick_scheduled {
             self.util_tick_scheduled = true;
-            let at = self.scheduler.now() + self.util_interval;
+            let at = self.scheduler.now().saturating_add(self.util_interval);
             self.schedule_ev(at, Ev::UtilTick);
         }
         // Turn any plan entries added since the last run into events (this
@@ -912,7 +913,7 @@ impl Network {
                         sw.tick(now);
                     }
                 }
-                let at = now + self.util_interval;
+                let at = now.saturating_add(self.util_interval);
                 self.schedule_ev(at, Ev::UtilTick);
             }
         }
@@ -951,7 +952,7 @@ impl Network {
     /// time instead — drive differential comparisons with `run_until` and
     /// absolute times.
     pub fn run_for(&mut self, dur: Time) {
-        let until = self.now() + dur;
+        let until = self.now().saturating_add(dur);
         self.run_until(until);
     }
 
@@ -1367,6 +1368,61 @@ mod tests {
         let _h = net.add_host(Box::new(ChainApp { log: log.clone() }));
         net.run_until(10 * MILLIS);
         assert_eq!(*log.lock().unwrap(), vec![(1000, 1), (1000, 3), (1000, 5)]);
+    }
+
+    #[test]
+    fn never_timer_set_after_time_zero_does_not_fire() {
+        // `now + Time::MAX` used to panic in debug builds and wrap into the
+        // past in release builds, where the scheduler's clamp fired it at
+        // once.
+        struct NeverApp {
+            log: Arc<Mutex<Vec<(Time, u64)>>>,
+        }
+        impl HostApp for NeverApp {
+            fn start(&mut self, ctx: &mut HostCtx<'_>) {
+                ctx.set_timer(1000, 1);
+            }
+            fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
+                self.log.lock().unwrap().push((ctx.now, token));
+                if token == 1 {
+                    ctx.set_timer(Time::MAX, 2);
+                    ctx.set_timer(500, 3);
+                }
+            }
+            fn as_any(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut net = Network::new(0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let _h = net.add_host(Box::new(NeverApp { log: log.clone() }));
+        net.run_until(10 * MILLIS);
+        assert_eq!(*log.lock().unwrap(), vec![(1000, 1), (1500, 3)]);
+    }
+
+    /// A run to the end of time does not return (the utilization tick
+    /// re-arms every millisecond), so the app ends this one from a timer
+    /// past the first horizon: reaching it shows that `run_for` neither
+    /// overflowed nor wrapped its horizon into the past.
+    #[test]
+    #[should_panic(expected = "ran past the first horizon")]
+    fn run_for_time_max_runs_on_instead_of_wrapping() {
+        struct LateApp;
+        impl HostApp for LateApp {
+            fn start(&mut self, ctx: &mut HostCtx<'_>) {
+                ctx.set_timer(5 * MILLIS, 0);
+            }
+            fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {
+                panic!("ran past the first horizon");
+            }
+            fn as_any(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut net = Network::new(0);
+        let _h = net.add_host(Box::new(LateApp));
+        net.run_until(MILLIS);
+        net.run_for(Time::MAX);
     }
 
     #[test]

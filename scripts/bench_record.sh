@@ -3,14 +3,13 @@
 # switch_forward/{plain,tpp}_packet plus the tcpu_exec groups (reference
 # interpreter, in-place executor, staged pipeline) — the fabric_scale
 # sweep (single-threaded Network vs sharded tpp-fabric on a k=8 fat-tree),
-# the engine_scale scheduler arms (including the pure_ns/mixed_ns_ms WAN
-# pair), and the reconfig group (runtime reconfiguration-event throughput
-# plus a digest-pinned churn cell).
+# and the reconfig group (runtime reconfiguration-event throughput plus a
+# digest-pinned churn cell).
 #
 # scripts/bench_gate.py diffs a run of this script against the committed
-# per-PR baseline on the hot paths (switch_forward/tpp_packet, the
-# engine_scale/hybrid arms, matrix_cell wall_ms) and fails on a >25%
-# regression; CI runs it in override (warn-only) mode on smoke medians.
+# per-PR baseline on the hot paths (switch_forward/tpp_packet, matrix_cell
+# wall_ms) and fails on a >25% regression; CI runs it in override
+# (warn-only) mode on smoke medians.
 #
 # Usage:
 #   scripts/bench_record.sh [OUTPUT.json]        # default: bench_run.json
@@ -42,9 +41,6 @@ cargo bench -p tpp-bench --bench tcpu_exec | tee -a "$RAW"
 # Fabric scaling: single-threaded Network vs tpp-fabric at 2/4 shards on a
 # k=8 fat-tree (digest equality is asserted inside the bench).
 cargo bench -p tpp-bench --bench fabric_scale | tee -a "$RAW"
-# Scheduler core: timing wheel vs legacy BinaryHeap at 1k/10k/100k events,
-# plus the end-to-end delivery loop (digest-pinned).
-cargo bench -p tpp-bench --bench engine_scale | tee -a "$RAW"
 # Runtime reconfiguration throughput: route and link reconfig events
 # through the scheduler, plus a rerouting link-flap churn cell under load
 # (digest-pinned).
