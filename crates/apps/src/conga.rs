@@ -64,11 +64,6 @@ pub fn conga_probe() -> Probe {
         .field("tx_bytes", "Link:TX-Bytes")
 }
 
-/// The per-path probe program.
-pub fn conga_tpp(hops: usize) -> Tpp {
-    conga_probe().hops(hops).compile().expect("static probe")
-}
-
 /// One hop from a completed probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathHop {

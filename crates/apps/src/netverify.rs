@@ -9,7 +9,7 @@
 
 use crate::common::{shared, Shared};
 use tpp_core::probe::Probe;
-use tpp_core::wire::{Ipv4Address, Tpp};
+use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness};
 use tpp_endhost::ExecutorConfig;
 use tpp_netsim::Time;
@@ -26,11 +26,6 @@ pub struct PathObservation {
 /// Path-trace probe schema: switch id per hop.
 pub fn trace_probe() -> Probe {
     Probe::stack("netverify-trace").field("switch", "Switch:SwitchID")
-}
-
-/// Path-trace probe: switch id per hop.
-pub fn trace_tpp(max_hops: usize) -> Tpp {
-    trace_probe().hops_capped(max_hops).compile().expect("static probe")
 }
 
 const TIMER_PROBE: u64 = 1;

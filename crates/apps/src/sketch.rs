@@ -24,7 +24,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::common::{shared, udp_frame, Shared, DATA_PORT};
 use tpp_core::probe::Probe;
-use tpp_core::wire::{Ipv4Address, Tpp};
+use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Aggregator, Endhost, Harness};
 use tpp_endhost::Filter;
 use tpp_netsim::Time;
@@ -35,11 +35,6 @@ pub fn sketch_probe() -> Probe {
     Probe::stack("sketch")
         .field("switch", "Switch:ID")
         .field("out_port", "PacketMetadata:OutputPort")
-}
-
-/// The §2.5 routing-context TPP.
-pub fn sketch_tpp(max_hops: usize) -> Tpp {
-    sketch_probe().hops_capped(max_hops).compile().expect("static probe")
 }
 
 /// A direct bitmap sketch for set-cardinality estimation [Estan et al.].

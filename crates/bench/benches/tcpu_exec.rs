@@ -7,8 +7,7 @@ use std::hint::black_box;
 
 use tpp_core::addr::resolve_mnemonic;
 use tpp_core::asm::TppBuilder;
-use tpp_core::exec::{execute, execute_in_place, execute_in_place_verified, ExecOptions, MapBus};
-use tpp_core::verify::{verify, VerifyOptions};
+use tpp_core::exec::{execute, execute_in_place, ExecOptions, MapBus};
 use tpp_core::wire::{Tpp, TppView, TppViewMut};
 use tpp_switch::memmap::{PacketContext, SwitchBus, SwitchMemory};
 use tpp_switch::pipeline::{PipelineConfig, TppRun};
@@ -121,40 +120,12 @@ fn bench_in_place(c: &mut Criterion) {
     g.finish();
 }
 
-/// The verified unchecked path: same in-place execution, but carrying the
-/// `Verified` token the static verifier issued, so per-instruction bounds
-/// checks are skipped. Paired with `tcpu_in_place` above to expose the
-/// per-packet cost of runtime re-validation.
-fn bench_verified(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tcpu_verified");
-    for (name, tpp) in programs() {
-        let sid = resolve_mnemonic("Switch:SwitchID").unwrap();
-        let q = resolve_mnemonic("Queue:QueueOccupancy").unwrap();
-        let reg = resolve_mnemonic("Link:AppSpecific_0").unwrap();
-        let opts = ExecOptions::default();
-        let token = verify(&tpp, VerifyOptions::default())
-            .token()
-            .expect("bench programs must verify clean");
-        let bytes = tpp.serialize();
-        g.bench_with_input(BenchmarkId::from_parameter(name), &bytes, |b, bytes| {
-            let mut bus = MapBus::with(&[(sid, 7), (q, 100), (reg, 0)]);
-            let mut frame = bytes.clone();
-            b.iter(|| {
-                frame.copy_from_slice(bytes);
-                let (mut view, _) = TppViewMut::parse(&mut frame).unwrap();
-                black_box(execute_in_place_verified(&mut view, &mut bus, &opts, &token));
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(700))
         .sample_size(30);
-    targets = bench_reference, bench_in_place, bench_verified, bench_pipeline
+    targets = bench_reference, bench_in_place, bench_pipeline
 }
 criterion_main!(benches);

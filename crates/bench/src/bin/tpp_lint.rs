@@ -1,8 +1,8 @@
 //! tpp-lint: disassemble and statically verify TPP programs.
 //!
 //! The command-line face of `tpp_core::verify` — the same abstract
-//! interpreter that gates `Probe::compile`, `Policy::validate_verified`
-//! and the switch's unchecked fast path, with rustc-style diagnostics:
+//! interpreter that gates `Probe::compile` and TPP-CP's `Policy::validate`,
+//! with rustc-style diagnostics:
 //!
 //! ```text
 //! tpp-lint --all-apps            verify every built-in app probe against

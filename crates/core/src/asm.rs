@@ -29,9 +29,6 @@ pub enum AsmError {
     TooManyInstructions(usize),
     MemoryTooLarge(usize),
     OperandOutOfRange(usize, String),
-    /// The static verifier denied the program
-    /// ([`TppBuilder::build_verified`]); one entry per deny-class finding.
-    Verify(Vec<crate::verify::Diagnostic>),
 }
 
 impl fmt::Display for AsmError {
@@ -43,16 +40,6 @@ impl fmt::Display for AsmError {
             }
             AsmError::MemoryTooLarge(n) => write!(f, "packet memory {n} bytes exceeds 252"),
             AsmError::OperandOutOfRange(l, m) => write!(f, "line {l}: operand out of range: {m}"),
-            AsmError::Verify(diags) => {
-                write!(f, "verifier rejected the program: ")?;
-                for (i, d) in diags.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{d}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -483,24 +470,6 @@ impl TppBuilder {
         }
         Ok(self.tpp)
     }
-
-    /// [`Self::build`], then prove the program safe with the
-    /// abstract-interpretation verifier ([`crate::verify::verify`]) over the
-    /// declared hop budget (or the derived maximum when none was declared).
-    /// Returns the TPP together with the [`Verified`](crate::verify::Verified)
-    /// token that unlocks the unchecked execution fast path. Deny-class
-    /// findings become [`AsmError::Verify`]; lint-class findings do not fail
-    /// the build (run `tpp-lint` to see them).
-    pub fn build_verified(self) -> Result<(Tpp, crate::verify::Verified), AsmError> {
-        let hops = self.hops;
-        let tpp = self.build()?;
-        let verdict =
-            crate::verify::verify(&tpp, crate::verify::VerifyOptions { hops, segments: None });
-        match verdict.token() {
-            Some(token) => Ok((tpp, token)),
-            None => Err(AsmError::Verify(verdict.denials().cloned().collect())),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -649,41 +618,6 @@ mod tests {
             TppBuilder::hop_mode(4).hops(20).push_m("Switch:SwitchID").unwrap().build(),
             Err(AsmError::MemoryTooLarge(_))
         ));
-    }
-
-    #[test]
-    fn build_verified_returns_token_for_safe_programs() {
-        let (tpp, token) = TppBuilder::stack_mode()
-            .push_m("Switch:SwitchID")
-            .unwrap()
-            .push_m("Queue:QueueOccupancy")
-            .unwrap()
-            .hops(4)
-            .build_verified()
-            .unwrap();
-        assert_eq!(tpp.memory_words(), 8);
-        assert!(token.covers(0, 0));
-        assert!(token.covers(3, 6));
-        assert!(!token.covers(4, 8)); // fifth hop would overflow
-    }
-
-    #[test]
-    fn build_verified_rejects_unsafe_programs() {
-        // A hop-window overrun `build()` happily assembles.
-        let err = TppBuilder::hop_mode(2)
-            .load_m("Switch:SwitchID", 5)
-            .unwrap()
-            .hops(2)
-            .build_verified()
-            .unwrap_err();
-        match err {
-            AsmError::Verify(ref diags) => {
-                assert!(!diags.is_empty());
-                let msg = err.to_string();
-                assert!(msg.contains("verifier rejected"), "{msg}");
-            }
-            other => panic!("expected AsmError::Verify, got {other:?}"),
-        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! The owned [`execute`] is that reference, and nothing but tests and
 //! host-side dry runs call it. What a switch runs is the in-place
 //! interpreter over wire bytes, and there is one of it: [`step_in_place`],
-//! generic over a packet-memory [`Bounds`] policy and the bus type.
-//! [`execute_in_place`], [`execute_in_place_verified`] and the switch's
-//! staged pipeline all step through it.
+//! generic over the bus type, every packet-memory access bounds-checked.
+//! [`execute_in_place`] and the switch's staged pipeline both step through
+//! it.
 //!
 //! Key semantics:
 //!
@@ -28,7 +28,6 @@
 
 use crate::addr::{Address, Word};
 use crate::isa::{Instruction, Opcode, MAX_INSTRUCTIONS};
-use crate::verify::Verified;
 use crate::wire::tpp::Tpp;
 use crate::wire::view::TppViewMut;
 
@@ -377,48 +376,6 @@ impl InPlaceOutcome {
     }
 }
 
-/// Packet-memory bounds policy of the in-place interpreter: a zero-sized
-/// type parameter, so each policy compiles to its own straight-line step.
-pub trait Bounds {
-    /// Every stack-limit and word-index condition on packet memory is
-    /// already proven, so the step tests none of them.
-    const PROVEN: bool;
-}
-
-/// Test every packet-memory access; out of bounds skips gracefully (§3.3).
-pub struct Checked;
-
-/// The caller holds a proof (a covering [`Verified`] token, or the switch's
-/// plan-time bounds check) that no access this hop leaves packet memory. A
-/// false claim panics on a slice index; it cannot touch bytes outside the
-/// section.
-pub struct Trusted;
-
-impl Bounds for Checked {
-    const PROVEN: bool = false;
-}
-
-impl Bounds for Trusted {
-    const PROVEN: bool = true;
-}
-
-fn read_word<P: Bounds>(view: &TppViewMut<'_>, idx: usize) -> Option<Word> {
-    if P::PROVEN {
-        Some(view.read_word_trusted(idx))
-    } else {
-        view.read_word(idx)
-    }
-}
-
-fn write_word<P: Bounds>(view: &mut TppViewMut<'_>, idx: usize, v: Word) -> Option<()> {
-    if P::PROVEN {
-        view.write_word_trusted(idx, v);
-        Some(())
-    } else {
-        view.write_word(idx, v)
-    }
-}
-
 /// Attempt a switch-memory write, honouring the administrative kill-switch
 /// (§4.3). Returns whether it took effect.
 fn bus_write<B: MemoryBus + ?Sized>(
@@ -438,14 +395,14 @@ fn bus_write<B: MemoryBus + ?Sized>(
 /// for a PUSH onto a full stack or a POP from an empty one. Stack movement is
 /// a parse-time constant — SP moves identically whether the instruction then
 /// runs, skips or is suppressed — so callers resolve it before asking whether
-/// the instruction is live. [`Trusted`] drops only the two clamps.
-pub fn stack_slot<P: Bounds>(opcode: Opcode, sp: &mut u8, memory_words: usize) -> Option<u8> {
+/// the instruction is live.
+pub fn stack_slot(opcode: Opcode, sp: &mut u8, memory_words: usize) -> Option<u8> {
     match opcode {
-        Opcode::Push if P::PROVEN || usize::from(*sp) < memory_words => {
+        Opcode::Push if usize::from(*sp) < memory_words => {
             *sp += 1;
             Some(*sp - 1)
         }
-        Opcode::Pop if P::PROVEN || *sp > 0 => {
+        Opcode::Pop if *sp > 0 => {
             *sp -= 1;
             Some(*sp)
         }
@@ -455,13 +412,14 @@ pub fn stack_slot<P: Bounds>(opcode: Opcode, sp: &mut u8, memory_words: usize) -
 
 /// Execute one instruction in place: the only in-place step there is. The
 /// program-order loop behind [`execute_in_place`] and the switch's staged
-/// pipeline both call it, each with its own [`Bounds`] policy and bus type.
+/// pipeline both call it, each with its own bus type. An access outside
+/// packet memory skips the instruction (§3.3).
 ///
 /// `slot` is the PUSH/POP word its caller resolved with [`stack_slot`]
 /// (`None`: the instruction skips); SP is the caller's business, not the
 /// step's. A failed conditional is reported as [`InstrStatus::CondFailed`] /
 /// [`InstrStatus::PredicateFalse`]; the caller suppresses what follows.
-pub fn step_in_place<P: Bounds, B: MemoryBus + ?Sized>(
+pub fn step_in_place<B: MemoryBus + ?Sized>(
     view: &mut TppViewMut<'_>,
     bus: &mut B,
     ins: &Instruction,
@@ -474,22 +432,22 @@ pub fn step_in_place<P: Bounds, B: MemoryBus + ?Sized>(
         Opcode::Push => {
             let Some(word) = slot else { return InstrStatus::Skipped };
             let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            done(write_word::<P>(view, word.into(), v).is_some())
+            done(view.write_word(word.into(), v).is_some())
         }
         Opcode::Pop => {
             // A denied write leaves switch memory untouched; the slot is
             // released all the same.
-            let Some(v) = slot.and_then(|word| read_word::<P>(view, word.into())) else {
+            let Some(v) = slot.and_then(|word| view.read_word(word.into())) else {
                 return InstrStatus::Skipped;
             };
             done(bus_write(bus, ins.addr, v, allow_writes, wrote))
         }
         Opcode::Load => {
             let Some(v) = bus.read(ins.addr) else { return InstrStatus::Skipped };
-            done(write_word::<P>(view, view.hop_word_index(ins.op1), v).is_some())
+            done(view.write_word(view.hop_word_index(ins.op1), v).is_some())
         }
         Opcode::Store => {
-            let Some(v) = read_word::<P>(view, view.hop_word_index(ins.op1)) else {
+            let Some(v) = view.read_word(view.hop_word_index(ins.op1)) else {
                 return InstrStatus::Skipped;
             };
             done(bus_write(bus, ins.addr, v, allow_writes, wrote))
@@ -499,14 +457,14 @@ pub fn step_in_place<P: Bounds, B: MemoryBus + ?Sized>(
             let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
             let pre_idx = view.hop_word_index(ins.op1);
             let (Some(pre), Some(post)) =
-                (read_word::<P>(view, pre_idx), read_word::<P>(view, view.hop_word_index(ins.op2)))
+                (view.read_word(pre_idx), view.read_word(view.hop_word_index(ins.op2)))
             else {
                 return InstrStatus::Skipped;
             };
             // A refused write behaves like a failed comparison; either way
             // the observed value goes back so the end-host can tell.
             let succeeded = x == pre && bus_write(bus, ins.addr, post, allow_writes, wrote);
-            let _ = write_word::<P>(view, pre_idx, if succeeded { post } else { x });
+            let _ = view.write_word(pre_idx, if succeeded { post } else { x });
             if succeeded {
                 InstrStatus::Executed
             } else {
@@ -517,8 +475,8 @@ pub fn step_in_place<P: Bounds, B: MemoryBus + ?Sized>(
             // CEXEC [X], [Packet:hop[mask]], [Packet:hop[value]]
             let Some(x) = bus.read(ins.addr) else { return InstrStatus::Skipped };
             let (Some(mask), Some(value)) = (
-                read_word::<P>(view, view.hop_word_index(ins.op1)),
-                read_word::<P>(view, view.hop_word_index(ins.op2)),
+                view.read_word(view.hop_word_index(ins.op1)),
+                view.read_word(view.hop_word_index(ins.op2)),
             ) else {
                 return InstrStatus::Skipped;
             };
@@ -529,46 +487,6 @@ pub fn step_in_place<P: Bounds, B: MemoryBus + ?Sized>(
             }
         }
     }
-}
-
-/// The program-order loop over [`step_in_place`], under bounds policy `P`.
-fn run_in_place<P: Bounds>(
-    view: &mut TppViewMut<'_>,
-    bus: &mut dyn MemoryBus,
-    opts: &ExecOptions,
-) -> InPlaceOutcome {
-    let n = view.n_instr();
-    if n > opts.max_instructions || n > MAX_INSTRUCTIONS {
-        return InPlaceOutcome { status: StatusVec::default(), wrote: false, rejected: true };
-    }
-    let mut status = StatusVec::default();
-    let mut wrote = false;
-    let mut live = true; // flipped off by failed CSTORE / false CEXEC
-
-    for idx in 0..n {
-        let ins = view.instr(idx);
-        // A suppressed PUSH/POP still consumes or releases its slot.
-        let mut sp = view.sp();
-        let slot = stack_slot::<P>(ins.opcode, &mut sp, view.memory_words());
-        if slot.is_some() {
-            view.set_sp(sp);
-        }
-        if !live {
-            status.push(InstrStatus::Suppressed);
-            continue;
-        }
-        let st = step_in_place::<P, _>(view, bus, &ins, slot, opts.allow_writes, &mut wrote);
-        live = !matches!(st, InstrStatus::CondFailed | InstrStatus::PredicateFalse);
-        status.push(st);
-    }
-    if wrote {
-        view.set_wrote(true);
-    }
-    if opts.increment_hop {
-        let hop = view.hop();
-        view.set_hop(hop.wrapping_add(1));
-    }
-    InPlaceOutcome { status, wrote, rejected: false }
 }
 
 /// Execute a TPP **in place over its wire bytes** — the zero-allocation
@@ -586,35 +504,38 @@ pub fn execute_in_place(
     bus: &mut dyn MemoryBus,
     opts: &ExecOptions,
 ) -> InPlaceOutcome {
-    run_in_place::<Checked>(view, bus, opts)
-}
-
-/// Execute a **verified** TPP in place, skipping the per-instruction
-/// packet-memory bounds checks the [`Verified`] token proves redundant.
-///
-/// The token is the proof object [`verify`](crate::verify::verify) returns
-/// for a passing program: within its hop/SP window, no PUSH can overflow, no
-/// POP can underflow, and no hop-addressed access can leave packet memory.
-/// One `covers` check per packet selects the [`Trusted`] policy; a packet
-/// outside the verified window (e.g. past the proven hop range) runs under
-/// [`Checked`], exactly as [`execute_in_place`] would.
-///
-/// Bus semantics are unchanged: unmapped operands still skip gracefully and
-/// the administrative write switch still applies — the proof is about
-/// *packet memory*, not the switch's address map. Observational equivalence
-/// with [`execute_in_place`] for verified programs is property-tested in
-/// `tests/verify_soundness.rs`.
-pub fn execute_in_place_verified(
-    view: &mut TppViewMut<'_>,
-    bus: &mut dyn MemoryBus,
-    opts: &ExecOptions,
-    token: &Verified,
-) -> InPlaceOutcome {
-    if token.covers(view.hop(), view.sp()) {
-        run_in_place::<Trusted>(view, bus, opts)
-    } else {
-        run_in_place::<Checked>(view, bus, opts)
+    let n = view.n_instr();
+    if n > opts.max_instructions || n > MAX_INSTRUCTIONS {
+        return InPlaceOutcome { status: StatusVec::default(), wrote: false, rejected: true };
     }
+    let mut status = StatusVec::default();
+    let mut wrote = false;
+    let mut live = true; // flipped off by failed CSTORE / false CEXEC
+
+    for idx in 0..n {
+        let ins = view.instr(idx);
+        // A suppressed PUSH/POP still consumes or releases its slot.
+        let mut sp = view.sp();
+        let slot = stack_slot(ins.opcode, &mut sp, view.memory_words());
+        if slot.is_some() {
+            view.set_sp(sp);
+        }
+        if !live {
+            status.push(InstrStatus::Suppressed);
+            continue;
+        }
+        let st = step_in_place(view, bus, &ins, slot, opts.allow_writes, &mut wrote);
+        live = !matches!(st, InstrStatus::CondFailed | InstrStatus::PredicateFalse);
+        status.push(st);
+    }
+    if wrote {
+        view.set_wrote(true);
+    }
+    if opts.increment_hop {
+        let hop = view.hop();
+        view.set_hop(hop.wrapping_add(1));
+    }
+    InPlaceOutcome { status, wrote, rejected: false }
 }
 
 #[cfg(test)]
@@ -899,56 +820,5 @@ mod tests {
         // Over budget: rejected, bytes untouched.
         let tpp = stack_tpp(vec![Instruction::push(sid); 6], 64);
         assert_paths_agree(&tpp, &MapBus::with(&[(sid, 1)]), &ExecOptions::default());
-    }
-
-    #[test]
-    fn verified_path_matches_checked_path_within_token_window() {
-        let qsize = a("Queue:QueueOccupancy");
-        let sid = a("Switch:SwitchID");
-        // 2 pushes per hop into 8 words: the token covers hops 0..4.
-        let tpp = stack_tpp(vec![Instruction::push(sid), Instruction::push(qsize)], 32);
-        let verdict = crate::verify::verify(&tpp, crate::verify::VerifyOptions::default());
-        let token = verdict.token().expect("clean collect probe earns a token");
-
-        let opts = ExecOptions::default();
-        let mut frame_a = tpp.serialize();
-        let mut frame_b = frame_a.clone();
-        let mut bus_a = MapBus::with(&[(sid, 7), (qsize, 99)]);
-        let mut bus_b = MapBus::with(&[(sid, 7), (qsize, 99)]);
-        for _ in 0..4 {
-            let (mut va, _) = TppViewMut::parse(&mut frame_a).unwrap();
-            let out_a = execute_in_place(&mut va, &mut bus_a, &opts);
-            let (mut vb, _) = TppViewMut::parse(&mut frame_b).unwrap();
-            let out_b = execute_in_place_verified(&mut vb, &mut bus_b, &opts, &token);
-            assert_eq!(out_a.status.as_slice(), out_b.status.as_slice());
-            assert_eq!(out_a.wrote, out_b.wrote);
-        }
-        assert_eq!(frame_a, frame_b, "trusted path diverged from checked path");
-    }
-
-    #[test]
-    fn verified_path_falls_back_outside_token_window() {
-        let sid = a("Switch:SwitchID");
-        // One push into one word: token covers exactly hop 0.
-        let tpp = stack_tpp(vec![Instruction::push(sid)], 4);
-        let verdict = crate::verify::verify(&tpp, crate::verify::VerifyOptions::default());
-        let token = verdict.token().unwrap();
-        assert!(token.covers(0, 0));
-        assert!(!token.covers(1, 1));
-
-        let mut frame = tpp.serialize();
-        let mut bus = MapBus::with(&[(sid, 5)]);
-        let opts = ExecOptions::default();
-        // Hop 0: trusted. Hop 1: outside the window — must fall back to the
-        // checked interpreter and skip the overflowing push gracefully.
-        for expect in [InstrStatus::Executed, InstrStatus::Skipped] {
-            let (mut view, _) = TppViewMut::parse(&mut frame).unwrap();
-            let out = execute_in_place_verified(&mut view, &mut bus, &opts, &token);
-            assert_eq!(out.status.as_slice(), &[expect]);
-        }
-        let (t, _) = crate::wire::Tpp::parse(&frame).unwrap();
-        assert_eq!(t.read_word(0), Some(5));
-        assert_eq!(t.hop, 2);
-        assert_eq!(t.sp, 1, "overflowing push skips with no SP side effect");
     }
 }

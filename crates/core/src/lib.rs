@@ -28,11 +28,10 @@
 //! * [`analysis`] — static analysis (§3.5, §4.3): access sets, segment
 //!   (GDT-like) permission checks, hazard detection, and the PUSH→LOAD
 //!   serialization pass.
-//! * [`mod@verify`] — the abstract-interpretation verifier: prove a program's
-//!   packet-memory and permission safety once at load time
-//!   ([`verify::Verdict`]), then run the unchecked fast path with the
-//!   resulting [`verify::Verified`] token
-//!   ([`exec::execute_in_place_verified`]).
+//! * [`mod@verify`] — the abstract-interpretation verifier: accept or deny a
+//!   program's packet-memory and permission safety once at load time
+//!   ([`verify::Verdict`]). Execution relies on none of it: the interpreter
+//!   bounds-checks every access (§3.3).
 //!
 //! ## Quickstart
 //!
@@ -75,10 +74,10 @@ pub mod wire;
 pub use addr::{Address, Namespace, Word};
 pub use asm::{assemble, disassemble, TppBuilder};
 pub use exec::{
-    execute, execute_in_place, execute_in_place_verified, ExecOptions, ExecOutcome, InPlaceOutcome,
-    MemoryBus, StatusVec, WriteOutcome,
+    execute, execute_in_place, ExecOptions, ExecOutcome, InPlaceOutcome, MemoryBus, StatusVec,
+    WriteOutcome,
 };
 pub use isa::{Instruction, Opcode};
 pub use probe::{HopRecord, Probe, ProbeError, Records, TppData};
-pub use verify::{verify, Diagnostic, Severity, Verdict, Verified, VerifyOptions};
+pub use verify::{verify, Diagnostic, Severity, Verdict, VerifyOptions};
 pub use wire::{max_hops, Tpp, TppError, TppView, TppViewMut, MAX_MEMORY_BYTES};

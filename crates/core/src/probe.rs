@@ -421,7 +421,7 @@ impl Probe {
         };
         let tpp = b.build().map_err(|e: AsmError| ProbeError::Asm(e.to_string()))?;
 
-        // Every compiled probe carries a load-time proof: the abstract
+        // Every compiled probe is vetted at load time: the abstract
         // interpreter must accept the program for the declared hop budget
         // (or, with `pad_section_to`, for whatever hop count the padded
         // memory supports).

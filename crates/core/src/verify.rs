@@ -4,8 +4,9 @@
 //! TPPs are "relatively amenable to static analysis, particularly since a
 //! TPP contains at most five instructions" (§4.3): the ASIC and TPP-CP are
 //! supposed to *reject* unsafe programs up front, not catch them mid-flight.
-//! This module is that rejection step, in the eBPF mold — prove a program
-//! safe once at load time, then run it on an unchecked fast path.
+//! This module is that rejection step: it accepts or denies a program once,
+//! at load time. The switch relies on none of it and bounds-checks every
+//! access it makes (§3.3).
 //!
 //! [`verify`] symbolically executes the ≤5-instruction body across an
 //! abstract hop range, tracking:
@@ -26,9 +27,8 @@
 //!
 //! The result is a [`Verdict`]: a list of typed [`Diagnostic`]s split into
 //! deny-class errors and lint-class warnings, each carrying the instruction
-//! index and reason. A verdict with no denials yields a [`Verified`] token —
-//! the proof object that [`execute_in_place_verified`] accepts to skip
-//! per-instruction bounds checks on the hot path.
+//! index and reason. A program is accepted exactly when its verdict has no
+//! denial ([`Verdict::passed`]).
 //!
 //! # Initialization convention
 //!
@@ -45,8 +45,6 @@
 //! may still be unmapped at some switch, and the runtime skips such
 //! instructions gracefully (§3.3). Those skips are environment-dependent and
 //! outside the proof.
-//!
-//! [`execute_in_place_verified`]: crate::exec::execute_in_place_verified
 
 use crate::addr::{is_architecturally_writable, Address};
 use crate::analysis::{
@@ -241,37 +239,8 @@ pub struct VerifyOptions<'a> {
     pub segments: Option<&'a [Segment]>,
 }
 
-/// The proof object a passing [`Verdict`] yields: within the covered hop/SP
-/// window, no packet-memory bounds check in the program can fail, so
-/// [`execute_in_place_verified`](crate::exec::execute_in_place_verified)
-/// skips them. Only [`verify`] constructs tokens.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Verified {
-    hop_start: u8,
-    /// Exclusive upper bound on covered hop values (256 = the full counter).
-    hop_end: u16,
-    sp_min: u8,
-    sp_max: u8,
-}
-
-impl Verified {
-    /// Is a packet at this hop/SP inside the verified window? One branch —
-    /// this is the entire per-packet cost of the unchecked path.
-    #[inline]
-    pub fn covers(&self, hop: u8, sp: u8) -> bool {
-        let h = u16::from(hop);
-        u16::from(self.hop_start) <= h && h < self.hop_end && self.sp_min <= sp && sp <= self.sp_max
-    }
-
-    /// The covered hop values, as a half-open range.
-    pub fn hop_range(&self) -> core::ops::Range<u16> {
-        u16::from(self.hop_start)..self.hop_end
-    }
-}
-
 /// The structured result of [`verify`]: every diagnostic, the derived or
-/// checked hop coverage, the conditional gate (if any), and — when nothing
-/// denies — the [`Verified`] fast-path token.
+/// checked hop coverage and the conditional gate (if any).
 #[derive(Clone, Debug)]
 pub struct Verdict {
     pub diagnostics: Vec<Diagnostic>,
@@ -279,7 +248,6 @@ pub struct Verdict {
     pub hops_verified: usize,
     /// Conditional gate structure, when the program has one.
     pub gate: Option<Gate>,
-    token: Option<Verified>,
 }
 
 impl Verdict {
@@ -299,11 +267,6 @@ impl Verdict {
 
     pub fn lints(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(|d| d.severity() == Severity::Lint)
-    }
-
-    /// The fast-path proof token; `Some` exactly when [`Self::passed`].
-    pub fn token(&self) -> Option<Verified> {
-        self.token
     }
 
     /// Render every diagnostic rustc-style, each anchored to its
@@ -369,7 +332,7 @@ pub fn verify(tpp: &Tpp, opts: VerifyOptions<'_>) -> Verdict {
         }
     }
     if !diags.is_empty() {
-        return Verdict { diagnostics: diags, hops_verified: 0, gate: None, token: None };
+        return Verdict { diagnostics: diags, hops_verified: 0, gate: None };
     }
 
     // Conditional gate structure.
@@ -625,48 +588,7 @@ pub fn verify(tpp: &Tpp, opts: VerifyOptions<'_>) -> Verdict {
         None => clean_hops,
     };
 
-    // The proof token: only when nothing denies.
-    let token = if diags.iter().all(|d| d.severity() == Severity::Lint) {
-        // SP window under which one hop is safe for *any* entry SP: derived
-        // from the running PUSH/POP prefix sums (see `covers`).
-        let mut run: i64 = 0;
-        let mut sp_min_req: i64 = 0;
-        let mut sp_max_req: i64 = 255;
-        for ins in &tpp.instrs {
-            match ins.opcode {
-                Opcode::Push => {
-                    sp_max_req = sp_max_req.min(words as i64 - 1 - run);
-                    run += 1;
-                }
-                Opcode::Pop => {
-                    sp_min_req = sp_min_req.max(1 - run);
-                    sp_max_req = sp_max_req.min(words as i64 - run);
-                    run -= 1;
-                }
-                _ => {}
-            }
-        }
-        if sp_max_req < sp_min_req {
-            None
-        } else {
-            let (hop_start, hop_end) = if clean_hops >= 256 {
-                // Every hop value the u8 counter can take is covered.
-                (0u8, 256u16)
-            } else {
-                (tpp.hop, (u16::from(tpp.hop)).saturating_add(clean_hops as u16).min(256))
-            };
-            Some(Verified {
-                hop_start,
-                hop_end,
-                sp_min: sp_min_req.clamp(0, 255) as u8,
-                sp_max: sp_max_req.clamp(0, 255) as u8,
-            })
-        }
-    } else {
-        None
-    };
-
-    Verdict { diagnostics: diags, hops_verified, gate, token }
+    Verdict { diagnostics: diags, hops_verified, gate }
 }
 
 #[cfg(test)]
@@ -693,11 +615,9 @@ mod tests {
         let v = verify(&t, VerifyOptions::default());
         assert!(v.is_clean(), "{:?}", v.diagnostics);
         assert_eq!(v.hops_verified, 5);
-        let tok = v.token().unwrap();
-        assert!(tok.covers(0, 0));
-        assert!(tok.covers(4, 12));
-        assert!(!tok.covers(5, 15)); // sixth hop would overflow
-                                     // Explicit over-budget request: denied with a typed diagnostic.
+        assert!(v.passed());
+        // A sixth hop would overflow: asked for explicitly, it is denied
+        // with a typed diagnostic.
         let v6 = verify_for_hops(&t, 6);
         assert!(!v6.passed());
         assert!(matches!(v6.denials().next().unwrap().kind, DiagKind::StackOverflow { .. }));
@@ -786,7 +706,6 @@ mod tests {
         let v = verify_for_hops(&t, 2);
         assert!(v.passed());
         assert!(v.lints().any(|d| matches!(d.kind, DiagKind::DeadStore { .. })));
-        assert!(v.token().is_some());
     }
 
     #[test]

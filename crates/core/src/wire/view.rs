@@ -49,7 +49,7 @@ struct Shape {
 
 impl Shape {
     /// Re-derive the shape from the header of already-validated bytes.
-    fn of_trusted(bytes: &[u8]) -> Shape {
+    fn of_validated(bytes: &[u8]) -> Shape {
         let n_instr = bytes[1] as usize;
         let mem_len = bytes[2] as usize;
         Shape { n_instr, mem_len, total: HEADER_LEN + n_instr * INSTR_BYTES + mem_len }
@@ -196,32 +196,9 @@ macro_rules! view_accessors {
             ]))
         }
 
-        /// Read packet-memory word `idx` without the bounds check. For
-        /// callers holding a [`Verified`](crate::verify::Verified) proof
-        /// that the index is in bounds; panics (via slice indexing) on a
-        /// caller bug.
-        #[inline]
-        pub fn read_word_trusted(&self, idx: usize) -> u32 {
-            debug_assert!(idx < self.memory_words(), "verified word index out of bounds");
-            let o = self.word_off(idx);
-            u32::from_be_bytes([
-                self.bytes[o],
-                self.bytes[o + 1],
-                self.bytes[o + 2],
-                self.bytes[o + 3],
-            ])
-        }
-
         /// Absolute word index of hop-relative `offset` for the current hop.
         pub fn hop_word_index(&self, offset: u8) -> usize {
             self.hop() as usize * self.per_hop_words() + offset as usize
-        }
-
-        /// Read the word at hop-relative `offset` without the bounds check
-        /// (see [`Self::read_word_trusted`]).
-        #[inline]
-        pub fn read_hop_word_trusted(&self, offset: u8) -> u32 {
-            self.read_word_trusted(self.hop_word_index(offset))
         }
 
         /// Read the word at hop-relative `offset` for the current hop.
@@ -302,9 +279,9 @@ impl<'a> TppViewMut<'a> {
     /// since. Skips the O(section) checksum/opcode validation; the caller
     /// guarantees the bytes still start with that validated section.
     pub fn from_validated(bytes: &'a mut [u8]) -> TppViewMut<'a> {
-        let shape = Shape::of_trusted(bytes);
-        debug_assert!(bytes.len() >= shape.total, "trusted TPP section truncated");
-        debug_assert!(checksum::verify(&bytes[..shape.total]), "trusted TPP checksum broken");
+        let shape = Shape::of_validated(bytes);
+        debug_assert!(bytes.len() >= shape.total, "validated TPP section truncated");
+        debug_assert!(checksum::verify(&bytes[..shape.total]), "validated TPP checksum broken");
         let total = shape.total;
         TppViewMut { bytes: &mut bytes[..total], shape }
     }
@@ -363,26 +340,6 @@ impl<'a> TppViewMut<'a> {
     /// Write the word at hop-relative `offset` for the current hop.
     pub fn write_hop_word(&mut self, offset: u8, value: u32) -> Option<()> {
         self.write_word(self.hop_word_index(offset), value)
-    }
-
-    /// Write packet-memory word `idx` without the bounds check. For callers
-    /// holding a [`Verified`](crate::verify::Verified) proof that the index
-    /// is in bounds; panics (via slice indexing) on a caller bug. Maintains
-    /// the incremental checksum like [`Self::write_word`].
-    #[inline]
-    pub fn write_word_trusted(&mut self, idx: usize, value: u32) {
-        debug_assert!(idx < self.memory_words(), "verified word index out of bounds");
-        let o = self.word_off(idx);
-        let b = value.to_be_bytes();
-        self.upd16(o, [b[0], b[1]]);
-        self.upd16(o + 2, [b[2], b[3]]);
-    }
-
-    /// Write the word at hop-relative `offset` without the bounds check
-    /// (see [`Self::write_word_trusted`]).
-    #[inline]
-    pub fn write_hop_word_trusted(&mut self, offset: u8, value: u32) {
-        self.write_word_trusted(self.hop_word_index(offset), value);
     }
 }
 

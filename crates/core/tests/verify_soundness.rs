@@ -1,26 +1,20 @@
 //! Differential soundness suite for the static verifier.
 //!
-//! The verifier's contract is eBPF-shaped: a program it accepts for `h`
-//! hops must execute those hops with **zero** packet-memory bounds faults
-//! and zero permission faults — so the switch may run the unchecked fast
-//! path. These tests pit [`verify`] against the reference interpreter on
-//! random programs, memory layouts and hop counts:
+//! The verifier's contract: a program it accepts for `h` hops executes
+//! those hops with **zero** packet-memory bounds faults and zero permission
+//! faults. These tests pit [`verify_for_hops`] against the in-place
+//! interpreter on random programs, memory layouts and hop counts:
 //!
 //! * accepted ⇒ no runtime `Skipped` on a fully-mapped bus (soundness);
 //! * any runtime fault ⇒ the verifier rejected (the contrapositive,
-//!   stated directly over the fault trace);
-//! * [`execute_in_place_verified`] is observationally equivalent to
-//!   [`execute_in_place`] whenever a token exists, for arbitrary
-//!   (partially mapped, partially read-only) buses.
+//!   stated directly over the fault trace).
 
 use proptest::prelude::*;
 
 use tpp_core::addr::{is_architecturally_writable, resolve_mnemonic, Address};
-use tpp_core::exec::{
-    execute_in_place, execute_in_place_verified, ExecOptions, InstrStatus, MapBus,
-};
+use tpp_core::exec::{execute_in_place, ExecOptions, InstrStatus, MapBus};
 use tpp_core::isa::{Instruction, Opcode};
-use tpp_core::verify::{verify, verify_for_hops, VerifyOptions};
+use tpp_core::verify::verify_for_hops;
 use tpp_core::wire::{AddrMode, Tpp, TppViewMut};
 
 fn arb_opcode() -> impl Strategy<Value = Opcode> {
@@ -36,8 +30,8 @@ fn arb_opcode() -> impl Strategy<Value = Opcode> {
 
 prop_compose! {
     /// Mostly well-known (readable and writable) addresses, with a tail of
-    /// fully random ones — so a useful fraction of generated programs earn
-    /// a token while plenty still exercise the deny paths.
+    /// fully random ones — so a useful fraction of generated programs are
+    /// accepted while plenty still exercise the deny paths.
     fn arb_addr()(raw in any::<u16>(), pick in 0u8..6) -> Address {
         match pick {
             0 => resolve_mnemonic("Link$0:AppSpecific_0").unwrap(),
@@ -105,10 +99,6 @@ fn full_bus(tpp: &Tpp) -> MapBus {
     bus
 }
 
-fn clone_bus(bus: &MapBus) -> MapBus {
-    MapBus { mem: bus.mem.clone(), read_only: bus.read_only.clone() }
-}
-
 proptest! {
     /// Soundness: a program the verifier accepts for `hops` hops executes
     /// all of them with zero `Skipped` statuses — no stack overflow or
@@ -117,9 +107,9 @@ proptest! {
     /// writability.
     #[test]
     fn accepted_programs_never_fault_at_runtime(tpp in arb_tpp(), hops in 1usize..=8) {
-        let verdict = verify_for_hops(&tpp, hops);
-        let Some(token) = verdict.token() else { return Ok(()) };
-        prop_assert!(token.covers(tpp.hop, tpp.sp), "token must cover the entry state");
+        if !verify_for_hops(&tpp, hops).passed() {
+            return Ok(());
+        }
 
         let mut bus = full_bus(&tpp);
         let opts =
@@ -143,8 +133,8 @@ proptest! {
 
     /// The contrapositive, asserted from the runtime side: whenever the
     /// reference interpreter records a bounds/permission fault (`Skipped`)
-    /// within the first `hops` hops, the verifier must have withheld the
-    /// token for that budget.
+    /// within the first `hops` hops, the verifier must have denied the
+    /// program for that budget.
     #[test]
     fn runtime_fault_implies_verifier_rejection(tpp in arb_tpp(), hops in 1usize..=8) {
         let mut bus = full_bus(&tpp);
@@ -159,57 +149,9 @@ proptest! {
         }
         if faulted {
             prop_assert!(
-                verify_for_hops(&tpp, hops).token().is_none(),
-                "runtime faulted but the verifier issued a token"
+                !verify_for_hops(&tpp, hops).passed(),
+                "runtime faulted but the verifier accepted the program"
             );
         }
-    }
-
-    /// The unchecked fast path is observationally equivalent to the checked
-    /// interpreter whenever a token exists — same frames (checksum
-    /// included), same statuses, same switch-memory side effects — even on
-    /// arbitrary partially-mapped / read-only buses and across hops the
-    /// token does not cover (where it must fall back).
-    #[test]
-    fn verified_path_matches_checked_path(
-        tpp in arb_tpp(),
-        mapped_mask in any::<u8>(),
-        ro_mask in any::<u8>(),
-        value_seed in any::<u64>(),
-        allow_writes in any::<bool>(),
-        hops in 1usize..=6,
-    ) {
-        let verdict = verify(&tpp, VerifyOptions::default());
-        let Some(token) = verdict.token() else { return Ok(()) };
-
-        let mut bus = MapBus::default();
-        let mut x = value_seed;
-        for (i, ins) in tpp.instrs.iter().enumerate() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            if mapped_mask & (1 << i) != 0 {
-                bus.mem.insert(ins.addr.raw(), (x >> 32) as u32);
-            }
-            if ro_mask & (1 << i) != 0 {
-                bus.mark_read_only(ins.addr);
-            }
-        }
-        let opts =
-            ExecOptions { allow_writes, increment_hop: true, ..ExecOptions::default() };
-
-        let mut frame_a = tpp.serialize();
-        let mut frame_b = frame_a.clone();
-        let mut bus_a = clone_bus(&bus);
-        let mut bus_b = bus;
-        for h in 0..hops {
-            let (mut va, _) = TppViewMut::parse(&mut frame_a).expect("checked frame parses");
-            let out_a = execute_in_place(&mut va, &mut bus_a, &opts);
-            let (mut vb, _) = TppViewMut::parse(&mut frame_b).expect("verified frame parses");
-            let out_b = execute_in_place_verified(&mut vb, &mut bus_b, &opts, &token);
-            prop_assert_eq!(out_a.rejected, out_b.rejected, "hop {}", h);
-            prop_assert_eq!(out_a.wrote, out_b.wrote, "hop {}", h);
-            prop_assert_eq!(out_a.status.as_slice(), out_b.status.as_slice(), "hop {}", h);
-        }
-        prop_assert_eq!(frame_a, frame_b, "frames diverged (incl. checksum)");
-        prop_assert_eq!(bus_a.mem, bus_b.mem, "switch-memory side effects diverged");
     }
 }

@@ -3,40 +3,37 @@
 //! TPP-CP is "a central entity to keep track of running TPP applications
 //! and manage switch memory". [`CentralCp`] allocates application IDs and
 //! exclusive switch-memory segments (the x86-GDT-like access-control
-//! table); [`Policy`] is the per-host enforcement: TPPs are statically
-//! analyzed against the owning app's segments before installation, and a
-//! hypervisor-style mode can reject any TPP containing writes.
+//! table); [`Policy`] is the per-host enforcement: before installation a
+//! TPP goes through the static verifier ([`mod@tpp_core::verify`]) against the
+//! owning app's segments, once, and a hypervisor-style mode can reject any
+//! TPP containing writes. Acceptance buys nothing at a switch, which
+//! bounds-checks every access whoever vetted the program (§3.3).
 
 use std::collections::BTreeMap;
 
 use tpp_core::addr::{link_ns, Address, Namespace};
-use tpp_core::analysis::{check_segments, writes_switch_memory, Segment, Violation};
-use tpp_core::verify::{verify, Diagnostic, Verdict, Verified, VerifyOptions};
+use tpp_core::analysis::{writes_switch_memory, Segment};
+use tpp_core::verify::{verify, Diagnostic, Verdict, VerifyOptions};
 use tpp_core::wire::Tpp;
 
 /// Errors from TPP-CP API calls.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CpError {
-    /// The TPP touches memory outside the app's permitted segments.
-    AccessViolation(Vec<Violation>),
     /// Write instructions are disabled for this app/host (§4.3).
     WritesForbidden,
-    /// The instruction budget or memory bounds are exceeded.
-    Malformed(String),
     UnknownApp(u16),
     /// No free `AppSpecific` registers to satisfy an allocation.
     OutOfMemory,
-    /// The static verifier denied the program (verifier-backed policy
-    /// mode); carries the deny-class diagnostics.
+    /// The static verifier denied the program (over budget, outside the
+    /// app's segments, unsafe packet-memory access, ...); carries the
+    /// deny-class diagnostics.
     Rejected(Vec<Diagnostic>),
 }
 
 impl std::fmt::Display for CpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CpError::AccessViolation(v) => write!(f, "access violations: {}", v.len()),
             CpError::WritesForbidden => write!(f, "write instructions forbidden"),
-            CpError::Malformed(m) => write!(f, "malformed TPP: {m}"),
             CpError::UnknownApp(id) => write!(f, "unknown app {id}"),
             CpError::OutOfMemory => write!(f, "no free per-link registers"),
             CpError::Rejected(diags) => {
@@ -188,49 +185,25 @@ impl Policy {
         }
     }
 
-    /// Validate a TPP before installation (`add_tpp` returns failure and
-    /// "the TPP is never installed" on violation, §4.1).
-    pub fn validate(&self, tpp: &Tpp) -> Result<(), CpError> {
-        if !tpp.within_instruction_budget() {
-            return Err(CpError::Malformed(format!(
-                "{} instructions exceed the budget",
-                tpp.instrs.len()
-            )));
-        }
-        if !tpp.memory.len().is_multiple_of(4) {
-            return Err(CpError::Malformed("packet memory not word-aligned".into()));
-        }
-        if self.drop_writes && writes_switch_memory(&tpp.instrs) {
-            return Err(CpError::WritesForbidden);
-        }
-        let violations = check_segments(&tpp.instrs, &self.segments);
-        if !violations.is_empty() {
-            return Err(CpError::AccessViolation(violations));
-        }
-        Ok(())
-    }
-
-    /// Run the full abstract-interpretation verifier against this app's
-    /// segment table. Unlike [`Policy::validate`], this also proves
-    /// packet-memory safety (stack/hop-window bounds, capacity,
-    /// uninitialized reads) — everything the switch fast path would
-    /// otherwise have to re-check per packet.
+    /// Run the abstract-interpretation verifier against this app's segment
+    /// table: the segment grants plus packet-memory safety (stack and
+    /// hop-window bounds, capacity, uninitialized reads).
     pub fn verify(&self, tpp: &Tpp) -> Verdict {
         verify(tpp, VerifyOptions { hops: None, segments: Some(&self.segments) })
     }
 
-    /// Verifier-backed installation check: every [`Policy::validate`]
-    /// failure plus packet-memory safety, reported as typed diagnostics.
-    /// On success, returns the [`Verified`] token for the switch's
-    /// unchecked fast path.
-    pub fn validate_verified(&self, tpp: &Tpp) -> Result<Verified, CpError> {
+    /// Validate a TPP before installation (`add_tpp` returns failure and
+    /// "the TPP is never installed" on violation, §4.1): hypervisor mode,
+    /// then [`Policy::verify`]. Accepted means the verdict has no denial.
+    pub fn validate(&self, tpp: &Tpp) -> Result<(), CpError> {
         if self.drop_writes && writes_switch_memory(&tpp.instrs) {
             return Err(CpError::WritesForbidden);
         }
         let verdict = self.verify(tpp);
-        match verdict.token() {
-            Some(token) => Ok(token),
-            None => Err(CpError::Rejected(verdict.denials().cloned().collect())),
+        if verdict.passed() {
+            Ok(())
+        } else {
+            Err(CpError::Rejected(verdict.denials().cloned().collect()))
         }
     }
 }
@@ -307,7 +280,8 @@ mod tests {
         // rcp can write reg 1; mon cannot.
         cp.policy_for(rcp, false).unwrap().validate(&rcp_update).unwrap();
         let err = cp.policy_for(mon, false).unwrap().validate(&rcp_update);
-        assert!(matches!(err, Err(CpError::AccessViolation(_))), "{err:?}");
+        let Err(CpError::Rejected(diags)) = &err else { panic!("expected Rejected, got {err:?}") };
+        assert!(diags.iter().any(|d| d.kind.code() == "E-POLICY"), "{err:?}");
     }
 
     #[test]
@@ -362,7 +336,9 @@ mod tests {
         let mut t = TppBuilder::stack_mode().push_m("Switch:SwitchID").unwrap().build().unwrap();
         let i = t.instrs[0];
         t.instrs = vec![i; 6];
-        assert!(matches!(cp_policy.validate(&t), Err(CpError::Malformed(_))));
+        let err = cp_policy.validate(&t);
+        let Err(CpError::Rejected(diags)) = &err else { panic!("expected Rejected, got {err:?}") };
+        assert!(diags.iter().any(|d| d.kind.code() == "E-BUDGET"), "{err:?}");
     }
 
     #[test]
@@ -386,8 +362,7 @@ mod tests {
         )
         .unwrap();
         let policy = cp.policy_for(app_id, false).unwrap();
-        let token = policy.validate_verified(&update).unwrap();
-        assert!(token.covers(0, update.sp));
+        assert_eq!(policy.validate(&update), Ok(()));
     }
 
     #[test]
@@ -404,7 +379,7 @@ mod tests {
             ",
         )
         .unwrap();
-        let err = cp.policy_for(mon, false).unwrap().validate_verified(&rcp_update);
+        let err = cp.policy_for(mon, false).unwrap().validate(&rcp_update);
         match err {
             Err(CpError::Rejected(diags)) => {
                 assert!(!diags.is_empty());
@@ -422,7 +397,7 @@ mod tests {
             assemble(".mode hop\n.perhop 8\n.hops 1\nSTORE [Link:AppSpecific_0], [Packet:Hop[0]]")
                 .unwrap();
         assert_eq!(
-            cp.policy_for(app, true).unwrap().validate_verified(&update),
+            cp.policy_for(app, true).unwrap().validate(&update),
             Err(CpError::WritesForbidden)
         );
     }

@@ -25,10 +25,13 @@ use crate::shim::{mac_of_ip, CompletedTpp};
 #[derive(Clone, Copy, Debug)]
 pub struct ExecutorConfig {
     pub max_retries: u32,
-    /// Base timeout: the first deadline is `send time + timeout_ns`.
+    /// Base timeout: the first deadline is `send time + timeout_ns`. Every
+    /// deadline saturates at `u64::MAX`, so `u64::MAX` means "never time
+    /// out".
     pub timeout_ns: u64,
     /// Exponential backoff cap: retry `k` waits `timeout_ns << min(k,
-    /// max_backoff_exp)` (plus jitter). 0 disables backoff entirely.
+    /// max_backoff_exp)` (plus jitter), saturating. 0 disables backoff
+    /// entirely.
     pub max_backoff_exp: u32,
     /// Jitter divisor: each backoff wait adds a deterministic pseudo-random
     /// jitter in `0..=wait/jitter_div`, keyed by `(token, attempt)` so
@@ -144,7 +147,7 @@ impl Executor {
             Pending {
                 frame: frame.clone(),
                 retries_left: self.cfg.max_retries,
-                deadline: now + self.cfg.timeout_ns,
+                deadline: now.saturating_add(self.cfg.timeout_ns),
                 src_port,
             },
         );
@@ -198,7 +201,7 @@ impl Executor {
             } else {
                 p.retries_left -= 1;
                 let attempt = self.cfg.max_retries - p.retries_left; // 1st retry = 1
-                p.deadline = now + Self::backoff_ns(&self.cfg, token, attempt);
+                p.deadline = now.saturating_add(Self::backoff_ns(&self.cfg, token, attempt));
                 self.retransmitted += 1;
                 resend.push(p.frame.clone());
             }
@@ -211,11 +214,11 @@ impl Executor {
     /// deterministic jitter keyed by `(token, attempt)`.
     fn backoff_ns(cfg: &ExecutorConfig, token: u32, attempt: u32) -> u64 {
         let exp = attempt.min(cfg.max_backoff_exp);
-        let base = cfg.timeout_ns << exp;
-        let jitter = base
-            .checked_div(cfg.jitter_div)
-            .map_or(0, |bound| splitmix64(((token as u64) << 32) | attempt as u64) % (bound + 1));
-        base + jitter
+        let base = cfg.timeout_ns.saturating_mul(1 << exp.min(63));
+        let jitter = base.checked_div(cfg.jitter_div).map_or(0, |bound| {
+            splitmix64(((token as u64) << 32) | attempt as u64) % bound.saturating_add(1)
+        });
+        base.saturating_add(jitter)
     }
 
     /// Earliest pending timeout.
@@ -472,6 +475,40 @@ mod tests {
         assert_eq!(Executor::backoff_ns(&plain, 7, 1), 2000);
         assert_eq!(Executor::backoff_ns(&plain, 7, 2), 4000);
         assert_eq!(Executor::backoff_ns(&plain, 7, 3), 4000);
+    }
+
+    #[test]
+    fn deadline_arithmetic_saturates() {
+        // "Never time out": the deadline pins at u64::MAX and no earlier
+        // poll resends. The bare `now + timeout_ns` panicked in debug and in
+        // release wrapped the deadline to 0, retransmitting at once.
+        let mut e = exec();
+        e.cfg = ExecutorConfig { timeout_ns: u64::MAX, jitter_div: 1, ..e.cfg };
+        e.send(1, Ipv4Address::from_host_id(2), probe());
+        assert_eq!(e.next_deadline(), Some(u64::MAX));
+        for now in [1, 1 << 40, u64::MAX - 1] {
+            assert_eq!(e.poll(now), (Vec::new(), Vec::new()));
+        }
+        // At u64::MAX itself it retries, and the next deadline stays there
+        // (`base + jitter` and the jitter bound `base / 1 + 1` saturate).
+        assert_eq!(e.poll(u64::MAX).0.len(), 1);
+        assert_eq!(e.next_deadline(), Some(u64::MAX));
+
+        // A backoff exponent at or past the word size: `timeout_ns << 64`
+        // panicked in debug and shifted by 0 in release. Waits now double up
+        // to 2^63 and deadlines never move backwards.
+        let mut e = exec();
+        e.cfg =
+            ExecutorConfig { max_retries: 70, timeout_ns: 1, max_backoff_exp: 64, jitter_div: 0 };
+        let (token, _) = e.send(0, Ipv4Address::from_host_id(2), probe());
+        for _ in 0..70 {
+            let now = e.next_deadline().unwrap();
+            let (resend, done) = e.poll(now);
+            assert_eq!((resend.len(), done.len()), (1, 0));
+            assert!(e.next_deadline().unwrap() >= now);
+        }
+        assert_eq!(e.next_deadline(), Some(u64::MAX), "1 + 2 + 4 + ... + 2^63, then pinned");
+        assert_eq!(e.poll(u64::MAX).1, vec![ProbeOutcome::Failed { token }]);
     }
 
     #[test]

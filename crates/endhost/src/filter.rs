@@ -30,7 +30,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use tpp_core::verify::Verified;
 use tpp_core::wire::{ethernet, Ipv4Address, Tpp};
 use tpp_switch::FlowKey;
 
@@ -123,10 +122,6 @@ pub struct FilterEntry {
     pub priority: u32,
     pub matched: u64,
     pub stamped: u64,
-    /// Load-time proof from the static verifier, when the entry was
-    /// installed through the verifier-backed policy path. Switches covered
-    /// by the token's hop/SP window may run the unchecked fast path.
-    pub verified: Option<Verified>,
 }
 
 /// Hasher for the tuple-space index: the two halves of the `u128` key
@@ -285,7 +280,6 @@ mod tests {
             priority: prio,
             matched: 0,
             stamped: 0,
-            verified: None,
         }
     }
 

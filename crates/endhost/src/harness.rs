@@ -137,9 +137,6 @@ struct Registration {
     filter: Filter,
     aggregator: Aggregator,
     role: Role,
-    /// Load-time proof produced by the verifier-backed policy check in
-    /// [`Harness::build`]; `None` when no policy is configured.
-    verified: Option<tpp_core::verify::Verified>,
 }
 
 /// The shim/executor half of an [`Endhost`], shared with callbacks as part
@@ -291,7 +288,6 @@ impl<S: Send + 'static> Harness<S> {
             filter,
             aggregator,
             role,
-            verified: None,
         });
         if let Some(cb) = cb {
             self.handlers.completions.push((index, cb));
@@ -417,11 +413,7 @@ impl<S: Send + 'static> Harness<S> {
                 reg.app_id = self.default_app_id;
             }
             if let Some(policy) = &self.policy {
-                // Verifier-backed validation: everything `Policy::validate`
-                // catches plus packet-memory safety, and a fast-path token
-                // on success (recorded on the filter-table entry).
-                reg.verified =
-                    Some(policy.validate_verified(&reg.template).map_err(HarnessError::Policy)?);
+                policy.validate(&reg.template).map_err(HarnessError::Policy)?;
             }
             if matches!(reg.role, Role::Launch) && self.core.exec_cfg.is_none() {
                 return Err(HarnessError::NoExecutor);
@@ -607,14 +599,7 @@ impl<S: Send + 'static> HostApp for Endhost<S> {
         let mut shim = Shim::new(ctx.ip, ctx.mac, seed);
         for reg in &self.core.regs {
             if let Role::Stamp { sample_frequency } = reg.role {
-                shim.add_tpp_verified(
-                    reg.app_id,
-                    reg.filter,
-                    reg.template.clone(),
-                    reg.verified,
-                    sample_frequency,
-                    0,
-                );
+                shim.add_tpp(reg.app_id, reg.filter, reg.template.clone(), sample_frequency, 0);
             }
             match reg.aggregator {
                 Aggregator::Source => {}

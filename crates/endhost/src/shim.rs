@@ -154,21 +154,6 @@ impl Shim {
         sample_frequency: u32,
         priority: u32,
     ) {
-        self.add_tpp_verified(app_id, filter, tpp, None, sample_frequency, priority);
-    }
-
-    /// [`Shim::add_tpp`] carrying the static verifier's load-time proof,
-    /// recorded on the filter entry so downstream consumers can use the
-    /// unchecked execution path for covered hops.
-    pub fn add_tpp_verified(
-        &mut self,
-        app_id: u16,
-        filter: Filter,
-        tpp: Tpp,
-        verified: Option<tpp_core::verify::Verified>,
-        sample_frequency: u32,
-        priority: u32,
-    ) {
         let mut tpp = tpp;
         tpp.app_id = app_id;
         self.filters.add(FilterEntry {
@@ -179,7 +164,6 @@ impl Shim {
             priority,
             matched: 0,
             stamped: 0,
-            verified,
         });
     }
 

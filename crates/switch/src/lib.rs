@@ -12,8 +12,8 @@
 //!   instruction execution with parse-time PUSH/POP serialization, proven
 //!   equivalent to the reference interpreter for well-ordered programs.
 //! * [`plan_cache`] — program-keyed cache of decoded [`TppRun`] plans, so
-//!   the thousandth probe of a flow skips re-planning (and, via the
-//!   plan-time bounds proof, per-instruction bounds checks) entirely.
+//!   the thousandth probe of a flow skips re-planning. Execution still
+//!   bounds-checks every access (§3.3).
 //! * [`switch`] — the full switch: ingress parse/execute/route/enqueue,
 //!   drop-tail queues with enqueue snapshots, egress execute/rewrite,
 //!   reflection (§4.4), write kill-switch (§4.3).
@@ -23,12 +23,12 @@
 //! ## Plan-cache contract
 //!
 //! A cached plan may hold only what is a function of the bytes the cache
-//! keys on: the decoded program, its PUSH/POP slots, stage assignment and
-//! bounds proof. Everything a TPP can *observe changing* — the clock, queue
-//! stats, stage SRAM, flow counters, per-packet context, CSTORE effects —
-//! is read and written per frame, in arrival order. The FNV trace digests
-//! (netsim `NetStats::digest`, fabric golden digests) pin that a hit and a
-//! fresh plan are indistinguishable.
+//! keys on: the decoded program, its PUSH/POP slots and stage assignment.
+//! Everything a TPP can *observe changing* — the clock, queue stats, stage
+//! SRAM, flow counters, per-packet context, CSTORE effects — is read and
+//! written per frame, in arrival order. The FNV trace digests (netsim
+//! `NetStats::digest`, fabric golden digests) pin that a hit and a fresh
+//! plan are indistinguishable.
 
 #![forbid(unsafe_code)]
 

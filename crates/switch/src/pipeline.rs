@@ -20,9 +20,7 @@
 
 use crate::memmap::SwitchBus;
 use tpp_core::addr::{meta_ns, Address, Namespace};
-use tpp_core::exec::{
-    stack_slot, step_in_place, Bounds, Checked, ExecOptions, InstrStatus, StatusVec, Trusted,
-};
+use tpp_core::exec::{stack_slot, step_in_place, ExecOptions, InstrStatus, StatusVec};
 use tpp_core::isa::{Instruction, Opcode, MAX_INSTRUCTIONS};
 use tpp_core::wire::{Tpp, TppView, TppViewMut};
 
@@ -132,7 +130,10 @@ const UNMAPPED_STAGE: u16 = u16::MAX;
 /// by the architectural [`MAX_INSTRUCTIONS`] budget) and every packet-memory
 /// access goes straight to the frame bytes through a [`TppViewMut`], which
 /// maintains the section checksum incrementally. The forwarding path
-/// therefore performs no heap allocation per packet.
+/// therefore performs no heap allocation per packet. A plan is a schedule,
+/// not a proof: every access it leads to is bounds-checked against the frame
+/// it runs on (§3.3), so a plan applied to the wrong frame skips, never
+/// indexes outside the section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TppRun {
     /// Byte offset of the TPP section within the frame.
@@ -158,12 +159,6 @@ pub struct TppRun {
     executed_ops: [Opcode; MAX_INSTRUCTIONS],
     n_executed: u8,
     pub rejected: bool,
-    /// Plan-time proof that every packet-memory access this hop is in
-    /// bounds: serialized stack slots landed below `memory_words` and every
-    /// hop-relative operand falls inside the current hop's window. When
-    /// set, [`TppRun::exec_stages`] steps under the [`Trusted`] bounds
-    /// policy — the eBPF-style "verify once, run unchecked" fast path.
-    trusted: bool,
     /// Header snapshot taken at plan time (the view owns the live bytes).
     pub reflect: bool,
     pub hop: u8,
@@ -172,13 +167,12 @@ pub struct TppRun {
 impl TppRun {
     /// Parse-time planning over a validated view at byte offset `section`
     /// of its frame: decode the program, serialize PUSH/POP to preassigned
-    /// offsets from this frame's SP, resolve each instruction's pipeline
-    /// stage, and prove the hop-window bounds. The plan cache reuses the
-    /// *whole* result for frames whose header prefix and instruction words
-    /// match exactly, making this path per-program, not per-frame. Like the
-    /// in-place interpreter, the pipeline enforces the architectural
-    /// [`MAX_INSTRUCTIONS`] budget even when `opts.max_instructions` is
-    /// configured above it.
+    /// offsets from this frame's SP and resolve each instruction's pipeline
+    /// stage. The plan cache reuses the *whole* result for frames whose
+    /// header prefix and instruction words match exactly, making this path
+    /// per-program, not per-frame. Like the in-place interpreter, the
+    /// pipeline enforces the architectural [`MAX_INSTRUCTIONS`] budget even
+    /// when `opts.max_instructions` is configured above it.
     pub fn plan(
         view: &TppView<'_>,
         section: usize,
@@ -200,7 +194,6 @@ impl TppRun {
             executed_ops: [Opcode::Load; MAX_INSTRUCTIONS],
             n_executed: 0,
             rejected: n > opts.max_instructions || n > MAX_INSTRUCTIONS,
-            trusted: false,
             reflect: view.reflect(),
             hop: view.hop(),
         };
@@ -219,22 +212,9 @@ impl TppRun {
                 Some(s) => s as u16,
                 None => UNMAPPED_STAGE,
             };
-            run.slots[idx] = stack_slot::<Checked>(ins.opcode, &mut sp, words);
+            run.slots[idx] = stack_slot(ins.opcode, &mut sp, words);
         }
         run.final_sp = sp;
-
-        // Plan-time bounds proof for the unchecked fast path: every
-        // serialized stack slot below `memory_words` and every hop-relative
-        // operand inside this hop's window.
-        let hop_base = view.hop() as usize * view.per_hop_words();
-        run.trusted = (0..n).all(|idx| match run.instrs[idx].opcode {
-            Opcode::Push | Opcode::Pop => run.slots[idx].is_some_and(|w| usize::from(w) < words),
-            Opcode::Load | Opcode::Store => hop_base + usize::from(run.instrs[idx].op1) < words,
-            Opcode::Cstore | Opcode::Cexec => {
-                hop_base + usize::from(run.instrs[idx].op1) < words
-                    && hop_base + usize::from(run.instrs[idx].op2) < words
-            }
-        });
         run
     }
 
@@ -246,8 +226,8 @@ impl TppRun {
     /// Execute all instructions assigned to stages in `range` (processed in
     /// stage order, program order within a stage), mutating the TPP section
     /// inside `frame` in place. The pipeline is a stage filter over the one
-    /// in-place step ([`step_in_place`]): stage assignment, PUSH/POP slots
-    /// and the bounds policy were all resolved at plan time.
+    /// in-place step ([`step_in_place`]): stage assignment and PUSH/POP
+    /// slots were resolved at plan time.
     pub fn exec_stages(
         &mut self,
         frame: &mut [u8],
@@ -258,20 +238,6 @@ impl TppRun {
         if self.rejected {
             return;
         }
-        if self.trusted {
-            self.exec_stages_under::<Trusted>(frame, bus, range, opts);
-        } else {
-            self.exec_stages_under::<Checked>(frame, bus, range, opts);
-        }
-    }
-
-    fn exec_stages_under<P: Bounds>(
-        &mut self,
-        frame: &mut [u8],
-        bus: &mut SwitchBus<'_>,
-        range: std::ops::Range<usize>,
-        opts: &ExecOptions,
-    ) {
         let mut view = TppViewMut::from_validated(&mut frame[self.section..]);
         for stage in range {
             for idx in 0..self.n_instr as usize {
@@ -286,7 +252,7 @@ impl TppRun {
                     self.status[idx] = Some(InstrStatus::Suppressed);
                     continue;
                 }
-                let st = step_in_place::<P, _>(
+                let st = step_in_place(
                     &mut view,
                     bus,
                     &ins,
@@ -596,9 +562,8 @@ mod tests {
 
     #[test]
     fn overflowing_push_stays_on_checked_path() {
-        // Two pushes into one word: the second slot is statically invalid,
-        // so the plan must not take the trusted fast path — and the
-        // overflowing push skips exactly as on the checked path.
+        // ("The checked path" is the only path: every access is tested.)
+        // Two pushes into one word: the second has no slot and skips.
         let tpp = TppBuilder::stack_mode()
             .push(a("Switch:SwitchID"))
             .push(a("PacketMetadata:InputPort"))
@@ -615,8 +580,9 @@ mod tests {
 
     #[test]
     fn hop_window_beyond_memory_stays_on_checked_path() {
+        // ("The checked path" is the only path: every access is tested.)
         // A hop counter past the provisioned windows makes every Direct
-        // access out of bounds: untrusted plan, graceful skips.
+        // access out of bounds: graceful skips.
         let mut tpp =
             assemble(".mode hop\n.perhop 8\n.hops 1\nLOAD [Switch:SwitchID], [Packet:Hop[0]]")
                 .unwrap();
@@ -627,6 +593,51 @@ mod tests {
         assert_eq!(st, vec![InstrStatus::Skipped]);
         assert_eq!(out.memory, vec![0; 8]);
         assert_eq!(out.hop, 4);
+    }
+
+    #[test]
+    fn stale_plan_on_a_smaller_frame_skips_gracefully() {
+        // What a plan-cache key bug or collision would hand the TCPU: a plan
+        // made for one frame, run on a frame of the same program with fewer
+        // memory words and a later hop. Every access the plan leads to is
+        // outside the smaller section, so every instruction skips. At PR 20
+        // the plan carried a `trusted` bounds proof about the frame it was
+        // made for and this call panicked (a `debug_assert` in debug, a slice
+        // index in release).
+        let program = |hops: u8, hop: u8, sp: u8| {
+            let mut t = TppBuilder::hop_mode(2)
+                .push(a("Switch:SwitchID"))
+                .load(a("PacketMetadata:InputPort"), 1)
+                .store(a("Stage1:Reg0"), 0)
+                .cexec(a("Switch:SwitchID"), 0, 1)
+                .hops(hops as usize)
+                .build()
+                .unwrap();
+            t.hop = hop;
+            t.sp = sp;
+            t
+        };
+        let (opts, c) = (ExecOptions::default(), cfg());
+        let planned = program(3, 0, 4).serialize();
+        let (view, _) = TppView::parse(&planned).unwrap();
+        let mut run = TppRun::plan(&view, 0, &opts, &c);
+        // The plan is no larger than when it carried the proof flag.
+        assert!(std::mem::size_of::<TppRun>() <= 96);
+
+        let small = program(1, 2, 4).serialize();
+        let mut frame = small.clone();
+        frame.extend_from_slice(&[0xA5; 32]); // payload after the section
+        let mut mem = SwitchMemory::new(7, 4, 6);
+        mem.stages[1].sram[0] = 0x51;
+        let mut ctx = PacketContext::new(3, 100, 0, 6);
+        let mut bus = SwitchBus { mem: &mut mem, ctx: &mut ctx };
+        run.exec_stages(&mut frame, &mut bus, 0..c.total_stages(), &opts);
+
+        assert_eq!(run.final_statuses().as_slice(), &[InstrStatus::Skipped; 4]);
+        assert!(!run.wrote);
+        assert_eq!(mem.stages[1].sram[0], 0x51);
+        assert_eq!(&frame[..small.len()], &small[..], "section untouched");
+        assert_eq!(&frame[small.len()..], &[0xA5; 32], "bytes outside the section untouched");
     }
 
     #[test]

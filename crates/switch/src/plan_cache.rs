@@ -3,9 +3,11 @@
 //!
 //! Probe flows (RCP*, CONGA*, the WAN fan-out apps) stamp the *same* TPP
 //! on every packet of a flow, so at any given switch the ingress parse
-//! re-derives an identical plan — slot serialization, stage assignment,
-//! and the plan-time `trusted` bounds proof — thousands of times. The
-//! cache keys on the exact bytes the planner reads:
+//! re-derives an identical plan — slot serialization and stage
+//! assignment — thousands of times. The cache keys on a header prefix that
+//! covers every byte the planner reads (`per_hop_len` rides along: the
+//! planner stopped reading it when the plan stopped carrying a bounds
+//! proof):
 //!
 //! * one byte of [`ExecOptions::max_instructions`] (the budget verdict),
 //! * the first header byte with the `wrote`/reserved bits masked out
@@ -17,6 +19,8 @@
 //! never reads them. Matching is an **exact byte compare** (the hash only
 //! picks the slot), so a collision can cost a miss but can never return
 //! the wrong plan: behavior invariance is structural, not probabilistic.
+//! Safety does not rest on that: a plan is a schedule, not a proof, and the
+//! TCPU bounds-checks every access against the frame it runs on (§3.3).
 //!
 //! The cache is direct-mapped and bounded ([`PLAN_CACHE_SLOTS`]): an
 //! insert into an occupied slot evicts its previous program, so memory is
@@ -126,7 +130,7 @@ impl PlanCache {
     ) -> TppRun {
         let n = view.n_instr();
         if n > MAX_INSTRUCTIONS || n > opts.max_instructions {
-            // Rejected plans are trivial to rebuild (no decode, no proof)
+            // Rejected plans are trivial to rebuild (no decode)
             // and their instruction words may exceed the key budget.
             self.stats.misses += 1;
             return TppRun::plan(view, section, opts, cfg);
@@ -205,8 +209,8 @@ mod tests {
 
     #[test]
     fn header_prefix_changes_miss() {
-        // Same program at a different hop/SP position: the plan (slots,
-        // trusted proof) can differ, so the cache must not conflate them.
+        // Same program at a different hop/SP position: the plan (slots, hop
+        // snapshot) differs, so the cache must not conflate them.
         let opts = ExecOptions::default();
         let cfg = PipelineConfig::default();
         let mut cache = PlanCache::default();

@@ -140,8 +140,8 @@ pub struct Switch {
     retired: Vec<Vec<u8>>,
     /// Program-keyed cache of ingress plans: the same probe program on the
     /// thousandth packet of a flow reuses the decoded [`TppRun`] (slot
-    /// serialization, stage assignment, `trusted` bounds proof) instead of
-    /// re-planning. Exact-byte keyed — see [`crate::plan_cache`].
+    /// serialization, stage assignment) instead of re-planning. Exact-byte
+    /// keyed — see [`crate::plan_cache`].
     plan_cache: PlanCache,
 }
 
