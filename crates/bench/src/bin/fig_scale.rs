@@ -47,45 +47,55 @@ fn main() {
         .unwrap_or(false);
     let (ks, horizon): (&[usize], Time) =
         if smoke { (&[4], MILLIS / 2) } else { (&[4, 8], MILLIS) };
-    let mode = match std::env::var("TPP_FABRIC_MODE").as_deref() {
-        Ok("threads") => ExecMode::Threaded,
-        Ok("seq") => ExecMode::Sequential,
-        _ => ExecMode::Auto,
-    };
 
     println!("# fig_scale — sharded fabric runtime vs single-threaded Network");
-    println!("# horizon {} us, mode {:?}, cores {}", horizon / 1000, mode, cores());
+    println!("# horizon {} us, cores {}", horizon / 1000, cores());
     println!(
-        "{:>4} {:>7} {:>10} {:>12} {:>10} {:>8}  digest",
-        "k", "shards", "delivered", "events", "wall ms", "speedup"
+        "# seq = one worker drives every shard, thr = one worker per shard; x = against 1 shard"
+    );
+    println!(
+        "{:>4} {:>7} {:>10} {:>12} {:>8} {:>8} {:>7} {:>7}  digest",
+        "k", "shards", "delivered", "events", "seq ms", "thr ms", "seq x", "thr x"
     );
     for &k in ks {
-        let mut baseline_ms = 0.0;
-        let mut baseline_digest = 0u64;
-        for shards in [1usize, 2, 4] {
-            let c = run_case(k, shards, horizon, mode);
-            if shards == 1 {
-                baseline_ms = c.wall_ms as f64;
-                baseline_digest = c.digest;
-            } else {
+        let single = run_case(k, 1, horizon, ExecMode::Sequential);
+        println!(
+            "{:>4} {:>7} {:>10} {:>12} {:>8} {:>8} {:>7} {:>7}  {:016x}",
+            k,
+            1,
+            single.delivered,
+            single.stats.events_processed,
+            single.wall_ms,
+            "-",
+            "-",
+            "-",
+            single.digest
+        );
+        let speedup = |c: &Cell| single.wall_ms as f64 / c.wall_ms.max(1) as f64;
+        for shards in [2usize, 4] {
+            let seq = run_case(k, shards, horizon, ExecMode::Sequential);
+            let thr = run_case(k, shards, horizon, ExecMode::Threaded);
+            for c in [&seq, &thr] {
                 assert_eq!(
-                    c.digest, baseline_digest,
+                    c.digest, single.digest,
                     "k={k} shards={shards}: sharded digest diverged from single-threaded"
                 );
             }
             println!(
-                "{:>4} {:>7} {:>10} {:>12} {:>10} {:>7.2}x  {:016x}",
+                "{:>4} {:>7} {:>10} {:>12} {:>8} {:>8} {:>6.2}x {:>6.2}x  {:016x}",
                 k,
                 shards,
-                c.delivered,
-                c.stats.events_processed,
-                c.wall_ms,
-                baseline_ms / (c.wall_ms.max(1) as f64),
-                c.digest
+                seq.delivered,
+                seq.stats.events_processed,
+                seq.wall_ms,
+                thr.wall_ms,
+                speedup(&seq),
+                speedup(&thr),
+                seq.digest
             );
         }
     }
-    println!("# digest equality asserted for every sharded configuration");
+    println!("# digest equality asserted for every sharded run, both worker counts");
 }
 
 fn cores() -> usize {

@@ -24,7 +24,8 @@
 //!   time `t` cannot arrive remotely before `t + L`. Shards therefore
 //!   advance in windows of length `L` and exchange boundary frames at a
 //!   barrier between windows — null-message synchronization degenerated to
-//!   its barrier form.
+//!   its barrier form. One epoch loop does this for every [`ExecMode`]: one
+//!   worker per shard, or one worker (the calling thread) for all of them.
 //! * **Determinism** — the shard kernel orders same-timestamp events by a
 //!   content-derived key, draws link faults from per-link RNG streams, and
 //!   stamps cross-shard frames with per-link sequence numbers, so a run is

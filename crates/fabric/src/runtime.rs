@@ -7,30 +7,46 @@
 //! Each epoch simply calls the kernel's `run_until` and exchanges the link
 //! layer's boundary frames at the barrier.
 //!
-//! Both executors — thread-per-shard and sequential — run the *same*
-//! epoch/exchange schedule and therefore produce bit-identical results;
-//! the sequential path exists for single-core machines (no barrier or
-//! context-switch overhead, but still the smaller per-shard event queues
-//! and working sets) and for debugging.
+//! One epoch loop does this, run by one worker per shard or by one worker
+//! for all of them. Windows, routing and injection order do not depend on
+//! the worker count, so every count produces bit-identical results; one
+//! worker (the calling thread, nothing spawned) serves single-core machines,
+//! which keep the smaller per-shard event queues, and debugging.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use tpp_netsim::{NetStats, Network, NodeId, RemoteFrame, Time};
 
 use crate::partition::{lookahead, partition, PartitionStrategy};
 
-/// How epochs are driven.
+/// How many workers drive the epoch loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Threads when the machine has ≥ 2 cores, sequential otherwise.
     Auto,
-    /// One OS thread per shard, synchronized by a barrier per epoch.
+    /// One worker per shard (the calling thread is one of them),
+    /// synchronized by a barrier per epoch.
     Threaded,
-    /// All shards driven round-robin by the calling thread.
+    /// One worker: all shards driven round-robin by the calling thread.
     Sequential,
 }
 
 /// A partitioned simulation: shard kernels plus the synchronization plan.
+///
+/// Scaling a scenario up is three lines:
+///
+/// ```
+/// use tpp_fabric::{install_traffic, Fabric, PartitionStrategy, TrafficConfig};
+/// use tpp_netsim::{TopologySpec, MILLIS};
+/// let cfg = TrafficConfig { stop_at: MILLIS / 4, ..TrafficConfig::default() };
+/// let mut t = TopologySpec::FatTree { k: 4 }.builder().link_mbps(10_000).delay_ns(1_000).build();
+/// let delivered = install_traffic(&mut t.net, &t.hosts.clone(), &cfg);
+/// let mut fabric = Fabric::new(t.net, 4, PartitionStrategy::Locality);
+/// fabric.run_until(MILLIS / 2); // apps implement HostApp, unchanged
+/// assert!(delivered.load(std::sync::atomic::Ordering::Relaxed) > 0);
+/// ```
 pub struct Fabric {
     shards: Vec<Network>,
     assignment: Vec<usize>,
@@ -39,6 +55,9 @@ pub struct Fabric {
     /// Last barrier-synchronized time (`None` before the first window).
     synced: Option<Time>,
     mode: ExecMode,
+    /// Boundary frames routed to each shard and not yet injected. Empty
+    /// between calls: every window's frames are injected before it ends.
+    inboxes: Vec<Mutex<Vec<RemoteFrame>>>,
 }
 
 impl Fabric {
@@ -60,10 +79,11 @@ impl Fabric {
              explicit assignments must respect it too)"
         );
         let shards = net.split(&assignment, n_shards);
-        Fabric { shards, assignment, lookahead: la, synced: None, mode: ExecMode::Auto }
+        let inboxes = (0..n_shards).map(|_| Mutex::new(Vec::new())).collect();
+        Fabric { shards, assignment, lookahead: la, synced: None, mode: ExecMode::Auto, inboxes }
     }
 
-    /// Select the executor (default [`ExecMode::Auto`]).
+    /// Select the worker count (default [`ExecMode::Auto`]).
     pub fn set_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
     }
@@ -91,11 +111,6 @@ impl Fabric {
     /// Total events pending across every shard's scheduler layer.
     pub fn pending_events(&self) -> usize {
         self.shards.iter().map(Network::pending_events).sum()
-    }
-
-    /// Read-only access to the kernel owning `node`.
-    pub fn shard_for(&self, node: NodeId) -> &Network {
-        &self.shards[self.shard_of(node)]
     }
 
     /// Downcast a host's application on its owning shard.
@@ -127,27 +142,12 @@ impl Fabric {
         if self.synced.is_some_and(|t| until <= t) {
             return;
         }
-        if self.shards.len() <= 1 || self.lookahead == Time::MAX {
-            // No synchronization needed: shards share no links.
-            for s in &mut self.shards {
-                s.run_until(until);
-            }
-            self.synced = Some(self.synced.unwrap_or(0).max(until));
-            return;
-        }
         let threaded = match self.mode {
             ExecMode::Threaded => true,
             ExecMode::Sequential => false,
-            ExecMode::Auto => {
-                std::thread::available_parallelism().map(|p| p.get() >= 2).unwrap_or(false)
-            }
+            ExecMode::Auto => std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2),
         };
-        if threaded {
-            self.run_epochs_threaded(until);
-        } else {
-            self.run_epochs_sequential(until);
-        }
-        self.synced = Some(self.synced.unwrap_or(0).max(until));
+        self.run_epochs(until, if threaded { self.shards.len() } else { 1 });
     }
 
     /// Run for `dur` more nanoseconds, measured from the *barrier* time
@@ -172,94 +172,113 @@ impl Fabric {
         }
     }
 
-    /// Route one epoch's outbox frames to per-shard batches, sort each
-    /// batch into its deterministic injection order, and inject.
-    fn exchange(shards: &mut [Network], assignment: &[usize]) {
-        let n = shards.len();
-        let mut batches: Vec<Vec<RemoteFrame>> = (0..n).map(|_| Vec::new()).collect();
-        for s in shards.iter_mut() {
-            for f in s.take_outbox() {
-                batches[assignment[f.node.0 as usize]].push(f);
-            }
+    /// The one epoch loop. Worker `w` of `workers` drives shards `w`,
+    /// `w + workers`, … through every window: run each to the target and
+    /// route its boundary frames into the owners' inboxes, wait until every
+    /// worker has, then inject its own inboxes in their deterministic order.
+    /// The calling thread is worker 0, so one worker spawns nothing. A
+    /// window that panics still reaches its barrier; every worker leaves the
+    /// loop there and the first panic is re-raised on the caller.
+    fn run_epochs(&mut self, until: Time, workers: usize) {
+        let (la, start_synced) = (self.lookahead, self.synced);
+        let (assignment, inboxes) = (&self.assignment, &self.inboxes);
+        let barrier = Barrier::new(workers);
+        // A worker reads this after barrier `k` while a faster one may
+        // already be failing in window `k + 1`, so it holds the epoch, not
+        // a flag: everyone must leave at the same barrier.
+        let failed_epoch = AtomicUsize::new(usize::MAX);
+        let first_panic = Mutex::new(None);
+        let mut shares: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, net) in self.shards.iter_mut().enumerate() {
+            shares[i % workers].push((i, net));
         }
-        for (s, mut batch) in batches.into_iter().enumerate() {
-            batch.sort_by_key(|f| (f.at, f.node.0, f.port, f.seq));
-            for f in batch {
-                shards[s].inject_remote(f);
-            }
-        }
-    }
-
-    fn run_epochs_sequential(&mut self, until: Time) {
-        let la = self.lookahead;
-        let mut synced = self.synced;
-        loop {
-            let target = Self::next_target(synced, la, until);
-            for s in &mut self.shards {
-                s.run_until(target);
-            }
-            Self::exchange(&mut self.shards, &self.assignment);
-            synced = Some(target);
-            if target >= until {
-                break;
-            }
-        }
-        self.synced = synced;
-    }
-
-    fn run_epochs_threaded(&mut self, until: Time) {
-        let n = self.shards.len();
-        let la = self.lookahead;
-        let start_synced = self.synced;
-        let barrier = Barrier::new(n);
-        let inboxes: Vec<Mutex<Vec<RemoteFrame>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let assignment = &self.assignment;
-        std::thread::scope(|scope| {
-            for (i, net) in self.shards.iter_mut().enumerate() {
-                let barrier = &barrier;
-                let inboxes = &inboxes;
-                scope.spawn(move || {
-                    let mut synced = start_synced;
-                    loop {
-                        let target = Self::next_target(synced, la, until);
+        let work = |mut mine: Vec<(usize, &mut Network)>| {
+            let mut synced = start_synced;
+            for epoch in 0.. {
+                let target = Self::next_target(synced, la, until);
+                let window = catch_unwind(AssertUnwindSafe(|| {
+                    for (_, net) in &mut mine {
                         net.run_until(target);
-                        // Route this window's boundary frames. Grouping by
-                        // destination shard first means each inbox is
-                        // locked once per window; the stable sort keeps
-                        // per-link transmit order intact.
-                        let mut out = net.take_outbox();
-                        out.sort_by_key(|f| assignment[f.node.0 as usize]);
-                        let mut it = out.into_iter().peekable();
-                        while let Some(first) = it.peek() {
-                            let dst = assignment[first.node.0 as usize];
-                            let mut lock = inboxes[dst].lock().unwrap();
-                            while let Some(f) = it.peek() {
-                                if assignment[f.node.0 as usize] != dst {
-                                    break;
-                                }
-                                lock.push(it.next().unwrap());
-                            }
-                        }
-                        // Everyone has routed this window's frames.
-                        barrier.wait();
-                        // Inject whatever has been routed to us so far.
-                        // (A fast neighbor may already have pushed frames
-                        // from its *next* window; their arrival times are
-                        // beyond our next target, so early injection is
-                        // harmless.)
-                        let mut incoming = std::mem::take(&mut *inboxes[i].lock().unwrap());
-                        incoming.sort_by_key(|f| (f.at, f.node.0, f.port, f.seq));
-                        for f in incoming {
-                            net.inject_remote(f);
-                        }
-                        synced = Some(target);
-                        if target >= until {
-                            break;
+                        for f in net.take_outbox() {
+                            let owner = assignment[f.node.0 as usize];
+                            inboxes[owner].lock().expect(UNPOISONED).push(f);
                         }
                     }
-                });
+                }));
+                if let Err(payload) = window {
+                    failed_epoch.store(epoch, Ordering::SeqCst);
+                    first_panic.lock().expect(UNPOISONED).get_or_insert(payload);
+                }
+                // Everyone has routed this window's frames.
+                barrier.wait();
+                if failed_epoch.load(Ordering::SeqCst) == epoch {
+                    return;
+                }
+                // Inject whatever has been routed to us so far. A fast
+                // neighbor may already have pushed frames from its *next*
+                // window: they arrive beyond our next target, so harmlessly.
+                for (i, net) in &mut mine {
+                    let mut inbox = inboxes[*i].lock().expect(UNPOISONED);
+                    inbox.sort_by_key(|f| (f.at, f.node.0, f.port, f.seq));
+                    for f in inbox.drain(..) {
+                        net.inject_remote(f);
+                    }
+                }
+                synced = Some(target);
+                if target >= until {
+                    return;
+                }
             }
+        };
+        std::thread::scope(|scope| {
+            let mut shares = shares.into_iter();
+            let mine = shares.next().expect("a fabric has at least one shard, so one worker");
+            for theirs in shares {
+                scope.spawn(|| work(theirs));
+            }
+            work(mine);
         });
+        if let Some(payload) = first_panic.lock().expect(UNPOISONED).take() {
+            resume_unwind(payload);
+        }
+        self.synced = Some(until);
+    }
+}
+
+/// A window, the one place a panic is caught, holds no lock while a shard runs.
+const UNPOISONED: &str = "no lock is held while a shard runs its window";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{install_traffic, TrafficConfig};
+    use tpp_netsim::{TopologySpec, MILLIS};
+
+    /// `ExecMode` reaches one worker and one per shard; on 4 shards, 2 and 3
+    /// workers also exercise a worker that strides over several shards and
+    /// workers with unequal shares.
+    #[test]
+    fn every_worker_count_lands_on_the_same_stats() {
+        let run = |workers: usize| {
+            let mut t = TopologySpec::FatTree { k: 4 }
+                .builder()
+                .link_mbps(1000)
+                .delay_ns(1000)
+                .seed(9)
+                .build();
+            let hosts = t.hosts.clone();
+            install_traffic(&mut t.net, &hosts, &TrafficConfig::default());
+            let mut fabric = Fabric::new(t.net, 4, PartitionStrategy::RoundRobin);
+            // Two calls: the second resumes from a barrier, not from t = 0.
+            fabric.run_epochs(MILLIS / 2, workers);
+            fabric.run_epochs(2 * MILLIS, workers);
+            assert!(fabric.inboxes.iter().all(|i| i.lock().unwrap().is_empty()));
+            fabric.stats()
+        };
+        let reference = run(1);
+        assert!(reference.frames_delivered > 1000, "the cell must carry traffic: {reference:?}");
+        for workers in 2..=4 {
+            assert_eq!(run(workers), reference, "{workers} workers");
+        }
     }
 }

@@ -147,7 +147,7 @@ pub struct Scenario {
     pub shards: usize,
     /// How the fabric partitions nodes (ignored at 1 shard).
     pub strategy: PartitionStrategy,
-    /// Fabric executor (ignored at 1 shard).
+    /// Workers driving the fabric's epoch loop (ignored at 1 shard).
     pub mode: ExecMode,
     /// Simulated horizon in nanoseconds, *before* the speedup division.
     pub duration_ns: Time,
@@ -159,8 +159,8 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A scenario with defaults: 1 shard, locality partitioning, auto
-    /// executor, 8 ms horizon, no speedup.
+    /// A scenario with defaults: 1 shard, locality partitioning,
+    /// [`ExecMode::Auto`], 8 ms horizon, no speedup.
     pub fn new(topo: TopologyBuilder, workload: WorkloadSpec) -> Self {
         Scenario {
             topo,
@@ -186,7 +186,7 @@ impl Scenario {
         self
     }
 
-    /// Executor for sharded runs.
+    /// One worker or one per shard for sharded runs.
     pub fn mode(mut self, m: ExecMode) -> Self {
         self.mode = m;
         self

@@ -1,14 +1,16 @@
 //! Differential determinism: for identical seeds and scenarios, the
 //! sharded fabric must produce the exact same `NetStats` digest as the
 //! single-threaded `Network` loop — on every topology, at every shard
-//! count, under both executors. The digest folds an FNV hash of every
-//! frame at every hop arrival, so one reordered TPP read or one divergent
-//! fault draw anywhere in the run changes it.
+//! count, with one worker and with one per shard. The digest folds an FNV
+//! hash of every frame at every hop arrival, so one reordered TPP read or
+//! one divergent fault draw anywhere in the run changes it.
 
 use std::sync::atomic::Ordering;
 
-use tpp_fabric::{install_traffic, ExecMode, Fabric, PartitionStrategy, TrafficConfig};
-use tpp_netsim::{HostApp, HostCtx, NetStats, Time, Topology, TopologySpec, MILLIS};
+use tpp_fabric::{
+    install_traffic, ExecMode, Fabric, PartitionStrategy, Scenario, TrafficConfig, WorkloadSpec,
+};
+use tpp_netsim::{ChurnSpec, HostApp, HostCtx, NetStats, Time, Topology, TopologySpec, MILLIS};
 
 /// Sim horizon: long enough for thousands of multi-hop deliveries and a
 /// few utilization intervals, short enough for quick tests.
@@ -33,12 +35,22 @@ fn sharded(
     strategy: PartitionStrategy,
     mode: ExecMode,
 ) -> NetStats {
+    sharded_until(build, n_shards, strategy, mode, HORIZON)
+}
+
+fn sharded_until(
+    build: &dyn Fn() -> Topology,
+    n_shards: usize,
+    strategy: PartitionStrategy,
+    mode: ExecMode,
+    horizon: Time,
+) -> NetStats {
     let mut t = build();
     let hosts = t.hosts.clone();
     let _delivered = install_traffic(&mut t.net, &hosts, &traffic());
     let mut fabric = Fabric::new(t.net, n_shards, strategy);
     fabric.set_mode(mode);
-    fabric.run_until(HORIZON);
+    fabric.run_until(horizon);
     fabric.stats()
 }
 
@@ -205,6 +217,31 @@ fn run_until_never_moves_the_clock_backwards() {
     assert_eq!(fabric.now(), 5 * MILLIS);
 }
 
+/// A host whose timer at 5 ms panics.
+struct LateApp;
+impl HostApp for LateApp {
+    fn start(&mut self, ctx: &mut HostCtx<'_>) {
+        ctx.set_timer(5 * MILLIS, 0);
+    }
+    fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {
+        panic!("ran past the first horizon");
+    }
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Run a 2-shard star with a [`LateApp`] to 1 ms, then to the end of time.
+fn run_past_the_first_horizon(mode: ExecMode) {
+    let mut t =
+        TopologySpec::Star { hosts: 4 }.builder().host_mbps(1000).delay_ns(1000).seed(3).build();
+    t.net.set_app(t.hosts[0], Box::new(LateApp));
+    let mut fabric = Fabric::new(t.net, 2, PartitionStrategy::RoundRobin);
+    fabric.set_mode(mode);
+    fabric.run_until(MILLIS);
+    fabric.run_for(Time::MAX);
+}
+
 /// `Fabric::run_for` computed `now + dur` unguarded: past the first barrier
 /// `Time::MAX` panicked in debug builds and wrapped to a stale target (a
 /// silent no-op) in release builds. A run to the end of time does not
@@ -212,25 +249,68 @@ fn run_until_never_moves_the_clock_backwards() {
 #[test]
 #[should_panic(expected = "ran past the first horizon")]
 fn run_for_time_max_runs_on_instead_of_wrapping() {
-    struct LateApp;
-    impl HostApp for LateApp {
-        fn start(&mut self, ctx: &mut HostCtx<'_>) {
-            ctx.set_timer(5 * MILLIS, 0);
-        }
-        fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {
-            panic!("ran past the first horizon");
-        }
-        fn as_any(&mut self) -> &mut dyn std::any::Any {
-            self
+    run_past_the_first_horizon(ExecMode::Sequential);
+}
+
+/// A panic in one worker's window left the other workers at that window's
+/// barrier for good. Every worker now reaches it, all leave the loop there
+/// and the panic is re-raised on the caller.
+#[test]
+#[should_panic(expected = "ran past the first horizon")]
+fn a_panic_in_one_shard_fails_the_threaded_run_instead_of_hanging_it() {
+    run_past_the_first_horizon(ExecMode::Threaded);
+}
+
+/// The threaded run under real concurrency, over and over: 4 workers on this
+/// machine's cores, first where every hop crosses a shard boundary and link
+/// faults draw per frame, then with links flapping and routes detouring.
+/// Thread scheduling differs run to run; the result may not.
+#[test]
+fn threaded_runs_repeat_the_sequential_run() {
+    let runs = if cfg!(debug_assertions) { 25 } else { 100 };
+    let star = |mode| {
+        let build = || {
+            let mut t = TopologySpec::Star { hosts: 8 }
+                .builder()
+                .host_mbps(1000)
+                .delay_ns(1000)
+                .seed(11)
+                .build();
+            let hub = t.switches[0];
+            t.net.set_link_faults(hub, 0, 0.2, 0.05);
+            t.net.set_link_faults(hub, 3, 0.1, 0.0);
+            t
+        };
+        sharded_until(&build, 4, PartitionStrategy::RoundRobin, mode, 2 * MILLIS)
+    };
+    let flap = |mode| {
+        Scenario::new(
+            TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(5),
+            WorkloadSpec::uniform(),
+        )
+        .churn(ChurnSpec::LinkFlap {
+            fraction: 0.3,
+            period_ns: 500_000,
+            down_ns: 100_000,
+            seed: 7,
+            reroute: true,
+        })
+        .shards(4)
+        .mode(mode)
+        .duration_ns(2 * MILLIS)
+        .run()
+        .stats
+    };
+    let cells: [(&str, &dyn Fn(ExecMode) -> NetStats); 2] =
+        [("star/faults", &star), ("fat_tree4/link_flap", &flap)];
+    for (label, cell) in cells {
+        let reference = cell(ExecMode::Sequential);
+        assert!(reference.frames_delivered > 1000, "{label}: the cell must carry traffic");
+        assert!(reference.frames_dropped_in_flight + reference.reconfigs_applied > 0, "{label}");
+        for run in 0..runs {
+            assert_eq!(cell(ExecMode::Threaded), reference, "{label}: threaded run {run}");
         }
     }
-    let mut t =
-        TopologySpec::Star { hosts: 4 }.builder().host_mbps(1000).delay_ns(1000).seed(3).build();
-    t.net.set_app(t.hosts[0], Box::new(LateApp));
-    let mut fabric = Fabric::new(t.net, 2, PartitionStrategy::RoundRobin);
-    fabric.set_mode(ExecMode::Sequential);
-    fabric.run_until(MILLIS);
-    fabric.run_for(Time::MAX);
 }
 
 #[test]
