@@ -27,6 +27,17 @@
 //! preserves the checksum invariant, so the section is valid wire format
 //! after every single write.
 //!
+//! A mutator that changes several 16-bit groups (the two halves of a word;
+//! SP, flags and hop in [`TppViewMut::complete_hop`]) sums their `!old + new`
+//! terms and folds the sum into the field once. That leaves the bytes a
+//! [`checksum::update`] per changed group would: an end-around-carry fold
+//! maps `0` to `0` and any other value to the one member of `1..=0xFFFF`
+//! congruent to it mod `0xFFFF`, so folding a partial sum before adding the
+//! rest changes nothing. An unchanged group must add *nothing*, not the
+//! `0xFFFF` its term would come to: that is a zero too, but folded into a
+//! field of `0xFFFF` it would flip it to `0x0000`. The unit tests run the
+//! per-group sequence as their oracle.
+//!
 //! One deliberate asymmetry: a parse→execute→re-serialize round trip through
 //! the owned [`Tpp`] zeroes the reserved bit of byte 0, while the
 //! in-place path preserves unknown bits it never touches. Sections produced
@@ -254,10 +265,21 @@ impl<'a> TppView<'a> {
     view_accessors!();
 }
 
+/// What replacing the 16-bit group `old` by `new` adds to the ones'-complement
+/// sum a section's checksum field complements (RFC 1624 eqn. 3): `!old + new`,
+/// and nothing when the group does not change.
+fn term(old: u16, new: u16) -> u32 {
+    if old == new {
+        0
+    } else {
+        u32::from(!old) + u32::from(new)
+    }
+}
+
 /// A mutable, validated view of a TPP section in wire form.
 ///
-/// Every mutator maintains the section checksum incrementally
-/// ([`checksum::update`]), so the buffer holds a valid section after each
+/// Every mutator maintains the section checksum incrementally (RFC 1624, as
+/// [`checksum::update`] does), so the buffer holds a valid section after each
 /// write — no re-serialization step exists on this path.
 #[derive(Debug)]
 pub struct TppViewMut<'a> {
@@ -293,35 +315,69 @@ impl<'a> TppViewMut<'a> {
         TppView { bytes: self.bytes, shape: self.shape }
     }
 
-    /// Replace the 16-bit group at even offset `off` and fold the change
-    /// into the checksum field (bytes 6-7).
-    fn upd16(&mut self, off: usize, new: [u8; 2]) {
+    /// Replace the 16-bit group at even offset `off` and return its
+    /// [`term`] for [`Self::fold`].
+    fn put16(&mut self, off: usize, new: u16) -> u32 {
         debug_assert!(off.is_multiple_of(2) && off != 6);
-        let old = [self.bytes[off], self.bytes[off + 1]];
-        if old == new {
+        let old = u16::from_be_bytes([self.bytes[off], self.bytes[off + 1]]);
+        self.bytes[off..off + 2].copy_from_slice(&new.to_be_bytes());
+        term(old, new)
+    }
+
+    /// Fold the summed [`Self::put16`] terms of one mutator into the
+    /// checksum field (bytes 6-7): one end-around-carry fold however many
+    /// groups changed. The result is the field a [`checksum::update`] per
+    /// changed group would leave (see the module docs); a zero `delta`
+    /// leaves the field alone.
+    fn fold(&mut self, delta: u32) {
+        if delta == 0 {
             return;
         }
-        self.bytes[off] = new[0];
-        self.bytes[off + 1] = new[1];
-        let c = u16::from_be_bytes([self.bytes[6], self.bytes[7]]);
-        let c = checksum::update(c, u16::from_be_bytes(old), u16::from_be_bytes(new));
-        self.bytes[6..8].copy_from_slice(&c.to_be_bytes());
+        let check = u16::from_be_bytes([self.bytes[6], self.bytes[7]]);
+        let mut acc = u32::from(!check) + delta;
+        while acc > 0xFFFF {
+            acc = (acc & 0xFFFF) + (acc >> 16);
+        }
+        self.bytes[6..8].copy_from_slice(&(!(acc as u16)).to_be_bytes());
     }
 
     /// Set the hop counter.
     pub fn set_hop(&mut self, hop: u8) {
-        self.upd16(2, [self.bytes[2], hop]);
+        let delta = self.put16(2, u16::from_be_bytes([self.bytes[2], hop]));
+        self.fold(delta);
     }
 
     /// Set the stack pointer.
     pub fn set_sp(&mut self, sp: u8) {
-        self.upd16(4, [sp, self.bytes[5]]);
+        let delta = self.put16(4, u16::from_be_bytes([sp, self.bytes[5]]));
+        self.fold(delta);
     }
 
     /// Set the wrote flag (bit 1 of byte 0).
     pub fn set_wrote(&mut self, wrote: bool) {
+        let delta = self.put16(0, self.group0(wrote));
+        self.fold(delta);
+    }
+
+    /// Bytes 0-1 with the wrote flag set to `wrote`.
+    fn group0(&self, wrote: bool) -> u16 {
         let b0 = if wrote { self.bytes[0] | 0x02 } else { self.bytes[0] & !0x02 };
-        self.upd16(0, [b0, self.bytes[1]]);
+        u16::from_be_bytes([b0, self.bytes[1]])
+    }
+
+    /// What a switch leaves in the header when a TPP has run: the final SP,
+    /// the wrote flag raised if `wrote` (never lowered), the hop counter set
+    /// to `hop` if given. [`Self::set_sp`], [`Self::set_wrote`] and
+    /// [`Self::set_hop`] in one checksum fold.
+    pub fn complete_hop(&mut self, sp: u8, wrote: bool, hop: Option<u8>) {
+        let mut delta = self.put16(4, u16::from_be_bytes([sp, self.bytes[5]]));
+        if wrote {
+            delta += self.put16(0, self.group0(true));
+        }
+        if let Some(hop) = hop {
+            delta += self.put16(2, u16::from_be_bytes([self.bytes[2], hop]));
+        }
+        self.fold(delta);
     }
 
     /// Write packet-memory word `idx`. Returns `None` (buffer untouched)
@@ -331,9 +387,10 @@ impl<'a> TppViewMut<'a> {
             return None;
         }
         let o = self.word_off(idx);
-        let b = value.to_be_bytes();
-        self.upd16(o, [b[0], b[1]]);
-        self.upd16(o + 2, [b[2], b[3]]);
+        let word: &mut [u8; 4] = (&mut self.bytes[o..o + 4]).try_into().expect("a 4-byte slice");
+        let old = u32::from_be_bytes(*word);
+        *word = value.to_be_bytes();
+        self.fold(term((old >> 16) as u16, (value >> 16) as u16) + term(old as u16, value as u16));
         Some(())
     }
 
@@ -452,6 +509,128 @@ mod tests {
         // Identical to a from-scratch re-serialization of the same state.
         let owned = v.as_view().to_tpp();
         assert_eq!(v.as_bytes(), &owned.serialize()[..]);
+    }
+
+    /// The mutators as they were before they folded once: one
+    /// [`checksum::update`] per changed 16-bit group. The oracle of
+    /// `one_fold_equals_an_update_per_group`.
+    fn upd16_oracle(bytes: &mut [u8], off: usize, new: [u8; 2]) {
+        let old = [bytes[off], bytes[off + 1]];
+        if old == new {
+            return;
+        }
+        bytes[off..off + 2].copy_from_slice(&new);
+        let c = u16::from_be_bytes([bytes[6], bytes[7]]);
+        let c = checksum::update(c, u16::from_be_bytes(old), u16::from_be_bytes(new));
+        bytes[6..8].copy_from_slice(&c.to_be_bytes());
+    }
+
+    fn set_hop_oracle(bytes: &mut [u8], hop: u8) {
+        upd16_oracle(bytes, 2, [bytes[2], hop]);
+    }
+
+    fn set_sp_oracle(bytes: &mut [u8], sp: u8) {
+        upd16_oracle(bytes, 4, [sp, bytes[5]]);
+    }
+
+    fn set_wrote_oracle(bytes: &mut [u8], wrote: bool) {
+        let b0 = if wrote { bytes[0] | 0x02 } else { bytes[0] & !0x02 };
+        upd16_oracle(bytes, 0, [b0, bytes[1]]);
+    }
+
+    #[test]
+    fn one_fold_equals_an_update_per_group() {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mem_off = HEADER_LEN + sample().instrs.len() * INSTR_BYTES;
+        let mut zero_fields = 0;
+        for case in 0..600 {
+            let mut t = sample();
+            for b in &mut t.memory {
+                *b = rand() as u8;
+            }
+            (t.hop, t.sp, t.wrote) = (rand() as u8, rand() as u8, rand() & 1 == 0);
+            let mut bytes = t.serialize();
+            // Every third case: bend the last memory group so that the data
+            // sums to 0xFFFF, where the field may read 0x0000 or 0xFFFF (the
+            // two zeros; both verify) and a fold of a zero delta would show.
+            if case % 3 != 0 {
+                let last = bytes.len() - 2;
+                bytes[6..8].fill(0);
+                bytes[last..].fill(0);
+                let s = checksum::sum(&bytes);
+                bytes[last..].copy_from_slice(&(!s).to_be_bytes());
+                let field = if case % 3 == 1 { 0x0000u16 } else { 0xFFFF };
+                bytes[6..8].copy_from_slice(&field.to_be_bytes());
+                zero_fields += 1;
+            }
+            assert!(checksum::verify(&bytes), "case {case}: the section under test is valid");
+            let mut oracle = bytes.clone();
+            let words = t.memory.len() / 4;
+
+            for step in 0..40 {
+                let r = rand();
+                let mut v = TppViewMut::from_validated(&mut bytes);
+                match r % 5 {
+                    0 | 1 => {
+                        // A word with none, the high, the low or both of its
+                        // halves equal to what is there.
+                        let idx = (r >> 8) as usize % words;
+                        let old = v.read_word(idx).unwrap();
+                        let fresh = (r >> 32) as u32;
+                        let value = match (r >> 4) % 4 {
+                            0 => fresh,
+                            1 => (old & 0xFFFF_0000) | (fresh & 0xFFFF),
+                            2 => (fresh & 0xFFFF_0000) | (old & 0xFFFF),
+                            _ => old,
+                        };
+                        v.write_word(idx, value).unwrap();
+                        let o = mem_off + idx * 4;
+                        let b = value.to_be_bytes();
+                        upd16_oracle(&mut oracle, o, [b[0], b[1]]);
+                        upd16_oracle(&mut oracle, o + 2, [b[2], b[3]]);
+                    }
+                    2 => {
+                        // SP, wrote and hop, each sometimes what is there.
+                        let sp = if r & 0x100 == 0 { v.sp() } else { (r >> 16) as u8 };
+                        let wrote = r & 0x200 == 0;
+                        let hop = match (r >> 10) % 3 {
+                            0 => None,
+                            1 => Some(v.hop()),
+                            _ => Some((r >> 24) as u8),
+                        };
+                        v.complete_hop(sp, wrote, hop);
+                        // `TppRun::finish` as it was: three mutators.
+                        set_sp_oracle(&mut oracle, sp);
+                        if wrote {
+                            set_wrote_oracle(&mut oracle, true);
+                        }
+                        if let Some(hop) = hop {
+                            set_hop_oracle(&mut oracle, hop);
+                        }
+                    }
+                    3 => {
+                        v.set_hop((r >> 8) as u8);
+                        set_hop_oracle(&mut oracle, (r >> 8) as u8);
+                    }
+                    _ => {
+                        let wrote = r & 0x100 == 0;
+                        v.set_wrote(wrote);
+                        set_wrote_oracle(&mut oracle, wrote);
+                        v.set_sp((r >> 16) as u8);
+                        set_sp_oracle(&mut oracle, (r >> 16) as u8);
+                    }
+                }
+                assert_eq!(bytes, oracle, "case {case} step {step} (r = {r:#x})");
+                assert!(checksum::verify(&bytes), "case {case} step {step} (r = {r:#x})");
+            }
+        }
+        assert_eq!(zero_fields, 400);
     }
 
     #[test]

@@ -86,13 +86,23 @@ impl CostProfile {
 
     /// Added latency in nanoseconds for a TPP execution.
     pub fn tpp_latency_ns<I: IntoIterator<Item = Opcode>>(&self, ops: I) -> u64 {
-        (self.tpp_cycles(ops) as f64 * self.ns_per_cycle()).round() as u64
+        round_to_u64(self.tpp_cycles(ops) as f64 * self.ns_per_cycle())
     }
 
     /// The paper's §6.1 worst case: every instruction a CSTORE.
     pub fn worst_case_latency_ns(&self, n_instructions: usize) -> u64 {
         self.tpp_latency_ns(std::iter::repeat_n(Opcode::Cstore, n_instructions))
     }
+}
+
+/// `x.round() as u64`, bit for bit, on every `x` (the casts saturate and take
+/// NaN to 0, as that expression's does). `f64::round` is a call into libm on
+/// baseline x86-64, once per TPP frame; this is a truncation and a compare.
+/// Exact because `x - floor` is: below 2^53 a double's fraction is
+/// representable, from there up `x` is a whole number.
+fn round_to_u64(x: f64) -> u64 {
+    let floor = x as u64;
+    floor.saturating_add(u64::from(x - floor as f64 >= 0.5))
 }
 
 /// Resource accounting for TPP support (Table 4). `NetFPGA` synthesis is
@@ -155,6 +165,45 @@ impl ResourceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_to_u64_is_f64_round() {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut cases: Vec<f64> = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            -0.4,
+            -3.5,
+            4_503_599_627_370_495.5, // 2^52 - 0.5: the last double with a fraction
+            9_007_199_254_740_992.0, // 2^53
+            9_223_372_036_854_775_808.0,
+            18_446_744_073_709_549_568.0, // the last double below 2^64
+            18_446_744_073_709_551_616.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Every magnitude a latency can take, halves over-represented.
+            let whole = (x >> 11) >> (x % 53);
+            cases.push(whole as f64 + [0.0, 0.25, 0.5, 0.75][(x >> 8) as usize % 4]);
+            cases.push(f64::from_bits(x));
+            // What the cost model really rounds: cycles at some clock.
+            cases.push((x as u32 % 4096) as f64 * (1e9 / (1 + (x >> 40)) as f64));
+        }
+        for c in cases {
+            assert_eq!(round_to_u64(c), c.round() as u64, "{c:e}");
+        }
+    }
 
     #[test]
     fn netfpga_per_stage_cost_matches_table3() {

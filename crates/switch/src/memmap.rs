@@ -223,10 +223,22 @@ pub struct FlowEntryStats {
 /// a packet matches at most a couple of table stages (the seed datapath
 /// records only the routing stage), and this struct rides inside every
 /// queued packet, so it must be both allocation-free and small.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct MatchedEntries {
     entries: [(u8, FlowEntryStats); Self::CAP],
     len: u8,
+}
+
+impl Default for MatchedEntries {
+    /// No match at any stage. A constant, stored as one, where the derive
+    /// built the array an element at a time for every TPP frame.
+    fn default() -> Self {
+        const VACANT: FlowEntryStats =
+            FlowEntryStats { entry_id: 0, insert_clock: 0, match_pkts: 0, match_bytes: 0 };
+        const NONE: MatchedEntries =
+            MatchedEntries { entries: [(0, VACANT); MatchedEntries::CAP], len: 0 };
+        NONE
+    }
 }
 
 impl MatchedEntries {
@@ -498,7 +510,8 @@ impl SwitchBus<'_> {
 impl MemoryBus for SwitchBus<'_> {
     fn read(&mut self, a: Address) -> Option<Word> {
         let ns = Namespace::of(a)?;
-        let off = a.offset();
+        // (`a.offset()` would classify the address a second time.)
+        let off = a.raw() - ns.base().raw();
         match ns {
             Namespace::Switch => self.mem.read_switch_ns(off),
             Namespace::PacketMetadata => self.ctx.read_meta(off),
@@ -540,7 +553,7 @@ impl MemoryBus for SwitchBus<'_> {
 
     fn write(&mut self, a: Address, value: Word) -> WriteOutcome {
         let Some(ns) = Namespace::of(a) else { return WriteOutcome::Unmapped };
-        let off = a.offset();
+        let off = a.raw() - ns.base().raw();
         match ns {
             Namespace::Switch => {
                 if self.mem.read_switch_ns(off).is_some() {

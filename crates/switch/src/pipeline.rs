@@ -17,6 +17,12 @@
 //! Stage assignment mirrors where the data lives in a real ASIC: switch
 //! globals at stage 0, flow-table state at its stage, routing results at
 //! the last ingress stage, and link/queue state in the egress pipeline.
+//!
+//! The order in which the pipeline reaches a program's instructions (by
+//! stage, program order within a stage, unmapped ones last) is a property of
+//! the program, so [`TppRun::plan`] resolves it once into a schedule and the
+//! per-frame [`TppRun::exec_stages`] walks that schedule instead of scanning
+//! every stage against every instruction.
 
 use crate::memmap::SwitchBus;
 use tpp_core::addr::{meta_ns, Address, Namespace};
@@ -61,7 +67,7 @@ pub fn stage_of(addr: Address, cfg: &PipelineConfig) -> Option<usize> {
     let ns = Namespace::of(addr)?;
     match ns {
         Namespace::Switch => Some(0),
-        Namespace::PacketMetadata => Some(match addr.offset() {
+        Namespace::PacketMetadata => Some(match addr.raw() - ns.base().raw() {
             // Known at ingress parse.
             x if x == meta_ns::INPUT_PORT
                 || x == meta_ns::PKT_LEN
@@ -150,9 +156,12 @@ pub struct TppRun {
     /// execute loop is a flat integer compare instead of a namespace
     /// resolve.
     stages: [u16; MAX_INSTRUCTIONS],
+    /// The schedule: program indices in the order the pipeline reaches them,
+    /// by stage and in program order within a stage (`n_instr` entries).
+    order: [u8; MAX_INSTRUCTIONS],
     status: [Option<InstrStatus>; MAX_INSTRUCTIONS],
     /// Program index of the first failed conditional, if any.
-    fail_idx: Option<usize>,
+    fail_idx: Option<u8>,
     final_sp: u8,
     pub wrote: bool,
     /// Opcodes that reached an execution unit, for latency accounting.
@@ -167,12 +176,13 @@ pub struct TppRun {
 impl TppRun {
     /// Parse-time planning over a validated view at byte offset `section`
     /// of its frame: decode the program, serialize PUSH/POP to preassigned
-    /// offsets from this frame's SP and resolve each instruction's pipeline
-    /// stage. The plan cache reuses the *whole* result for frames whose
-    /// header prefix and instruction words match exactly, making this path
-    /// per-program, not per-frame. Like the in-place interpreter, the
-    /// pipeline enforces the architectural [`MAX_INSTRUCTIONS`] budget even
-    /// when `opts.max_instructions` is configured above it.
+    /// offsets from this frame's SP, resolve each instruction's pipeline
+    /// stage and order the instructions by it. The plan cache reuses the
+    /// *whole* result for frames whose header prefix and instruction words
+    /// match exactly, making this path per-program, not per-frame. Like the
+    /// in-place interpreter, the pipeline enforces the architectural
+    /// [`MAX_INSTRUCTIONS`] budget even when `opts.max_instructions` is
+    /// configured above it.
     pub fn plan(
         view: &TppView<'_>,
         section: usize,
@@ -187,6 +197,7 @@ impl TppRun {
             instrs: [filler; MAX_INSTRUCTIONS],
             slots: [None; MAX_INSTRUCTIONS],
             stages: [UNMAPPED_STAGE; MAX_INSTRUCTIONS],
+            order: [0; MAX_INSTRUCTIONS],
             status: [None; MAX_INSTRUCTIONS],
             fail_idx: None,
             final_sp: view.sp(),
@@ -206,13 +217,22 @@ impl TppRun {
         for idx in 0..n {
             let ins = view.instr(idx);
             run.instrs[idx] = ins;
-            run.stages[idx] = match stage_of(ins.addr, cfg) {
+            let stage = match stage_of(ins.addr, cfg) {
                 // A pipeline deeper than the u16 sentinel is architecturally
                 // impossible (per-stage SRAM alone forbids it).
                 Some(s) => s as u16,
                 None => UNMAPPED_STAGE,
             };
+            run.stages[idx] = stage;
             run.slots[idx] = stack_slot(ins.opcode, &mut sp, words);
+            // Insert behind everything scheduled at this stage or an earlier
+            // one: at most four moves, and program order survives in a stage.
+            let mut at = idx;
+            while at > 0 && run.stages[usize::from(run.order[at - 1])] > stage {
+                run.order[at] = run.order[at - 1];
+                at -= 1;
+            }
+            run.order[at] = idx as u8;
         }
         run.final_sp = sp;
         run
@@ -226,8 +246,11 @@ impl TppRun {
     /// Execute all instructions assigned to stages in `range` (processed in
     /// stage order, program order within a stage), mutating the TPP section
     /// inside `frame` in place. The pipeline is a stage filter over the one
-    /// in-place step ([`step_in_place`]): stage assignment and PUSH/POP
-    /// slots were resolved at plan time.
+    /// in-place step ([`step_in_place`]): stage assignment, schedule and
+    /// PUSH/POP slots were resolved at plan time. Ranges may come in any
+    /// order, overlap or repeat; an instruction runs the first time a range
+    /// holds its stage. The frame is not opened when the range holds nothing
+    /// that is still to run (a rejected plan schedules nothing).
     pub fn exec_stages(
         &mut self,
         frame: &mut [u8],
@@ -235,58 +258,62 @@ impl TppRun {
         range: std::ops::Range<usize>,
         opts: &ExecOptions,
     ) {
-        if self.rejected {
+        let n = usize::from(self.n_instr);
+        let stage_at = |at: usize| usize::from(self.stages[usize::from(self.order[at])]);
+        // The first scheduled instruction the range is due; past `range.end`
+        // nothing is, the schedule being in stage order.
+        let Some(first) = (0..n).take_while(|&at| stage_at(at) < range.end).find(|&at| {
+            stage_at(at) >= range.start && self.status[usize::from(self.order[at])].is_none()
+        }) else {
             return;
-        }
+        };
         let mut view = TppViewMut::from_validated(&mut frame[self.section..]);
-        for stage in range {
-            for idx in 0..self.n_instr as usize {
-                if self.status[idx].is_some() {
-                    continue;
-                }
-                if usize::from(self.stages[idx]) != stage {
-                    continue;
-                }
-                let ins = self.instrs[idx];
-                if self.fail_idx.is_some_and(|f| idx > f) {
-                    self.status[idx] = Some(InstrStatus::Suppressed);
-                    continue;
-                }
-                let st = step_in_place(
-                    &mut view,
-                    bus,
-                    &ins,
-                    self.slots[idx],
-                    opts.allow_writes,
-                    &mut self.wrote,
-                );
-                if matches!(st, InstrStatus::CondFailed | InstrStatus::PredicateFalse) {
-                    self.fail_idx = Some(self.fail_idx.map_or(idx, |f| f.min(idx)));
-                }
-                if !matches!(st, InstrStatus::Skipped | InstrStatus::Suppressed) {
-                    self.executed_ops[self.n_executed as usize] = ins.opcode;
-                    self.n_executed += 1;
-                }
-                self.status[idx] = Some(st);
+        for at in first..n {
+            let idx = usize::from(self.order[at]);
+            let stage = usize::from(self.stages[idx]);
+            if stage >= range.end {
+                break;
             }
+            // (Sorted by stage: nothing from here on is before `range.start`.)
+            if self.status[idx].is_some() {
+                continue;
+            }
+            if self.fail_idx.is_some_and(|f| idx > usize::from(f)) {
+                self.status[idx] = Some(InstrStatus::Suppressed);
+                continue;
+            }
+            let ins = self.instrs[idx];
+            let st = step_in_place(
+                &mut view,
+                bus,
+                &ins,
+                self.slots[idx],
+                opts.allow_writes,
+                &mut self.wrote,
+            );
+            if matches!(st, InstrStatus::CondFailed | InstrStatus::PredicateFalse) {
+                self.fail_idx = Some(self.fail_idx.map_or(idx as u8, |f| f.min(idx as u8)));
+            }
+            if !matches!(st, InstrStatus::Skipped | InstrStatus::Suppressed) {
+                self.executed_ops[self.n_executed as usize] = ins.opcode;
+                self.n_executed += 1;
+            }
+            self.status[idx] = Some(st);
         }
     }
 
     /// Complete the run after the last stage: write the final SP, wrote
-    /// flag and hop counter into the frame (checksum folded incrementally).
+    /// flag and hop counter into the frame (one incremental checksum fold).
     /// Rejected TPPs are forwarded byte-for-byte untouched.
     pub fn finish(&mut self, frame: &mut [u8], opts: &ExecOptions) {
         if self.rejected {
             return;
         }
-        let mut view = TppViewMut::from_validated(&mut frame[self.section..]);
-        view.set_sp(self.final_sp);
-        if self.wrote {
-            view.set_wrote(true);
-        }
-        if opts.increment_hop {
-            view.set_hop(self.hop.wrapping_add(1));
-        }
+        TppViewMut::from_validated(&mut frame[self.section..]).complete_hop(
+            self.final_sp,
+            self.wrote,
+            opts.increment_hop.then(|| self.hop.wrapping_add(1)),
+        );
     }
 
     /// Per-instruction statuses with unexecuted slots resolved (Suppressed
@@ -301,7 +328,7 @@ impl TppRun {
             out.push(match s {
                 Some(st) => *st,
                 None => {
-                    if self.fail_idx.is_some_and(|f| idx > f) {
+                    if self.fail_idx.is_some_and(|f| idx > usize::from(f)) {
                         InstrStatus::Suppressed
                     } else {
                         InstrStatus::Skipped
@@ -320,6 +347,7 @@ mod tests {
     use tpp_core::addr::resolve_mnemonic;
     use tpp_core::asm::{assemble, TppBuilder};
     use tpp_core::exec::{execute as ref_execute, MapBus, MemoryBus};
+    use tpp_core::wire::AddrMode;
 
     fn a(m: &str) -> Address {
         resolve_mnemonic(m).unwrap()
@@ -638,6 +666,190 @@ mod tests {
         assert_eq!(mem.stages[1].sram[0], 0x51);
         assert_eq!(&frame[..small.len()], &small[..], "section untouched");
         assert_eq!(&frame[small.len()..], &[0xA5; 32], "bytes outside the section untouched");
+    }
+
+    impl TppRun {
+        /// `exec_stages` as it was before the schedule: every stage of the
+        /// range against every instruction. The oracle of
+        /// `schedule_walk_equals_the_stage_by_program_loop`.
+        fn exec_stages_oracle(
+            &mut self,
+            frame: &mut [u8],
+            bus: &mut SwitchBus<'_>,
+            range: std::ops::Range<usize>,
+            opts: &ExecOptions,
+        ) {
+            if self.rejected {
+                return;
+            }
+            let mut view = TppViewMut::from_validated(&mut frame[self.section..]);
+            for stage in range {
+                for idx in 0..self.n_instr as usize {
+                    if self.status[idx].is_some() || usize::from(self.stages[idx]) != stage {
+                        continue;
+                    }
+                    let ins = self.instrs[idx];
+                    if self.fail_idx.is_some_and(|f| idx > usize::from(f)) {
+                        self.status[idx] = Some(InstrStatus::Suppressed);
+                        continue;
+                    }
+                    let st = step_in_place(
+                        &mut view,
+                        bus,
+                        &ins,
+                        self.slots[idx],
+                        opts.allow_writes,
+                        &mut self.wrote,
+                    );
+                    if matches!(st, InstrStatus::CondFailed | InstrStatus::PredicateFalse) {
+                        self.fail_idx = Some(self.fail_idx.map_or(idx as u8, |f| f.min(idx as u8)));
+                    }
+                    if !matches!(st, InstrStatus::Skipped | InstrStatus::Suppressed) {
+                        self.executed_ops[self.n_executed as usize] = ins.opcode;
+                        self.n_executed += 1;
+                    }
+                    self.status[idx] = Some(st);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_walk_equals_the_stage_by_program_loop() {
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut below = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) as usize % n
+        };
+        // Every stage of the pipeline, read-only and writable targets, a
+        // stage past the pipeline and an address in no namespace.
+        let pool = [
+            a("Switch:SwitchID"),
+            a("PacketMetadata:InputPort"),
+            a("Stage1:Reg0"),
+            a("Stage2:Reg1"),
+            a("PacketMetadata:OutputPort"),
+            a("PacketMetadata:OutputQueue"),
+            a("FlowEntry$3:MatchPkts"),
+            a("Link:AppSpecific_0"),
+            a("Queue:QueueOccupancy"),
+            a("Stage5:Reg0"),
+            a("Stage7:Reg0"),
+            Address::new(0x0900),
+        ];
+        let (opts, c) = (ExecOptions::default(), cfg());
+        let total = c.total_stages();
+        let (mut conditionals_failed, mut suppressed, mut unmapped, mut no_slot) = (0, 0, 0, 0);
+        for case in 0..2_000 {
+            let n = 1 + below(MAX_INSTRUCTIONS);
+            let words = below(9);
+            let per_hop = below(4);
+            let instrs: Vec<Instruction> = (0..n)
+                .map(|_| {
+                    let addr = pool[below(pool.len())];
+                    let (o1, o2) = (below(4) as u8, below(4) as u8);
+                    match below(6) {
+                        0 => Instruction::push(addr),
+                        1 => Instruction::pop(addr),
+                        2 => Instruction::load(addr, o1),
+                        3 => Instruction::store(addr, o1),
+                        4 => Instruction::cstore(addr, o1, o2),
+                        _ => Instruction::cexec(addr, o1, o2),
+                    }
+                })
+                .collect();
+            let mut tpp = Tpp {
+                mode: if below(2) == 0 { AddrMode::Stack } else { AddrMode::Hop },
+                hop: below(3) as u8,
+                // Empty, full, or somewhere between.
+                sp: [0, words, below(words + 1)][below(3)] as u8,
+                per_hop_len: 4 * per_hop as u8,
+                instrs,
+                memory: vec![0; 4 * words],
+                ..Tpp::default()
+            };
+            // Small values, so conditionals sometimes hold: switch id 1, an
+            // all-ones or all-zeroes mask.
+            for w in 0..words {
+                tpp.write_word(w, [0, 1, 2, u32::MAX][below(4)]).unwrap();
+            }
+            let pristine = tpp.serialize();
+            let (view, _) = TppView::parse(&pristine).expect("serialized by this crate");
+            let plan = TppRun::plan(&view, 0, &opts, &c);
+            unmapped += plan.stages[..n].iter().filter(|&&s| s == UNMAPPED_STAGE).count();
+            no_slot += (0..n)
+                .filter(|&i| {
+                    matches!(plan.instrs[i].opcode, Opcode::Push | Opcode::Pop)
+                        && plan.slots[i].is_none()
+                })
+                .count();
+
+            // Random cuts of the pipeline: ascending splits (what the switch
+            // does), then shuffled, repeated, overlapping and descending ones.
+            let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
+            match below(3) {
+                0 => {
+                    let (p, q) = (below(total + 1), below(total + 1));
+                    let (p, q) = (p.min(q), p.max(q));
+                    ranges.extend([0..p, p..q, q..total]);
+                }
+                1 => {
+                    for _ in 0..1 + below(6) {
+                        ranges.push(below(total + 1)..below(total + 2));
+                    }
+                    ranges.push(0..total);
+                }
+                _ => {
+                    for s in (0..total).rev() {
+                        ranges.push(s..s + 1 + below(2));
+                        ranges.push(s..s + 1);
+                    }
+                }
+            }
+
+            let world = || {
+                let mut mem = SwitchMemory::new(1, 4, total);
+                mem.stages[1].sram[0] = 1;
+                mem.links[2].app[0] = 2;
+                let mut ctx = PacketContext::new(3, 100, 0, total);
+                ctx.out_port = Some(2);
+                (mem, ctx)
+            };
+            let (mut mem_a, mut ctx_a) = world();
+            let (mut mem_b, mut ctx_b) = world();
+            let (mut run_a, mut run_b) = (plan, plan);
+            let (mut frame_a, mut frame_b) = (pristine.clone(), pristine.clone());
+            for r in &ranges {
+                let mut bus = SwitchBus { mem: &mut mem_a, ctx: &mut ctx_a };
+                run_a.exec_stages(&mut frame_a, &mut bus, r.clone(), &opts);
+                let mut bus = SwitchBus { mem: &mut mem_b, ctx: &mut ctx_b };
+                run_b.exec_stages_oracle(&mut frame_b, &mut bus, r.clone(), &opts);
+                assert_eq!(run_a, run_b, "case {case}: {ranges:?} at {r:?}\n{tpp:?}");
+                assert_eq!(frame_a, frame_b, "case {case}: {ranges:?} at {r:?}\n{tpp:?}");
+            }
+            run_a.finish(&mut frame_a, &opts);
+            run_b.finish(&mut frame_b, &opts);
+            assert_eq!(frame_a, frame_b, "case {case}: {ranges:?}\n{tpp:?}");
+            assert_eq!(run_a.final_statuses(), run_b.final_statuses(), "case {case}");
+            assert_eq!(run_a.executed_ops(), run_b.executed_ops(), "case {case}");
+            assert_eq!(format!("{mem_a:?}"), format!("{mem_b:?}"), "case {case}: bus writes");
+            assert_eq!(format!("{ctx_a:?}"), format!("{ctx_b:?}"), "case {case}: bus writes");
+            assert!(Tpp::parse(&frame_a).is_ok(), "case {case}: still valid wire format");
+            let st = run_a.final_statuses();
+            conditionals_failed += st
+                .iter()
+                .filter(|s| matches!(s, InstrStatus::CondFailed | InstrStatus::PredicateFalse))
+                .count();
+            suppressed += st.iter().filter(|s| **s == InstrStatus::Suppressed).count();
+        }
+        // The generator reached what it is there to reach.
+        assert!(
+            conditionals_failed > 100 && suppressed > 100,
+            "{conditionals_failed} {suppressed}"
+        );
+        assert!(unmapped > 100 && no_slot > 100, "{unmapped} {no_slot}");
     }
 
     #[test]

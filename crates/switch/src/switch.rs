@@ -80,7 +80,9 @@ pub enum DropReason {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReceiveOutcome {
     /// Frame enqueued on `port`/`queue`; the pipeline spent
-    /// `proc_latency_ns` on it (baseline + TPP execution, §6.1).
+    /// `proc_latency_ns` on it: the baseline plus, for a TPP, parse, rewrite
+    /// and the instructions its *ingress* stages executed (§6.1). What the
+    /// egress stages execute at [`Switch::dequeue`] is charged nowhere.
     Enqueued {
         port: u8,
         queue: u8,
@@ -90,18 +92,18 @@ pub enum ReceiveOutcome {
 }
 
 /// One frame waiting in an output queue. Forwarding a plain frame needs no
-/// more than its buffer; what a TPP carries from ingress to egress rides in
-/// the queue's [`OutQueue::tpps`], so this stays a fraction of a cache line.
+/// more than its buffer; what a TPP carries from ingress to egress sits in
+/// [`Switch::tpp_slab`], so this stays a fraction of a cache line.
 struct QueuedFrame {
     frame: Vec<u8>,
-    /// This frame's TPP state is queued in `tpps`, and is at its front when
-    /// the frame is at the front of `frames`.
+    /// This frame's TPP state is named in `tpps`, at its front when the
+    /// frame is at the front of `frames`.
     has_tpp: bool,
     /// Reflect back toward the source after egress execution.
     reflect: bool,
 }
 
-/// The ingress-to-egress state of one queued TPP.
+/// The ingress-to-egress state of one TPP.
 struct QueuedTpp {
     run: TppRun,
     ctx: PacketContext,
@@ -109,12 +111,13 @@ struct QueuedTpp {
 }
 
 /// One output queue of one port: the frames in FIFO order and, in the same
-/// order, the TPP state of those that carry one. Two contiguous rings popped
-/// in lock-step, both allocation-free once grown to their working size.
+/// order, where in [`Switch::tpp_slab`] the TPP state is of those that carry
+/// one. Two contiguous rings popped in lock-step, both allocation-free once
+/// grown to their working size.
 #[derive(Default)]
 struct OutQueue {
     frames: VecDeque<QueuedFrame>,
-    tpps: VecDeque<QueuedTpp>,
+    tpps: VecDeque<u32>,
 }
 
 const QUEUES_PER_PORT: usize = layout::QUEUES_PER_PORT as usize;
@@ -129,6 +132,15 @@ pub struct Switch {
     pub groups: GroupTable,
     /// `n_ports * QUEUES_PER_PORT` output queues, port-major.
     queues: Vec<OutQueue>,
+    /// The state of every TPP between `receive` and `dequeue`, built where it
+    /// stays: the plan is copied in once, the ingress stages, the queue wait
+    /// and the egress stages run on it in place. The queues hold indices.
+    /// Grows to the most TPP frames ever queued at once, like the rings.
+    tpp_slab: Vec<QueuedTpp>,
+    /// Slab entries not in any queue. `receive` builds a TPP's state in the
+    /// *last* one and takes it off this list only once the frame is queued,
+    /// so no drop path has anything to give back.
+    tpp_free: Vec<u32>,
     /// Per port, bit `q` is set while queue `q` holds a frame: `dequeue`
     /// picks the next queue to serve without touching the empty ones.
     nonempty: Vec<u8>,
@@ -140,8 +152,8 @@ pub struct Switch {
     retired: Vec<Vec<u8>>,
     /// Program-keyed cache of ingress plans: the same probe program on the
     /// thousandth packet of a flow reuses the decoded [`TppRun`] (slot
-    /// serialization, stage assignment) instead of re-planning. Exact-byte
-    /// keyed — see [`crate::plan_cache`].
+    /// serialization, stage assignment, schedule) instead of re-planning.
+    /// Exact-compare keyed — see [`crate::plan_cache`].
     plan_cache: PlanCache,
 }
 
@@ -157,6 +169,8 @@ impl Switch {
             table: FlowTable::default(),
             groups: GroupTable::default(),
             queues: (0..cfg.n_ports * QUEUES_PER_PORT).map(|_| OutQueue::default()).collect(),
+            tpp_slab: Vec::new(),
+            tpp_free: Vec::new(),
             nonempty: vec![0; cfg.n_ports],
             rr_next: vec![0; cfg.n_ports],
             last_util_ns: 0,
@@ -265,7 +279,10 @@ impl Switch {
         }
     }
 
-    /// A frame arrives on `in_port` at `now_ns`.
+    /// A frame arrives on `in_port` at `now_ns`: parse, plan and run the
+    /// ingress stages of its TPP if it has one, route, and enqueue or drop.
+    /// The latency reported covers the ingress stages only (see
+    /// [`ReceiveOutcome::Enqueued`]).
     pub fn receive(&mut self, now_ns: u64, in_port: u8, mut frame: Vec<u8>) -> ReceiveOutcome {
         self.mem.set_clock(now_ns);
         let opts = &self.exec_options();
@@ -289,44 +306,61 @@ impl Switch {
         // section is validated once as a borrowed view — no owned parse —
         // and planned into a fixed-size TppRun through the per-switch plan
         // cache (a repeated program reuses its decoded plan); the program
-        // then executes in place against the frame bytes.
+        // then executes in place against the frame bytes. Only a frame that
+        // carries a TPP gets per-packet TPP state (Fig. 6: everything else
+        // forwards without engaging the TCPU), built in a free slab entry.
         let pcfg = self.cfg.pipeline;
         let loc = locate_tpp(&frame);
-        let mut tpp_damaged = false;
-        let (run, ip_offset): (Option<TppRun>, usize) = match loc {
+        let (plan_cache, slab, free) =
+            (&mut self.plan_cache, &mut self.tpp_slab, &mut self.tpp_free);
+        let n_stages = self.mem.n_stages;
+        let mut plan = |view: &TppView<'_>, section: usize| {
+            let run = plan_cache.plan(view, &frame[section..], section, opts, &pcfg);
+            let mut ctx = PacketContext::new(in_port, len as u32, now_ns, n_stages);
+            ctx.hop_count = run.hop.into();
+            let state = QueuedTpp { run, ctx, enq_ns: now_ns };
+            match free.last() {
+                Some(&at) => {
+                    slab[at as usize] = state;
+                    at
+                }
+                None => {
+                    let at = u32::try_from(slab.len()).expect("fewer than 2^32 queued TPPs");
+                    slab.push(state);
+                    // Room for every entry to come back: `dequeue` never
+                    // allocates.
+                    free.reserve(slab.len());
+                    free.push(at);
+                    at
+                }
+            }
+        };
+        let mut tpp_at: Option<u32> = None;
+        let ip_offset: Option<usize> = match loc {
             TppLocation::Transparent { section } => match TppView::parse(&frame[section..]) {
                 Ok((view, consumed)) if view.encap_proto() == ethernet::ethertype::IPV4 => {
-                    let run = self.plan_cache.plan(&view, &frame[section..], section, opts, &pcfg);
-                    (Some(run), section + consumed)
+                    tpp_at = Some(plan(&view, section));
+                    Some(section + consumed)
                 }
                 // Damaged TPP (the inner packet's location is unknowable)
                 // or unroutable non-IP payload: count and drop below, once
                 // the frame is no longer borrowed.
-                Ok(_) | Err(_) => {
-                    tpp_damaged = true;
-                    (None, 0)
-                }
+                Ok(_) | Err(_) => None,
             },
             TppLocation::Standalone { section, ip, .. } => {
                 match TppView::parse(&frame[section..]) {
-                    Ok((view, _)) => {
-                        let run =
-                            self.plan_cache.plan(&view, &frame[section..], section, opts, &pcfg);
-                        (Some(run), ip)
-                    }
-                    Err(_) => {
-                        // Forward as a normal UDP packet, uninstrumented.
-                        self.mem.tpp_rejected += 1;
-                        (None, ip)
-                    }
+                    Ok((view, _)) => tpp_at = Some(plan(&view, section)),
+                    // Forward as a normal UDP packet, uninstrumented.
+                    Err(_) => self.mem.tpp_rejected += 1,
                 }
+                Some(ip)
             }
-            TppLocation::None => (None, ethernet::HEADER_LEN),
+            TppLocation::None => Some(ethernet::HEADER_LEN),
         };
-        if tpp_damaged {
+        let Some(ip_offset) = ip_offset else {
             self.mem.tpp_rejected += 1;
             return self.drop_malformed(in_port, frame);
-        }
+        };
 
         // Routing header checks (TTL) on the routed IP header, parsed once:
         // the flow key reads addresses, protocol and L4 ports, which neither
@@ -345,17 +379,10 @@ impl Switch {
         }
         Ipv4Packet::new_unchecked(&mut frame[ip_offset..]).decrement_ttl();
 
-        // Only a frame that carries a TPP gets per-packet TPP state (Fig. 6:
-        // everything else forwards without engaging the TCPU).
-        let mut tpp = run.map(|run| {
-            let mut ctx = PacketContext::new(in_port, len as u32, now_ns, self.mem.n_stages);
-            ctx.hop_count = run.hop as u32;
-            QueuedTpp { run, ctx, enq_ns: now_ns }
-        });
-
         // Execute the pre-routing ingress stages in place.
         let cfg = pcfg;
         let rs = cfg.routing_stage();
+        let mut tpp = tpp_at.map(|at| &mut self.tpp_slab[at as usize]);
         if let Some(t) = &mut tpp {
             if t.run.rejected {
                 self.mem.tpp_rejected += 1;
@@ -369,11 +396,13 @@ impl Switch {
             || tpp.as_ref().is_some_and(|t| t.run.reflect)
                 && matches!(loc, TppLocation::Standalone { .. });
 
-        // Routing lookup at the routing stage.
+        // Routing lookup at the routing stage. The flow hash has two readers,
+        // a TPP (`[PacketMetadata:PathHash]`) and an ECMP group: a plain
+        // frame on an `Output` route never computes it.
         let out_port: Option<u8> = if reflect_here {
             Some(in_port)
         } else {
-            let path_hash = key.hash_with(self.cfg.ecmp_hash_dst_port);
+            let path_hash = || key.hash_with(self.cfg.ecmp_hash_dst_port);
             self.mem.stages[rs].lookup_pkts += 1;
             self.mem.stages[rs].lookup_bytes += len;
             match self.table.lookup(dst_ip, len) {
@@ -381,7 +410,7 @@ impl Switch {
                     self.mem.stages[rs].match_pkts += 1;
                     self.mem.stages[rs].match_bytes += len;
                     if let Some(t) = &mut tpp {
-                        t.ctx.path_hash = path_hash;
+                        t.ctx.path_hash = path_hash();
                         t.ctx.matched_entry.set(
                             rs,
                             FlowEntryStats {
@@ -394,7 +423,10 @@ impl Switch {
                     }
                     match entry.action {
                         Action::Output(p) => Some(p),
-                        Action::Group(g) => self.groups.select(g, path_hash),
+                        Action::Group(g) => {
+                            let hash = tpp.as_ref().map_or_else(path_hash, |t| t.ctx.path_hash);
+                            self.groups.select(g, hash)
+                        }
                         Action::Drop => None,
                     }
                 }
@@ -450,18 +482,19 @@ impl Switch {
             l.queued_pkts += 1;
         }
 
-        // Pipeline latency: baseline plus what the executed instructions
-        // cost so far (egress instructions are charged at dequeue).
-        let proc_latency_ns = self.cfg.cost.base_latency_ns
-            + tpp
-                .as_ref()
-                .map(|t| self.cfg.cost.tpp_latency_ns(t.run.executed_ops().iter().copied()))
-                .unwrap_or(0);
+        // Pipeline latency: baseline plus what the instructions executed in
+        // the ingress stages cost. (What runs in the egress stages, at
+        // `dequeue`, is charged nowhere.)
+        let mut proc_latency_ns = self.cfg.cost.base_latency_ns;
+        if let Some(t) = &tpp {
+            proc_latency_ns += self.cfg.cost.tpp_latency_ns(t.run.executed_ops().iter().copied());
+        }
 
         let q = &mut self.queues[out_port as usize * QUEUES_PER_PORT + queue as usize];
-        q.frames.push_back(QueuedFrame { frame, has_tpp: tpp.is_some(), reflect: reflect_here });
-        if let Some(t) = tpp {
-            q.tpps.push_back(t);
+        q.frames.push_back(QueuedFrame { frame, has_tpp: tpp_at.is_some(), reflect: reflect_here });
+        if let Some(at) = tpp_at {
+            self.tpp_free.pop();
+            q.tpps.push_back(at);
         }
         self.nonempty[out_port as usize] |= 1 << queue;
         ReceiveOutcome::Enqueued { port: out_port, queue, proc_latency_ns }
@@ -478,7 +511,8 @@ impl Switch {
     }
 
     /// The port is ready to transmit: pop the next frame (round-robin over
-    /// non-empty queues), run the egress pipeline, rewrite the TPP.
+    /// non-empty queues), run the egress pipeline, rewrite the TPP. Charges
+    /// no latency: the caller's link model times the transmission.
     pub fn dequeue(&mut self, now_ns: u64, port: u8) -> Option<Vec<u8>> {
         self.mem.set_clock(now_ns);
         let opts = &self.exec_options();
@@ -495,7 +529,6 @@ impl Switch {
         let q = &mut self.queues[p * QUEUES_PER_PORT + qi];
         let QueuedFrame { mut frame, has_tpp, reflect } =
             q.frames.pop_front().expect("non-empty by its bit");
-        let tpp = if has_tpp { q.tpps.pop_front() } else { None };
         if q.frames.is_empty() {
             self.nonempty[p] &= !(1 << qi);
         }
@@ -515,19 +548,21 @@ impl Switch {
             l.tx_bytes_interval += len;
         }
 
-        if let Some(QueuedTpp { mut run, mut ctx, enq_ns }) = tpp {
-            ctx.queue_wait_ns = Some(now_ns.saturating_sub(enq_ns).min(u32::MAX as u64) as u32);
+        if has_tpp {
+            // The TPP's state is finished where it has sat since `receive`.
+            let at = q.tpps.pop_front().expect("queued with its frame");
+            let t = &mut self.tpp_slab[at as usize];
+            t.ctx.queue_wait_ns = Some(now_ns.saturating_sub(t.enq_ns).min(u32::MAX as u64) as u32);
             let cfg = self.cfg.pipeline;
-            {
-                let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut ctx };
-                run.exec_stages(&mut frame, &mut bus, cfg.egress_stage()..cfg.total_stages(), opts);
-            }
+            let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut t.ctx };
+            t.run.exec_stages(&mut frame, &mut bus, cfg.egress_stage()..cfg.total_stages(), opts);
             // In-place completion: SP/wrote/hop land in the frame with the
             // checksum folded incrementally — no re-serialization.
-            run.finish(&mut frame, opts);
-            if !run.rejected {
+            t.run.finish(&mut frame, opts);
+            if !t.run.rejected {
                 self.mem.tpp_executed += 1;
             }
+            self.tpp_free.push(at);
         }
 
         if reflect {

@@ -7,7 +7,10 @@
 //! buffer itself is recycled by the caller, exactly like the simulator does:
 //! `dequeue` hands back the same `Vec` that `receive` consumed. A second
 //! test holds the same over a deep queue of interleaved plain and TPP frames,
-//! where the frame ring and the TPP-state ring beside it advance in lock-step.
+//! where the frame ring and the ring of TPP-state indices beside it advance
+//! in lock-step. A third drops TPP frames by the ten thousand on every path
+//! that has already planned them: the state a dropped frame was given must be
+//! the state the next frame gets.
 //!
 //! Every crate lib is `#![forbid(unsafe_code)]`; the workspace's only
 //! `unsafe` is in test and tool targets like this one (the counting
@@ -22,7 +25,7 @@ use std::cell::Cell;
 
 use tpp_core::asm::TppBuilder;
 use tpp_core::wire::{self, insert_transparent, ipv4, udp, EthernetAddress, Ipv4Address};
-use tpp_switch::{Action, ReceiveOutcome, Switch, SwitchConfig};
+use tpp_switch::{Action, DropReason, ReceiveOutcome, Switch, SwitchConfig};
 
 struct CountingAlloc;
 
@@ -197,4 +200,79 @@ fn deep_queue_of_interleaved_plain_and_tpp_frames_is_allocation_free() {
     assert_eq!(allocs, 0, "a {QUEUED}-deep mixed queue allocated {allocs} times in 10 rotations");
     assert_eq!(sw.mem.queues[2][0].pkts, QUEUED as u64);
     assert_eq!(sw.mem.tpp_executed, 12 * QUEUED as u64 / 3, "every TPP frame engaged the TCPU");
+}
+
+#[test]
+fn dropped_tpp_frames_leave_no_tpp_state_behind() {
+    const DROPS: usize = 10_000;
+    let mut sw = Switch::new(SwitchConfig::new(7, 4));
+    sw.add_host_route(Ipv4Address::from_host_id(2), Action::Output(2));
+    // Port 2's queue admits nothing the size of these frames.
+    sw.mem.queues[2][0].limit_bytes = 64;
+    let tpp = TppBuilder::stack_mode()
+        .push_m("Switch:SwitchID")
+        .unwrap()
+        .push_m("PacketMetadata:OutputPort")
+        .unwrap()
+        .push_m("Queue:QueueOccupancy")
+        .unwrap()
+        .hops(5)
+        .build()
+        .unwrap();
+    let stamped = |inner: &[u8]| insert_transparent(inner, &tpp);
+    let ip_at = wire::ethernet::HEADER_LEN + tpp.section_len();
+
+    // Each of these is a valid TPP the switch validates, plans and gives
+    // per-packet state before it finds the reason to drop the frame.
+    let queue_full = stamped(&host_frame(200));
+    let ttl_expired = stamped(&host_frame(1));
+    let mut no_route = host_frame(200);
+    {
+        let mut ip = wire::Ipv4Packet::new_unchecked(&mut no_route[wire::ethernet::HEADER_LEN..]);
+        ip.set_dst(Ipv4Address::from_host_id(99));
+        ip.fill_checksum();
+    }
+    let no_route = stamped(&no_route);
+    // The encapsulated packet claims IP version 0: the section is intact,
+    // the routed header behind it is not.
+    let mut bad_ip = queue_full.clone();
+    bad_ip[ip_at] &= 0x0F;
+
+    let cases = [
+        (queue_full, DropReason::QueueFull),
+        (no_route, DropReason::NoRoute),
+        (ttl_expired, DropReason::TtlExpired),
+        (bad_ip, DropReason::Malformed),
+    ];
+    for (frame, reason) in &cases {
+        // Only `receive` is under the counter: the test's own frame copies
+        // are not. The first drops fill the switch's bounded stock of retired
+        // buffers; after that a drop must allocate nothing, which a slot
+        // leaked or a ring entry left behind per drop could not keep up for
+        // ten thousand frames (either grows a `Vec`).
+        let mut drop_frames = |n: usize| {
+            let mut allocs = 0;
+            for i in 0..n {
+                let copy = frame.clone();
+                let before = allocs_on_this_thread();
+                let out = sw.receive(1000 * i as u64, 0, copy);
+                allocs += allocs_on_this_thread() - before;
+                assert_eq!(out, ReceiveOutcome::Dropped(*reason));
+            }
+            allocs
+        };
+        drop_frames(128);
+        let allocs = drop_frames(DROPS);
+        assert_eq!(allocs, 0, "{DROPS} frames dropped as {reason:?} allocated {allocs} times");
+    }
+    assert_eq!(sw.mem.tpp_executed, 0);
+
+    // And the switch still forwards: one TPP in flight, allocation-free from
+    // the first frame (the slab entry the dropped frames used is this
+    // frame's).
+    sw.mem.queues[2][0].limit_bytes = 150_000;
+    let allocs = allocs_per_run(&mut sw, cases[0].0.clone(), 64);
+    assert_eq!(sw.mem.tpp_executed, 64);
+    // The queue's two rings grow once each on first use.
+    assert!(allocs <= 2, "forwarding after the drops allocated {allocs} times");
 }

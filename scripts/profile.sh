@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
-# Where a simulated frame-hop spends its time, on a container with no `perf`
-# and no PMU: build `sim_profile` (crates/bench/src/bin/sim_profile.rs) with
-# line tables, let it sample the `sim_dc` cell under a SIGPROF timer, and
-# fold the samples into shares per function.
+# Where a simulated frame-hop, or a frame on the switch fast path, spends its
+# time, on a container with no `perf` and no PMU: build `sim_profile`
+# (crates/bench/src/bin/sim_profile.rs) with line tables, let it sample the
+# target's loop under a SIGPROF timer, and fold the samples into shares per
+# function.
 #
 # Usage:
-#   scripts/profile.sh [runs]
+#   scripts/profile.sh [target] [runs]
 #
-#   runs   replays of the 8 ms fat_tree4 x uniform cell at seed 1 (default
-#          100: about 10 s of CPU; the kernel tick caps the rate near 250
-#          samples/s)
+#   target  sim_dc (default): the 8 ms fat_tree4 x uniform cell at seed 1,
+#           one replay a run. switch_tpp_hot: `receive` -> `dequeue` over a
+#           ring of the seven app probes on a 16-port switch with 128
+#           routes, 256 passes over the 2,048-frame ring a run.
+#           switch_plain: the same ring without the TPPs.
+#   runs    default 100: about 10 s of CPU for sim_dc, 20 s for the switch
+#           targets (the kernel tick caps the rate near 250 samples/s)
 #
-# Output: the run's digest, frame-hops and sample counts, then two tables of
-# the 25 largest rows.
+# Output: the run's digest, work counts and sample counts, then two tables
+# of the 25 largest rows.
 # `self` is the share of samples whose innermost frame is the function;
 # `inclusive` the share whose inline chain holds it anywhere. Only the
 # instruction pointer is sampled, so "inclusive" reaches as far up as the
@@ -26,7 +31,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUNS="${1:-100}"
+TARGET="${1:-sim_dc}"
+RUNS="${2:-100}"
 DIR="${PROFILE_DIR:-target/profile}"
 mkdir -p "$DIR"
 
@@ -36,7 +42,7 @@ CARGO_PROFILE_RELEASE_DEBUG=1 CARGO_TARGET_DIR="$DIR" \
     cargo build --release --offline --quiet -p tpp-bench --bin sim_profile
 BIN="$DIR/release/sim_profile"
 
-"$BIN" "$RUNS" >"$DIR/samples.txt"
+"$BIN" "$TARGET" "$RUNS" >"$DIR/samples.txt"
 echo "# samples: $DIR/samples.txt"
 if ! command -v addr2line >/dev/null; then
     echo "# addr2line not found: resolve with \`addr2line -a -f -i -C -e $BIN < $DIR/samples.txt\`"
