@@ -31,17 +31,27 @@ pub fn udp_frame(
     dst_port: u16,
     payload_len: usize,
 ) -> Vec<u8> {
-    let hdr = UdpFrameRepr {
+    let mut frame = Vec::new();
+    udp_frame_into(&mut frame, &udp_hdr(src_ip, dst_ip, src_port, dst_port), payload_len, &[]);
+    frame
+}
+
+/// The addressing [`udp_frame`] gives a frame, for building one with
+/// `udp_frame_into` in a buffer of the caller's.
+pub(crate) fn udp_hdr(
+    src_ip: Ipv4Address,
+    dst_ip: Ipv4Address,
+    src_port: u16,
+    dst_port: u16,
+) -> UdpFrameRepr {
+    UdpFrameRepr {
         src_mac: mac_of_ip(src_ip),
         dst_mac: mac_of_ip(dst_ip),
         src_ip,
         dst_ip,
         src_port,
         dst_port,
-    };
-    let mut frame = Vec::new();
-    udp_frame_into(&mut frame, &hdr, payload_len, &[]);
-    frame
+    }
 }
 
 /// Parsed view of a received UDP frame.

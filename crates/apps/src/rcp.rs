@@ -21,9 +21,9 @@
 
 use std::collections::VecDeque;
 
-use crate::common::{parse_udp, shared, udp_frame, RateMeter, Shared, DATA_PORT};
+use crate::common::{parse_udp, shared, udp_hdr, RateMeter, Shared, DATA_PORT};
 use tpp_core::probe::{Probe, TppData};
-use tpp_core::wire::{Ipv4Address, Tpp};
+use tpp_core::wire::{udp_frame_into, Ipv4Address, Tpp};
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::{ExecutorConfig, PacedSender};
 use tpp_netsim::Time;
@@ -299,8 +299,11 @@ impl RcpSender {
 
     fn pace(&mut self, io: &mut Io<'_, '_>) {
         let n = self.pacer.due(io.ctx.now);
+        let hdr = udp_hdr(io.ctx.ip, self.dst, self.sport, DATA_PORT);
         for _ in 0..n {
-            let frame = udp_frame(io.ctx.ip, self.dst, self.sport, DATA_PORT, self.cfg.payload);
+            // In a buffer a sink handed back (see `RcpSink`).
+            let mut frame = io.ctx.take_buf();
+            udp_frame_into(&mut frame, &hdr, self.cfg.payload, &[]);
             self.data_bytes_sent += frame.len() as u64;
             io.ctx.send(frame);
         }
@@ -333,6 +336,8 @@ impl RcpSink {
                         m.record(io.ctx.now, info.payload_len as u64);
                     }
                 }
+                // The senders build their next data frames in it.
+                io.ctx.recycle(inner);
             })
             .build()
             .expect("static wiring")

@@ -12,6 +12,13 @@
 //!   a time over a ring of 2,048 minimum-size frames that carry the seven app
 //!   probes compiled for five hops. One run is 256 passes over the ring.
 //! * `switch_plain`: the same switch, routes and flows, no TPP.
+//! * `app_rcp`: the timed replay of `benchmark/src/workloads/rcp.rs`, the
+//!   Fig. 2 RCP* network (three senders and their sinks on a line of three
+//!   switches, flows started at 45 Mb/s and staggered inside the first
+//!   millisecond as the benchmark staggers them) simulated for 50 ms. A
+//!   replay takes about 1 ms of CPU, no more than one timer period, so a
+//!   timer armed around each replay might never fire: one run builds 64
+//!   networks first and arms the timer once around all of their replays.
 //!
 //! While the target's loop is on the CPU a `SIGPROF` interval timer fires
 //! every millisecond of process CPU time and the handler records the
@@ -51,7 +58,7 @@ mod linux_x86_64 {
     use tpp_apps::{conga, microburst, netsight, netverify, rcp, sketch};
     use tpp_core::wire::{insert_transparent, Ipv4Address};
     use tpp_fabric::{install_traffic, TrafficConfig};
-    use tpp_netsim::{Time, TopologySpec, MILLIS};
+    use tpp_netsim::{Network, Time, TopologySpec, MILLIS};
     use tpp_switch::{Action, ReceiveOutcome, Switch, SwitchConfig};
 
     /// Simulated horizon of the cell, as in `benchmark/src/workloads/sim.rs`.
@@ -303,6 +310,58 @@ mod linux_x86_64 {
         (frames, sw.mem.tpp_executed, digest)
     }
 
+    // The shape of `benchmark/src/workloads/rcp.rs`.
+    const RCP_HORIZON: Time = 50 * MILLIS;
+    /// Replays per run: about 70 ms of CPU, near one `sim_dc` replay.
+    const REPLAYS_PER_RUN: usize = 64;
+
+    /// The Fig. 2 network of the benchmark's timed replay, wired and not yet
+    /// started. The flow starts are the benchmark's: its `Rng::new(SEED, 6)`
+    /// (`SplitMix64`) drawn once per flow, below one millisecond.
+    fn rcp_network() -> Network {
+        let mut topo = TopologySpec::Line { switches: 3, hosts_per_switch: 2 }
+            .builder()
+            .link_mbps(100)
+            .delay_ns(10_000)
+            .seed(SEED)
+            .build();
+        let ips: Vec<Ipv4Address> = topo.hosts.iter().map(|&h| topo.net.host(h).ip).collect();
+        let cfg = rcp::RcpConfig { start_rate_bps: 45e6, ..rcp::RcpConfig::default() };
+        let mut state = SEED ^ 6u64.wrapping_mul(0xA076_1D64_78BD_642F);
+        for (src, dst, sport) in [(0, 4, 7001), (1, 2, 7002), (3, 5, 7003)] {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let start_at = MILLIS + (z ^ (z >> 31)) % MILLIS;
+            let sender = rcp::RcpSender::new(cfg, ips[dst], sport, start_at);
+            topo.net.set_app(topo.hosts[src], Box::new(sender));
+            topo.net.set_app(topo.hosts[dst], Box::new(rcp::RcpSink::new(100 * MILLIS)));
+        }
+        topo.net
+    }
+
+    /// `runs` batches of [`REPLAYS_PER_RUN`] replays, each batch under the
+    /// timer as a whole: frame-hops, events and the replays' digest.
+    fn rcp_runs(runs: u64) -> (u64, u64, u64) {
+        let (mut hops, mut events, mut digest) = (0, 0, None);
+        for _ in 0..runs {
+            let mut batch: Vec<Network> = (0..REPLAYS_PER_RUN).map(|_| rcp_network()).collect();
+            set_timer(PERIOD_US);
+            for net in &mut batch {
+                net.run_until(RCP_HORIZON);
+            }
+            set_timer(0);
+            for net in &batch {
+                let d = *digest.get_or_insert(net.stats.digest());
+                assert_eq!(net.stats.digest(), d, "every replay ends on the same digest");
+                (hops, events) =
+                    (hops + net.stats.frames_delivered, events + net.stats.events_processed);
+            }
+        }
+        (hops, events, digest.unwrap_or(0))
+    }
+
     pub fn main() {
         let mut args = std::env::args().skip(1);
         let target = args.next().unwrap_or_else(|| "sim_dc".into());
@@ -330,7 +389,16 @@ mod linux_x86_64 {
                      {executed} TPPs executed"
                 );
             }
-            other => panic!("target: {other} (one of sim_dc, switch_tpp_hot, switch_plain)"),
+            "app_rcp" => {
+                let (hops, events, digest) = rcp_runs(runs);
+                eprintln!(
+                    "# sim_profile: {runs} runs of {REPLAYS_PER_RUN} Fig. 2 RCP* replays of 50 ms \
+                     at seed {SEED}, digest {digest:#018x}, {hops} frame-hops, {events} events"
+                );
+            }
+            other => {
+                panic!("target: {other} (one of sim_dc, switch_tpp_hot, switch_plain, app_rcp)")
+            }
         }
 
         let taken = TAKEN.load(Ordering::Relaxed);

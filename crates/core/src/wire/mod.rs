@@ -219,6 +219,10 @@ pub struct UdpFrameRepr {
 /// [`insert_transparent`] would: it follows the Ethernet header, whose
 /// ethertype becomes 0x6666. It must be a TPP section serialized with
 /// `encap_proto` = IPv4, the ethertype it displaces.
+///
+/// The UDP checksum is the one [`UdpDatagram::fill_checksum`] writes, summed
+/// over the pseudo-header and the 8-byte UDP header alone: the payload is
+/// zeros, and zeros add nothing to a ones'-complement sum.
 pub fn udp_frame_into(buf: &mut Vec<u8>, hdr: &UdpFrameRepr, payload_len: usize, section: &[u8]) {
     debug_assert!(
         section.is_empty() || section[8..10] == ethernet::ethertype::IPV4.to_be_bytes(),
@@ -250,7 +254,7 @@ pub fn udp_frame_into(buf: &mut Vec<u8>, hdr: &UdpFrameRepr, payload_len: usize,
     d.set_src_port(hdr.src_port);
     d.set_dst_port(hdr.dst_port);
     d.set_len(udp_len as u16);
-    d.fill_checksum(hdr.src_ip, hdr.dst_ip);
+    d.fill_checksum_over(hdr.src_ip, hdr.dst_ip, udp::HEADER_LEN);
 }
 
 #[cfg(test)]
@@ -420,6 +424,54 @@ mod tests {
         let (stripped, inner) = strip_transparent(&buf).unwrap();
         assert_eq!(stripped.instrs, tpp.instrs);
         assert_eq!(inner, nested_udp_frame(&hdr, 64, None));
+    }
+
+    #[test]
+    fn udp_frame_into_checksum_equals_fill_checksum() {
+        // The header-only sum against `fill_checksum` over the whole
+        // datagram, zero payload and all, at every payload length.
+        let mut hdr = UdpFrameRepr {
+            src_mac: mac(1),
+            dst_mac: mac(2),
+            src_ip: Ipv4Address::from_host_id(0x00ab_cdef),
+            dst_ip: Ipv4Address::from_host_id(2),
+            src_port: 5001,
+            dst_port: 5001,
+        };
+        let section = Tpp { encap_proto: ethernet::ethertype::IPV4, ..sample_tpp() }.serialize();
+        let check = |hdr: &UdpFrameRepr, payload_len: usize, section: &[u8]| {
+            let mut buf = Vec::new();
+            udp_frame_into(&mut buf, hdr, payload_len, section);
+            let udp_off = ethernet::HEADER_LEN + section.len() + ipv4::HEADER_LEN;
+            let sent = UdpDatagram::new_unchecked(&buf[udp_off..]).checksum_field();
+            let mut d = UdpDatagram::new_unchecked(&mut buf[udp_off..]);
+            d.fill_checksum(hdr.src_ip, hdr.dst_ip);
+            assert_eq!(sent, d.checksum_field(), "{payload_len}, section {}", section.len());
+            sent
+        };
+        for payload_len in 0..=1500 {
+            check(&hdr, payload_len, &[]);
+            check(&hdr, payload_len, &section);
+        }
+        // A destination port that makes the sum come to zero: it must go out
+        // as all-ones (RFC 768), never as 0, which means "no checksum".
+        let payload_len = 1000;
+        let sums_to_zero = |port: u16| {
+            let mut h = [0u8; udp::HEADER_LEN];
+            h[0..2].copy_from_slice(&hdr.src_port.to_be_bytes());
+            h[2..4].copy_from_slice(&port.to_be_bytes());
+            h[4..6].copy_from_slice(&((udp::HEADER_LEN + payload_len) as u16).to_be_bytes());
+            let ph = checksum::pseudo_header_sum(
+                hdr.src_ip.0,
+                hdr.dst_ip.0,
+                ipv4::protocol::UDP,
+                (udp::HEADER_LEN + payload_len) as u16,
+            );
+            !checksum::combine(&[ph, checksum::sum(&h)]) == 0
+        };
+        hdr.dst_port = (0..=u16::MAX).find(|&p| sums_to_zero(p)).expect("one port zeroes it");
+        assert_eq!(check(&hdr, payload_len, &[]), 0xFFFF);
+        assert_eq!(check(&hdr, payload_len, &section), 0xFFFF);
     }
 
     #[test]

@@ -86,9 +86,25 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Datagram<T> {
         &mut self.buffer.as_mut()[HEADER_LEN..l]
     }
     pub fn fill_checksum(&mut self, src: Ipv4Address, dst: Ipv4Address) {
+        let len = self.len() as usize;
+        self.fill_checksum_over(src, dst, len);
+    }
+
+    /// [`fill_checksum`](Datagram::fill_checksum) for a datagram whose bytes
+    /// past the first `covered` are all zero: zeros add nothing to a
+    /// ones'-complement sum, so only those `covered` bytes are summed. The
+    /// value is the same, since a datagram is never all zero (its length
+    /// field is at least 8), so both sums land on the one non-zero
+    /// representative of their residue.
+    pub(crate) fn fill_checksum_over(
+        &mut self,
+        src: Ipv4Address,
+        dst: Ipv4Address,
+        covered: usize,
+    ) {
         self.buffer.as_mut()[6..8].copy_from_slice(&[0, 0]);
         let len = self.len();
-        let data = &self.buffer.as_ref()[..len as usize];
+        let data = &self.buffer.as_ref()[..covered];
         let ph = checksum::pseudo_header_sum(src.0, dst.0, super::ipv4::protocol::UDP, len);
         let mut c = !checksum::combine(&[ph, checksum::sum(data)]);
         if c == 0 {

@@ -26,7 +26,8 @@ use std::collections::BTreeMap;
 use crate::filter::{Filter, FilterEntry, FilterTable};
 use tpp_core::wire::{
     ethernet, insert_transparent_in_place, ipv4, locate_tpp, restore_inner_frame_in_place, udp,
-    EthernetAddress, EthernetRepr, Ipv4Address, Ipv4Packet, Tpp, TppLocation, TppView, UdpDatagram,
+    udp_frame_into, EthernetAddress, Ipv4Address, Ipv4Packet, Tpp, TppLocation, TppView,
+    UdpDatagram, UdpFrameRepr,
 };
 use tpp_switch::FlowKey;
 
@@ -294,26 +295,26 @@ impl Shim {
     }
 
     /// Build a completed-TPP frame around the executed section bytes,
-    /// carried verbatim — no re-serialization of the TPP.
+    /// carried verbatim — no re-serialization of the TPP. One buffer: the
+    /// headers and a zero payload from `udp_frame_into`, then the section
+    /// and the flow trailer written over the payload and summed.
     fn build_echo_frame(&self, section: &[u8], to: Ipv4Address, flow: FlowRef) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(section.len() + FlowRef::TRAILER_LEN);
-        payload.extend_from_slice(section);
-        payload.extend_from_slice(&flow.emit());
-        let u = udp::Repr {
+        let hdr = UdpFrameRepr {
+            src_mac: self.mac,
+            dst_mac: mac_of_ip(to),
+            src_ip: self.ip,
+            dst_ip: to,
             src_port: udp::TPP_PORT,
             dst_port: TPP_ECHO_PORT,
-            payload_len: payload.len(),
         };
-        let udp_bytes = u.encapsulate(self.ip, to, &payload);
-        let ip_repr = ipv4::Repr {
-            src: self.ip,
-            dst: to,
-            protocol: ipv4::protocol::UDP,
-            ttl: 64,
-            payload_len: udp_bytes.len(),
-        };
-        EthernetRepr { dst: mac_of_ip(to), src: self.mac, ethertype: ethernet::ethertype::IPV4 }
-            .encapsulate(&ip_repr.encapsulate(&udp_bytes))
+        let mut frame = Vec::new();
+        udp_frame_into(&mut frame, &hdr, section.len() + FlowRef::TRAILER_LEN, &[]);
+        let udp_off = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
+        let (payload, trailer) = frame[udp_off + udp::HEADER_LEN..].split_at_mut(section.len());
+        payload.copy_from_slice(section);
+        trailer.copy_from_slice(&flow.emit());
+        UdpDatagram::new_unchecked(&mut frame[udp_off..]).fill_checksum(self.ip, to);
+        frame
     }
 
     fn parse_echo(&self, frame: &[u8]) -> Option<CompletedTpp> {
@@ -340,10 +341,71 @@ impl Shim {
 mod tests {
     use super::*;
     use tpp_core::asm::TppBuilder;
-    use tpp_core::wire::extract_tpp;
+    use tpp_core::isa::INSTR_BYTES;
+    use tpp_core::wire::{extract_tpp, tpp, EthernetRepr, MAX_MEMORY_BYTES};
 
     fn shim_for(host: u32) -> Shim {
         Shim::new(Ipv4Address::from_host_id(host), EthernetAddress::from_node_id(host), host as u64)
+    }
+
+    /// The layer-by-layer echo frame `build_echo_frame` replaced, kept as its
+    /// oracle: payload, datagram, packet and frame each in a buffer of their
+    /// own.
+    fn nested_echo_frame(shim: &Shim, section: &[u8], to: Ipv4Address, flow: FlowRef) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(section.len() + FlowRef::TRAILER_LEN);
+        payload.extend_from_slice(section);
+        payload.extend_from_slice(&flow.emit());
+        let u = udp::Repr {
+            src_port: udp::TPP_PORT,
+            dst_port: TPP_ECHO_PORT,
+            payload_len: payload.len(),
+        };
+        let udp_bytes = u.encapsulate(shim.ip, to, &payload);
+        let ip_repr = ipv4::Repr {
+            src: shim.ip,
+            dst: to,
+            protocol: ipv4::protocol::UDP,
+            ttl: 64,
+            payload_len: udp_bytes.len(),
+        };
+        EthernetRepr { dst: mac_of_ip(to), src: shim.mac, ethertype: ethernet::ethertype::IPV4 }
+            .encapsulate(&ip_repr.encapsulate(&udp_bytes))
+    }
+
+    #[test]
+    fn echo_frame_matches_the_nested_construction() {
+        // Every section length the header's one-byte instruction count and
+        // memory length can express, which includes every length an app
+        // probe compiles to, over bytes that are not zero; sent back to the
+        // packet's source (the `Source` aggregator), to this host itself
+        // (`Local`) and to a third host (`Remote`).
+        let shim = shim_for(0x0001_0203);
+        let flow = FlowRef {
+            src: Ipv4Address::from_host_id(7),
+            dst: shim.ip,
+            src_port: 40_001,
+            dst_port: udp::TPP_PORT,
+        };
+        let longest = tpp::HEADER_LEN + usize::from(u8::MAX) * INSTR_BYTES + MAX_MEMORY_BYTES;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..longest)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for len in 0..=longest {
+            for to in [flow.src, shim.ip, Ipv4Address::from_host_id(0x00fe_dcba)] {
+                let section = &bytes[..len];
+                assert_eq!(
+                    shim.build_echo_frame(section, to, flow),
+                    nested_echo_frame(&shim, section, to, flow),
+                    "section of {len} bytes to {to:?}"
+                );
+            }
+        }
     }
 
     fn udp_frame(src: u32, dst: u32, dport: u16) -> Vec<u8> {

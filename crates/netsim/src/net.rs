@@ -77,6 +77,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// Longest run of all-zero words [`fnv1a`] folds into one multiply; a longer
 /// run takes one more per `ZERO_RUN_MAX` words. 64 words cover the 256-byte
 /// payload of a traffic-generator frame in one step and a 1,000-byte one in two.
+/// The run is counted a 64-byte block at a time where a whole block is zero
+/// (one OR of four `u128`s), so finding it costs one test per block, not
+/// one per word.
 const ZERO_RUN_MAX: usize = 64;
 /// `FNV_PRIME^(8 n) mod 2^64` at index `n`: the `8 n` FNV-1a steps over a run
 /// of `n` all-zero words, folded into one factor.
@@ -113,25 +116,47 @@ fn fnv1a_zero_words(mut h: u64, mut n: usize) -> u64 {
 
 /// 64-bit FNV-1a over a byte slice: the frame hash of the trace digest (see
 /// [`NetStats::trace`]). The value is the standard byte-serial FNV-1a on
-/// every input; only the walk differs. It goes by 8-byte words, counts
-/// consecutive all-zero ones and folds each run with [`fnv1a_zero_words`]:
-/// simulated payloads and unwritten TPP packet memory are runs of zero bytes,
-/// which makes this the common case and takes the dependent multiply per word
-/// out of it. Any other word, and the tail, take the byte steps.
+/// every input; only the walk differs. It counts consecutive all-zero 8-byte
+/// words and folds each run with [`fnv1a_zero_words`]: simulated payloads and
+/// unwritten TPP packet memory are runs of zero bytes, which makes this the
+/// common case and takes the dependent multiply per word out of it. A 64-byte
+/// block that is zero as a whole adds its eight words to the run in one test;
+/// any other block is walked a word at a time, and every non-zero word, and
+/// the tail, take the byte steps.
 #[inline]
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut zero_words = 0;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        if u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")) == 0 {
+    let (blocks, rest) = bytes.as_chunks::<64>();
+    let (mut h, mut zero_words) = (FNV_OFFSET, 0);
+    for block in blocks {
+        if is_zero_block(block) {
+            zero_words += 8;
+        } else {
+            (h, zero_words) = fnv1a_words(h, zero_words, block.as_chunks::<8>().0);
+        }
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    let (h, zero_words) = fnv1a_words(h, zero_words, words);
+    fnv1a_bytes(fnv1a_zero_words(h, zero_words), tail)
+}
+
+/// The word walk of [`fnv1a`]: continues a run of `zero_words` through
+/// `words` and returns the hash and the run still open at the end.
+#[inline]
+fn fnv1a_words(mut h: u64, mut zero_words: usize, words: &[[u8; 8]]) -> (u64, usize) {
+    for w in words {
+        if u64::from_ne_bytes(*w) == 0 {
             zero_words += 1;
         } else {
             h = fnv1a_bytes(fnv1a_zero_words(h, zero_words), w);
             zero_words = 0;
         }
     }
-    fnv1a_bytes(fnv1a_zero_words(h, zero_words), words.remainder())
+    (h, zero_words)
+}
+
+#[inline]
+fn is_zero_block(block: &[u8; 64]) -> bool {
+    block.as_chunks::<16>().0.iter().fold(0, |acc, &lane| acc | u128::from_ne_bytes(lane)) == 0
 }
 
 /// The interface hosts implement to participate in the simulation.
@@ -330,7 +355,7 @@ pub struct NetStats {
     /// Probes completing over paths outside the allowed set.
     pub violations_path: u64,
     /// Frames handed to `Switch::receive`. Kept, with `rx_batch_frames`,
-    /// only because the repo benchmark reads both; they leave with ROADMAP 2a.
+    /// only because the repo benchmark reads both; they leave with ROADMAP 1a.
     pub rx_batches: u64,
     /// Equal to `rx_batches`: every frame is delivered on its own.
     pub rx_batch_frames: u64,
@@ -919,7 +944,12 @@ impl Network {
         }
     }
 
-    /// Run until `until` (ns) or until no events remain.
+    /// Process every event due at or before `until` (ns), in time order, and
+    /// return. The clock is left at the last event processed, which may be
+    /// earlier than `until`. The queue never runs dry: the utilization tick
+    /// re-arms itself every millisecond whether or not anything else is
+    /// pending, so a call always runs to `until` and `run_until(Time::MAX)`
+    /// does not return (ROADMAP 3c).
     pub fn run_until(&mut self, until: Time) {
         self.ensure_started();
         while self.scheduler.peek_time().is_some_and(|t| t <= until) {
@@ -1145,16 +1175,20 @@ mod tests {
 
     #[test]
     fn fnv1a_zero_runs_at_every_length_and_alignment() {
-        // A zero run of every length 0..=40 starting at every offset 0..8 of
-        // a non-zero buffer, at every total length that leaves 0..8 tail
-        // bytes: runs cover whole words, straddle them, and end in the tail.
-        // Then the same with runs longer than the power table: the 1,000-byte
-        // payload of an `app_rcp` data frame and a 9,000-byte jumbo, each a
-        // few bytes either side, so the last table chunk takes every size.
+        // A zero run of every length 0..=136 starting at every offset 0..64
+        // of a non-zero buffer, at every total length that leaves 0..8 tail
+        // bytes: runs cover whole words and whole 64-byte blocks, straddle
+        // both, stop one byte short of a block, and end in the tail. Then
+        // runs longer than the power table from every offset in a word: the
+        // 1,000-byte payload of an `app_rcp` data frame and a 9,000-byte
+        // jumbo, each a few bytes either side, so the last table chunk takes
+        // every size.
         let long_runs = (990..=1010).chain(8990..=9010);
-        for (pad, runs) in [(48, (0..=40).collect::<Vec<_>>()), (9100, long_runs.collect())] {
+        for (pad, starts, runs) in
+            [(208, 64, (0..=136).collect::<Vec<_>>()), (9100, 8, long_runs.collect())]
+        {
             for total in pad..pad + 8 {
-                for start in 0..8usize {
+                for start in 0..starts {
                     for &run in &runs {
                         let mut buf: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
                         buf[start..start + run].fill(0);
@@ -1166,6 +1200,17 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fnv1a_one_live_byte_in_a_zero_frame() {
+        // Five 64-byte blocks, all zero but one: the live byte at every
+        // position, so each block is the one walked word by word in turn.
+        for at in 0..320 {
+            let mut frame = [0u8; 320];
+            frame[at] = 0x5A;
+            assert_eq!(fnv1a(&frame), fnv1a_bytewise(&frame), "live byte at {at}");
         }
     }
 

@@ -12,9 +12,13 @@
 #           one replay a run. switch_tpp_hot: `receive` -> `dequeue` over a
 #           ring of the seven app probes on a 16-port switch with 128
 #           routes, 256 passes over the 2,048-frame ring a run.
-#           switch_plain: the same ring without the TPPs.
-#   runs    default 100: about 10 s of CPU for sim_dc, 20 s for the switch
-#           targets (the kernel tick caps the rate near 250 samples/s)
+#           switch_plain: the same ring without the TPPs. app_rcp: the
+#           benchmark's 50 ms Fig. 2 RCP* replay, 64 replays a run (built
+#           first, then sampled as one batch: a replay is shorter than the
+#           1 ms timer period).
+#   runs    default 100: about 10 s of CPU for sim_dc, 7 s for app_rcp, 20 s
+#           for the switch targets (the kernel tick caps the rate near 250
+#           samples/s)
 #
 # Output: the run's digest, work counts and sample counts, then two tables
 # of the 25 largest rows.
