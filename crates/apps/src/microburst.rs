@@ -53,11 +53,6 @@ pub fn microburst_probe() -> Probe {
         .field("q", "Queue:QueueOccupancyPkts")
 }
 
-/// The §2.1 probe program, sized (within wire capacity) for `max_hops`.
-pub fn microburst_tpp(max_hops: usize) -> tpp_core::wire::Tpp {
-    microburst_probe().hops_capped(max_hops).compile().expect("static probe")
-}
-
 /// Per-host configuration of the burst workload.
 #[derive(Clone, Debug)]
 pub struct BurstConfig {
@@ -251,14 +246,16 @@ mod tests {
 
     #[test]
     fn tpp_is_three_instructions() {
-        let t = microburst_tpp(5);
+        let t = microburst_probe().hops(5).compile().unwrap();
         assert_eq!(t.instrs.len(), 3);
         // §2.1 overhead arithmetic: 12B header + 12B instructions + per-hop
         // data. (Our words are 32-bit, the paper's example uses 16-bit.)
         assert_eq!(t.section_len(), 12 + 12 + 60);
-        // Oversized requests clamp to the wire capacity instead of
-        // overflowing the one-byte length field.
-        let big = microburst_tpp(1000);
+        // Oversized requests are refused instead of overflowing the one-byte
+        // length field; the largest that fits fills the wire capacity.
+        let probe = microburst_probe();
+        assert!(probe.clone().hops(1000).compile().is_err());
+        let big = probe.clone().hops(probe.max_hops()).compile().unwrap();
         assert_eq!(big.memory.len(), tpp_core::wire::MAX_MEMORY_BYTES);
     }
 

@@ -78,11 +78,6 @@ pub fn history_probe() -> Probe {
         .field("in_port", "PacketMetadata:InputPort")
 }
 
-/// The §2.3 packet-history TPP.
-pub fn history_tpp(max_hops: usize) -> tpp_core::wire::Tpp {
-    history_probe().hops_capped(max_hops).compile().expect("static probe")
-}
-
 /// The schema instance shared by all decode paths (built once; decoding is
 /// on the per-packet collector path).
 fn history_schema() -> &'static Probe {
@@ -379,7 +374,7 @@ mod tests {
     #[test]
     fn history_tpp_overhead_matches_paper() {
         // §2.3: 12 bytes of instructions, a TPP header, space for 10 hops.
-        let t = history_tpp(10);
+        let t = history_probe().hops(10).compile().unwrap();
         assert_eq!(t.instrs.len() * 4, 12);
         // Paper counts 6B/hop with 16-bit words = 84B total; ours are
         // 32-bit words: 12B/hop -> 144B.

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use crate::common::{shared, Shared};
 use tpp_core::probe::Probe;
-use tpp_core::wire::{Ipv4Address, Tpp};
+use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::transport::{parse_seg_frame, SegOut, TcpConn};
 use tpp_endhost::Filter;
@@ -32,11 +32,6 @@ pub fn overhead_probe() -> Probe {
         .field("q", "Queue:QueueOccupancy")
         .field("util", "Link:TX-Utilization")
         .field("tx_bytes", "Link:TX-Bytes")
-}
-
-/// Build a TPP whose wire section is exactly `bytes` long (paper: 260).
-pub fn padded_tpp(bytes: usize) -> Tpp {
-    overhead_probe().pad_section_to(bytes).compile().expect("static probe")
 }
 
 const TIMER_RTO: u64 = 1;
@@ -233,9 +228,9 @@ mod tests {
 
     #[test]
     fn padded_tpp_is_260_bytes() {
-        let t = padded_tpp(260);
+        let t = overhead_probe().pad_section_to(260).compile().unwrap();
         assert_eq!(t.section_len(), 260);
-        assert!(t.within_instruction_budget());
+        assert!(t.instrs.len() <= tpp_core::isa::MAX_INSTRUCTIONS);
     }
 
     #[test]

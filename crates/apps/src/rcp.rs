@@ -43,11 +43,6 @@ pub fn collect_probe() -> Probe {
         .field("rate", "Link:AppSpecific_1")
 }
 
-/// The phase-1 collect TPP (§2.2), sized for `hops` hops.
-pub fn collect_tpp(hops: usize) -> Tpp {
-    collect_probe().hops(hops).compile().expect("static probe")
-}
-
 /// The phase-3 update schema: per-hop `(V, V+1, R_new)` triples consumed by
 /// `CSTORE`/`STORE` (§2.2).
 pub fn update_probe() -> Probe {
@@ -423,7 +418,7 @@ mod tests {
         let (app, first) = cp.register_app_with_regs("rcp", 2).unwrap();
         assert_eq!(first, 0);
         let policy = cp.policy_for(app, false).unwrap();
-        policy.validate(&collect_tpp(5)).unwrap();
+        policy.validate(&collect_probe().hops(5).compile().unwrap()).unwrap();
         policy.validate(&update_tpp(&[(1, 100), (2, 200)])).unwrap();
     }
 
@@ -459,7 +454,7 @@ mod tests {
 
     #[test]
     fn parse_collect_stops_at_path_end() {
-        let mut t = collect_tpp(5);
+        let mut t = collect_probe().hops(5).compile().unwrap();
         // Two executed hops.
         for h in 0..2u32 {
             let base = (h as usize) * COLLECT_WORDS;

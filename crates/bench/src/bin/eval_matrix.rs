@@ -22,9 +22,6 @@
 //!   --out DIR     also write each cell to DIR/<topology>_<workload>_xS.json
 //!   --cell T:W:S  run exactly one cell, e.g. fat_tree4:uniform:2
 //! ```
-//!
-//! `TPP_BENCH_ITERS` below `10_000_000` forces `--smoke`, mirroring the
-//! other bench bins.
 
 use std::collections::HashMap;
 
@@ -127,14 +124,6 @@ fn parse_args() -> Args {
             }
             _ => usage(),
         }
-    }
-    // CI smoke: mirror the other bins' TPP_BENCH_ITERS convention.
-    if std::env::var("TPP_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .is_some_and(|n| n < 10_000_000)
-    {
-        args.smoke = true;
     }
     args
 }

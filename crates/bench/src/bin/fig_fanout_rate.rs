@@ -8,17 +8,14 @@
 //! 1 Mb/s starting rate and flattens just under its subtree's bottleneck,
 //! without building a standing WAN queue.
 //!
-//! `TPP_BENCH_ITERS` below `10_000_000` switches to smoke mode (fewer
-//! sites, shorter horizon) for CI; the convergence assertions always run.
+//! `--smoke` runs fewer sites over a shorter horizon, for CI; the
+//! convergence assertions always run.
 
 use tpp_apps::wan::run_fanout;
 use tpp_netsim::{Time, MILLIS, SECONDS};
 
 fn main() {
-    let smoke = std::env::var("TPP_BENCH_ITERS")
-        .ok()
-        .map(|v| v.trim().parse::<u64>().map_or(true, |n| n < 10_000_000))
-        .unwrap_or(false);
+    let smoke = tpp_bench::smoke_arg();
     let (sites, wan_mbps, duration): (usize, u64, Time) =
         if smoke { (3, 24, 800 * MILLIS) } else { (4, 24, 2 * SECONDS) };
 

@@ -9,17 +9,14 @@
 //! shallow — flow completion must survive both buffer profiles, with the
 //! longer-RTT path always finishing later.
 //!
-//! `TPP_BENCH_ITERS` below `10_000_000` switches to smoke mode (two sites,
-//! shorter horizon) for CI; the completion assertions always run.
+//! `--smoke` runs two sites over a shorter horizon, for CI; the completion
+//! assertions always run.
 
 use tpp_apps::wan::run_interdc;
 use tpp_netsim::{Time, MILLIS, SECONDS};
 
 fn main() {
-    let smoke = std::env::var("TPP_BENCH_ITERS")
-        .ok()
-        .map(|v| v.trim().parse::<u64>().map_or(true, |n| n < 10_000_000))
-        .unwrap_or(false);
+    let smoke = tpp_bench::smoke_arg();
     let (sites, transfer_bytes, duration): (usize, u64, Time) =
         if smoke { (2, 120_000, 1500 * MILLIS) } else { (3, 200_000, 3 * SECONDS) };
     let wan_mbps = 20;

@@ -7,8 +7,8 @@
 //! bit-identical to the single-threaded reference — the scaling numbers
 //! are only meaningful because the runs are provably the same simulation.
 //!
-//! `TPP_BENCH_ITERS` below `10_000_000` switches to smoke mode (k = 4 only,
-//! short horizon) for CI; the digest-equality assertions always run.
+//! `--smoke` runs k = 4 only over a short horizon, for CI; the
+//! digest-equality assertions always run.
 
 use tpp_fabric::scenario::{Cell, Scenario, WorkloadSpec};
 use tpp_fabric::{ExecMode, TrafficConfig, TrafficPattern};
@@ -41,10 +41,7 @@ fn run_case(k: usize, n_shards: usize, horizon: Time, mode: ExecMode) -> Cell {
 }
 
 fn main() {
-    let smoke = std::env::var("TPP_BENCH_ITERS")
-        .ok()
-        .map(|v| v.trim().parse::<u64>().map_or(true, |n| n < 10_000_000))
-        .unwrap_or(false);
+    let smoke = tpp_bench::smoke_arg();
     let (ks, horizon): (&[usize], Time) =
         if smoke { (&[4], MILLIS / 2) } else { (&[4, 8], MILLIS) };
 

@@ -1,5 +1,7 @@
 //! Table 3: per-stage hardware latency costs, for the `NetFPGA` and ASIC
 //! profiles, plus measured software-execution costs of our TCPU.
+//!
+//! `--smoke` times 1 000 executions per row instead of 200 000.
 
 use std::time::Instant;
 
@@ -9,8 +11,7 @@ use tpp_core::isa::Opcode;
 use tpp_switch::{ASIC, NETFPGA};
 
 fn main() {
-    // Bounded by default; CI smoke runs set TPP_BENCH_ITERS lower still.
-    let iters = tpp_bench::bench_iters(200_000);
+    let iters = if tpp_bench::smoke_arg() { 1_000 } else { 200_000 };
     println!("# Table 3 — hardware latency cost model (§6.1)");
     println!("{:>24} {:>12} {:>12}", "task", "NetFPGA", "ASIC");
     type CostCell = fn(&tpp_switch::CostProfile) -> String;

@@ -9,7 +9,7 @@
 //! benchmark's `endhost_shim` drives the shim), so the loop times the shim
 //! and one 1.4 kB copy, not the allocator.
 //!
-//! `TPP_BENCH_ITERS` bounds the frames per cell (default 100 000).
+//! Each cell times 100 000 frames, or 1 000 with `--smoke`.
 
 use std::time::Instant;
 
@@ -79,7 +79,7 @@ fn measure(n: usize, scenario: &str, iters: usize) -> (f64, f64) {
 }
 
 fn main() {
-    let iters = tpp_bench::bench_iters(100_000) as usize;
+    let iters = if tpp_bench::smoke_arg() { 1_000 } else { 100_000 };
     println!("# Table 5 — shim throughput, Gb/s (ns per frame), vs number of filters (§6.2)");
     println!("{:>7} {:>12} {:>12} {:>12} {:>12} {:>12}", "match", "0", "1", "10", "100", "1000");
     for scenario in ["first", "last", "all"] {

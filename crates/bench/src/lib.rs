@@ -1,7 +1,7 @@
 //! # tpp-bench — the reproduction harness
 //!
-//! One binary per table/figure in the paper's evaluation (see DESIGN.md §5
-//! for the experiment index), plus criterion micro-benchmarks:
+//! One binary per table/figure in the paper's evaluation (README.md names
+//! the section each one reproduces):
 //!
 //! ```text
 //! cargo run -p tpp-bench --release --bin fig1_microburst
@@ -12,8 +12,13 @@
 //! cargo run -p tpp-bench --release --bin table3_latency
 //! cargo run -p tpp-bench --release --bin table4_resources
 //! cargo run -p tpp-bench --release --bin table5_filters
-//! cargo bench -p tpp-bench
 //! ```
+//!
+//! `table3_latency`, `table5_filters`, `fig_scale`, `fig_fanout_rate`,
+//! `fig_interdc_fct` and `eval_matrix` take `--smoke` for a bounded CI-sized
+//! run with every assertion intact. Timing is the repo benchmark's job
+//! (`benchmark/`, `scripts/ab_bench.sh`); these bins print the paper's
+//! tables and figures.
 
 #![forbid(unsafe_code)]
 
@@ -22,15 +27,18 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect::<Vec<_>>().join("  ")
 }
 
-/// Iterations for a timed loop: `TPP_BENCH_ITERS` when set (CI smoke runs
-/// set it low), else `default`. A set-but-invalid value must fail loudly —
-/// before any measurement — not silently unbound the smoke run.
-pub fn bench_iters(default: u64) -> u64 {
-    match std::env::var("TPP_BENCH_ITERS") {
-        Ok(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("TPP_BENCH_ITERS must be a positive integer, got {v:?}");
+/// Whether the bin was asked for its smoke run. `--smoke` is the only
+/// argument a bin that calls this takes: anything else exits 2 before any
+/// measurement, rather than silently running at full length.
+pub fn smoke_arg() -> bool {
+    let mut smoke = false;
+    for arg in std::env::args().skip(1) {
+        if arg == "--smoke" {
+            smoke = true;
+        } else {
+            eprintln!("unexpected argument {arg:?}; usage: [--smoke]");
             std::process::exit(2);
-        }),
-        Err(_) => default,
+        }
     }
+    smoke
 }

@@ -3,21 +3,19 @@
 //! TPPs are "relatively amenable to static analysis, particularly since a
 //! TPP contains at most five instructions" (§4.3). This module provides:
 //!
-//! * the access set of a program (which switch addresses it reads/writes),
+//! * the switch access of each instruction (which address it reads/writes),
 //!   used by TPP-CP to enforce per-application memory segments;
 //! * write detection, used by the hypervisor-style policy that drops any
 //!   TPP with write instructions;
 //! * data-hazard detection (write-after-write / read-after-write on the same
 //!   switch address), which out-of-order stage execution requires end-hosts
-//!   to avoid (§3.5);
-//! * the PUSH/POP → LOAD/STORE serialization pass of §3.5, which converts
-//!   stack operations to absolute-offset accesses so they can execute out of
-//!   order;
-//! * packet-memory bounds checking.
+//!   to avoid (§3.5).
+//!
+//! Packet-memory bounds and the stack pointer are the verifier's
+//! ([`mod@crate::verify`]).
 
 use crate::addr::{is_architecturally_writable, Address};
-use crate::isa::{Instruction, Opcode, PacketOperands};
-use crate::wire::tpp::{AddrMode, Tpp};
+use crate::isa::{Instruction, Opcode};
 
 /// How an instruction accesses a switch address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,11 +40,6 @@ pub fn instruction_access(ins: &Instruction) -> (Address, Access) {
         Opcode::Cstore => Access::ReadWrite,
     };
     (ins.addr, access)
-}
-
-/// The full access set of a program, in program order.
-pub fn access_set(instrs: &[Instruction]) -> Vec<(Address, Access)> {
-    instrs.iter().map(instruction_access).collect()
 }
 
 /// Does the program write to switch memory at all? (The §4.3 hypervisor
@@ -168,101 +161,11 @@ pub fn find_hazards(instrs: &[Instruction]) -> Vec<Hazard> {
     hazards
 }
 
-/// Errors from the PUSH/POP serialization pass.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SerializeError {
-    /// An absolute word offset exceeded the 8-bit operand encoding.
-    OffsetTooLarge(usize),
-    /// POP with nothing on the (statically tracked) stack.
-    StackUnderflow(usize),
-}
-
-/// The §3.5 pass: convert PUSH/POP instructions into hop-addressed
-/// LOAD/STOREs with *absolute* word offsets (valid for one hop with
-/// `per_hop_len == 0`), so all instructions can execute out of order.
-///
-/// The paper's example:
-///
-/// ```text
-/// PUSH [PacketMetadata:OutputPort]      LOAD  [..OutputPort], [Packet:Hop[0]]
-/// PUSH [PacketMetadata:InputPort]   =>  LOAD  [..InputPort],  [Packet:Hop[1]]
-/// PUSH [Stage1:Reg1]                    LOAD  [Stage1:Reg1],  [Packet:Hop[2]]
-/// POP  [Stage3:Reg3]                    STORE [Stage3:Reg3],  [Packet:Hop[2]]
-/// ```
-pub fn serialize_pushes(
-    instrs: &[Instruction],
-    start_sp: u8,
-) -> Result<Vec<Instruction>, SerializeError> {
-    let mut sp = start_sp as usize;
-    let mut out = Vec::with_capacity(instrs.len());
-    for (idx, ins) in instrs.iter().enumerate() {
-        match ins.opcode {
-            Opcode::Push => {
-                if sp > u8::MAX as usize {
-                    return Err(SerializeError::OffsetTooLarge(idx));
-                }
-                out.push(Instruction::load(ins.addr, sp as u8));
-                sp += 1;
-            }
-            Opcode::Pop => {
-                if sp == 0 {
-                    return Err(SerializeError::StackUnderflow(idx));
-                }
-                sp -= 1;
-                out.push(Instruction::store(ins.addr, sp as u8));
-            }
-            _ => out.push(*ins),
-        }
-    }
-    Ok(out)
-}
-
-/// Validate that every packet-memory access in the program stays within the
-/// preallocated memory for the declared hop budget.
-pub fn check_memory_bounds(tpp: &Tpp, max_hops: usize) -> bool {
-    let words = tpp.memory_words();
-    let phw = tpp.per_hop_words();
-    let mut pushes_per_hop = 0usize;
-    for ins in &tpp.instrs {
-        match ins.packet_operands() {
-            PacketOperands::Stack => pushes_per_hop += 1,
-            PacketOperands::One { off, .. } => {
-                let max_idx =
-                    if phw > 0 { (max_hops - 1) * phw + off as usize } else { off as usize };
-                if max_idx >= words {
-                    return false;
-                }
-            }
-            PacketOperands::Two { a, b, .. } => {
-                for off in [a, b] {
-                    let max_idx =
-                        if phw > 0 { (max_hops - 1) * phw + off as usize } else { off as usize };
-                    if max_idx >= words {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    // Stack usage: SP advances by at most pushes_per_hop per hop.
-    if pushes_per_hop > 0 {
-        let needed = tpp.sp as usize + pushes_per_hop * max_hops;
-        if needed > words {
-            return false;
-        }
-    }
-    if tpp.mode == AddrMode::Hop && phw > 0 && max_hops * phw > words {
-        return false;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::resolve_mnemonic;
-    use crate::asm::{assemble, TppBuilder};
-    use crate::exec::{execute, ExecOptions, MapBus};
+    use crate::asm::assemble;
 
     fn a(m: &str) -> Address {
         resolve_mnemonic(m).unwrap()
@@ -277,9 +180,8 @@ mod tests {
             ",
         )
         .unwrap();
-        let set = access_set(&t.instrs);
-        assert_eq!(set[0], (a("Switch:SwitchID"), Access::Read));
-        assert_eq!(set[1], (a("Link:AppSpecific_0"), Access::Write));
+        assert_eq!(instruction_access(&t.instrs[0]), (a("Switch:SwitchID"), Access::Read));
+        assert_eq!(instruction_access(&t.instrs[1]), (a("Link:AppSpecific_0"), Access::Write));
         assert!(writes_switch_memory(&t.instrs));
 
         let ro = assemble("PUSH [Switch:SwitchID]").unwrap();
@@ -338,94 +240,5 @@ mod tests {
         // Distinct addresses: no hazard.
         let instrs = [Instruction::store(a("Stage1:Reg0"), 0), Instruction::push(a("Stage1:Reg1"))];
         assert!(find_hazards(&instrs).is_empty());
-    }
-
-    #[test]
-    fn serialize_pushes_matches_paper_example() {
-        let prog = [
-            Instruction::push(a("PacketMetadata:OutputPort")),
-            Instruction::push(a("PacketMetadata:InputPort")),
-            Instruction::push(a("Stage1:Reg1")),
-            Instruction::pop(a("Stage3:Reg3")),
-        ];
-        let ser = serialize_pushes(&prog, 0).unwrap();
-        assert_eq!(
-            ser,
-            vec![
-                Instruction::load(a("PacketMetadata:OutputPort"), 0),
-                Instruction::load(a("PacketMetadata:InputPort"), 1),
-                Instruction::load(a("Stage1:Reg1"), 2),
-                Instruction::store(a("Stage3:Reg3"), 2),
-            ]
-        );
-    }
-
-    #[test]
-    fn serialized_program_is_observationally_equivalent() {
-        // Execute the original and serialized programs against identical
-        // buses; packet memory and switch state must match.
-        let out_port = a("PacketMetadata:OutputPort");
-        let in_port = a("PacketMetadata:InputPort");
-        let r1 = a("Stage1:Reg1");
-        let r3 = a("Stage3:Reg3");
-        let entries = [(out_port, 7), (in_port, 3), (r1, 0xAA), (r3, 0)];
-
-        let original = TppBuilder::stack_mode()
-            .push(out_port)
-            .push(in_port)
-            .push(r1)
-            .pop(r3)
-            .memory_words(8)
-            .build()
-            .unwrap();
-        let mut t1 = original.clone();
-        let mut bus1 = MapBus::with(&entries);
-        execute(&mut t1, &mut bus1, &ExecOptions::default());
-
-        let mut t2 = original.clone();
-        t2.instrs = serialize_pushes(&original.instrs, 0).unwrap();
-        t2.per_hop_len = 0; // absolute offsets
-        let mut bus2 = MapBus::with(&entries);
-        execute(&mut t2, &mut bus2, &ExecOptions::default());
-
-        assert_eq!(t1.memory, t2.memory);
-        assert_eq!(bus1.mem, bus2.mem);
-        assert_eq!(bus1.get(r3), Some(0xAA));
-    }
-
-    #[test]
-    fn serialize_underflow_detected() {
-        let prog = [Instruction::pop(a("Stage1:Reg0"))];
-        assert_eq!(serialize_pushes(&prog, 0), Err(SerializeError::StackUnderflow(0)));
-        // With a nonzero starting SP it's fine.
-        assert!(serialize_pushes(&prog, 1).is_ok());
-    }
-
-    #[test]
-    fn memory_bounds() {
-        // 3 pushes per hop, 5 hops => needs 15 words.
-        let t = TppBuilder::stack_mode()
-            .push(a("Switch:SwitchID"))
-            .push(a("PacketMetadata:OutputPort"))
-            .push(a("Queue:QueueOccupancy"))
-            .memory_words(15)
-            .build()
-            .unwrap();
-        assert!(check_memory_bounds(&t, 5));
-        assert!(!check_memory_bounds(&t, 6));
-
-        // Hop mode: per-hop window of 3 words, 4 hops => 12 words.
-        let t = TppBuilder::hop_mode(3)
-            .load(a("Switch:SwitchID"), 0)
-            .load(a("Link:QueueSize"), 2)
-            .hops(4)
-            .build()
-            .unwrap();
-        assert!(check_memory_bounds(&t, 4));
-        assert!(!check_memory_bounds(&t, 5));
-
-        // Offset beyond window with hop budget.
-        let t = TppBuilder::hop_mode(2).load(a("Switch:SwitchID"), 5).hops(4).build().unwrap();
-        assert!(!check_memory_bounds(&t, 4));
     }
 }

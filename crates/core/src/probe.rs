@@ -297,14 +297,6 @@ impl Probe {
         self
     }
 
-    /// Like [`Probe::hops`], but clamped to the wire capacity — the typed
-    /// replacement for ad-hoc `.min(252)` memory arithmetic.
-    #[must_use]
-    pub fn hops_capped(self, n: usize) -> Self {
-        let max = self.max_hops();
-        self.hops(n.min(max))
-    }
-
     /// Pad packet memory so the wire section is `bytes` long (overrides
     /// [`Probe::hops`]); used by the §6.2 overhead experiments.
     ///
@@ -647,8 +639,7 @@ mod tests {
             p.clone().hops(p.max_hops() + 1).compile(),
             Err(ProbeError::TooManyHops { requested: 22, max: 21 })
         );
-        // hops_capped clamps instead.
-        let t = p.hops_capped(1000).compile().unwrap();
+        let t = p.clone().hops(p.max_hops()).compile().unwrap();
         assert_eq!(t.memory.len(), 21 * 12);
         assert!(t.memory.len() <= MAX_MEMORY_BYTES);
     }

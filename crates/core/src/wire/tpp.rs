@@ -1,6 +1,6 @@
 //! The TPP section format (paper §3.4, Figure 7b).
 //!
-//! A TPP section is: a 12-byte header, up to [`MAX_INSTRUCTIONS`] 4-byte
+//! A TPP section is: a 12-byte header, up to [`isa::MAX_INSTRUCTIONS`] 4-byte
 //! instructions, and preallocated packet memory. It appears either directly
 //! after an Ethernet header with ethertype 0x6666 (*transparent* mode,
 //! encapsulating the original packet), or as the payload of a UDP datagram
@@ -24,7 +24,7 @@
 //! shrinks inside the network (Figure 1a).
 
 use super::checksum;
-use crate::isa::{self, Instruction, INSTR_BYTES, MAX_INSTRUCTIONS};
+use crate::isa::{self, Instruction, INSTR_BYTES};
 use core::fmt;
 
 /// TPP wire-format version implemented by this crate.
@@ -288,11 +288,6 @@ impl Tpp {
         ))
     }
 
-    /// Whether the program respects the architectural instruction budget.
-    pub fn within_instruction_budget(&self) -> bool {
-        self.instrs.len() <= MAX_INSTRUCTIONS
-    }
-
     /// Whether every hop up to `n_hops` fits in the preallocated memory.
     pub fn fits_hops(&self, n_hops: usize) -> bool {
         self.per_hop_words() == 0 || n_hops * self.per_hop_len as usize <= self.memory.len()
@@ -425,14 +420,5 @@ mod tests {
             Tpp::parse(&bytes),
             Err(TppError::UnalignedMemory(13) | TppError::Truncated | TppError::BadChecksum)
         ));
-    }
-
-    #[test]
-    fn budget_check() {
-        let mut t = sample();
-        assert!(t.within_instruction_budget());
-        let i = t.instrs[0];
-        t.instrs = vec![i; 6];
-        assert!(!t.within_instruction_budget());
     }
 }

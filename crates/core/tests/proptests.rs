@@ -3,9 +3,8 @@
 use proptest::prelude::*;
 
 use tpp_core::addr::{resolve_mnemonic, Address};
-use tpp_core::analysis::{find_hazards, serialize_pushes};
 use tpp_core::asm::{assemble, disassemble};
-use tpp_core::exec::{execute, execute_in_place, ExecOptions, InstrStatus, MapBus};
+use tpp_core::exec::{execute, execute_in_place, ExecOptions, MapBus};
 use tpp_core::isa::{decode_program, encode_program, Instruction, Opcode};
 use tpp_core::wire::{
     checksum, insert_transparent, insert_transparent_in_place, restore_inner_frame,
@@ -160,50 +159,6 @@ proptest! {
         // And the serialized result still parses.
         let bytes = t.serialize();
         prop_assert!(Tpp::parse(&bytes).is_ok());
-    }
-
-    /// The §3.5 serialization is observationally equivalent to stack
-    /// execution for hazard-free programs whose reads all succeed.
-    #[test]
-    fn push_serialization_equivalence(
-        n_push in 1usize..=4,
-        pops in 0usize..=1,
-    ) {
-        let stats = ["Switch:SwitchID", "PacketMetadata:InputPort", "Switch:Version", "Switch:NumPorts"];
-        let mut instrs: Vec<Instruction> = (0..n_push)
-            .map(|i| Instruction::push(resolve_mnemonic(stats[i % stats.len()]).unwrap()))
-            .collect();
-        for _ in 0..pops {
-            instrs.push(Instruction::pop(resolve_mnemonic("Stage1:Reg0").unwrap()));
-        }
-        if !find_hazards(&instrs).is_empty() {
-            return Ok(()); // §3.5 precondition
-        }
-        let entries: Vec<(Address, u32)> = stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (resolve_mnemonic(s).unwrap(), 100 + i as u32))
-            .chain([(resolve_mnemonic("Stage1:Reg0").unwrap(), 0)])
-            .collect();
-
-        let mk = |instrs: Vec<Instruction>| Tpp {
-            instrs,
-            memory: vec![0; 16 * 4],
-            ..Tpp::default()
-        };
-        let mut stack_t = mk(instrs.clone());
-        let mut bus1 = MapBus::with(&entries);
-        let out1 = execute(&mut stack_t, &mut bus1, &ExecOptions::default());
-        prop_assert!(out1.status.iter().all(|s| *s == InstrStatus::Executed));
-
-        let serialized = serialize_pushes(&instrs, 0).unwrap();
-        let mut ser_t = mk(serialized);
-        ser_t.per_hop_len = 0; // absolute offsets
-        let mut bus2 = MapBus::with(&entries);
-        execute(&mut ser_t, &mut bus2, &ExecOptions::default());
-
-        prop_assert_eq!(stack_t.memory, ser_t.memory);
-        prop_assert_eq!(bus1.mem, bus2.mem);
     }
 
     /// CSTORE is atomic: under any interleaving of two racing writers with

@@ -33,20 +33,23 @@ fn assert_cause_counters_match(reference: &NetStats, got: &NetStats, label: &str
     assert_eq!(got.violations_path, reference.violations_path, "{label}: path violations");
 }
 
-fn assert_churn_shards_match(churn: ChurnSpec) {
+/// Runs `churn` at 1, 2 and 4 shards, asserts the digests and cause
+/// counters agree, and returns the three cells in that order.
+fn assert_churn_shards_match(churn: ChurnSpec) -> Vec<Cell> {
     let label = churn.label();
-    let reference = run(churn.clone(), 1);
+    let cells: Vec<Cell> = [1usize, 2, 4].map(|shards| run(churn.clone(), shards)).into();
+    let reference = &cells[0];
     assert!(reference.stats.frames_delivered > 0, "{label}: cell must deliver");
     assert!(reference.stats.reconfigs_applied > 0, "{label}: churn must actually fire");
-    for shards in [2usize, 4] {
-        let got = run(churn.clone(), shards);
+    for got in &cells[1..] {
         assert_eq!(
             got.digest, reference.digest,
-            "{label}: digest diverged at {shards} shards (single={:?} sharded={:?})",
-            reference.stats, got.stats
+            "{label}: digest diverged at {} shards (single={:?} sharded={:?})",
+            got.shards, reference.stats, got.stats
         );
         assert_cause_counters_match(&reference.stats, &got.stats, label);
     }
+    cells
 }
 
 #[test]
@@ -74,8 +77,8 @@ fn rerouting_link_flap_churn_matches_across_shard_counts() {
 #[test]
 fn explicit_plan_churn_matches_across_shard_counts() {
     // A hand-written plan poking all the action kinds: degrade one edge
-    // uplink, toggle faults on it, and withdraw/restore a host route on a
-    // fat-tree edge switch.
+    // uplink, toggle faults on it, withdraw and restore a host route on a
+    // fat-tree edge switch, and take the uplink down and back up.
     let t = TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(5).build();
     let edge = t.switches[0];
     let host = t.hosts[0];
@@ -86,6 +89,7 @@ fn explicit_plan_churn_matches_across_shard_counts() {
         .find(|&(_, peer)| t.net.is_switch(peer))
         .map(|(p, _)| p)
         .expect("edge has a switch uplink");
+    let route = t.net.switch(edge).host_route(dst).expect("edge routes to its own host");
     let plan = vec![
         (
             300_000,
@@ -106,6 +110,7 @@ fn explicit_plan_churn_matches_across_shard_counts() {
             },
         ),
         (900_000, ReconfigAction::RouteWithdraw { switch: edge, dst }),
+        (1_050_000, ReconfigAction::RouteSet { switch: edge, dst, action: route }),
         (
             1_200_000,
             ReconfigAction::LinkFaults {
@@ -115,8 +120,28 @@ fn explicit_plan_churn_matches_across_shard_counts() {
                 corrupt_prob: 0.0,
             },
         ),
+        (1_400_000, ReconfigAction::LinkUp { node: edge, port: uplink, up: false }),
+        (1_600_000, ReconfigAction::LinkUp { node: edge, port: uplink, up: true }),
     ];
-    assert_churn_shards_match(ChurnSpec::Plan(plan));
+    // Every entry applies. A route change applies on the shard that owns
+    // the switch and a link change on every shard (each carries the full
+    // port table), so the merged count is the route entries plus the link
+    // entries once per shard: the plan length at 1 shard.
+    let routes = plan
+        .iter()
+        .filter(|(_, a)| {
+            matches!(a, ReconfigAction::RouteSet { .. } | ReconfigAction::RouteWithdraw { .. })
+        })
+        .count() as u64;
+    let links = plan.len() as u64 - routes;
+    for cell in assert_churn_shards_match(ChurnSpec::Plan(plan)) {
+        assert_eq!(
+            cell.stats.reconfigs_applied,
+            routes + links * cell.shards as u64,
+            "x{}: every planned reconfig applied",
+            cell.shards
+        );
+    }
 }
 
 #[test]

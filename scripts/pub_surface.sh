@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # List every `pub fn` under crates/*/src that nothing but tests calls, and
 # fail when one appears that scripts/pub_surface.allow does not name
-# (ROADMAP 8c: public API that only tests use is a second statement of
-# something, kept alive by the tests written for it).
+# (public API that only tests use is a second statement of something, kept
+# alive by the tests written for it).
 #
 # Grep-level on purpose (no cargo-udeps offline). A `pub fn NAME` counts as
 # called when the word NAME occurs anywhere in non-test code other than on a
@@ -10,7 +10,7 @@
 # a caller). Non-test code is crates/*/src up to each file's first top-level
 # `#[cfg(test)]` (every test module in this tree sits at the end of its
 # file), plus src/, examples/ and benchmark/src/. Not callers: `#[cfg(test)]`
-# modules, crates/*/tests, tests/ and crates/bench/benches. Common names
+# modules, crates/*/tests and tests/. Common names
 # (`new`, `len`) always find a namesake, so the check under-reports; what it
 # does report is real.
 #
