@@ -236,24 +236,8 @@ impl fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
-/// Decode a program from bytes. Fails on trailing bytes or unknown opcodes,
-/// reporting the offending opcode and its byte offset directly.
-pub fn decode_program(bytes: &[u8]) -> Result<Vec<Instruction>, ProgramError> {
-    if !bytes.len().is_multiple_of(INSTR_BYTES) {
-        return Err(ProgramError::TrailingBytes);
-    }
-    bytes
-        .chunks_exact(INSTR_BYTES)
-        .enumerate()
-        .map(|(i, c)| {
-            Instruction::decode([c[0], c[1], c[2], c[3]])
-                .ok_or(ProgramError::BadOpcode { opcode: c[0], offset: i * INSTR_BYTES })
-        })
-        .collect()
-}
-
-/// Validate the program bytes without building a `Vec` (the fast-path
-/// counterpart of [`decode_program`], used by the borrowed TPP view).
+/// Validate program bytes: a whole number of instructions, every opcode
+/// known (the borrowed TPP view's check).
 pub fn validate_program(bytes: &[u8]) -> Result<(), ProgramError> {
     if !bytes.len().is_multiple_of(INSTR_BYTES) {
         return Err(ProgramError::TrailingBytes);
@@ -312,11 +296,12 @@ mod tests {
     fn program_roundtrip_and_trailing_bytes() {
         let p = vec![Instruction::push(qsize()), Instruction::cstore(qsize(), 0, 1)];
         let bytes = encode_program(&p);
-        assert_eq!(decode_program(&bytes).unwrap(), p);
         assert_eq!(validate_program(&bytes), Ok(()));
+        let back =
+            bytes.chunks_exact(INSTR_BYTES).map(|c| Instruction::decode([c[0], c[1], c[2], c[3]]));
+        assert!(back.eq(p.iter().copied().map(Some)));
         let mut trailing = bytes.clone();
         trailing.push(0x01);
-        assert_eq!(decode_program(&trailing), Err(ProgramError::TrailingBytes));
         assert_eq!(validate_program(&trailing), Err(ProgramError::TrailingBytes));
     }
 
@@ -325,7 +310,6 @@ mod tests {
         let mut bytes = encode_program(&[Instruction::push(qsize()), Instruction::pop(qsize())]);
         bytes[4] = 0x7F; // corrupt the second opcode
         let err = ProgramError::BadOpcode { opcode: 0x7F, offset: 4 };
-        assert_eq!(decode_program(&bytes), Err(err));
         assert_eq!(validate_program(&bytes), Err(err));
         assert_eq!(err.to_string(), "unknown opcode 0x7f at byte offset 4");
     }

@@ -1,7 +1,8 @@
 //! The TPP section format (paper §3.4, Figure 7b).
 //!
-//! A TPP section is: a 12-byte header, up to [`isa::MAX_INSTRUCTIONS`] 4-byte
-//! instructions, and preallocated packet memory. It appears either directly
+//! A TPP section is: a 12-byte header, up to
+//! [`MAX_INSTRUCTIONS`](crate::isa::MAX_INSTRUCTIONS) 4-byte instructions,
+//! and preallocated packet memory. It appears either directly
 //! after an Ethernet header with ethertype 0x6666 (*transparent* mode,
 //! encapsulating the original packet), or as the payload of a UDP datagram
 //! to port 0x6666 (*standalone* mode).
@@ -24,7 +25,8 @@
 //! shrinks inside the network (Figure 1a).
 
 use super::checksum;
-use crate::isa::{self, Instruction, INSTR_BYTES};
+use super::view::TppView;
+use crate::isa::{Instruction, INSTR_BYTES};
 use core::fmt;
 
 /// TPP wire-format version implemented by this crate.
@@ -238,54 +240,12 @@ impl Tpp {
         buf[6..8].copy_from_slice(&c.to_be_bytes());
     }
 
-    /// Parse a TPP section from the front of `bytes`, verifying the
-    /// checksum. Returns the TPP and the number of bytes consumed; any
-    /// remaining bytes are the encapsulated payload.
+    /// Parse a TPP section from the front of `bytes`, with the validation of
+    /// [`TppView::parse`]. Returns the TPP and the number of bytes consumed;
+    /// any remaining bytes are the encapsulated payload.
     pub fn parse(bytes: &[u8]) -> Result<(Tpp, usize), TppError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(TppError::Truncated);
-        }
-        let version = bytes[0] >> 4;
-        if version != VERSION {
-            return Err(TppError::BadVersion(version));
-        }
-        let mode = if bytes[0] & 0x08 != 0 { AddrMode::Hop } else { AddrMode::Stack };
-        let reflect = bytes[0] & 0x04 != 0;
-        let wrote = bytes[0] & 0x02 != 0;
-        let n_instr = bytes[1] as usize;
-        let mem_len = bytes[2] as usize;
-        if !mem_len.is_multiple_of(4) {
-            return Err(TppError::UnalignedMemory(bytes[2]));
-        }
-        let total = HEADER_LEN + n_instr * INSTR_BYTES + mem_len;
-        if bytes.len() < total {
-            return Err(TppError::Truncated);
-        }
-        if !checksum::verify(&bytes[..total]) {
-            return Err(TppError::BadChecksum);
-        }
-        let instrs = isa::decode_program(&bytes[HEADER_LEN..HEADER_LEN + n_instr * INSTR_BYTES])
-            .map_err(|e| match e {
-                isa::ProgramError::BadOpcode { opcode, .. } => TppError::BadInstruction(opcode),
-                // Unreachable: the slice length is n_instr * INSTR_BYTES.
-                isa::ProgramError::TrailingBytes => TppError::Truncated,
-            })?;
-        let memory = bytes[total - mem_len..total].to_vec();
-        Ok((
-            Tpp {
-                mode,
-                reflect,
-                wrote,
-                hop: bytes[3],
-                sp: bytes[4],
-                per_hop_len: bytes[5],
-                encap_proto: u16::from_be_bytes([bytes[8], bytes[9]]),
-                app_id: u16::from_be_bytes([bytes[10], bytes[11]]),
-                instrs,
-                memory,
-            },
-            total,
-        ))
+        let (view, total) = TppView::parse(bytes)?;
+        Ok((view.to_tpp(), total))
     }
 
     /// Whether every hop up to `n_hops` fits in the preallocated memory.

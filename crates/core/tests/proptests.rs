@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tpp_core::addr::{resolve_mnemonic, Address};
 use tpp_core::asm::{assemble, disassemble};
 use tpp_core::exec::{execute, execute_in_place, ExecOptions, MapBus};
-use tpp_core::isa::{decode_program, encode_program, Instruction, Opcode};
+use tpp_core::isa::{encode_program, Instruction, Opcode};
 use tpp_core::wire::{
     checksum, insert_transparent, insert_transparent_in_place, restore_inner_frame,
     restore_inner_frame_in_place, AddrMode, Tpp, TppView, TppViewMut,
@@ -124,7 +124,11 @@ proptest! {
     #[test]
     fn instruction_roundtrip(instrs in prop::collection::vec(arb_instruction(), 0..=16)) {
         let bytes = encode_program(&instrs);
-        prop_assert_eq!(decode_program(&bytes), Ok(instrs));
+        let back: Vec<_> = bytes
+            .chunks_exact(4)
+            .map(|c| Instruction::decode([c[0], c[1], c[2], c[3]]))
+            .collect();
+        prop_assert_eq!(back, instrs.into_iter().map(Some).collect::<Vec<_>>());
     }
 
     /// The internet checksum verifies after being embedded, for any data.

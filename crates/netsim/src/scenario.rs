@@ -315,13 +315,29 @@ fn switch_cfg(id: u32, n_ports: usize) -> SwitchConfig {
     SwitchConfig::new(id, n_ports)
 }
 
+/// Hang `per_switch` hosts off each of `switches` in turn, each on its own
+/// `link`; returns the hosts in that order.
+fn add_hosts(
+    net: &mut Network,
+    switches: impl IntoIterator<Item = NodeId>,
+    per_switch: usize,
+    link: LinkSpec,
+) -> Vec<NodeId> {
+    let mut hosts = Vec::new();
+    for s in switches {
+        for _ in 0..per_switch {
+            let h = net.add_host(Box::new(NullApp));
+            net.connect(s, h, link);
+            hosts.push(h);
+        }
+    }
+    hosts
+}
+
 fn build_star(n: usize, host_mbps: u64, delay_ns: u64, seed: u64) -> Topology {
     let mut net = Network::new(seed);
     let sw = net.add_switch(switch_cfg(1, n));
-    let hosts: Vec<NodeId> = (0..n).map(|_| net.add_host(Box::new(NullApp))).collect();
-    for &h in &hosts {
-        net.connect(sw, h, LinkSpec::new(host_mbps, delay_ns));
-    }
+    let hosts = add_hosts(&mut net, [sw], n, LinkSpec::new(host_mbps, delay_ns));
     Topology { net, hosts, switches: vec![sw] }
 }
 
@@ -336,14 +352,7 @@ fn build_dumbbell(
     let s0 = net.add_switch(switch_cfg(1, per_side + 1));
     let s1 = net.add_switch(switch_cfg(2, per_side + 1));
     net.connect(s0, s1, LinkSpec::new(bottleneck_mbps, delay_ns));
-    let mut hosts = Vec::new();
-    for side in [s0, s1] {
-        for _ in 0..per_side {
-            let h = net.add_host(Box::new(NullApp));
-            net.connect(side, h, LinkSpec::new(host_mbps, delay_ns));
-            hosts.push(h);
-        }
-    }
+    let hosts = add_hosts(&mut net, [s0, s1], per_side, LinkSpec::new(host_mbps, delay_ns));
     Topology { net, hosts, switches: vec![s0, s1] }
 }
 
@@ -358,17 +367,11 @@ fn build_line(
     let switches: Vec<NodeId> = (0..n_switches)
         .map(|i| net.add_switch(switch_cfg(i as u32 + 1, hosts_per_switch + 2)))
         .collect();
+    let link = LinkSpec::new(link_mbps, delay_ns);
     for w in switches.windows(2) {
-        net.connect(w[0], w[1], LinkSpec::new(link_mbps, delay_ns));
+        net.connect(w[0], w[1], link);
     }
-    let mut hosts = Vec::new();
-    for &s in &switches {
-        for _ in 0..hosts_per_switch {
-            let h = net.add_host(Box::new(NullApp));
-            net.connect(s, h, LinkSpec::new(link_mbps, delay_ns));
-            hosts.push(h);
-        }
-    }
+    let hosts = add_hosts(&mut net, switches.iter().copied(), hosts_per_switch, link);
     Topology { net, hosts, switches }
 }
 
@@ -392,22 +395,86 @@ fn build_leaf_spine(
             net.connect(leaf, spine, LinkSpec::new(fabric_mbps, delay_ns));
         }
     }
-    let mut hosts = Vec::new();
-    for &leaf in &leaves {
-        for _ in 0..hosts_per_leaf {
-            let h = net.add_host(Box::new(NullApp));
-            net.connect(leaf, h, LinkSpec::new(host_mbps, delay_ns));
-            hosts.push(h);
-        }
-    }
+    let link = LinkSpec::new(host_mbps, delay_ns);
+    let hosts = add_hosts(&mut net, leaves.iter().copied(), hosts_per_leaf, link);
     let mut switches = leaves.clone();
     switches.extend_from_slice(&spines);
     Topology { net, hosts, switches }
 }
 
-/// Fat-tree skeleton shared by the plain, oversubscribed, and asymmetric
-/// variants: `core_rate(pod, agg_index)` decides each aggregation→core
-/// uplink's rate, everything else runs at `link_mbps`.
+/// The switches of one fat-tree, with its core–aggregation and
+/// aggregation–edge links in place.
+struct FatTreeSwitches {
+    cores: Vec<NodeId>,
+    /// Per pod.
+    aggs: Vec<Vec<NodeId>>,
+    /// Per pod.
+    edges: Vec<Vec<NodeId>>,
+}
+
+impl FatTreeSwitches {
+    /// Add and wire a `k`-ary fat-tree: the cores (`core_ports` ports each),
+    /// then each pod's aggregation and edge switches, switch ids offset by
+    /// `id_offset`. Aggregation `j` of every pod connects to the cores
+    /// `(i, j)` at `core_rate(pod, j)`; inside a pod aggregation and edge
+    /// connect full bipartite at `link_mbps`.
+    fn wire(
+        net: &mut Network,
+        k: usize,
+        id_offset: u32,
+        core_ports: usize,
+        link_mbps: u64,
+        delay_ns: u64,
+        core_rate: impl Fn(usize, usize) -> u64,
+    ) -> FatTreeSwitches {
+        assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even");
+        let half = k / 2;
+        let id = |n: usize| id_offset + n as u32;
+        let cores: Vec<NodeId> = (0..half * half)
+            .map(|i| net.add_switch(switch_cfg(id(1000 + i), core_ports)))
+            .collect();
+        let mut aggs: Vec<Vec<NodeId>> = Vec::new();
+        let mut edges: Vec<Vec<NodeId>> = Vec::new();
+        for pod in 0..k {
+            aggs.push(
+                (0..half).map(|i| net.add_switch(switch_cfg(id(100 + pod * 10 + i), k))).collect(),
+            );
+            edges.push(
+                (0..half).map(|i| net.add_switch(switch_cfg(id(500 + pod * 10 + i), k))).collect(),
+            );
+        }
+        for j in 0..half {
+            for i in 0..half {
+                let core = cores[j * half + i];
+                for (pod, pod_aggs) in aggs.iter().enumerate() {
+                    net.connect(pod_aggs[j], core, LinkSpec::new(core_rate(pod, j), delay_ns));
+                }
+            }
+        }
+        for (pod_aggs, pod_edges) in aggs.iter().zip(&edges) {
+            for &a in pod_aggs {
+                for &e in pod_edges {
+                    net.connect(a, e, LinkSpec::new(link_mbps, delay_ns));
+                }
+            }
+        }
+        FatTreeSwitches { cores, aggs, edges }
+    }
+
+    /// Cores first, then each pod's aggregation and edge switches.
+    fn into_switches(self) -> Vec<NodeId> {
+        let mut switches = self.cores;
+        for (pod_aggs, pod_edges) in self.aggs.iter().zip(&self.edges) {
+            switches.extend_from_slice(pod_aggs);
+            switches.extend_from_slice(pod_edges);
+        }
+        switches
+    }
+}
+
+/// Fat-tree shared by the plain, oversubscribed, and asymmetric variants:
+/// `core_rate(pod, agg_index)` decides each aggregation→core uplink's rate,
+/// everything else runs at `link_mbps`.
 fn build_fat_tree(
     k: usize,
     link_mbps: u64,
@@ -415,56 +482,11 @@ fn build_fat_tree(
     seed: u64,
     core_rate: impl Fn(usize, usize) -> u64,
 ) -> Topology {
-    assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even");
-    let half = k / 2;
     let mut net = Network::new(seed);
-
-    let cores: Vec<NodeId> =
-        (0..half * half).map(|i| net.add_switch(switch_cfg(1000 + i as u32, k))).collect();
-    let mut aggs: Vec<Vec<NodeId>> = Vec::new();
-    let mut edges: Vec<Vec<NodeId>> = Vec::new();
-    for pod in 0..k {
-        aggs.push(
-            (0..half).map(|i| net.add_switch(switch_cfg((100 + pod * 10 + i) as u32, k))).collect(),
-        );
-        edges.push(
-            (0..half).map(|i| net.add_switch(switch_cfg((500 + pod * 10 + i) as u32, k))).collect(),
-        );
-    }
-    // Core <-> aggregation: core (i, j) connects to aggregation j of each pod.
-    for j in 0..half {
-        for i in 0..half {
-            let core = cores[j * half + i];
-            for (pod, pod_aggs) in aggs.iter().enumerate() {
-                net.connect(pod_aggs[j], core, LinkSpec::new(core_rate(pod, j), delay_ns));
-            }
-        }
-    }
-    // Aggregation <-> edge within a pod (full bipartite).
-    for pod in 0..k {
-        for &a in &aggs[pod] {
-            for &e in &edges[pod] {
-                net.connect(a, e, LinkSpec::new(link_mbps, delay_ns));
-            }
-        }
-    }
-    // Hosts on edges.
-    let mut hosts = Vec::new();
-    for pod_edges in &edges {
-        for &e in pod_edges {
-            for _ in 0..half {
-                let h = net.add_host(Box::new(NullApp));
-                net.connect(e, h, LinkSpec::new(link_mbps, delay_ns));
-                hosts.push(h);
-            }
-        }
-    }
-    let mut switches = cores.clone();
-    for pod in 0..k {
-        switches.extend_from_slice(&aggs[pod]);
-        switches.extend_from_slice(&edges[pod]);
-    }
-    Topology { net, hosts, switches }
+    let tree = FatTreeSwitches::wire(&mut net, k, 0, k, link_mbps, delay_ns, core_rate);
+    let link = LinkSpec::new(link_mbps, delay_ns);
+    let hosts = add_hosts(&mut net, tree.edges.iter().flatten().copied(), k / 2, link);
+    Topology { net, hosts, switches: tree.into_switches() }
 }
 
 fn build_jellyfish(
@@ -529,14 +551,8 @@ fn build_jellyfish(
         misses = 0;
     }
 
-    let mut hosts = Vec::new();
-    for &s in &switches {
-        for _ in 0..hosts_per_switch {
-            let h = net.add_host(Box::new(NullApp));
-            net.connect(s, h, LinkSpec::new(host_mbps, delay_ns));
-            hosts.push(h);
-        }
-    }
+    let link = LinkSpec::new(host_mbps, delay_ns);
+    let hosts = add_hosts(&mut net, switches.iter().copied(), hosts_per_switch, link);
     Topology { net, hosts, switches }
 }
 
@@ -578,14 +594,8 @@ fn build_edge_list(
     for &(a, b) in &wires {
         net.connect(switches[a], switches[b], LinkSpec::new(link_mbps, delay_ns));
     }
-    let mut hosts = Vec::new();
-    for &s in &switches {
-        for _ in 0..hosts_per_switch {
-            let h = net.add_host(Box::new(NullApp));
-            net.connect(s, h, LinkSpec::new(host_mbps, delay_ns));
-            hosts.push(h);
-        }
-    }
+    let link = LinkSpec::new(host_mbps, delay_ns);
+    let hosts = add_hosts(&mut net, switches.iter().copied(), hosts_per_switch, link);
     Topology { net, hosts, switches }
 }
 
@@ -621,79 +631,38 @@ fn build_multi_site(
     wan: &WanKnobs,
 ) -> Topology {
     assert!(sites >= 2, "a multi-site fabric needs at least 2 sites");
-    assert!(site_k >= 2 && site_k.is_multiple_of(2), "site fat-tree arity must be even");
     let half = site_k / 2;
+    let link = LinkSpec::new(link_mbps, delay_ns);
     let mut net = Network::new(seed);
     let mut hosts = Vec::new();
     let mut switches = Vec::new();
     let mut borders = Vec::new();
 
-    // Each site replays the fat-tree wiring order of `build_fat_tree`,
-    // switch ids offset by `(site + 1) * 10_000` so `Switch:SwitchID`
-    // reads locate a hop's site at a glance; the border switch is
-    // `offset + 9000`.
+    // Each site is a fat-tree with switch ids offset by `(site + 1) * 10_000`,
+    // so `Switch:SwitchID` reads locate a hop's site at a glance; its cores
+    // have one port more, for the border switch `offset + 9000`.
     for site in 0..sites {
         let offset = ((site + 1) * 10_000) as u32;
-        // One port per pod below plus the border uplink.
-        let cores: Vec<NodeId> = (0..half * half)
-            .map(|i| net.add_switch(switch_cfg(offset + 1000 + i as u32, site_k + 1)))
-            .collect();
-        let mut aggs: Vec<Vec<NodeId>> = Vec::new();
-        let mut edges: Vec<Vec<NodeId>> = Vec::new();
-        for pod in 0..site_k {
-            aggs.push(
-                (0..half)
-                    .map(|i| {
-                        net.add_switch(switch_cfg(offset + (100 + pod * 10 + i) as u32, site_k))
-                    })
-                    .collect(),
-            );
-            edges.push(
-                (0..half)
-                    .map(|i| {
-                        net.add_switch(switch_cfg(offset + (500 + pod * 10 + i) as u32, site_k))
-                    })
-                    .collect(),
-            );
-        }
+        let tree = FatTreeSwitches::wire(
+            &mut net,
+            site_k,
+            offset,
+            site_k + 1,
+            link_mbps,
+            delay_ns,
+            |_, _| link_mbps,
+        );
         // The border: one port per core below, one per remote site above.
         let mut border_cfg = switch_cfg(offset + 9000, half * half + sites - 1);
         if wan.queue_bytes > 0 {
             border_cfg.queue_limit_bytes = wan.queue_bytes;
         }
         let border = net.add_switch(border_cfg);
-        for j in 0..half {
-            for i in 0..half {
-                let core = cores[j * half + i];
-                for pod_aggs in aggs.iter() {
-                    net.connect(pod_aggs[j], core, LinkSpec::new(link_mbps, delay_ns));
-                }
-            }
+        for &core in &tree.cores {
+            net.connect(core, border, link);
         }
-        for pod in 0..site_k {
-            for &a in &aggs[pod] {
-                for &e in &edges[pod] {
-                    net.connect(a, e, LinkSpec::new(link_mbps, delay_ns));
-                }
-            }
-        }
-        for &core in &cores {
-            net.connect(core, border, LinkSpec::new(link_mbps, delay_ns));
-        }
-        for pod_edges in &edges {
-            for &e in pod_edges {
-                for _ in 0..half {
-                    let h = net.add_host(Box::new(NullApp));
-                    net.connect(e, h, LinkSpec::new(link_mbps, delay_ns));
-                    hosts.push(h);
-                }
-            }
-        }
-        switches.extend_from_slice(&cores);
-        for pod in 0..site_k {
-            switches.extend_from_slice(&aggs[pod]);
-            switches.extend_from_slice(&edges[pod]);
-        }
+        hosts.extend(add_hosts(&mut net, tree.edges.iter().flatten().copied(), half, link));
+        switches.extend(tree.into_switches());
         switches.push(border);
         borders.push(border);
     }

@@ -344,13 +344,23 @@ impl SwitchMemory {
         self.now_ns = now_ns;
     }
 
+    /// Clock cycles since time zero, exact: whole seconds and the remainder
+    /// are scaled apart, so no product overflows before the 64-bit counter
+    /// itself wraps (after ~585 years at 1 GHz).
+    fn uptime_cycles(&self) -> u64 {
+        const NS_PER_S: u64 = 1_000_000_000;
+        let f = u64::from(self.clock_freq_hz);
+        (self.now_ns / NS_PER_S)
+            .wrapping_mul(f)
+            .wrapping_add((self.now_ns % NS_PER_S) * f / NS_PER_S)
+    }
+
     fn read_switch_ns(&self, off: u16) -> Option<Word> {
-        let cycles = self.now_ns.saturating_mul(self.clock_freq_hz as u64) / 1_000_000_000;
         Some(match off {
             x if x == switch_ns::SWITCH_ID => self.switch_id,
             x if x == switch_ns::VERSION => self.version,
-            x if x == switch_ns::UPTIME_CYCLES_LO => cycles as u32,
-            x if x == switch_ns::UPTIME_CYCLES_HI => (cycles >> 32) as u32,
+            x if x == switch_ns::UPTIME_CYCLES_LO => self.uptime_cycles() as u32,
+            x if x == switch_ns::UPTIME_CYCLES_HI => (self.uptime_cycles() >> 32) as u32,
             x if x == switch_ns::CLOCK_FREQ_HZ => self.clock_freq_hz,
             x if x == switch_ns::VENDOR_ID => self.vendor_id,
             x if x == switch_ns::NUM_PORTS => self.n_ports as u32,
@@ -617,6 +627,23 @@ mod tests {
         assert_eq!(bus.read(a("Switch:TimeNsHi")), Some(1));
         // Globals are read-only.
         assert_eq!(bus.write(a("Switch:SwitchID"), 9), WriteOutcome::Denied);
+    }
+
+    /// The cycle counter stays exact past 18.4 s at 1 GHz, where
+    /// `now_ns * clock_freq_hz` no longer fits in 64 bits.
+    #[test]
+    fn uptime_exact_past_u64_product() {
+        let uptime = |now_ns, hz| {
+            let mut m = mem();
+            (m.now_ns, m.clock_freq_hz) = (now_ns, hz);
+            let lo = read_global(&mut m, a("Switch:Uptime")).unwrap();
+            let hi = read_global(&mut m, a("Switch:UptimeHi")).unwrap();
+            u64::from(hi) << 32 | u64::from(lo)
+        };
+        assert_eq!(uptime(20_000_000_000, 1_000_000_000), 20_000_000_000);
+        assert_eq!(uptime(20_000_000_001, 1_000_000_000), 20_000_000_001);
+        // 1.5 GHz: 7 s and 3 ns of a cycle rounded down to 4.
+        assert_eq!(uptime(7_000_000_003, 1_500_000_000), 10_500_000_004);
     }
 
     #[test]

@@ -1,27 +1,24 @@
 #!/usr/bin/env bash
-# Where a simulated frame-hop, or a frame on the switch fast path, spends its
-# time, on a container with no `perf` and no PMU: build `sim_profile`
+# Where one of the repo benchmark's workloads spends its time, on a container
+# with no `perf` and no PMU: build `sim_profile`
 # (crates/bench/src/bin/sim_profile.rs) with line tables, let it sample the
-# target's loop under a SIGPROF timer, and fold the samples into shares per
-# function.
+# workload's timed slices under a SIGPROF timer, and fold the samples into
+# shares per function.
 #
 # Usage:
-#   scripts/profile.sh [target] [runs]
+#   scripts/profile.sh [target] [seconds]
 #
-#   target  sim_dc (default): the 8 ms fat_tree4 x uniform cell at seed 1,
-#           one replay a run. switch_tpp_hot: `receive` -> `dequeue` over a
-#           ring of the seven app probes on a 16-port switch with 128
-#           routes, 256 passes over the 2,048-frame ring a run.
-#           switch_plain: the same ring without the TPPs. app_rcp: the
-#           benchmark's 50 ms Fig. 2 RCP* replay, 64 replays a run (built
-#           first, then sampled as one batch: a replay is shorter than the
-#           1 ms timer period).
-#   runs    default 100: about 10 s of CPU for sim_dc, 7 s for app_rcp, 20 s
-#           for the switch targets (the kernel tick caps the rate near 250
-#           samples/s)
+#   target   a workload name of the benchmark (`BENCHMARK.json`): sim_dc
+#            (default), sim_wan_x2, app_rcp, switch_plain, switch_tpp_hot,
+#            switch_tpp_cold or endhost_shim. It is set up as the benchmark
+#            sets it up at seed 1, output check included.
+#   seconds  host time spent running slices, default 10 (slice sizes differ
+#            by workload; the kernel tick caps sampling near 250 samples per
+#            CPU second)
 #
-# Output: the run's digest, work counts and sample counts, then two tables
-# of the 25 largest rows.
+# Output: the workload's slice, op and failure counts, its output digest
+# (the one `--smoke` prints) and the sample counts, then two tables of the
+# 25 largest rows.
 # `self` is the share of samples whose innermost frame is the function;
 # `inclusive` the share whose inline chain holds it anywhere. Only the
 # instruction pointer is sampled, so "inclusive" reaches as far up as the
@@ -36,7 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TARGET="${1:-sim_dc}"
-RUNS="${2:-100}"
+DURATION="${2:-10}"
 DIR="${PROFILE_DIR:-target/profile}"
 mkdir -p "$DIR"
 
@@ -46,7 +43,7 @@ CARGO_PROFILE_RELEASE_DEBUG=1 CARGO_TARGET_DIR="$DIR" \
     cargo build --release --offline --quiet -p tpp-bench --bin sim_profile
 BIN="$DIR/release/sim_profile"
 
-"$BIN" "$TARGET" "$RUNS" >"$DIR/samples.txt"
+"$BIN" "$TARGET" "$DURATION" >"$DIR/samples.txt"
 echo "# samples: $DIR/samples.txt"
 if ! command -v addr2line >/dev/null; then
     echo "# addr2line not found: resolve with \`addr2line -a -f -i -C -e $BIN < $DIR/samples.txt\`"
