@@ -24,6 +24,21 @@
 //! workload, and 2,939 on the one run that ever crossed over (`fig_scale`,
 //! k=8 fat-tree, one shard), where the heap alone was no slower. The
 //! tables are in CHANGES.md (PR 20).
+//!
+//! The sifts move whole entries, so entries are kept narrow: three `u64`s
+//! and the event, 32 bytes for the simulator's 8-byte event (asserted in
+//! `net.rs`).
+//!
+//! # Replace-top
+//!
+//! An event loop whose handlers schedule follow-ups takes events with
+//! [`Scheduler::take_due`] instead of [`Scheduler::pop`]. The taken entry
+//! stays at the top of the heap as a dead slot, and the handler's first
+//! schedule overwrites it: one sift-down, where a pop and a push cost a
+//! sift to the bottom, a sift back up and a second sift-up. A handler that
+//! schedules nothing leaves the slot to be popped before the next take.
+//! Every other call sees only live events. Since `(time, key, seq)` orders
+//! all entries, the pop sequence is the same either way.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -34,7 +49,7 @@ pub type Time = u64;
 pub const MILLIS: Time = 1_000_000;
 pub const SECONDS: Time = 1_000_000_000;
 
-struct Entry<E> {
+pub(crate) struct Entry<E> {
     time: Time,
     key: u64,
     seq: u64,
@@ -63,14 +78,17 @@ impl<E> Ord for Entry<E> {
 pub struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// The clock: the timestamp of the last popped event. It never exceeds
-    /// the earliest pending deadline.
+    /// The clock: the timestamp of the last popped or taken event. It never
+    /// exceeds the earliest pending deadline.
     now: Time,
+    /// The heap's top is an event [`take_due`](Scheduler::take_due) handed
+    /// out: dead, kept as the slot the next schedule overwrites.
+    taken: bool,
 }
 
 impl<E> Default for Scheduler<E> {
     fn default() -> Self {
-        Scheduler { heap: BinaryHeap::new(), next_seq: 0, now: 0 }
+        Scheduler { heap: BinaryHeap::new(), next_seq: 0, now: 0, taken: false }
     }
 }
 
@@ -79,17 +97,19 @@ impl<E> Scheduler<E> {
         Self::default()
     }
 
-    /// Current simulation time: the timestamp of the last popped event.
+    /// Current simulation time: the timestamp of the last popped or taken
+    /// event.
     pub fn now(&self) -> Time {
         self.now
     }
 
+    /// Pending events, not counting a taken one.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - self.taken as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedule `event` at absolute time `at`. Scheduling in the past is a
@@ -109,7 +129,13 @@ impl<E> Scheduler<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time: at, key, seq, event });
+        let entry = Entry { time: at, key, seq, event };
+        if std::mem::take(&mut self.taken) {
+            // Replace-top: the guard sifts the new entry down on drop.
+            *self.heap.peek_mut().expect("a taken event holds the top") = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Schedule `event` after a delay relative to now. A delay that would
@@ -120,6 +146,7 @@ impl<E> Scheduler<E> {
 
     /// Pop the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(Time, E)> {
+        self.settle();
         let e = self.heap.pop()?;
         debug_assert!(e.time >= self.now);
         self.now = e.time;
@@ -128,7 +155,36 @@ impl<E> Scheduler<E> {
 
     /// Timestamp of the next event without popping.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
+        let next = if self.taken {
+            // The earlier of the dead top's children is the earliest live
+            // event (the heap's order is reversed: max is earliest).
+            self.heap.as_slice().iter().skip(1).take(2).max()
+        } else {
+            self.heap.peek()
+        };
+        next.map(|e| e.time)
+    }
+
+    /// Drop a taken top that no schedule took over.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.taken) {
+            self.heap.pop();
+        }
+    }
+}
+
+impl<E: Copy> Scheduler<E> {
+    /// Take the earliest event if it is due at or before `until`, advancing
+    /// the clock to it. Unlike [`pop`](Scheduler::pop) this leaves the
+    /// entry in the heap for the next schedule to overwrite (see the module
+    /// docs on replace-top); the pop order is the same.
+    pub fn take_due(&mut self, until: Time) -> Option<(Time, E)> {
+        self.settle();
+        let top = self.heap.peek().filter(|e| e.time <= until)?;
+        debug_assert!(top.time >= self.now, "clock moved backwards: {} < {}", top.time, self.now);
+        self.now = top.time;
+        self.taken = true;
+        Some((top.time, top.event))
     }
 }
 
@@ -355,5 +411,62 @@ mod tests {
         assert_eq!(q.pop(), Some((5, "near")));
         assert_eq!(q.pop(), Some((3 * span + 7, "far")));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn take_due_stops_at_the_horizon() {
+        let mut q = Scheduler::new();
+        q.schedule_at(10, "a");
+        q.schedule_at(20, "b");
+        assert_eq!(q.take_due(5), None);
+        assert_eq!((q.now(), q.len()), (0, 2), "nothing due: nothing taken");
+        assert_eq!(q.take_due(10), Some((10, "a")));
+        assert_eq!(q.take_due(15), None);
+        assert_eq!(q.take_due(20), Some((20, "b")));
+        assert_eq!(q.take_due(Time::MAX), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_taken_top_is_invisible_until_overwritten() {
+        let mut q = Scheduler::new();
+        q.schedule_keyed(10, 5, "taken");
+        q.schedule_keyed(30, 0, "late");
+        q.schedule_keyed(20, 0, "mid");
+        assert_eq!(q.take_due(Time::MAX), Some((10, "taken")));
+        assert_eq!((q.len(), q.peek_time(), q.now()), (2, Some(20), 10));
+        // The handler's first schedule takes over the slot; a smaller key at
+        // the taken timestamp still comes first, and the second schedule is
+        // a plain push.
+        q.schedule_keyed(10, 1, "follow-up");
+        q.schedule_keyed(25, 0, "second");
+        assert_eq!((q.len(), q.peek_time()), (4, Some(10)));
+        let order: Vec<_> = std::iter::from_fn(|| q.take_due(Time::MAX)).collect();
+        assert_eq!(order, [(10, "follow-up"), (20, "mid"), (25, "second"), (30, "late")]);
+        assert!(q.is_empty() && q.peek_time().is_none());
+    }
+
+    #[test]
+    fn pop_after_take_skips_the_taken_event() {
+        let mut q = Scheduler::new();
+        q.schedule_at(10, 1);
+        q.schedule_at(20, 2);
+        assert_eq!(q.take_due(Time::MAX), Some((10, 1)));
+        assert_eq!(q.pop(), Some((20, 2)));
+        assert_eq!(q.pop(), None);
+        // A take of the only event: nothing live is left to peek.
+        q.schedule_at(30, 3);
+        assert_eq!(q.take_due(Time::MAX), Some((30, 3)));
+        assert_eq!((q.len(), q.peek_time()), (0, None));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "scheduling into the past")]
+    fn a_take_advances_the_clock_guard() {
+        let mut q = Scheduler::new();
+        q.schedule_at(100, "later");
+        q.take_due(Time::MAX); // now == 100
+        q.schedule_at(99, "earlier");
     }
 }

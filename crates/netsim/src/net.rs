@@ -26,10 +26,12 @@
 //!
 //! # The event loop
 //!
-//! [`Network::run_until`] is the plain discrete-event loop: peek the next
-//! timestamp, pop one event, dispatch it. Handlers that schedule new events
-//! at the current timestamp need no special case — the scheduler merges
-//! them into `(key, insertion)` order before the next pop.
+//! [`Network::run_until`] is the plain discrete-event loop: take the next
+//! due event, dispatch it. Handlers that schedule new events at the current
+//! timestamp need no special case — the scheduler merges them into
+//! `(key, insertion)` order before the next take. The take leaves the event
+//! in the heap, and the handler's first schedule overwrites it (the
+//! scheduler's replace-top), so most events cost one sift.
 //!
 //! # The network as a shard kernel
 //!
@@ -267,9 +269,10 @@ enum Ev {
         node: NodeId,
         port: u8,
     },
+    /// A host timer fired; `slot` holds its `(node, token)` in the
+    /// `TimerSlab`, which keeps the `u64` token out of the event.
     HostTimer {
-        node: NodeId,
-        token: u64,
+        slot: u32,
     },
     UtilTick,
     /// Apply entry `idx` of the reconfiguration plan.
@@ -278,12 +281,46 @@ enum Ev {
     },
 }
 
+// Heap sifts move whole entries: an 8-byte event makes a 32-byte entry.
+const _: () = assert!(std::mem::size_of::<Ev>() == 8);
+const _: () = assert!(std::mem::size_of::<crate::engine::Entry<Ev>>() == 32);
+
+/// The `(node, token)` of every pending host timer, by slot. A slot is
+/// freed when its timer fires and reused by the next one set, so the slab
+/// never holds more entries than the most timers ever pending at once.
+#[derive(Default)]
+struct TimerSlab {
+    slots: Vec<(NodeId, u64)>,
+    free: Vec<u32>,
+}
+
+impl TimerSlab {
+    fn insert(&mut self, node: NodeId, token: u64) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = (node, token);
+            return slot;
+        }
+        self.slots.push((node, token));
+        u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending timers")
+    }
+
+    fn get(&self, slot: u32) -> (NodeId, u64) {
+        self.slots[slot as usize]
+    }
+
+    fn remove(&mut self, slot: u32) -> (NodeId, u64) {
+        self.free.push(slot);
+        self.get(slot)
+    }
+}
+
 /// Deterministic same-timestamp ordering key (see
 /// [`Scheduler`](crate::engine::Scheduler) docs): packed from event content
 /// so per-shard queues reproduce the global tie-break order. Layout:
 /// `kind:6 | node:32 | sub:26`. Utilization ticks sort first at a boundary,
-/// then arrivals, transmit completions, kicks, and host timers.
-fn ev_key(ev: &Ev) -> u64 {
+/// then arrivals, transmit completions, kicks, and host timers. A host
+/// timer's key comes from its `(node, token)` in `timers`, never its slot.
+fn ev_key(ev: &Ev, timers: &TimerSlab) -> u64 {
     const fn pack(kind: u64, node: u32, sub: u64) -> u64 {
         (kind << 58) | ((node as u64) << 26) | (sub & 0x03FF_FFFF)
     }
@@ -297,7 +334,10 @@ fn ev_key(ev: &Ev) -> u64 {
         Ev::Arrive { node, port } => pack(1, node.0, port as u64),
         Ev::TxDone { node, port } => pack(2, node.0, port as u64),
         Ev::Kick { node, port } => pack(3, node.0, port as u64),
-        Ev::HostTimer { node, token } => pack(4, node.0, token),
+        Ev::HostTimer { slot } => {
+            let (node, token) = timers.get(slot);
+            pack(4, node.0, token)
+        }
     }
 }
 
@@ -489,6 +529,8 @@ impl NetStats {
 /// a thin coordinator over the scheduler, link, and node layers.
 pub struct Network {
     scheduler: Scheduler<Ev>,
+    /// What the pending `Ev::HostTimer`s point at.
+    timers: TimerSlab,
     links: LinkFabric,
     nodes: NodeStore,
     pub stats: NetStats,
@@ -513,6 +555,7 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Network {
             scheduler: Scheduler::new(),
+            timers: TimerSlab::default(),
             links: LinkFabric::new(seed),
             nodes: NodeStore::default(),
             stats: NetStats::default(),
@@ -555,7 +598,8 @@ impl Network {
     }
 
     fn schedule_ev(&mut self, at: Time, ev: Ev) {
-        self.scheduler.schedule_keyed(at, ev_key(&ev), ev);
+        let key = ev_key(&ev, &self.timers);
+        self.scheduler.schedule_keyed(at, key, ev);
     }
 
     /// Add a switch; `cfg.n_ports` ports are created up front.
@@ -771,7 +815,10 @@ impl Network {
         for e in effects.drain(..) {
             match e {
                 Effect::Send(frame) => self.host_enqueue(node, frame),
-                Effect::Timer { at, token } => self.schedule_ev(at, Ev::HostTimer { node, token }),
+                Effect::Timer { at, token } => {
+                    let slot = self.timers.insert(node, token);
+                    self.schedule_ev(at, Ev::HostTimer { slot });
+                }
                 Effect::Violation(kind) => self.stats.count_violation(kind),
             }
         }
@@ -929,7 +976,10 @@ impl Network {
                 self.try_start_tx(node, port);
             }
             Ev::Kick { node, port } => self.try_start_tx(node, port),
-            Ev::HostTimer { node, token } => self.handle_timer(node, token),
+            Ev::HostTimer { slot } => {
+                let (node, token) = self.timers.remove(slot);
+                self.handle_timer(node, token);
+            }
             Ev::Reconfig { idx } => self.handle_reconfig(idx),
             Ev::UtilTick => {
                 let now = self.scheduler.now();
@@ -952,8 +1002,7 @@ impl Network {
     /// does not return (ROADMAP 3c).
     pub fn run_until(&mut self, until: Time) {
         self.ensure_started();
-        while self.scheduler.peek_time().is_some_and(|t| t <= until) {
-            let (_, ev) = self.scheduler.pop().expect("peeked event");
+        while let Some((_, ev)) = self.scheduler.take_due(until) {
             self.stats.events_processed += 1;
             self.handle_event(ev);
         }
@@ -1413,6 +1462,55 @@ mod tests {
         let _h = net.add_host(Box::new(ChainApp { log: log.clone() }));
         net.run_until(10 * MILLIS);
         assert_eq!(*log.lock().unwrap(), vec![(1000, 1), (1000, 3), (1000, 5)]);
+    }
+
+    #[test]
+    fn timer_slab_keeps_full_tokens_order_and_reuses_slots() {
+        // The order key keeps a token's low 26 bits only, so these tie on
+        // time, node and key: they must fire in the order they were set and
+        // carry every bit. `u64::MAX` is the end-host executor's retry token.
+        // Each round is re-armed by the last timer of the one before, so
+        // the freed slots are handed out in reverse: an order key taken
+        // from the slot would reverse the round.
+        const LOW: u64 = 0x03FF_FFFF;
+        const TOKENS: [u64; 5] = [LOW | 1 << 40, u64::MAX, LOW, LOW | 1 << 26, LOW | 1 << 63];
+        const ROUNDS: usize = 1000;
+        struct ReArm {
+            log: Arc<Mutex<Vec<(Time, u64)>>>,
+        }
+        impl HostApp for ReArm {
+            fn start(&mut self, ctx: &mut HostCtx<'_>) {
+                for token in TOKENS {
+                    ctx.set_timer(1000, token);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
+                let mut log = self.log.lock().unwrap();
+                log.push((ctx.now, token));
+                if log.len().is_multiple_of(TOKENS.len()) && log.len() < ROUNDS * TOKENS.len() {
+                    for token in TOKENS {
+                        ctx.set_timer(1000, token);
+                    }
+                }
+            }
+            fn as_any(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut net = Network::new(0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let _h = net.add_host(Box::new(ReArm { log: log.clone() }));
+        net.run_until(ROUNDS as Time * 1000 + 1);
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), ROUNDS * TOKENS.len());
+        for (round, fired) in log.chunks(TOKENS.len()).enumerate() {
+            let at = (round as Time + 1) * 1000;
+            let want: Vec<_> = TOKENS.iter().map(|&t| (at, t)).collect();
+            assert_eq!(fired, want, "round {round}");
+        }
+        // At most five timers were ever pending, and freed slots are reused.
+        assert_eq!(net.timers.slots.len(), TOKENS.len());
+        assert_eq!(net.timers.free.len(), TOKENS.len(), "every timer fired");
     }
 
     #[test]

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # A/B the repo benchmark (BENCHMARK.json, benchmark/) between the parent
 # commit and the working tree, the way a perf claim has to be measured on a
-# noisy container: both sides built from their own clean checkout into their
-# own CARGO_TARGET_DIR, then N alternating pairs of runs of one workload,
-# the side that runs first alternating too.
+# noisy container: both sides built once, each from its own clean checkout
+# into its own CARGO_TARGET_DIR, then for each workload N alternating pairs
+# of runs, the side that runs first alternating too.
 #
 # Usage:
-#   scripts/ab_bench.sh <workload> [--pairs N] [--seconds S] [--seeds a,b]
+#   scripts/ab_bench.sh <workloads> [--pairs N] [--seconds S] [--seeds a,b]
 #
-#   <workload>   a name from BENCHMARK.json (switch_plain, sim_dc, app_rcp, ...)
-#   --pairs N    alternating parent/change pairs (default 10)
+#   <workloads>  a name from BENCHMARK.json (switch_plain, sim_dc, app_rcp,
+#                ...) or a comma list of them (sim_dc,app_rcp,sim_wan_x2),
+#                measured one after the other on the same two builds
+#   --pairs N    alternating parent/change pairs per workload (default 10)
 #   --seconds S  length of each run (default: BENCHMARK.json's run_seconds)
 #   --seeds a,b  workload seeds; the pairs are split evenly over them in
 #                order (default 1,5: the second half is a seed the change was
@@ -19,12 +21,13 @@
 # clean (the change is already committed). The change is every tracked and
 # untracked-but-not-ignored file of the working tree.
 #
-# Output: one line per run, then per side the median and quartiles of
-# ops_per_s and setup_s, the pairs the change won on ops_per_s, whether every
-# run was `correct` with 0 failed ops, and whether the two sides printed the
-# same output_digest on every seed. The rule for a claimed gain
-# (choosing-metrics section 8): the change wins at least nine tenths of the
-# pairs and the medians differ by more than the parent's inter-quartile range.
+# Output, per workload: one line per run, then per side the median and
+# quartiles of ops_per_s and setup_s, the pairs the change won on ops_per_s,
+# whether every run was `correct` with 0 failed ops, and whether the two
+# sides printed the same output_digest on every seed. The rule for a claimed
+# gain (choosing-metrics section 8): the change wins at least nine tenths of
+# the pairs and the medians differ by more than the parent's inter-quartile
+# range. The exit status is 1 if any run of any workload was not correct.
 #
 # Environment:
 #   AB_BENCH_DIR   scratch directory (default /root/scratch/ab_bench);
@@ -38,7 +41,7 @@ usage() {
 }
 
 [ $# -ge 1 ] || usage
-WORKLOAD="$1"
+IFS=, read -r -a WORKLOADS <<<"$1"
 shift
 PAIRS=10
 SECONDS_PER_RUN="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
@@ -51,11 +54,12 @@ while [ $# -gt 0 ]; do
         *) usage ;;
     esac
 done
-python3 - "$WORKLOAD" <<'EOF' || exit 2
+python3 - "${WORKLOADS[@]}" <<'EOF' || exit 2
 import json, sys
 names = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]
-if sys.argv[1] not in names:
-    sys.exit(f"unknown workload {sys.argv[1]}; one of {', '.join(names)}")
+for name in sys.argv[1:]:
+    if name not in names:
+        sys.exit(f"unknown workload {name}; one of {', '.join(names)}")
 EOF
 
 SCRATCH="${AB_BENCH_DIR:-/root/scratch/ab_bench}"
@@ -84,28 +88,36 @@ for side in parent change; do
 done
 
 # One run of one side from its own checkout root; the log keeps every line.
-run_side() { # side seed pair
-    local log="$SCRATCH/logs/$WORKLOAD.$3.$1.log"
-    (cd "$SCRATCH/$1" && "$SCRATCH/target-$1/release/tpp-benchmark" \
-        --workload "$WORKLOAD" --seed "$2" --seconds "$SECONDS_PER_RUN" --trace 0) >"$log" 2>&1 ||
-        echo "# $1 run failed, see $log" >&2
+run_side() { # workload side seed pair
+    local log="$SCRATCH/logs/$1.$4.$2.log"
+    (cd "$SCRATCH/$2" && "$SCRATCH/target-$2/release/tpp-benchmark" \
+        --workload "$1" --seed "$3" --seconds "$SECONDS_PER_RUN" --trace 0) >"$log" 2>&1 ||
+        echo "# $2 run failed, see $log" >&2
     echo "$log"
 }
 
-IFS=, read -r -a SEED_LIST <<<"$SEEDS"
-RESULTS="$SCRATCH/logs/$WORKLOAD.results"
-: >"$RESULTS"
-for ((i = 0; i < PAIRS; i++)); do
-    seed="${SEED_LIST[$((i * ${#SEED_LIST[@]} / PAIRS))]}"
-    if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        log="$(run_side "$side" "$seed" "$i")"
-        echo "$i $seed $side $log" >>"$RESULTS"
+# PAIRS alternating pairs of one workload, one results line per run.
+run_pairs() { # workload results
+    local i seed order side log
+    : >"$2"
+    for ((i = 0; i < PAIRS; i++)); do
+        seed="${SEED_LIST[$((i * ${#SEED_LIST[@]} / PAIRS))]}"
+        if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            log="$(run_side "$1" "$side" "$seed" "$i")"
+            echo "$i $seed $side $log" >>"$2"
+        done
+        echo "# $1 pair $i (seed $seed, $order) done"
     done
-    echo "# pair $i (seed $seed, $order) done"
-done
+}
 
-python3 - "$RESULTS" <<'EOF'
+IFS=, read -r -a SEED_LIST <<<"$SEEDS"
+STATUS=0
+for WORKLOAD in "${WORKLOADS[@]}"; do
+    RESULTS="$SCRATCH/logs/$WORKLOAD.results"
+    run_pairs "$WORKLOAD" "$RESULTS"
+    echo "## $WORKLOAD"
+    python3 - "$RESULTS" <<'EOF' || STATUS=1
 import json, re, sys
 
 runs = {}  # (pair, side) -> dict
@@ -166,3 +178,5 @@ same = all(runs[(p, "parent")]["digest"] == runs[(p, "change")]["digest"] is not
 print(f"output_digest equal on every pair: {same}")
 sys.exit(0 if clean else 1)
 EOF
+done
+exit "$STATUS"
