@@ -525,6 +525,10 @@ impl InterDcSender {
                     s.probes_completed += 1;
                 },
             )
+            // A probe that exhausted its retries will never complete.
+            .on_failed(|s, _io, token| {
+                s.inflight.remove(&token);
+            })
             .on_start(|s, io| {
                 io.ctx.set_timer_at(s.start_at, TIMER_CONTROL);
                 for i in 0..s.paths.len() {
@@ -918,6 +922,35 @@ mod tests {
         );
         assert!(p1.fct_ms.is_some() && p2.fct_ms.is_some(), "transfers must complete");
         assert!(p1.fct_ms.unwrap() < p2.fct_ms.unwrap(), "nearer DC finishes first");
+    }
+
+    #[test]
+    fn failed_probes_leave_the_inflight_map() {
+        // The destination runs `NullApp`: no probe is ever echoed, so every
+        // one exhausts its retries. Only the executor's pending probes may
+        // still be in flight; a failed one used to stay for the whole run.
+        let mut topo = TopologySpec::Star { hosts: 2 }
+            .builder()
+            .host_mbps(1000)
+            .delay_ns(1000)
+            .seed(1)
+            .build();
+        let (src, dst) = (topo.hosts[0], topo.hosts[1]);
+        let path = InterDcPath {
+            dst: topo.net.host(dst).ip,
+            dst_dc: 1,
+            sport: 7001,
+            capacity_mbps: 100.0,
+            transfer_bytes: 0,
+        };
+        let cfg = InterDcConfig { src_dc: 0, rcp: RcpConfig::default(), paths: vec![path] };
+        topo.net.set_app(src, Box::new(InterDcSender::new(cfg, 0)));
+        topo.net.run_until(SECONDS);
+        let sender = topo.net.app_mut::<InterDcSenderApp>(src);
+        let exec = sender.executor().expect("the sender launches probes");
+        assert!(exec.failed > 100, "{} probes failed", exec.failed);
+        assert_eq!(sender.probes_completed, 0);
+        assert_eq!(sender.inflight.len(), exec.pending_count());
     }
 
     #[test]

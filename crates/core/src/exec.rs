@@ -109,26 +109,19 @@ pub enum InstrStatus {
     Suppressed,
 }
 
-/// Options controlling execution at one switch.
+/// Options controlling execution at one switch. The instruction budget is
+/// the architectural [`MAX_INSTRUCTIONS`] (longer TPPs are rejected), and
+/// every execution advances the hop counter.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
     /// Administrative write kill-switch (§4.3). When false, `STORE`, `POP`
     /// and `CSTORE` cannot modify switch memory.
     pub allow_writes: bool,
-    /// Architectural instruction budget; longer TPPs are rejected.
-    pub max_instructions: usize,
-    /// Increment the hop counter after execution (switches do; host-side
-    /// dry-runs don't).
-    pub increment_hop: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            allow_writes: true,
-            max_instructions: crate::isa::MAX_INSTRUCTIONS,
-            increment_hop: true,
-        }
+        ExecOptions { allow_writes: true }
     }
 }
 
@@ -167,11 +160,10 @@ impl ExecOutcome {
 
 /// Execute `tpp` in program order against `bus`.
 ///
-/// Mutates the TPP's packet memory, stack pointer, `wrote` flag and (when
-/// `opts.increment_hop`) hop counter — exactly the state a switch forwards
-/// to the next hop.
+/// Mutates the TPP's packet memory, stack pointer, `wrote` flag and hop
+/// counter — exactly the state a switch forwards to the next hop.
 pub fn execute(tpp: &mut Tpp, bus: &mut dyn MemoryBus, opts: &ExecOptions) -> ExecOutcome {
-    if tpp.instrs.len() > opts.max_instructions {
+    if tpp.instrs.len() > MAX_INSTRUCTIONS {
         return ExecOutcome { status: Vec::new(), wrote: false, rejected: true };
     }
     let mut status = Vec::with_capacity(tpp.instrs.len());
@@ -200,12 +192,10 @@ pub fn execute(tpp: &mut Tpp, bus: &mut dyn MemoryBus, opts: &ExecOptions) -> Ex
     if wrote {
         tpp.wrote = true;
     }
-    if opts.increment_hop {
-        // Wrapping: the hop counter is a modular path position, which the
-        // large-TPP splitting pattern (§4.4) exploits by starting it
-        // "before zero" so each split covers a later hop range.
-        tpp.hop = tpp.hop.wrapping_add(1);
-    }
+    // Wrapping: the hop counter is a modular path position, which the
+    // large-TPP splitting pattern (§4.4) exploits by starting it "before
+    // zero" so each split covers a later hop range.
+    tpp.hop = tpp.hop.wrapping_add(1);
     ExecOutcome { status, wrote, rejected: false }
 }
 
@@ -496,16 +486,14 @@ pub fn step_in_place<B: MemoryBus + ?Sized>(
 /// (property-tested in `tests/proptests.rs`): packet-memory words, the
 /// SP/hop/flag bytes and the section checksum end up byte-identical to a
 /// parse → [`execute`] → re-serialize round trip, and the per-instruction
-/// statuses and bus side effects match. The only intentional difference is
-/// capacity: this path enforces the architectural [`MAX_INSTRUCTIONS`]
-/// budget even if `opts.max_instructions` was configured above it.
+/// statuses and bus side effects match.
 pub fn execute_in_place(
     view: &mut TppViewMut<'_>,
     bus: &mut dyn MemoryBus,
     opts: &ExecOptions,
 ) -> InPlaceOutcome {
     let n = view.n_instr();
-    if n > opts.max_instructions || n > MAX_INSTRUCTIONS {
+    if n > MAX_INSTRUCTIONS {
         return InPlaceOutcome { status: StatusVec::default(), wrote: false, rejected: true };
     }
     let mut status = StatusVec::default();
@@ -531,10 +519,8 @@ pub fn execute_in_place(
     if wrote {
         view.set_wrote(true);
     }
-    if opts.increment_hop {
-        let hop = view.hop();
-        view.set_hop(hop.wrapping_add(1));
-    }
+    let hop = view.hop();
+    view.set_hop(hop.wrapping_add(1));
     InPlaceOutcome { status, wrote, rejected: false }
 }
 
@@ -711,8 +697,7 @@ mod tests {
         let mut tpp = hop_tpp(vec![Instruction::store(reg, 0)], 4, 1);
         tpp.write_word(0, 123).unwrap();
         let mut bus = MapBus::with(&[(reg, 0)]);
-        let opts = ExecOptions { allow_writes: false, ..ExecOptions::default() };
-        let out = execute(&mut tpp, &mut bus, &opts);
+        let out = execute(&mut tpp, &mut bus, &ExecOptions { allow_writes: false });
         assert_eq!(out.status, vec![InstrStatus::Skipped]);
         assert_eq!(bus.get(reg), Some(0));
         assert!(!tpp.wrote);
@@ -725,8 +710,7 @@ mod tests {
         tpp.write_word(0, 10).unwrap();
         tpp.write_word(1, 11).unwrap();
         let mut bus = MapBus::with(&[(reg, 10)]);
-        let opts = ExecOptions { allow_writes: false, ..ExecOptions::default() };
-        let out = execute(&mut tpp, &mut bus, &opts);
+        let out = execute(&mut tpp, &mut bus, &ExecOptions { allow_writes: false });
         assert_eq!(out.status, vec![InstrStatus::CondFailed]);
         assert_eq!(bus.get(reg), Some(10));
         // Observed value still written back so the host learns the state.
@@ -762,9 +746,10 @@ mod tests {
         let mut bus = MapBus::with(&[(sid, 1)]);
         execute(&mut tpp, &mut bus, &ExecOptions::default());
         assert_eq!(tpp.hop, 1);
-        let opts = ExecOptions { increment_hop: false, ..ExecOptions::default() };
-        execute(&mut tpp, &mut bus, &opts);
-        assert_eq!(tpp.hop, 1);
+        // Wrapping: a hop counter wound "before zero" (§4.4) comes round.
+        tpp.hop = u8::MAX;
+        execute(&mut tpp, &mut bus, &ExecOptions::default());
+        assert_eq!(tpp.hop, 0);
     }
 
     /// Run both interpreters on the same TPP/bus and require byte-identical
@@ -811,11 +796,9 @@ mod tests {
         tpp.write_word(2, 6000).unwrap();
         assert_paths_agree(&tpp, &MapBus::with(&[(reg, 77)]), &ExecOptions::default());
 
-        // Unmapped reads skip; writes disabled; no hop increment.
+        // Unmapped reads skip; writes disabled.
         let tpp = stack_tpp(vec![Instruction::push(sid), Instruction::store(reg, 0)], 8);
-        let opts =
-            ExecOptions { allow_writes: false, increment_hop: false, ..ExecOptions::default() };
-        assert_paths_agree(&tpp, &MapBus::default(), &opts);
+        assert_paths_agree(&tpp, &MapBus::default(), &ExecOptions { allow_writes: false });
 
         // Over budget: rejected, bytes untouched.
         let tpp = stack_tpp(vec![Instruction::push(sid); 6], 64);

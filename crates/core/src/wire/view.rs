@@ -367,16 +367,14 @@ impl<'a> TppViewMut<'a> {
 
     /// What a switch leaves in the header when a TPP has run: the final SP,
     /// the wrote flag raised if `wrote` (never lowered), the hop counter set
-    /// to `hop` if given. [`Self::set_sp`], [`Self::set_wrote`] and
-    /// [`Self::set_hop`] in one checksum fold.
-    pub fn complete_hop(&mut self, sp: u8, wrote: bool, hop: Option<u8>) {
+    /// to `hop`. [`Self::set_sp`], [`Self::set_wrote`] and [`Self::set_hop`]
+    /// in one checksum fold.
+    pub fn complete_hop(&mut self, sp: u8, wrote: bool, hop: u8) {
         let mut delta = self.put16(4, u16::from_be_bytes([sp, self.bytes[5]]));
         if wrote {
             delta += self.put16(0, self.group0(true));
         }
-        if let Some(hop) = hop {
-            delta += self.put16(2, u16::from_be_bytes([self.bytes[2], hop]));
-        }
+        delta += self.put16(2, u16::from_be_bytes([self.bytes[2], hop]));
         self.fold(delta);
     }
 
@@ -599,20 +597,14 @@ mod tests {
                         // SP, wrote and hop, each sometimes what is there.
                         let sp = if r & 0x100 == 0 { v.sp() } else { (r >> 16) as u8 };
                         let wrote = r & 0x200 == 0;
-                        let hop = match (r >> 10) % 3 {
-                            0 => None,
-                            1 => Some(v.hop()),
-                            _ => Some((r >> 24) as u8),
-                        };
+                        let hop = if r & 0x400 == 0 { v.hop() } else { (r >> 24) as u8 };
                         v.complete_hop(sp, wrote, hop);
                         // `TppRun::finish` as it was: three mutators.
                         set_sp_oracle(&mut oracle, sp);
                         if wrote {
                             set_wrote_oracle(&mut oracle, true);
                         }
-                        if let Some(hop) = hop {
-                            set_hop_oracle(&mut oracle, hop);
-                        }
+                        set_hop_oracle(&mut oracle, hop);
                     }
                     3 => {
                         v.set_hop((r >> 8) as u8);

@@ -36,9 +36,17 @@ prop_compose! {
     }
 }
 
+/// Valid sections of at most [`tpp_core::isa::MAX_INSTRUCTIONS`]
+/// instructions: what the assembler accepts.
+fn arb_tpp() -> impl Strategy<Value = Tpp> {
+    arb_tpp_up_to(5)
+}
+
 prop_compose! {
-    fn arb_tpp()(
-        instrs in prop::collection::vec(arb_instruction(), 0..=5),
+    /// Valid sections of up to `max_instrs` instructions; past the budget
+    /// they are well formed on the wire and rejected by the interpreters.
+    fn arb_tpp_up_to(max_instrs: usize)(
+        instrs in prop::collection::vec(arb_instruction(), 0..=max_instrs),
         mem_words in 0usize..=63,
         mode in prop_oneof![Just(AddrMode::Stack), Just(AddrMode::Hop)],
         hop in any::<u8>(),
@@ -249,20 +257,19 @@ proptest! {
         }
     }
 
-    /// §3.3 differential suite: for arbitrary valid sections, bus states and
-    /// execution options, `execute_in_place` over the wire bytes produces a
-    /// frame byte-identical to parse → `execute` → re-serialize — checksum
-    /// and graceful-failure semantics included — with matching statuses and
+    /// §3.3 differential suite: for arbitrary valid sections (some over the
+    /// instruction budget), bus states and execution options,
+    /// `execute_in_place` over the wire bytes produces a frame byte-identical
+    /// to parse → `execute` → re-serialize — checksum, rejection and
+    /// graceful-failure semantics included — with matching statuses and
     /// switch-memory side effects.
     #[test]
     fn in_place_execution_matches_reference(
-        tpp in arb_tpp(),
+        tpp in arb_tpp_up_to(7),
         mapped_mask in any::<u8>(),
         ro_mask in any::<u8>(),
         value_seed in any::<u64>(),
         allow_writes in any::<bool>(),
-        increment_hop in any::<bool>(),
-        max_instructions in 0usize..=5,
     ) {
         // Bus: per distinct instruction address, mapped/read-only by mask
         // bit, with a pseudo-random value.
@@ -277,7 +284,7 @@ proptest! {
                 bus.mark_read_only(ins.addr);
             }
         }
-        let opts = ExecOptions { allow_writes, increment_hop, max_instructions };
+        let opts = ExecOptions { allow_writes };
 
         // Frame = section + trailing encapsulated payload.
         let section_len = tpp.section_len();

@@ -112,8 +112,7 @@ proptest! {
         }
 
         let mut bus = full_bus(&tpp);
-        let opts =
-            ExecOptions { allow_writes: true, increment_hop: true, ..ExecOptions::default() };
+        let opts = ExecOptions { allow_writes: true };
         let mut frame = tpp.serialize();
         for h in 0..hops {
             let (mut view, _) = TppViewMut::parse(&mut frame).expect("serialized TPP parses");
@@ -138,8 +137,7 @@ proptest! {
     #[test]
     fn runtime_fault_implies_verifier_rejection(tpp in arb_tpp(), hops in 1usize..=8) {
         let mut bus = full_bus(&tpp);
-        let opts =
-            ExecOptions { allow_writes: true, increment_hop: true, ..ExecOptions::default() };
+        let opts = ExecOptions { allow_writes: true };
         let mut frame = tpp.serialize();
         let mut faulted = false;
         for _ in 0..hops {

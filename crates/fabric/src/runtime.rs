@@ -150,16 +150,6 @@ impl Fabric {
         self.run_epochs(until, if threaded { self.shards.len() } else { 1 });
     }
 
-    /// Run for `dur` more nanoseconds, measured from the *barrier* time
-    /// ([`Fabric::now`]) — not from the last processed event's timestamp
-    /// the way `Network::run_for` measures. The two therefore cover
-    /// different horizons for the same `dur`; drive differential
-    /// comparisons with `run_until` and absolute times.
-    pub fn run_for(&mut self, dur: Time) {
-        let until = self.now().saturating_add(dur);
-        self.run_until(until);
-    }
-
     /// The epoch schedule: after a barrier at `synced`, every event a shard
     /// processes in `(synced, synced + L]` produces cross-shard arrivals
     /// strictly later than `synced + L`, so windows of length `L` are safe.

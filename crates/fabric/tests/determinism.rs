@@ -213,7 +213,7 @@ fn run_until_never_moves_the_clock_backwards() {
     fabric.run_until(2 * MILLIS); // stale target: must be a no-op
     assert_eq!(fabric.now(), 4 * MILLIS);
     assert_eq!(fabric.stats(), stats);
-    fabric.run_for(MILLIS); // and run_for still advances from 4ms, not 2ms
+    fabric.run_until(5 * MILLIS); // and a later one still advances
     assert_eq!(fabric.now(), 5 * MILLIS);
 }
 
@@ -231,34 +231,20 @@ impl HostApp for LateApp {
     }
 }
 
-/// Run a 2-shard star with a [`LateApp`] to 1 ms, then to the end of time.
-fn run_past_the_first_horizon(mode: ExecMode) {
+/// A panic in one worker's window left the other workers at that window's
+/// barrier for good. Every worker now reaches it, all leave the loop there
+/// and the panic is re-raised on the caller. A run to the end of time does
+/// not return, so a host timer past the first horizon ends this one.
+#[test]
+#[should_panic(expected = "ran past the first horizon")]
+fn a_panic_in_one_shard_fails_the_threaded_run_instead_of_hanging_it() {
     let mut t =
         TopologySpec::Star { hosts: 4 }.builder().host_mbps(1000).delay_ns(1000).seed(3).build();
     t.net.set_app(t.hosts[0], Box::new(LateApp));
     let mut fabric = Fabric::new(t.net, 2, PartitionStrategy::RoundRobin);
-    fabric.set_mode(mode);
+    fabric.set_mode(ExecMode::Threaded);
     fabric.run_until(MILLIS);
-    fabric.run_for(Time::MAX);
-}
-
-/// `Fabric::run_for` computed `now + dur` unguarded: past the first barrier
-/// `Time::MAX` panicked in debug builds and wrapped to a stale target (a
-/// silent no-op) in release builds. A run to the end of time does not
-/// return, so a host timer past the first horizon ends this one.
-#[test]
-#[should_panic(expected = "ran past the first horizon")]
-fn run_for_time_max_runs_on_instead_of_wrapping() {
-    run_past_the_first_horizon(ExecMode::Sequential);
-}
-
-/// A panic in one worker's window left the other workers at that window's
-/// barrier for good. Every worker now reaches it, all leave the loop there
-/// and the panic is re-raised on the caller.
-#[test]
-#[should_panic(expected = "ran past the first horizon")]
-fn a_panic_in_one_shard_fails_the_threaded_run_instead_of_hanging_it() {
-    run_past_the_first_horizon(ExecMode::Threaded);
+    fabric.run_until(Time::MAX);
 }
 
 /// The threaded run under real concurrency, over and over: 4 workers on this

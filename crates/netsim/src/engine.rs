@@ -4,10 +4,10 @@
 //!
 //! Events at equal timestamps are delivered by ascending *order key*, then
 //! by insertion order (a strictly increasing sequence number breaks the
-//! remaining ties). Plain [`Scheduler::schedule_at`] uses key 0 for every
-//! event, which degenerates to pure insertion-order ties — the classic
-//! single-queue behavior. [`Scheduler::schedule_keyed`] lets a simulation
-//! attach a *content-derived* key (e.g. packed from node id and port) so
+//! remaining ties). Key 0 for every event degenerates to pure
+//! insertion-order ties — the classic single-queue behavior.
+//! [`Scheduler::schedule_keyed`] lets a simulation attach a
+//! *content-derived* key (e.g. packed from node id and port) so
 //! that same-timestamp delivery order is a function of the events
 //! themselves rather than of when they were inserted. That property is what
 //! allows a sharded runtime (`tpp-fabric`) to replay the exact same
@@ -112,12 +112,6 @@ impl<E> Scheduler<E> {
         self.len() == 0
     }
 
-    /// Schedule `event` at absolute time `at`. Scheduling in the past is a
-    /// logic error and panics in debug builds; in release it clamps to now.
-    pub fn schedule_at(&mut self, at: Time, event: E) {
-        self.schedule_keyed(at, 0, event);
-    }
-
     /// Schedule `event` at `at` with an explicit same-timestamp order key:
     /// ties are broken by `(key, insertion order)`. Keys must be derived
     /// from event *content* if the schedule is to be reproducible across
@@ -136,12 +130,6 @@ impl<E> Scheduler<E> {
         } else {
             self.heap.push(entry);
         }
-    }
-
-    /// Schedule `event` after a delay relative to now. A delay that would
-    /// pass the end of time lands there: `Time::MAX` means "never".
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
     }
 
     /// Pop the earliest event, advancing the clock.
@@ -195,9 +183,9 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = Scheduler::new();
-        q.schedule_at(30, "c");
-        q.schedule_at(10, "a");
-        q.schedule_at(20, "b");
+        q.schedule_keyed(30, 0, "c");
+        q.schedule_keyed(10, 0, "a");
+        q.schedule_keyed(20, 0, "b");
         assert_eq!(q.pop(), Some((10, "a")));
         assert_eq!(q.pop(), Some((20, "b")));
         assert_eq!(q.pop(), Some((30, "c")));
@@ -208,7 +196,7 @@ mod tests {
     fn ties_broken_by_insertion_order() {
         let mut q = Scheduler::new();
         for i in 0..100 {
-            q.schedule_at(5, i);
+            q.schedule_keyed(5, 0, i);
         }
         for i in 0..100 {
             assert_eq!(q.pop(), Some((5, i)));
@@ -218,9 +206,9 @@ mod tests {
     #[test]
     fn clock_advances_monotonically() {
         let mut q = Scheduler::new();
-        q.schedule_at(10, ());
-        q.schedule_at(10, ());
-        q.schedule_at(25, ());
+        q.schedule_keyed(10, 0, ());
+        q.schedule_keyed(10, 0, ());
+        q.schedule_keyed(25, 0, ());
         let mut last = 0;
         while let Some((t, _)) = q.pop() {
             assert!(t >= last);
@@ -260,43 +248,19 @@ mod tests {
     #[should_panic(expected = "scheduling into the past")]
     fn schedule_into_the_past_panics_in_debug() {
         let mut q = Scheduler::new();
-        q.schedule_at(100, "later");
+        q.schedule_keyed(100, 0, "later");
         q.pop(); // now == 100
-        q.schedule_at(99, "earlier");
+        q.schedule_keyed(99, 0, "earlier");
     }
 
     #[test]
     #[cfg(not(debug_assertions))]
     fn schedule_into_the_past_clamps_in_release() {
         let mut q = Scheduler::new();
-        q.schedule_at(100, "later");
+        q.schedule_keyed(100, 0, "later");
         q.pop(); // now == 100
-        q.schedule_at(99, "earlier");
+        q.schedule_keyed(99, 0, "earlier");
         assert_eq!(q.pop(), Some((100, "earlier")));
-    }
-
-    #[test]
-    fn schedule_relative() {
-        let mut q = Scheduler::new();
-        q.schedule_at(100, 1);
-        q.pop();
-        q.schedule_in(50, 2);
-        assert_eq!(q.pop(), Some((150, 2)));
-    }
-
-    #[test]
-    fn schedule_in_saturates_at_the_end_of_time() {
-        // `now + delay` past `Time::MAX` used to panic in debug and wrap
-        // into the past in release, where the clamp delivered it at `now`.
-        let mut q = Scheduler::new();
-        q.schedule_at(100, "first");
-        q.pop(); // now == 100
-        q.schedule_in(Time::MAX, "never");
-        q.schedule_in(50, "soon");
-        q.schedule_at(Time::MAX - 1, "late");
-        assert_eq!(q.pop(), Some((150, "soon")));
-        assert_eq!(q.pop(), Some((Time::MAX - 1, "late")));
-        assert_eq!(q.pop(), Some((Time::MAX, "never")));
     }
 
     // The distances below (64^n boundaries, the 64^6 ns span, a slot three
@@ -307,8 +271,8 @@ mod tests {
     fn far_future_events_wait_their_turn() {
         let mut q = Scheduler::new();
         let span = 64u64.pow(6);
-        q.schedule_at(3 * span + 7, "far");
-        q.schedule_at(5, "near");
+        q.schedule_keyed(3 * span + 7, 0, "far");
+        q.schedule_keyed(5, 0, "near");
         q.schedule_keyed(3 * span + 7, 0, "far2"); // same far timestamp
         assert_eq!(q.pop(), Some((5, "near")));
         assert_eq!(q.pop(), Some((3 * span + 7, "far")));
@@ -322,7 +286,7 @@ mod tests {
         let mut q = Scheduler::new();
         let times = [0u64, 1, 63, 64, 65, 4095, 4096, 4097, 262143, 262144, 1 << 30];
         for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(t, i);
+            q.schedule_keyed(t, 0, i);
         }
         for (i, &t) in times.iter().enumerate() {
             assert_eq!(q.pop(), Some((t, i)));
@@ -358,9 +322,9 @@ mod tests {
     #[test]
     fn len_counts_near_and_far_events() {
         let mut q = Scheduler::new();
-        q.schedule_at(10, 0);
-        q.schedule_at(10, 1);
-        q.schedule_at(64u64.pow(6) * 2, 2);
+        q.schedule_keyed(10, 0, 0);
+        q.schedule_keyed(10, 0, 1);
+        q.schedule_keyed(64u64.pow(6) * 2, 0, 2);
         assert_eq!(q.len(), 3);
         q.pop();
         assert_eq!(q.len(), 2); // one at the popped timestamp, one far out
@@ -376,7 +340,7 @@ mod tests {
         // monotonicity.
         let mut q = Scheduler::new();
         let mut state = 12345u64;
-        q.schedule_at(0, 0u64);
+        q.schedule_keyed(0, 0, 0u64);
         let mut popped = 0;
         let mut last = 0;
         while let Some((t, _)) = q.pop() {
@@ -391,9 +355,9 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             if popped < 500 {
-                q.schedule_in(state % 100, popped);
+                q.schedule_keyed(t + state % 100, 0, popped);
                 if state.is_multiple_of(3) {
-                    q.schedule_in(0, popped + 1000);
+                    q.schedule_keyed(t, 0, popped + 1000);
                 }
             }
         }
@@ -405,8 +369,8 @@ mod tests {
     fn heap_backend_handles_far_deadlines_without_spilling() {
         let mut q = Scheduler::new();
         let span = 64u64.pow(6);
-        q.schedule_at(3 * span + 7, "far");
-        q.schedule_at(5, "near");
+        q.schedule_keyed(3 * span + 7, 0, "far");
+        q.schedule_keyed(5, 0, "near");
         assert_eq!(q.peek_time(), Some(5));
         assert_eq!(q.pop(), Some((5, "near")));
         assert_eq!(q.pop(), Some((3 * span + 7, "far")));
@@ -416,8 +380,8 @@ mod tests {
     #[test]
     fn take_due_stops_at_the_horizon() {
         let mut q = Scheduler::new();
-        q.schedule_at(10, "a");
-        q.schedule_at(20, "b");
+        q.schedule_keyed(10, 0, "a");
+        q.schedule_keyed(20, 0, "b");
         assert_eq!(q.take_due(5), None);
         assert_eq!((q.now(), q.len()), (0, 2), "nothing due: nothing taken");
         assert_eq!(q.take_due(10), Some((10, "a")));
@@ -449,13 +413,13 @@ mod tests {
     #[test]
     fn pop_after_take_skips_the_taken_event() {
         let mut q = Scheduler::new();
-        q.schedule_at(10, 1);
-        q.schedule_at(20, 2);
+        q.schedule_keyed(10, 0, 1);
+        q.schedule_keyed(20, 0, 2);
         assert_eq!(q.take_due(Time::MAX), Some((10, 1)));
         assert_eq!(q.pop(), Some((20, 2)));
         assert_eq!(q.pop(), None);
         // A take of the only event: nothing live is left to peek.
-        q.schedule_at(30, 3);
+        q.schedule_keyed(30, 0, 3);
         assert_eq!(q.take_due(Time::MAX), Some((30, 3)));
         assert_eq!((q.len(), q.peek_time()), (0, None));
     }
@@ -465,8 +429,8 @@ mod tests {
     #[should_panic(expected = "scheduling into the past")]
     fn a_take_advances_the_clock_guard() {
         let mut q = Scheduler::new();
-        q.schedule_at(100, "later");
+        q.schedule_keyed(100, 0, "later");
         q.take_due(Time::MAX); // now == 100
-        q.schedule_at(99, "earlier");
+        q.schedule_keyed(99, 0, "earlier");
     }
 }

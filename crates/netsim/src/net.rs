@@ -51,12 +51,12 @@
 //!   event queue; the fabric routes them to the owning shard, which
 //!   re-injects them with [`Network::inject_remote`].
 
-use crate::engine::{Scheduler, Time, MILLIS};
+use crate::engine::{Scheduler, Time};
 use crate::link::LinkFabric;
-use crate::nodes::{NodeKind, NodeStore};
+use crate::nodes::{NodeKind, NodeStore, NIC_LIMIT_BYTES};
 use crate::reconfig::{ReconfigAction, ReconfigPlan};
 use tpp_core::wire::{EthernetAddress, Ipv4Address};
-use tpp_switch::{DropReason, ReceiveOutcome, Switch, SwitchConfig};
+use tpp_switch::{DropReason, ReceiveOutcome, Switch, SwitchConfig, UTIL_INTERVAL_NS};
 
 pub use crate::link::LinkSpec;
 pub use crate::nodes::{FramePool, Host};
@@ -536,7 +536,6 @@ pub struct Network {
     pub stats: NetStats,
     /// Frames destined to nodes owned by other shards (see [`RemoteFrame`]).
     outbox: Vec<RemoteFrame>,
-    util_interval: Time,
     util_tick_scheduled: bool,
     hosts_started: bool,
     /// The reconfiguration plan: timed route/link changes carried as data
@@ -560,7 +559,6 @@ impl Network {
             nodes: NodeStore::default(),
             stats: NetStats::default(),
             outbox: Vec::new(),
-            util_interval: MILLIS,
             util_tick_scheduled: false,
             hosts_started: false,
             reconfig_plan: Vec::new(),
@@ -670,12 +668,6 @@ impl Network {
         self.nodes.host_mut(id).app.as_any().downcast_mut::<T>().expect("app type mismatch")
     }
 
-    /// Cap the frame pool's retained-buffer count (see
-    /// [`FramePool::set_high_water`]).
-    pub fn set_pool_high_water(&mut self, high_water: usize) {
-        self.nodes.pool.set_high_water(high_water);
-    }
-
     /// Degrade a link (both directions) for failure-injection experiments.
     /// In a partitioned run this must happen before [`Network::split`]:
     /// each kernel only updates its own port table.
@@ -764,7 +756,7 @@ impl Network {
     fn ensure_started(&mut self) {
         if !self.util_tick_scheduled {
             self.util_tick_scheduled = true;
-            let at = self.scheduler.now().saturating_add(self.util_interval);
+            let at = self.scheduler.now().saturating_add(UTIL_INTERVAL_NS);
             self.schedule_ev(at, Ev::UtilTick);
         }
         // Turn any plan entries added since the last run into events (this
@@ -829,7 +821,7 @@ impl Network {
         let len = frame.len();
         {
             let NodeKind::Host(h) = self.nodes.kind_mut(node) else { panic!("send from non-host") };
-            if h.nic_queued_bytes + len > h.nic_limit_bytes {
+            if h.nic_queued_bytes + len > NIC_LIMIT_BYTES {
                 h.nic_drops += 1;
                 self.nodes.pool.put(frame);
                 return;
@@ -988,7 +980,7 @@ impl Network {
                         sw.tick(now);
                     }
                 }
-                let at = now.saturating_add(self.util_interval);
+                let at = now.saturating_add(UTIL_INTERVAL_NS);
                 self.schedule_ev(at, Ev::UtilTick);
             }
         }
@@ -1023,16 +1015,6 @@ impl Network {
         self.stats.plan_cache_hits = hits;
         self.stats.plan_cache_misses = misses;
         self.stats.plan_cache_evictions = evictions;
-    }
-
-    /// Run for `dur` more nanoseconds, measured from the *last processed
-    /// event's* timestamp (`now()`), which may trail the previous
-    /// `run_until` target. `Fabric::run_for` measures from the barrier
-    /// time instead — drive differential comparisons with `run_until` and
-    /// absolute times.
-    pub fn run_for(&mut self, dur: Time) {
-        let until = self.now().saturating_add(dur);
-        self.run_until(until);
     }
 
     /// Number of hosts and switches (including remote slots in a shard).
@@ -1096,8 +1078,6 @@ impl Network {
             .map(|_| {
                 let mut n = Network::new(self.links.seed());
                 n.links = self.links.split_clone();
-                n.util_interval = self.util_interval;
-                n.nodes.pool.set_high_water(self.nodes.pool.high_water());
                 // The full plan travels to every shard; each schedules only
                 // the entries it must apply (see `schedule_reconfig`).
                 n.reconfig_plan = self.reconfig_plan.clone();
@@ -1119,6 +1099,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MILLIS;
+    use crate::nodes::POOL_HIGH_WATER;
     use std::any::Any;
     use std::sync::{Arc, Mutex};
     use tpp_core::wire::{ethernet, ipv4, udp, EthernetRepr};
@@ -1543,31 +1525,6 @@ mod tests {
         assert_eq!(*log.lock().unwrap(), vec![(1000, 1), (1500, 3)]);
     }
 
-    /// A run to the end of time does not return (the utilization tick
-    /// re-arms every millisecond), so the app ends this one from a timer
-    /// past the first horizon: reaching it shows that `run_for` neither
-    /// overflowed nor wrapped its horizon into the past.
-    #[test]
-    #[should_panic(expected = "ran past the first horizon")]
-    fn run_for_time_max_runs_on_instead_of_wrapping() {
-        struct LateApp;
-        impl HostApp for LateApp {
-            fn start(&mut self, ctx: &mut HostCtx<'_>) {
-                ctx.set_timer(5 * MILLIS, 0);
-            }
-            fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {
-                panic!("ran past the first horizon");
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut net = Network::new(0);
-        let _h = net.add_host(Box::new(LateApp));
-        net.run_until(MILLIS);
-        net.run_for(Time::MAX);
-    }
-
     #[test]
     fn nic_queue_limit_drops() {
         let mut net = Network::new(0);
@@ -1613,23 +1570,19 @@ mod tests {
     #[test]
     fn pool_high_water_caps_and_shrinks() {
         let mut pool = FramePool::default();
-        pool.set_high_water(4);
+        for _ in 0..POOL_HIGH_WATER + 10 {
+            pool.put(Vec::with_capacity(64));
+        }
+        assert_eq!(pool.len(), POOL_HIGH_WATER, "puts beyond the high-water mark free normally");
+        // Taking buffers out shrinks the pool, and it refills to the mark.
+        for _ in 0..3 {
+            pool.get();
+        }
+        assert_eq!(pool.len(), POOL_HIGH_WATER - 3);
         for _ in 0..10 {
             pool.put(Vec::with_capacity(64));
         }
-        assert_eq!(pool.len(), 4, "puts beyond the high-water mark free normally");
-        pool.shrink_to(1);
-        assert_eq!(pool.len(), 1);
-        // Raising the mark allows growth again.
-        pool.set_high_water(8);
-        for _ in 0..10 {
-            pool.put(Vec::with_capacity(64));
-        }
-        assert_eq!(pool.len(), 8);
-        // Lowering it shrinks immediately.
-        pool.set_high_water(2);
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.high_water(), 2);
+        assert_eq!(pool.len(), POOL_HIGH_WATER);
     }
 
     #[test]
@@ -1713,14 +1666,6 @@ mod tests {
         // Per-link sequence numbers give a total order on the one link.
         let seqs: Vec<u64> = out.iter().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn split_propagates_pool_high_water() {
-        let (mut net, _received) = two_hosts_one_switch(1000, 1000, 1);
-        net.set_pool_high_water(7);
-        let shards = net.split(&[0, 1, 1], 2);
-        assert!(shards.iter().all(|s| s.pool().high_water() == 7));
     }
 
     #[test]

@@ -12,8 +12,11 @@ use tpp_switch::{Switch, SwitchConfig};
 
 use crate::net::{HostApp, NodeId};
 
-/// Default cap on retained buffers (see [`FramePool::set_high_water`]).
-pub const DEFAULT_POOL_HIGH_WATER: usize = 1024;
+/// Cap on the buffers a [`FramePool`] retains.
+pub const POOL_HIGH_WATER: usize = 1024;
+
+/// A host's NIC queue limit; beyond it the host drops locally.
+pub const NIC_LIMIT_BYTES: usize = 1 << 20;
 
 /// A freelist of retired frame buffers, shared by the whole simulation.
 ///
@@ -31,25 +34,16 @@ pub const DEFAULT_POOL_HIGH_WATER: usize = 1024;
 /// In a sharded run each shard owns its own pool, preserving the
 /// zero-allocation steady state without cross-core contention.
 ///
-/// Growth is bounded by a configurable *high-water mark*
-/// ([`FramePool::set_high_water`], default [`DEFAULT_POOL_HIGH_WATER`]):
-/// buffers returned beyond it free normally, and [`FramePool::shrink_to`]
-/// releases retained capacity on demand. Occupancy is surfaced through
+/// Growth is bounded by the *high-water mark* [`POOL_HIGH_WATER`]: buffers
+/// returned beyond it free normally. Occupancy is surfaced through
 /// [`crate::net::NetStats::pool_retained`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FramePool {
     free: Vec<Vec<u8>>,
-    high_water: usize,
     /// Buffers handed back out instead of freshly allocated.
     pub recycled: u64,
     /// `get()` calls that had to allocate because the pool was empty.
     pub misses: u64,
-}
-
-impl Default for FramePool {
-    fn default() -> Self {
-        FramePool { free: Vec::new(), high_water: DEFAULT_POOL_HIGH_WATER, recycled: 0, misses: 0 }
-    }
 }
 
 impl FramePool {
@@ -71,29 +65,9 @@ impl FramePool {
     /// Return a spent buffer to the pool. Beyond the high-water mark the
     /// buffer frees normally instead of being retained.
     pub fn put(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > 0 && self.free.len() < self.high_water {
+        if buf.capacity() > 0 && self.free.len() < POOL_HIGH_WATER {
             self.free.push(buf);
         }
-    }
-
-    /// The retention cap currently in force.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Change the retention cap; a lower cap immediately shrinks the pool
-    /// down to it.
-    pub fn set_high_water(&mut self, high_water: usize) {
-        self.high_water = high_water;
-        if self.free.len() > high_water {
-            self.shrink_to(high_water);
-        }
-    }
-
-    /// Free retained buffers down to `target`, releasing their memory.
-    pub fn shrink_to(&mut self, target: usize) {
-        self.free.truncate(target);
-        self.free.shrink_to_fit();
     }
 
     /// Buffers currently available for reuse.
@@ -114,8 +88,6 @@ pub struct Host {
     pub app: Box<dyn HostApp>,
     pub(crate) nic_queue: std::collections::VecDeque<Vec<u8>>,
     pub(crate) nic_queued_bytes: usize,
-    /// NIC queue limit; beyond this the host drops locally.
-    pub nic_limit_bytes: usize,
     pub tx_frames: u64,
     pub rx_frames: u64,
     pub nic_drops: u64,
@@ -162,7 +134,6 @@ impl NodeStore {
             app,
             nic_queue: std::collections::VecDeque::new(),
             nic_queued_bytes: 0,
-            nic_limit_bytes: 1 << 20,
             tx_frames: 0,
             rx_frames: 0,
             nic_drops: 0,

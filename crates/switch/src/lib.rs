@@ -43,5 +43,5 @@ pub use cost::{CostProfile, ResourceModel, ASIC, NETFPGA};
 pub use memmap::{MatchedEntries, PacketContext, SwitchBus, SwitchMemory};
 pub use pipeline::{PipelineConfig, TppRun};
 pub use plan_cache::{PlanCache, PlanCacheStats, PLAN_CACHE_SLOTS};
-pub use switch::{DropReason, ReceiveOutcome, Switch, SwitchConfig};
+pub use switch::{DropReason, ReceiveOutcome, Switch, SwitchConfig, UTIL_INTERVAL_NS};
 pub use tables::{Action, FlowKey, FlowTable, GroupTable};

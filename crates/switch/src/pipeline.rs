@@ -179,14 +179,12 @@ impl TppRun {
     /// offsets from this frame's SP, resolve each instruction's pipeline
     /// stage and order the instructions by it. The plan cache reuses the
     /// *whole* result for frames whose header prefix and instruction words
-    /// match exactly, making this path per-program, not per-frame. Like the
-    /// in-place interpreter, the pipeline enforces the architectural
-    /// [`MAX_INSTRUCTIONS`] budget even when `opts.max_instructions` is
-    /// configured above it.
+    /// match exactly, making this path per-program, not per-frame. A program
+    /// over the architectural [`MAX_INSTRUCTIONS`] budget is rejected.
     pub fn plan(
         view: &TppView<'_>,
         section: usize,
-        opts: &ExecOptions,
+        _opts: &ExecOptions,
         cfg: &PipelineConfig,
     ) -> TppRun {
         let n = view.n_instr();
@@ -204,7 +202,7 @@ impl TppRun {
             wrote: false,
             executed_ops: [Opcode::Load; MAX_INSTRUCTIONS],
             n_executed: 0,
-            rejected: n > opts.max_instructions || n > MAX_INSTRUCTIONS,
+            rejected: n > MAX_INSTRUCTIONS,
             reflect: view.reflect(),
             hop: view.hop(),
         };
@@ -305,14 +303,14 @@ impl TppRun {
     /// Complete the run after the last stage: write the final SP, wrote
     /// flag and hop counter into the frame (one incremental checksum fold).
     /// Rejected TPPs are forwarded byte-for-byte untouched.
-    pub fn finish(&mut self, frame: &mut [u8], opts: &ExecOptions) {
+    pub fn finish(&mut self, frame: &mut [u8], _opts: &ExecOptions) {
         if self.rejected {
             return;
         }
         TppViewMut::from_validated(&mut frame[self.section..]).complete_hop(
             self.final_sp,
             self.wrote,
-            opts.increment_hop.then(|| self.hop.wrapping_add(1)),
+            self.hop.wrapping_add(1),
         );
     }
 

@@ -9,19 +9,21 @@
 //! planner stopped reading it when the plan stopped carrying a bounds
 //! proof):
 //!
-//! * one byte of [`ExecOptions::max_instructions`] (the budget verdict),
 //! * the first header byte with the `wrote`/reserved bits masked out
 //!   (mode, reflect, and version feed the plan; `wrote` does not),
 //! * header bytes 1–5 (`n_instr`, `mem_len`, `hop`, `sp`, `per_hop_len`),
 //! * the instruction words themselves.
 //!
 //! The checksum and `encap_proto`/`app_id` bytes are excluded — the plan
-//! never reads them. No key is materialised: the header bytes and the
-//! budget byte are read off the section as one `u64` (the *head*), the
-//! instruction words as `u32`s, and an entry stores exactly those. Matching
-//! is an **exact compare** of the head and of every word (the hash only
-//! picks the slots), so a collision can cost a miss but can never return
-//! the wrong plan: behavior invariance is structural, not probabilistic.
+//! never reads them — and so are the execution options: the instruction
+//! budget is the architectural [`MAX_INSTRUCTIONS`], over which a program is
+//! never cached, and the write kill-switch is read per frame. No key is
+//! materialised: the header bytes are read off the section as one `u64`
+//! (the *head*), the instruction words as `u32`s, and an entry stores
+//! exactly those. Matching is an **exact compare** of the head and of every
+//! word (the hash only picks the slots), so a collision can cost a miss but
+//! can never return the wrong plan: behavior invariance is structural, not
+//! probabilistic.
 //! Safety does not rest on that: a plan is a schedule, not a proof, and the
 //! TCPU bounds-checks every access against the frame it runs on (§3.3).
 //!
@@ -68,8 +70,7 @@ const _: () = assert!(PLAN_CACHE_SLOTS.is_power_of_two() && HOMES * SLOT_BITS <=
 
 /// What of the section's first eight bytes, read little-endian, is keyed:
 /// header bytes 0–5 less the bits of byte 0 the planner never reads, `wrote`
-/// (0x02) and the reserved bit (0x01). Bytes 6–7 are the checksum; the budget
-/// byte takes the place of byte 6.
+/// (0x02) and the reserved bit (0x01). Bytes 6–7 are the checksum.
 const HEAD_MASK: u64 = 0x0000_FFFF_FFFF_FFFC;
 
 /// The multiplier of the final fold (the halves of a 128-bit product xored),
@@ -160,15 +161,14 @@ impl PlanCache {
         cfg: &PipelineConfig,
     ) -> TppRun {
         let n = view.n_instr();
-        if n > MAX_INSTRUCTIONS || n > opts.max_instructions {
+        if n > MAX_INSTRUCTIONS {
             // Rejected plans are trivial to rebuild (no decode)
             // and their instruction words may exceed the key budget.
             self.stats.misses += 1;
             return TppRun::plan(view, section, opts, cfg);
         }
-        let budget = u8::try_from(opts.max_instructions).unwrap_or(u8::MAX);
         let first8: [u8; 8] = section_bytes[..8].try_into().expect("an 8-byte slice");
-        let head = u64::from_le_bytes(first8) & HEAD_MASK | u64::from(budget) << 48;
+        let head = u64::from_le_bytes(first8) & HEAD_MASK;
         let program: &[u8] = &section_bytes[HEADER_LEN..HEADER_LEN + n * INSTR_BYTES];
         let word = |i: usize| {
             let w: [u8; INSTR_BYTES] =
@@ -398,30 +398,6 @@ mod tests {
                 assert_eq!(hits_after_flip(byte, bit), u64::from(!keyed), "byte {byte} bit {bit}");
             }
         }
-    }
-
-    #[test]
-    fn budget_change_does_not_reuse_stale_verdict() {
-        let cfg = PipelineConfig::default();
-        let mut cache = PlanCache::default();
-        let tpp = TppBuilder::stack_mode()
-            .push_m("Switch:SwitchID")
-            .unwrap()
-            .push_m("Queue:QueueOccupancy")
-            .unwrap()
-            .push_m("Switch:Version")
-            .unwrap()
-            .hops(2)
-            .build()
-            .unwrap();
-        let bytes = tpp.serialize();
-        let (view, _) = TppView::parse(&bytes).unwrap();
-        let generous = ExecOptions::default();
-        let strict = ExecOptions { max_instructions: 2, ..ExecOptions::default() };
-        let accepted = cache.plan(&view, &bytes, 0, &generous, &cfg);
-        assert!(!accepted.rejected);
-        let rejected = cache.plan(&view, &bytes, 0, &strict, &cfg);
-        assert!(rejected.rejected, "budget is part of the key");
     }
 
     #[test]

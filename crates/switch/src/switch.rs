@@ -22,6 +22,10 @@ use tpp_core::wire::{
     ethernet, locate_tpp, EthernetFrame, Ipv4Address, Ipv4Packet, TppLocation, TppView,
 };
 
+/// Link-utilization refresh interval (§2.2: "the network updates link
+/// utilization counters every millisecond").
+pub const UTIL_INTERVAL_NS: u64 = 1_000_000;
+
 /// Static configuration of one switch.
 #[derive(Clone, Debug)]
 pub struct SwitchConfig {
@@ -32,12 +36,8 @@ pub struct SwitchConfig {
     pub pipeline: PipelineConfig,
     /// Administrative write kill-switch (§4.3).
     pub allow_writes: bool,
-    pub max_instructions: usize,
     /// Drop-tail limit per queue, bytes.
     pub queue_limit_bytes: u32,
-    /// Link-utilization refresh interval (§2.2: "the network updates link
-    /// utilization counters every millisecond").
-    pub util_interval_ns: u64,
     /// Include the L4 destination port in the ECMP hash. CONGA* deployments
     /// exclude it so a flow's TPP probes follow the flow's path (§2.4).
     pub ecmp_hash_dst_port: bool,
@@ -52,9 +52,7 @@ impl SwitchConfig {
             n_ports,
             pipeline: PipelineConfig::default(),
             allow_writes: true,
-            max_instructions: tpp_core::isa::MAX_INSTRUCTIONS,
             queue_limit_bytes: 150_000,
-            util_interval_ns: 1_000_000,
             ecmp_hash_dst_port: true,
             cost: ASIC,
         }
@@ -199,11 +197,7 @@ impl Switch {
     }
 
     fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            allow_writes: self.cfg.allow_writes,
-            max_instructions: self.cfg.max_instructions,
-            increment_hop: true,
-        }
+        ExecOptions { allow_writes: self.cfg.allow_writes }
     }
 
     /// Plan-cache hit/miss/eviction counters since construction.
@@ -267,15 +261,14 @@ impl Switch {
         self.nonempty[port as usize] != 0
     }
 
-    /// Advance time-driven state. Call at least once per utilization
-    /// interval. A `now_ns` earlier than the last closed utilization window
-    /// closes none, and neither does a zero `util_interval_ns`.
+    /// Advance time-driven state. Call at least once per
+    /// [`UTIL_INTERVAL_NS`]. A `now_ns` earlier than the last closed
+    /// utilization window closes none.
     pub fn tick(&mut self, now_ns: u64) {
         self.mem.now_ns = now_ns;
-        let interval = self.cfg.util_interval_ns;
-        while interval != 0 && now_ns.saturating_sub(self.last_util_ns) >= interval {
-            self.last_util_ns += interval;
-            self.mem.update_utilization(interval);
+        while now_ns.saturating_sub(self.last_util_ns) >= UTIL_INTERVAL_NS {
+            self.last_util_ns += UTIL_INTERVAL_NS;
+            self.mem.update_utilization(UTIL_INTERVAL_NS);
         }
     }
 
@@ -981,17 +974,6 @@ mod tests {
         let (_, executed) = wire::extract_tpp(&sent).unwrap();
         assert_eq!(executed.sp, 1);
         assert_eq!(executed.words()[0], 0);
-    }
-
-    #[test]
-    fn tick_with_a_zero_interval_terminates() {
-        // `now_ns - last_util_ns >= 0` never turned false.
-        let mut sw = ticked_switch();
-        let util = sw.mem.links[2].tx_util_bps;
-        sw.cfg.util_interval_ns = 0;
-        sw.tick(5_000_000);
-        assert_eq!(sw.mem.now_ns, 5_000_000);
-        assert_eq!(sw.mem.links[2].tx_util_bps, util);
     }
 
     #[test]

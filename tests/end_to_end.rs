@@ -224,11 +224,7 @@ fn concurrent_cstore_writers_serialize_by_version() {
             let mut ctx = PacketContext::new(0, 100, 0, 6);
             ctx.out_port = Some(2);
             let mut bus = SwitchBus { mem: &mut mem, ctx: &mut ctx };
-            let out = execute(
-                &mut tpp,
-                &mut bus,
-                &ExecOptions { increment_hop: false, ..ExecOptions::default() },
-            );
+            let out = execute(&mut tpp, &mut bus, &ExecOptions::default());
             if out.wrote {
                 successes += 1;
             } else {
@@ -318,10 +314,10 @@ fn split_tpps_cover_a_long_path_end_to_end() {
     topo.net.set_app(dst, Box::new(Responder::new()));
 
     let mut executed = Vec::new();
-    for tpp in &splits {
+    for (k, tpp) in (1..).zip(&splits) {
         let (app, outcome) = OneProbe::new(dst_ip, tpp.clone());
         topo.net.set_app(src, Box::new(app));
-        topo.net.run_for(100 * MILLIS);
+        topo.net.run_until(k * 100 * MILLIS);
         let resolved = outcome.lock().unwrap().clone();
         match resolved {
             Some(ProbeOutcome::Completed { tpp, .. }) => executed.push(tpp),
