@@ -27,7 +27,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::common::{parse_udp, shared, udp_frame, RateMeter, Shared};
 use tpp_core::probe::{Probe, TppData};
-use tpp_core::wire::{Ipv4Address, Tpp};
+use tpp_core::wire::{Ipv4Address, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::{ExecutorConfig, PacedSender};
 use tpp_netsim::Time;
@@ -271,7 +271,7 @@ impl CongaSender {
         self.probe_sport.insert(token, sport);
     }
 
-    fn on_probe_done(&mut self, now: Time, token: u32, tpp: &Tpp) {
+    fn on_probe_done(&mut self, now: Time, token: u32, tpp: &TppBuf) {
         let Some(sport) = self.probe_sport.remove(&token) else { return };
         let hops = parse_probe(tpp);
         if hops.is_empty() {

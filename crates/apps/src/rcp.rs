@@ -51,15 +51,39 @@ pub fn update_probe() -> Probe {
         .store("rate", "Link:AppSpecific_1")
 }
 
-/// The phase-3 update TPP, one hop per `(version, rate_kbps)` entry.
-pub fn update_tpp(updates: &[(u32, u32)]) -> Tpp {
-    let probe = update_probe();
-    let mut t = probe.compile_hops(updates.len()).expect("static probe");
-    for (h, &(version, rate_kbps)) in updates.iter().enumerate() {
-        probe.set_args(&mut t, h, "version", &[version, version.wrapping_add(1)]).unwrap();
-        probe.set_args(&mut t, h, "rate", &[rate_kbps]).unwrap();
+/// The schema every [`UpdateTpps`] compiles from (built once).
+fn update_schema() -> &'static Probe {
+    crate::common::static_schema!(update_probe)
+}
+
+/// A sender's phase-3 update TPPs: compiled from [`update_probe`] once per
+/// hop count, then re-filled every control period. Only the argument words
+/// change, so a re-filled TPP is byte for byte a fresh compile's.
+#[derive(Default)]
+pub struct UpdateTpps {
+    /// The template for `n` hops at index `n`, once a period has needed it.
+    by_hops: Vec<Option<Tpp>>,
+}
+
+impl UpdateTpps {
+    /// The update TPP of app `app_id`, one hop per `(version, rate_kbps)`
+    /// entry.
+    pub fn fill(&mut self, app_id: u16, updates: &[(u32, u32)]) -> &Tpp {
+        let (probe, hops) = (update_schema(), updates.len());
+        if self.by_hops.len() <= hops {
+            self.by_hops.resize_with(hops + 1, || None);
+        }
+        let t = self.by_hops[hops]
+            .get_or_insert_with(|| probe.compile_hops(hops).expect("static probe"));
+        t.app_id = app_id;
+        for (h, &(version, rate_kbps)) in updates.iter().enumerate() {
+            let args = probe
+                .set_args(t, h, "version", &[version, version.wrapping_add(1)])
+                .and_then(|()| probe.set_args(t, h, "rate", &[rate_kbps]));
+            args.expect("the template has a window per update");
+        }
+        t
     }
-    t
 }
 
 /// One hop's state from a completed collect probe.
@@ -192,6 +216,7 @@ pub struct RcpSender {
     /// Recent queue-size samples per hop index (for phase-2 averaging).
     qhist: Vec<VecDeque<u32>>,
     latest: Vec<HopSample>,
+    update: UpdateTpps,
     /// Current flow rate (b/s), exposed for experiments.
     pub rate_bps: Shared<f64>,
     pub data_bytes_sent: u64,
@@ -212,6 +237,7 @@ impl RcpSender {
             pacer,
             qhist: Vec::new(),
             latest: Vec::new(),
+            update: UpdateTpps::default(),
             rate_bps: shared(cfg.start_rate_bps),
             data_bytes_sent: 0,
             probes_completed: 0,
@@ -255,8 +281,7 @@ impl RcpSender {
             let c = self.cfg.capacity_mbps * 1e6;
             let mut new_rates = Vec::new();
             let mut updates = Vec::new();
-            let latest = self.latest.clone();
-            for (h, s) in latest.iter().enumerate() {
+            for (h, s) in self.latest.iter().enumerate() {
                 let y = s.util_bps as f64 / 10_000.0 * c;
                 let q_avg = {
                     let hist = &self.qhist[h];
@@ -277,9 +302,7 @@ impl RcpSender {
                 updates.push((s.version, (r_new / 1e3) as u32));
             }
             // Phase 3: versioned write-back.
-            let mut upd = update_tpp(&updates);
-            upd.app_id = self.cfg.app_id;
-            io.send_standalone(&upd, self.dst, 40_001);
+            io.send_standalone(self.update.fill(self.cfg.app_id, &updates), self.dst, 40_001);
             // Flow rate: α-fair aggregate of the per-link rates (Eq. 2),
             // capped at line rate (R may legitimately exceed C on
             // uncongested links; the NIC cannot).
@@ -419,7 +442,34 @@ mod tests {
         assert_eq!(first, 0);
         let policy = cp.policy_for(app, false).unwrap();
         policy.validate(&collect_probe().hops(5).compile().unwrap()).unwrap();
-        policy.validate(&update_tpp(&[(1, 100), (2, 200)])).unwrap();
+        policy.validate(UpdateTpps::default().fill(app, &[(1, 100), (2, 200)])).unwrap();
+    }
+
+    #[test]
+    fn refilled_update_tpps_equal_a_fresh_compile() {
+        // What every control period built before the templates: the schema,
+        // compiled for that many hops, its arguments written.
+        let fresh = |updates: &[(u32, u32)]| {
+            let probe = update_probe();
+            let mut t = probe.compile_hops(updates.len()).unwrap();
+            for (h, &(version, rate_kbps)) in updates.iter().enumerate() {
+                probe.set_args(&mut t, h, "version", &[version, version.wrapping_add(1)]).unwrap();
+                probe.set_args(&mut t, h, "rate", &[rate_kbps]).unwrap();
+            }
+            t.app_id = 2;
+            t
+        };
+        let mut tpps = UpdateTpps::default();
+        let periods: [&[(u32, u32)]; 5] = [
+            &[(1, 100), (2, 200)],
+            &[(7, 5)],
+            &[(u32::MAX, 1), (3, 4), (5, 6)],
+            &[(8, 9), (10, 11)],
+            &[(0, 0), (0, 0)],
+        ];
+        for updates in periods {
+            assert_eq!(tpps.fill(2, updates), &fresh(updates), "{updates:?}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::common::{parse_udp, shared, udp_frame, RateMeter, Shared, DATA_PORT};
-use crate::rcp::{self, alpha_aggregate, rcp_equation, HopSample, RcpConfig};
+use crate::rcp::{self, alpha_aggregate, rcp_equation, HopSample, RcpConfig, UpdateTpps};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, Tpp};
 use tpp_endhost::harness::{Endhost, Harness, Io};
@@ -451,6 +451,7 @@ pub struct InterDcSender {
     /// Outstanding probe tokens → (path index, launch time); completions
     /// resolve through here to credit the right path and measure its RTT.
     inflight: BTreeMap<u32, (usize, Time)>,
+    update: UpdateTpps,
     pub probes_completed: u64,
 }
 
@@ -483,8 +484,14 @@ impl InterDcSender {
                 data_bytes_sent: 0,
             })
             .collect();
-        let state =
-            InterDcSender { cfg, start_at, paths, inflight: BTreeMap::new(), probes_completed: 0 };
+        let state = InterDcSender {
+            cfg,
+            start_at,
+            paths,
+            inflight: BTreeMap::new(),
+            update: UpdateTpps::default(),
+            probes_completed: 0,
+        };
         Harness::new(state)
             .executor(ExecutorConfig {
                 max_retries: 3,
@@ -578,8 +585,7 @@ impl InterDcSender {
                 let c = eq.capacity_mbps * 1e6;
                 let mut per_link = Vec::new();
                 let mut updates = Vec::new();
-                let latest = p.latest.clone();
-                for (h, s) in latest.iter().enumerate() {
+                for (h, s) in p.latest.iter().enumerate() {
                     let y = s.util_bps as f64 / 10_000.0 * c;
                     let q_avg = {
                         let hist = &p.qhist[h];
@@ -594,9 +600,7 @@ impl InterDcSender {
                     per_link.push(r_new);
                     updates.push((s.version, (r_new / 1e3) as u32));
                 }
-                let mut upd = rcp::update_tpp(&updates);
-                upd.app_id = app_id;
-                io.send_standalone(&upd, p.path.dst, 40_001);
+                io.send_standalone(self.update.fill(app_id, &updates), p.path.dst, 40_001);
                 let r = alpha_aggregate(&per_link, alpha).min(c);
                 *p.rate_bps.borrow_mut() = r;
                 p.pacer.set_rate(r);

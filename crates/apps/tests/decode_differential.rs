@@ -10,7 +10,7 @@ use tpp_apps::rcp::{collect_probe, parse_collect};
 use tpp_core::addr::resolve_mnemonic;
 use tpp_core::exec::{execute, ExecOptions, MapBus};
 use tpp_core::probe::Probe;
-use tpp_core::wire::Tpp;
+use tpp_core::wire::{Tpp, TppBuf};
 use tpp_endhost::harness::{Aggregator, Endhost, Harness};
 use tpp_endhost::Filter;
 use tpp_netsim::TopologySpec;
@@ -23,8 +23,9 @@ fn legacy_stack_rows(tpp: &Tpp, k: usize) -> Vec<Vec<u32>> {
     (0..hops).map(|h| (0..k).map(|i| tpp.read_word(k * h + i).unwrap_or(0)).collect()).collect()
 }
 
-/// Decode through the typed schema into the same row shape.
-fn probe_rows(probe: &Probe, tpp: &Tpp) -> Vec<Vec<u32>> {
+/// Decode through the typed schema, straight from the section as the shim
+/// surfaced it, into the same row shape.
+fn probe_rows(probe: &Probe, tpp: &TppBuf) -> Vec<Vec<u32>> {
     let k = probe.fields().len();
     probe.records(tpp).map(|r| (0..k).map(|i| r.at(i).unwrap_or(0)).collect()).collect()
 }
@@ -33,13 +34,13 @@ fn probe_rows(probe: &Probe, tpp: &Tpp) -> Vec<Vec<u32>> {
 /// completed TPP verbatim (completions echo back from the receiver).
 struct Recorder {
     dst: tpp_core::wire::Ipv4Address,
-    recorded: Shared<Vec<Tpp>>,
+    recorded: Shared<Vec<TppBuf>>,
 }
 
 fn recorder(
     dst: tpp_core::wire::Ipv4Address,
     probe: Probe,
-    recorded: Shared<Vec<Tpp>>,
+    recorded: Shared<Vec<TppBuf>>,
 ) -> Endhost<Recorder> {
     Harness::new(Recorder { dst, recorded })
         .stamp_with(probe, Filter::udp(), 1, Aggregator::Source, |s, _io, c| {
@@ -57,10 +58,14 @@ fn recorder(
 
 /// A raw-TPP collector for remotely aggregated completions (`NetSight`).
 struct RawCollector {
-    recorded: Shared<Vec<Tpp>>,
+    recorded: Shared<Vec<TppBuf>>,
 }
 
-fn raw_collector(app_id: u16, probe: Probe, recorded: Shared<Vec<Tpp>>) -> Endhost<RawCollector> {
+fn raw_collector(
+    app_id: u16,
+    probe: Probe,
+    recorded: Shared<Vec<TppBuf>>,
+) -> Endhost<RawCollector> {
     Harness::new(RawCollector { recorded })
         .listen(probe.app_id(app_id), |s, _io, c| s.recorded.borrow_mut().push(c.tpp))
         .build()
@@ -104,12 +109,12 @@ fn typed_decode_matches_legacy_on_recorded_runs() {
     let mp = microburst_probe();
     for tpp in micro.iter() {
         let typed = probe_rows(&mp, tpp);
-        assert_eq!(typed, legacy_stack_rows(tpp, 3));
+        assert_eq!(typed, legacy_stack_rows(&tpp.view().to_tpp(), 3));
         assert!(!typed.is_empty(), "traversed at least one switch");
     }
     let hp = history_probe();
     for tpp in hist.iter() {
-        assert_eq!(probe_rows(&hp, tpp), legacy_stack_rows(tpp, 3));
+        assert_eq!(probe_rows(&hp, tpp), legacy_stack_rows(&tpp.view().to_tpp(), 3));
     }
 }
 

@@ -49,7 +49,7 @@ fn in_place_stamp_and_strip_match_the_allocating_constructions() {
             let done = out.completed.unwrap_or_else(|| panic!("{name}: no completion"));
             // The receiver sees the TPP naming the ethertype it displaced.
             let on_ipv4 = Tpp { encap_proto: ethernet::ethertype::IPV4, ..tpp.clone() };
-            assert_eq!(done.tpp, on_ipv4, "{name}: completed TPP");
+            assert_eq!(done.tpp.view().to_tpp(), on_ipv4, "{name}: completed TPP");
             let flow = FlowRef { src, dst, src_port: 7100, dst_port: DATA_PORT };
             assert_eq!(done.flow, flow, "{name}: flow");
         }

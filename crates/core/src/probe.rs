@@ -10,9 +10,10 @@
 //!   capacity checked against the wire constants
 //!   ([`MAX_MEMORY_BYTES`],
 //!   [`max_hops`]) instead of ad-hoc arithmetic; and
-//! * **decodes** ([`Probe::records`]) a completed TPP (owned [`Tpp`] or
-//!   borrowed [`TppView`]) into an iterator of per-hop records with field
-//!   access by name or index — no hand-indexed `memory[4 * i..]` slicing.
+//! * **decodes** ([`Probe::records`]) a completed TPP (owned [`Tpp`],
+//!   borrowed [`TppView`] or owned section [`TppBuf`]) into an iterator of
+//!   per-hop records with field access by name or index — no hand-indexed
+//!   `memory[4 * i..]` slicing.
 //!
 //! Collect fields compile to `PUSH` (one word per field per hop, stack
 //! discipline); write fields (`store`/`cstore`/`cexec`) compile to
@@ -50,7 +51,7 @@ use crate::addr::{resolve_mnemonic, Address};
 use crate::asm::{AsmError, TppBuilder};
 use crate::isa::MAX_INSTRUCTIONS;
 use crate::wire::tpp::HEADER_LEN;
-use crate::wire::{max_hops, AddrMode, Tpp, TppView, MAX_MEMORY_BYTES};
+use crate::wire::{max_hops, AddrMode, Tpp, TppBuf, TppView, MAX_MEMORY_BYTES};
 use core::fmt;
 
 /// Errors from compiling or using a [`Probe`] schema.
@@ -457,7 +458,7 @@ impl Probe {
     /// the hop counter otherwise — both capped by memory capacity.
     pub fn executed_hops<T: TppData + ?Sized>(&self, t: &T) -> usize {
         let k = self.words_per_hop.max(1);
-        let cap = t.memory_words() / k;
+        let cap = t.memory().len() / 4 / k;
         if self.has_collect() {
             (t.sp() as usize / k).min(cap)
         } else {
@@ -465,20 +466,23 @@ impl Probe {
         }
     }
 
-    /// Iterate the per-hop records of a completed TPP — works on the owned
-    /// [`Tpp`] and on a borrowed [`TppView`] alike.
-    pub fn records<'a, T: TppData + ?Sized>(&'a self, t: &'a T) -> Records<'a, T> {
-        Records { probe: self, tpp: t, hops: self.executed_hops(t), next: 0 }
+    /// Iterate the per-hop records of a completed TPP — works on any
+    /// [`TppData`]: the owned [`Tpp`], a borrowed [`TppView`] or a
+    /// [`TppBuf`]. The records read the packet memory as one byte slice,
+    /// located once here, so a word costs the same whichever form holds it.
+    pub fn records<'a, T: TppData + ?Sized>(&'a self, t: &'a T) -> Records<'a> {
+        Records { probe: self, memory: t.memory(), hops: self.executed_hops(t), next: 0 }
     }
 }
 
 /// Read access to a completed TPP's header and packet memory — implemented
-/// by the owned [`Tpp`] and the borrowed [`TppView`].
+/// by the owned [`Tpp`], the borrowed [`TppView`] and the owned section
+/// [`TppBuf`].
 pub trait TppData {
     fn sp(&self) -> u8;
     fn hop(&self) -> u8;
-    fn memory_words(&self) -> usize;
-    fn read_word(&self, idx: usize) -> Option<u32>;
+    /// The packet-memory bytes.
+    fn memory(&self) -> &[u8];
 }
 
 impl TppData for Tpp {
@@ -488,11 +492,8 @@ impl TppData for Tpp {
     fn hop(&self) -> u8 {
         self.hop
     }
-    fn memory_words(&self) -> usize {
-        Tpp::memory_words(self)
-    }
-    fn read_word(&self, idx: usize) -> Option<u32> {
-        Tpp::read_word(self, idx)
+    fn memory(&self) -> &[u8] {
+        &self.memory
     }
 }
 
@@ -503,25 +504,34 @@ impl TppData for TppView<'_> {
     fn hop(&self) -> u8 {
         TppView::hop(self)
     }
-    fn memory_words(&self) -> usize {
-        TppView::memory_words(self)
+    fn memory(&self) -> &[u8] {
+        TppView::memory(self)
     }
-    fn read_word(&self, idx: usize) -> Option<u32> {
-        TppView::read_word(self, idx)
+}
+
+impl TppData for TppBuf {
+    fn sp(&self) -> u8 {
+        TppBuf::sp(self)
+    }
+    fn hop(&self) -> u8 {
+        TppBuf::hop(self)
+    }
+    fn memory(&self) -> &[u8] {
+        TppBuf::memory(self)
     }
 }
 
 /// Iterator over the executed hops of a completed TPP (see
 /// [`Probe::records`]).
-pub struct Records<'a, T: ?Sized> {
+pub struct Records<'a> {
     probe: &'a Probe,
-    tpp: &'a T,
+    memory: &'a [u8],
     hops: usize,
     next: usize,
 }
 
-impl<'a, T: TppData + ?Sized> Iterator for Records<'a, T> {
-    type Item = HopRecord<'a, T>;
+impl<'a> Iterator for Records<'a> {
+    type Item = HopRecord<'a>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.next >= self.hops {
@@ -529,7 +539,7 @@ impl<'a, T: TppData + ?Sized> Iterator for Records<'a, T> {
         }
         let hop = self.next;
         self.next += 1;
-        Some(HopRecord { probe: self.probe, tpp: self.tpp, hop })
+        Some(HopRecord { probe: self.probe, memory: self.memory, hop })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -538,16 +548,16 @@ impl<'a, T: TppData + ?Sized> Iterator for Records<'a, T> {
     }
 }
 
-impl<T: TppData + ?Sized> ExactSizeIterator for Records<'_, T> {}
+impl ExactSizeIterator for Records<'_> {}
 
 /// One hop's worth of typed values from a completed TPP.
-pub struct HopRecord<'a, T: ?Sized> {
+pub struct HopRecord<'a> {
     probe: &'a Probe,
-    tpp: &'a T,
+    memory: &'a [u8],
     hop: usize,
 }
 
-impl<T: TppData + ?Sized> HopRecord<'_, T> {
+impl HopRecord<'_> {
     /// Index of this hop along the path (0 = first switch).
     pub fn hop(&self) -> usize {
         self.hop
@@ -575,11 +585,13 @@ impl<T: TppData + ?Sized> HopRecord<'_, T> {
     }
 
     fn word(&self, offset: usize) -> Option<u32> {
-        self.tpp.read_word(self.hop * self.probe.words_per_hop() + offset)
+        let at = 4 * (self.hop * self.probe.words_per_hop() + offset);
+        let b = self.memory.get(at..at + 4)?;
+        Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 }
 
-impl<T: TppData + ?Sized> fmt::Debug for HopRecord<'_, T> {
+impl fmt::Debug for HopRecord<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut d = f.debug_struct("HopRecord");
         d.field("hop", &self.hop);

@@ -12,7 +12,7 @@ pub use ethernet::{EthernetAddress, Frame as EthernetFrame, Repr as EthernetRepr
 pub use ipv4::{Ipv4Address, Packet as Ipv4Packet, Repr as Ipv4Repr};
 pub use tpp::{max_hops, AddrMode, Tpp, TppError, MAX_MEMORY_BYTES};
 pub use udp::{Datagram as UdpDatagram, Repr as UdpRepr, TPP_PORT};
-pub use view::{TppView, TppViewMut};
+pub use view::{TppBuf, TppView, TppViewMut};
 
 /// Where (if anywhere) a TPP section lives inside an Ethernet frame
 /// (Figure 7a parse graph).
@@ -173,7 +173,8 @@ pub fn replace_tpp(frame: &mut [u8], loc: TppLocation, tpp: &Tpp) -> Option<()> 
     Some(())
 }
 
-/// Build a standalone TPP packet: Ethernet/IPv4/UDP(dport 0x6666)/TPP.
+/// Build a standalone TPP packet: Ethernet/IPv4/UDP(dport 0x6666)/TPP, in
+/// one buffer ([`udp_frame_with`]) with the section emitted as the payload.
 #[allow(clippy::too_many_arguments)]
 pub fn build_standalone(
     src_mac: EthernetAddress,
@@ -183,20 +184,8 @@ pub fn build_standalone(
     src_port: u16,
     tpp: &Tpp,
 ) -> Vec<u8> {
-    let section = tpp.serialize();
-    let udp_repr = udp::Repr { src_port, dst_port: TPP_PORT, payload_len: section.len() };
-    let udp_bytes = udp_repr.encapsulate(src_ip, dst_ip, &section);
-    let ip_repr = ipv4::Repr {
-        src: src_ip,
-        dst: dst_ip,
-        protocol: ipv4::protocol::UDP,
-        ttl: 64,
-        payload_len: udp_bytes.len(),
-    };
-    let ip_bytes = ip_repr.encapsulate(&udp_bytes);
-    let eth_repr =
-        EthernetRepr { dst: dst_mac, src: src_mac, ethertype: ethernet::ethertype::IPV4 };
-    eth_repr.encapsulate(&ip_bytes)
+    let hdr = UdpFrameRepr { src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port: TPP_PORT };
+    udp_frame_with(&hdr, tpp.section_len(), |payload| tpp.emit(payload))
 }
 
 /// Addressing of a UDP frame between two hosts (see [`udp_frame_into`]).
@@ -255,6 +244,22 @@ pub fn udp_frame_into(buf: &mut Vec<u8>, hdr: &UdpFrameRepr, payload_len: usize,
     d.set_dst_port(hdr.dst_port);
     d.set_len(udp_len as u16);
     d.fill_checksum_over(hdr.src_ip, hdr.dst_ip, udp::HEADER_LEN);
+}
+
+/// An Ethernet/IPv4/UDP frame whose `payload_len` payload bytes `fill`
+/// writes, in one buffer: the headers from [`udp_frame_into`], then `fill`
+/// over the payload, then the UDP checksum over the whole datagram.
+pub fn udp_frame_with(
+    hdr: &UdpFrameRepr,
+    payload_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
+    let mut frame = Vec::new();
+    udp_frame_into(&mut frame, hdr, payload_len, &[]);
+    let udp_off = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
+    fill(&mut frame[udp_off + udp::HEADER_LEN..]);
+    UdpDatagram::new_unchecked(&mut frame[udp_off..]).fill_checksum(hdr.src_ip, hdr.dst_ip);
+    frame
 }
 
 #[cfg(test)]
@@ -374,11 +379,13 @@ mod tests {
         assert!(matches!(locate_tpp(&outer), TppLocation::Transparent { .. }));
     }
 
-    /// The nested construction `udp_frame_into` replaced, kept as its
-    /// oracle: one allocation per layer, then a copy for the TPP.
-    fn nested_udp_frame(hdr: &UdpFrameRepr, payload_len: usize, tpp: Option<&Tpp>) -> Vec<u8> {
+    /// The nested construction `udp_frame_into` and `build_standalone`
+    /// replaced, kept as their oracle: one allocation per layer, then a copy
+    /// for a piggy-backed TPP.
+    fn nested_udp_frame(hdr: &UdpFrameRepr, payload: &[u8], tpp: Option<&Tpp>) -> Vec<u8> {
+        let payload_len = payload.len();
         let u = udp::Repr { src_port: hdr.src_port, dst_port: hdr.dst_port, payload_len };
-        let udp_bytes = u.encapsulate(hdr.src_ip, hdr.dst_ip, &vec![0u8; payload_len]);
+        let udp_bytes = u.encapsulate(hdr.src_ip, hdr.dst_ip, payload);
         let ip = ipv4::Repr {
             src: hdr.src_ip,
             dst: hdr.dst_ip,
@@ -414,16 +421,17 @@ mod tests {
         let mut buf = vec![0xAAu8; 4096];
         for payload_len in [0usize, 1, 2, 7, 255, 256, 1000, 1458] {
             udp_frame_into(&mut buf, &hdr, payload_len, &[]);
-            assert_eq!(buf, nested_udp_frame(&hdr, payload_len, None), "plain, {payload_len}");
+            let zeros = vec![0u8; payload_len];
+            assert_eq!(buf, nested_udp_frame(&hdr, &zeros, None), "plain, {payload_len}");
             udp_frame_into(&mut buf, &hdr, payload_len, &section);
-            assert_eq!(buf, nested_udp_frame(&hdr, payload_len, Some(&tpp)), "tpp, {payload_len}");
+            assert_eq!(buf, nested_udp_frame(&hdr, &zeros, Some(&tpp)), "tpp, {payload_len}");
             buf.iter_mut().for_each(|b| *b = 0x55);
         }
         // The frame is what the parse graph expects.
         udp_frame_into(&mut buf, &hdr, 64, &section);
         let (stripped, inner) = strip_transparent(&buf).unwrap();
         assert_eq!(stripped.instrs, tpp.instrs);
-        assert_eq!(inner, nested_udp_frame(&hdr, 64, None));
+        assert_eq!(inner, nested_udp_frame(&hdr, &[0; 64], None));
     }
 
     #[test]
@@ -472,6 +480,67 @@ mod tests {
         hdr.dst_port = (0..=u16::MAX).find(|&p| sums_to_zero(p)).expect("one port zeroes it");
         assert_eq!(check(&hdr, payload_len, &[]), 0xFFFF);
         assert_eq!(check(&hdr, payload_len, &section), 0xFFFF);
+    }
+
+    #[test]
+    fn standalone_matches_the_nested_construction() {
+        // Every section length the one-byte instruction count and memory
+        // length can express, each reached twice (memory first, then
+        // instructions first), over memory bytes that are not zero, between
+        // several pairs of hosts.
+        let instrs = [
+            Instruction::push(resolve_mnemonic("Switch:SwitchID").unwrap()),
+            Instruction::load(resolve_mnemonic("Queue:QueueOccupancy").unwrap(), 3),
+            Instruction::cstore(resolve_mnemonic("Link:AppSpecific_0").unwrap(), 1, 2),
+        ];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut byte = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        };
+        let (max_instrs, max_words) = (usize::from(u8::MAX), MAX_MEMORY_BYTES / 4);
+        let hosts = [(1, 2), (0x0001_0203, 7), (0x00fe_dcba, 0x00ab_cdef)];
+        for words in 0..=max_instrs + max_words {
+            let memory_first = words.saturating_sub(max_words);
+            let instrs_first = words.min(max_instrs);
+            for n_instr in [memory_first, instrs_first] {
+                let tpp = Tpp {
+                    mode: if words % 2 == 0 { AddrMode::Stack } else { AddrMode::Hop },
+                    hop: byte(),
+                    sp: byte(),
+                    per_hop_len: byte() & 0xFC,
+                    app_id: u16::from_be_bytes([byte(), byte()]),
+                    instrs: (0..n_instr).map(|i| instrs[i % instrs.len()]).collect(),
+                    memory: (0..4 * (words - n_instr)).map(|_| byte()).collect(),
+                    ..Tpp::default()
+                };
+                for (a, b) in hosts {
+                    let hdr = UdpFrameRepr {
+                        src_mac: mac(a),
+                        dst_mac: mac(b),
+                        src_ip: Ipv4Address::from_host_id(a),
+                        dst_ip: Ipv4Address::from_host_id(b),
+                        src_port: 40_000 + words as u16,
+                        dst_port: TPP_PORT,
+                    };
+                    assert_eq!(
+                        build_standalone(
+                            hdr.src_mac,
+                            hdr.dst_mac,
+                            hdr.src_ip,
+                            hdr.dst_ip,
+                            hdr.src_port,
+                            &tpp
+                        ),
+                        nested_udp_frame(&hdr, &tpp.serialize(), None),
+                        "{n_instr} instructions, {} memory bytes, {a} -> {b}",
+                        tpp.memory.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

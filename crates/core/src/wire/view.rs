@@ -17,6 +17,15 @@
 //!   fields are read straight out of the buffer and instructions are decoded
 //!   lazily, four bytes at a time, with no heap allocation anywhere.
 //!
+//! A completed TPP that outlives the frame handler — handed from the end-host
+//! shim to the application that reads it — is a [`TppBuf`]: the buffer the
+//! section arrived in (the received frame itself, or a copy of the section
+//! alone), the section's offset in it and its validated shape. It is the
+//! borrowed view made owned, not a third decoded form: [`TppBuf::view`]
+//! lends a [`TppView`], and the stack pointer, hop counter and memory words
+//! are read at fixed offsets in the buffer. Only a reader that needs the
+//! owned program calls [`TppView::to_tpp`].
+//!
 //! Switches forward millions of packets and touch only a handful of words
 //! per TPP, so the forwarding path uses [`TppViewMut`] to execute programs
 //! *in place* in the received frame (see
@@ -44,6 +53,8 @@
 //! by [`Tpp::serialize`](super::Tpp::serialize) always carry a zero reserved
 //! bit, so the two paths are byte-identical for every frame this stack
 //! builds (property-tested in `tests/proptests.rs`).
+
+use core::ops::Range;
 
 use super::checksum;
 use super::tpp::{AddrMode, Tpp, TppError, HEADER_LEN, VERSION};
@@ -263,7 +274,79 @@ impl<'a> TppView<'a> {
     }
 
     view_accessors!();
+
+    /// Copy the section into a [`TppBuf`] of its own: one allocation, the
+    /// section's bytes, and no second validation.
+    pub fn to_buf(&self) -> TppBuf {
+        TppBuf { buf: self.bytes.to_vec(), at: 0, shape: self.shape }
+    }
 }
+
+/// An owned, validated TPP section: the buffer it sits in, its offset there
+/// and its validated shape (see the module docs). The accessors read the
+/// section alone; what surrounds it is [`TppBuf::buffer`]'s.
+#[derive(Clone, Debug)]
+pub struct TppBuf {
+    buf: Vec<u8>,
+    at: usize,
+    shape: Shape,
+}
+
+impl TppBuf {
+    /// Validate the TPP section at the front of `buf[within]` — with the
+    /// checks of [`TppView::parse`], and with `within.end` as the end of the
+    /// bytes it may cover — and keep `buf` as it is. On failure `buf` comes
+    /// back unchanged beside the error.
+    pub fn parse(buf: Vec<u8>, within: Range<usize>) -> Result<TppBuf, (Vec<u8>, TppError)> {
+        let at = within.start;
+        match buf.get(within).map_or(Err(TppError::Truncated), validate) {
+            Ok(shape) => Ok(TppBuf { buf, at, shape }),
+            Err(e) => Err((buf, e)),
+        }
+    }
+
+    /// A borrowed view of the section.
+    pub fn view(&self) -> TppView<'_> {
+        TppView { bytes: self.as_bytes(), shape: self.shape }
+    }
+
+    /// The section bytes (exactly [`TppView::section_len`] long).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.at..self.at + self.shape.total]
+    }
+
+    /// The whole buffer the section sits in (a received frame keeps its
+    /// headers and whatever follows the section).
+    pub fn buffer(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Hop number.
+    pub fn hop(&self) -> u8 {
+        self.buf[self.at + 3]
+    }
+
+    /// Stack pointer, in words.
+    pub fn sp(&self) -> u8 {
+        self.buf[self.at + 4]
+    }
+
+    /// The packet-memory bytes.
+    pub fn memory(&self) -> &[u8] {
+        let end = self.at + self.shape.total;
+        &self.buf[end - self.shape.mem_len..end]
+    }
+}
+
+/// Two sections are equal when their bytes are: where each sits, and what
+/// surrounds it, does not count.
+impl PartialEq for TppBuf {
+    fn eq(&self, other: &TppBuf) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for TppBuf {}
 
 /// What replacing the 16-bit group `old` by `new` adds to the ones'-complement
 /// sum a section's checksum field complements (RFC 1624 eqn. 3): `!old + new`,
@@ -442,6 +525,34 @@ mod tests {
         assert_eq!(view.instrs().collect::<Vec<_>>(), t.instrs);
         assert_eq!(view.memory(), &t.memory[..]);
         assert_eq!(view.to_tpp(), t);
+    }
+
+    #[test]
+    fn tpp_buf_reads_the_section_where_it_sits() {
+        let mut t = sample();
+        for (i, b) in t.memory.iter_mut().enumerate() {
+            *b = (0x11 * i) as u8;
+        }
+        let section = t.serialize();
+        let buf = [&b"headers:"[..], &section, b"trailer"].concat();
+        let within = 8..8 + section.len();
+        let b = TppBuf::parse(buf.clone(), within.clone()).unwrap();
+        assert_eq!((b.as_bytes(), b.buffer()), (&section[..], &buf[..]));
+        assert_eq!(b.view().to_tpp(), t);
+        assert_eq!((b.sp(), b.hop(), b.memory()), (t.sp, t.hop, &t.memory[..]));
+        // Equal to the section copied out on its own: what surrounds it does
+        // not count.
+        assert_eq!(TppView::parse(&section).unwrap().0.to_buf(), b);
+        // The section may not reach past `within`, though the bytes are
+        // there; a range past the buffer is no section either. The buffer
+        // comes back as it went in.
+        let short = within.start..within.end - 1;
+        assert_eq!(TppBuf::parse(buf.clone(), short), Err((buf.clone(), TppError::Truncated)));
+        let past = within.start..buf.len() + 1;
+        assert_eq!(TppBuf::parse(buf.clone(), past), Err((buf.clone(), TppError::Truncated)));
+        let mut corrupt = buf.clone();
+        corrupt[within.start + HEADER_LEN] ^= 0xFF;
+        assert!(TppBuf::parse(corrupt.clone(), within).is_err_and(|(back, _)| back == corrupt));
     }
 
     #[test]

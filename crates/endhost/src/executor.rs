@@ -17,7 +17,8 @@ use std::collections::BTreeMap;
 use tpp_core::addr::{resolve_mnemonic, Address};
 use tpp_core::asm::AsmError;
 use tpp_core::isa::{Instruction, MAX_INSTRUCTIONS};
-use tpp_core::wire::{build_standalone, AddrMode, EthernetAddress, Ipv4Address, Tpp};
+use tpp_core::probe::TppData;
+use tpp_core::wire::{build_standalone, AddrMode, EthernetAddress, Ipv4Address, Tpp, TppBuf};
 
 use crate::shim::{mac_of_ip, CompletedTpp};
 
@@ -61,12 +62,11 @@ fn splitmix64(mut x: u64) -> u64 {
 pub enum ProbeOutcome {
     Completed {
         token: u32,
-        tpp: Tpp,
+        /// The completion's section, moved out of it.
+        tpp: TppBuf,
     },
     /// All retries exhausted.
-    Failed {
-        token: u32,
-    },
+    Failed { token: u32 },
 }
 
 struct Pending {
@@ -113,7 +113,7 @@ impl Executor {
     /// already at the wire memory budget cannot grow (the one-byte length
     /// field would wrap): its last word is overwritten instead, and if the
     /// program then clobbers it, completion falls back to the source-port
-    /// match ([`Executor::on_completed_full`]).
+    /// match ([`Executor::on_completed`]).
     fn stamp_nonce(tpp: &mut Tpp, token: u32) {
         if tpp.memory.len() + 4 <= tpp_core::wire::MAX_MEMORY_BYTES {
             tpp.memory.extend_from_slice(&token.to_be_bytes());
@@ -123,12 +123,9 @@ impl Executor {
     }
 
     /// Read a probe's nonce back out of a completed TPP.
-    pub fn nonce_of(tpp: &Tpp) -> Option<u32> {
-        let n = tpp.memory_words();
-        if n == 0 {
-            return None;
-        }
-        tpp.read_word(n - 1)
+    pub fn nonce_of<T: TppData + ?Sized>(tpp: &T) -> Option<u32> {
+        let memory = tpp.memory();
+        memory[..memory.len() / 4 * 4].last_chunk().map(|word| u32::from_be_bytes(*word))
     }
 
     /// Launch a reliable standalone probe toward `dst` (a host or a switch
@@ -157,27 +154,18 @@ impl Executor {
     }
 
     /// Feed a completed TPP (from the shim's echo channel). Returns the
-    /// outcome if it matches a pending probe.
-    pub fn on_completed(&mut self, tpp: &Tpp) -> Option<ProbeOutcome> {
-        let token = Self::nonce_of(tpp)?;
+    /// outcome, which takes over the completion's section, if it matches a
+    /// pending probe: by its nonce, or — when a long hop-addressed path
+    /// overwrote the nonce — by the probe's source port.
+    pub fn on_completed(&mut self, done: CompletedTpp) -> Option<ProbeOutcome> {
+        let token = match Self::nonce_of(&done.tpp) {
+            Some(nonce) if self.pending.contains_key(&nonce) => nonce,
+            _ => *self.sport_map.get(&done.flow.src_port)?,
+        };
         let p = self.pending.remove(&token)?;
         self.sport_map.remove(&p.src_port);
         self.completed += 1;
-        Some(ProbeOutcome::Completed { token, tpp: tpp.clone() })
-    }
-
-    /// Like [`Executor::on_completed`] but with the shim's full completion
-    /// record: if the nonce was overwritten by a long hop-addressed path,
-    /// fall back to matching by the probe's source port.
-    pub fn on_completed_full(&mut self, done: &CompletedTpp) -> Option<ProbeOutcome> {
-        if let Some(o) = self.on_completed(&done.tpp) {
-            return Some(o);
-        }
-        let token = *self.sport_map.get(&done.flow.src_port)?;
-        self.pending.remove(&token)?;
-        self.sport_map.remove(&done.flow.src_port);
-        self.completed += 1;
-        Some(ProbeOutcome::Completed { token, tpp: done.tpp.clone() })
+        Some(ProbeOutcome::Completed { token, tpp: done.tpp })
     }
 
     /// Check timeouts: returns frames to retransmit and probes that failed
@@ -297,7 +285,7 @@ impl ScatterGather {
         match outcome {
             ProbeOutcome::Completed { token, tpp } => {
                 let Some(sid) = self.memberships.get(token) else { return false };
-                self.results.insert(*sid, tpp.clone());
+                self.results.insert(*sid, tpp.view().to_tpp());
                 true
             }
             ProbeOutcome::Failed { token } => {
@@ -376,6 +364,7 @@ pub fn merge_split_results(tpps: &[Tpp], path_len: usize, n_stats: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Shim;
     use tpp_core::asm::TppBuilder;
     use tpp_core::exec::{execute, ExecOptions, MapBus};
 
@@ -391,15 +380,28 @@ mod tests {
         )
     }
 
+    /// What the origin's shim surfaces once `frame` has been echoed back to
+    /// it by the probe's destination.
+    fn completion(frame: Vec<u8>) -> CompletedTpp {
+        let host =
+            |id| Shim::new(Ipv4Address::from_host_id(id), EthernetAddress::from_node_id(id), 0);
+        let echo = host(2).incoming(frame).echo.expect("probe echoed");
+        host(1).incoming(echo).completed.expect("completion surfaced")
+    }
+
     #[test]
     fn nonce_roundtrip() {
         let mut e = exec();
         let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), probe());
         let (_, tpp) = tpp_core::wire::extract_tpp(&frame).unwrap();
         assert_eq!(Executor::nonce_of(&tpp), Some(token));
-        // Completion matches.
-        match e.on_completed(&tpp) {
-            Some(ProbeOutcome::Completed { token: t2, .. }) => assert_eq!(t2, token),
+        // Completion matches, and the outcome carries the section it came in.
+        let done = completion(frame);
+        let section = done.tpp.clone();
+        match e.on_completed(done) {
+            Some(ProbeOutcome::Completed { token: t2, tpp }) => {
+                assert_eq!((t2, tpp), (token, section));
+            }
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(e.pending_count(), 0);
@@ -417,16 +419,34 @@ mod tests {
         let (_, tpp) = tpp_core::wire::extract_tpp(&frame).expect("section parses");
         assert_eq!(tpp.memory.len(), tpp_core::wire::MAX_MEMORY_BYTES);
         assert_eq!(Executor::nonce_of(&tpp), Some(token));
-        assert!(e.on_completed(&tpp).is_some());
+        assert!(e.on_completed(completion(frame)).is_some());
+    }
+
+    #[test]
+    fn overwritten_nonce_falls_back_to_the_source_port() {
+        // The path wrote over the nonce word: the probe's source port, which
+        // the echo carries back in its flow trailer, still names it.
+        let mut e = exec();
+        let (token, mut frame) = e.send(0, Ipv4Address::from_host_id(2), probe());
+        let (loc, mut tpp) = tpp_core::wire::extract_tpp(&frame).unwrap();
+        tpp.write_word(tpp.memory_words() - 1, 0xDEAD_BEEF).unwrap();
+        tpp_core::wire::replace_tpp(&mut frame, loc, &tpp).unwrap();
+        let done = completion(frame);
+        assert_eq!(Executor::nonce_of(&done.tpp), Some(0xDEAD_BEEF));
+        match e.on_completed(done) {
+            Some(ProbeOutcome::Completed { token: t2, .. }) => assert_eq!(t2, token),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(e.pending_count(), 0);
     }
 
     #[test]
     fn duplicate_completion_ignored() {
         let mut e = exec();
         let (_, frame) = e.send(0, Ipv4Address::from_host_id(2), probe());
-        let (_, tpp) = tpp_core::wire::extract_tpp(&frame).unwrap();
-        assert!(e.on_completed(&tpp).is_some());
-        assert!(e.on_completed(&tpp).is_none());
+        let done = completion(frame);
+        assert!(e.on_completed(done.clone()).is_some());
+        assert!(e.on_completed(done).is_none());
     }
 
     #[test]
@@ -553,8 +573,7 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert!(!sg.done());
         // First probe completes, second fails after retries.
-        let (_, t0) = tpp_core::wire::extract_tpp(&frames[0]).unwrap();
-        let o = e.on_completed(&t0).unwrap();
+        let o = e.on_completed(completion(frames[0].clone())).unwrap();
         assert!(sg.absorb(&o));
         assert!(!sg.done());
         // Exhaust the second probe's retries.

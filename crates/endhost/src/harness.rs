@@ -45,7 +45,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use tpp_core::probe::Probe;
-use tpp_core::wire::{build_standalone, Ipv4Address, Tpp};
+use tpp_core::wire::{build_standalone, Ipv4Address, Tpp, TppBuf};
 use tpp_netsim::{HostApp, HostCtx, Time};
 
 use crate::cp::{CentralCp, CpError, Policy};
@@ -98,7 +98,8 @@ pub enum Aggregator {
 pub struct Completion {
     /// The schema that decodes this TPP.
     pub probe: Arc<Probe>,
-    pub tpp: Tpp,
+    /// The executed section, as the shim surfaced it.
+    pub tpp: TppBuf,
     /// Source of the packet that carried (or echoed) the TPP.
     pub from: Ipv4Address,
     /// The instrumented packet's flow.
@@ -109,7 +110,7 @@ pub struct Completion {
 
 impl Completion {
     /// Typed per-hop records of the completed TPP.
-    pub fn hops(&self) -> tpp_core::probe::Records<'_, Tpp> {
+    pub fn hops(&self) -> tpp_core::probe::Records<'_> {
         self.probe.records(&self.tpp)
     }
 }
@@ -547,30 +548,25 @@ impl<S> Endhost<S> {
     }
 
     fn dispatch_completion(&mut self, ctx: &mut HostCtx<'_>, done: CompletedTpp) {
-        // Executor-tracked first: a launched probe's completion must consume
-        // its pending entry exactly once.
-        let mut token = None;
-        if let Some(exec) = self.core.exec.as_mut() {
-            if let Some(reg) = self.core.regs.iter().find(|r| r.app_id == done.app_id) {
-                if reg.role == Role::Launch {
-                    match exec.on_completed_full(&done) {
-                        Some(ProbeOutcome::Completed { token: t, .. }) => token = Some(t),
-                        // Duplicate or stale completion: drop, like the
-                        // hand-written apps did.
-                        _ => return,
-                    }
-                }
-            }
-        }
         let Some((index, reg)) =
             self.core.regs.iter().enumerate().find(|(_, r)| r.app_id == done.app_id)
         else {
             return;
         };
-        let probe = reg.probe.clone();
+        let (probe, role, from, flow) = (reg.probe.clone(), reg.role, done.from, done.flow);
+        // Executor-tracked first: a launched probe's completion must consume
+        // its pending entry exactly once.
+        let (token, tpp) = match (role, self.core.exec.as_mut()) {
+            (Role::Launch, Some(exec)) => match exec.on_completed(done) {
+                Some(ProbeOutcome::Completed { token, tpp }) => (Some(token), tpp),
+                // Duplicate or stale completion: drop, like the hand-written
+                // apps did.
+                _ => return,
+            },
+            _ => (None, done.tpp),
+        };
         if let Some((_, cb)) = self.handlers.completions.iter_mut().find(|(i, _)| *i == index) {
-            let completion =
-                Completion { probe, tpp: done.tpp, from: done.from, flow: done.flow, token };
+            let completion = Completion { probe, tpp, from, flow, token };
             cb(&mut self.state, &mut Io { ctx, core: &mut self.core }, completion);
         }
     }

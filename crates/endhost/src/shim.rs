@@ -14,20 +14,23 @@
 //!
 //! Both directions work in the frame they are handed: a stamped frame is the
 //! caller's buffer with the filter entry's pre-serialized section spliced in,
-//! and a stripped frame is the received buffer with the section closed up.
-//! The shim allocates only for what it surfaces beside the frame (an echo
-//! frame, an owned completed [`Tpp`]) and, on transmit, when the caller's
-//! buffer has no room for the section.
+//! a stripped frame is the received buffer with the section closed up, and a
+//! completion that arrives on the echo channel is the received frame itself,
+//! handed on as a validated [`TppBuf`]. The shim allocates only for what it
+//! surfaces beside the frame — an echo frame, or the copy of the section a
+//! completion consumed at this host (its aggregator) travels in — and, on
+//! transmit, when the caller's buffer has no room for the section.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::filter::{Filter, FilterEntry, FilterTable};
 use tpp_core::wire::{
     ethernet, insert_transparent_in_place, ipv4, locate_tpp, restore_inner_frame_in_place, udp,
-    udp_frame_into, EthernetAddress, Ipv4Address, Ipv4Packet, Tpp, TppLocation, TppView,
-    UdpDatagram, UdpFrameRepr,
+    udp_frame_with, EthernetAddress, EthernetFrame, Ipv4Address, Ipv4Packet, Tpp, TppBuf,
+    TppLocation, TppView, UdpDatagram, UdpFrameRepr,
 };
 use tpp_switch::FlowKey;
 
@@ -98,7 +101,9 @@ impl FlowRef {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompletedTpp {
     pub app_id: u16,
-    pub tpp: Tpp,
+    /// The executed section, validated, in the buffer it reached this host
+    /// in (an echo frame) or in a copy of its own.
+    pub tpp: TppBuf,
     /// Source of the packet that carried (or echoed) the TPP.
     pub from: Ipv4Address,
     /// The instrumented packet's flow.
@@ -205,9 +210,11 @@ impl Shim {
     }
 
     /// Receive-side interposition. TPP sections are validated and read
-    /// through borrowed [`TppView`]s over the frame bytes; the owned [`Tpp`]
-    /// is materialized only when a completion is surfaced to a local
-    /// application, and echo frames carry the section bytes verbatim.
+    /// through borrowed [`TppView`]s over the frame bytes, echo frames carry
+    /// the section bytes verbatim, and no completion is decoded into a
+    /// [`Tpp`]: one that arrives on the echo channel keeps its frame as its
+    /// [`TppBuf`], one consumed here at its aggregator is a copy of the
+    /// section.
     pub fn incoming(&mut self, mut frame: Vec<u8>) -> Incoming {
         self.counters.rx_frames += 1;
         match locate_tpp(&frame) {
@@ -259,14 +266,13 @@ impl Shim {
                     }
                 }
             }
-            TppLocation::None => {
-                // The echo channel?
-                if let Some(completed) = self.parse_echo(&frame) {
+            TppLocation::None => match parse_echo(frame) {
+                Ok(completed) => {
                     self.counters.completed_delivered += 1;
-                    return Incoming { completed: Some(completed), ..Incoming::default() };
+                    Incoming { completed: Some(completed), ..Incoming::default() }
                 }
-                Incoming { deliver: Some(frame), ..Incoming::default() }
-            }
+                Err(frame) => Incoming { deliver: Some(frame), ..Incoming::default() },
+            },
         }
     }
 
@@ -281,7 +287,7 @@ impl Shim {
                 completed: Some(CompletedTpp {
                     app_id: view.app_id(),
                     from: flow.src,
-                    tpp: view.to_tpp(),
+                    tpp: view.to_buf(),
                     flow,
                 }),
                 ..Incoming::default()
@@ -295,9 +301,9 @@ impl Shim {
     }
 
     /// Build a completed-TPP frame around the executed section bytes,
-    /// carried verbatim — no re-serialization of the TPP. One buffer: the
-    /// headers and a zero payload from `udp_frame_into`, then the section
-    /// and the flow trailer written over the payload and summed.
+    /// carried verbatim — no re-serialization of the TPP. One buffer
+    /// ([`udp_frame_with`]): the section and the flow trailer are the
+    /// payload.
     fn build_echo_frame(&self, section: &[u8], to: Ipv4Address, flow: FlowRef) -> Vec<u8> {
         let hdr = UdpFrameRepr {
             src_mac: self.mac,
@@ -307,41 +313,51 @@ impl Shim {
             src_port: udp::TPP_PORT,
             dst_port: TPP_ECHO_PORT,
         };
-        let mut frame = Vec::new();
-        udp_frame_into(&mut frame, &hdr, section.len() + FlowRef::TRAILER_LEN, &[]);
-        let udp_off = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        let (payload, trailer) = frame[udp_off + udp::HEADER_LEN..].split_at_mut(section.len());
-        payload.copy_from_slice(section);
-        trailer.copy_from_slice(&flow.emit());
-        UdpDatagram::new_unchecked(&mut frame[udp_off..]).fill_checksum(self.ip, to);
-        frame
+        udp_frame_with(&hdr, section.len() + FlowRef::TRAILER_LEN, |payload| {
+            let (carried, trailer) = payload.split_at_mut(section.len());
+            carried.copy_from_slice(section);
+            trailer.copy_from_slice(&flow.emit());
+        })
     }
+}
 
-    fn parse_echo(&self, frame: &[u8]) -> Option<CompletedTpp> {
-        let eth = tpp_core::wire::EthernetFrame::new_checked(frame)?;
-        if eth.ethertype() != ethernet::ethertype::IPV4 {
-            return None;
-        }
-        let ip = Ipv4Packet::new_checked(eth.payload())?;
-        if ip.protocol() != ipv4::protocol::UDP {
-            return None;
-        }
-        let from = ip.src();
-        let u = UdpDatagram::new_checked(ip.payload())?;
-        if u.dst_port() != TPP_ECHO_PORT {
-            return None;
-        }
-        let (view, consumed) = TppView::parse(u.payload()).ok()?;
-        let flow = FlowRef::parse(&u.payload()[consumed..]).unwrap_or_default();
-        Some(CompletedTpp { app_id: view.app_id(), tpp: view.to_tpp(), from, flow })
+/// The completion an echo frame carries, read where it landed: the frame
+/// becomes the completion's [`TppBuf`], with no copy. The section is
+/// validated within the UDP payload, so bytes after the payload (Ethernet
+/// padding) never count as section or trailer bytes. A frame that is not a
+/// valid echo comes back unchanged.
+fn parse_echo(frame: Vec<u8>) -> Result<CompletedTpp, Vec<u8>> {
+    let Some((from, payload)) = echo_payload(&frame) else { return Err(frame) };
+    let tpp = TppBuf::parse(frame, payload.clone()).map_err(|(frame, _)| frame)?;
+    let trailer = &tpp.buffer()[payload.start + tpp.view().section_len()..payload.end];
+    let flow = FlowRef::parse(trailer).unwrap_or_default();
+    Ok(CompletedTpp { app_id: tpp.view().app_id(), tpp, from, flow })
+}
+
+/// The source address of an echo frame, and where its UDP payload lies in it.
+fn echo_payload(frame: &[u8]) -> Option<(Ipv4Address, Range<usize>)> {
+    let eth = EthernetFrame::new_checked(frame)?;
+    if eth.ethertype() != ethernet::ethertype::IPV4 {
+        return None;
     }
+    let ip = Ipv4Packet::new_checked(eth.payload())?;
+    if ip.protocol() != ipv4::protocol::UDP {
+        return None;
+    }
+    let u = UdpDatagram::new_checked(ip.payload())?;
+    if u.dst_port() != TPP_ECHO_PORT {
+        return None;
+    }
+    let start = ethernet::HEADER_LEN + ip.header_len() + udp::HEADER_LEN;
+    Some((ip.src(), start..start + u.payload().len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpp_core::addr::resolve_mnemonic;
     use tpp_core::asm::TppBuilder;
-    use tpp_core::isa::INSTR_BYTES;
+    use tpp_core::isa::{Instruction, INSTR_BYTES};
     use tpp_core::wire::{extract_tpp, tpp, EthernetRepr, MAX_MEMORY_BYTES};
 
     fn shim_for(host: u32) -> Shim {
@@ -408,6 +424,111 @@ mod tests {
         }
     }
 
+    /// A section of `len` bytes: a valid section of the greatest length
+    /// the header can state that is at most `len` (its words split between
+    /// program and memory, memory first), then filler up to `len`. Below
+    /// the header's length, filler alone.
+    fn section_of_len(len: usize, byte: &mut impl FnMut() -> u8) -> Vec<u8> {
+        let program = [
+            Instruction::push(resolve_mnemonic("Switch:SwitchID").unwrap()),
+            Instruction::load(resolve_mnemonic("Queue:QueueOccupancy").unwrap(), 1),
+        ];
+        let mut section = Vec::with_capacity(len);
+        if len >= tpp::HEADER_LEN {
+            let words = (len - tpp::HEADER_LEN) / 4;
+            let n_instr = words.saturating_sub(MAX_MEMORY_BYTES / 4);
+            section = Tpp {
+                hop: byte(),
+                sp: byte(),
+                app_id: u16::from_be_bytes([byte(), byte()]),
+                instrs: (0..n_instr).map(|i| program[i % program.len()]).collect(),
+                memory: (0..4 * (words - n_instr)).map(|_| byte()).collect(),
+                ..Tpp::default()
+            }
+            .serialize();
+        }
+        section.extend((section.len()..len).map(|_| byte()));
+        section
+    }
+
+    #[test]
+    fn echo_completions_read_what_the_udp_payload_holds() {
+        // Sections of every length `echo_frame_matches_the_nested_construction`
+        // iterates, in echo frames four ways: as built; with Ethernet padding
+        // after the UDP payload; cut 4 bytes short of the length they claim,
+        // with the cut bytes and the trailer as padding; with the flow trailer
+        // cut short. What host 1 surfaces must be what `TppView::parse` reads
+        // in the UDP payload, and a frame it cannot read must be delivered
+        // byte for byte as it came.
+        let sender = shim_for(2);
+        let mut origin = shim_for(1);
+        let flow =
+            FlowRef { src: origin.ip, dst: sender.ip, src_port: 40_001, dst_port: udp::TPP_PORT };
+        let hdr = UdpFrameRepr {
+            src_mac: sender.mac,
+            dst_mac: origin.mac,
+            src_ip: sender.ip,
+            dst_ip: origin.ip,
+            src_port: udp::TPP_PORT,
+            dst_port: TPP_ECHO_PORT,
+        };
+        let echo_with = |payload: &[u8], padding: &[u8]| {
+            let mut frame = udp_frame_with(&hdr, payload.len(), |p| p.copy_from_slice(payload));
+            frame.extend_from_slice(padding);
+            frame
+        };
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut byte = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        };
+        let longest = tpp::HEADER_LEN + usize::from(u8::MAX) * INSTR_BYTES + MAX_MEMORY_BYTES;
+        let (mut completed, mut delivered) = (0, 0);
+        for len in 0..=longest {
+            let section = section_of_len(len, &mut byte);
+            let whole = [&section[..], &flow.emit()].concat();
+            let cut = len.saturating_sub(4);
+            let frames = [
+                ("as built", sender.build_echo_frame(&section, origin.ip, flow)),
+                ("padded", echo_with(&whole, &[0xA5; 17])),
+                ("claiming past the payload", echo_with(&section[..cut], &whole[cut..])),
+                ("short trailer", echo_with(&whole[..len + 5], &[])),
+            ];
+            for (case, frame) in frames {
+                let (_, payload) = echo_payload(&frame).expect("an echo frame");
+                let payload = &frame[payload];
+                let out = origin.incoming(frame.clone());
+                assert!(out.echo.is_none() && !out.discarded, "{len} bytes, {case}");
+                let Ok((view, consumed)) = TppView::parse(payload) else {
+                    assert_eq!(out.deliver.as_ref(), Some(&frame), "{len} bytes, {case}");
+                    assert!(out.completed.is_none(), "{len} bytes, {case}");
+                    delivered += 1;
+                    continue;
+                };
+                let done = out.completed.unwrap_or_else(|| panic!("{len} bytes, {case}"));
+                let t = &done.tpp;
+                assert!(out.deliver.is_none(), "{len} bytes, {case}");
+                assert_eq!(t.as_bytes(), view.as_bytes(), "{len} bytes, {case}");
+                assert_eq!(
+                    (done.app_id, t.view().app_id(), t.sp(), t.hop(), t.memory()),
+                    (view.app_id(), view.app_id(), view.sp(), view.hop(), view.memory()),
+                    "{len} bytes, {case}"
+                );
+                let trailer = FlowRef::parse(&payload[consumed..]).unwrap_or_default();
+                assert_eq!((done.flow, done.from), (trailer, sender.ip), "{len} bytes, {case}");
+                completed += 1;
+            }
+        }
+        // Each section of a header's length or more is read three ways; the
+        // one cut short, and every frame with less than a header, are not.
+        let sections = longest + 1 - tpp::HEADER_LEN;
+        assert_eq!(completed, 3 * sections);
+        assert_eq!(delivered, 4 * (longest + 1) - 3 * sections);
+        assert_eq!(origin.counters.completed_delivered, completed as u64);
+    }
+
     fn udp_frame(src: u32, dst: u32, dport: u16) -> Vec<u8> {
         let src_ip = Ipv4Address::from_host_id(src);
         let dst_ip = Ipv4Address::from_host_id(dst);
@@ -458,7 +579,7 @@ mod tests {
         let done = back.completed.expect("completion surfaced");
         assert_eq!(done.app_id, 7);
         assert_eq!(done.from, Ipv4Address::from_host_id(2));
-        assert_eq!(done.tpp.instrs.len(), 1);
+        assert_eq!(done.tpp.view().n_instr(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Proof that the shim works in the frame it is handed: `Shim::outgoing`
 //! stamps without touching the heap when the caller's buffer has room, and
 //! `Shim::incoming` allocates only for what it surfaces beside the delivered
-//! frame.
+//! frame — and for nothing when the frame is itself the completion.
 //!
 //! A counting global allocator wraps the system allocator, as in
 //! `crates/switch/tests/alloc_free.rs`. This is the one `unsafe` block of the
@@ -171,7 +171,7 @@ fn incoming_allocates_only_for_what_it_surfaces() {
     };
 
     // Host 2 echoes toward the source. The echo frame is the one thing
-    // built: its payload and one buffer per layer around it.
+    // built, in one buffer.
     let mut rx = shim_for(2);
     let copy = stamped.clone();
     let received = copy.as_ptr();
@@ -179,20 +179,24 @@ fn incoming_allocates_only_for_what_it_surfaces() {
     is_stripped_in(out.deliver.as_ref().expect("inner frame delivered"), received);
     let echo = out.echo.expect("echo built");
     assert!(out.completed.is_none());
-    assert!(allocs <= 4, "{allocs} calls: more than the echo frame's payload, UDP, IPv4, Ethernet");
+    assert_eq!(allocs, 1, "the echo frame");
 
-    // Host 2 as the app's own aggregator: the owned `Tpp` is the one thing
-    // built, its program and its memory.
+    // Host 2 as the app's own aggregator: the completion's copy of the
+    // section is the one thing built.
     rx.set_aggregator(APP, Ipv4Address::from_host_id(2));
     let received = stamped.as_ptr();
     let (out, allocs) = counting(|| rx.incoming(stamped));
     is_stripped_in(out.deliver.as_ref().expect("inner frame delivered"), received);
     assert!(out.completed.is_some() && out.echo.is_none());
-    assert!(allocs <= 2, "{allocs} calls: more than the completed Tpp");
+    assert_eq!(allocs, 1, "the completion's section");
 
-    // The echo, back at host 1, surfaces the completion and nothing else.
+    // The echo, back at host 1, surfaces the completion in the echo frame
+    // itself: nothing is built.
     let mut origin = shim_for(1);
+    let received = echo.as_ptr();
     let (back, allocs) = counting(|| origin.incoming(echo));
-    assert!(back.completed.is_some() && back.deliver.is_none());
-    assert!(allocs <= 2, "{allocs} calls: more than the completed Tpp");
+    let done = back.completed.expect("completion surfaced");
+    assert!(back.deliver.is_none());
+    assert_eq!(done.tpp.buffer().as_ptr(), received, "the completion keeps the echo frame");
+    assert_eq!(allocs, 0, "echo to completion");
 }

@@ -63,7 +63,7 @@ impl HostApp for OneProbe {
             ctx.send(echo);
         }
         if let Some(done) = out.completed {
-            if let Some(o) = self.exec.as_mut().unwrap().on_completed_full(&done) {
+            if let Some(o) = self.exec.as_mut().unwrap().on_completed(done) {
                 *self.outcome.lock().unwrap() = Some(o);
             }
         }
@@ -93,6 +93,7 @@ fn probe_traverses_fat_tree_and_reports_true_path() {
 
     let o = outcome.lock().unwrap().clone().expect("probe resolved");
     let ProbeOutcome::Completed { tpp, .. } = o else { panic!("probe failed: {o:?}") };
+    let tpp = tpp.view().to_tpp();
     // Cross-pod in a k=4 fat-tree: edge -> agg -> core -> agg -> edge.
     assert_eq!(tpp.hop, 5, "five switch hops");
     let words = tpp.words();
@@ -186,7 +187,7 @@ fn admin_write_disable_is_honored_network_wide() {
     topo.net.run_until(100 * MILLIS);
     let o = outcome.lock().unwrap().clone().expect("resolved");
     let ProbeOutcome::Completed { tpp, .. } = o else { panic!("{o:?}") };
-    assert!(!tpp.wrote, "no write may succeed under the kill switch");
+    assert!(!tpp.view().wrote(), "no write may succeed under the kill switch");
     for &s in &switches {
         let sw = topo.net.switch(s);
         for l in &sw.mem.links {
@@ -320,7 +321,7 @@ fn split_tpps_cover_a_long_path_end_to_end() {
         topo.net.run_until(k * 100 * MILLIS);
         let resolved = outcome.lock().unwrap().clone();
         match resolved {
-            Some(ProbeOutcome::Completed { tpp, .. }) => executed.push(tpp),
+            Some(ProbeOutcome::Completed { tpp, .. }) => executed.push(tpp.view().to_tpp()),
             other => panic!("split probe failed: {other:?}"),
         }
     }
