@@ -132,6 +132,45 @@ impl RateMeter {
     }
 }
 
+/// The last [`HopWindows::LEN`] readings of one statistic at each hop of a
+/// path, averaged to de-noise a per-hop signal over recent control periods.
+#[derive(Debug)]
+pub struct HopWindows {
+    /// Per hop: a ring of readings and how many were ever recorded.
+    hops: Vec<([u32; HopWindows::LEN], usize)>,
+}
+
+impl HopWindows {
+    /// Readings kept per hop.
+    pub const LEN: usize = 8;
+
+    /// Windows for the first `hops` hops of a path.
+    pub fn new(hops: usize) -> Self {
+        HopWindows { hops: vec![([0; Self::LEN], 0); hops] }
+    }
+
+    /// Record hop `h`'s latest reading; a hop past the windows is ignored.
+    pub fn record(&mut self, h: usize, reading: u32) {
+        if let Some((ring, n)) = self.hops.get_mut(h) {
+            ring[*n % Self::LEN] = reading;
+            *n += 1;
+        }
+    }
+
+    /// The mean of hop `h`'s window, or `latest` for a hop with no readings
+    /// (none recorded yet, or a hop past the windows).
+    pub fn mean(&self, h: usize, latest: u32) -> f64 {
+        match self.hops.get(h) {
+            Some((ring, n)) if *n > 0 => {
+                let kept = &ring[..(*n).min(Self::LEN)];
+                // Whole numbers below 2^35: the sum is exact in any order.
+                kept.iter().map(|&r| r as f64).sum::<f64>() / kept.len() as f64
+            }
+            _ => latest as f64,
+        }
+    }
+}
+
 /// Shared handle used by apps to expose results to experiment drivers.
 ///
 /// Backed by `Arc<RwLock<_>>` (it used to be `Rc<RefCell<_>>`) so that
@@ -286,6 +325,20 @@ mod tests {
         assert!((s[0].1 - 20.0).abs() < 1e-9);
         assert!((s[1].1 - 10.0).abs() < 1e-9);
         assert!((m.avg_mbps(0.0, 2.0) - 15.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hop_windows_average_the_last_readings() {
+        let mut w = HopWindows::new(2);
+        assert_eq!(w.mean(0, 7), 7.0); // nothing recorded yet
+        for r in 1..=10 {
+            w.record(0, r);
+        }
+        w.record(1, 4);
+        w.record(2, 99); // no window for hop 2
+        assert_eq!(w.mean(0, 0), (3..=10).sum::<u32>() as f64 / 8.0);
+        assert_eq!(w.mean(1, 0), 4.0);
+        assert_eq!(w.mean(2, 5), 5.0);
     }
 
     #[test]

@@ -214,13 +214,6 @@ pub fn run_fig10(duration: Time, seed: u64) -> Vec<Fig10Point> {
     out
 }
 
-impl TcpSenderApp {
-    /// Expose connection state for diagnostics.
-    pub fn conns_debug(&self) -> &[TcpConn] {
-        &self.conns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

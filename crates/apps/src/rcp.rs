@@ -19,11 +19,9 @@
 //! paper's refactoring: had max-min RCP been baked into the ASIC, other
 //! fairness criteria would be unreachable.
 
-use std::collections::VecDeque;
-
-use crate::common::{parse_udp, shared, udp_hdr, RateMeter, Shared, DATA_PORT};
+use crate::common::{parse_udp, shared, udp_hdr, HopWindows, RateMeter, Shared, DATA_PORT};
 use tpp_core::probe::{Probe, TppData};
-use tpp_core::wire::{udp_frame_into, Ipv4Address, Tpp};
+use tpp_core::wire::{udp_frame_into, Ipv4Address, Tpp, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::{ExecutorConfig, PacedSender};
 use tpp_netsim::Time;
@@ -200,6 +198,64 @@ pub fn rcp_equation(cfg: &RcpConfig, r_old: f64, y: f64, q_avg_bytes: f64, c: f6
     (r_old * factor.clamp(0.9, 1.1)).clamp(8_000.0, 100.0 * c)
 }
 
+/// One path's RCP* controller (§2.2): the pacer it drives, the per-hop
+/// queue history phase 2 averages, and the latest collect. [`RcpSender`]
+/// runs one; the inter-DC sender (`wan::InterDcSender`) runs one per path.
+pub(crate) struct RcpLoop {
+    pub(crate) pacer: PacedSender,
+    qhist: HopWindows,
+    latest: Vec<HopSample>,
+}
+
+impl RcpLoop {
+    pub(crate) fn new(cfg: &RcpConfig) -> Self {
+        RcpLoop {
+            pacer: PacedSender::new(cfg.start_rate_bps, cfg.payload),
+            qhist: HopWindows::new(cfg.probe_hops),
+            latest: Vec::new(),
+        }
+    }
+
+    /// Phase 1's result: a completed collect probe.
+    pub(crate) fn absorb(&mut self, collect: &TppBuf) {
+        self.latest = parse_collect(collect);
+        for (h, s) in self.latest.iter().enumerate() {
+            self.qhist.record(h, s.queue_bytes);
+        }
+    }
+
+    /// Phases 2 and 3 under the equation parameters `eq`: a new rate per
+    /// hop, the flow's own rate set on the pacer, and the update TPP that
+    /// writes the per-hop rates back. `None` until a collect has completed.
+    pub(crate) fn step<'u>(
+        &mut self,
+        eq: &RcpConfig,
+        update: &'u mut UpdateTpps,
+    ) -> Option<&'u Tpp> {
+        if self.latest.is_empty() {
+            return None;
+        }
+        let c = eq.capacity_mbps * 1e6;
+        let mut new_rates = Vec::new();
+        let mut updates = Vec::new();
+        for (h, s) in self.latest.iter().enumerate() {
+            let y = s.util_bps as f64 / 10_000.0 * c;
+            let q_avg = self.qhist.mean(h, s.queue_bytes);
+            // An uninitialized register is seeded at 10% of capacity.
+            let r_old = if s.rate_kbps == 0 { c * 0.1 } else { s.rate_kbps as f64 * 1e3 };
+            let r_new = rcp_equation(eq, r_old, y, q_avg, c);
+            new_rates.push(r_new);
+            updates.push((s.version, (r_new / 1e3) as u32));
+        }
+        // Flow rate: α-fair aggregate of the per-link rates (Eq. 2), capped
+        // at line rate (R may legitimately exceed C on uncongested links;
+        // the NIC cannot).
+        self.pacer.set_rate(alpha_aggregate(&new_rates, eq.alpha).min(c));
+        // Phase 3: versioned write-back.
+        Some(update.fill(eq.app_id, &updates))
+    }
+}
+
 const TIMER_CONTROL: u64 = 1;
 const TIMER_PACE: u64 = 2;
 
@@ -212,13 +268,8 @@ pub struct RcpSender {
     sport: u16,
     /// When to start sending (flows can be staggered).
     start_at: Time,
-    pacer: PacedSender,
-    /// Recent queue-size samples per hop index (for phase-2 averaging).
-    qhist: Vec<VecDeque<u32>>,
-    latest: Vec<HopSample>,
+    rcp: RcpLoop,
     update: UpdateTpps,
-    /// Current flow rate (b/s), exposed for experiments.
-    pub rate_bps: Shared<f64>,
     pub data_bytes_sent: u64,
     pub probes_completed: u64,
 }
@@ -228,17 +279,13 @@ pub type RcpSenderApp = Endhost<RcpSender>;
 
 impl RcpSender {
     pub fn new(cfg: RcpConfig, dst: Ipv4Address, sport: u16, start_at: Time) -> RcpSenderApp {
-        let pacer = PacedSender::new(cfg.start_rate_bps, cfg.payload);
         let state = RcpSender {
             cfg,
             dst,
             sport,
             start_at,
-            pacer,
-            qhist: Vec::new(),
-            latest: Vec::new(),
+            rcp: RcpLoop::new(&cfg),
             update: UpdateTpps::default(),
-            rate_bps: shared(cfg.start_rate_bps),
             data_bytes_sent: 0,
             probes_completed: 0,
         };
@@ -249,21 +296,10 @@ impl RcpSender {
                 ..ExecutorConfig::default()
             })
             .launch(collect_probe().app_id(cfg.app_id).hops(cfg.probe_hops), |s, _io, c| {
-                let samples = parse_collect(&c.tpp);
-                for (h, sample) in samples.iter().enumerate() {
-                    if h < s.qhist.len() {
-                        let hist = &mut s.qhist[h];
-                        if hist.len() >= 8 {
-                            hist.pop_front();
-                        }
-                        hist.push_back(sample.queue_bytes);
-                    }
-                }
-                s.latest = samples;
+                s.rcp.absorb(&c.tpp);
                 s.probes_completed += 1;
             })
             .on_start(|s, io| {
-                s.qhist = vec![VecDeque::with_capacity(8); s.cfg.probe_hops];
                 io.ctx.set_timer_at(s.start_at, TIMER_CONTROL);
                 io.ctx.set_timer_at(s.start_at, TIMER_PACE);
             })
@@ -277,38 +313,8 @@ impl RcpSender {
     }
 
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
-        if !self.latest.is_empty() {
-            let c = self.cfg.capacity_mbps * 1e6;
-            let mut new_rates = Vec::new();
-            let mut updates = Vec::new();
-            for (h, s) in self.latest.iter().enumerate() {
-                let y = s.util_bps as f64 / 10_000.0 * c;
-                let q_avg = {
-                    let hist = &self.qhist[h];
-                    if hist.is_empty() {
-                        s.queue_bytes as f64
-                    } else {
-                        hist.iter().map(|&q| q as f64).sum::<f64>() / hist.len() as f64
-                    }
-                };
-                let r_old = if s.rate_kbps == 0 {
-                    // Uninitialized register: seed at 10% of capacity.
-                    c * 0.1
-                } else {
-                    s.rate_kbps as f64 * 1e3
-                };
-                let r_new = rcp_equation(&self.cfg, r_old, y, q_avg, c);
-                new_rates.push(r_new);
-                updates.push((s.version, (r_new / 1e3) as u32));
-            }
-            // Phase 3: versioned write-back.
-            io.send_standalone(self.update.fill(self.cfg.app_id, &updates), self.dst, 40_001);
-            // Flow rate: α-fair aggregate of the per-link rates (Eq. 2),
-            // capped at line rate (R may legitimately exceed C on
-            // uncongested links; the NIC cannot).
-            let r = alpha_aggregate(&new_rates, self.cfg.alpha).min(self.cfg.capacity_mbps * 1e6);
-            *self.rate_bps.borrow_mut() = r;
-            self.pacer.set_rate(r);
+        if let Some(update) = self.rcp.step(&self.cfg, &mut self.update) {
+            io.send_standalone(update, self.dst, 40_001);
         }
         // Phase 1 for the next period.
         io.launch(self.cfg.app_id, self.dst);
@@ -316,7 +322,7 @@ impl RcpSender {
     }
 
     fn pace(&mut self, io: &mut Io<'_, '_>) {
-        let n = self.pacer.due(io.ctx.now);
+        let n = self.rcp.pacer.due(io.ctx.now);
         let hdr = udp_hdr(io.ctx.ip, self.dst, self.sport, DATA_PORT);
         for _ in 0..n {
             // In a buffer a sink handed back (see `RcpSink`).
@@ -325,7 +331,7 @@ impl RcpSender {
             self.data_bytes_sent += frame.len() as u64;
             io.ctx.send(frame);
         }
-        io.ctx.set_timer_at(self.pacer.next_deadline(), TIMER_PACE);
+        io.ctx.set_timer_at(self.rcp.pacer.next_deadline(), TIMER_PACE);
     }
 }
 
@@ -430,7 +436,7 @@ pub fn run_rcp_fig2(alpha: f64, duration: Time, seed: u64) -> RcpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpp_netsim::SECONDS;
+    use tpp_netsim::{MILLIS, SECONDS};
 
     /// Words per hop in the collect probe.
     const COLLECT_WORDS: usize = 5;
@@ -520,6 +526,50 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s[1].switch_id, 2);
         assert_eq!(s[0].rate_kbps, 40_000);
+    }
+
+    #[test]
+    fn a_forged_collect_echo_with_more_hops_than_the_probe_does_not_panic() {
+        use tpp_core::wire::{udp_frame_with, UdpFrameRepr};
+        use tpp_endhost::shim::{mac_of_ip, TPP_ECHO_PORT};
+        // The sender launches its second collect (token 2) at 3 ms. A third
+        // host answers it first with an echo of 12 hop windows, more than
+        // the 5 the probe asked for, its last memory word that token.
+        let mut topo = TopologySpec::Star { hosts: 3 }
+            .builder()
+            .host_mbps(1000)
+            .delay_ns(1000)
+            .seed(1)
+            .build();
+        let h = topo.hosts.clone();
+        let ip = |i: usize| topo.net.host(h[i]).ip;
+        let (sender, sink, forger) = (ip(0), ip(1), ip(2));
+        let mut forged = collect_probe().app_id(2).hops(12).compile().unwrap();
+        for w in 0..forged.memory.len() / 4 {
+            forged.write_word(w, w as u32 + 1).unwrap();
+        }
+        forged.sp = 60;
+        forged.hop = 12;
+        forged.write_word(forged.memory.len() / 4 - 1, 2).unwrap();
+        let hdr = UdpFrameRepr {
+            src_mac: mac_of_ip(forger),
+            dst_mac: mac_of_ip(sender),
+            src_ip: forger,
+            dst_ip: sender,
+            src_port: 9,
+            dst_port: TPP_ECHO_PORT,
+        };
+        let frame = udp_frame_with(&hdr, forged.section_len(), |p| forged.emit(p));
+        let attacker = Harness::new(Some(frame))
+            .on_start(|_, io| io.ctx.set_timer_at(3_000_001, 1))
+            .on_timer(|frame: &mut Option<Vec<u8>>, io, _| io.ctx.send(frame.take().unwrap()))
+            .build()
+            .unwrap();
+        topo.net.set_app(h[0], Box::new(RcpSender::new(RcpConfig::default(), sink, 7001, MILLIS)));
+        topo.net.set_app(h[1], Box::new(RcpSink::new(100 * MILLIS)));
+        topo.net.set_app(h[2], Box::new(attacker));
+        topo.net.run_until(20 * MILLIS);
+        assert!(topo.net.app_mut::<RcpSenderApp>(h[0]).probes_completed > 5);
     }
 
     #[test]

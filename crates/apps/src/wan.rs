@@ -38,19 +38,20 @@
 //! # Inter-DC RCP* ([`InterDcSender`])
 //!
 //! The existing RCP* TPP program (`rcp::collect_probe` /
-//! `rcp::update_probe`, registers `AppSpecific_0/1`) reused unchanged
-//! over WAN paths, with per-path feedback state keyed by
-//! (src-DC, dst-DC): each path has its own pacer, queue history, control
-//! state, and — the WAN twist — its own *measured* RTT (probe launch →
-//! completion, EWMA-smoothed) feeding the control equation's `d`, so
-//! heterogeneous-RTT paths each run a correctly-damped loop. Fixed-size
-//! transfers record sink-side flow-completion times, the metric that
-//! separates shallow from deep WAN buffer profiles.
+//! `rcp::update_probe`, registers `AppSpecific_0/1`) and its controller
+//! reused unchanged over WAN paths: one `rcp::RcpLoop` per
+//! (src-DC, dst-DC) path, each with its own pacer and queue history. Only
+//! the equation's parameters differ per path: `c` is the path's WAN
+//! capacity, and `d` — the WAN twist — its own *measured* RTT (probe
+//! launch → completion, EWMA-smoothed), so heterogeneous-RTT paths each
+//! run a correctly-damped loop. Fixed-size transfers record sink-side
+//! flow-completion times, the metric that separates shallow from deep WAN
+//! buffer profiles.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use crate::common::{parse_udp, shared, udp_frame, RateMeter, Shared, DATA_PORT};
-use crate::rcp::{self, alpha_aggregate, rcp_equation, HopSample, RcpConfig, UpdateTpps};
+use crate::common::{parse_udp, shared, udp_frame, HopWindows, RateMeter, Shared, DATA_PORT};
+use crate::rcp::{self, alpha_aggregate, RcpConfig, RcpLoop, UpdateTpps};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, Tpp};
 use tpp_endhost::harness::{Endhost, Harness, Io};
@@ -164,12 +165,11 @@ struct Subtree {
     dst: Ipv4Address,
     branch: u32,
     pacer: PacedSender,
-    qhist: Vec<VecDeque<u32>>,
+    qhist: HopWindows,
     /// Recent utilization samples per hop (basis points), averaged to
     /// de-noise the 1 ms EWMA against frame quantization.
-    uhist: Vec<VecDeque<u32>>,
+    uhist: HopWindows,
     latest: Vec<WanHopSample>,
-    rate_bps: Shared<f64>,
     /// `(t seconds, Mb/s)` sampled every control period.
     series: Vec<(f64, f64)>,
     data_bytes_sent: u64,
@@ -202,10 +202,9 @@ impl FanoutSource {
                 dst,
                 branch,
                 pacer: PacedSender::new(cfg.start_rate_bps, cfg.payload),
-                qhist: vec![VecDeque::with_capacity(8); cfg.probe_hops],
-                uhist: vec![VecDeque::with_capacity(8); cfg.probe_hops],
+                qhist: HopWindows::new(cfg.probe_hops),
+                uhist: HopWindows::new(cfg.probe_hops),
                 latest: Vec::new(),
-                rate_bps: shared(cfg.start_rate_bps),
                 series: Vec::new(),
                 data_bytes_sent: 0,
             })
@@ -225,17 +224,8 @@ impl FanoutSource {
                 };
                 let samples = parse_discover(&c.tpp);
                 for (h, sample) in samples.iter().enumerate() {
-                    if h < sub.qhist.len() {
-                        for (hist, v) in [
-                            (&mut sub.qhist[h], sample.queue_bytes),
-                            (&mut sub.uhist[h], sample.util_bps),
-                        ] {
-                            if hist.len() >= 8 {
-                                hist.pop_front();
-                            }
-                            hist.push_back(v);
-                        }
-                    }
+                    sub.qhist.record(h, sample.queue_bytes);
+                    sub.uhist.record(h, sample.util_bps);
                 }
                 sub.latest = samples;
                 s.probes_completed += 1;
@@ -257,7 +247,7 @@ impl FanoutSource {
 
     /// Per-subtree adapted rates, in subtree construction order.
     pub fn rates_bps(&self) -> Vec<f64> {
-        self.subtrees.iter().map(|t| *t.rate_bps.borrow()).collect()
+        self.subtrees.iter().map(|t| t.pacer.rate_bps).collect()
     }
 
     /// Per-subtree `(t seconds, Mb/s)` adaptation series.
@@ -277,28 +267,20 @@ impl FanoutSource {
         for idx in 0..self.subtrees.len() {
             let sub = &mut self.subtrees[idx];
             if !sub.latest.is_empty() {
-                let r_old = *sub.rate_bps.borrow();
+                let r_old = sub.pacer.rate_bps;
                 let mut per_link = Vec::with_capacity(sub.latest.len());
                 let mut branch_version = None;
-                let latest = sub.latest.clone();
-                for (h, s) in latest.iter().enumerate() {
+                for (h, s) in sub.latest.iter().enumerate() {
                     if s.switch_id == sub.branch {
                         branch_version = Some(s.version);
                     }
-                    let avg = |hist: &VecDeque<u32>, fallback: u32| {
-                        if hist.is_empty() {
-                            fallback as f64
-                        } else {
-                            hist.iter().map(|&q| q as f64).sum::<f64>() / hist.len() as f64
-                        }
-                    };
                     // Available bandwidth at this hop: capacity minus
                     // traffic that isn't ours minus a term that drains
                     // any standing queue over the drain horizon.
                     let c = (s.speed_mbps.max(1)) as f64 * 1e6;
-                    let y = avg(&sub.uhist[h], s.util_bps) / 10_000.0 * c;
+                    let y = sub.uhist.mean(h, s.util_bps) / 10_000.0 * c;
                     let cross = (y - r_old).max(0.0);
-                    let q_bits = avg(&sub.qhist[h], s.queue_bytes) * 8.0;
+                    let q_bits = sub.qhist.mean(h, s.queue_bytes) * 8.0;
                     per_link.push((c - cross - drain_gain * q_bits / drain_s).max(64_000.0));
                 }
                 // The measured bottleneck is the min across hops; step
@@ -307,13 +289,13 @@ impl FanoutSource {
                 // drives the bottleneck queue into standing growth.
                 let target = alpha_aggregate(&per_link, f64::INFINITY);
                 let r = r_old * (target / r_old.max(1.0)).clamp(0.9, 1.1);
-                *sub.rate_bps.borrow_mut() = r;
                 sub.pacer.set_rate(r);
                 sub.series.push((now_s, r / 1e6));
                 // Install the adapted rate at the branch switch: the CEXEC
                 // predicate suppresses the write at every other hop.
                 if let Some(version) = branch_version {
-                    let mut t = install_tpp(latest.len(), sub.branch, version, (r / 1e3) as u32);
+                    let mut t =
+                        install_tpp(sub.latest.len(), sub.branch, version, (r / 1e3) as u32);
                     t.app_id = self.cfg.app_id;
                     io.send_standalone(&t, sub.dst, 40_002);
                 }
@@ -433,10 +415,7 @@ pub struct InterDcConfig {
 
 struct PathState {
     path: InterDcPath,
-    pacer: PacedSender,
-    qhist: Vec<VecDeque<u32>>,
-    latest: Vec<HopSample>,
-    rate_bps: Shared<f64>,
+    rcp: RcpLoop,
     /// EWMA of measured probe RTTs (launch → completion), in ns.
     rtt_est_ns: f64,
     data_bytes_sent: u64,
@@ -476,10 +455,7 @@ impl InterDcSender {
             .iter()
             .map(|&path| PathState {
                 path,
-                pacer: PacedSender::new(rcp_cfg.start_rate_bps, rcp_cfg.payload),
-                qhist: vec![VecDeque::with_capacity(8); rcp_cfg.probe_hops],
-                latest: Vec::new(),
-                rate_bps: shared(rcp_cfg.start_rate_bps),
+                rcp: RcpLoop::new(&rcp_cfg),
                 rtt_est_ns: rcp_cfg.rtt_ns as f64,
                 data_bytes_sent: 0,
             })
@@ -517,18 +493,7 @@ impl InterDcSender {
                             i
                         }
                     };
-                    let p = &mut s.paths[idx];
-                    let samples = rcp::parse_collect(&c.tpp);
-                    for (h, sample) in samples.iter().enumerate() {
-                        if h < p.qhist.len() {
-                            let hist = &mut p.qhist[h];
-                            if hist.len() >= 8 {
-                                hist.pop_front();
-                            }
-                            hist.push_back(sample.queue_bytes);
-                        }
-                    }
-                    p.latest = samples;
+                    s.paths[idx].rcp.absorb(&c.tpp);
                     s.probes_completed += 1;
                 },
             )
@@ -561,7 +526,7 @@ impl InterDcSender {
                     PathReport {
                         src_dc: self.cfg.src_dc,
                         dst_dc: p.path.dst_dc,
-                        rate_bps: *p.rate_bps.borrow(),
+                        rate_bps: p.rcp.pacer.rate_bps,
                         rtt_est_ms: p.rtt_est_ns / 1e6,
                         data_bytes_sent: p.data_bytes_sent,
                     },
@@ -571,39 +536,18 @@ impl InterDcSender {
     }
 
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
+        let app_id = self.cfg.rcp.app_id;
         for idx in 0..self.paths.len() {
-            let (alpha, app_id) = (self.cfg.rcp.alpha, self.cfg.rcp.app_id);
             let p = &mut self.paths[idx];
-            if !p.latest.is_empty() {
-                // Per-path equation: the path's own measured RTT damps its
-                // loop, its WAN bottleneck capacity is `c`.
-                let eq = RcpConfig {
-                    rtt_ns: p.rtt_est_ns.max(1.0) as Time,
-                    capacity_mbps: p.path.capacity_mbps,
-                    ..self.cfg.rcp
-                };
-                let c = eq.capacity_mbps * 1e6;
-                let mut per_link = Vec::new();
-                let mut updates = Vec::new();
-                for (h, s) in p.latest.iter().enumerate() {
-                    let y = s.util_bps as f64 / 10_000.0 * c;
-                    let q_avg = {
-                        let hist = &p.qhist[h];
-                        if hist.is_empty() {
-                            s.queue_bytes as f64
-                        } else {
-                            hist.iter().map(|&q| q as f64).sum::<f64>() / hist.len() as f64
-                        }
-                    };
-                    let r_old = if s.rate_kbps == 0 { c * 0.1 } else { s.rate_kbps as f64 * 1e3 };
-                    let r_new = rcp_equation(&eq, r_old, y, q_avg, c);
-                    per_link.push(r_new);
-                    updates.push((s.version, (r_new / 1e3) as u32));
-                }
-                io.send_standalone(self.update.fill(app_id, &updates), p.path.dst, 40_001);
-                let r = alpha_aggregate(&per_link, alpha).min(c);
-                *p.rate_bps.borrow_mut() = r;
-                p.pacer.set_rate(r);
+            // Per-path equation: the path's own measured RTT damps its loop,
+            // its WAN bottleneck capacity is `c`.
+            let eq = RcpConfig {
+                rtt_ns: p.rtt_est_ns.max(1.0) as Time,
+                capacity_mbps: p.path.capacity_mbps,
+                ..self.cfg.rcp
+            };
+            if let Some(update) = p.rcp.step(&eq, &mut self.update) {
+                io.send_standalone(update, p.path.dst, 40_001);
             }
             let (dst, done) = (
                 p.path.dst,
@@ -626,7 +570,7 @@ impl InterDcSender {
         if p.path.transfer_bytes > 0 && p.data_bytes_sent >= p.path.transfer_bytes {
             return; // transfer complete: stop the pace timer chain
         }
-        let n = p.pacer.due(io.ctx.now);
+        let n = p.rcp.pacer.due(io.ctx.now);
         for _ in 0..n {
             let frame = udp_frame(io.ctx.ip, p.path.dst, p.path.sport, DATA_PORT, payload);
             // Payload bytes, to line up with the sink's FCT accounting.
@@ -636,7 +580,7 @@ impl InterDcSender {
                 break;
             }
         }
-        io.ctx.set_timer_at(p.pacer.next_deadline(), TIMER_PACE_BASE + idx as u64);
+        io.ctx.set_timer_at(p.rcp.pacer.next_deadline(), TIMER_PACE_BASE + idx as u64);
     }
 }
 

@@ -43,10 +43,6 @@ impl Address {
     pub const fn raw(self) -> u16 {
         self.0
     }
-    /// The namespace this address belongs to, if any.
-    pub fn namespace(self) -> Option<Namespace> {
-        Namespace::of(self)
-    }
     /// Offset of this address within its namespace block.
     pub fn offset(self) -> u16 {
         match Namespace::of(self) {
@@ -286,18 +282,6 @@ impl Namespace {
     pub fn at(self, offset: u16) -> Address {
         Address(self.base().0 + offset)
     }
-
-    /// Whether addresses in this namespace resolve against the packet being
-    /// forwarded rather than a fixed resource.
-    pub fn is_per_packet(self) -> bool {
-        matches!(
-            self,
-            Namespace::PacketMetadata
-                | Namespace::CurrentLink
-                | Namespace::CurrentQueue
-                | Namespace::FlowEntry(_)
-        )
-    }
 }
 
 /// Architectural writability of an address: `true` if the location is
@@ -343,112 +327,153 @@ impl fmt::Display for AddrError {
 
 impl std::error::Error for AddrError {}
 
-fn switch_stat(stat: &str) -> Option<u16> {
-    Some(match stat {
-        "SwitchID" | "ID" => switch_ns::SWITCH_ID,
-        "Version" | "VersionNumber" => switch_ns::VERSION,
-        "Uptime" | "UptimeCycles" => switch_ns::UPTIME_CYCLES_LO,
-        "UptimeHi" => switch_ns::UPTIME_CYCLES_HI,
-        "ClockFreq" => switch_ns::CLOCK_FREQ_HZ,
-        "VendorID" => switch_ns::VENDOR_ID,
-        "NumPorts" => switch_ns::NUM_PORTS,
-        "NumStages" => switch_ns::NUM_STAGES,
-        "TimeNs" => switch_ns::TIME_NS_LO,
-        "TimeNsHi" => switch_ns::TIME_NS_HI,
-        "TppExecuted" => switch_ns::TPP_EXECUTED_LO,
-        "TppRejected" => switch_ns::TPP_REJECTED,
-        _ => return None,
-    })
+/// One namespace's statistic names: `(name, offset)` rows, the first row
+/// for an offset its canonical name, plus an optional indexed range
+/// `(prefix, first offset, count)` in which `{prefix}{i}` names offset
+/// `first + i`. [`resolve_mnemonic`] reads a table forwards and
+/// [`mnemonic_of`] backwards.
+struct Names {
+    rows: &'static [(&'static str, u16)],
+    indexed: Option<(&'static str, u16, u16)>,
 }
 
-fn meta_stat(stat: &str) -> Option<u16> {
-    Some(match stat {
-        "InputPort" => meta_ns::INPUT_PORT,
-        "OutputPort" => meta_ns::OUTPUT_PORT,
-        "OutputQueue" => meta_ns::OUTPUT_QUEUE,
-        "MatchedEntryID" => meta_ns::MATCHED_ENTRY_ID,
-        "PktLen" | "PacketLength" => meta_ns::PKT_LEN,
-        "HopCount" => meta_ns::HOP_COUNT,
-        "PathHash" => meta_ns::PATH_HASH,
-        "EnqQueueBytes" => meta_ns::ENQ_QDEPTH_BYTES,
-        "EnqQueuePkts" => meta_ns::ENQ_QDEPTH_PKTS,
-        "QueueWaitNs" => meta_ns::QUEUE_WAIT_NS,
-        "IngressTimestamp" => meta_ns::INGRESS_TSTAMP_NS_LO,
-        "IngressTimestampHi" => meta_ns::INGRESS_TSTAMP_NS_HI,
-        _ => return None,
-    })
-}
-
-fn link_stat(stat: &str) -> Option<u16> {
-    if let Some(n) = stat.strip_prefix("AppSpecific_") {
-        let i: u16 = n.parse().ok()?;
-        if i < link_ns::APP_COUNT {
-            return Some(link_ns::APP_BASE + i);
+impl Names {
+    fn offset(&self, stat: &str) -> Option<u16> {
+        if let Some((prefix, first, count)) = self.indexed {
+            if let Some(n) = stat.strip_prefix(prefix) {
+                let i: u16 = n.parse().ok()?;
+                return (i < count).then_some(first + i);
+            }
         }
-        return None;
+        self.rows.iter().find(|&&(name, _)| name == stat).map(|&(_, off)| off)
     }
-    Some(match stat {
-        "ID" | "LinkID" => link_ns::LINK_ID,
-        "Speed" | "SpeedMbps" => link_ns::SPEED_MBPS,
-        "Status" => link_ns::STATUS,
-        "QueueSize" | "QueuedBytes" => link_ns::QUEUED_BYTES,
-        "QueuedPkts" | "QueueSizePkts" => link_ns::QUEUED_PKTS,
-        "TX-Bytes" => link_ns::TX_BYTES_LO,
-        "TX-BytesHi" => link_ns::TX_BYTES_HI,
-        "TX-Pkts" => link_ns::TX_PKTS_LO,
-        "RX-Bytes" => link_ns::RX_BYTES_LO,
-        "RX-BytesHi" => link_ns::RX_BYTES_HI,
-        "RX-Pkts" => link_ns::RX_PKTS_LO,
-        "Drop-Bytes" => link_ns::DROP_BYTES_LO,
-        "Drop-Pkts" => link_ns::DROP_PKTS_LO,
-        "Err-Pkts" => link_ns::ERR_PKTS,
-        "TX-Utilization" => link_ns::TX_UTIL_BPS,
-        "RX-Utilization" => link_ns::RX_UTIL_BPS,
-        _ => return None,
-    })
-}
 
-fn queue_stat(stat: &str) -> Option<u16> {
-    Some(match stat {
-        "QueueOccupancy" | "Bytes" => queue_ns::BYTES,
-        "QueueOccupancyPkts" | "Pkts" => queue_ns::PKTS,
-        "Drop-Pkts" => queue_ns::DROP_PKTS,
-        "Drop-Bytes" => queue_ns::DROP_BYTES,
-        "TX-Pkts" => queue_ns::TX_PKTS,
-        "TX-Bytes" => queue_ns::TX_BYTES,
-        "SchedWeight" => queue_ns::SCHED_WEIGHT,
-        "LimitBytes" => queue_ns::LIMIT_BYTES,
-        _ => return None,
-    })
-}
-
-fn flow_entry_stat(stat: &str) -> Option<u16> {
-    Some(match stat {
-        "EntryID" => flow_entry_ns::ENTRY_ID,
-        "InsertClock" => flow_entry_ns::INSERT_CLOCK_LO,
-        "MatchPkts" => flow_entry_ns::MATCH_PKTS_LO,
-        "MatchBytes" => flow_entry_ns::MATCH_BYTES_LO,
-        _ => return None,
-    })
-}
-
-fn stage_stat(stat: &str) -> Option<u16> {
-    if let Some(n) = stat.strip_prefix("Reg") {
-        let i: u16 = n.parse().ok()?;
-        if i < stage_ns::SRAM_WORDS {
-            return Some(i);
+    fn name(&self, off: u16) -> Option<String> {
+        if let Some((prefix, first, count)) = self.indexed {
+            if (first..first + count).contains(&off) {
+                return Some(format!("{prefix}{}", off - first));
+            }
         }
-        return None;
+        self.rows.iter().find(|&&(_, o)| o == off).map(|&(name, _)| name.to_string())
     }
-    Some(match stat {
-        "Version" => stage_ns::VERSION,
-        "RefCount" => stage_ns::REFCOUNT,
-        "LookupPkts" => stage_ns::LOOKUP_PKTS_LO,
-        "LookupBytes" => stage_ns::LOOKUP_BYTES_LO,
-        "MatchPkts" => stage_ns::MATCH_PKTS_LO,
-        "MatchBytes" => stage_ns::MATCH_BYTES_LO,
-        _ => return None,
-    })
+}
+
+const SWITCH_NAMES: Names = Names {
+    rows: &[
+        ("SwitchID", switch_ns::SWITCH_ID),
+        ("ID", switch_ns::SWITCH_ID),
+        ("Version", switch_ns::VERSION),
+        ("VersionNumber", switch_ns::VERSION),
+        ("Uptime", switch_ns::UPTIME_CYCLES_LO),
+        ("UptimeCycles", switch_ns::UPTIME_CYCLES_LO),
+        ("UptimeHi", switch_ns::UPTIME_CYCLES_HI),
+        ("ClockFreq", switch_ns::CLOCK_FREQ_HZ),
+        ("VendorID", switch_ns::VENDOR_ID),
+        ("NumPorts", switch_ns::NUM_PORTS),
+        ("NumStages", switch_ns::NUM_STAGES),
+        ("TimeNs", switch_ns::TIME_NS_LO),
+        ("TimeNsHi", switch_ns::TIME_NS_HI),
+        ("TppExecuted", switch_ns::TPP_EXECUTED_LO),
+        ("TppRejected", switch_ns::TPP_REJECTED),
+    ],
+    indexed: None,
+};
+
+const META_NAMES: Names = Names {
+    rows: &[
+        ("InputPort", meta_ns::INPUT_PORT),
+        ("OutputPort", meta_ns::OUTPUT_PORT),
+        ("OutputQueue", meta_ns::OUTPUT_QUEUE),
+        ("MatchedEntryID", meta_ns::MATCHED_ENTRY_ID),
+        ("PktLen", meta_ns::PKT_LEN),
+        ("PacketLength", meta_ns::PKT_LEN),
+        ("HopCount", meta_ns::HOP_COUNT),
+        ("PathHash", meta_ns::PATH_HASH),
+        ("EnqQueueBytes", meta_ns::ENQ_QDEPTH_BYTES),
+        ("EnqQueuePkts", meta_ns::ENQ_QDEPTH_PKTS),
+        ("QueueWaitNs", meta_ns::QUEUE_WAIT_NS),
+        ("IngressTimestamp", meta_ns::INGRESS_TSTAMP_NS_LO),
+        ("IngressTimestampHi", meta_ns::INGRESS_TSTAMP_NS_HI),
+    ],
+    indexed: None,
+};
+
+const LINK_NAMES: Names = Names {
+    rows: &[
+        ("ID", link_ns::LINK_ID),
+        ("LinkID", link_ns::LINK_ID),
+        ("Speed", link_ns::SPEED_MBPS),
+        ("SpeedMbps", link_ns::SPEED_MBPS),
+        ("Status", link_ns::STATUS),
+        ("QueueSize", link_ns::QUEUED_BYTES),
+        ("QueuedBytes", link_ns::QUEUED_BYTES),
+        ("QueuedPkts", link_ns::QUEUED_PKTS),
+        ("QueueSizePkts", link_ns::QUEUED_PKTS),
+        ("TX-Bytes", link_ns::TX_BYTES_LO),
+        ("TX-BytesHi", link_ns::TX_BYTES_HI),
+        ("TX-Pkts", link_ns::TX_PKTS_LO),
+        ("RX-Bytes", link_ns::RX_BYTES_LO),
+        ("RX-BytesHi", link_ns::RX_BYTES_HI),
+        ("RX-Pkts", link_ns::RX_PKTS_LO),
+        ("Drop-Bytes", link_ns::DROP_BYTES_LO),
+        ("Drop-Pkts", link_ns::DROP_PKTS_LO),
+        ("Err-Pkts", link_ns::ERR_PKTS),
+        ("TX-Utilization", link_ns::TX_UTIL_BPS),
+        ("RX-Utilization", link_ns::RX_UTIL_BPS),
+    ],
+    indexed: Some(("AppSpecific_", link_ns::APP_BASE, link_ns::APP_COUNT)),
+};
+
+const QUEUE_NAMES: Names = Names {
+    rows: &[
+        ("QueueOccupancy", queue_ns::BYTES),
+        ("Bytes", queue_ns::BYTES),
+        ("QueueOccupancyPkts", queue_ns::PKTS),
+        ("Pkts", queue_ns::PKTS),
+        ("Drop-Pkts", queue_ns::DROP_PKTS),
+        ("Drop-Bytes", queue_ns::DROP_BYTES),
+        ("TX-Pkts", queue_ns::TX_PKTS),
+        ("TX-Bytes", queue_ns::TX_BYTES),
+        ("SchedWeight", queue_ns::SCHED_WEIGHT),
+        ("LimitBytes", queue_ns::LIMIT_BYTES),
+    ],
+    indexed: None,
+};
+
+const FLOW_ENTRY_NAMES: Names = Names {
+    rows: &[
+        ("EntryID", flow_entry_ns::ENTRY_ID),
+        ("InsertClock", flow_entry_ns::INSERT_CLOCK_LO),
+        ("MatchPkts", flow_entry_ns::MATCH_PKTS_LO),
+        ("MatchBytes", flow_entry_ns::MATCH_BYTES_LO),
+    ],
+    indexed: None,
+};
+
+const STAGE_NAMES: Names = Names {
+    rows: &[
+        ("Version", stage_ns::VERSION),
+        ("RefCount", stage_ns::REFCOUNT),
+        ("LookupPkts", stage_ns::LOOKUP_PKTS_LO),
+        ("LookupBytes", stage_ns::LOOKUP_BYTES_LO),
+        ("MatchPkts", stage_ns::MATCH_PKTS_LO),
+        ("MatchBytes", stage_ns::MATCH_BYTES_LO),
+    ],
+    indexed: Some(("Reg", 0, stage_ns::SRAM_WORDS)),
+};
+
+impl Namespace {
+    /// The statistic names of this namespace.
+    fn names(self) -> &'static Names {
+        match self {
+            Namespace::Switch => &SWITCH_NAMES,
+            Namespace::PacketMetadata => &META_NAMES,
+            Namespace::CurrentLink | Namespace::Link(_) => &LINK_NAMES,
+            Namespace::CurrentQueue | Namespace::Queue(_, _) => &QUEUE_NAMES,
+            Namespace::FlowEntry(_) => &FLOW_ENTRY_NAMES,
+            Namespace::Stage(_) => &STAGE_NAMES,
+        }
+    }
 }
 
 /// Resolve a human-readable mnemonic like `Switch:SwitchID`,
@@ -456,144 +481,51 @@ fn stage_stat(stat: &str) -> Option<u16> {
 /// `Stage1:Reg5`, or `PacketMetadata:OutputPort` to a virtual address
 /// (without the surrounding brackets).
 pub fn resolve_mnemonic(m: &str) -> Result<Address, AddrError> {
+    use layout::{MAX_PORTS, MAX_STAGES, QUEUES_PER_PORT};
     let unknown = || AddrError::UnknownMnemonic(m.to_string());
+    let out_of_range = || AddrError::IndexOutOfRange(m.to_string());
     let (ns, stat) = m.split_once(':').ok_or_else(unknown)?;
     let (ns, stat) = (ns.trim(), stat.trim());
 
     // `Name$i` / `Name$i$j` instance syntax.
     let mut parts = ns.split('$');
     let ns_name = parts.next().ok_or_else(unknown)?;
-    let idx1: Option<u16> = match parts.next() {
-        Some(s) => Some(s.parse().map_err(|_| AddrError::IndexOutOfRange(m.to_string()))?),
-        None => None,
-    };
-    let idx2: Option<u16> = match parts.next() {
-        Some(s) => Some(s.parse().map_err(|_| AddrError::IndexOutOfRange(m.to_string()))?),
-        None => None,
-    };
+    let mut index = || parts.next().map(|s| s.parse::<u16>().map_err(|_| out_of_range()));
+    let (idx1, idx2) = (index().transpose()?, index().transpose()?);
 
     // `StageN` compact syntax ("Stage1:Reg5").
     let (ns_name, idx1) = if let Some(num) = ns_name.strip_prefix("Stage").filter(|s| !s.is_empty())
     {
-        let i: u16 = num.parse().map_err(|_| AddrError::UnknownMnemonic(m.to_string()))?;
+        let i: u16 = num.parse().map_err(|_| unknown())?;
         ("Stage", Some(i))
     } else {
         (ns_name, idx1)
     };
 
-    let out_of_range = || AddrError::IndexOutOfRange(m.to_string());
-    match (ns_name, idx1, idx2) {
-        ("Switch", None, None) => {
-            switch_stat(stat).map(|o| Namespace::Switch.at(o)).ok_or_else(unknown)
+    let ns = match (ns_name, idx1, idx2) {
+        ("Switch", None, None) => Namespace::Switch,
+        ("PacketMetadata", None, None) => Namespace::PacketMetadata,
+        ("Link", None, None) => Namespace::CurrentLink,
+        ("Link", Some(p), None) if p < MAX_PORTS => Namespace::Link(p as u8),
+        ("Queue", None, None) => Namespace::CurrentQueue,
+        ("Queue", Some(p), Some(q)) if p < MAX_PORTS && q < QUEUES_PER_PORT => {
+            Namespace::Queue(p as u8, q as u8)
         }
-        ("PacketMetadata", None, None) => {
-            meta_stat(stat).map(|o| Namespace::PacketMetadata.at(o)).ok_or_else(unknown)
+        ("FlowEntry", Some(s), None) if s < MAX_STAGES => Namespace::FlowEntry(s as u8),
+        ("Stage", Some(s), None) if s < MAX_STAGES => Namespace::Stage(s as u8),
+        ("Link" | "FlowEntry" | "Stage", Some(_), None) | ("Queue", Some(_), Some(_)) => {
+            return Err(out_of_range())
         }
-        ("Link", None, None) => {
-            link_stat(stat).map(|o| Namespace::CurrentLink.at(o)).ok_or_else(unknown)
-        }
-        ("Link", Some(p), None) => {
-            if p >= layout::MAX_PORTS {
-                return Err(out_of_range());
-            }
-            link_stat(stat).map(|o| Namespace::Link(p as u8).at(o)).ok_or_else(unknown)
-        }
-        ("Queue", None, None) => {
-            queue_stat(stat).map(|o| Namespace::CurrentQueue.at(o)).ok_or_else(unknown)
-        }
-        ("Queue", Some(p), Some(q)) => {
-            if p >= layout::MAX_PORTS || q >= layout::QUEUES_PER_PORT {
-                return Err(out_of_range());
-            }
-            queue_stat(stat).map(|o| Namespace::Queue(p as u8, q as u8).at(o)).ok_or_else(unknown)
-        }
-        ("FlowEntry", Some(s), None) => {
-            if s >= layout::MAX_STAGES {
-                return Err(out_of_range());
-            }
-            flow_entry_stat(stat).map(|o| Namespace::FlowEntry(s as u8).at(o)).ok_or_else(unknown)
-        }
-        ("Stage", Some(s), None) => {
-            if s >= layout::MAX_STAGES {
-                return Err(out_of_range());
-            }
-            stage_stat(stat).map(|o| Namespace::Stage(s as u8).at(o)).ok_or_else(unknown)
-        }
-        _ => Err(unknown()),
-    }
+        _ => return Err(unknown()),
+    };
+    ns.names().offset(stat).map(|off| ns.at(off)).ok_or_else(unknown)
 }
 
 /// Best-effort inverse of [`resolve_mnemonic`], used by the disassembler and
 /// `Display for Address`.
 pub fn mnemonic_of(addr: Address) -> Option<String> {
     let ns = Namespace::of(addr)?;
-    let off = addr.offset();
-    let stat = match ns {
-        Namespace::Switch => match off {
-            x if x == switch_ns::SWITCH_ID => "SwitchID".into(),
-            x if x == switch_ns::VERSION => "Version".into(),
-            x if x == switch_ns::UPTIME_CYCLES_LO => "Uptime".into(),
-            x if x == switch_ns::UPTIME_CYCLES_HI => "UptimeHi".into(),
-            x if x == switch_ns::CLOCK_FREQ_HZ => "ClockFreq".into(),
-            x if x == switch_ns::VENDOR_ID => "VendorID".into(),
-            x if x == switch_ns::NUM_PORTS => "NumPorts".into(),
-            x if x == switch_ns::NUM_STAGES => "NumStages".into(),
-            x if x == switch_ns::TIME_NS_LO => "TimeNs".into(),
-            x if x == switch_ns::TIME_NS_HI => "TimeNsHi".into(),
-            x if x == switch_ns::TPP_EXECUTED_LO => "TppExecuted".into(),
-            x if x == switch_ns::TPP_REJECTED => "TppRejected".into(),
-            _ => return None,
-        },
-        Namespace::PacketMetadata => match off {
-            x if x == meta_ns::INPUT_PORT => "InputPort".into(),
-            x if x == meta_ns::OUTPUT_PORT => "OutputPort".into(),
-            x if x == meta_ns::OUTPUT_QUEUE => "OutputQueue".into(),
-            x if x == meta_ns::MATCHED_ENTRY_ID => "MatchedEntryID".into(),
-            x if x == meta_ns::PKT_LEN => "PktLen".into(),
-            x if x == meta_ns::HOP_COUNT => "HopCount".into(),
-            x if x == meta_ns::PATH_HASH => "PathHash".into(),
-            x if x == meta_ns::ENQ_QDEPTH_BYTES => "EnqQueueBytes".into(),
-            x if x == meta_ns::ENQ_QDEPTH_PKTS => "EnqQueuePkts".into(),
-            x if x == meta_ns::QUEUE_WAIT_NS => "QueueWaitNs".into(),
-            x if x == meta_ns::INGRESS_TSTAMP_NS_LO => "IngressTimestamp".into(),
-            x if x == meta_ns::INGRESS_TSTAMP_NS_HI => "IngressTimestampHi".into(),
-            _ => return None,
-        },
-        Namespace::CurrentLink | Namespace::Link(_) => link_stat_name(off)?,
-        Namespace::CurrentQueue | Namespace::Queue(_, _) => match off {
-            x if x == queue_ns::BYTES => "QueueOccupancy".into(),
-            x if x == queue_ns::PKTS => "QueueOccupancyPkts".into(),
-            x if x == queue_ns::DROP_PKTS => "Drop-Pkts".into(),
-            x if x == queue_ns::DROP_BYTES => "Drop-Bytes".into(),
-            x if x == queue_ns::TX_PKTS => "TX-Pkts".into(),
-            x if x == queue_ns::TX_BYTES => "TX-Bytes".into(),
-            x if x == queue_ns::SCHED_WEIGHT => "SchedWeight".into(),
-            x if x == queue_ns::LIMIT_BYTES => "LimitBytes".into(),
-            _ => return None,
-        },
-        Namespace::FlowEntry(_) => match off {
-            x if x == flow_entry_ns::ENTRY_ID => "EntryID".into(),
-            x if x == flow_entry_ns::INSERT_CLOCK_LO => "InsertClock".into(),
-            x if x == flow_entry_ns::MATCH_PKTS_LO => "MatchPkts".into(),
-            x if x == flow_entry_ns::MATCH_BYTES_LO => "MatchBytes".into(),
-            _ => return None,
-        },
-        Namespace::Stage(_) => {
-            if off < stage_ns::SRAM_WORDS {
-                format!("Reg{off}")
-            } else {
-                match off {
-                    x if x == stage_ns::VERSION => "Version".into(),
-                    x if x == stage_ns::REFCOUNT => "RefCount".into(),
-                    x if x == stage_ns::LOOKUP_PKTS_LO => "LookupPkts".into(),
-                    x if x == stage_ns::LOOKUP_BYTES_LO => "LookupBytes".into(),
-                    x if x == stage_ns::MATCH_PKTS_LO => "MatchPkts".into(),
-                    x if x == stage_ns::MATCH_BYTES_LO => "MatchBytes".into(),
-                    _ => return None,
-                }
-            }
-        }
-    };
+    let stat = ns.names().name(addr.offset())?;
     let prefix = match ns {
         Namespace::Switch => "Switch".to_string(),
         Namespace::PacketMetadata => "PacketMetadata".to_string(),
@@ -605,34 +537,6 @@ pub fn mnemonic_of(addr: Address) -> Option<String> {
         Namespace::Queue(p, q) => format!("Queue${p}${q}"),
     };
     Some(format!("{prefix}:{stat}"))
-}
-
-fn link_stat_name(off: u16) -> Option<String> {
-    if (link_ns::APP_BASE..link_ns::APP_BASE + link_ns::APP_COUNT).contains(&off) {
-        return Some(format!("AppSpecific_{}", off - link_ns::APP_BASE));
-    }
-    Some(
-        match off {
-            x if x == link_ns::LINK_ID => "ID",
-            x if x == link_ns::SPEED_MBPS => "Speed",
-            x if x == link_ns::STATUS => "Status",
-            x if x == link_ns::QUEUED_BYTES => "QueueSize",
-            x if x == link_ns::QUEUED_PKTS => "QueuedPkts",
-            x if x == link_ns::TX_BYTES_LO => "TX-Bytes",
-            x if x == link_ns::TX_BYTES_HI => "TX-BytesHi",
-            x if x == link_ns::TX_PKTS_LO => "TX-Pkts",
-            x if x == link_ns::RX_BYTES_LO => "RX-Bytes",
-            x if x == link_ns::RX_BYTES_HI => "RX-BytesHi",
-            x if x == link_ns::RX_PKTS_LO => "RX-Pkts",
-            x if x == link_ns::DROP_BYTES_LO => "Drop-Bytes",
-            x if x == link_ns::DROP_PKTS_LO => "Drop-Pkts",
-            x if x == link_ns::ERR_PKTS => "Err-Pkts",
-            x if x == link_ns::TX_UTIL_BPS => "TX-Utilization",
-            x if x == link_ns::RX_UTIL_BPS => "RX-Utilization",
-            _ => return None,
-        }
-        .to_string(),
-    )
 }
 
 #[cfg(test)]
@@ -713,6 +617,20 @@ mod tests {
             let addr2 = resolve_mnemonic(&back).unwrap();
             assert_eq!(addr, addr2, "{name} -> {back}");
         }
+    }
+
+    #[test]
+    fn every_named_address_resolves_back_to_itself() {
+        let mut named = 0;
+        for addr in (0..=u16::MAX).map(Address) {
+            if let Some(m) = mnemonic_of(addr) {
+                assert_eq!(resolve_mnemonic(&m), Ok(addr), "{m}");
+                named += 1;
+            }
+        }
+        // 12 + 12 + 48 + 8 per-packet or global words, 4 per flow entry,
+        // 198 per stage, 48 per port, 8 per queue.
+        assert_eq!(named, 80 + 16 * 4 + 16 * 198 + 64 * 48 + 512 * 8);
     }
 
     #[test]

@@ -409,10 +409,6 @@ impl TppBuilder {
         let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
         Ok(self.push(a))
     }
-    pub fn load_m(self, m: &str, off: u8) -> Result<Self, AsmError> {
-        let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
-        Ok(self.load(a, off))
-    }
     pub fn store_m(self, m: &str, off: u8) -> Result<Self, AsmError> {
         let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
         Ok(self.store(a, off))
@@ -420,10 +416,6 @@ impl TppBuilder {
     pub fn cstore_m(self, m: &str, pre: u8, post: u8) -> Result<Self, AsmError> {
         let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
         Ok(self.cstore(a, pre, post))
-    }
-    pub fn cexec_m(self, m: &str, mask: u8, value: u8) -> Result<Self, AsmError> {
-        let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
-        Ok(self.cexec(a, mask, value))
     }
 
     /// Initialize packet-memory word `idx` (applied at build).

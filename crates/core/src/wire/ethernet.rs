@@ -70,10 +70,6 @@ impl<T: AsRef<[u8]>> Frame<T> {
         Frame { buffer }
     }
 
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     pub fn dst(&self) -> EthernetAddress {
         let b = self.buffer.as_ref();
         EthernetAddress(b[0..6].try_into().unwrap())

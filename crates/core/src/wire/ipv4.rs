@@ -77,36 +77,21 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Packet { buffer }
     }
 
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[0] >> 4
     }
     pub fn header_len(&self) -> usize {
         ((self.buffer.as_ref()[0] & 0x0F) as usize) * 4
     }
-    pub fn dscp_ecn(&self) -> u8 {
-        self.buffer.as_ref()[1]
-    }
     pub fn total_len(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
-    }
-    pub fn ident(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[4], b[5]])
     }
     pub fn ttl(&self) -> u8 {
         self.buffer.as_ref()[8]
     }
     pub fn protocol(&self) -> u8 {
         self.buffer.as_ref()[9]
-    }
-    pub fn header_checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
     }
     pub fn src(&self) -> Ipv4Address {
         let b = self.buffer.as_ref();

@@ -32,10 +32,6 @@ impl<T: AsRef<[u8]>> Datagram<T> {
         Datagram { buffer }
     }
 
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     pub fn src_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])

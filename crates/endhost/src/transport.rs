@@ -178,11 +178,6 @@ impl TcpConn {
         self.snd_una as u64
     }
 
-    /// Diagnostics: (`snd_una`, `snd_nxt`, `rcv_nxt`, out-of-order segments).
-    pub fn debug_state(&self) -> (u32, u32, u32, usize) {
-        (self.snd_una, self.snd_nxt, self.rcv_nxt, self.ooo.len())
-    }
-
     /// When the retransmission timer should fire, if armed.
     pub fn rto_deadline(&self) -> Option<u64> {
         self.rto_deadline

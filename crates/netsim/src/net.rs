@@ -571,16 +571,6 @@ impl Network {
         self.scheduler.now()
     }
 
-    /// The link layer (read-only): wiring, specs, fault parameters.
-    pub fn link_fabric(&self) -> &LinkFabric {
-        &self.links
-    }
-
-    /// The node layer (read-only): switches, hosts, pool.
-    pub fn node_store(&self) -> &NodeStore {
-        &self.nodes
-    }
-
     /// The shared frame pool (see [`FramePool`]).
     pub fn pool(&self) -> &FramePool {
         &self.nodes.pool

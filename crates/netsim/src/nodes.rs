@@ -193,10 +193,6 @@ impl NodeStore {
         matches!(self.nodes[id.0 as usize], NodeKind::Switch(_))
     }
 
-    pub fn is_host(&self, id: NodeId) -> bool {
-        matches!(self.nodes[id.0 as usize], NodeKind::Host(_))
-    }
-
     /// Whether this store owns `id` (false for `Remote` slots of a
     /// partitioned run).
     pub fn is_local(&self, id: NodeId) -> bool {

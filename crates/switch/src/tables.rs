@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use tpp_core::wire::{ipv4, udp, EthernetFrame, Ipv4Address, Ipv4Packet};
+use tpp_core::wire::{ipv4, EthernetFrame, Ipv4Address, Ipv4Packet};
 
 /// Forwarding actions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -319,12 +319,6 @@ impl FlowKey {
         }
         h
     }
-}
-
-/// Is this frame's UDP destination port the TPP port? (Used by hosts to
-/// avoid hashing TPP probes differently from their flows.)
-pub fn is_standalone_tpp_key(key: &FlowKey) -> bool {
-    key.protocol == ipv4::protocol::UDP && key.dst_port == udp::TPP_PORT
 }
 
 #[cfg(test)]

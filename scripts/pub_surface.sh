@@ -14,6 +14,11 @@
 # (`new`, `len`) always find a namesake, so the check under-reports; what it
 # does report is real.
 #
+# An allowlisted name must still have a caller somewhere, tests included
+# (`#[cfg(test)]` modules, crates/*/tests, tests/, benchmark/tests): a
+# `pub fn` that nothing calls at all is dead code, not a test-only API, and
+# fails the check until it is deleted.
+#
 # Usage: scripts/pub_surface.sh [--list]
 #   --list   print every test-only `pub fn` as the allowlist spells it
 #            (path:name) and exit 0; use it to refresh the allowlist.
@@ -21,30 +26,36 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 python3 - "${1:-}" <<'EOF'
-import collections, glob, itertools, re, sys
+import collections, glob, re, sys
 
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 DEF = re.compile(r"\bpub\s+(?:const\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
 
-uses = collections.Counter()
+uses = collections.Counter()  # non-test code
+all_uses = collections.Counter()  # tests too
 defs = []  # (path, name)
-paths = [p for pat in ("crates/*/src/**/*.rs", "src/**/*.rs", "examples/**/*.rs", "benchmark/src/**/*.rs")
-         for p in sorted(glob.glob(pat, recursive=True))]
+globs = ("crates/*/src/**/*.rs", "src/**/*.rs", "examples/**/*.rs", "benchmark/src/**/*.rs",
+         "crates/*/tests/**/*.rs", "tests/**/*.rs", "benchmark/tests/**/*.rs")
+paths = [p for pat in globs for p in sorted(glob.glob(pat, recursive=True))]
 for path in paths:
     in_reexport = False
-    non_test = itertools.takewhile(lambda l: not l.startswith("#[cfg(test)]"), open(path, encoding="utf-8"))
-    for line in non_test:
+    in_test = "/tests/" in path or path.startswith("tests/")
+    for line in open(path, encoding="utf-8"):
+        in_test |= line.startswith("#[cfg(test)]")
         code = line.split("//", 1)[0]
         in_reexport |= code.startswith("pub use ")
         if in_reexport:
             in_reexport = ";" not in code
             continue
         defined = DEF.findall(code) if path.startswith("crates/") else []
-        defs += [(path, name) for name in defined]
+        if not in_test:
+            defs += [(path, name) for name in defined]
         for word in WORD.findall(code):
-            uses[word] += 1
+            all_uses[word] += 1
+            uses[word] += not in_test
         for name in defined:
-            uses[name] -= 1
+            all_uses[name] -= 1
+            uses[name] -= not in_test
 
 found = sorted({f"{path}:{name}" for path, name in defs if uses[name] == 0})
 if sys.argv[1] == "--list":
@@ -54,11 +65,15 @@ if sys.argv[1] == "--list":
 allowed = {line.split("#", 1)[0].strip() for line in open("scripts/pub_surface.allow")} - {""}
 new = [f for f in found if f not in allowed]
 stale = sorted(allowed - set(found))
+dead = sorted(f for f in allowed & set(found) if all_uses[f.rsplit(":", 1)[1]] == 0)
 for f in new:
     print(f"pub_surface: {f} has no caller outside tests: delete it, demote it, "
           "or add it to scripts/pub_surface.allow with a reason")
 for f in stale:
     print(f"pub_surface: {f} is allowlisted but gone or called: drop it from scripts/pub_surface.allow")
-print(f"pub_surface: {len(defs)} pub fns, {len(found)} test-only, {len(new)} not allowlisted, {len(stale)} stale")
-sys.exit(1 if new or stale else 0)
+for f in dead:
+    print(f"pub_surface: {f} has no caller at all, tests included: delete it")
+print(f"pub_surface: {len(defs)} pub fns, {len(found)} test-only, {len(new)} not allowlisted, "
+      f"{len(stale)} stale, {len(dead)} uncalled")
+sys.exit(1 if new or stale or dead else 0)
 EOF
