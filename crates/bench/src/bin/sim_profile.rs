@@ -13,7 +13,9 @@
 //! the inline chain `addr2line -i` recovers is the part of the stack that
 //! matters. The samples are written one per line as hexadecimal offsets from
 //! the executable's load address, which `addr2line -e <this binary>` reads;
-//! `scripts/profile.sh` folds them into shares per function. Linux on
+//! a sample outside the executable is written as `@` and the name of the
+//! mapping it fell in (`@libc.so.6`, `@[vdso]`), from `/proc/self/maps`.
+//! `scripts/profile.sh` folds them into shares per function and library. Linux on
 //! `x86_64` only (the `ucontext` layout is read by hand); elsewhere the
 //! binary prints `unsupported` and exits 0.
 
@@ -123,20 +125,56 @@ mod linux_x86_64 {
         assert_eq!(rc, 0, "setitimer(ITIMER_PROF) failed");
     }
 
+    /// One line of `/proc/self/maps`: an address range and what is mapped
+    /// there, as the file's name (`libc.so.6`) or the kernel's bracketed
+    /// name (`[vdso]`, `[heap]`); anonymous memory has none.
+    struct Mapping {
+        start: u64,
+        end: u64,
+        path: String,
+    }
+
+    impl Mapping {
+        /// The row a sample in this mapping gets: the file name without its
+        /// directory.
+        fn name(&self) -> &str {
+            match self.path.rsplit_once('/') {
+                Some((_, file)) => file,
+                None if self.path.is_empty() => "[anonymous]",
+                None => &self.path,
+            }
+        }
+    }
+
+    /// The process's mappings, from `/proc/self/maps`.
+    fn mappings() -> Vec<Mapping> {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("/proc/self/maps");
+        maps.lines()
+            .map(|line| {
+                // start-end perms offset dev inode [path]
+                let mut fields = line.splitn(6, ' ');
+                let (start, end) = fields
+                    .next()
+                    .and_then(|range| range.split_once('-'))
+                    .expect("start-end in a maps line");
+                Mapping {
+                    start: u64::from_str_radix(start, 16).expect("hex start"),
+                    end: u64::from_str_radix(end, 16).expect("hex end"),
+                    path: fields.nth(4).unwrap_or("").trim().to_owned(),
+                }
+            })
+            .collect()
+    }
+
     /// Where this executable is mapped: lowest start and highest end of the
-    /// mappings `/proc/self/maps` attributes to it.
-    fn load_range() -> (u64, u64) {
+    /// mappings of its file.
+    fn load_range(maps: &[Mapping]) -> (u64, u64) {
         let exe = std::env::current_exe().expect("own path");
         let exe = exe.to_str().expect("utf-8 path");
-        let maps = std::fs::read_to_string("/proc/self/maps").expect("/proc/self/maps");
         let (mut lo, mut hi) = (u64::MAX, 0);
-        for line in maps.lines().filter(|l| l.ends_with(exe)) {
-            let (start, end) = line
-                .split_once(' ')
-                .and_then(|(range, _)| range.split_once('-'))
-                .expect("start-end in a maps line");
-            lo = lo.min(u64::from_str_radix(start, 16).expect("hex start"));
-            hi = hi.max(u64::from_str_radix(end, 16).expect("hex end"));
+        for m in maps.iter().filter(|m| m.path == exe) {
+            lo = lo.min(m.start);
+            hi = hi.max(m.end);
         }
         assert!(lo < hi, "no mapping of {exe} in /proc/self/maps");
         (lo, hi)
@@ -176,7 +214,8 @@ mod linux_x86_64 {
         );
 
         let taken = TAKEN.load(Ordering::Relaxed);
-        let (lo, hi) = load_range();
+        let maps = mappings();
+        let (lo, hi) = load_range(&maps);
         let mut out = std::io::BufWriter::new(std::io::stdout().lock());
         let mut outside = 0;
         for slot in &SAMPLES[..taken.min(MAX_SAMPLES)] {
@@ -184,9 +223,14 @@ mod linux_x86_64 {
             if (lo..hi).contains(&rip) {
                 writeln!(out, "{:#x}", rip - lo).expect("write sample");
             } else {
-                // The C library or the vDSO: no line tables of ours.
+                // The C library or the vDSO: no line tables of ours, so the
+                // sample names the mapping it fell in.
                 outside += 1;
-                writeln!(out, "0x0").expect("write sample");
+                let name = maps
+                    .iter()
+                    .find(|m| (m.start..m.end).contains(&rip))
+                    .map_or("[unmapped]", Mapping::name);
+                writeln!(out, "@{name}").expect("write sample");
             }
         }
         out.flush().expect("flush samples");

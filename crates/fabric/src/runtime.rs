@@ -55,6 +55,10 @@ pub struct Fabric {
     /// Last barrier-synchronized time (`None` before the first window).
     synced: Option<Time>,
     mode: ExecMode,
+    /// Whether the machine has at least two cores, asked once per fabric:
+    /// the answer reads cgroup files, which takes tens of microseconds, and
+    /// `run_until` is called once per step.
+    multicore: bool,
     /// Boundary frames routed to each shard and not yet injected. Empty
     /// between calls: every window's frames are injected before it ends.
     inboxes: Vec<Mutex<Vec<RemoteFrame>>>,
@@ -80,7 +84,16 @@ impl Fabric {
         );
         let shards = net.split(&assignment, n_shards);
         let inboxes = (0..n_shards).map(|_| Mutex::new(Vec::new())).collect();
-        Fabric { shards, assignment, lookahead: la, synced: None, mode: ExecMode::Auto, inboxes }
+        let multicore = std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
+        Fabric {
+            shards,
+            assignment,
+            lookahead: la,
+            synced: None,
+            mode: ExecMode::Auto,
+            multicore,
+            inboxes,
+        }
     }
 
     /// Select the worker count (default [`ExecMode::Auto`]).
@@ -145,7 +158,7 @@ impl Fabric {
         let threaded = match self.mode {
             ExecMode::Threaded => true,
             ExecMode::Sequential => false,
-            ExecMode::Auto => std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2),
+            ExecMode::Auto => self.multicore,
         };
         self.run_epochs(until, if threaded { self.shards.len() } else { 1 });
     }

@@ -302,7 +302,9 @@ fn threaded_runs_repeat_the_sequential_run() {
 #[test]
 fn incremental_run_until_matches_one_shot() {
     // Driving the fabric in small steps (as experiment drivers do) must
-    // land on the same digest as one big run_until.
+    // land on the same digest as one big run_until: half-millisecond steps
+    // on one worker, and one lookahead epoch per step on one worker per
+    // shard, the way the benchmark's two-site WAN cell drives it.
     let build = || {
         TopologySpec::LeafSpine { leaves: 3, spines: 2, hosts_per_leaf: 2 }
             .builder()
@@ -313,15 +315,19 @@ fn incremental_run_until_matches_one_shot() {
             .build()
     };
     let one_shot = sharded(&build, 2, PartitionStrategy::Locality, ExecMode::Sequential);
-    let mut t = build();
-    let hosts = t.hosts.clone();
-    let _d = install_traffic(&mut t.net, &hosts, &traffic());
-    let mut fabric = Fabric::new(t.net, 2, PartitionStrategy::Locality);
-    fabric.set_mode(ExecMode::Sequential);
-    let mut at = 0;
-    while at < HORIZON {
-        at += MILLIS / 2;
-        fabric.run_until(at.min(HORIZON));
+    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
+        let mut t = build();
+        let hosts = t.hosts.clone();
+        let _d = install_traffic(&mut t.net, &hosts, &traffic());
+        let mut fabric = Fabric::new(t.net, 2, PartitionStrategy::Locality);
+        fabric.set_mode(mode);
+        let step = if mode == ExecMode::Threaded { fabric.lookahead() } else { MILLIS / 2 };
+        assert!(step < HORIZON, "{mode:?}: the steps must be epochs of a sharded run");
+        let mut at = 0;
+        while at < HORIZON {
+            at += step;
+            fabric.run_until(at.min(HORIZON));
+        }
+        assert_eq!(fabric.stats().digest(), one_shot.digest(), "{mode:?}");
     }
-    assert_eq!(fabric.stats().digest(), one_shot.digest());
 }

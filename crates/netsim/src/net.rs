@@ -76,7 +76,7 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-/// Longest run of all-zero words [`fnv1a`] folds into one multiply; a longer
+/// Longest run of all-zero words [`fnv1a_from`] folds into one multiply; a longer
 /// run takes one more per `ZERO_RUN_MAX` words. 64 words cover the 256-byte
 /// payload of a traffic-generator frame in one step and a 1,000-byte one in two.
 /// The run is counted a 64-byte block at a time where a whole block is zero
@@ -116,19 +116,21 @@ fn fnv1a_zero_words(mut h: u64, mut n: usize) -> u64 {
     h.wrapping_mul(ZERO_RUN_POW[n])
 }
 
-/// 64-bit FNV-1a over a byte slice: the frame hash of the trace digest (see
-/// [`NetStats::trace`]). The value is the standard byte-serial FNV-1a on
-/// every input; only the walk differs. It counts consecutive all-zero 8-byte
-/// words and folds each run with [`fnv1a_zero_words`]: simulated payloads and
-/// unwritten TPP packet memory are runs of zero bytes, which makes this the
-/// common case and takes the dependent multiply per word out of it. A 64-byte
-/// block that is zero as a whole adds its eight words to the run in one test;
-/// any other block is walked a word at a time, and every non-zero word, and
-/// the tail, take the byte steps.
+/// 64-bit FNV-1a from the state `(h, zero_words)` over `bytes`: the frame
+/// hash of the trace digest (see [`NetStats::trace`]) is
+/// `fnv1a_from(FNV_OFFSET, 0, frame)`, and [`HeadMemo`] resumes it after a
+/// frame's head. The value is the standard byte-serial FNV-1a on every input;
+/// only the walk differs. It counts consecutive all-zero 8-byte words and
+/// folds each run with [`fnv1a_zero_words`]: simulated payloads and unwritten
+/// TPP packet memory are runs of zero bytes, which makes this the common case
+/// and takes the dependent multiply per word out of it. `zero_words` is a run
+/// left open by an earlier walk, still to be folded into `h`. A 64-byte block
+/// that is zero as a whole adds its eight words to the run in one test; any
+/// other block is walked a word at a time, and every non-zero word, and the
+/// tail, take the byte steps.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a_from(mut h: u64, mut zero_words: usize, bytes: &[u8]) -> u64 {
     let (blocks, rest) = bytes.as_chunks::<64>();
-    let (mut h, mut zero_words) = (FNV_OFFSET, 0);
     for block in blocks {
         if is_zero_block(block) {
             zero_words += 8;
@@ -141,7 +143,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_bytes(fnv1a_zero_words(h, zero_words), tail)
 }
 
-/// The word walk of [`fnv1a`]: continues a run of `zero_words` through
+/// The word walk of [`fnv1a_from`]: continues a run of `zero_words` through
 /// `words` and returns the hash and the run still open at the end.
 #[inline]
 fn fnv1a_words(mut h: u64, mut zero_words: usize, words: &[[u8; 8]]) -> (u64, usize) {
@@ -159,6 +161,88 @@ fn fnv1a_words(mut h: u64, mut zero_words: usize, words: &[[u8; 8]]) -> (u64, us
 #[inline]
 fn is_zero_block(block: &[u8; 64]) -> bool {
     block.as_chunks::<16>().0.iter().fold(0, |acc, &lane| acc | u128::from_ne_bytes(lane)) == 0
+}
+
+/// Bytes of a frame's head whose FNV-1a state [`HeadMemo`] keeps: six words,
+/// so a slot (six head words, the state, the open zero run) fills one 64-byte
+/// cache line. One flow at one hop repeats these bytes on every frame: both
+/// MACs, the IPv4 header with its TTL and checksum, the ports, the UDP length
+/// and checksum, and the first six payload bytes.
+const HEAD_LEN: usize = 48;
+const HEAD_WORDS: usize = HEAD_LEN / 8;
+/// Slots of a [`HeadMemo`] (256 KB): room for the roughly one thousand
+/// distinct plain-frame heads of the `fat_tree4` cell (240 host pairs, one
+/// TTL per hop). Twice as many slots keep more of its TPP frames' heads but
+/// ran no faster. A power of two, so the slot is the top bits of the key's
+/// hash.
+const HEAD_MEMO_SLOTS: usize = 4096;
+/// Odd multipliers of the slot hash, one per head word.
+const HEAD_HASH_KEYS: [u64; HEAD_WORDS] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xBF58_476D_1CE4_E5B9,
+    0x94D0_49BB_1331_11EB,
+    0xD6E8_FEB8_6659_FD93,
+    0xA076_1D64_78BD_642F,
+    0xE703_7ED1_A0B4_28DB,
+];
+
+/// An exact memo of the trace hash's state after a frame's first
+/// [`HEAD_LEN`] bytes, keyed by those bytes. A frame whose head is in its
+/// slot resumes FNV-1a from the stored state; any other overwrites the slot.
+/// Either way the hash is `fnv1a_from(FNV_OFFSET, 0, frame)` bit for bit.
+///
+/// A slot is eight words: the six head words, then the hash state XOR
+/// [`FNV_OFFSET`] and the open zero run XOR [`HEAD_WORDS`]. An all-zero slot
+/// thus holds the exact state of an all-zero head (the offset basis, a run of
+/// six zero words), so the memo comes from a zeroed allocation that
+/// `Network::new` does not have to fill.
+struct HeadMemo {
+    /// `HEAD_MEMO_SLOTS` slots from word `line` on, plus up to seven words
+    /// that line the first slot up with a cache line.
+    words: Box<[u64]>,
+    line: usize,
+}
+
+/// The slot of a head: the top bits of a multilinear hash of its words.
+#[inline]
+fn slot_of(key: &[u64; HEAD_WORDS]) -> usize {
+    let hash = key
+        .iter()
+        .zip(HEAD_HASH_KEYS)
+        .fold(0u64, |acc, (&w, k)| acc.wrapping_add(w.wrapping_mul(k)));
+    (hash >> (64 - HEAD_MEMO_SLOTS.ilog2())) as usize
+}
+
+impl HeadMemo {
+    fn new() -> Self {
+        let words = vec![0u64; 8 * HEAD_MEMO_SLOTS + 7].into_boxed_slice();
+        let line = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
+        HeadMemo { words, line }
+    }
+
+    /// The trace hash of `frame` (see [`NetStats::trace`]).
+    #[inline]
+    fn fnv1a(&mut self, frame: &[u8]) -> u64 {
+        let Some((head, rest)) = frame.split_first_chunk::<HEAD_LEN>() else {
+            return fnv1a_from(FNV_OFFSET, 0, frame);
+        };
+        let head_words = head.as_chunks::<8>().0;
+        let key: [u64; HEAD_WORDS] = std::array::from_fn(|i| u64::from_ne_bytes(head_words[i]));
+        let at = self.line + 8 * slot_of(&key);
+        let slot: &mut [u64; 8] = (&mut self.words[at..at + 8]).try_into().expect("eight words");
+        let (stored, state) = slot.split_at_mut(HEAD_WORDS);
+        let differ = stored.iter().zip(&key).fold(0, |acc, (s, k)| acc | (s ^ k));
+        let (h, zero_words) = if differ == 0 {
+            (state[0] ^ FNV_OFFSET, (state[1] ^ HEAD_WORDS as u64) as usize)
+        } else {
+            let (h, zero_words) = fnv1a_words(FNV_OFFSET, 0, head_words);
+            stored.copy_from_slice(&key);
+            state[0] = h ^ FNV_OFFSET;
+            state[1] = zero_words as u64 ^ HEAD_WORDS as u64;
+            (h, zero_words)
+        };
+        fnv1a_from(h, zero_words, rest)
+    }
 }
 
 /// The interface hosts implement to participate in the simulation.
@@ -424,7 +508,9 @@ pub struct NetStats {
     /// step per byte). The definition is frozen: golden digests pin it. The
     /// implementation may only use exact identities of it, such as folding
     /// the `8 n` steps of a run of `n` all-zero words into one multiply by
-    /// `prime^(8 n)`.
+    /// `prime^(8 n)`, or resuming from the state after a frame's first 48
+    /// bytes that an earlier frame with the same 48 bytes left in the
+    /// network's memo of frame heads.
     ///
     /// Because wrapping addition is commutative and associative, shards can
     /// fold arrivals in any interleaving and still merge to the exact value
@@ -435,12 +521,13 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Fold one frame arrival into the commutative trace. The tag is
-    /// mixed through `SplitMix64` before combining so every node-id bit is
-    /// load-bearing (a plain shift would discard high bits at k=64 scale).
-    fn observe_arrival(&mut self, now: Time, node: NodeId, port: u8, frame: &[u8]) {
+    /// Fold one frame arrival into the commutative trace; `frame_hash` is
+    /// the frame's FNV-1a. The tag is mixed through `SplitMix64` before
+    /// combining so every node-id bit is load-bearing (a plain shift would
+    /// discard high bits at k=64 scale).
+    fn observe_arrival(&mut self, now: Time, node: NodeId, port: u8, frame_hash: u64) {
         let tag = ((node.0 as u64) << 8) | port as u64;
-        let h = fnv1a(frame) ^ splitmix64(now ^ splitmix64(tag));
+        let h = frame_hash ^ splitmix64(now ^ splitmix64(tag));
         self.trace = self.trace.wrapping_add(splitmix64(h));
     }
 
@@ -548,6 +635,11 @@ pub struct Network {
     /// drained by `apply_effects`, and put back. `apply_effects` never
     /// re-enters a host callback, so one list serves them all.
     effects: Vec<Effect>,
+    /// The trace hash's memo of frame heads (see [`HeadMemo`]).
+    head_memo: HeadMemo,
+    /// Every frame arrival, when a test asks.
+    #[cfg(test)]
+    arrivals: Option<Vec<tests::Arrival>>,
 }
 
 impl Network {
@@ -564,6 +656,9 @@ impl Network {
             reconfig_plan: Vec::new(),
             reconfigs_scheduled: 0,
             effects: Vec::new(),
+            head_memo: HeadMemo::new(),
+            #[cfg(test)]
+            arrivals: None,
         }
     }
 
@@ -901,7 +996,12 @@ impl Network {
         };
         self.stats.frames_delivered += 1;
         let now = self.scheduler.now();
-        self.stats.observe_arrival(now, node, port, &frame);
+        #[cfg(test)]
+        if let Some(arrivals) = &mut self.arrivals {
+            arrivals.push((now, node, port, frame.clone()));
+        }
+        let frame_hash = self.head_memo.fnv1a(&frame);
+        self.stats.observe_arrival(now, node, port, frame_hash);
         let (kind, pool) = self.nodes.kind_and_pool_mut(node);
         match kind {
             NodeKind::Switch(sw) => {
@@ -1097,6 +1197,8 @@ mod tests {
     use tpp_switch::Action;
 
     type ReceivedLog = Arc<Mutex<Vec<(Time, Vec<u8>)>>>;
+    /// A frame arrival as [`Network`] records it: `(time, node, port, frame)`.
+    pub(super) type Arrival = (Time, NodeId, u8, Vec<u8>);
 
     /// Sends `count` UDP frames to `dst` at start, records received frames.
     struct Blaster {
@@ -1174,8 +1276,13 @@ mod tests {
         two_hosts_one_switch_seeded(1, rate_mbps, delay_ns, count)
     }
 
+    /// The trace hash without the memo.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        fnv1a_from(FNV_OFFSET, 0, bytes)
+    }
+
     /// FNV-1a as first written, one step per byte: the oracle for the
-    /// word-walking [`fnv1a`].
+    /// word-walking [`fnv1a_from`] and for [`HeadMemo`].
     fn fnv1a_bytewise(bytes: &[u8]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &b in bytes {
@@ -1283,6 +1390,214 @@ mod tests {
                 bytes[start..end].fill(0);
             }
             proptest::prop_assert_eq!(fnv1a(&bytes), fnv1a_bytewise(&bytes));
+        }
+    }
+
+    /// A frame of `len` bytes, none of them zero.
+    fn dense_frame(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8 + 1).collect()
+    }
+
+    /// A UDP frame from host 1 to host `dst` with `payload` zero bytes, with
+    /// a transparent visibility TPP if `tpp`.
+    fn udp_frame(dst: u32, payload: usize, tpp: bool) -> Vec<u8> {
+        let hdr = tpp_core::wire::UdpFrameRepr {
+            src_mac: EthernetAddress::from_node_id(1),
+            dst_mac: EthernetAddress::from_node_id(dst),
+            src_ip: Ipv4Address::from_host_id(1),
+            dst_ip: Ipv4Address::from_host_id(dst),
+            src_port: 7001,
+            dst_port: 7001,
+        };
+        let section = if tpp { visibility_section() } else { Vec::new() };
+        let mut frame = Vec::new();
+        tpp_core::wire::udp_frame_into(&mut frame, &hdr, payload, &section);
+        frame
+    }
+
+    /// Switch id, output port and queue occupancy per hop, as the section a
+    /// transparent TPP puts in front of the IPv4 header.
+    fn visibility_section() -> Vec<u8> {
+        let tpp = tpp_core::TppBuilder::stack_mode()
+            .push_m("Switch:SwitchID")
+            .unwrap()
+            .push_m("PacketMetadata:OutputPort")
+            .unwrap()
+            .push_m("Queue:QueueOccupancy")
+            .unwrap()
+            .hops(6)
+            .build()
+            .unwrap();
+        tpp_core::Tpp { encap_proto: ethernet::ethertype::IPV4, ..tpp }.serialize()
+    }
+
+    /// The memo's key for `frame`'s head.
+    fn key(frame: &[u8]) -> [u64; HEAD_WORDS] {
+        let words = frame[..HEAD_LEN].as_chunks::<8>().0;
+        std::array::from_fn(|i| u64::from_ne_bytes(words[i]))
+    }
+
+    #[test]
+    fn fnv1a_memo_short_frames_take_the_plain_walk() {
+        let mut memo = HeadMemo::new();
+        for len in 0..HEAD_LEN {
+            let zeros = vec![0u8; len];
+            assert_eq!(memo.fnv1a(&zeros), fnv1a_bytewise(&zeros), "zeros {len}");
+            let dense = dense_frame(len);
+            assert_eq!(memo.fnv1a(&dense), fnv1a_bytewise(&dense), "dense {len}");
+        }
+        for payload in 0..HEAD_LEN - 42 {
+            let frame = udp_frame(2, payload, false);
+            assert_eq!(memo.fnv1a(&frame), fnv1a_bytewise(&frame), "payload {payload}");
+        }
+        assert!(memo.words.iter().all(|&w| w == 0), "a short frame wrote the memo");
+    }
+
+    #[test]
+    fn fnv1a_memo_unwritten_slot_is_the_state_of_an_all_zero_head() {
+        let mut memo = HeadMemo::new();
+        assert_eq!(memo.words[memo.line..].as_ptr() as usize % 64, 0, "slots off the cache lines");
+        assert_eq!(
+            fnv1a_words(FNV_OFFSET, 0, &[[0; 8]; HEAD_WORDS]),
+            (FNV_OFFSET, HEAD_WORDS),
+            "an all-zero slot decodes to this state"
+        );
+        for len in HEAD_LEN..=HEAD_LEN + 130 {
+            let mut frame = vec![0u8; len];
+            assert_eq!(memo.fnv1a(&frame), fnv1a_bytewise(&frame), "zeros {len}");
+            if let Some(last) = frame.get_mut(HEAD_LEN..).and_then(<[u8]>::last_mut) {
+                *last = 7;
+                assert_eq!(memo.fnv1a(&frame), fnv1a_bytewise(&frame), "live last byte {len}");
+            }
+        }
+        // Every lookup hit an unwritten slot, so none was written.
+        assert!(memo.words.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn fnv1a_memo_two_heads_in_one_slot_alternate() {
+        let a = udp_frame(2, 1000, false);
+        let slot = slot_of(&key(&a));
+        let b = (3..)
+            .map(|dst| udp_frame(dst, 1000, true))
+            .find(|b| slot_of(&key(b)) == slot)
+            .expect("a head in the same slot");
+        assert_ne!(key(&a), key(&b));
+        let mut memo = HeadMemo::new();
+        for round in 0..8 {
+            for (name, frame) in [("a", &a), ("b", &b)] {
+                // Different tails behind the same head each round.
+                let mut frame = frame.clone();
+                frame.truncate(HEAD_LEN + 97 * round);
+                frame[HEAD_LEN..].iter_mut().step_by(13).for_each(|x| *x = round as u8);
+                assert_eq!(memo.fnv1a(&frame), fnv1a_bytewise(&frame), "{name} round {round}");
+                let at = memo.line + 8 * slot;
+                assert_eq!(memo.words[at..at + HEAD_WORDS], key(&frame), "{name} holds the slot");
+            }
+        }
+    }
+
+    #[test]
+    fn fnv1a_memo_one_bit_off_at_every_head_position() {
+        let mut memo = HeadMemo::new();
+        for base in [udp_frame(2, 1000, false), udp_frame(2, 0, true), dense_frame(64)] {
+            assert_eq!(memo.fnv1a(&base), fnv1a_bytewise(&base));
+            let at = memo.line + 8 * slot_of(&key(&base));
+            for bit in 0..8 * HEAD_LEN {
+                let mut off = base.clone();
+                off[bit / 8] ^= 1 << (bit % 8);
+                // The head one bit off, with its own state, in this head's
+                // slot: only the key compare tells them apart.
+                let (h, zero_words) =
+                    fnv1a_words(FNV_OFFSET, 0, off[..HEAD_LEN].as_chunks::<8>().0);
+                memo.words[at..at + HEAD_WORDS].copy_from_slice(&key(&off));
+                memo.words[at + HEAD_WORDS] = h ^ FNV_OFFSET;
+                memo.words[at + HEAD_WORDS + 1] = zero_words as u64 ^ HEAD_WORDS as u64;
+                assert_eq!(memo.fnv1a(&base), fnv1a_bytewise(&base), "bit {bit} off in the slot");
+                assert_eq!(memo.words[at..at + HEAD_WORDS], key(&base), "bit {bit}: no overwrite");
+                // And the head one bit off, looked up in its own slot.
+                assert_eq!(memo.fnv1a(&off), fnv1a_bytewise(&off), "bit {bit} flipped");
+                assert_eq!(memo.fnv1a(&base), fnv1a_bytewise(&base), "bit {bit} restored");
+            }
+        }
+    }
+
+    /// Every 10 us until 2 ms, one frame to every other host: a payload of
+    /// 0 to 1,000 bytes by turn, every third frame with a visibility TPP.
+    struct Mixer {
+        hosts: Vec<NodeId>,
+        section: Vec<u8>,
+        sent: usize,
+    }
+
+    impl HostApp for Mixer {
+        fn start(&mut self, ctx: &mut HostCtx<'_>) {
+            ctx.set_timer(1_000 + 100 * ctx.node.0 as Time, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+            if ctx.now >= 2 * MILLIS {
+                return;
+            }
+            let me = ctx.node;
+            for &dst in self.hosts.iter().filter(|&&h| h != me) {
+                self.sent += 1;
+                let hdr = tpp_core::wire::UdpFrameRepr {
+                    src_mac: ctx.mac,
+                    dst_mac: EthernetAddress::from_node_id(dst.0),
+                    src_ip: ctx.ip,
+                    dst_ip: Ipv4Address::from_host_id(dst.0),
+                    src_port: 7000 + (self.sent % 3) as u16,
+                    dst_port: 7001,
+                };
+                let payload = [0, 3, 6, 50, 256, 1000][self.sent % 6];
+                let section = if self.sent.is_multiple_of(3) { &self.section[..] } else { &[] };
+                let mut frame = ctx.take_buf();
+                tpp_core::wire::udp_frame_into(&mut frame, &hdr, payload, section);
+                ctx.send(frame);
+            }
+            ctx.set_timer(10_000, 0);
+        }
+        fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Vec<u8>) {
+            ctx.recycle(frame);
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn fnv1a_memo_matches_the_oracle_on_a_faulty_cell() {
+        // The star/faults cell's topology and faults: drops and corruption
+        // on the switch's ports 0 and 3.
+        let mut t = crate::scenario::TopologySpec::Star { hosts: 8 }
+            .builder()
+            .host_mbps(1000)
+            .delay_ns(1000)
+            .seed(11)
+            .build();
+        t.net.set_link_faults(NodeId(0), 0, 0.2, 0.05);
+        t.net.set_link_faults(NodeId(0), 3, 0.1, 0.0);
+        for &h in &t.hosts {
+            let app = Mixer { hosts: t.hosts.clone(), section: visibility_section(), sent: 0 };
+            t.net.set_app(h, Box::new(app));
+        }
+        t.net.arrivals = Some(Vec::new());
+        t.net.run_until(3 * MILLIS);
+        let arrivals = t.net.arrivals.take().unwrap();
+        assert!(t.net.stats.frames_corrupted > 10, "{} corrupted", t.net.stats.frames_corrupted);
+        let heads: std::collections::HashSet<&[u8]> =
+            arrivals.iter().filter_map(|a| a.3.get(..HEAD_LEN)).collect();
+        assert!(heads.len() * 4 < arrivals.len(), "{} heads in {}", heads.len(), arrivals.len());
+        // The network's trace, memo included, is the one the oracle folds.
+        let mut oracle = NetStats::default();
+        for (now, node, port, frame) in &arrivals {
+            oracle.observe_arrival(*now, *node, *port, fnv1a_bytewise(frame));
+        }
+        assert_eq!(t.net.stats.trace, oracle.trace);
+        // The same frames, one by one, through a fresh memo.
+        let mut memo = HeadMemo::new();
+        for (i, (_, _, _, frame)) in arrivals.iter().enumerate() {
+            assert_eq!(memo.fnv1a(frame), fnv1a_bytewise(frame), "arrival {i}");
         }
     }
 

@@ -19,6 +19,8 @@
 # Output: the workload's slice, op and failure counts, its output digest
 # (the one `--smoke` prints) and the sample counts, then two tables of the
 # 25 largest rows.
+# A sample outside the executable is a row named after the mapping it fell
+# in, such as `libc.so.6` (malloc, memmove) or `[vdso]` (the clock).
 # `self` is the share of samples whose innermost frame is the function;
 # `inclusive` the share whose inline chain holds it anywhere. Only the
 # instruction pointer is sampled, so "inclusive" reaches as far up as the
@@ -46,17 +48,21 @@ BIN="$DIR/release/sim_profile"
 "$BIN" "$TARGET" "$DURATION" >"$DIR/samples.txt"
 echo "# samples: $DIR/samples.txt"
 if ! command -v addr2line >/dev/null; then
-    echo "# addr2line not found: resolve with \`addr2line -a -f -i -C -e $BIN < $DIR/samples.txt\`"
+    echo "# addr2line not found: resolve with \`grep ^0x $DIR/samples.txt | addr2line -a -f -i -C -e $BIN\`"
     exit 0
 fi
 
 # -a prints each address before its inline chain (innermost frame first, a
 # function line and a file:line line per frame), which delimits the groups.
-addr2line -a -f -i -C -e "$BIN" <"$DIR/samples.txt" |
+# Samples outside the executable are `@<mapping>` lines (`@libc.so.6`,
+# `@[vdso]`): each is a row of its own, named after the library.
+grep '^0x' "$DIR/samples.txt" | addr2line -a -f -i -C -e "$BIN" |
     python3 -c '
 import collections, re, sys
 
 chains, chain = [], None
+with open(sys.argv[1]) as samples:
+    chains += [[line[1:].strip()] for line in samples if line.startswith("@")]
 lines = iter(sys.stdin.read().splitlines())
 for line in lines:
     if re.fullmatch(r"0x[0-9a-f]+", line):
@@ -75,4 +81,4 @@ for title, counts in (("inclusive", incl_n), ("self", self_n)):
     print(f"\n{title:>9}  samples  function  ({total} samples)")
     for name, n in counts.most_common(25):
         print(f"{100 * n / total:8.1f}%  {n:7d}  {name}")
-'
+' "$DIR/samples.txt"
