@@ -120,14 +120,15 @@ impl RateMeter {
             .collect()
     }
 
-    /// Average rate over `[from_s, to_s)` in Mb/s.
+    /// Average rate over `[from_s, to_s)` in Mb/s. The divisor is the whole
+    /// window: buckets past the last arrival count as zero.
     pub fn avg_mbps(&self, from_s: f64, to_s: f64) -> f64 {
         let from = (from_s * 1e9 / self.bucket_ns as f64) as usize;
-        let to = ((to_s * 1e9 / self.bucket_ns as f64) as usize).min(self.buckets.len());
+        let to = (to_s * 1e9 / self.bucket_ns as f64) as usize;
         if to <= from {
             return 0.0;
         }
-        let bytes: u64 = self.buckets[from..to].iter().sum();
+        let bytes: u64 = self.buckets.iter().take(to).skip(from).sum();
         bytes as f64 * 8.0 / ((to - from) as f64 * self.bucket_ns as f64 / 1e9) / 1e6
     }
 }
@@ -325,6 +326,19 @@ mod tests {
         assert!((s[0].1 - 20.0).abs() < 1e-9);
         assert!((s[1].1 - 10.0).abs() < 1e-9);
         assert!((m.avg_mbps(0.0, 2.0) - 15.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rate_meter_counts_silent_buckets_in_the_window() {
+        // Traffic in the first half of a 4 s window only: 40 Mb over 4 s is
+        // 10 Mb/s, not 20 Mb/s over the two buckets that saw bytes.
+        let mut m = RateMeter::new(1_000_000_000);
+        m.record(0, 2_500_000);
+        m.record(1_000_000_000, 2_500_000);
+        assert_eq!(m.avg_mbps(0.0, 4.0), 10.0);
+        assert_eq!(m.avg_mbps(1.0, 3.0), 10.0);
+        // A window wholly after the last arrival.
+        assert_eq!(m.avg_mbps(2.0, 4.0), 0.0);
     }
 
     #[test]
