@@ -131,39 +131,33 @@ pub struct CongaConfig {
     pub mode: Balancer,
     pub metric: Metric,
     pub n_flows: usize,
-    pub flow_rate_mbps: f64,
-    pub payload: usize,
-    /// Congestion probes per path (paper: every millisecond).
-    pub probe_period_ns: Time,
-    /// One flow reconsiders its path per decision tick.
-    pub decide_period_ns: Time,
-    /// Don't move unless the best path is at least this much better
-    /// (utilization basis points).
-    pub hysteresis_bps: u32,
-    pub discovery_ports: u16,
-    pub probe_hops: usize,
-    pub app_id: u16,
     pub seed: u64,
 }
 
 impl Default for CongaConfig {
     fn default() -> Self {
-        CongaConfig {
-            mode: Balancer::Conga,
-            metric: Metric::Max,
-            n_flows: 12,
-            flow_rate_mbps: 10.0,
-            payload: 1000,
-            probe_period_ns: 1_000_000,
-            decide_period_ns: 10_000_000,
-            hysteresis_bps: 500,
-            discovery_ports: 32,
-            probe_hops: 4,
-            app_id: 4,
-            seed: 0,
-        }
+        CongaConfig { mode: Balancer::Conga, metric: Metric::Max, n_flows: 12, seed: 0 }
     }
 }
+
+/// The paced rate of every flow.
+const FLOW_RATE_MBPS: f64 = 10.0;
+/// Data packet payload bytes.
+const PAYLOAD: usize = 1000;
+/// Congestion probes per path (paper: every millisecond).
+const PROBE_PERIOD_NS: Time = 1_000_000;
+/// One flow reconsiders its path per decision tick.
+const DECIDE_PERIOD_NS: Time = 10_000_000;
+/// Don't move unless the best path is at least this much better
+/// (utilization basis points).
+const HYSTERESIS_BPS: u32 = 500;
+/// Source ports probed once at start-up to discover the paths:
+/// `PROBE_SPORT_BASE..PROBE_SPORT_BASE + DISCOVERY_PORTS`.
+pub const DISCOVERY_PORTS: u16 = 32;
+/// Max hops a probe must cover (host → leaf → spine → leaf → host).
+const PROBE_HOPS: usize = 4;
+/// The app ID of the path probes.
+const APP_ID: u16 = 4;
 
 const TIMER_PROBE: u64 = 1;
 const TIMER_DECIDE: u64 = 2;
@@ -210,12 +204,8 @@ impl CongaSender {
         };
         Harness::new(state)
             .shim_seed(cfg.seed ^ 0xC0C0)
-            .executor(ExecutorConfig {
-                max_retries: 2,
-                timeout_ns: 20_000_000,
-                ..ExecutorConfig::default()
-            })
-            .launch(conga_probe().app_id(cfg.app_id).hops(cfg.probe_hops), |s, io, c| {
+            .executor(ExecutorConfig { max_retries: 2, timeout_ns: 20_000_000 })
+            .launch(conga_probe().app_id(APP_ID).hops(PROBE_HOPS), |s, io, c| {
                 if let Some(token) = c.token {
                     s.on_probe_done(io.ctx.now, token, &c.tpp);
                 }
@@ -227,10 +217,10 @@ impl CongaSender {
             })
             .on_start(|s, io| {
                 // Discovery: probe the whole source-port range once.
-                for i in 0..s.cfg.discovery_ports {
+                for i in 0..DISCOVERY_PORTS {
                     s.send_probe(io, PROBE_SPORT_BASE + i);
                 }
-                io.ctx.set_timer(s.cfg.probe_period_ns, TIMER_PROBE);
+                io.ctx.set_timer(PROBE_PERIOD_NS, TIMER_PROBE);
                 // Let discovery finish before data starts.
                 io.ctx.set_timer(20_000_000, TIMER_START_FLOWS);
             })
@@ -242,11 +232,11 @@ impl CongaSender {
                     for sport in reps {
                         s.send_probe(io, sport);
                     }
-                    io.ctx.set_timer(s.cfg.probe_period_ns, TIMER_PROBE);
+                    io.ctx.set_timer(PROBE_PERIOD_NS, TIMER_PROBE);
                 }
                 TIMER_DECIDE => {
                     s.decide(io.ctx.now);
-                    io.ctx.set_timer(s.cfg.decide_period_ns, TIMER_DECIDE);
+                    io.ctx.set_timer(DECIDE_PERIOD_NS, TIMER_DECIDE);
                 }
                 TIMER_PACE => s.pace(io),
                 TIMER_START_FLOWS => s.start_flows(io),
@@ -256,17 +246,12 @@ impl CongaSender {
             .expect("static wiring")
     }
 
-    /// Number of distinct paths discovered so far.
-    pub fn paths_discovered(&self) -> usize {
-        self.paths.len()
-    }
-
     fn send_probe(&mut self, io: &mut Io<'_, '_>, sport: u16) {
         // The executor builds the frame with a fixed source port; rewrite it
         // to steer the probe onto the candidate path. The UDP checksum over
         // zero payload bytes must be refreshed.
         let token = io
-            .launch_mapped(self.cfg.app_id, self.dst, |frame| rewrite_udp_sport(frame, sport))
+            .launch_mapped(APP_ID, self.dst, |frame| rewrite_udp_sport(frame, sport))
             .expect("probe registered");
         self.probe_sport.insert(token, sport);
     }
@@ -312,7 +297,7 @@ impl CongaSender {
         let known: Vec<u16> = self.port_path.keys().copied().collect();
         for i in 0..self.cfg.n_flows {
             let sport = if known.is_empty() {
-                PROBE_SPORT_BASE + self.rng.random_range(0..self.cfg.discovery_ports)
+                PROBE_SPORT_BASE + self.rng.random_range(0..DISCOVERY_PORTS)
             } else {
                 known[self.rng.random_range(0..known.len())]
             };
@@ -321,12 +306,12 @@ impl CongaSender {
                 dst_port: FLOW_PORT_BASE + i as u16,
                 sport,
                 path,
-                pacer: PacedSender::new(self.cfg.flow_rate_mbps * 1e6, self.cfg.payload),
+                pacer: PacedSender::new(FLOW_RATE_MBPS * 1e6, PAYLOAD),
             });
         }
         io.ctx.set_timer(0, TIMER_PACE);
         if self.cfg.mode == Balancer::Conga {
-            io.ctx.set_timer(self.cfg.decide_period_ns, TIMER_DECIDE);
+            io.ctx.set_timer(DECIDE_PERIOD_NS, TIMER_DECIDE);
         }
     }
 
@@ -340,7 +325,7 @@ impl CongaSender {
         let cur_path = self.flows[flow_idx].path;
         let cur_metric = cur_path.map(|p| self.paths[p].metric).unwrap_or(u32::MAX);
         let best_metric = self.paths[best].metric;
-        if cur_path != Some(best) && best_metric + self.cfg.hysteresis_bps < cur_metric {
+        if cur_path != Some(best) && best_metric + HYSTERESIS_BPS < cur_metric {
             // Move this flowlet onto the better path.
             if let Some(&port) = self.paths[best].ports.first() {
                 self.flows[flow_idx].sport = port;
@@ -361,7 +346,7 @@ impl CongaSender {
             next = next.min(f.pacer.next_deadline());
         }
         for (sport, dport) in to_send {
-            let frame = udp_frame(io.ctx.ip, self.dst, sport, dport, self.cfg.payload);
+            let frame = udp_frame(io.ctx.ip, self.dst, sport, dport, PAYLOAD);
             self.data_bytes += frame.len() as u64;
             io.ctx.send(frame);
         }
@@ -452,18 +437,10 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
     let l0_cfg = CongaConfig {
         mode: Balancer::Ecmp, // single path anyway
         n_flows: 5,
-        flow_rate_mbps: 10.0,
         seed: seed ^ 1,
         ..CongaConfig::default()
     };
-    let l1_cfg = CongaConfig {
-        mode,
-        metric,
-        n_flows: 12,
-        flow_rate_mbps: 10.0,
-        seed: seed ^ 2,
-        ..CongaConfig::default()
-    };
+    let l1_cfg = CongaConfig { mode, metric, n_flows: 12, seed: seed ^ 2 };
     topo.net.set_app(hosts[0], Box::new(CongaSender::new(l0_cfg, ips[2])));
     topo.net.set_app(hosts[1], Box::new(CongaSender::new(l1_cfg, ips[2])));
     topo.net.set_app(hosts[2], Box::new(CongaSink::new(bucket)));
@@ -572,7 +549,7 @@ mod tests {
         topo.net.set_app(hosts[2], Box::new(CongaSink::new(100_000_000)));
         topo.net.run_until(SECONDS / 10);
         let sender = topo.net.app_mut::<CongaSenderApp>(hosts[1]);
-        assert_eq!(sender.paths_discovered(), 2, "two spines = two distinct paths");
+        assert_eq!(sender.paths.len(), 2, "two spines = two distinct paths");
         // Each path has a non-empty port set and a distinct signature.
         assert!(sender.paths[0].signature != sender.paths[1].signature);
         assert!(!sender.paths[0].ports.is_empty() && !sender.paths[1].ports.is_empty());

@@ -58,33 +58,20 @@ pub fn microburst_probe() -> Probe {
 pub struct BurstConfig {
     /// Destination hosts (excluding self).
     pub peers: Vec<Ipv4Address>,
-    /// Message size (paper: 10 kB).
-    pub msg_bytes: usize,
-    /// Per-packet payload (fits in one MTU with the TPP attached).
-    pub payload: usize,
-    /// Offered load as a fraction of `link_mbps` (paper: 0.3).
-    pub load: f64,
-    pub link_mbps: f64,
-    /// Stamp TPPs on data packets.
-    pub instrument: bool,
-    pub app_id: u16,
     pub seed: u64,
 }
 
-impl Default for BurstConfig {
-    fn default() -> Self {
-        BurstConfig {
-            peers: Vec::new(),
-            msg_bytes: 10_000,
-            payload: 1200,
-            load: 0.3,
-            link_mbps: 100.0,
-            instrument: true,
-            app_id: 1,
-            seed: 0,
-        }
-    }
-}
+/// Message size (paper: 10 kB).
+const MSG_BYTES: usize = 10_000;
+/// Per-packet payload (fits in one MTU with the TPP attached).
+const PAYLOAD: usize = 1200;
+/// Offered load as a fraction of [`LINK_MBPS`] (paper: 0.3).
+const LOAD: f64 = 0.3;
+/// Every link's speed, host links included: [`run_microburst`] builds its
+/// dumbbell at this speed and the offered load is a fraction of it.
+const LINK_MBPS: u64 = 100;
+/// The app ID of the TPP stamped on every data packet.
+const APP_ID: u16 = 1;
 
 const TIMER_BURST: u64 = 1;
 
@@ -92,7 +79,7 @@ const TIMER_BURST: u64 = 1;
 /// observer of the TPPs on packets it receives. Construct with
 /// [`BurstHost::new`], which returns the fully wired [`Endhost`].
 pub struct BurstHost {
-    cfg: BurstConfig,
+    peers: Vec<Ipv4Address>,
     rng: StdRng,
     pub samples: Shared<Vec<QueueSample>>,
     pub messages_sent: u64,
@@ -104,61 +91,51 @@ pub type BurstApp = Endhost<BurstHost>;
 
 impl BurstHost {
     pub fn new(cfg: BurstConfig) -> BurstApp {
-        let seed = cfg.seed;
-        let instrument = cfg.instrument;
-        let probe = microburst_probe().app_id(cfg.app_id).hops(8);
+        let probe = microburst_probe().app_id(APP_ID).hops(8);
         let state = BurstHost {
-            cfg,
-            rng: StdRng::seed_from_u64(seed),
+            peers: cfg.peers,
+            rng: StdRng::seed_from_u64(cfg.seed),
             samples: shared(Vec::new()),
             messages_sent: 0,
             bytes_received: shared(0),
         };
-        let app_id = state.cfg.app_id;
-        let h = Harness::new(state).shim_seed(seed ^ 0xB00B);
-        // Observe completed TPPs locally at the receiver — the paper
-        // collects "fully executed TPPs carrying network state at one host"
-        // from the packets arriving there.
-        let h = if instrument {
-            h.stamp_with(probe, Filter::udp(), 1, Aggregator::Local, |s, io, c| {
+        Harness::new(state)
+            .shim_seed(cfg.seed ^ 0xB00B)
+            // Observe completed TPPs locally at the receiver — the paper
+            // collects "fully executed TPPs carrying network state at one
+            // host" from the packets arriving there.
+            .stamp_with(probe, Filter::udp(), 1, Aggregator::Local, |s, io, c| {
                 s.record(io.ctx.now, &c);
             })
-        } else {
-            h.listen(probe, |s, io, c| s.record(io.ctx.now, &c)).aggregate_local(app_id)
-        };
-        h.on_start(|s, io| {
-            let gap = s.exp_gap();
-            io.ctx.set_timer(gap, TIMER_BURST);
-        })
-        .on_timer(|s, io, token| {
-            if token == TIMER_BURST {
-                s.send_burst(io);
+            .on_start(|s, io| {
                 let gap = s.exp_gap();
                 io.ctx.set_timer(gap, TIMER_BURST);
-            }
-        })
-        .on_deliver(|s, io, inner| {
-            if let Some(info) = crate::common::parse_udp(&inner) {
-                if info.dst_port == DATA_PORT {
-                    *s.bytes_received.borrow_mut() += info.payload_len as u64;
+            })
+            .on_timer(|s, io, token| {
+                if token == TIMER_BURST {
+                    s.send_burst(io);
+                    let gap = s.exp_gap();
+                    io.ctx.set_timer(gap, TIMER_BURST);
                 }
-            }
-            // Fully consumed: hand the buffer back to the frame pool.
-            io.ctx.recycle(inner);
-        })
-        .build()
-        .expect("static wiring")
-    }
-
-    fn mean_gap_ns(&self) -> f64 {
-        // message transmission time / load = mean inter-message gap.
-        let msg_time_ns = self.cfg.msg_bytes as f64 * 8.0 / (self.cfg.link_mbps * 1e6) * 1e9;
-        msg_time_ns / self.cfg.load
+            })
+            .on_deliver(|s, io, inner| {
+                if let Some(info) = crate::common::parse_udp(&inner) {
+                    if info.dst_port == DATA_PORT {
+                        *s.bytes_received.borrow_mut() += info.payload_len as u64;
+                    }
+                }
+                // Fully consumed: hand the buffer back to the frame pool.
+                io.ctx.recycle(inner);
+            })
+            .build()
+            .expect("static wiring")
     }
 
     fn exp_gap(&mut self) -> Time {
+        // message transmission time / load = mean inter-message gap.
+        let msg_time_ns = MSG_BYTES as f64 * 8.0 / (LINK_MBPS as f64 * 1e6) * 1e9;
         let u: f64 = self.rng.random::<f64>().max(1e-12);
-        (-u.ln() * self.mean_gap_ns()) as Time
+        (-u.ln() * (msg_time_ns / LOAD)) as Time
     }
 
     fn record(&mut self, now: Time, c: &Completion) {
@@ -178,14 +155,14 @@ impl BurstHost {
     }
 
     fn send_burst(&mut self, io: &mut Io<'_, '_>) {
-        if self.cfg.peers.is_empty() {
+        if self.peers.is_empty() {
             return;
         }
-        let dst = self.cfg.peers[self.rng.random_range(0..self.cfg.peers.len())];
-        let mut remaining = self.cfg.msg_bytes;
+        let dst = self.peers[self.rng.random_range(0..self.peers.len())];
+        let mut remaining = MSG_BYTES;
         let sport = 20_000 + (self.messages_sent % 1000) as u16;
         while remaining > 0 {
-            let len = remaining.min(self.cfg.payload);
+            let len = remaining.min(PAYLOAD);
             let frame = udp_frame(io.ctx.ip, dst, sport, DATA_PORT, len);
             io.send_data(frame);
             remaining -= len;
@@ -208,8 +185,8 @@ pub struct MicroburstResult {
 pub fn run_microburst(per_side: usize, duration_ns: Time, seed: u64) -> MicroburstResult {
     let mut topo = TopologySpec::Dumbbell { per_side }
         .builder()
-        .link_mbps(100)
-        .host_mbps(100)
+        .link_mbps(LINK_MBPS)
+        .host_mbps(LINK_MBPS)
         .delay_ns(10_000)
         .seed(seed)
         .build();
@@ -218,7 +195,7 @@ pub fn run_microburst(per_side: usize, duration_ns: Time, seed: u64) -> Microbur
     for (i, &h) in hosts.iter().enumerate() {
         let peers: Vec<Ipv4Address> =
             ips.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &ip)| ip).collect();
-        let cfg = BurstConfig { peers, seed: seed ^ (i as u64 + 1), ..BurstConfig::default() };
+        let cfg = BurstConfig { peers, seed: seed ^ (i as u64 + 1) };
         topo.net.set_app(h, Box::new(BurstHost::new(cfg)));
     }
     topo.net.run_until(duration_ns);

@@ -45,11 +45,7 @@ impl PathVerifier {
     pub fn new(dst: Ipv4Address, period_ns: Time) -> PathVerifierApp {
         let state = PathVerifier { dst, period_ns, observations: shared(Vec::new()) };
         Harness::new(state)
-            .executor(ExecutorConfig {
-                max_retries: 1,
-                timeout_ns: period_ns,
-                ..ExecutorConfig::default()
-            })
+            .executor(ExecutorConfig { max_retries: 1, timeout_ns: period_ns })
             .launch(trace_probe().hops(8), |s, io, c| {
                 // Stack of one word per hop; drop trailing zero slots (the
                 // executor's nonce word lies beyond the pushed prefix).
@@ -81,41 +77,6 @@ impl PathVerifier {
             .build()
             .expect("static wiring")
     }
-}
-
-/// Given observations and a reconfiguration at `change_ns` intended to move
-/// traffic onto `expected`, report the convergence time: the first
-/// observation at/after the change whose path equals `expected` and after
-/// which no observation deviates.
-pub fn convergence_time(
-    observations: &[PathObservation],
-    change_ns: Time,
-    expected: &[u32],
-) -> Option<Time> {
-    let after: Vec<&PathObservation> =
-        observations.iter().filter(|o| o.t_ns >= change_ns).collect();
-    let mut converged_at = None;
-    for o in &after {
-        if o.completed && o.path == expected {
-            if converged_at.is_none() {
-                converged_at = Some(o.t_ns);
-            }
-        } else {
-            converged_at = None; // deviation resets convergence
-        }
-    }
-    converged_at.map(|t| t - change_ns)
-}
-
-/// Localize a blackhole: the deepest switch observed on successful probes
-/// once probes started failing.
-pub fn blackhole_frontier(observations: &[PathObservation]) -> Option<u32> {
-    let first_loss = observations.iter().position(|o| !o.completed)?;
-    observations[..first_loss]
-        .iter()
-        .rev()
-        .find(|o| o.completed)
-        .and_then(|o| o.path.last().copied())
 }
 
 #[cfg(test)]
@@ -188,9 +149,11 @@ mod tests {
         net.run_until(change + 30 * MILLIS);
         let v = net.app_mut::<PathVerifierApp>(h_src);
         let obs = v.observations.borrow();
-        assert_eq!(obs.last().unwrap().path, vec![10, 12, 13]);
-        let conv = convergence_time(&obs, change, &[10, 12, 13]).expect("converged");
-        assert!(conv <= 2 * MILLIS, "convergence within two probe periods, got {conv}");
+        // Converged within two probe periods: every probe from then on
+        // took the new path.
+        let settled: Vec<_> = obs.iter().filter(|o| o.t_ns >= change + 2 * MILLIS).collect();
+        assert!(settled.len() >= 20, "{} probes after the reroute", settled.len());
+        assert!(settled.iter().all(|o| o.completed && o.path == [10, 12, 13]), "{obs:?}");
     }
 
     #[test]
@@ -228,7 +191,7 @@ mod tests {
         // seen before losses began — switch 3 is unreachable, so the
         // frontier is the full healthy path's tail (switch id 3 was last
         // seen *before* failure; after failure probes die beyond switch 2).
-        let frontier = blackhole_frontier(&obs).expect("frontier");
-        assert_eq!(frontier, 3, "last healthy observation reached switch 3");
+        let first_loss = obs.iter().position(|o| !o.completed).expect("losses");
+        assert_eq!(obs[first_loss - 1].path.last(), Some(&3), "last healthy one reached switch 3");
     }
 }

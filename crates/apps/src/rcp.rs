@@ -127,40 +127,40 @@ pub fn parse_collect<T: TppData>(tpp: &T) -> Vec<HopSample> {
 pub struct RcpConfig {
     /// α-fairness parameter; `f64::INFINITY` = max-min (Eq. 2).
     pub alpha: f64,
-    /// RCP stability parameters (Eq. 1).
-    pub a: f64,
-    pub b: f64,
     /// Control period T (one probe + one update per period).
     pub period_ns: Time,
     /// Average RTT estimate d used in Eq. 1.
     pub rtt_ns: Time,
     /// Uniform link capacity (known to the control plane).
     pub capacity_mbps: f64,
-    /// Data packet payload bytes.
-    pub payload: usize,
     /// Initial flow rate (paper: "all flows start at 1Mb/s").
     pub start_rate_bps: f64,
     /// Max hops a probe must cover.
     pub probe_hops: usize,
-    pub app_id: u16,
 }
 
 impl Default for RcpConfig {
     fn default() -> Self {
         RcpConfig {
             alpha: f64::INFINITY,
-            a: 0.4,
-            b: 0.5,
             period_ns: 2_000_000,
             rtt_ns: 10_000_000,
             capacity_mbps: 100.0,
-            payload: 1000,
             start_rate_bps: 1e6,
             probe_hops: 5,
-            app_id: 2,
         }
     }
 }
+
+/// The stability gains `a` and `b` of the RCP control equation (Eq. 1).
+const GAIN_A: f64 = 0.4;
+const GAIN_B: f64 = 0.5;
+
+/// Data packet payload bytes of every RCP* sender, intra- and inter-DC.
+pub const PAYLOAD: usize = 1000;
+
+/// The app ID of RCP*'s collect and update probes, intra- and inter-DC.
+pub(crate) const APP_ID: u16 = 2;
 
 /// Aggregate per-link fair rates into the flow rate (Eq. 2).
 pub fn alpha_aggregate(rates_bps: &[f64], alpha: f64) -> f64 {
@@ -185,7 +185,7 @@ pub fn rcp_equation(cfg: &RcpConfig, r_old: f64, y: f64, q_avg_bytes: f64, c: f6
     let t = cfg.period_ns as f64 / 1e9;
     let d = cfg.rtt_ns as f64 / 1e9;
     let q_bits = q_avg_bytes * 8.0;
-    let factor = 1.0 - (t / (d * cfg.a)) * ((y - c) + cfg.b * q_bits / d) / c;
+    let factor = 1.0 - (t / (d * GAIN_A)) * ((y - c) + GAIN_B * q_bits / d) / c;
     // Multiplicative clamp for stability under bursty measurements: at most
     // a 10% move per control period keeps the loop well inside its
     // stability region despite the EWMA'd utilization signal.
@@ -210,7 +210,7 @@ pub(crate) struct RcpLoop {
 impl RcpLoop {
     pub(crate) fn new(cfg: &RcpConfig) -> Self {
         RcpLoop {
-            pacer: PacedSender::new(cfg.start_rate_bps, cfg.payload),
+            pacer: PacedSender::new(cfg.start_rate_bps, PAYLOAD),
             qhist: HopWindows::new(cfg.probe_hops),
             latest: Vec::new(),
         }
@@ -252,7 +252,7 @@ impl RcpLoop {
         // the NIC cannot).
         self.pacer.set_rate(alpha_aggregate(&new_rates, eq.alpha).min(c));
         // Phase 3: versioned write-back.
-        Some(update.fill(eq.app_id, &updates))
+        Some(update.fill(APP_ID, &updates))
     }
 }
 
@@ -290,12 +290,8 @@ impl RcpSender {
             probes_completed: 0,
         };
         Harness::new(state)
-            .executor(ExecutorConfig {
-                max_retries: 3,
-                timeout_ns: 4 * cfg.period_ns,
-                ..ExecutorConfig::default()
-            })
-            .launch(collect_probe().app_id(cfg.app_id).hops(cfg.probe_hops), |s, _io, c| {
+            .executor(ExecutorConfig { max_retries: 3, timeout_ns: 4 * cfg.period_ns })
+            .launch(collect_probe().app_id(APP_ID).hops(cfg.probe_hops), |s, _io, c| {
                 s.rcp.absorb(&c.tpp);
                 s.probes_completed += 1;
             })
@@ -317,7 +313,7 @@ impl RcpSender {
             io.send_standalone(update, self.dst, 40_001);
         }
         // Phase 1 for the next period.
-        io.launch(self.cfg.app_id, self.dst);
+        io.launch(APP_ID, self.dst);
         io.ctx.set_timer(self.cfg.period_ns, TIMER_CONTROL);
     }
 
@@ -327,7 +323,7 @@ impl RcpSender {
         for _ in 0..n {
             // In a buffer a sink handed back (see `RcpSink`).
             let mut frame = io.ctx.take_buf();
-            udp_frame_into(&mut frame, &hdr, self.cfg.payload, &[]);
+            udp_frame_into(&mut frame, &hdr, PAYLOAD, &[]);
             self.data_bytes_sent += frame.len() as u64;
             io.ctx.send(frame);
         }

@@ -126,38 +126,21 @@ pub fn parse_discover<T: TppData>(tpp: &T) -> Vec<WanHopSample> {
         .collect()
 }
 
-/// Fan-out controller parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct FanoutConfig {
-    /// Control period T (one discovery + one install per subtree).
-    pub period_ns: Time,
-    /// Horizon over which a standing queue should drain (WAN-scale).
-    pub drain_ns: Time,
-    /// Weight of the queue-drain term in the available-bandwidth
-    /// estimate.
-    pub drain_gain: f64,
-    /// Data payload bytes.
-    pub payload: usize,
-    /// Initial per-subtree rate.
-    pub start_rate_bps: f64,
-    /// Max hops a probe must cover (source → relay crosses two borders).
-    pub probe_hops: usize,
-    pub app_id: u16,
-}
-
-impl Default for FanoutConfig {
-    fn default() -> Self {
-        FanoutConfig {
-            period_ns: 5_000_000,
-            drain_ns: 20_000_000,
-            drain_gain: 0.5,
-            payload: 1000,
-            start_rate_bps: 1e6,
-            probe_hops: 10,
-            app_id: 3,
-        }
-    }
-}
+/// Fan-out control period T (one discovery + one install per subtree).
+const FANOUT_PERIOD_NS: Time = 5_000_000;
+/// Horizon over which a standing queue should drain (WAN-scale).
+const FANOUT_DRAIN_NS: Time = 20_000_000;
+/// Weight of the queue-drain term in the available-bandwidth estimate.
+const FANOUT_DRAIN_GAIN: f64 = 0.5;
+/// Fan-out data payload bytes.
+const FANOUT_PAYLOAD: usize = 1000;
+/// Initial per-subtree rate.
+const FANOUT_START_RATE_BPS: f64 = 1e6;
+/// Max hops a fan-out probe must cover (source → relay crosses two
+/// borders).
+const FANOUT_PROBE_HOPS: usize = 10;
+/// The app ID of the fan-out's discovery and install probes.
+const FANOUT_APP_ID: u16 = 3;
 
 /// One fan-out subtree: the relay it feeds, the branch switch where its
 /// adapted rate is installed, and the control-loop state.
@@ -181,7 +164,6 @@ const TIMER_PACE_BASE: u64 = 16;
 /// The coordinated fan-out source. Construct with [`FanoutSource::new`],
 /// passing one `(relay address, branch switch id)` pair per subtree.
 pub struct FanoutSource {
-    pub cfg: FanoutConfig,
     start_at: Time,
     subtrees: Vec<Subtree>,
     pub probes_completed: u64,
@@ -191,32 +173,25 @@ pub struct FanoutSource {
 pub type FanoutSourceApp = Endhost<FanoutSource>;
 
 impl FanoutSource {
-    pub fn new(
-        cfg: FanoutConfig,
-        subtrees: Vec<(Ipv4Address, u32)>,
-        start_at: Time,
-    ) -> FanoutSourceApp {
+    pub fn new(subtrees: Vec<(Ipv4Address, u32)>, start_at: Time) -> FanoutSourceApp {
         let subtrees = subtrees
             .into_iter()
             .map(|(dst, branch)| Subtree {
                 dst,
                 branch,
-                pacer: PacedSender::new(cfg.start_rate_bps, cfg.payload),
-                qhist: HopWindows::new(cfg.probe_hops),
-                uhist: HopWindows::new(cfg.probe_hops),
+                pacer: PacedSender::new(FANOUT_START_RATE_BPS, FANOUT_PAYLOAD),
+                qhist: HopWindows::new(FANOUT_PROBE_HOPS),
+                uhist: HopWindows::new(FANOUT_PROBE_HOPS),
                 latest: Vec::new(),
                 series: Vec::new(),
                 data_bytes_sent: 0,
             })
             .collect();
-        let state = FanoutSource { cfg, start_at, subtrees, probes_completed: 0 };
+        let state = FanoutSource { start_at, subtrees, probes_completed: 0 };
+        let probe = discover_probe().app_id(FANOUT_APP_ID).hops(FANOUT_PROBE_HOPS);
         Harness::new(state)
-            .executor(ExecutorConfig {
-                max_retries: 3,
-                timeout_ns: 8 * cfg.period_ns,
-                ..ExecutorConfig::default()
-            })
-            .launch(discover_probe().app_id(cfg.app_id).hops(cfg.probe_hops), |s, _io, c| {
+            .executor(ExecutorConfig { max_retries: 3, timeout_ns: 8 * FANOUT_PERIOD_NS })
+            .launch(probe, |s, _io, c| {
                 // One discovery registration serves every subtree; the
                 // completion's source address says which one answered.
                 let Some(sub) = s.subtrees.iter_mut().find(|t| t.dst == c.from) else {
@@ -261,8 +236,7 @@ impl FanoutSource {
     }
 
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
-        let drain_s = self.cfg.drain_ns as f64 / 1e9;
-        let drain_gain = self.cfg.drain_gain;
+        let drain_s = FANOUT_DRAIN_NS as f64 / 1e9;
         let now_s = io.ctx.now as f64 / 1e9;
         for idx in 0..self.subtrees.len() {
             let sub = &mut self.subtrees[idx];
@@ -281,7 +255,7 @@ impl FanoutSource {
                     let y = sub.uhist.mean(h, s.util_bps) / 10_000.0 * c;
                     let cross = (y - r_old).max(0.0);
                     let q_bits = sub.qhist.mean(h, s.queue_bytes) * 8.0;
-                    per_link.push((c - cross - drain_gain * q_bits / drain_s).max(64_000.0));
+                    per_link.push((c - cross - FANOUT_DRAIN_GAIN * q_bits / drain_s).max(64_000.0));
                 }
                 // The measured bottleneck is the min across hops; step
                 // toward it at most ±10% per period. Because the target
@@ -296,23 +270,22 @@ impl FanoutSource {
                 if let Some(version) = branch_version {
                     let mut t =
                         install_tpp(sub.latest.len(), sub.branch, version, (r / 1e3) as u32);
-                    t.app_id = self.cfg.app_id;
+                    t.app_id = FANOUT_APP_ID;
                     io.send_standalone(&t, sub.dst, 40_002);
                 }
             }
             // Next discovery round for this subtree.
             let dst = self.subtrees[idx].dst;
-            io.launch(self.cfg.app_id, dst);
+            io.launch(FANOUT_APP_ID, dst);
         }
-        io.ctx.set_timer(self.cfg.period_ns, TIMER_CONTROL);
+        io.ctx.set_timer(FANOUT_PERIOD_NS, TIMER_CONTROL);
     }
 
     fn pace(&mut self, idx: usize, io: &mut Io<'_, '_>) {
-        let payload = self.cfg.payload;
         let sub = &mut self.subtrees[idx];
         let n = sub.pacer.due(io.ctx.now);
         for _ in 0..n {
-            let frame = udp_frame(io.ctx.ip, sub.dst, 7000 + idx as u16, DATA_PORT, payload);
+            let frame = udp_frame(io.ctx.ip, sub.dst, 7000 + idx as u16, DATA_PORT, FANOUT_PAYLOAD);
             sub.data_bytes_sent += frame.len() as u64;
             io.ctx.send(frame);
         }
@@ -392,7 +365,7 @@ impl WanSink {
 #[derive(Clone, Copy, Debug)]
 pub struct InterDcPath {
     pub dst: Ipv4Address,
-    /// Destination datacenter index (the path key is `(src_dc, dst_dc)`).
+    /// Destination datacenter index, the path's key at its sender.
     pub dst_dc: u32,
     pub sport: u16,
     /// The path's WAN bottleneck capacity (known to the control plane).
@@ -405,8 +378,6 @@ pub struct InterDcPath {
 /// Inter-DC RCP* parameters.
 #[derive(Clone, Debug)]
 pub struct InterDcConfig {
-    /// This sender's datacenter index.
-    pub src_dc: u32,
     /// The RCP* knobs; `rtt_ns` seeds each path's estimate until probes
     /// measure the real one.
     pub rcp: RcpConfig,
@@ -421,8 +392,7 @@ struct PathState {
     data_bytes_sent: u64,
 }
 
-/// An inter-DC sender: one RCP* control loop per (src-DC, dst-DC) path,
-/// reusing the intra-DC RCP TPP program over multi-ms links.
+/// An inter-DC sender: one RCP* control loop per destination DC, reusing the intra-DC RCP TPP program over multi-ms links.
 pub struct InterDcSender {
     pub cfg: InterDcConfig,
     start_at: Time,
@@ -440,7 +410,6 @@ pub type InterDcSenderApp = Endhost<InterDcSender>;
 /// Per-path report: identity, state, and sender-side counters.
 #[derive(Clone, Copy, Debug)]
 pub struct PathReport {
-    pub src_dc: u32,
     pub dst_dc: u32,
     pub rate_bps: f64,
     pub rtt_est_ms: f64,
@@ -469,13 +438,9 @@ impl InterDcSender {
             probes_completed: 0,
         };
         Harness::new(state)
-            .executor(ExecutorConfig {
-                max_retries: 3,
-                timeout_ns: 8 * rcp_cfg.period_ns,
-                ..ExecutorConfig::default()
-            })
+            .executor(ExecutorConfig { max_retries: 3, timeout_ns: 8 * rcp_cfg.period_ns })
             .launch(
-                rcp::collect_probe().app_id(rcp_cfg.app_id).hops(rcp_cfg.probe_hops),
+                rcp::collect_probe().app_id(rcp::APP_ID).hops(rcp_cfg.probe_hops),
                 |s, io, c| {
                     let idx = match c.token.and_then(|t| s.inflight.remove(&t)) {
                         Some((idx, sent_at)) => {
@@ -516,27 +481,20 @@ impl InterDcSender {
             .expect("static wiring")
     }
 
-    /// Per-path state keyed by `(src_dc, dst_dc)`.
-    pub fn path_reports(&self) -> Vec<((u32, u32), PathReport)> {
+    /// Per-path state, in path construction order.
+    pub fn path_reports(&self) -> Vec<PathReport> {
         self.paths
             .iter()
-            .map(|p| {
-                (
-                    (self.cfg.src_dc, p.path.dst_dc),
-                    PathReport {
-                        src_dc: self.cfg.src_dc,
-                        dst_dc: p.path.dst_dc,
-                        rate_bps: p.rcp.pacer.rate_bps,
-                        rtt_est_ms: p.rtt_est_ns / 1e6,
-                        data_bytes_sent: p.data_bytes_sent,
-                    },
-                )
+            .map(|p| PathReport {
+                dst_dc: p.path.dst_dc,
+                rate_bps: p.rcp.pacer.rate_bps,
+                rtt_est_ms: p.rtt_est_ns / 1e6,
+                data_bytes_sent: p.data_bytes_sent,
             })
             .collect()
     }
 
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
-        let app_id = self.cfg.rcp.app_id;
         for idx in 0..self.paths.len() {
             let p = &mut self.paths[idx];
             // Per-path equation: the path's own measured RTT damps its loop,
@@ -556,7 +514,7 @@ impl InterDcSender {
             // A finished transfer stops probing too — WAN control traffic
             // is not free.
             if !done {
-                if let Some(token) = io.launch(app_id, dst) {
+                if let Some(token) = io.launch(rcp::APP_ID, dst) {
                     self.inflight.insert(token, (idx, io.ctx.now));
                 }
             }
@@ -565,16 +523,15 @@ impl InterDcSender {
     }
 
     fn pace(&mut self, idx: usize, io: &mut Io<'_, '_>) {
-        let payload = self.cfg.rcp.payload;
         let p = &mut self.paths[idx];
         if p.path.transfer_bytes > 0 && p.data_bytes_sent >= p.path.transfer_bytes {
             return; // transfer complete: stop the pace timer chain
         }
         let n = p.rcp.pacer.due(io.ctx.now);
         for _ in 0..n {
-            let frame = udp_frame(io.ctx.ip, p.path.dst, p.path.sport, DATA_PORT, payload);
+            let frame = udp_frame(io.ctx.ip, p.path.dst, p.path.sport, DATA_PORT, rcp::PAYLOAD);
             // Payload bytes, to line up with the sink's FCT accounting.
-            p.data_bytes_sent += payload as u64;
+            p.data_bytes_sent += rcp::PAYLOAD as u64;
             io.ctx.send(frame);
             if p.path.transfer_bytes > 0 && p.data_bytes_sent >= p.path.transfer_bytes {
                 break;
@@ -632,13 +589,12 @@ pub fn run_fanout(
     let ips: Vec<Ipv4Address> = hosts.iter().map(|&n| topo.net.host(n).ip).collect();
     let ip = |i: usize| ips[i];
 
-    let cfg = FanoutConfig::default();
     let bucket = 50_000_000; // 50 ms meter buckets
     let mut subtrees = Vec::new();
     for site in 1..sites {
         subtrees.push((ip(site * per_site), SITE0_BORDER));
     }
-    topo.net.set_app(hosts[0], Box::new(FanoutSource::new(cfg, subtrees, 1_000_000)));
+    topo.net.set_app(hosts[0], Box::new(FanoutSource::new(subtrees, 1_000_000)));
     for site in 1..sites {
         let relay = site * per_site;
         let viewers: Vec<Ipv4Address> = (1..=2.min(per_site - 1)).map(|v| ip(relay + v)).collect();
@@ -731,7 +687,6 @@ pub fn run_interdc(
         rtt_ns: 20_000_000,
         capacity_mbps: wan_mbps as f64,
         probe_hops: 10,
-        app_id: 2,
         ..RcpConfig::default()
     };
     let paths: Vec<InterDcPath> = (1..sites)
@@ -743,7 +698,7 @@ pub fn run_interdc(
             transfer_bytes,
         })
         .collect();
-    let cfg = InterDcConfig { src_dc: 0, rcp: rcp_cfg, paths };
+    let cfg = InterDcConfig { rcp: rcp_cfg, paths };
     topo.net.set_app(hosts[0], Box::new(InterDcSender::new(cfg, start_at)));
     for site in 1..sites {
         topo.net.set_app(hosts[site * per_site], Box::new(WanSink::new(transfer_bytes)));
@@ -763,13 +718,14 @@ pub fn run_interdc(
     let paths = sender
         .path_reports()
         .into_iter()
-        .map(|((src_dc, dst_dc), r)| InterDcPathReport {
-            src_dc,
-            dst_dc,
+        .map(|r| InterDcPathReport {
+            // The sender is in site 0.
+            src_dc: 0,
+            dst_dc: r.dst_dc,
             capacity_mbps: wan_mbps as f64,
             rate_mbps: r.rate_bps / 1e6,
             rtt_est_ms: r.rtt_est_ms,
-            fct_ms: fcts.get(&dst_dc).copied(),
+            fct_ms: fcts.get(&r.dst_dc).copied(),
         })
         .collect();
     InterDcRunResult { paths }
@@ -891,14 +847,14 @@ mod tests {
             capacity_mbps: 100.0,
             transfer_bytes: 0,
         };
-        let cfg = InterDcConfig { src_dc: 0, rcp: RcpConfig::default(), paths: vec![path] };
+        let cfg = InterDcConfig { rcp: RcpConfig::default(), paths: vec![path] };
         topo.net.set_app(src, Box::new(InterDcSender::new(cfg, 0)));
         topo.net.run_until(SECONDS);
         let sender = topo.net.app_mut::<InterDcSenderApp>(src);
         let exec = sender.executor().expect("the sender launches probes");
         assert!(exec.failed > 100, "{} probes failed", exec.failed);
         assert_eq!(sender.probes_completed, 0);
-        assert_eq!(sender.inflight.len(), exec.pending_count());
+        assert_eq!(sender.inflight.len() as u64, exec.sent - exec.completed - exec.failed);
     }
 
     #[test]

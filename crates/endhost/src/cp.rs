@@ -176,15 +176,6 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// Unrestricted policy (trusted infrastructure apps).
-    pub fn trust_all(app_id: u16) -> Policy {
-        Policy {
-            app_id,
-            segments: vec![Segment::read_write(Address::new(0), Address::new(0xFFFF))],
-            drop_writes: false,
-        }
-    }
-
     /// Run the abstract-interpretation verifier against this app's segment
     /// table: the segment grants plus packet-memory safety (stack and
     /// hop-window bounds, capacity, uninitialized reads).
@@ -332,7 +323,9 @@ mod tests {
 
     #[test]
     fn oversized_tpp_rejected() {
-        let cp_policy = Policy::trust_all(1);
+        let mut cp = CentralCp::new();
+        let app = cp.register_app("reader");
+        let cp_policy = cp.policy_for(app, false).unwrap();
         let mut t = TppBuilder::stack_mode().push_m("Switch:SwitchID").unwrap().build().unwrap();
         let i = t.instrs[0];
         t.instrs = vec![i; 6];

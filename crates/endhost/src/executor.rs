@@ -30,22 +30,23 @@ pub struct ExecutorConfig {
     /// deadline saturates at `u64::MAX`, so `u64::MAX` means "never time
     /// out".
     pub timeout_ns: u64,
-    /// Exponential backoff cap: retry `k` waits `timeout_ns << min(k,
-    /// max_backoff_exp)` (plus jitter), saturating. 0 disables backoff
-    /// entirely.
-    pub max_backoff_exp: u32,
-    /// Jitter divisor: each backoff wait adds a deterministic pseudo-random
-    /// jitter in `0..=wait/jitter_div`, keyed by `(token, attempt)` so
-    /// synchronized probes (scatter-gather fan-outs, fleet-wide monitors)
-    /// don't retransmit in lockstep. 0 disables jitter.
-    pub jitter_div: u64,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        ExecutorConfig { max_retries: 3, timeout_ns: 10_000_000, max_backoff_exp: 3, jitter_div: 8 }
+        ExecutorConfig { max_retries: 3, timeout_ns: 10_000_000 }
     }
 }
+
+/// Exponential backoff cap: retry `k` waits `timeout_ns << min(k,
+/// MAX_BACKOFF_EXP)` plus jitter, saturating.
+const MAX_BACKOFF_EXP: u32 = 3;
+
+/// Jitter divisor: each backoff wait adds a deterministic pseudo-random
+/// jitter in `0..=wait / JITTER_DIV`, keyed by `(token, attempt)`, so
+/// synchronized probes (scatter-gather fan-outs, fleet-wide monitors) don't
+/// retransmit in lockstep.
+const JITTER_DIV: u64 = 8;
 
 /// `SplitMix64` finalizer — the jitter hash. Deterministic and stateless:
 /// the retry schedule of a probe depends only on its token and attempt
@@ -189,7 +190,7 @@ impl Executor {
             } else {
                 p.retries_left -= 1;
                 let attempt = self.cfg.max_retries - p.retries_left; // 1st retry = 1
-                p.deadline = now.saturating_add(Self::backoff_ns(&self.cfg, token, attempt));
+                p.deadline = now.saturating_add(backoff_ns(self.cfg.timeout_ns, token, attempt));
                 self.retransmitted += 1;
                 resend.push(p.frame.clone());
             }
@@ -197,26 +198,19 @@ impl Executor {
         (resend, done)
     }
 
-    /// The wait before retry `attempt` (1-based) of probe `token`:
-    /// exponential backoff capped at `max_backoff_exp` doublings, plus a
-    /// deterministic jitter keyed by `(token, attempt)`.
-    fn backoff_ns(cfg: &ExecutorConfig, token: u32, attempt: u32) -> u64 {
-        let exp = attempt.min(cfg.max_backoff_exp);
-        let base = cfg.timeout_ns.saturating_mul(1 << exp.min(63));
-        let jitter = base.checked_div(cfg.jitter_div).map_or(0, |bound| {
-            splitmix64(((token as u64) << 32) | attempt as u64) % bound.saturating_add(1)
-        });
-        base.saturating_add(jitter)
-    }
-
     /// Earliest pending timeout.
     pub fn next_deadline(&self) -> Option<u64> {
         self.pending.values().map(|p| p.deadline).min()
     }
+}
 
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
+/// The wait before retry `attempt` (1-based) of probe `token`: `timeout_ns`
+/// doubled per attempt up to [`MAX_BACKOFF_EXP`] times, plus a deterministic
+/// jitter keyed by `(token, attempt)`.
+pub(crate) fn backoff_ns(timeout_ns: u64, token: u32, attempt: u32) -> u64 {
+    let base = timeout_ns.saturating_mul(1 << attempt.min(MAX_BACKOFF_EXP));
+    let jitter = splitmix64(((token as u64) << 32) | attempt as u64) % (base / JITTER_DIV + 1);
+    base.saturating_add(jitter)
 }
 
 /// Wrap a stack-mode TPP so it executes only at the switch whose
@@ -404,7 +398,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(e.pending_count(), 0);
+        assert_eq!(e.next_deadline(), None, "nothing pending");
     }
 
     #[test]
@@ -437,7 +431,7 @@ mod tests {
             Some(ProbeOutcome::Completed { token: t2, .. }) => assert_eq!(t2, token),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(e.pending_count(), 0);
+        assert_eq!(e.next_deadline(), None, "nothing pending");
     }
 
     #[test]
@@ -452,22 +446,20 @@ mod tests {
     #[test]
     fn retry_then_fail() {
         let mut e = exec();
-        // Jitter off: the backoff schedule is exactly 1000, 2000, 4000.
-        e.cfg =
-            ExecutorConfig { max_retries: 2, timeout_ns: 1000, max_backoff_exp: 3, jitter_div: 0 };
+        e.cfg = ExecutorConfig { max_retries: 2, timeout_ns: 1000 };
         let (token, _) = e.send(0, Ipv4Address::from_host_id(2), probe());
         assert_eq!(e.next_deadline(), Some(1000));
-        // First timeout: retransmit, next wait doubles.
+        // First timeout: retransmit, next wait doubles, plus jitter.
         let (resend, done) = e.poll(1000);
         assert_eq!(resend.len(), 1);
         assert!(done.is_empty());
-        assert_eq!(e.next_deadline(), Some(3000), "1000 + 1000<<1");
+        assert_eq!(e.next_deadline(), Some(3219), "1000 + 1000<<1 + 219 of at most 250");
         // Second: retransmit again, wait doubles again.
-        let (resend, _) = e.poll(3000);
+        let (resend, _) = e.poll(3219);
         assert_eq!(resend.len(), 1);
-        assert_eq!(e.next_deadline(), Some(7000), "3000 + 1000<<2");
+        assert_eq!(e.next_deadline(), Some(7378), "3219 + 1000<<2 + 159 of at most 500");
         // Third: out of retries.
-        let (resend, done) = e.poll(7000);
+        let (resend, done) = e.poll(7378);
         assert!(resend.is_empty());
         assert_eq!(done, vec![ProbeOutcome::Failed { token }]);
         assert_eq!(e.failed, 1);
@@ -476,25 +468,20 @@ mod tests {
 
     #[test]
     fn backoff_caps_and_jitters_deterministically() {
-        let cfg =
-            ExecutorConfig { max_retries: 8, timeout_ns: 1000, max_backoff_exp: 2, jitter_div: 4 };
-        // The exponent caps at 2: attempts 2, 3, 9 share the same base.
-        for attempt in [2u32, 3, 9] {
-            let base = 1000u64 << 2;
-            let expected = base + splitmix64(((7u64) << 32) | attempt as u64) % (base / 4 + 1);
-            assert_eq!(Executor::backoff_ns(&cfg, 7, attempt), expected);
-            assert!(Executor::backoff_ns(&cfg, 7, attempt) >= base);
-            assert!(Executor::backoff_ns(&cfg, 7, attempt) <= base + base / 4);
+        // The exponent caps at 3: attempts 3, 4 and 9 share the same base.
+        for attempt in [3u32, 4, 9] {
+            let base = 1000u64 << 3;
+            let expected = base + splitmix64(((7u64) << 32) | attempt as u64) % (base / 8 + 1);
+            assert_eq!(backoff_ns(1000, 7, attempt), expected);
+            assert!(backoff_ns(1000, 7, attempt) >= base);
+            assert!(backoff_ns(1000, 7, attempt) <= base + base / 8);
         }
+        // Below the cap the wait doubles per attempt.
+        assert_eq!([1, 2].map(|attempt| backoff_ns(1000, 7, attempt) / 1000), [2, 4]);
         // Different tokens de-synchronize: some pair of 16 tokens must
         // disagree (they all share attempt 1).
-        let waits: Vec<u64> = (0..16).map(|t| Executor::backoff_ns(&cfg, t, 1)).collect();
+        let waits: Vec<u64> = (0..16).map(|t| backoff_ns(1000, t, 1)).collect();
         assert!(waits.windows(2).any(|w| w[0] != w[1]), "{waits:?}");
-        // Jitter off means pure exponential.
-        let plain = ExecutorConfig { jitter_div: 0, ..cfg };
-        assert_eq!(Executor::backoff_ns(&plain, 7, 1), 2000);
-        assert_eq!(Executor::backoff_ns(&plain, 7, 2), 4000);
-        assert_eq!(Executor::backoff_ns(&plain, 7, 3), 4000);
     }
 
     #[test]
@@ -503,32 +490,16 @@ mod tests {
         // poll resends. The bare `now + timeout_ns` panicked in debug and in
         // release wrapped the deadline to 0, retransmitting at once.
         let mut e = exec();
-        e.cfg = ExecutorConfig { timeout_ns: u64::MAX, jitter_div: 1, ..e.cfg };
+        e.cfg = ExecutorConfig { timeout_ns: u64::MAX, ..e.cfg };
         e.send(1, Ipv4Address::from_host_id(2), probe());
         assert_eq!(e.next_deadline(), Some(u64::MAX));
         for now in [1, 1 << 40, u64::MAX - 1] {
             assert_eq!(e.poll(now), (Vec::new(), Vec::new()));
         }
         // At u64::MAX itself it retries, and the next deadline stays there
-        // (`base + jitter` and the jitter bound `base / 1 + 1` saturate).
+        // (the doubled base and `base + jitter` saturate).
         assert_eq!(e.poll(u64::MAX).0.len(), 1);
         assert_eq!(e.next_deadline(), Some(u64::MAX));
-
-        // A backoff exponent at or past the word size: `timeout_ns << 64`
-        // panicked in debug and shifted by 0 in release. Waits now double up
-        // to 2^63 and deadlines never move backwards.
-        let mut e = exec();
-        e.cfg =
-            ExecutorConfig { max_retries: 70, timeout_ns: 1, max_backoff_exp: 64, jitter_div: 0 };
-        let (token, _) = e.send(0, Ipv4Address::from_host_id(2), probe());
-        for _ in 0..70 {
-            let now = e.next_deadline().unwrap();
-            let (resend, done) = e.poll(now);
-            assert_eq!((resend.len(), done.len()), (1, 0));
-            assert!(e.next_deadline().unwrap() >= now);
-        }
-        assert_eq!(e.next_deadline(), Some(u64::MAX), "1 + 2 + 4 + ... + 2^63, then pinned");
-        assert_eq!(e.poll(u64::MAX).1, vec![ProbeOutcome::Failed { token }]);
     }
 
     #[test]

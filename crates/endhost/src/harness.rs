@@ -718,18 +718,15 @@ mod tests {
     fn one_retry_timer_serves_every_pending_probe() {
         use tpp_netsim::{LinkSpec, Network, MILLIS};
         // 100 probes, one every 100 us, into a peer that never echoes: each
-        // is retransmitted twice (after 1.03 ms, then 2.06 ms more) and then
-        // fails. The odd timeout keeps launches and retries off each other's
-        // instants, so every frame sees the same wire latency.
+        // is retransmitted twice (after 1.062 ms, then 2.124 ms and its
+        // jitter more) and then fails. With this timeout no two of the 300
+        // transmissions, jitter included, fall within 1.8 us of each other,
+        // so none queues behind another and every frame sees the same wire
+        // latency.
         const PROBES: u64 = 100;
         const GAP: Time = 100_000;
-        const TIMEOUT: Time = 1_030_000;
-        let cfg = ExecutorConfig {
-            max_retries: 2,
-            timeout_ns: TIMEOUT,
-            max_backoff_exp: 3,
-            jitter_div: 0,
-        };
+        const TIMEOUT: Time = 1_062_000;
+        let cfg = ExecutorConfig { max_retries: 2, timeout_ns: TIMEOUT };
         let peer = Ipv4Address::from_host_id(1);
         let launcher = Harness::new(0u64)
             .executor(cfg)
@@ -757,8 +754,12 @@ mod tests {
         // Every first transmission and every retry left at its own deadline.
         let log = log.lock().unwrap();
         let wire = log[0];
+        // Probe `k` holds token `k + 1`.
         let mut want: Vec<Time> = (0..PROBES)
-            .flat_map(|k| [0, TIMEOUT, 3 * TIMEOUT].map(|after| k * GAP + after + wire))
+            .flat_map(|k| {
+                let second = TIMEOUT + crate::executor::backoff_ns(TIMEOUT, k as u32 + 1, 1);
+                [0, TIMEOUT, second].map(|after| k * GAP + after + wire)
+            })
             .collect();
         want.sort_unstable();
         assert_eq!(*log, want);

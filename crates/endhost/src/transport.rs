@@ -174,10 +174,6 @@ impl TcpConn {
         (self.cwnd * self.mss as f64) as u64
     }
 
-    pub fn bytes_acked(&self) -> u64 {
-        self.snd_una as u64
-    }
-
     /// When the retransmission timer should fire, if armed.
     pub fn rto_deadline(&self) -> Option<u64> {
         self.rto_deadline
@@ -461,7 +457,7 @@ mod tests {
     fn bulk_transfer_completes() {
         let (a, b) = run_lossless(50_000, 10_000);
         assert_eq!(b.delivered, 50_000);
-        assert_eq!(a.bytes_acked(), 50_000);
+        assert_eq!(a.snd_una, 50_000, "every byte acknowledged");
         assert_eq!(a.retransmits, 0);
     }
 

@@ -37,7 +37,7 @@ impl HostApp for OneProbe {
         self.exec = Some(Executor::new(
             ctx.ip,
             ctx.mac,
-            ExecutorConfig { max_retries: 10, timeout_ns: 5 * MILLIS, ..ExecutorConfig::default() },
+            ExecutorConfig { max_retries: 10, timeout_ns: 5 * MILLIS },
         ));
         let (_, frame) = self.exec.as_mut().unwrap().send(ctx.now, self.dst, self.tpp.clone());
         ctx.send(frame);
@@ -52,7 +52,7 @@ impl HostApp for OneProbe {
         for o in failed {
             *self.outcome.lock().unwrap() = Some(o);
         }
-        if self.exec.as_ref().unwrap().pending_count() > 0 {
+        if self.exec.as_ref().unwrap().next_deadline().is_some() {
             ctx.set_timer(5 * MILLIS, RETRY);
         }
     }
@@ -274,9 +274,9 @@ fn path_visibility_tracks_link_failure_and_recovery() {
         obs.iter().any(|o| o.t_ns > 100 * MILLIS && !o.completed),
         "losses observed after the failure"
     );
-    let frontier = minions::apps::netverify::blackhole_frontier(&obs).expect("frontier");
     // The last healthy observation reached the far leaf (id 2).
-    assert_eq!(frontier, 2);
+    let first_loss = obs.iter().position(|o| !o.completed).expect("losses");
+    assert_eq!(obs[first_loss - 1].path.last(), Some(&2));
 }
 
 #[test]
@@ -364,16 +364,15 @@ fn ecmp_probes_and_flows_share_fate_when_hash_excludes_dst_port() {
     topo.net.set_app(hosts[1], Box::new(Responder::new()));
     let cfg = minions::apps::conga::CongaConfig {
         n_flows: 0,
-        discovery_ports: 16,
         ..minions::apps::conga::CongaConfig::default()
     };
     topo.net.set_app(hosts[0], Box::new(minions::apps::conga::CongaSender::new(cfg, dst_ip)));
     topo.net.run_until(100 * MILLIS);
     let sender = topo.net.app_mut::<minions::apps::conga::CongaSenderApp>(hosts[0]);
-    assert_eq!(sender.paths_discovered(), 2);
+    assert_eq!(sender.paths.len(), 2);
     // Every probed port maps to exactly one of the two paths, and both
     // paths have ports.
     let total_ports: usize = sender.paths.iter().map(|p| p.ports.len()).sum();
-    assert_eq!(total_ports, 16);
+    assert_eq!(total_ports, usize::from(minions::apps::conga::DISCOVERY_PORTS));
     let _ = NodeId(0);
 }
