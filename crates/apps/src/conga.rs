@@ -489,13 +489,11 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
 fn fabric_ports(topo: &tpp_netsim::Topology) -> Vec<(tpp_netsim::NodeId, u8)> {
     let mut out = Vec::new();
     for &s in &topo.switches {
-        let sw = topo.net.switch(s);
         for (p, peer) in topo.net.neighbors(s) {
             if topo.net.is_switch(peer) {
                 out.push((s, p));
             }
         }
-        let _ = sw;
     }
     out
 }

@@ -22,11 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-/// Render a simple fixed-width table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect::<Vec<_>>().join("  ")
-}
-
 /// Whether the bin was asked for its smoke run. `--smoke` is the only
 /// argument a bin that calls this takes: anything else exits 2 before any
 /// measurement, rather than silently running at full length.

@@ -1,13 +1,11 @@
 //! Damaged frames cannot make the receive side of the shim panic (§3.3:
 //! a damaged packet must not hurt the stack that reads it).
 //!
-//! A seed-replayable mutation loop: each case takes one of the three kinds
-//! of frame a shim receives with a TPP — stamped (transparent), standalone,
-//! and an echo carrying a completion home — and applies one to three
-//! mutations drawn from the case's own generator: bit flips, truncation,
-//! padding, and lying length fields (the section's instruction count and
-//! memory length, the IPv4 total length and header length, the UDP
-//! length). Every case goes to a host that echoes and to one that is its
+//! A seed-replayable mutation loop (the mutator is `tests/support/mutate.rs`
+//! at the workspace root, shared with the switch's loop): each case takes
+//! one of the three kinds of frame a shim receives with a TPP — stamped
+//! (transparent), standalone, and an echo carrying a completion home — and
+//! damages it. Every case goes to a host that echoes and to one that is its
 //! own aggregator. A panic is reported with its seed and case number; set
 //! `SHIM_MUTATION_SEED` to run another seed.
 
@@ -18,6 +16,10 @@ use tpp_core::wire::{
     build_standalone, udp_frame_into, EthernetAddress, Ipv4Address, Tpp, TppView, UdpFrameRepr,
 };
 use tpp_endhost::{Filter, Incoming, Shim};
+
+#[path = "../../../tests/support/mutate.rs"]
+mod mutate;
+use mutate::{mutate, Base, Rng};
 
 const CASES: u64 = 100_000;
 const DEFAULT_SEED: u64 = 0x5EED_5A1F;
@@ -38,32 +40,6 @@ fn probe() -> Tpp {
         .unwrap();
     t.app_id = APP;
     t
-}
-
-/// `SplitMix64`: one independent stream per `(seed, case)`.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
-/// A frame to mutate, with the offsets its lying fields sit at.
-struct Base {
-    name: &'static str,
-    frame: Vec<u8>,
-    section: usize,
-    ip: usize,
-    udp: usize,
 }
 
 fn bases() -> Vec<Base> {
@@ -99,46 +75,6 @@ fn bases() -> Vec<Base> {
     ]
 }
 
-/// Overwrite the byte at `at`, if the frame still reaches it.
-fn put(frame: &mut [u8], at: usize, value: u8) {
-    if let Some(b) = frame.get_mut(at) {
-        *b = value;
-    }
-}
-
-fn mutate(base: &Base, rng: &mut Rng) -> Vec<u8> {
-    let mut frame = base.frame.clone();
-    for _ in 0..1 + rng.below(3) {
-        let r = rng.next();
-        match rng.below(7) {
-            0 => {
-                for _ in 0..1 + rng.below(4) {
-                    let bit = rng.below(8 * frame.len());
-                    if let Some(b) = frame.get_mut(bit / 8) {
-                        *b ^= 1 << (bit % 8);
-                    }
-                }
-            }
-            1 => frame.truncate(rng.below(frame.len() + 1)),
-            2 => frame.extend((0..rng.below(64)).map(|i| (r >> (i % 8 * 8)) as u8)),
-            // The section's instruction count or memory length.
-            3 => put(&mut frame, base.section + 1 + rng.below(2), r as u8),
-            // The IPv4 total length, or the header length nibble.
-            4 => {
-                put(&mut frame, base.ip + 2, (r >> 8) as u8);
-                put(&mut frame, base.ip + 3, r as u8);
-            }
-            5 => put(&mut frame, base.ip, 0x40 | (r as u8 & 0x0F)),
-            // The UDP length.
-            _ => {
-                put(&mut frame, base.udp + 4, (r >> 8) as u8);
-                put(&mut frame, base.udp + 5, r as u8);
-            }
-        }
-    }
-    frame
-}
-
 /// What must hold of any outcome: a surfaced completion is a valid section.
 fn check(out: &Incoming) -> Result<(), String> {
     if let Some(done) = &out.completed {
@@ -150,17 +86,14 @@ fn check(out: &Incoming) -> Result<(), String> {
 
 #[test]
 fn damaged_frames_never_panic_the_shim() {
-    let seed = std::env::var("SHIM_MUTATION_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = mutate::seed("SHIM_MUTATION_SEED", DEFAULT_SEED);
     let bases = bases();
     let mut echoing = shim_for(2);
     let mut local = shim_for(2);
     local.set_aggregator(APP, local.ip);
     let mut completed = 0;
     for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let mut rng = Rng::for_case(seed, case);
         let base = &bases[rng.below(bases.len())];
         let frame = mutate(base, &mut rng);
         for shim in [&mut echoing, &mut local] {

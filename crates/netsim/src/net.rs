@@ -671,10 +671,6 @@ impl Network {
         &self.nodes.pool
     }
 
-    pub fn pool_mut(&mut self) -> &mut FramePool {
-        &mut self.nodes.pool
-    }
-
     /// Events currently pending in the scheduler layer.
     pub fn pending_events(&self) -> usize {
         self.scheduler.len()
@@ -1867,7 +1863,7 @@ mod tests {
         assert!(!net.pool().is_empty(), "dropped frames must land in the pool");
         assert_eq!(net.stats.pool_retained, net.pool().len() as u64, "occupancy is exposed");
         let before = net.pool().recycled;
-        let buf = net.pool_mut().get();
+        let buf = net.nodes.pool.get();
         assert!(buf.is_empty() && buf.capacity() > 0, "recycled buffer keeps its capacity");
         assert_eq!(net.pool().recycled, before + 1);
     }

@@ -130,9 +130,10 @@ fn find_or_add_group(sw: &mut tpp_switch::Switch, ports: Vec<u8>) -> u16 {
     sw.add_group(ports)
 }
 
-/// Map from host node id to its index in `hosts` (handy for experiments):
-/// a dense [`NodeMap`] keyed by `NodeId.0`, not a tree.
-pub fn host_index(t: &Topology) -> NodeMap<usize> {
+/// Map from host node id to its index in `hosts`: a dense [`NodeMap`] keyed
+/// by `NodeId.0`, not a tree.
+#[cfg(test)]
+fn host_index(t: &Topology) -> NodeMap<usize> {
     let mut idx = NodeMap::new(t.net.node_count());
     for (i, &h) in t.hosts.iter().enumerate() {
         idx.insert(h, i);

@@ -27,7 +27,7 @@
 //! Everything a TPP can *observe changing* — the clock, queue stats, stage
 //! SRAM, flow counters, per-packet context, CSTORE effects — is read and
 //! written per frame, in arrival order. The FNV trace digests (netsim
-//! `NetStats::digest`, fabric golden digests) pin that a hit and a fresh
+//! `NetStats::digest`, the `golden.*` behaviour pins) pin that a hit and a fresh
 //! plan are indistinguishable.
 
 #![forbid(unsafe_code)]

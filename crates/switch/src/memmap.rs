@@ -593,9 +593,10 @@ impl MemoryBus for SwitchBus<'_> {
     }
 }
 
-/// Convenience: read an address without a packet context (per-packet
-/// namespaces resolve to `None`). Used by control planes and tests.
-pub fn read_global(mem: &mut SwitchMemory, a: Address) -> Option<Word> {
+/// Read an address without a packet context (per-packet namespaces resolve
+/// to `None`).
+#[cfg(test)]
+fn read_global(mem: &mut SwitchMemory, a: Address) -> Option<Word> {
     let mut ctx = PacketContext::new(0, 0, mem.now_ns, mem.n_stages);
     ctx.out_port = None;
     SwitchBus { mem, ctx: &mut ctx }.read(a)

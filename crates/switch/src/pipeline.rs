@@ -26,7 +26,7 @@
 
 use crate::memmap::SwitchBus;
 use tpp_core::addr::{meta_ns, Address, Namespace};
-use tpp_core::exec::{stack_slot, step_in_place, ExecOptions, InstrStatus, StatusVec};
+use tpp_core::exec::{stack_slot, step_in_place, ExecOptions, InstrStatus};
 use tpp_core::isa::{Instruction, Opcode, MAX_INSTRUCTIONS};
 use tpp_core::wire::{Tpp, TppView, TppViewMut};
 
@@ -313,29 +313,6 @@ impl TppRun {
             self.hop.wrapping_add(1),
         );
     }
-
-    /// Per-instruction statuses with unexecuted slots resolved (Suppressed
-    /// past a failed conditional, Skipped otherwise). Empty for rejected
-    /// TPPs, mirroring the reference interpreter.
-    pub fn final_statuses(&self) -> StatusVec {
-        let mut out = StatusVec::default();
-        if self.rejected {
-            return out;
-        }
-        for (idx, s) in self.status[..self.n_instr as usize].iter().enumerate() {
-            out.push(match s {
-                Some(st) => *st,
-                None => {
-                    if self.fail_idx.is_some_and(|f| idx > usize::from(f)) {
-                        InstrStatus::Suppressed
-                    } else {
-                        InstrStatus::Skipped
-                    }
-                }
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -344,8 +321,33 @@ mod tests {
     use crate::memmap::{PacketContext, SwitchMemory};
     use tpp_core::addr::resolve_mnemonic;
     use tpp_core::asm::{assemble, TppBuilder};
-    use tpp_core::exec::{execute as ref_execute, MapBus, MemoryBus};
+    use tpp_core::exec::{execute as ref_execute, MapBus, MemoryBus, StatusVec};
     use tpp_core::wire::AddrMode;
+
+    impl TppRun {
+        /// Per-instruction statuses with unexecuted slots resolved (Suppressed
+        /// past a failed conditional, Skipped otherwise). Empty for rejected
+        /// TPPs, mirroring the reference interpreter.
+        fn final_statuses(&self) -> StatusVec {
+            let mut out = StatusVec::default();
+            if self.rejected {
+                return out;
+            }
+            for (idx, s) in self.status[..self.n_instr as usize].iter().enumerate() {
+                out.push(match s {
+                    Some(st) => *st,
+                    None => {
+                        if self.fail_idx.is_some_and(|f| idx > usize::from(f)) {
+                            InstrStatus::Suppressed
+                        } else {
+                            InstrStatus::Skipped
+                        }
+                    }
+                });
+            }
+            out
+        }
+    }
 
     fn a(m: &str) -> Address {
         resolve_mnemonic(m).unwrap()

@@ -257,7 +257,8 @@ impl Switch {
         self.mem.links[port as usize].queued_bytes
     }
 
-    pub fn has_queued(&self, port: u8) -> bool {
+    #[cfg(test)]
+    fn has_queued(&self, port: u8) -> bool {
         self.nonempty[port as usize] != 0
     }
 

@@ -1,17 +1,12 @@
 //! Damaged frames cannot make a switch panic (§3.3: a TPP that cannot run
 //! must fail gracefully, and a damaged packet is dropped, not fatal).
 //!
-//! A seed-replayable mutation loop: each case takes one of the kinds of
-//! frame a switch forwards — plain UDP, a transparent TPP (the section
-//! between the Ethernet and IPv4 headers), a standalone TPP (the section in
-//! a UDP datagram to port 0x6666) and a standalone TPP addressed to the
-//! switch itself — and applies one to three mutations drawn from the case's
-//! own generator: bit flips, truncation, padding, and lying fields (the
-//! section's instruction count, memory length, hop, stack pointer and
-//! per-hop length, the IPv4 total length and header length, the UDP
-//! length). Half the cases then refresh the section checksum over what the
-//! header now claims, so the lies reach the planner and the TCPU instead
-//! of stopping at the checksum. Every case goes through `receive`, then
+//! A seed-replayable mutation loop (the mutator is `tests/support/mutate.rs`
+//! at the workspace root): each case takes one of the kinds of frame a
+//! switch forwards — plain UDP, a transparent TPP (the section between the
+//! Ethernet and IPv4 headers), a standalone TPP (the section in a UDP
+//! datagram to port 0x6666) and a standalone TPP addressed to the switch
+//! itself — and damages it. Every case goes through `receive`, then
 //! `dequeue` until its port is empty, then `tick`, on one switch with host
 //! routes, a prefix route, an ECMP group and a plan cache warmed with the
 //! undamaged programs. A panic is reported with its seed and case number;
@@ -21,10 +16,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tpp_core::asm::{assemble, TppBuilder};
 use tpp_core::wire::{
-    build_standalone, checksum, ethernet, udp_frame_into, EthernetAddress, Ipv4Address, Tpp,
-    UdpFrameRepr,
+    build_standalone, ethernet, udp_frame_into, EthernetAddress, Ipv4Address, Tpp, UdpFrameRepr,
 };
 use tpp_switch::{Action, ReceiveOutcome, Switch, SwitchConfig};
+
+#[path = "../../../tests/support/mutate.rs"]
+mod mutate;
+use mutate::{mutate, Base, Rng};
 
 const CASES: u64 = 100_000;
 const DEFAULT_SEED: u64 = 0x5EED_5717;
@@ -32,23 +30,6 @@ const PORTS: usize = 4;
 /// Simulated nanoseconds between cases: a utilization window closes every
 /// few hundred cases.
 const CASE_NS: u64 = 700;
-
-/// `SplitMix64`: one independent stream per `(seed, case)`.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
 
 fn switch() -> Switch {
     let mut sw = Switch::new(SwitchConfig::new(9, PORTS));
@@ -87,15 +68,6 @@ fn update() -> Tpp {
     .unwrap()
 }
 
-/// A frame to mutate, with the offsets its lying fields sit at.
-struct Base {
-    name: &'static str,
-    frame: Vec<u8>,
-    section: usize,
-    ip: usize,
-    udp: usize,
-}
-
 fn bases() -> Vec<Base> {
     let (h1, h2, h3) =
         (Ipv4Address::from_host_id(1), Ipv4Address::from_host_id(2), Ipv4Address::from_host_id(3));
@@ -132,64 +104,6 @@ fn bases() -> Vec<Base> {
     ]
 }
 
-/// Overwrite the byte at `at`, if the frame still reaches it.
-fn put(frame: &mut [u8], at: usize, value: u8) {
-    if let Some(b) = frame.get_mut(at) {
-        *b = value;
-    }
-}
-
-/// Recompute the section checksum over the bytes the header claims (or as
-/// many of them as the frame still holds).
-fn refresh_checksum(frame: &mut [u8], section: usize) {
-    let Some(header) = frame.get(section..section + 12) else {
-        return;
-    };
-    let claimed = 12 + 4 * header[1] as usize + header[2] as usize;
-    let end = frame.len().min(section + claimed);
-    frame[section + 6..section + 8].fill(0);
-    let c = checksum::checksum(&frame[section..end]);
-    frame[section + 6..section + 8].copy_from_slice(&c.to_be_bytes());
-}
-
-fn mutate(base: &Base, rng: &mut Rng) -> Vec<u8> {
-    let mut frame = base.frame.clone();
-    for _ in 0..1 + rng.below(3) {
-        let r = rng.next();
-        match rng.below(8) {
-            0 => {
-                for _ in 0..1 + rng.below(4) {
-                    let bit = rng.below(8 * frame.len());
-                    if let Some(b) = frame.get_mut(bit / 8) {
-                        *b ^= 1 << (bit % 8);
-                    }
-                }
-            }
-            1 => frame.truncate(rng.below(frame.len() + 1)),
-            2 => frame.extend((0..rng.below(64)).map(|i| (r >> (i % 8 * 8)) as u8)),
-            // The section's instruction count or memory length.
-            3 => put(&mut frame, base.section + 1 + rng.below(2), r as u8),
-            // The section's hop, stack pointer or per-hop length.
-            4 => put(&mut frame, base.section + 3 + rng.below(3), r as u8),
-            // The IPv4 total length, or the header length nibble.
-            5 => {
-                put(&mut frame, base.ip + 2, (r >> 8) as u8);
-                put(&mut frame, base.ip + 3, r as u8);
-            }
-            6 => put(&mut frame, base.ip, 0x40 | (r as u8 & 0x0F)),
-            // The UDP length.
-            _ => {
-                put(&mut frame, base.udp + 4, (r >> 8) as u8);
-                put(&mut frame, base.udp + 5, r as u8);
-            }
-        }
-    }
-    if rng.below(2) == 0 {
-        refresh_checksum(&mut frame, base.section);
-    }
-    frame
-}
-
 /// One frame through the switch: receive on `in_port`, drain the port it
 /// was queued on, and advance the clock.
 fn forward(sw: &mut Switch, now: u64, in_port: u8, frame: Vec<u8>) -> ReceiveOutcome {
@@ -204,10 +118,7 @@ fn forward(sw: &mut Switch, now: u64, in_port: u8, frame: Vec<u8>) -> ReceiveOut
 
 #[test]
 fn damaged_frames_never_panic_the_switch() {
-    let seed = std::env::var("SWITCH_MUTATION_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = mutate::seed("SWITCH_MUTATION_SEED", DEFAULT_SEED);
     let bases = bases();
     let mut sw = switch();
     // Warm the plan cache with the undamaged programs; each forwards.
@@ -217,7 +128,7 @@ fn damaged_frames_never_panic_the_switch() {
     }
     let (mut enqueued, mut dropped) = (0u64, 0u64);
     for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let mut rng = Rng::for_case(seed, case);
         let base = &bases[rng.below(bases.len())];
         let frame = mutate(base, &mut rng);
         let in_port = rng.below(PORTS) as u8;

@@ -6,7 +6,7 @@ use minions::apps::netverify::{PathVerifier, PathVerifierApp};
 use minions::core::asm::TppBuilder;
 use minions::core::wire::Ipv4Address;
 use minions::endhost::{Executor, ExecutorConfig, ProbeOutcome, Shim};
-use minions::netsim::{HostApp, HostCtx, NodeId, MILLIS};
+use minions::netsim::{HostApp, HostCtx, MILLIS};
 use std::sync::{Arc, Mutex};
 use tpp_netsim::TopologySpec;
 
@@ -374,5 +374,4 @@ fn ecmp_probes_and_flows_share_fate_when_hash_excludes_dst_port() {
     // paths have ports.
     let total_ports: usize = sender.paths.iter().map(|p| p.ports.len()).sum();
     assert_eq!(total_ports, usize::from(minions::apps::conga::DISCOVERY_PORTS));
-    let _ = NodeId(0);
 }
