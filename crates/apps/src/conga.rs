@@ -175,7 +175,6 @@ pub struct CongaSender {
     pub paths: Vec<PathState>,
     sig_index: BTreeMap<Vec<u32>, usize>,
     port_path: BTreeMap<u16, usize>,
-    probe_sport: BTreeMap<u32, u16>,
     flows: Vec<FlowState>,
     decide_cursor: usize,
     flows_started: bool,
@@ -195,7 +194,6 @@ impl CongaSender {
             paths: Vec::new(),
             sig_index: BTreeMap::new(),
             port_path: BTreeMap::new(),
-            probe_sport: BTreeMap::new(),
             flows: Vec::new(),
             decide_cursor: 0,
             flows_started: false,
@@ -205,15 +203,9 @@ impl CongaSender {
         Harness::new(state)
             .shim_seed(cfg.seed ^ 0xC0C0)
             .executor(ExecutorConfig { max_retries: 2, timeout_ns: 20_000_000 })
+            // A completion's flow names the port its probe was steered on.
             .launch(conga_probe().app_id(APP_ID).hops(PROBE_HOPS), |s, io, c| {
-                if let Some(token) = c.token {
-                    s.on_probe_done(io.ctx.now, token, &c.tpp);
-                }
-            })
-            // Probes that exhaust retries (e.g. toward a failed path) must
-            // release their token->sport entry or the map grows unbounded.
-            .on_failed(|s, _io, token| {
-                s.probe_sport.remove(&token);
+                s.on_probe_done(io.ctx.now, c.flow.src_port, &c.tpp);
             })
             .on_start(|s, io| {
                 // Discovery: probe the whole source-port range once.
@@ -246,18 +238,13 @@ impl CongaSender {
             .expect("static wiring")
     }
 
+    /// Launch a probe from `sport`, which steers it onto that port's ECMP
+    /// path; its retransmissions leave from the same port.
     fn send_probe(&mut self, io: &mut Io<'_, '_>, sport: u16) {
-        // The executor builds the frame with a fixed source port; rewrite it
-        // to steer the probe onto the candidate path. The UDP checksum over
-        // zero payload bytes must be refreshed.
-        let token = io
-            .launch_mapped(APP_ID, self.dst, |frame| rewrite_udp_sport(frame, sport))
-            .expect("probe registered");
-        self.probe_sport.insert(token, sport);
+        assert!(io.launch(APP_ID, self.dst, Some(sport)), "probe registered");
     }
 
-    fn on_probe_done(&mut self, now: Time, token: u32, tpp: &TppBuf) {
-        let Some(sport) = self.probe_sport.remove(&token) else { return };
+    fn on_probe_done(&mut self, now: Time, sport: u16, tpp: &TppBuf) {
         let hops = parse_probe(tpp);
         if hops.is_empty() {
             return;
@@ -354,19 +341,6 @@ impl CongaSender {
             io.ctx.set_timer_at(next, TIMER_PACE);
         }
     }
-}
-
-/// Rewrite the UDP source port of an Ethernet/IPv4/UDP frame in place,
-/// refreshing the UDP checksum.
-fn rewrite_udp_sport(frame: &mut [u8], sport: u16) {
-    use tpp_core::wire::{Ipv4Packet, UdpDatagram};
-    let Some(ip) = Ipv4Packet::new_checked(&frame[14..]) else { return };
-    let (src, dst) = (ip.src(), ip.dst());
-    let ihl = ip.header_len();
-    let udp_off = 14 + ihl;
-    let mut udp = UdpDatagram::new_unchecked(&mut frame[udp_off..]);
-    udp.set_src_port(sport);
-    udp.fill_checksum(src, dst);
 }
 
 /// Sink that meters goodput per `(source, destination port)` — the flow
@@ -514,17 +488,41 @@ mod tests {
         assert_eq!(path_metric(&hops, Metric::Sum), 11000);
     }
 
+    /// A host that logs the source port of every frame it receives and
+    /// never answers.
+    struct Recorder(Shared<Vec<u16>>);
+    impl tpp_netsim::HostApp for Recorder {
+        fn on_frame(&mut self, _ctx: &mut tpp_netsim::HostCtx<'_>, frame: Vec<u8>) {
+            self.0.borrow_mut().push(parse_udp(&frame).expect("a UDP probe").src_port);
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     #[test]
-    fn rewrite_sport_keeps_checksum_valid() {
-        let f0 =
-            udp_frame(Ipv4Address::from_host_id(1), Ipv4Address::from_host_id(2), 1111, 2222, 64);
-        let mut f = f0.clone();
-        rewrite_udp_sport(&mut f, 4444);
-        let info = parse_udp(&f).unwrap();
-        assert_eq!(info.src_port, 4444);
-        let ip = tpp_core::wire::Ipv4Packet::new_checked(&f[14..]).unwrap();
-        let udp = tpp_core::wire::UdpDatagram::new_checked(ip.payload()).unwrap();
-        assert!(udp.verify_checksum(ip.src(), ip.dst()));
+    fn timed_out_probes_are_retransmitted_on_their_steered_port() {
+        // No probe is echoed, so each discovery probe is sent once and
+        // retried twice. Every copy must leave from the port that steers it:
+        // a retry from another port would take another path, and its echo
+        // would be credited to the steered port's path.
+        let mut net = tpp_netsim::Network::new(1);
+        let a = net.add_host(Box::new(tpp_netsim::NullApp));
+        let b = net.add_host(Box::new(tpp_netsim::NullApp));
+        net.connect(a, b, tpp_netsim::LinkSpec::new(1000, 1000));
+        let cfg = CongaConfig { n_flows: 0, ..CongaConfig::default() };
+        net.set_app(a, Box::new(CongaSender::new(cfg, net.host(b).ip)));
+        let ports = shared(Vec::new());
+        net.set_app(b, Box::new(Recorder(ports.clone())));
+        net.run_until(SECONDS / 5);
+        let sender = net.app_mut::<CongaSenderApp>(a);
+        let exec = sender.executor().unwrap();
+        let sent = DISCOVERY_PORTS as u64;
+        assert_eq!((exec.sent, exec.retransmitted, exec.failed), (sent, 2 * sent, sent));
+        let mut ports = ports.borrow().clone();
+        ports.sort_unstable();
+        let want: Vec<u16> = (0..DISCOVERY_PORTS).flat_map(|i| [PROBE_SPORT_BASE + i; 3]).collect();
+        assert_eq!(ports, want);
     }
 
     #[test]

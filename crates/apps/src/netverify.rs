@@ -60,7 +60,7 @@ impl PathVerifier {
                     completed: true,
                 });
             })
-            .on_failed(|s, io, _token| {
+            .on_failed(|s, io| {
                 s.observations.borrow_mut().push(PathObservation {
                     t_ns: io.ctx.now,
                     path: Vec::new(),
@@ -70,7 +70,7 @@ impl PathVerifier {
             .on_start(|_s, io| io.ctx.set_timer(0, TIMER_PROBE))
             .on_timer(|s, io, token| {
                 if token == TIMER_PROBE {
-                    io.launch(0, s.dst);
+                    io.launch(0, s.dst, None);
                     io.ctx.set_timer(s.period_ns, TIMER_PROBE);
                 }
             })

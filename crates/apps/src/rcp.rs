@@ -313,7 +313,7 @@ impl RcpSender {
             io.send_standalone(update, self.dst, 40_001);
         }
         // Phase 1 for the next period.
-        io.launch(APP_ID, self.dst);
+        io.launch(APP_ID, self.dst, None);
         io.ctx.set_timer(self.cfg.period_ns, TIMER_CONTROL);
     }
 

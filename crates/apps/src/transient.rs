@@ -102,7 +102,7 @@ impl TransientMonitor {
                     });
                 }
             })
-            .on_failed(|s, io, _token| {
+            .on_failed(|s, io| {
                 *s.probes.borrow_mut() += 1;
                 io.ctx.record_violation(ViolationKind::Blackhole);
                 s.violations.borrow_mut().push(ViolationRecord {
@@ -114,7 +114,7 @@ impl TransientMonitor {
             .on_start(|_s, io| io.ctx.set_timer(0, TIMER_PROBE))
             .on_timer(|s, io, token| {
                 if token == TIMER_PROBE {
-                    io.launch(0, s.dst);
+                    io.launch(0, s.dst, None);
                     io.ctx.set_timer(s.period_ns, TIMER_PROBE);
                 }
             })

@@ -117,11 +117,6 @@ macro_rules! view_accessors {
             self.shape.n_instr
         }
 
-        /// Packet-memory length in bytes.
-        pub fn mem_len(&self) -> usize {
-            self.shape.mem_len
-        }
-
         /// Total serialized length of the section.
         pub fn section_len(&self) -> usize {
             self.shape.total

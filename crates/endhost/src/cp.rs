@@ -155,10 +155,6 @@ impl CentralCp {
         Ok(())
     }
 
-    pub fn app(&self, app_id: u16) -> Option<&AppRecord> {
-        self.apps.get(&app_id)
-    }
-
     /// Build the per-host enforcement view for one app.
     pub fn policy_for(&self, app_id: u16, drop_writes: bool) -> Result<Policy, CpError> {
         let app = self.apps.get(&app_id).ok_or(CpError::UnknownApp(app_id))?;

@@ -11,13 +11,26 @@
 //! * **Large TPPs** — statistics that don't fit in one packet are split
 //!   into several hop-range TPPs by pre-winding the hop counter, so each
 //!   split's hop windows cover a later slice of the path.
+//!
+//! The [`Executor`] is the one ledger of a launched probe. It keeps the
+//! frame it built, the source port the probe left from and the time it was
+//! first sent, retransmits that frame unchanged, and reports the launch time
+//! with the completion. A completion names its probe by one of two keys:
+//! its nonce, or, when a hop window that runs past the probe's memory
+//! overwrote the nonce, the source port it was launched from. Either key
+//! matches only if the completion's instruction bytes equal the pending
+//! probe's. Execution never rewrites instructions, so an echo of some other
+//! program (an update sent from a port in the executor's range, or one
+//! whose last word happens to equal a pending token) completes nothing.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use tpp_core::addr::{resolve_mnemonic, Address};
 use tpp_core::asm::AsmError;
-use tpp_core::isa::{Instruction, MAX_INSTRUCTIONS};
+use tpp_core::isa::{Instruction, INSTR_BYTES, MAX_INSTRUCTIONS};
 use tpp_core::probe::TppData;
+use tpp_core::wire::tpp::HEADER_LEN;
 use tpp_core::wire::{build_standalone, AddrMode, EthernetAddress, Ipv4Address, Tpp, TppBuf};
 
 use crate::shim::{mac_of_ip, CompletedTpp};
@@ -65,6 +78,8 @@ pub enum ProbeOutcome {
         token: u32,
         /// The completion's section, moved out of it.
         tpp: TppBuf,
+        /// When the probe was first sent (a retry does not move it).
+        sent_at: u64,
     },
     /// All retries exhausted.
     Failed { token: u32 },
@@ -72,9 +87,12 @@ pub enum ProbeOutcome {
 
 struct Pending {
     frame: Vec<u8>,
+    /// Where the probe's instruction bytes sit in `frame`.
+    program: Range<usize>,
+    src_port: u16,
+    sent_at: u64,
     retries_left: u32,
     deadline: u64,
-    src_port: u16,
 }
 
 /// Tracks in-flight standalone probes (reliable execution).
@@ -84,9 +102,6 @@ pub struct Executor {
     src_mac: EthernetAddress,
     next_token: u32,
     pending: BTreeMap<u32, Pending>,
-    /// UDP source port -> token, the fallback completion match for probes
-    /// whose nonce word a long hop-addressed path may overwrite.
-    sport_map: BTreeMap<u16, u32>,
     pub sent: u64,
     pub retransmitted: u64,
     pub completed: u64,
@@ -101,7 +116,6 @@ impl Executor {
             src_mac,
             next_token: 1,
             pending: BTreeMap::new(),
-            sport_map: BTreeMap::new(),
             sent: 0,
             retransmitted: 0,
             completed: 0,
@@ -130,71 +144,83 @@ impl Executor {
     }
 
     /// Launch a reliable standalone probe toward `dst` (a host or a switch
-    /// IP). Returns the token and the frame to transmit now.
-    pub fn send(&mut self, now: u64, dst: Ipv4Address, mut tpp: Tpp) -> (u32, Vec<u8>) {
+    /// IP) from `src_port`, or by default from a port of its own, `40_000 +
+    /// token % 16_384`. Returns the token and the frame to transmit now;
+    /// retransmissions resend that frame.
+    pub fn send(
+        &mut self,
+        now: u64,
+        dst: Ipv4Address,
+        mut tpp: Tpp,
+        src_port: Option<u16>,
+    ) -> (u32, Vec<u8>) {
         let token = self.next_token;
         self.next_token += 1;
         Self::stamp_nonce(&mut tpp, token);
-        // A per-probe source port doubles as a completion key (the shim's
-        // echo channel carries the probe's flow context back).
-        let src_port = 40_000 + (token % 16_384) as u16;
+        // The shim's echo channel carries the probe's source port back, so
+        // a port of its own doubles as a completion key.
+        let src_port = src_port.unwrap_or(40_000 + (token % 16_384) as u16);
         let frame =
             build_standalone(self.src_mac, mac_of_ip(dst), self.src_ip, dst, src_port, &tpp);
-        self.pending.insert(
-            token,
-            Pending {
-                frame: frame.clone(),
-                retries_left: self.cfg.max_retries,
-                deadline: now.saturating_add(self.cfg.timeout_ns),
-                src_port,
-            },
-        );
-        self.sport_map.insert(src_port, token);
+        // The section is the frame's payload, so it ends where the frame does.
+        let at = frame.len() - tpp.section_len() + HEADER_LEN;
+        let pending = Pending {
+            frame: frame.clone(),
+            program: at..at + tpp.instrs.len() * INSTR_BYTES,
+            src_port,
+            sent_at: now,
+            retries_left: self.cfg.max_retries,
+            deadline: now.saturating_add(self.cfg.timeout_ns),
+        };
+        self.pending.insert(token, pending);
         self.sent += 1;
         (token, frame)
     }
 
     /// Feed a completed TPP (from the shim's echo channel). Returns the
     /// outcome, which takes over the completion's section, if it matches a
-    /// pending probe: by its nonce, or — when a long hop-addressed path
-    /// overwrote the nonce — by the probe's source port.
+    /// pending probe: by its nonce or, when a long hop-addressed path
+    /// overwrote the nonce, by the probe's source port, and in either case
+    /// only if it carries the probe's instructions.
     pub fn on_completed(&mut self, done: CompletedTpp) -> Option<ProbeOutcome> {
+        let section = done.tpp.as_bytes();
+        let program = &section[HEADER_LEN..section.len() - done.tpp.memory().len()];
+        let ours = |p: &Pending| p.frame[p.program.clone()] == *program;
         let token = match Self::nonce_of(&done.tpp) {
-            Some(nonce) if self.pending.contains_key(&nonce) => nonce,
-            _ => *self.sport_map.get(&done.flow.src_port)?,
+            Some(nonce) if self.pending.get(&nonce).is_some_and(ours) => nonce,
+            _ => *self.pending.iter().find(|(_, p)| p.src_port == done.flow.src_port && ours(p))?.0,
         };
         let p = self.pending.remove(&token)?;
-        self.sport_map.remove(&p.src_port);
         self.completed += 1;
-        Some(ProbeOutcome::Completed { token, tpp: done.tpp })
+        Some(ProbeOutcome::Completed { token, tpp: done.tpp, sent_at: p.sent_at })
     }
 
     /// Check timeouts: returns frames to retransmit and probes that failed
-    /// permanently. Call when [`Executor::next_deadline`] passes.
+    /// permanently, both in ascending token order. Call when
+    /// [`Executor::next_deadline`] passes.
     pub fn poll(&mut self, now: u64) -> (Vec<Vec<u8>>, Vec<ProbeOutcome>) {
-        if self.next_deadline().is_none_or(|deadline| deadline > now) {
-            return (Vec::new(), Vec::new());
-        }
         let mut resend = Vec::new();
         let mut done = Vec::new();
-        let expired: Vec<u32> =
-            self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(t, _)| *t).collect();
-        for token in expired {
-            let p = self.pending.get_mut(&token).unwrap();
-            if p.retries_left == 0 {
-                let sport = p.src_port;
-                self.pending.remove(&token);
-                self.sport_map.remove(&sport);
-                self.failed += 1;
-                done.push(ProbeOutcome::Failed { token });
-            } else {
-                p.retries_left -= 1;
-                let attempt = self.cfg.max_retries - p.retries_left; // 1st retry = 1
-                p.deadline = now.saturating_add(backoff_ns(self.cfg.timeout_ns, token, attempt));
-                self.retransmitted += 1;
-                resend.push(p.frame.clone());
-            }
+        if self.next_deadline().is_none_or(|deadline| deadline > now) {
+            return (resend, done);
         }
+        let cfg = self.cfg;
+        self.pending.retain(|&token, p| {
+            if p.deadline > now {
+                return true;
+            }
+            if p.retries_left == 0 {
+                done.push(ProbeOutcome::Failed { token });
+                return false;
+            }
+            p.retries_left -= 1;
+            let attempt = cfg.max_retries - p.retries_left; // 1st retry = 1
+            p.deadline = now.saturating_add(backoff_ns(cfg.timeout_ns, token, attempt));
+            resend.push(p.frame.clone());
+            true
+        });
+        self.failed += done.len() as u64;
+        self.retransmitted += resend.len() as u64;
         (resend, done)
     }
 
@@ -266,7 +292,7 @@ impl ScatterGather {
         let mut frames = Vec::new();
         for &(sid, ip) in switches {
             let probe = targeted(tpp, sid)?;
-            let (token, frame) = exec.send(now, ip, probe);
+            let (token, frame) = exec.send(now, ip, probe, None);
             sg.memberships.insert(token, sid);
             frames.push(frame);
         }
@@ -277,7 +303,7 @@ impl ScatterGather {
     /// round.
     pub fn absorb(&mut self, outcome: &ProbeOutcome) -> bool {
         match outcome {
-            ProbeOutcome::Completed { token, tpp } => {
+            ProbeOutcome::Completed { token, tpp, .. } => {
                 let Some(sid) = self.memberships.get(token) else { return false };
                 self.results.insert(*sid, tpp.view().to_tpp());
                 true
@@ -386,15 +412,15 @@ mod tests {
     #[test]
     fn nonce_roundtrip() {
         let mut e = exec();
-        let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), probe());
+        let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
         let (_, tpp) = tpp_core::wire::extract_tpp(&frame).unwrap();
         assert_eq!(Executor::nonce_of(&tpp), Some(token));
         // Completion matches, and the outcome carries the section it came in.
         let done = completion(frame);
         let section = done.tpp.clone();
         match e.on_completed(done) {
-            Some(ProbeOutcome::Completed { token: t2, tpp }) => {
-                assert_eq!((t2, tpp), (token, section));
+            Some(ProbeOutcome::Completed { token: t2, tpp, sent_at }) => {
+                assert_eq!((t2, tpp, sent_at), (token, section, 0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -409,7 +435,7 @@ mod tests {
         let mut e = exec();
         let mut big = probe();
         big.memory = vec![0; tpp_core::wire::MAX_MEMORY_BYTES];
-        let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), big);
+        let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), big, None);
         let (_, tpp) = tpp_core::wire::extract_tpp(&frame).expect("section parses");
         assert_eq!(tpp.memory.len(), tpp_core::wire::MAX_MEMORY_BYTES);
         assert_eq!(Executor::nonce_of(&tpp), Some(token));
@@ -421,7 +447,7 @@ mod tests {
         // The path wrote over the nonce word: the probe's source port, which
         // the echo carries back in its flow trailer, still names it.
         let mut e = exec();
-        let (token, mut frame) = e.send(0, Ipv4Address::from_host_id(2), probe());
+        let (token, mut frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
         let (loc, mut tpp) = tpp_core::wire::extract_tpp(&frame).unwrap();
         tpp.write_word(tpp.memory_words() - 1, 0xDEAD_BEEF).unwrap();
         tpp_core::wire::replace_tpp(&mut frame, loc, &tpp).unwrap();
@@ -437,17 +463,75 @@ mod tests {
     #[test]
     fn duplicate_completion_ignored() {
         let mut e = exec();
-        let (_, frame) = e.send(0, Ipv4Address::from_host_id(2), probe());
+        let (_, frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
         let done = completion(frame);
         assert!(e.on_completed(done.clone()).is_some());
         assert!(e.on_completed(done).is_none());
+    }
+
+    /// A fire-and-forget write program, sent from `src_port` to host 2 with
+    /// `last_word` in its last memory word.
+    fn update_frame(src_port: u16, last_word: u32) -> Vec<u8> {
+        let mut update = tpp_core::probe::Probe::hop("update")
+            .store("rate", "Link:AppSpecific_0")
+            .hops(3)
+            .compile()
+            .unwrap();
+        update.write_word(update.memory_words() - 1, last_word).unwrap();
+        let (h1, h2) = (Ipv4Address::from_host_id(1), Ipv4Address::from_host_id(2));
+        let (m1, m2) = (EthernetAddress::from_node_id(1), EthernetAddress::from_node_id(2));
+        build_standalone(m1, m2, h1, h2, src_port, &update)
+    }
+
+    #[test]
+    fn update_echo_on_a_probes_port_completes_nothing() {
+        // Token 1 leaves from port 40,001, the port an update goes out on.
+        let mut e = exec();
+        let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
+        assert_eq!(u16::from_be_bytes([frame[34], frame[35]]), 40_001);
+        assert!(e.on_completed(completion(update_frame(40_001, 0))).is_none());
+        // The probe is still pending, and its own echo completes it.
+        match e.on_completed(completion(frame)) {
+            Some(ProbeOutcome::Completed { token: t2, .. }) => assert_eq!(t2, token),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(e.completed, 1);
+    }
+
+    #[test]
+    fn echo_carrying_a_pending_token_but_another_program_completes_nothing() {
+        let mut e = exec();
+        let (token, _) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
+        let done = completion(update_frame(7_000, token));
+        assert_eq!(Executor::nonce_of(&done.tpp), Some(token));
+        assert!(e.on_completed(done).is_none());
+        assert_eq!((e.completed, e.next_deadline()), (0, Some(e.cfg.timeout_ns)));
+    }
+
+    #[test]
+    fn retries_resend_the_launch_frame_and_completion_reports_the_launch() {
+        // A probe launched from a port the caller chose is retransmitted
+        // from that port, and completing the retry reports the first send.
+        let mut e = exec();
+        let (token, frame) = e.send(5, Ipv4Address::from_host_id(2), probe(), Some(30_007));
+        assert_eq!(u16::from_be_bytes([frame[34], frame[35]]), 30_007);
+        let (resend, _) = e.poll(5 + e.cfg.timeout_ns);
+        assert_eq!(resend, vec![frame]);
+        let done = completion(resend.into_iter().next().unwrap());
+        assert_eq!(done.flow.src_port, 30_007);
+        match e.on_completed(done) {
+            Some(ProbeOutcome::Completed { token: t2, sent_at, .. }) => {
+                assert_eq!((t2, sent_at), (token, 5));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
     fn retry_then_fail() {
         let mut e = exec();
         e.cfg = ExecutorConfig { max_retries: 2, timeout_ns: 1000 };
-        let (token, _) = e.send(0, Ipv4Address::from_host_id(2), probe());
+        let (token, _) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
         assert_eq!(e.next_deadline(), Some(1000));
         // First timeout: retransmit, next wait doubles, plus jitter.
         let (resend, done) = e.poll(1000);
@@ -491,7 +575,7 @@ mod tests {
         // release wrapped the deadline to 0, retransmitting at once.
         let mut e = exec();
         e.cfg = ExecutorConfig { timeout_ns: u64::MAX, ..e.cfg };
-        e.send(1, Ipv4Address::from_host_id(2), probe());
+        e.send(1, Ipv4Address::from_host_id(2), probe(), None);
         assert_eq!(e.next_deadline(), Some(u64::MAX));
         for now in [1, 1 << 40, u64::MAX - 1] {
             assert_eq!(e.poll(now), (Vec::new(), Vec::new()));
@@ -505,7 +589,7 @@ mod tests {
     #[test]
     fn poll_before_deadline_is_noop() {
         let mut e = exec();
-        e.send(0, Ipv4Address::from_host_id(2), probe());
+        e.send(0, Ipv4Address::from_host_id(2), probe(), None);
         let deadline = e.next_deadline().unwrap();
         let (resend, done) = e.poll(deadline - 1);
         assert!(resend.is_empty() && done.is_empty());

@@ -62,7 +62,10 @@ impl Filter {
         Filter { dst_port: Some(port), ..Filter::default() }
     }
 
-    pub fn matches(&self, key: &FlowKey) -> bool {
+    /// Whether `key` satisfies every field the filter fixes: the linear
+    /// oracle the indexed [`FilterTable`] is checked against.
+    #[cfg(test)]
+    fn matches(&self, key: &FlowKey) -> bool {
         self.protocol.is_none_or(|p| p == key.protocol)
             && self.src.is_none_or(|a| a == key.src)
             && self.dst.is_none_or(|a| a == key.dst)

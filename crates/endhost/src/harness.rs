@@ -9,6 +9,14 @@
 //! callbacks, and the produced [`Endhost`] implements the simulator's
 //! `HostApp` with a single `on_frame`/`on_timer` entry.
 //!
+//! A launched probe lives in the [`Executor`] alone, from launch to
+//! completion or failure: it keeps the frame, the source port it left from
+//! and its launch time, and retransmits the frame as it was first sent. A
+//! completion reaches a launch callback only if the executor matches it to
+//! a pending probe, by nonce or by launch port, and only if it carries that
+//! probe's instructions; so an echo of an update sent from a port in the
+//! executor's range reaches no callback.
+//!
 //! Three probe roles cover the paper's applications (§2):
 //!
 //! * [`Harness::stamp`] — piggy-back the probe on matching outgoing traffic
@@ -16,7 +24,7 @@
 //!   aggregator.
 //! * [`Harness::launch`] — standalone probes sent on demand via
 //!   [`Io::launch`], tracked with retries by the Executor (§4.4); the
-//!   completion callback receives the matching token.
+//!   completion callback receives the time the probe was first sent.
 //! * [`Harness::listen`] — decode completions of an app ID this host
 //!   receives (e.g. a NetSight-style collector that other hosts aggregate
 //!   to).
@@ -66,7 +74,7 @@ pub enum HarnessError {
     Policy(CpError),
     /// Two registrations share an app ID; completions could not be routed.
     DuplicateAppId(u16),
-    /// `launch`/`launch_mapped` registrations need [`Harness::executor`].
+    /// `launch` registrations need [`Harness::executor`].
     NoExecutor,
 }
 
@@ -102,10 +110,12 @@ pub struct Completion {
     pub tpp: TppBuf,
     /// Source of the packet that carried (or echoed) the TPP.
     pub from: Ipv4Address,
-    /// The instrumented packet's flow.
+    /// The instrumented packet's flow (a launched probe's source port is
+    /// the one it was launched from).
     pub flow: FlowRef,
-    /// Executor token for `launch`ed probes; `None` for stamped/listened.
-    pub token: Option<u32>,
+    /// When a launched probe was first sent (a retry does not move it);
+    /// `None` for stamped and listened probes.
+    pub sent_at: Option<Time>,
 }
 
 impl Completion {
@@ -119,7 +129,7 @@ type StartFn<S> = Box<dyn FnMut(&mut S, &mut Io<'_, '_>) + Send>;
 type TimerFn<S> = Box<dyn FnMut(&mut S, &mut Io<'_, '_>, u64) + Send>;
 type DeliverFn<S> = Box<dyn FnMut(&mut S, &mut Io<'_, '_>, Vec<u8>) + Send>;
 type CompletionFn<S> = Box<dyn FnMut(&mut S, &mut Io<'_, '_>, Completion) + Send>;
-type FailedFn<S> = Box<dyn FnMut(&mut S, &mut Io<'_, '_>, u32) + Send>;
+type FailedFn<S> = Box<dyn FnMut(&mut S, &mut Io<'_, '_>) + Send>;
 type RawFn<S> = Box<dyn FnMut(&mut S, &[u8]) + Send>;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -237,17 +247,11 @@ impl<S: Send + 'static> Harness<S> {
         self
     }
 
-    /// Validate every probe against `policy` at build time (§4.1: a TPP
-    /// that violates its app's segments "is never installed").
-    #[must_use]
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Register with the central TPP-CP: allocates (or re-uses — the call
-    /// is idempotent per name) an app ID, and adopts the app's [`Policy`].
-    /// Probes compiled with app ID 0 inherit the allocated ID.
+    /// is idempotent per name) an app ID, and adopts the app's [`Policy`],
+    /// against which every probe is validated at build time (§4.1: a TPP
+    /// that violates its app's segments "is never installed"). Probes
+    /// compiled with app ID 0 inherit the allocated ID.
     #[must_use]
     pub fn register(mut self, cp: &mut CentralCp, name: &str) -> Self {
         let app_id = cp.register_app(name);
@@ -279,7 +283,7 @@ impl<S: Send + 'static> Harness<S> {
         };
         // App-id inheritance, policy validation, executor and duplicate
         // checks all happen in build(), so registration order relative to
-        // register()/policy()/executor() does not matter.
+        // register()/executor() does not matter.
         let app_id = template.app_id;
         let index = self.core.regs.len();
         self.core.regs.push(Registration {
@@ -323,7 +327,7 @@ impl<S: Send + 'static> Harness<S> {
     }
 
     /// Register a standalone probe sent on demand with [`Io::launch`];
-    /// completions (matched by the Executor) invoke `cb` with the token.
+    /// completions the Executor matches to a launch invoke `cb`.
     #[must_use]
     pub fn launch(
         self,
@@ -382,12 +386,9 @@ impl<S: Send + 'static> Harness<S> {
         self
     }
 
-    /// Launched probes that exhausted their retries (token per failure).
+    /// Called once per launched probe that exhausted its retries.
     #[must_use]
-    pub fn on_failed(
-        mut self,
-        cb: impl FnMut(&mut S, &mut Io<'_, '_>, u32) + Send + 'static,
-    ) -> Self {
+    pub fn on_failed(mut self, cb: impl FnMut(&mut S, &mut Io<'_, '_>) + Send + 'static) -> Self {
         self.handlers.on_failed = Some(Box::new(cb));
         self
     }
@@ -451,35 +452,18 @@ impl Io<'_, '_> {
     }
 
     /// Launch the registered standalone probe `app_id` toward `dst` with
-    /// reliable retries. Returns the executor token, or `None` when no such
-    /// registration exists.
-    pub fn launch(&mut self, app_id: u16, dst: Ipv4Address) -> Option<u32> {
-        self.launch_mapped(app_id, dst, |_| {})
-    }
-
-    /// Like [`Io::launch`], mutating the frame before (first) transmission —
-    /// e.g. rewriting the source port to steer the probe onto an ECMP path.
-    /// Retransmissions resend the unmapped frame.
-    pub fn launch_mapped(
-        &mut self,
-        app_id: u16,
-        dst: Ipv4Address,
-        map: impl FnOnce(&mut Vec<u8>),
-    ) -> Option<u32> {
-        let tpp = self
-            .core
-            .regs
-            .iter()
-            .find(|r| r.app_id == app_id && r.role == Role::Launch)?
-            .template
-            .clone();
-        let exec = self.core.exec.as_mut()?;
-        let (token, mut frame) = exec.send(self.ctx.now, dst, tpp);
-        map(&mut frame);
+    /// reliable retries, from `src_port` (e.g. a port chosen to steer the
+    /// probe onto one ECMP path) or from one the executor picks. Every
+    /// retransmission leaves from the same port. Returns `false` when no
+    /// such registration exists.
+    pub fn launch(&mut self, app_id: u16, dst: Ipv4Address, src_port: Option<u16>) -> bool {
+        let reg = self.core.regs.iter().find(|r| r.app_id == app_id && r.role == Role::Launch);
+        let (Some(reg), Some(exec)) = (reg, self.core.exec.as_mut()) else { return false };
+        let (_, frame) = exec.send(self.ctx.now, dst, reg.template.clone(), src_port);
         self.core.probe_bytes_sent += frame.len() as u64;
         self.ctx.send(frame);
         self.core.arm_retry(self.ctx);
-        Some(token)
+        true
     }
 
     /// Fire-and-forget a standalone TPP (e.g. a write/update program whose
@@ -556,17 +540,16 @@ impl<S> Endhost<S> {
         let (probe, role, from, flow) = (reg.probe.clone(), reg.role, done.from, done.flow);
         // Executor-tracked first: a launched probe's completion must consume
         // its pending entry exactly once.
-        let (token, tpp) = match (role, self.core.exec.as_mut()) {
+        let (sent_at, tpp) = match (role, self.core.exec.as_mut()) {
             (Role::Launch, Some(exec)) => match exec.on_completed(done) {
-                Some(ProbeOutcome::Completed { token, tpp }) => (Some(token), tpp),
-                // Duplicate or stale completion: drop, like the hand-written
-                // apps did.
+                Some(ProbeOutcome::Completed { tpp, sent_at, .. }) => (Some(sent_at), tpp),
+                // Duplicate, stale or foreign completion: drop.
                 _ => return,
             },
             _ => (None, done.tpp),
         };
         if let Some((_, cb)) = self.handlers.completions.iter_mut().find(|(i, _)| *i == index) {
-            let completion = Completion { probe, tpp, from, flow, token };
+            let completion = Completion { probe, tpp, from, flow, sent_at };
             cb(&mut self.state, &mut Io { ctx, core: &mut self.core }, completion);
         }
     }
@@ -580,10 +563,8 @@ impl<S> Endhost<S> {
         }
         self.core.arm_retry(ctx);
         if let Some(cb) = &mut self.handlers.on_failed {
-            for outcome in failed {
-                if let ProbeOutcome::Failed { token } = outcome {
-                    cb(&mut self.state, &mut Io { ctx, core: &mut self.core }, token);
-                }
+            for _ in &failed {
+                cb(&mut self.state, &mut Io { ctx, core: &mut self.core });
             }
         }
     }
@@ -733,7 +714,7 @@ mod tests {
             .launch(read_probe().app_id(1), |_, _, _| {})
             .on_start(|_, io| io.ctx.set_timer(0, 0))
             .on_timer(move |launched: &mut u64, io, _| {
-                io.launch(1, peer).expect("registered");
+                assert!(io.launch(1, peer, None), "registered");
                 *launched += 1;
                 if *launched < PROBES {
                     io.ctx.set_timer(GAP, 0);

@@ -332,10 +332,6 @@ impl TcpConn {
         self.rto_ns = (srtt + 4 * self.rttvar_ns).clamp(MIN_RTO_NS, MAX_RTO_NS);
     }
 
-    pub fn srtt_ns(&self) -> Option<u64> {
-        self.srtt_ns
-    }
-
     /// Render a [`SegOut`] as a frame between the connection's endpoints.
     pub fn frame_for(&self, src: Ipv4Address, dst: Ipv4Address, seg: &SegOut) -> Vec<u8> {
         seg_frame(
@@ -585,7 +581,7 @@ mod tests {
             };
             a.on_segment(now, &ack);
         }
-        let srtt = a.srtt_ns().unwrap();
+        let srtt = a.srtt_ns.unwrap();
         assert!((4_000_000..6_000_000).contains(&srtt), "srtt {srtt}");
     }
 

@@ -3,11 +3,15 @@
 //!
 //! A seed-replayable mutation loop (the mutator is `tests/support/mutate.rs`
 //! at the workspace root, shared with the switch's loop): each case takes
-//! one of the three kinds of frame a shim receives with a TPP — stamped
-//! (transparent), standalone, and an echo carrying a completion home — and
-//! damages it. Every case goes to a host that echoes and to one that is its
-//! own aggregator. A panic is reported with its seed and case number; set
-//! `SHIM_MUTATION_SEED` to run another seed.
+//! one of the kinds of frame a shim receives with a TPP — stamped
+//! (transparent), standalone, an echo carrying a completion home, and the
+//! echo of a probe an [`Executor`] launched — and damages it. Every case
+//! goes to a host that echoes, to one that is its own aggregator and to the
+//! probe's origin. Every completion a shim surfaces is fed to an executor
+//! that holds the launched probe: a completion it matches must carry the
+//! probe's program, whatever else the damage changed. A panic is reported
+//! with its seed and case number; set `SHIM_MUTATION_SEED` to run another
+//! seed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -15,7 +19,7 @@ use tpp_core::asm::TppBuilder;
 use tpp_core::wire::{
     build_standalone, udp_frame_into, EthernetAddress, Ipv4Address, Tpp, TppView, UdpFrameRepr,
 };
-use tpp_endhost::{Filter, Incoming, Shim};
+use tpp_endhost::{Executor, ExecutorConfig, Filter, Incoming, ProbeOutcome, Shim};
 
 #[path = "../../../tests/support/mutate.rs"]
 mod mutate;
@@ -66,22 +70,40 @@ fn bases() -> Vec<Base> {
         &probe(),
     );
     let echo = shim_for(2).incoming(stamped.clone()).echo.expect("receiver echoes");
+    let (_, launched) = launcher();
+    let launched_echo = shim_for(2).incoming(launched).echo.expect("receiver echoes");
     // A stamped frame's IPv4 header follows the section.
     let ip = 14 + probe().section_len();
     vec![
         Base { name: "stamped", frame: stamped, section: 14, ip, udp: ip + 20 },
         Base { name: "standalone", frame: standalone, section: 42, ip: 14, udp: 34 },
         Base { name: "echo", frame: echo, section: 42, ip: 14, udp: 34 },
+        Base { name: "launched echo", frame: launched_echo, section: 42, ip: 14, udp: 34 },
     ]
 }
 
-/// What must hold of any outcome: a surfaced completion is a valid section.
-fn check(out: &Incoming) -> Result<(), String> {
-    if let Some(done) = &out.completed {
-        TppView::parse(done.tpp.as_bytes())
-            .map_err(|e| format!("surfaced an invalid section: {e}"))?;
+/// An executor at host 1 holding one probe launched toward host 2, and the
+/// probe's frame.
+fn launcher() -> (Executor, Vec<u8>) {
+    let (h1, h2) = (Ipv4Address::from_host_id(1), Ipv4Address::from_host_id(2));
+    let mut exec = Executor::new(h1, EthernetAddress::from_node_id(1), ExecutorConfig::default());
+    let (_, frame) = exec.send(0, h2, probe(), None);
+    (exec, frame)
+}
+
+/// What must hold of any outcome: a surfaced completion is a valid section,
+/// and an executor holding the launched probe matches it only if it carries
+/// the probe's program. Returns whether the executor matched it.
+fn check(out: &Incoming) -> Result<bool, String> {
+    let Some(done) = &out.completed else { return Ok(false) };
+    TppView::parse(done.tpp.as_bytes()).map_err(|e| format!("surfaced an invalid section: {e}"))?;
+    let (mut exec, _) = launcher();
+    match exec.on_completed(done.clone()) {
+        Some(ProbeOutcome::Completed { tpp, .. }) if !tpp.view().instrs().eq(probe().instrs) => {
+            Err(format!("matched a completion of another program: {:?}", tpp.view().to_tpp()))
+        }
+        outcome => Ok(outcome.is_some()),
     }
-    Ok(())
 }
 
 #[test]
@@ -91,24 +113,30 @@ fn damaged_frames_never_panic_the_shim() {
     let mut echoing = shim_for(2);
     let mut local = shim_for(2);
     local.set_aggregator(APP, local.ip);
-    let mut completed = 0;
+    let mut origin = shim_for(1);
+    let (mut completed, mut matched) = (0, 0);
     for case in 0..CASES {
         let mut rng = Rng::for_case(seed, case);
         let base = &bases[rng.below(bases.len())];
         let frame = mutate(base, &mut rng);
-        for shim in [&mut echoing, &mut local] {
+        for shim in [&mut echoing, &mut local, &mut origin] {
             let input = frame.clone();
-            match catch_unwind(AssertUnwindSafe(|| shim.incoming(input))) {
-                Ok(out) => {
-                    if let Err(e) = check(&out) {
-                        panic!("seed {seed}, case {case} ({}): {e}: {frame:02x?}", base.name);
-                    }
-                    completed += usize::from(out.completed.is_some());
+            let run = || {
+                let out = shim.incoming(input);
+                check(&out).map(|hit| (out.completed.is_some(), hit))
+            };
+            match catch_unwind(AssertUnwindSafe(run)) {
+                Ok(Ok((surfaced, hit))) => {
+                    completed += usize::from(surfaced);
+                    matched += usize::from(hit);
                 }
+                Ok(Err(e)) => panic!("seed {seed}, case {case} ({}): {e}: {frame:02x?}", base.name),
                 Err(_) => panic!("seed {seed}, case {case} ({}) panicked: {frame:02x?}", base.name),
             }
         }
     }
-    // The loop reaches the completion paths, not only the rejections.
+    // The loop reaches the completion paths and the executor's matches, not
+    // only the rejections.
     assert!(completed > 0, "no mutated frame surfaced a completion");
+    assert!(matched > 0, "no surfaced completion matched the launched probe");
 }

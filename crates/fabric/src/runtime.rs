@@ -101,10 +101,6 @@ impl Fabric {
         self.mode = mode;
     }
 
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The conservative epoch length (min cross-shard delay), or
     /// `Time::MAX` when the shards are independent.
     pub fn lookahead(&self) -> Time {

@@ -124,13 +124,6 @@ impl WorkloadSpec {
         self.cfg.seed = seed;
         self
     }
-
-    /// Carry the visibility TPP on every `n`-th frame (0 = never) — the
-    /// "app" axis of a scenario.
-    pub fn tpp_every(mut self, n: usize) -> Self {
-        self.cfg.tpp_every = n;
-        self
-    }
 }
 
 /// One experiment cell: topology + workload + runtime shape + duration.
@@ -177,12 +170,6 @@ impl Scenario {
     /// Shard count (1 = single-threaded `Network`).
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
-        self
-    }
-
-    /// Partitioning strategy for sharded runs.
-    pub fn strategy(mut self, s: PartitionStrategy) -> Self {
-        self.strategy = s;
         self
     }
 

@@ -128,12 +128,14 @@ fn round_robin_partitioning_matches_too() {
     // The adversarial partition under the adversarial workload.
     let w = WorkloadSpec::incast(2);
     let reference = run(w.clone(), 1);
-    let got = Scenario::new(
-        TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(5),
-        w,
-    )
+    let got = Scenario {
+        strategy: PartitionStrategy::RoundRobin,
+        ..Scenario::new(
+            TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(5),
+            w,
+        )
+    }
     .shards(4)
-    .strategy(PartitionStrategy::RoundRobin)
     .duration_ns(2 * MILLIS)
     .run();
     assert_eq!(got.digest, reference.digest, "round-robin digest diverged");

@@ -95,11 +95,6 @@ impl LinkFabric {
         self.in_flight.push(Vec::new());
     }
 
-    /// Ports wired on `node`.
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.ports[node.0 as usize].len()
-    }
-
     /// Connect two nodes full-duplex; ports are auto-assigned and returned.
     pub(crate) fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> (u8, u8) {
         let pa = self.ports[a.0 as usize].len() as u8;

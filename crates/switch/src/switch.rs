@@ -252,11 +252,6 @@ impl Switch {
         self.mem.version = self.mem.version.wrapping_add(1);
     }
 
-    /// Total bytes queued on a port (all queues).
-    pub fn queued_bytes(&self, port: u8) -> u64 {
-        self.mem.links[port as usize].queued_bytes
-    }
-
     #[cfg(test)]
     fn has_queued(&self, port: u8) -> bool {
         self.nonempty[port as usize] != 0

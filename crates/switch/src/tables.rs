@@ -288,14 +288,10 @@ impl FlowKey {
 
     /// FNV-1a over the tuple: deterministic, well-mixed, cheap — a stand-in
     /// for the proprietary hash functions the paper notes are "often
-    /// proprietary and unknown" (§2.1).
-    pub fn hash(&self) -> u32 {
-        self.hash_with(true)
-    }
-
-    /// Hash with or without the destination port. Excluding it makes a
-    /// flow's standalone TPP probes (UDP dst 0x6666) follow the *same* ECMP
-    /// path as its data packets — the configuration CONGA* uses (§2.4).
+    /// proprietary and unknown" (§2.1). With or without the destination
+    /// port: excluding it makes a flow's standalone TPP probes (UDP dst
+    /// 0x6666) follow the *same* ECMP path as its data packets — the
+    /// configuration CONGA* uses (§2.4).
     pub fn hash_with(&self, include_dst_port: bool) -> u32 {
         let mut h: u32 = 0x811C_9DC5;
         let mut mix = |b: u8| {
@@ -605,11 +601,11 @@ mod tests {
                 src_port: sport,
                 dst_port: 80,
             };
-            let p = g.select(gid, key.hash()).unwrap();
+            let p = g.select(gid, key.hash_with(true)).unwrap();
             assert!(p == 2 || p == 3);
             seen.insert(p);
             // Deterministic.
-            assert_eq!(g.select(gid, key.hash()), Some(p));
+            assert_eq!(g.select(gid, key.hash_with(true)), Some(p));
         }
         assert_eq!(seen.len(), 2, "hash should spread across both paths");
         assert_eq!(g.select(99, 0), None);
@@ -660,6 +656,6 @@ mod tests {
         };
         let mut other = base;
         other.src_port = 1001;
-        assert_ne!(base.hash(), other.hash());
+        assert_ne!(base.hash_with(true), other.hash_with(true));
     }
 }

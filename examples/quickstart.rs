@@ -39,7 +39,7 @@ fn main() {
             }));
         })
         .on_start(move |_rows, io| {
-            io.launch(0, dst);
+            io.launch(0, dst, None);
         })
         .build()
         .expect("valid probe");

@@ -5,13 +5,17 @@
 # alive by the tests written for it).
 #
 # Grep-level on purpose (no cargo-udeps offline). A `pub fn NAME` counts as
-# called when the word NAME occurs anywhere in non-test code other than on a
-# line that defines a `pub fn NAME` or inside a `pub use` (a re-export is not
-# a caller). Non-test code is crates/*/src up to each file's first top-level
-# `#[cfg(test)]` (every test module in this tree sits at the end of its
-# file), plus src/, examples/ and benchmark/src/. Not callers: `#[cfg(test)]`
-# modules, crates/*/tests and tests/. Common names
-# (`new`, `len`) always find a namesake, so the check under-reports; what it
+# called where non-test code calls it or names it by path: `NAME(`,
+# `NAME::<` or `::NAME` (a method call `.NAME(`, a path call `Type::NAME(`,
+# a fn passed by path as in `.and_then(Type::NAME)`). A free `pub fn`, one
+# defined at column 0, also counts where it is passed bare as an argument
+# (`map(NAME)`). A field, a local or a `fn NAME` definition of the same name
+# is not a call, and nor is an import (`use` and `pub use`: a re-export is
+# not a caller). Non-test code is crates/*/src up to each file's first
+# top-level `#[cfg(test)]` (every test module in this tree sits at the end
+# of its file), plus src/, examples/ and benchmark/src/. Not callers:
+# `#[cfg(test)]` modules, crates/*/tests and tests/. A common name (`new`,
+# `len`) still finds a namesake method, so the check under-reports; what it
 # does report is real.
 #
 # An allowlisted name must still have a caller somewhere, tests included
@@ -28,34 +32,45 @@ cd "$(dirname "$0")/.."
 python3 - "${1:-}" <<'EOF'
 import collections, glob, re, sys
 
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-DEF = re.compile(r"\bpub\s+(?:const\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
+NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
+DEF = re.compile(r"\bpub\s+(?:const\s+)?fn\s+" + NAME)
+ANY_DEF = re.compile(r"\bfn\s+[A-Za-z_][A-Za-z0-9_]*")
+CALL = re.compile(NAME + r"\s*(?:\(|::<)")
+PATH = re.compile(r"::\s*" + NAME)
+ARG = re.compile(r"[(,]\s*&?" + NAME + r"\s*(?=[),])")
 
 uses = collections.Counter()  # non-test code
 all_uses = collections.Counter()  # tests too
+args = []  # (in_test, word) for bare arguments; they count for free fns only
+free = set()  # names of `pub fn`s defined at column 0
 defs = []  # (path, name)
 globs = ("crates/*/src/**/*.rs", "src/**/*.rs", "examples/**/*.rs", "benchmark/src/**/*.rs",
          "crates/*/tests/**/*.rs", "tests/**/*.rs", "benchmark/tests/**/*.rs")
 paths = [p for pat in globs for p in sorted(glob.glob(pat, recursive=True))]
 for path in paths:
-    in_reexport = False
+    in_use = False
     in_test = "/tests/" in path or path.startswith("tests/")
     for line in open(path, encoding="utf-8"):
         in_test |= line.startswith("#[cfg(test)]")
         code = line.split("//", 1)[0]
-        in_reexport |= code.startswith("pub use ")
-        if in_reexport:
-            in_reexport = ";" not in code
+        in_use |= code.lstrip().startswith(("use ", "pub use "))
+        if in_use:
+            in_use = ";" not in code
             continue
-        defined = DEF.findall(code) if path.startswith("crates/") else []
-        if not in_test:
+        if path.startswith("crates/") and not in_test:
+            defined = DEF.findall(code)
             defs += [(path, name) for name in defined]
-        for word in WORD.findall(code):
+            if not line[0].isspace():
+                free.update(defined)
+        code = ANY_DEF.sub("", code)
+        args += [(in_test, word) for word in ARG.findall(code)]
+        for word in CALL.findall(code) + PATH.findall(code):
             all_uses[word] += 1
             uses[word] += not in_test
-        for name in defined:
-            all_uses[name] -= 1
-            uses[name] -= not in_test
+for in_test, word in args:
+    if word in free:
+        all_uses[word] += 1
+        uses[word] += not in_test
 
 found = sorted({f"{path}:{name}" for path, name in defs if uses[name] == 0})
 if sys.argv[1] == "--list":

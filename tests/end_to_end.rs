@@ -39,7 +39,8 @@ impl HostApp for OneProbe {
             ctx.mac,
             ExecutorConfig { max_retries: 10, timeout_ns: 5 * MILLIS },
         ));
-        let (_, frame) = self.exec.as_mut().unwrap().send(ctx.now, self.dst, self.tpp.clone());
+        let (_, frame) =
+            self.exec.as_mut().unwrap().send(ctx.now, self.dst, self.tpp.clone(), None);
         ctx.send(frame);
         ctx.set_timer(5 * MILLIS, RETRY);
     }
