@@ -7,10 +7,28 @@ use tpp_core::wire::{
     ethernet, ipv4, udp, udp_frame_into, Ipv4Address, Ipv4Packet, UdpDatagram, UdpFrameRepr,
 };
 use tpp_endhost::shim::mac_of_ip;
+use tpp_endhost::ExecutorConfig;
 use tpp_netsim::Time;
 
 /// Default UDP port for application data traffic in experiments.
 pub const DATA_PORT: u16 = 5001;
+
+/// Retries a periodic controller's probe gets before it counts as failed.
+const CONTROL_RETRIES: u32 = 3;
+
+/// A periodic controller's probe is first retried this many control
+/// periods after it was sent. Four periods fired inside the probe's round
+/// trip on a loaded path: the RCP* paper run retransmitted a fifth of its
+/// probes, and every one of them had been answered.
+const CONTROL_TIMEOUT_PERIODS: u64 = 8;
+
+/// The executor settings of the three periodic controllers (RCP*, its
+/// inter-DC form and the WAN fan-out), which launch one probe per path every
+/// `period_ns`: [`CONTROL_RETRIES`] retries, the first after
+/// [`CONTROL_TIMEOUT_PERIODS`] periods.
+pub(crate) fn control_executor(period_ns: Time) -> ExecutorConfig {
+    ExecutorConfig { max_retries: CONTROL_RETRIES, timeout_ns: CONTROL_TIMEOUT_PERIODS * period_ns }
+}
 
 /// Expand to a `&'static Probe` built once from the given constructor —
 /// decode paths run per received packet, and a probe schema is immutable.
@@ -308,7 +326,7 @@ mod tests {
         };
         let (a, b) = (Ipv4Address::from_host_id(3), Ipv4Address::from_host_id(0x00fe_dcba));
         for payload_len in [0, 1, 40, 999, 1000, 1458] {
-            for (sp, dp) in [(DATA_PORT, DATA_PORT), (1, 0xffff), (40_001, 9)] {
+            for (sp, dp) in [(DATA_PORT, DATA_PORT), (1, 0xffff), (30_001, 9)] {
                 assert_eq!(udp_frame(a, b, sp, dp, payload_len), nested(a, b, sp, dp, payload_len));
                 assert_eq!(udp_frame(b, a, sp, dp, payload_len), nested(b, a, sp, dp, payload_len));
             }

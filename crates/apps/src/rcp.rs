@@ -19,11 +19,13 @@
 //! paper's refactoring: had max-min RCP been baked into the ASIC, other
 //! fairness criteria would be unreachable.
 
-use crate::common::{parse_udp, shared, udp_hdr, HopWindows, RateMeter, Shared, DATA_PORT};
+use crate::common::{
+    control_executor, parse_udp, shared, udp_hdr, HopWindows, RateMeter, Shared, DATA_PORT,
+};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{udp_frame_into, Ipv4Address, Tpp, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
-use tpp_endhost::{ExecutorConfig, PacedSender};
+use tpp_endhost::PacedSender;
 use tpp_netsim::Time;
 use tpp_netsim::TopologySpec;
 
@@ -290,7 +292,7 @@ impl RcpSender {
             probes_completed: 0,
         };
         Harness::new(state)
-            .executor(ExecutorConfig { max_retries: 3, timeout_ns: 4 * cfg.period_ns })
+            .executor(control_executor(cfg.period_ns))
             .launch(collect_probe().app_id(APP_ID).hops(cfg.probe_hops), |s, _io, c| {
                 s.rcp.absorb(&c.tpp);
                 s.probes_completed += 1;
@@ -310,7 +312,7 @@ impl RcpSender {
 
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
         if let Some(update) = self.rcp.step(&self.cfg, &mut self.update) {
-            io.send_standalone(update, self.dst, 40_001);
+            io.send_standalone(update, self.dst);
         }
         // Phase 1 for the next period.
         io.launch(APP_ID, self.dst, None);
@@ -616,8 +618,13 @@ mod tests {
         assert!(sum > 60.0, "bottleneck should be well utilized, got {g0}+{g1}={sum}");
         let ratio = g0.max(g1) / g0.min(g1).max(1.0);
         assert!(ratio < 1.8, "shares should be roughly equal: {g0} vs {g1}");
-        // Probes actually completed round trips.
-        let s0 = topo.net.app_mut::<RcpSenderApp>(h[0]);
-        assert!(s0.probes_completed > 100, "probes: {}", s0.probes_completed);
+        // Probes actually completed round trips, none was retried, and no
+        // update came back as a completion that matches nothing.
+        for &host in &h[..2] {
+            let sender = topo.net.app_mut::<RcpSenderApp>(host);
+            assert!(sender.probes_completed > 100, "probes: {}", sender.probes_completed);
+            let exec = sender.executor().expect("the sender launches probes");
+            assert_eq!((exec.unmatched, exec.retransmitted), (0, 0), "host {host:?}");
+        }
     }
 }

@@ -53,12 +53,14 @@
 
 use std::collections::BTreeMap;
 
-use crate::common::{parse_udp, shared, udp_frame, HopWindows, RateMeter, Shared, DATA_PORT};
+use crate::common::{
+    control_executor, parse_udp, shared, udp_frame, HopWindows, RateMeter, Shared, DATA_PORT,
+};
 use crate::rcp::{self, alpha_aggregate, RcpConfig, RcpLoop, UpdateTpps};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, Tpp};
 use tpp_endhost::harness::{Endhost, Harness, Io};
-use tpp_endhost::{ExecutorConfig, PacedSender};
+use tpp_endhost::PacedSender;
 use tpp_netsim::{viewer_fanout, Time, TopologySpec};
 
 /// The fan-out discovery schema: per-hop link speed + utilization + queue
@@ -193,7 +195,7 @@ impl FanoutSource {
         let state = FanoutSource { start_at, subtrees, probes_completed: 0 };
         let probe = discover_probe().app_id(FANOUT_APP_ID).hops(FANOUT_PROBE_HOPS);
         Harness::new(state)
-            .executor(ExecutorConfig { max_retries: 3, timeout_ns: 8 * FANOUT_PERIOD_NS })
+            .executor(control_executor(FANOUT_PERIOD_NS))
             .launch(probe, |s, _io, c| {
                 // One discovery registration serves every subtree; the
                 // completion's source address says which one answered.
@@ -274,7 +276,7 @@ impl FanoutSource {
                     let mut t =
                         install_tpp(sub.latest.len(), sub.branch, version, (r / 1e3) as u32);
                     t.app_id = FANOUT_APP_ID;
-                    io.send_standalone(&t, sub.dst, 40_002);
+                    io.send_standalone(&t, sub.dst);
                 }
             }
             // Next discovery round for this subtree.
@@ -446,7 +448,7 @@ impl InterDcSender {
             probes_completed: 0,
         };
         Harness::new(state)
-            .executor(ExecutorConfig { max_retries: 3, timeout_ns: 8 * rcp_cfg.period_ns })
+            .executor(control_executor(rcp_cfg.period_ns))
             .launch(
                 rcp::collect_probe().app_id(rcp::APP_ID).hops(rcp_cfg.probe_hops),
                 |s, io, c| {
@@ -502,7 +504,7 @@ impl InterDcSender {
                 ..self.cfg.rcp
             };
             if let Some(update) = p.rcp.step(&eq, &mut self.update) {
-                io.send_standalone(update, p.path.dst, 40_001);
+                io.send_standalone(update, p.path.dst);
             }
             let (dst, done) = (
                 p.path.dst,

@@ -6,8 +6,6 @@
 //! * **Targeted execution** — wrap a TPP in a `CEXEC` on the switch ID so
 //!   it executes at exactly one switch; send it to the switch's IP and it
 //!   reflects back (§4.4 "Reflective TPP").
-//! * **Scatter-gather** — the same TPP fanned out to a set of switches,
-//!   with per-probe retries and a completion barrier.
 //! * **Large TPPs** — statistics that don't fit in one packet are split
 //!   into several hop-range TPPs by pre-winding the hop counter, so each
 //!   split's hop windows cover a later slice of the path.
@@ -20,8 +18,9 @@
 //! overwrote the nonce, the source port it was launched from. Either key
 //! matches only if the completion's instruction bytes equal the pending
 //! probe's. Execution never rewrites instructions, so an echo of some other
-//! program (an update sent from a port in the executor's range, or one
-//! whose last word happens to equal a pending token) completes nothing.
+//! program (one sent from a port in the executor's range, or one whose last
+//! word happens to equal a pending token) completes nothing; it counts as
+//! [`Executor::unmatched`].
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -33,7 +32,7 @@ use tpp_core::probe::TppData;
 use tpp_core::wire::tpp::HEADER_LEN;
 use tpp_core::wire::{build_standalone, AddrMode, EthernetAddress, Ipv4Address, Tpp, TppBuf};
 
-use crate::shim::{mac_of_ip, CompletedTpp};
+use crate::shim::{mac_of_ip, CompletedTpp, TPP_UPDATE_PORT};
 
 /// Executor tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -51,14 +50,22 @@ impl Default for ExecutorConfig {
     }
 }
 
+/// A probe launched without a port of the caller's leaves from
+/// `PORT_BASE + token % PORTS`, so its port doubles as a completion key.
+const PORT_BASE: u16 = 40_000;
+const PORTS: u16 = 16_384;
+
+// An echo of a fire-and-forget TPP must never name a probe by its port (and
+// the shim sends none).
+const _: () = assert!(TPP_UPDATE_PORT < PORT_BASE || TPP_UPDATE_PORT - PORT_BASE >= PORTS);
+
 /// Exponential backoff cap: retry `k` waits `timeout_ns << min(k,
 /// MAX_BACKOFF_EXP)` plus jitter, saturating.
 const MAX_BACKOFF_EXP: u32 = 3;
 
 /// Jitter divisor: each backoff wait adds a deterministic pseudo-random
 /// jitter in `0..=wait / JITTER_DIV`, keyed by `(token, attempt)`, so
-/// synchronized probes (scatter-gather fan-outs, fleet-wide monitors) don't
-/// retransmit in lockstep.
+/// synchronized probes (fleet-wide monitors) don't retransmit in lockstep.
 const JITTER_DIV: u64 = 8;
 
 /// `SplitMix64` finalizer — the jitter hash. Deterministic and stateless:
@@ -106,6 +113,9 @@ pub struct Executor {
     pub retransmitted: u64,
     pub completed: u64,
     pub failed: u64,
+    /// Completions that matched no pending probe: duplicates, late copies
+    /// of a retried probe, and echoes of other programs.
+    pub unmatched: u64,
 }
 
 impl Executor {
@@ -120,6 +130,7 @@ impl Executor {
             retransmitted: 0,
             completed: 0,
             failed: 0,
+            unmatched: 0,
         }
     }
 
@@ -144,9 +155,9 @@ impl Executor {
     }
 
     /// Launch a reliable standalone probe toward `dst` (a host or a switch
-    /// IP) from `src_port`, or by default from a port of its own, `40_000 +
-    /// token % 16_384`. Returns the token and the frame to transmit now;
-    /// retransmissions resend that frame.
+    /// IP) from `src_port`, or by default from a port of its own,
+    /// `PORT_BASE + token % PORTS`. Returns the token and the frame to
+    /// transmit now; retransmissions resend that frame.
     pub fn send(
         &mut self,
         now: u64,
@@ -159,7 +170,7 @@ impl Executor {
         Self::stamp_nonce(&mut tpp, token);
         // The shim's echo channel carries the probe's source port back, so
         // a port of its own doubles as a completion key.
-        let src_port = src_port.unwrap_or(40_000 + (token % 16_384) as u16);
+        let src_port = src_port.unwrap_or(PORT_BASE + (token % u32::from(PORTS)) as u16);
         let frame =
             build_standalone(self.src_mac, mac_of_ip(dst), self.src_ip, dst, src_port, &tpp);
         // The section is the frame's payload, so it ends where the frame does.
@@ -187,10 +198,17 @@ impl Executor {
         let program = &section[HEADER_LEN..section.len() - done.tpp.memory().len()];
         let ours = |p: &Pending| p.frame[p.program.clone()] == *program;
         let token = match Self::nonce_of(&done.tpp) {
-            Some(nonce) if self.pending.get(&nonce).is_some_and(ours) => nonce,
-            _ => *self.pending.iter().find(|(_, p)| p.src_port == done.flow.src_port && ours(p))?.0,
+            Some(nonce) if self.pending.get(&nonce).is_some_and(ours) => Some(nonce),
+            _ => self
+                .pending
+                .iter()
+                .find(|(_, p)| p.src_port == done.flow.src_port && ours(p))
+                .map(|(&t, _)| t),
         };
-        let p = self.pending.remove(&token)?;
+        let Some((token, p)) = token.and_then(|token| self.pending.remove_entry(&token)) else {
+            self.unmatched += 1;
+            return None;
+        };
         self.completed += 1;
         Some(ProbeOutcome::Completed { token, tpp: done.tpp, sent_at: p.sent_at })
     }
@@ -265,61 +283,6 @@ pub fn targeted(tpp: &Tpp, switch_id: u32) -> Result<Tpp, AsmError> {
     // Reflect so the probe comes straight back (§4.4).
     out.reflect = true;
     Ok(out)
-}
-
-/// A scatter-gather round: the same statistics program fanned out to many
-/// switches, gathered with retries (§4.4).
-pub struct ScatterGather {
-    /// token -> switch id, for result attribution.
-    pub memberships: BTreeMap<u32, u32>,
-    pub results: BTreeMap<u32, Tpp>,
-    pub failed: Vec<u32>,
-}
-
-impl ScatterGather {
-    /// Launch one targeted probe per `(switch_id, switch_ip)`.
-    pub fn launch(
-        exec: &mut Executor,
-        now: u64,
-        tpp: &Tpp,
-        switches: &[(u32, Ipv4Address)],
-    ) -> Result<(ScatterGather, Vec<Vec<u8>>), AsmError> {
-        let mut sg = ScatterGather {
-            memberships: BTreeMap::new(),
-            results: BTreeMap::new(),
-            failed: Vec::new(),
-        };
-        let mut frames = Vec::new();
-        for &(sid, ip) in switches {
-            let probe = targeted(tpp, sid)?;
-            let (token, frame) = exec.send(now, ip, probe, None);
-            sg.memberships.insert(token, sid);
-            frames.push(frame);
-        }
-        Ok((sg, frames))
-    }
-
-    /// Record an executor outcome. Returns `true` if it belonged to this
-    /// round.
-    pub fn absorb(&mut self, outcome: &ProbeOutcome) -> bool {
-        match outcome {
-            ProbeOutcome::Completed { token, tpp, .. } => {
-                let Some(sid) = self.memberships.get(token) else { return false };
-                self.results.insert(*sid, tpp.view().to_tpp());
-                true
-            }
-            ProbeOutcome::Failed { token } => {
-                let Some(sid) = self.memberships.get(token) else { return false };
-                self.failed.push(*sid);
-                true
-            }
-        }
-    }
-
-    /// All probes resolved (completed or failed)?
-    pub fn done(&self) -> bool {
-        self.results.len() + self.failed.len() == self.memberships.len()
-    }
 }
 
 /// Split a per-hop statistics collection that doesn't fit in one packet
@@ -467,6 +430,7 @@ mod tests {
         let done = completion(frame);
         assert!(e.on_completed(done.clone()).is_some());
         assert!(e.on_completed(done).is_none());
+        assert_eq!((e.completed, e.unmatched), (1, 1));
     }
 
     /// A fire-and-forget write program, sent from `src_port` to host 2 with
@@ -485,7 +449,9 @@ mod tests {
 
     #[test]
     fn update_echo_on_a_probes_port_completes_nothing() {
-        // Token 1 leaves from port 40,001, the port an update goes out on.
+        // Token 1 leaves from port 40,001; an echo of another program from
+        // that port (as updates were sent before they had a port of their
+        // own) matches the port key but not the program.
         let mut e = exec();
         let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
         assert_eq!(u16::from_be_bytes([frame[34], frame[35]]), 40_001);
@@ -495,7 +461,7 @@ mod tests {
             Some(ProbeOutcome::Completed { token: t2, .. }) => assert_eq!(t2, token),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(e.completed, 1);
+        assert_eq!((e.completed, e.unmatched), (1, 1));
     }
 
     #[test]
@@ -617,32 +583,6 @@ mod tests {
         let i = t.instrs[0];
         t.instrs = vec![i; 5];
         assert!(targeted(&t, 1).is_err());
-    }
-
-    #[test]
-    fn scatter_gather_barrier() {
-        let mut e = exec();
-        let switches =
-            [(1u32, Ipv4Address::new(192, 168, 0, 1)), (2, Ipv4Address::new(192, 168, 0, 2))];
-        let (mut sg, frames) = ScatterGather::launch(&mut e, 0, &probe(), &switches).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert!(!sg.done());
-        // First probe completes, second fails after retries.
-        let o = e.on_completed(completion(frames[0].clone())).unwrap();
-        assert!(sg.absorb(&o));
-        assert!(!sg.done());
-        // Exhaust the second probe's retries.
-        let mut now = e.cfg.timeout_ns;
-        while !sg.done() {
-            let (_, done) = e.poll(now);
-            for o in &done {
-                sg.absorb(o);
-            }
-            now += e.cfg.timeout_ns;
-        }
-        assert_eq!(sg.results.len(), 1);
-        assert_eq!(sg.failed.len(), 1);
-        assert!(sg.results.contains_key(&1));
     }
 
     #[test]

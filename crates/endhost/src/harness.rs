@@ -14,8 +14,8 @@
 //! and its launch time, and retransmits the frame as it was first sent. A
 //! completion reaches a launch callback only if the executor matches it to
 //! a pending probe, by nonce or by launch port, and only if it carries that
-//! probe's instructions; so an echo of an update sent from a port in the
-//! executor's range reaches no callback.
+//! probe's instructions. Fire-and-forget TPPs ([`Io::send_standalone`]) are
+//! not echoed: the destination's shim absorbs them, so no reply comes back.
 //!
 //! Three probe roles cover the paper's applications (§2):
 //!
@@ -59,7 +59,7 @@ use tpp_netsim::{HostApp, HostCtx, Time};
 use crate::cp::{CentralCp, CpError, Policy};
 use crate::executor::{Executor, ExecutorConfig, ProbeOutcome};
 use crate::filter::Filter;
-use crate::shim::{mac_of_ip, CompletedTpp, FlowRef, Shim};
+use crate::shim::{mac_of_ip, CompletedTpp, FlowRef, Shim, TPP_UPDATE_PORT};
 
 /// Timer token reserved for the harness's executor retry sweep; application
 /// tokens must stay below it.
@@ -467,14 +467,14 @@ impl Io<'_, '_> {
     }
 
     /// Fire-and-forget a standalone TPP (e.g. a write/update program whose
-    /// effect the next collect probe verifies, §2.2). Counted in
-    /// [`Endhost::probe_bytes_sent`].
-    pub fn send_standalone(&mut self, tpp: &Tpp, dst: Ipv4Address, src_port: u16) -> usize {
-        let frame = build_standalone(self.ctx.mac, mac_of_ip(dst), self.ctx.ip, dst, src_port, tpp);
-        let len = frame.len();
-        self.core.probe_bytes_sent += len as u64;
+    /// effect the next collect probe verifies, §2.2). It leaves from
+    /// [`TPP_UPDATE_PORT`], so the destination's shim sends no echo. Counted
+    /// in [`Endhost::probe_bytes_sent`].
+    pub fn send_standalone(&mut self, tpp: &Tpp, dst: Ipv4Address) {
+        let (mac, ip) = (self.ctx.mac, self.ctx.ip);
+        let frame = build_standalone(mac, mac_of_ip(dst), ip, dst, TPP_UPDATE_PORT, tpp);
+        self.core.probe_bytes_sent += frame.len() as u64;
         self.ctx.send(frame);
-        len
     }
 
     /// Bytes of standalone probe traffic sent so far (incl. retries).

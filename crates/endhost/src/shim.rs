@@ -11,6 +11,8 @@
 //!
 //! Completed TPPs travel on a dedicated UDP port ([`TPP_ECHO_PORT`]) as
 //! *payload*, so switches do not re-execute them on the return path.
+//! Fire-and-forget TPPs (a standalone TPP from [`TPP_UPDATE_PORT`]) are not
+//! echoed: the switches have done their work, and no one awaits a reply.
 //!
 //! Both directions work in the frame they are handed: a stamped frame is the
 //! caller's buffer with the filter entry's pre-serialized section spliced in,
@@ -38,6 +40,11 @@ use tpp_switch::FlowKey;
 /// datagrams to this port (one above the TPP execution port 0x6666, which
 /// switches would execute).
 pub const TPP_ECHO_PORT: u16 = 0x6667;
+
+/// Fire-and-forget standalone TPPs (e.g. RCP* rate updates, §2.2) leave
+/// from this UDP source port. The destination's shim absorbs them: no echo,
+/// no completion, nothing delivered.
+pub const TPP_UPDATE_PORT: u16 = 0x6669;
 
 /// Recover the simulated node id behind a host IP (hosts are `10.x.y.z`
 /// with `x.y.z` = node id; see `Ipv4Address::from_host_id`).
@@ -247,6 +254,10 @@ impl Shim {
                 out
             }
             TppLocation::Standalone { section, ip, udp } => {
+                let src_port = u16::from_be_bytes([frame[udp], frame[udp + 1]]);
+                if src_port == TPP_UPDATE_PORT {
+                    return Incoming::default();
+                }
                 let (src, dst) = match Ipv4Packet::new_checked(&frame[ip..]) {
                     Some(p) => (p.src(), p.dst()),
                     None => {
@@ -254,7 +265,6 @@ impl Shim {
                         return Incoming { discarded: true, ..Incoming::default() };
                     }
                 };
-                let src_port = u16::from_be_bytes([frame[udp], frame[udp + 1]]);
                 match TppView::parse(&frame[section..]) {
                     Ok((view, _)) => self.route_completed(
                         &view,
@@ -640,6 +650,32 @@ mod tests {
         assert_eq!(ip.dst(), Ipv4Address::from_host_id(1));
         let u = UdpDatagram::new_checked(ip.payload()).unwrap();
         assert_eq!(u.dst_port(), TPP_ECHO_PORT);
+    }
+
+    #[test]
+    fn fire_and_forget_tpps_are_absorbed() {
+        // The same section from the update port yields nothing at all, and
+        // from any other port is echoed to its source.
+        let standalone = |src_port| {
+            tpp_core::wire::build_standalone(
+                EthernetAddress::from_node_id(1),
+                EthernetAddress::from_node_id(2),
+                Ipv4Address::from_host_id(1),
+                Ipv4Address::from_host_id(2),
+                src_port,
+                &probe_tpp(3),
+            )
+        };
+        let mut rx = shim_for(2);
+        assert_eq!(rx.incoming(standalone(TPP_UPDATE_PORT)), Incoming::default());
+        assert_eq!(rx.counters.echoes_sent, 0);
+        for src_port in [TPP_UPDATE_PORT - 1, TPP_UPDATE_PORT + 1, 40_001] {
+            assert!(rx.incoming(standalone(src_port)).echo.is_some(), "port {src_port}");
+        }
+        // Where this host aggregates the app, the update still surfaces nothing.
+        rx.set_aggregator(3, rx.ip);
+        assert_eq!(rx.incoming(standalone(TPP_UPDATE_PORT)), Incoming::default());
+        assert!(rx.incoming(standalone(9999)).completed.is_some());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! A seed-replayable mutation loop (the mutator is `tests/support/mutate.rs`
 //! at the workspace root, shared with the switch's loop): each case takes
 //! one of the kinds of frame a shim receives with a TPP — stamped
-//! (transparent), standalone, an echo carrying a completion home, and the
-//! echo of a probe an [`Executor`] launched — and damages it. Every case
+//! (transparent), standalone, a fire-and-forget update (standalone from
+//! [`TPP_UPDATE_PORT`], which the shim absorbs), an echo carrying a
+//! completion home, and the echo of a probe an [`Executor`] launched — and
+//! damages it. Every case
 //! goes to a host that echoes, to one that is its own aggregator and to the
 //! probe's origin. Every completion a shim surfaces is fed to an executor
 //! that holds the launched probe: a completion it matches must carry the
@@ -19,7 +21,9 @@ use tpp_core::asm::TppBuilder;
 use tpp_core::wire::{
     build_standalone, udp_frame_into, EthernetAddress, Ipv4Address, Tpp, TppView, UdpFrameRepr,
 };
-use tpp_endhost::{Executor, ExecutorConfig, Filter, Incoming, ProbeOutcome, Shim};
+use tpp_endhost::{
+    Executor, ExecutorConfig, Filter, Incoming, ProbeOutcome, Shim, TPP_UPDATE_PORT,
+};
 
 #[path = "../../../tests/support/mutate.rs"]
 mod mutate;
@@ -61,14 +65,11 @@ fn bases() -> Vec<Base> {
     };
     udp_frame_into(&mut plain, &hdr, 64, &[]);
     let stamped = sender.outgoing(plain);
-    let standalone = build_standalone(
-        EthernetAddress::from_node_id(1),
-        EthernetAddress::from_node_id(2),
-        h1,
-        h2,
-        40_001,
-        &probe(),
-    );
+    let from_port = |src_port| {
+        let (m1, m2) = (EthernetAddress::from_node_id(1), EthernetAddress::from_node_id(2));
+        build_standalone(m1, m2, h1, h2, src_port, &probe())
+    };
+    let (standalone, update) = (from_port(40_001), from_port(TPP_UPDATE_PORT));
     let echo = shim_for(2).incoming(stamped.clone()).echo.expect("receiver echoes");
     let (_, launched) = launcher();
     let launched_echo = shim_for(2).incoming(launched).echo.expect("receiver echoes");
@@ -77,6 +78,7 @@ fn bases() -> Vec<Base> {
     vec![
         Base { name: "stamped", frame: stamped, section: 14, ip, udp: ip + 20 },
         Base { name: "standalone", frame: standalone, section: 42, ip: 14, udp: 34 },
+        Base { name: "update", frame: update, section: 42, ip: 14, udp: 34 },
         Base { name: "echo", frame: echo, section: 42, ip: 14, udp: 34 },
         Base { name: "launched echo", frame: launched_echo, section: 42, ip: 14, udp: 34 },
     ]
@@ -114,7 +116,7 @@ fn damaged_frames_never_panic_the_shim() {
     let mut local = shim_for(2);
     local.set_aggregator(APP, local.ip);
     let mut origin = shim_for(1);
-    let (mut completed, mut matched) = (0, 0);
+    let (mut completed, mut matched, mut absorbed) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = Rng::for_case(seed, case);
         let base = &bases[rng.below(bases.len())];
@@ -123,20 +125,24 @@ fn damaged_frames_never_panic_the_shim() {
             let input = frame.clone();
             let run = || {
                 let out = shim.incoming(input);
-                check(&out).map(|hit| (out.completed.is_some(), hit))
+                // Only an update's absorption leaves every field empty.
+                let nothing = out == Incoming::default();
+                check(&out).map(|hit| (out.completed.is_some(), hit, nothing))
             };
             match catch_unwind(AssertUnwindSafe(run)) {
-                Ok(Ok((surfaced, hit))) => {
+                Ok(Ok((surfaced, hit, nothing))) => {
                     completed += usize::from(surfaced);
                     matched += usize::from(hit);
+                    absorbed += usize::from(nothing);
                 }
                 Ok(Err(e)) => panic!("seed {seed}, case {case} ({}): {e}: {frame:02x?}", base.name),
                 Err(_) => panic!("seed {seed}, case {case} ({}) panicked: {frame:02x?}", base.name),
             }
         }
     }
-    // The loop reaches the completion paths and the executor's matches, not
-    // only the rejections.
+    // The loop reaches the completion paths, the executor's matches and the
+    // update rule, not only the rejections.
     assert!(completed > 0, "no mutated frame surfaced a completion");
     assert!(matched > 0, "no surfaced completion matched the launched probe");
+    assert!(absorbed > 0, "no mutated update was absorbed");
 }

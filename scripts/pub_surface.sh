@@ -11,9 +11,10 @@
 # defined at column 0, also counts where it is passed bare as an argument
 # (`map(NAME)`). A field, a local or a `fn NAME` definition of the same name
 # is not a call, and nor is an import (`use` and `pub use`: a re-export is
-# not a caller). Non-test code is crates/*/src up to each file's first
-# top-level `#[cfg(test)]` (every test module in this tree sits at the end
-# of its file), plus src/, examples/ and benchmark/src/. Not callers:
+# not a caller) or a name inside a one-line string or char literal
+# (`"NAME() needs ..."`). Non-test code is crates/*/src up to each file's
+# first top-level `#[cfg(test)]` (every test module in this tree sits at the
+# end of its file), plus src/, examples/ and benchmark/src/. Not callers:
 # `#[cfg(test)]` modules, crates/*/tests and tests/. A common name (`new`,
 # `len`) still finds a namesake method, so the check under-reports; what it
 # does report is real.
@@ -38,6 +39,7 @@ ANY_DEF = re.compile(r"\bfn\s+[A-Za-z_][A-Za-z0-9_]*")
 CALL = re.compile(NAME + r"\s*(?:\(|::<)")
 PATH = re.compile(r"::\s*" + NAME)
 ARG = re.compile(r"[(,]\s*&?" + NAME + r"\s*(?=[),])")
+STRING = re.compile(r"'(?:[^'\\]|\\.)'|\"(?:[^\"\\]|\\.)*\"")  # char and string literals
 
 uses = collections.Counter()  # non-test code
 all_uses = collections.Counter()  # tests too
@@ -52,7 +54,7 @@ for path in paths:
     in_test = "/tests/" in path or path.startswith("tests/")
     for line in open(path, encoding="utf-8"):
         in_test |= line.startswith("#[cfg(test)]")
-        code = line.split("//", 1)[0]
+        code = STRING.sub('""', line).split("//", 1)[0]
         in_use |= code.lstrip().startswith(("use ", "pub use "))
         if in_use:
             in_use = ";" not in code
