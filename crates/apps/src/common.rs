@@ -17,9 +17,9 @@ pub const DATA_PORT: u16 = 5001;
 const CONTROL_RETRIES: u32 = 3;
 
 /// A periodic controller's probe is first retried this many control
-/// periods after it was sent. Four periods fired inside the probe's round
-/// trip on a loaded path: the RCP* paper run retransmitted a fifth of its
-/// probes, and every one of them had been answered.
+/// periods after it was sent. Four periods fall inside the probe's round
+/// trip on a loaded path: with them the RCP* paper run retransmits a fifth
+/// of its probes, every one of which is answered.
 const CONTROL_TIMEOUT_PERIODS: u64 = 8;
 
 /// The executor settings of the three periodic controllers (RCP*, its

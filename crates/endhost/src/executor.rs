@@ -449,9 +449,8 @@ mod tests {
 
     #[test]
     fn update_echo_on_a_probes_port_completes_nothing() {
-        // Token 1 leaves from port 40,001; an echo of another program from
-        // that port (as updates were sent before they had a port of their
-        // own) matches the port key but not the program.
+        // Token 1 leaves from port 40,001. An echo of another program from
+        // that port matches the port key but not the program.
         let mut e = exec();
         let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
         assert_eq!(u16::from_be_bytes([frame[34], frame[35]]), 40_001);

@@ -471,8 +471,8 @@ impl Io<'_, '_> {
     /// [`TPP_UPDATE_PORT`], so the destination's shim sends no echo. Counted
     /// in [`Endhost::probe_bytes_sent`].
     pub fn send_standalone(&mut self, tpp: &Tpp, dst: Ipv4Address) {
-        let (mac, ip) = (self.ctx.mac, self.ctx.ip);
-        let frame = build_standalone(mac, mac_of_ip(dst), ip, dst, TPP_UPDATE_PORT, tpp);
+        let frame =
+            build_standalone(self.ctx.mac, mac_of_ip(dst), self.ctx.ip, dst, TPP_UPDATE_PORT, tpp);
         self.core.probe_bytes_sent += frame.len() as u64;
         self.ctx.send(frame);
     }

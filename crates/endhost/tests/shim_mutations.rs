@@ -7,13 +7,12 @@
 //! (transparent), standalone, a fire-and-forget update (standalone from
 //! [`TPP_UPDATE_PORT`], which the shim absorbs), an echo carrying a
 //! completion home, and the echo of a probe an [`Executor`] launched — and
-//! damages it. Every case
-//! goes to a host that echoes, to one that is its own aggregator and to the
-//! probe's origin. Every completion a shim surfaces is fed to an executor
-//! that holds the launched probe: a completion it matches must carry the
-//! probe's program, whatever else the damage changed. A panic is reported
-//! with its seed and case number; set `SHIM_MUTATION_SEED` to run another
-//! seed.
+//! damages it. Every case goes to a host that echoes, to one that is its own
+//! aggregator and to the probe's origin. Every completion a shim surfaces is
+//! fed to an executor that holds the launched probe: a completion it matches
+//! must carry the probe's program, whatever else the damage changed. A panic
+//! is reported with its seed and case number; set `SHIM_MUTATION_SEED` to
+//! run another seed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
