@@ -1,7 +1,10 @@
 //! Shared plumbing for TPP applications: frame construction, rate meters,
 //! and the standard shim-wiring pattern every app uses.
-
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+//!
+//! An application's results are plain fields of its state. Its callbacks
+//! write them through the `&mut` state the harness hands them, and the
+//! experiment reads them after the run through
+//! `Network::app_mut::<Endhost<S>>`, which derefs to the state.
 
 use tpp_core::wire::{
     ethernet, ipv4, udp, udp_frame_into, Ipv4Address, Ipv4Packet, UdpDatagram, UdpFrameRepr,
@@ -188,49 +191,6 @@ impl HopWindows {
             _ => latest as f64,
         }
     }
-}
-
-/// Shared handle used by apps to expose results to experiment drivers.
-///
-/// Backed by `Arc<RwLock<_>>` (it used to be `Rc<RefCell<_>>`) so that
-/// every application is `Send` and runs unchanged on a `tpp-fabric` shard
-/// thread; the `borrow`/`borrow_mut` names are kept so call sites read the
-/// same as before. Lock discipline matches `RefCell`: many concurrent
-/// reads, exclusive writes, no re-entrant write-while-read.
-pub struct Shared<T>(Arc<RwLock<T>>);
-
-impl<T> Clone for Shared<T> {
-    fn clone(&self) -> Self {
-        Shared(self.0.clone())
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Shared<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.read().unwrap().fmt(f)
-    }
-}
-
-impl<T: Default> Default for Shared<T> {
-    fn default() -> Self {
-        shared(T::default())
-    }
-}
-
-impl<T> Shared<T> {
-    /// Shared read access (panics if the lock is poisoned).
-    pub fn borrow(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap()
-    }
-
-    /// Exclusive write access (panics if the lock is poisoned).
-    pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap()
-    }
-}
-
-pub fn shared<T>(value: T) -> Shared<T> {
-    Shared(Arc::new(RwLock::new(value)))
 }
 
 /// A minimal host that runs only the dataplane shim: it echoes completed

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::common::{parse_udp, shared, udp_frame, RateMeter, Shared};
+use crate::common::{parse_udp, udp_frame, RateMeter};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
@@ -347,7 +347,7 @@ impl CongaSender {
 /// identity under CONGA's moving source ports. Construct with
 /// [`CongaSink::new`].
 pub struct CongaSink {
-    pub meters: Shared<BTreeMap<(Ipv4Address, u16), RateMeter>>,
+    pub meters: BTreeMap<(Ipv4Address, u16), RateMeter>,
     pub bucket_ns: Time,
 }
 
@@ -356,12 +356,11 @@ pub type CongaSinkApp = Endhost<CongaSink>;
 
 impl CongaSink {
     pub fn new(bucket_ns: Time) -> CongaSinkApp {
-        Harness::new(CongaSink { meters: shared(BTreeMap::new()), bucket_ns })
+        Harness::new(CongaSink { meters: BTreeMap::new(), bucket_ns })
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
                     if (FLOW_PORT_BASE..FLOW_PORT_BASE + 1000).contains(&info.dst_port) {
                         s.meters
-                            .borrow_mut()
                             .entry((info.src, info.dst_port))
                             .or_insert_with(|| RateMeter::new(s.bucket_ns))
                             .record(io.ctx.now, info.payload_len as u64);
@@ -441,10 +440,9 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
     let end_s = duration as f64 / 1e9;
     let (l0_mbps, l1_mbps) = {
         let sink = topo.net.app_mut::<CongaSinkApp>(hosts[2]);
-        let meters = sink.meters.borrow();
         let mut l0 = 0.0;
         let mut l1 = 0.0;
-        for ((src, _), m) in meters.iter() {
+        for ((src, _), m) in &sink.meters {
             let rate = m.avg_mbps(half_s, end_s);
             if *src == ips[0] {
                 l0 += rate;
@@ -490,13 +488,10 @@ mod tests {
 
     /// A host that logs the source port of every frame it receives and
     /// never answers.
-    struct Recorder(Shared<Vec<u16>>);
+    struct Recorder(Vec<u16>);
     impl tpp_netsim::HostApp for Recorder {
         fn on_frame(&mut self, _ctx: &mut tpp_netsim::HostCtx<'_>, frame: Vec<u8>) {
-            self.0.borrow_mut().push(parse_udp(&frame).expect("a UDP probe").src_port);
-        }
-        fn as_any(&mut self) -> &mut dyn std::any::Any {
-            self
+            self.0.push(parse_udp(&frame).expect("a UDP probe").src_port);
         }
     }
 
@@ -512,17 +507,16 @@ mod tests {
         net.connect(a, b, tpp_netsim::LinkSpec::new(1000, 1000));
         let cfg = CongaConfig { n_flows: 0, ..CongaConfig::default() };
         net.set_app(a, Box::new(CongaSender::new(cfg, net.host(b).ip)));
-        let ports = shared(Vec::new());
-        net.set_app(b, Box::new(Recorder(ports.clone())));
+        net.set_app(b, Box::new(Recorder(Vec::new())));
         net.run_until(SECONDS / 5);
         let sender = net.app_mut::<CongaSenderApp>(a);
         let exec = sender.executor().unwrap();
         let sent = DISCOVERY_PORTS as u64;
         assert_eq!((exec.sent, exec.retransmitted, exec.failed), (sent, 2 * sent, sent));
-        let mut ports = ports.borrow().clone();
+        let ports = &mut net.app_mut::<Recorder>(b).0;
         ports.sort_unstable();
         let want: Vec<u16> = (0..DISCOVERY_PORTS).flat_map(|i| [PROBE_SPORT_BASE + i; 3]).collect();
-        assert_eq!(ports, want);
+        assert_eq!(*ports, want);
     }
 
     #[test]

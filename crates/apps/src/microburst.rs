@@ -21,7 +21,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::common::{shared, udp_frame, Shared, DATA_PORT};
+use crate::common::{udp_frame, DATA_PORT};
 use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Aggregator, Completion, Endhost, Harness, Io};
@@ -81,9 +81,9 @@ const TIMER_BURST: u64 = 1;
 pub struct BurstHost {
     peers: Vec<Ipv4Address>,
     rng: StdRng,
-    pub samples: Shared<Vec<QueueSample>>,
+    pub samples: Vec<QueueSample>,
     pub messages_sent: u64,
-    pub bytes_received: Shared<u64>,
+    pub bytes_received: u64,
 }
 
 /// The wired micro-burst application.
@@ -95,9 +95,9 @@ impl BurstHost {
         let state = BurstHost {
             peers: cfg.peers,
             rng: StdRng::seed_from_u64(cfg.seed),
-            samples: shared(Vec::new()),
+            samples: Vec::new(),
             messages_sent: 0,
-            bytes_received: shared(0),
+            bytes_received: 0,
         };
         Harness::new(state)
             .shim_seed(cfg.seed ^ 0xB00B)
@@ -121,7 +121,7 @@ impl BurstHost {
             .on_deliver(|s, io, inner| {
                 if let Some(info) = crate::common::parse_udp(&inner) {
                     if info.dst_port == DATA_PORT {
-                        *s.bytes_received.borrow_mut() += info.payload_len as u64;
+                        s.bytes_received += info.payload_len as u64;
                     }
                 }
                 // Fully consumed: hand the buffer back to the frame pool.
@@ -143,9 +143,8 @@ impl BurstHost {
         // per data packet).
         let idx = |n| c.probe.index_of(n).unwrap();
         let (switch, port, q) = (idx("switch"), idx("port"), idx("q"));
-        let mut samples = self.samples.borrow_mut();
         for r in c.hops() {
-            samples.push(QueueSample {
+            self.samples.push(QueueSample {
                 t_ns: now,
                 switch_id: r.at(switch).unwrap_or(0),
                 port: r.at(port).unwrap_or(0),
@@ -205,7 +204,7 @@ pub fn run_microburst(per_side: usize, duration_ns: Time, seed: u64) -> Microbur
     for (i, &h) in hosts.iter().enumerate() {
         let app = topo.net.app_mut::<BurstApp>(h);
         total_messages += app.messages_sent;
-        let samples = app.samples.borrow().clone();
+        let samples = std::mem::take(&mut app.samples);
         if i == 0 {
             observer = samples.clone();
         }

@@ -24,7 +24,7 @@
 //! * **loss localization** — find the last switch that saw packets of a
 //!   flow that never arrived (§2.6 fault localization).
 
-use crate::common::{shared, udp_frame, Shared, DATA_PORT};
+use crate::common::{udp_frame, DATA_PORT};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Aggregator, Endhost, Harness};
@@ -109,7 +109,7 @@ pub fn parse_history<T: TppData>(t_ns: Time, tpp: &T, flow: FlowRef) -> PacketHi
 /// channel and stores reconstructed histories. Construct with
 /// [`Collector::new`].
 pub struct Collector {
-    pub histories: Shared<Vec<PacketHistory>>,
+    pub histories: Vec<PacketHistory>,
 }
 
 /// The wired collector application.
@@ -117,9 +117,9 @@ pub type CollectorApp = Endhost<Collector>;
 
 impl Collector {
     pub fn new() -> CollectorApp {
-        Harness::new(Collector { histories: shared(Vec::new()) })
+        Harness::new(Collector { histories: Vec::new() })
             .listen(history_probe().app_id(NETSIGHT_APP_ID), |s, io, c| {
-                s.histories.borrow_mut().push(parse_history(io.ctx.now, &c.tpp, c.flow));
+                s.histories.push(parse_history(io.ctx.now, &c.tpp, c.flow));
             })
             .build()
             .expect("static wiring")
@@ -342,7 +342,7 @@ pub fn run_netsight(duration: Time, sample_frequency: u32, seed: u64) -> Netsigh
     for &h in &hosts[..senders] {
         packets_sent += topo.net.app_mut::<TracedApp>(h).packets_sent;
     }
-    let histories = topo.net.app_mut::<CollectorApp>(collector_host).histories.borrow().clone();
+    let histories = std::mem::take(&mut topo.net.app_mut::<CollectorApp>(collector_host).histories);
     NetsightRun { histories, hosts, host_ips: ips, packets_sent }
 }
 

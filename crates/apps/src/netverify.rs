@@ -7,7 +7,6 @@
 //! blackhole, localize the failure to a switch (§2.6 "fault localization",
 //! complementing `netsight::last_seen_switch`).
 
-use crate::common::{shared, Shared};
 use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness};
@@ -35,7 +34,7 @@ const TIMER_PROBE: u64 = 1;
 pub struct PathVerifier {
     pub dst: Ipv4Address,
     pub period_ns: Time,
-    pub observations: Shared<Vec<PathObservation>>,
+    pub observations: Vec<PathObservation>,
 }
 
 /// The wired path-verification application.
@@ -43,7 +42,7 @@ pub type PathVerifierApp = Endhost<PathVerifier>;
 
 impl PathVerifier {
     pub fn new(dst: Ipv4Address, period_ns: Time) -> PathVerifierApp {
-        let state = PathVerifier { dst, period_ns, observations: shared(Vec::new()) };
+        let state = PathVerifier { dst, period_ns, observations: Vec::new() };
         Harness::new(state)
             .executor(ExecutorConfig { max_retries: 1, timeout_ns: period_ns })
             .launch(trace_probe().hops(8), |s, io, c| {
@@ -54,14 +53,10 @@ impl PathVerifier {
                     .map(|r| r.get("switch").unwrap_or(0))
                     .take_while(|&w| w != 0)
                     .collect();
-                s.observations.borrow_mut().push(PathObservation {
-                    t_ns: io.ctx.now,
-                    path,
-                    completed: true,
-                });
+                s.observations.push(PathObservation { t_ns: io.ctx.now, path, completed: true });
             })
             .on_failed(|s, io| {
-                s.observations.borrow_mut().push(PathObservation {
+                s.observations.push(PathObservation {
                     t_ns: io.ctx.now,
                     path: Vec::new(),
                     completed: false,
@@ -104,7 +99,7 @@ mod tests {
         // Steady state: path 1 -> 2 -> 3.
         {
             let v = topo.net.app_mut::<PathVerifierApp>(hosts[0]);
-            let obs = v.observations.borrow();
+            let obs = &v.observations;
             assert!(obs.len() >= 10);
             assert!(obs.iter().all(|o| o.completed));
             assert_eq!(obs.last().unwrap().path, vec![1, 2, 3]);
@@ -148,7 +143,7 @@ mod tests {
         net.switch_mut(sa).add_host_route(dst_ip, Action::Output(1));
         net.run_until(change + 30 * MILLIS);
         let v = net.app_mut::<PathVerifierApp>(h_src);
-        let obs = v.observations.borrow();
+        let obs = &v.observations;
         // Converged within two probe periods: every probe from then on
         // took the new path.
         let settled: Vec<_> = obs.iter().filter(|o| o.t_ns >= change + 2 * MILLIS).collect();
@@ -185,7 +180,7 @@ mod tests {
         topo.net.set_link_up(s_mid, port, false);
         topo.net.run_until(60 * MILLIS);
         let v = topo.net.app_mut::<PathVerifierApp>(hosts[0]);
-        let obs = v.observations.borrow();
+        let obs = &v.observations;
         assert!(obs.iter().any(|o| !o.completed), "losses observed");
         // The failure is just past switch id 3? No: past the last switch
         // seen before losses began — switch 3 is unreachable, so the

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::common::{shared, Shared};
 use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness, Io};
@@ -116,7 +115,7 @@ impl TcpSenderApp {
 pub struct TcpSinkApp {
     conns: BTreeMap<u16, TcpConn>,
     /// Total in-order payload bytes delivered, per source port.
-    pub delivered: Shared<BTreeMap<u16, u64>>,
+    pub delivered: BTreeMap<u16, u64>,
     pub wire_bytes_received: u64,
 }
 
@@ -127,7 +126,7 @@ impl TcpSinkApp {
     pub fn new() -> TcpSink {
         let state = TcpSinkApp {
             conns: BTreeMap::new(),
-            delivered: shared(BTreeMap::new()),
+            delivered: BTreeMap::new(),
             wire_bytes_received: 0,
         };
         Harness::new(state)
@@ -142,7 +141,7 @@ impl TcpSinkApp {
                     .entry(hdr.src_port)
                     .or_insert_with(|| TcpConn::new(hdr.dst_port, hdr.src_port, 1240));
                 let replies = conn.on_segment(io.ctx.now, &hdr);
-                s.delivered.borrow_mut().insert(hdr.src_port, conn.delivered);
+                s.delivered.insert(hdr.src_port, conn.delivered);
                 for seg in replies {
                     let frame = conn.frame_for(io.ctx.ip, src, &seg);
                     io.ctx.send(frame);
@@ -197,7 +196,7 @@ pub fn run_fig10_point(
     let secs = duration as f64 / 1e9;
     let (goodput, wire) = {
         let sink = net.app_mut::<TcpSink>(rcv);
-        let total: u64 = sink.delivered.borrow().values().sum();
+        let total: u64 = sink.delivered.values().sum();
         (total as f64 * 8.0 / secs / 1e9, sink.wire_bytes_received as f64 * 8.0 / secs / 1e9)
     };
     Fig10Point { n_flows, sample_frequency, goodput_gbps: goodput, network_gbps: wire }

@@ -19,9 +19,10 @@
 //! paper's refactoring: had max-min RCP been baked into the ASIC, other
 //! fairness criteria would be unreachable.
 
-use crate::common::{
-    control_executor, parse_udp, shared, udp_hdr, HopWindows, RateMeter, Shared, DATA_PORT,
-};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+use crate::common::{control_executor, parse_udp, udp_hdr, HopWindows, RateMeter, DATA_PORT};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{udp_frame_into, Ipv4Address, Tpp, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
@@ -337,7 +338,8 @@ impl RcpSender {
 /// [`RcpSink::new`].
 pub struct RcpSink {
     /// (source ip, source port) -> rate meter.
-    pub meters: Shared<std::collections::BTreeMap<(Ipv4Address, u16), RateMeter>>,
+    // A `RefCell` only because `benchmark/` reads it with `borrow()` (ROADMAP 1a).
+    pub meters: RefCell<BTreeMap<(Ipv4Address, u16), RateMeter>>,
     pub bucket_ns: Time,
 }
 
@@ -346,13 +348,14 @@ pub type RcpSinkApp = Endhost<RcpSink>;
 
 impl RcpSink {
     pub fn new(bucket_ns: Time) -> RcpSinkApp {
-        let state = RcpSink { meters: shared(std::collections::BTreeMap::new()), bucket_ns };
+        let state = RcpSink { meters: RefCell::default(), bucket_ns };
         Harness::new(state)
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
                     if info.dst_port == DATA_PORT {
-                        let mut meters = s.meters.borrow_mut();
-                        let m = meters
+                        let m = s
+                            .meters
+                            .get_mut()
                             .entry((info.src, info.src_port))
                             .or_insert_with(|| RateMeter::new(s.bucket_ns));
                         m.record(io.ctx.now, info.payload_len as u64);
@@ -415,8 +418,7 @@ pub fn run_rcp_fig2(alpha: f64, duration: Time, seed: u64) -> RcpResult {
         let src_ip = ip(src);
         {
             let sink = topo.net.app_mut::<RcpSinkApp>(h[dst]);
-            let meters = sink.meters.borrow();
-            let m = meters.get(&(src_ip, sport));
+            let m = sink.meters.get_mut().get(&(src_ip, sport));
             series.push((name.to_string(), m.map(RateMeter::series_mbps).unwrap_or_default()));
             steady.push((name.to_string(), m.map(|m| m.avg_mbps(half, end)).unwrap_or(0.0)));
         }
@@ -606,13 +608,11 @@ mod tests {
         let src1 = ips[1];
         let g0 = {
             let sink = topo.net.app_mut::<RcpSinkApp>(h[2]);
-            let m = sink.meters.borrow();
-            m.get(&(src0, 7001)).map(|m| m.avg_mbps(2.0, 4.0)).unwrap_or(0.0)
+            sink.meters.get_mut().get(&(src0, 7001)).map(|m| m.avg_mbps(2.0, 4.0)).unwrap_or(0.0)
         };
         let g1 = {
             let sink = topo.net.app_mut::<RcpSinkApp>(h[3]);
-            let m = sink.meters.borrow();
-            m.get(&(src1, 7002)).map(|m| m.avg_mbps(2.0, 4.0)).unwrap_or(0.0)
+            sink.meters.get_mut().get(&(src1, 7002)).map(|m| m.avg_mbps(2.0, 4.0)).unwrap_or(0.0)
         };
         let sum = g0 + g1;
         assert!(sum > 60.0, "bottleneck should be well utilized, got {g0}+{g1}={sum}");

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::common::{shared, udp_frame, Shared, DATA_PORT};
+use crate::common::{udp_frame, DATA_PORT};
 use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Aggregator, Endhost, Harness};
@@ -111,10 +111,10 @@ pub struct SketchHost {
     pub period_ns: Time,
     rng: StdRng,
     /// Local sketch state: one bitmap per (switch, link).
-    pub bitmaps: Shared<BTreeMap<LinkKey, BitmapSketch>>,
+    pub bitmaps: BTreeMap<LinkKey, BitmapSketch>,
     /// Ground truth kept alongside for accuracy evaluation: the actual set
     /// of destination IPs (this host's) recorded per link.
-    pub truth: Shared<BTreeMap<LinkKey, BTreeSet<u32>>>,
+    pub truth: BTreeMap<LinkKey, BTreeSet<u32>>,
     pub packets_sent: u64,
 }
 
@@ -133,8 +133,8 @@ impl SketchHost {
             bitmap_bits,
             period_ns: 200_000,
             rng: StdRng::seed_from_u64(seed),
-            bitmaps: shared(BTreeMap::new()),
-            truth: shared(BTreeMap::new()),
+            bitmaps: BTreeMap::new(),
+            truth: BTreeMap::new(),
             packets_sent: 0,
         };
         Harness::new(state)
@@ -155,8 +155,7 @@ impl SketchHost {
                     // data packet).
                     let switch = c.probe.index_of("switch").unwrap();
                     let out_port = c.probe.index_of("out_port").unwrap();
-                    let mut maps = s.bitmaps.borrow_mut();
-                    let mut truth = s.truth.borrow_mut();
+                    let (maps, truth) = (&mut s.bitmaps, &mut s.truth);
                     for r in c.hops() {
                         let key = (r.at(switch).unwrap_or(0), r.at(out_port).unwrap_or(0));
                         maps.entry(key).or_insert_with(|| BitmapSketch::new(bits)).insert(dst);
@@ -227,12 +226,12 @@ pub fn run_sketch(
     for &h in &hosts {
         let app = topo.net.app_mut::<SketchApp>(h);
         packets_sent += app.packets_sent;
-        let maps = app.bitmaps.borrow();
+        let maps = &app.bitmaps;
         mem_per_host = mem_per_host.max(maps.values().map(BitmapSketch::size_bytes).sum());
-        for (k, m) in maps.iter() {
+        for (k, m) in maps {
             agg.entry(*k).or_insert_with(|| BitmapSketch::new(bitmap_bits)).merge(m);
         }
-        for (k, s) in app.truth.borrow().iter() {
+        for (k, s) in &app.truth {
             truth.entry(*k).or_default().extend(s.iter().copied());
         }
     }

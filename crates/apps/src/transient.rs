@@ -26,7 +26,6 @@
 
 use std::collections::BTreeSet;
 
-use crate::common::{shared, Shared};
 use crate::netverify::trace_probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness};
@@ -55,11 +54,11 @@ pub struct TransientMonitor {
     pub period_ns: Time,
     /// Sanctioned switch-id paths. Empty = any loop-free completed path
     /// conforms (loop and blackhole detection stay active).
-    pub allowed: Shared<Vec<Vec<u32>>>,
+    pub allowed: Vec<Vec<u32>>,
     /// Probe rounds resolved (completed or failed).
-    pub probes: Shared<u64>,
+    pub probes: u64,
     /// Violations detected, in detection order.
-    pub violations: Shared<Vec<ViolationRecord>>,
+    pub violations: Vec<ViolationRecord>,
 }
 
 /// The wired transient-monitor application.
@@ -69,13 +68,7 @@ impl TransientMonitor {
     /// A monitor probing `dst` every `period_ns`, holding completed paths
     /// to the `allowed` set (empty = any loop-free path).
     pub fn new(dst: Ipv4Address, period_ns: Time, allowed: Vec<Vec<u32>>) -> TransientMonitorApp {
-        let state = TransientMonitor {
-            dst,
-            period_ns,
-            allowed: shared(allowed),
-            probes: shared(0),
-            violations: shared(Vec::new()),
-        };
+        let state = TransientMonitor { dst, period_ns, allowed, probes: 0, violations: Vec::new() };
         Harness::new(state)
             .executor(ExecutorConfig { max_retries: 1, timeout_ns: period_ns })
             .launch(trace_probe().hops(8), |s, io, c| {
@@ -84,28 +77,24 @@ impl TransientMonitor {
                     .map(|r| r.get("switch").unwrap_or(0))
                     .take_while(|&w| w != 0)
                     .collect();
-                *s.probes.borrow_mut() += 1;
+                s.probes += 1;
                 let mut seen = BTreeSet::new();
                 let kind = if !path.iter().all(|&w| seen.insert(w)) {
                     Some(ViolationKind::Loop)
                 } else {
-                    let allowed = s.allowed.borrow();
+                    let allowed = &s.allowed;
                     (!allowed.is_empty() && !allowed.iter().any(|p| p == &path))
                         .then_some(ViolationKind::PathConformance)
                 };
                 if let Some(kind) = kind {
                     io.ctx.record_violation(kind);
-                    s.violations.borrow_mut().push(ViolationRecord {
-                        t_ns: io.ctx.now,
-                        kind,
-                        path,
-                    });
+                    s.violations.push(ViolationRecord { t_ns: io.ctx.now, kind, path });
                 }
             })
             .on_failed(|s, io| {
-                *s.probes.borrow_mut() += 1;
+                s.probes += 1;
                 io.ctx.record_violation(ViolationKind::Blackhole);
-                s.violations.borrow_mut().push(ViolationRecord {
+                s.violations.push(ViolationRecord {
                     t_ns: io.ctx.now,
                     kind: ViolationKind::Blackhole,
                     path: Vec::new(),
@@ -156,8 +145,8 @@ mod tests {
         net.set_app(h_src, Box::new(TransientMonitor::new(dst_ip, MILLIS, vec![vec![1, 2]])));
         net.run_until(20 * MILLIS);
         let m = net.app_mut::<TransientMonitorApp>(h_src);
-        assert!(*m.probes.borrow() >= 10);
-        assert!(m.violations.borrow().is_empty());
+        assert!(m.probes >= 10);
+        assert!(m.violations.is_empty());
         assert_eq!(net.stats.violations(), 0);
     }
 
@@ -178,7 +167,7 @@ mod tests {
         assert!(net.stats.drops_no_route > 0, "withdrawn route must drop");
         assert!(net.stats.violations_blackhole > 0);
         let m = net.app_mut::<TransientMonitorApp>(h_src);
-        let v = m.violations.borrow();
+        let v = &m.violations;
         assert!(v.iter().any(|r| r.kind == ViolationKind::Blackhole), "{v:?}");
         assert!(v.iter().all(|r| r.kind != ViolationKind::Loop), "{v:?}");
     }
@@ -201,7 +190,7 @@ mod tests {
         net.run_until(20 * MILLIS);
         assert!(net.stats.violations_path > 0);
         let m = net.app_mut::<TransientMonitorApp>(h_src);
-        let v = m.violations.borrow();
+        let v = &m.violations;
         assert!(v.iter().any(|r| r.kind == ViolationKind::PathConformance), "{v:?}");
         assert!(v.iter().any(|r| r.path == vec![1, 3, 2]), "{v:?}");
     }

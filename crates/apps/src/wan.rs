@@ -53,9 +53,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::common::{
-    control_executor, parse_udp, shared, udp_frame, HopWindows, RateMeter, Shared, DATA_PORT,
-};
+use crate::common::{control_executor, parse_udp, udp_frame, HopWindows, RateMeter, DATA_PORT};
 use crate::rcp::{self, alpha_aggregate, RcpConfig, RcpLoop, UpdateTpps};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, Tpp};
@@ -302,7 +300,7 @@ impl FanoutSource {
 /// re-publishes every data frame to its local viewers.
 pub struct FanoutRelay {
     viewers: Vec<Ipv4Address>,
-    pub meter: Shared<RateMeter>,
+    pub meter: RateMeter,
     pub forwarded: u64,
 }
 
@@ -311,12 +309,12 @@ pub type FanoutRelayApp = Endhost<FanoutRelay>;
 
 impl FanoutRelay {
     pub fn new(viewers: Vec<Ipv4Address>, bucket_ns: Time) -> FanoutRelayApp {
-        let state = FanoutRelay { viewers, meter: shared(RateMeter::new(bucket_ns)), forwarded: 0 };
+        let state = FanoutRelay { viewers, meter: RateMeter::new(bucket_ns), forwarded: 0 };
         Harness::new(state)
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
                     if info.dst_port == DATA_PORT {
-                        s.meter.borrow_mut().record(io.ctx.now, info.payload_len as u64);
+                        s.meter.record(io.ctx.now, info.payload_len as u64);
                         for i in 0..s.viewers.len() {
                             let v = s.viewers[i];
                             let f = udp_frame(io.ctx.ip, v, 6001, DATA_PORT, info.payload_len);
@@ -338,7 +336,7 @@ pub struct WanSink {
     pub expect_bytes: u64,
     got: BTreeMap<(Ipv4Address, u16), u64>,
     /// (source ip, source port) -> completion time.
-    pub fct_ns: Shared<BTreeMap<(Ipv4Address, u16), Time>>,
+    pub fct_ns: BTreeMap<(Ipv4Address, u16), Time>,
 }
 
 /// The wired WAN sink application.
@@ -346,7 +344,7 @@ pub type WanSinkApp = Endhost<WanSink>;
 
 impl WanSink {
     pub fn new(expect_bytes: u64) -> WanSinkApp {
-        let state = WanSink { expect_bytes, got: BTreeMap::new(), fct_ns: shared(BTreeMap::new()) };
+        let state = WanSink { expect_bytes, got: BTreeMap::new(), fct_ns: BTreeMap::new() };
         Harness::new(state)
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
@@ -356,7 +354,7 @@ impl WanSink {
                         let before = *got;
                         *got += info.payload_len as u64;
                         if before < s.expect_bytes && *got >= s.expect_bytes {
-                            s.fct_ns.borrow_mut().insert(key, io.ctx.now);
+                            s.fct_ns.insert(key, io.ctx.now);
                         }
                     }
                 }
@@ -618,7 +616,7 @@ pub fn run_fanout(
     }
     for (i, site) in (1..sites).enumerate() {
         let relay = topo.net.app_mut::<FanoutRelayApp>(hosts[site * per_site]);
-        reports[i].relay_goodput_mbps = relay.meter.borrow().avg_mbps(half, end);
+        reports[i].relay_goodput_mbps = relay.meter.avg_mbps(half, end);
     }
     let src = topo.net.app_mut::<FanoutSourceApp>(hosts[0]);
     let control = src.probe_bytes_sent() as f64;
@@ -706,8 +704,7 @@ pub fn run_interdc(
     let mut fcts: BTreeMap<u32, f64> = BTreeMap::new();
     for site in 1..sites {
         let sink = topo.net.app_mut::<WanSinkApp>(hosts[site * per_site]);
-        let fct = sink.fct_ns.borrow();
-        if let Some(&t) = fct.get(&(src_ip, 7000 + site as u16)) {
+        if let Some(&t) = sink.fct_ns.get(&(src_ip, 7000 + site as u16)) {
             fcts.insert(site as u32, (t - start_at) as f64 / 1e6);
         }
     }

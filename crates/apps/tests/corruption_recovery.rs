@@ -55,7 +55,7 @@ fn corrupted_probes_retry_until_the_fault_clears() {
     assert!(exec.completed > 0, "probes complete once the fault clears");
     // During the fault window the monitor saw blackholes (checksum-rejected
     // probes look like losses end to end)...
-    let v = m.violations.borrow();
+    let v = &m.violations;
     assert!(
         v.iter().any(|r| r.t_ns < FAULT_CLEAR_NS + MILLIS),
         "corruption window must surface as violations: {v:?}"
@@ -64,7 +64,6 @@ fn corrupted_probes_retry_until_the_fault_clears() {
     // straddling the boundary) it went quiet.
     let quiet_after = FAULT_CLEAR_NS + 2 * PROBE_PERIOD;
     assert!(v.iter().all(|r| r.t_ns <= quiet_after), "no violations after the repair: {v:?}");
-    drop(v);
     // The shim-level evidence: corrupted sections were rejected by parse
     // (monitor side sees corrupted echoes; switches drop mangled requests
     // as malformed).

@@ -3,7 +3,7 @@
 //! TPPs recorded from real simulated runs (microburst- and NetSight-style
 //! deployments) and on reference executions of the RCP collect program.
 
-use tpp_apps::common::{shared, udp_frame, Shared, DATA_PORT};
+use tpp_apps::common::{udp_frame, DATA_PORT};
 use tpp_apps::microburst::microburst_probe;
 use tpp_apps::netsight::{history_probe, TracedHost};
 use tpp_apps::rcp::{collect_probe, parse_collect};
@@ -34,17 +34,13 @@ fn probe_rows(probe: &Probe, tpp: &TppBuf) -> Vec<Vec<u32>> {
 /// completed TPP verbatim (completions echo back from the receiver).
 struct Recorder {
     dst: tpp_core::wire::Ipv4Address,
-    recorded: Shared<Vec<TppBuf>>,
+    recorded: Vec<TppBuf>,
 }
 
-fn recorder(
-    dst: tpp_core::wire::Ipv4Address,
-    probe: Probe,
-    recorded: Shared<Vec<TppBuf>>,
-) -> Endhost<Recorder> {
-    Harness::new(Recorder { dst, recorded })
+fn recorder(dst: tpp_core::wire::Ipv4Address, probe: Probe) -> Endhost<Recorder> {
+    Harness::new(Recorder { dst, recorded: Vec::new() })
         .stamp_with(probe, Filter::udp(), 1, Aggregator::Source, |s, _io, c| {
-            s.recorded.borrow_mut().push(c.tpp);
+            s.recorded.push(c.tpp);
         })
         .on_start(|_s, io| io.ctx.set_timer(500_000, 1))
         .on_timer(|s, io, _| {
@@ -58,16 +54,12 @@ fn recorder(
 
 /// A raw-TPP collector for remotely aggregated completions (`NetSight`).
 struct RawCollector {
-    recorded: Shared<Vec<TppBuf>>,
+    recorded: Vec<TppBuf>,
 }
 
-fn raw_collector(
-    app_id: u16,
-    probe: Probe,
-    recorded: Shared<Vec<TppBuf>>,
-) -> Endhost<RawCollector> {
-    Harness::new(RawCollector { recorded })
-        .listen(probe.app_id(app_id), |s, _io, c| s.recorded.borrow_mut().push(c.tpp))
+fn raw_collector(app_id: u16, probe: Probe) -> Endhost<RawCollector> {
+    Harness::new(RawCollector { recorded: Vec::new() })
+        .listen(probe.app_id(app_id), |s, _io, c| s.recorded.push(c.tpp))
         .build()
         .expect("static wiring")
 }
@@ -86,34 +78,29 @@ fn typed_decode_matches_legacy_on_recorded_runs() {
     let hosts = topo.hosts.clone();
     let ips: Vec<_> = hosts.iter().map(|&h| topo.net.host(h).ip).collect();
 
-    let micro_recorded = shared(Vec::new());
-    let hist_recorded = shared(Vec::new());
-    topo.net.set_app(
-        hosts[0],
-        Box::new(recorder(ips[3], microburst_probe().app_id(1).hops(8), micro_recorded.clone())),
-    );
+    topo.net.set_app(hosts[0], Box::new(recorder(ips[3], microburst_probe().app_id(1).hops(8))));
     topo.net.set_app(hosts[3], Box::new(tpp_apps::common::Responder::new()));
     topo.net.set_app(hosts[2], Box::new(TracedHost::new(ips[4], ips[5], 6000)));
     // The receiver is also a traced host (as in the Figure 3 deployment):
     // its shim owns the app-3 aggregator entry that routes completions to
     // the collector.
     topo.net.set_app(hosts[4], Box::new(TracedHost::new(ips[2], ips[5], 6001)));
-    topo.net.set_app(hosts[5], Box::new(raw_collector(3, history_probe(), hist_recorded.clone())));
+    topo.net.set_app(hosts[5], Box::new(raw_collector(3, history_probe())));
     topo.net.run_until(60 * MILLIS);
 
-    let micro = micro_recorded.borrow();
-    let hist = hist_recorded.borrow();
+    let micro = std::mem::take(&mut topo.net.app_mut::<Endhost<Recorder>>(hosts[0]).recorded);
+    let hist = std::mem::take(&mut topo.net.app_mut::<Endhost<RawCollector>>(hosts[5]).recorded);
     assert!(micro.len() > 50, "recorded {} microburst TPPs", micro.len());
     assert!(hist.len() > 30, "recorded {} history TPPs", hist.len());
 
     let mp = microburst_probe();
-    for tpp in micro.iter() {
+    for tpp in &micro {
         let typed = probe_rows(&mp, tpp);
         assert_eq!(typed, legacy_stack_rows(&tpp.view().to_tpp(), 3));
         assert!(!typed.is_empty(), "traversed at least one switch");
     }
     let hp = history_probe();
-    for tpp in hist.iter() {
+    for tpp in &hist {
         assert_eq!(probe_rows(&hp, tpp), legacy_stack_rows(&tpp.view().to_tpp(), 3));
     }
 }

@@ -75,8 +75,8 @@ fn ordered_plan_is_transient_safe() {
     let h_src = net.host_ids()[0];
     let mut net = net;
     let m = net.app_mut::<TransientMonitorApp>(h_src);
-    assert!(*m.probes.borrow() >= 100, "monitor kept probing throughout");
-    assert!(m.violations.borrow().is_empty());
+    assert!(m.probes >= 100, "monitor kept probing throughout");
+    assert!(m.violations.is_empty());
 }
 
 #[test]

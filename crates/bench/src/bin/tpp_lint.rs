@@ -18,7 +18,6 @@
 
 use std::process::ExitCode;
 
-use tpp_apps::{conga, microburst, netsight, netverify, overhead, rcp, sketch, wan};
 use tpp_core::asm::{assemble, disassemble};
 use tpp_core::probe::Probe;
 use tpp_core::verify::{verify, Verdict, VerifyOptions};
@@ -71,29 +70,14 @@ fn lint_probe(name: &str, probe: &Probe, hops: usize, policy: &Policy) -> bool {
 }
 
 /// `--all-apps`: every built-in application probe against the segment
-/// table its app would be granted by the central TPP-CP. Mirrors (and is
-/// pinned by) `crates/apps/tests/verify_apps.rs`.
+/// table its app would be granted by the central TPP-CP
+/// ([`tpp_apps::builtin_probes`], which `crates/apps/tests/verify_apps.rs`
+/// checks too).
 fn lint_all_apps() -> ExitCode {
-    let mut cp = CentralCp::new();
-    let (rcp_app, _) = cp.register_app_with_regs("rcp", 2).expect("registers available");
-    let (wan_app, _) = cp.register_app_with_regs("wan-fanout", 2).expect("registers available");
-    let reader_app = cp.register_app("reader");
-    let rcp_policy = cp.policy_for(rcp_app, false).expect("registered");
-    let wan_policy = cp.policy_for(wan_app, false).expect("registered");
-    let reader = cp.policy_for(reader_app, false).expect("registered");
-
     let mut denied = false;
-    denied |= lint_probe("microburst", &microburst::microburst_probe(), 8, &reader);
-    denied |= lint_probe("conga-path", &conga::conga_probe(), 8, &reader);
-    denied |= lint_probe("netsight-history", &netsight::history_probe(), 8, &reader);
-    denied |= lint_probe("netverify-trace", &netverify::trace_probe(), 8, &reader);
-    denied |= lint_probe("transient-trace", &netverify::trace_probe(), 8, &reader);
-    denied |= lint_probe("sketch", &sketch::sketch_probe(), 8, &reader);
-    denied |= lint_probe("overhead", &overhead::overhead_probe(), 8, &reader);
-    denied |= lint_probe("rcp-collect", &rcp::collect_probe(), 8, &rcp_policy);
-    denied |= lint_probe("rcp-update", &rcp::update_probe(), 4, &rcp_policy);
-    denied |= lint_probe("wan-discover", &wan::discover_probe(), 8, &wan_policy);
-    denied |= lint_probe("wan-install", &wan::install_probe(), 4, &wan_policy);
+    for p in tpp_apps::builtin_probes(&mut CentralCp::new()) {
+        denied |= lint_probe(p.name, &p.probe, p.hops, &p.policy);
+    }
 
     if denied {
         ExitCode::FAILURE

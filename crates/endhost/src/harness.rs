@@ -17,6 +17,11 @@
 //! probe's instructions. Fire-and-forget TPPs ([`Io::send_standalone`]) are
 //! not echoed: the destination's shim absorbs them, so no reply comes back.
 //!
+//! An application's state `S` is plain data. Callbacks get `&mut S` while
+//! the host runs; after (or between) runs the experiment reads them off
+//! `Network::app_mut::<Endhost<S>>(host)`, whose `Deref` reaches `S`. No
+//! handle into the state is kept outside the host.
+//!
 //! Three probe roles cover the paper's applications (§2):
 //!
 //! * [`Harness::stamp`] — piggy-back the probe on matching outgoing traffic
@@ -476,26 +481,16 @@ impl Io<'_, '_> {
         self.core.probe_bytes_sent += frame.len() as u64;
         self.ctx.send(frame);
     }
-
-    /// Bytes of standalone probe traffic sent so far (incl. retries).
-    pub fn probe_bytes_sent(&self) -> u64 {
-        self.core.probe_bytes_sent
-    }
-
-    /// The underlying shim, for counters and exotic needs.
-    pub fn shim(&mut self) -> Option<&mut Shim> {
-        self.core.shim.as_mut()
-    }
 }
 
 /// A wired TPP end-host application: shim + executor + typed probe
 /// dispatch around user state `S` (built by [`Harness`]).
 ///
-/// Implements the simulator's `HostApp`; derefs to `S` so experiment
-/// drivers read results straight off the state.
+/// Implements the simulator's `HostApp`; derefs to `S` so an experiment
+/// reads results straight off the state, through
+/// `Network::app_mut::<Endhost<S>>` once the run is over.
 pub struct Endhost<S> {
-    /// The application's own state, also reachable through `Deref`.
-    pub state: S,
+    state: S,
     core: Core,
     handlers: Handlers<S>,
 }
@@ -627,10 +622,6 @@ impl<S: Send + 'static> HostApp for Endhost<S> {
             cb(&mut self.state, &mut Io { ctx, core: &mut self.core }, token);
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -685,13 +676,10 @@ mod tests {
     }
 
     /// A host that logs when each frame reaches it and never answers.
-    struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<Time>>>);
+    struct Recorder(Vec<Time>);
     impl HostApp for Recorder {
         fn on_frame(&mut self, ctx: &mut HostCtx<'_>, _frame: Vec<u8>) {
-            self.0.lock().unwrap().push(ctx.now);
-        }
-        fn as_any(&mut self) -> &mut dyn std::any::Any {
-            self
+            self.0.push(ctx.now);
         }
     }
 
@@ -722,10 +710,9 @@ mod tests {
             })
             .build()
             .unwrap();
-        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut net = Network::new(1);
         let a = net.add_host(Box::new(launcher));
-        let b = net.add_host(Box::new(Recorder(log.clone())));
+        let b = net.add_host(Box::new(Recorder(Vec::new())));
         net.connect(a, b, LinkSpec::new(1000, 1000));
         net.run_until(30 * MILLIS);
 
@@ -733,7 +720,7 @@ mod tests {
         let exec = app.executor().unwrap();
         assert_eq!((exec.sent, exec.retransmitted, exec.failed), (PROBES, 2 * PROBES, PROBES));
         // Every first transmission and every retry left at its own deadline.
-        let log = log.lock().unwrap();
+        let log = &net.app_mut::<Recorder>(b).0;
         let wire = log[0];
         // Probe `k` holds token `k + 1`.
         let mut want: Vec<Time> = (0..PROBES)

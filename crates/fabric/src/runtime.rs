@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use tpp_netsim::{NetStats, Network, NodeId, RemoteFrame, Time};
+use tpp_netsim::{NetStats, Network, RemoteFrame, Time};
 
 use crate::partition::{lookahead, partition, PartitionStrategy};
 
@@ -105,27 +105,6 @@ impl Fabric {
     /// `Time::MAX` when the shards are independent.
     pub fn lookahead(&self) -> Time {
         self.lookahead
-    }
-
-    /// The shard that owns `node`.
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        self.assignment[node.0 as usize]
-    }
-
-    /// The shard kernels (read-only; handy for per-switch inspection).
-    pub fn shards(&self) -> &[Network] {
-        &self.shards
-    }
-
-    /// Total events pending across every shard's scheduler layer.
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(Network::pending_events).sum()
-    }
-
-    /// Downcast a host's application on its owning shard.
-    pub fn app_mut<T: 'static>(&mut self, node: NodeId) -> &mut T {
-        let s = self.shard_of(node);
-        self.shards[s].app_mut(node)
     }
 
     /// Merged statistics across shards. `trace` folds commutatively, so

@@ -298,10 +298,6 @@ impl HostApp for TrafficGen {
         self.delivered.fetch_add(1, Ordering::Relaxed);
         ctx.recycle(frame);
     }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Install [`TrafficGen`]s on every host of a built topology; returns the

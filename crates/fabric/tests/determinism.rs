@@ -226,9 +226,6 @@ impl HostApp for LateApp {
     fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {
         panic!("ran past the first horizon");
     }
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A panic in one worker's window left the other workers at that window's

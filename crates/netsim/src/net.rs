@@ -51,6 +51,8 @@
 //!   event queue; the fabric routes them to the owning shard, which
 //!   re-injects them with [`Network::inject_remote`].
 
+use std::any::Any;
+
 use crate::engine::{Scheduler, Time};
 use crate::link::LinkFabric;
 use crate::nodes::{NodeKind, NodeStore, NIC_LIMIT_BYTES};
@@ -250,26 +252,20 @@ impl HeadMemo {
 /// Hosts are woken by frame arrivals and timers; they act through
 /// [`HostCtx`]. Implementations live in `tpp-endhost` and `tpp-apps`.
 /// `Send` is a supertrait so the same application runs unchanged on the
-/// single-threaded [`Network`] loop and on a `tpp-fabric` shard thread.
-pub trait HostApp: Send {
+/// single-threaded [`Network`] loop and on a `tpp-fabric` shard thread, and
+/// `Any` so that [`Network::app_mut`] can hand back the concrete type.
+pub trait HostApp: Any + Send {
     /// Called once before the first event is processed.
     fn start(&mut self, _ctx: &mut HostCtx<'_>) {}
     /// A frame arrived at the host NIC.
     fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Vec<u8>) {}
     /// A timer set via [`HostCtx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {}
-    /// Escape hatch for experiment drivers to inspect app state after (or
-    /// during) a run.
-    fn as_any(&mut self) -> &mut dyn std::any::Any;
 }
 
 /// A no-op application (e.g. a pure sink).
 pub struct NullApp;
-impl HostApp for NullApp {
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
+impl HostApp for NullApp {}
 
 /// What a host can do when woken.
 pub struct HostCtx<'a> {
@@ -744,9 +740,17 @@ impl Network {
         self.hosts_started = false;
     }
 
-    /// Downcast a host's application for result extraction.
-    pub fn app_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.nodes.host_mut(id).app.as_any().downcast_mut::<T>().expect("app type mismatch")
+    /// A host's application as its concrete type: how an experiment reads
+    /// an app's results after (or between) runs.
+    ///
+    /// # Panics
+    ///
+    /// If the host's application is not a `T` ("app type mismatch").
+    pub fn app_mut<T: HostApp>(&mut self, id: NodeId) -> &mut T {
+        // Upcast the app itself: a `Box<dyn HostApp>` upcast to `dyn Any`
+        // is the box, and would never downcast to `T`.
+        let app: &mut dyn Any = &mut *self.nodes.host_mut(id).app;
+        app.downcast_mut::<T>().expect("app type mismatch")
     }
 
     /// Degrade a link (both directions) for failure-injection experiments.
@@ -1187,7 +1191,6 @@ mod tests {
     use super::*;
     use crate::engine::MILLIS;
     use crate::nodes::POOL_HIGH_WATER;
-    use std::any::Any;
     use std::sync::{Arc, Mutex};
     use tpp_core::wire::{ethernet, ipv4, udp, EthernetRepr};
     use tpp_switch::Action;
@@ -1227,9 +1230,6 @@ mod tests {
         }
         fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Vec<u8>) {
             self.received.lock().unwrap().push((ctx.now, frame));
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1556,9 +1556,6 @@ mod tests {
         fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Vec<u8>) {
             ctx.recycle(frame);
         }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -1702,9 +1699,6 @@ mod tests {
                     ctx.set_timer(500, 4);
                 }
             }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut net = Network::new(0);
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -1735,9 +1729,6 @@ mod tests {
                     // must fire *before* the staged token-5 event.
                     ctx.set_timer(0, 3);
                 }
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut net = Network::new(0);
@@ -1776,9 +1767,6 @@ mod tests {
                     }
                 }
             }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut net = Network::new(0);
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -1815,9 +1803,6 @@ mod tests {
                     ctx.set_timer(500, 3);
                 }
             }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut net = Network::new(0);
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -1850,6 +1835,16 @@ mod tests {
         let mut net = Network::new(0);
         let h = net.add_host(Box::new(NullApp));
         let _: &mut NullApp = net.app_mut::<NullApp>(h);
+    }
+
+    #[test]
+    #[should_panic(expected = "app type mismatch")]
+    fn app_mut_wrong_type_panics() {
+        struct Other;
+        impl HostApp for Other {}
+        let mut net = Network::new(0);
+        let h = net.add_host(Box::new(NullApp));
+        net.app_mut::<Other>(h);
     }
 
     #[test]
@@ -1918,9 +1913,6 @@ mod tests {
                 let buf = ctx.take_buf();
                 *self.took_capacity.lock().unwrap() = buf.capacity();
             }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let (mut net, _received) = two_hosts_one_switch(1000, 1000, 1);
         let cap = Arc::new(Mutex::new(0usize));
@@ -1937,9 +1929,6 @@ mod tests {
         impl HostApp for Starter {
             fn start(&mut self, _ctx: &mut HostCtx<'_>) {
                 *self.started.lock().unwrap() = true;
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut net = Network::new(0);

@@ -182,9 +182,6 @@ mod tests {
         fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Vec<u8>) {
             self.got.fetch_add(1, Ordering::Relaxed);
         }
-        fn as_any(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn assert_all_pairs_connectivity(mut t: Topology, label: &str) {

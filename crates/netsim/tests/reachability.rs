@@ -61,10 +61,6 @@ impl HostApp for AllPairsApp {
         );
         self.received[self.my_index].fetch_add(1, Ordering::Relaxed);
     }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 fn assert_all_pairs_deliver(mut t: Topology, label: &str) {

@@ -69,10 +69,6 @@ impl HostApp for OneProbe {
             }
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 fn trace_tpp() -> minions::core::wire::Tpp {
@@ -263,7 +259,7 @@ fn path_visibility_tracks_link_failure_and_recovery() {
     topo.net.set_link_up(switches[0], 1, false);
     topo.net.run_until(200 * MILLIS);
     let v = topo.net.app_mut::<PathVerifierApp>(hosts[0]);
-    let obs = v.observations.borrow();
+    let obs = &v.observations;
     let before_fail = obs.iter().filter(|o| o.t_ns < 50 * MILLIS).count();
     assert!(before_fail > 20, "steady probing before failure");
     assert!(

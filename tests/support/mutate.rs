@@ -1,7 +1,7 @@
 //! The seed-replayable frame mutator the mutation loops share (the shim's
-//! `Shim::incoming`, the switch's `receive` → `dequeue` → `tick`). Each
-//! loop includes this file with `#[path]`; cargo builds no test target from
-//! a file below `tests/`.
+//! `Shim::incoming` and `Shim::outgoing`, the switch's `receive` →
+//! `dequeue` → `tick`). Each loop includes this file with `#[path]`; cargo
+//! builds no test target from a file below `tests/`.
 //!
 //! A case applies one to three mutations drawn from its own generator: bit
 //! flips, truncation, padding, and lying fields (the section's instruction
