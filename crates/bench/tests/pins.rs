@@ -11,9 +11,9 @@
 //!   must give the row.
 //! - `smoke.*`: the repo benchmark's `output_digest` of each workload set up
 //!   at seed 1, the value its `--smoke` run prints.
-//! - `rcp_fig2.*`, `conga_fig4.*`, `microburst.*`, `interdc.*`, `fanout.*`:
-//!   every `f64` these experiments report, by its bits, at horizons a debug
-//!   build runs in seconds. A series is pinned by its length and by
+//! - `rcp_fig2.*`, `conga_fig4.*`, `microburst.*`, `interdc.*`,
+//!   `interdc_fct.*`, `fanout.*`: every `f64` these experiments report, by
+//!   its bits, at horizons a debug build runs in seconds. A series is pinned by its length and by
 //!   [`fnv1a`] over the bits of every point. The statistical tests beside
 //!   each application allow wide bands; these catch any change at all.
 //!
@@ -32,7 +32,7 @@ use tpp_apps::wan::{run_fanout, run_interdc};
 use tpp_fabric::{
     install_traffic, ExecMode, Fabric, PartitionStrategy, TrafficConfig, TrafficPattern,
 };
-use tpp_netsim::{NodeId, Topology, TopologySpec, MILLIS};
+use tpp_netsim::{NodeId, Topology, TopologySpec, MILLIS, SECONDS};
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/pins.txt");
 
@@ -67,8 +67,8 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// The groups, one test each.
-const GROUPS: [&str; 7] =
-    ["golden", "smoke", "rcp_fig2", "conga_fig4", "microburst", "interdc", "fanout"];
+const GROUPS: [&str; 8] =
+    ["golden", "smoke", "rcp_fig2", "conga_fig4", "microburst", "interdc", "interdc_fct", "fanout"];
 
 /// `(line index, name, value)` of every row of the table.
 fn rows(text: &str) -> Vec<(usize, &str, &str)> {
@@ -344,6 +344,24 @@ fn interdc() {
         }
     }
     check("interdc", seen);
+}
+
+/// `fig_interdc_fct`'s full run, where every transfer finishes: per border
+/// buffer profile and path, the final rate, the RTT estimate and the
+/// completion time.
+#[test]
+fn interdc_fct() {
+    let mut seen = Vec::new();
+    for (profile, wan_queue_bytes) in [("deep", 0), ("shallow", 12_000)] {
+        let r = run_interdc(3, 4, 20, wan_queue_bytes, 200_000, 3 * SECONDS, 7);
+        for p in &r.paths {
+            let row = |field: &str| format!("interdc_fct.{profile}.dc{}.{field}", p.dst_dc);
+            seen.push(pin(row("rate_mbps"), bits(p.rate_mbps)));
+            seen.push(pin(row("rtt_est_ms"), bits(p.rtt_est_ms)));
+            seen.push(pin(row("fct_ms"), hex(p.fct_ms.map_or(u64::MAX, f64::to_bits))));
+        }
+    }
+    check("interdc_fct", seen);
 }
 
 /// Per subtree: the bottleneck, the adapted rate, the relay goodput and the
