@@ -142,8 +142,6 @@ impl Default for CongaConfig {
 
 /// The paced rate of every flow.
 const FLOW_RATE_MBPS: f64 = 10.0;
-/// Data packet payload bytes.
-const PAYLOAD: usize = 1000;
 /// Congestion probes per path (paper: every millisecond).
 const PROBE_PERIOD_NS: Time = 1_000_000;
 /// One flow reconsiders its path per decision tick.
@@ -293,7 +291,7 @@ impl CongaSender {
                 dst_port: FLOW_PORT_BASE + i as u16,
                 sport,
                 path,
-                pacer: PacedSender::new(FLOW_RATE_MBPS * 1e6, PAYLOAD),
+                pacer: PacedSender::new(FLOW_RATE_MBPS * 1e6),
             });
         }
         io.ctx.set_timer(0, TIMER_PACE);
@@ -333,7 +331,7 @@ impl CongaSender {
             next = next.min(f.pacer.next_deadline());
         }
         for (sport, dport) in to_send {
-            let frame = udp_frame(io.ctx.ip, self.dst, sport, dport, PAYLOAD);
+            let frame = udp_frame(io.ctx.ip, self.dst, sport, dport, PacedSender::PAYLOAD);
             self.data_bytes += frame.len() as u64;
             io.ctx.send(frame);
         }

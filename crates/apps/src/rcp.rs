@@ -18,6 +18,14 @@
 //! the choice is deferred to deployment time, which is the point of the
 //! paper's refactoring: had max-min RCP been baked into the ASIC, other
 //! fairness criteria would be unreachable.
+//!
+//! One sender and one sink serve every RCP* experiment. An [`RcpSender`]
+//! runs a control loop per path (a destination, a source port and a
+//! transfer size), and finds a completed collect's path by its source
+//! address. Eq. 1's `d` is [`RcpConfig::rtt_ns`] (Figure 2 and the repo
+//! benchmark) or, with [`RcpConfig::measure_rtt`], each path's measured
+//! probe RTT (inter-DC RCP*, `wan::run_interdc`). An [`RcpSink`] meters
+//! each flow's goodput and records when a fixed-size transfer completes.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -134,6 +142,10 @@ pub struct RcpConfig {
     pub period_ns: Time,
     /// Average RTT estimate d used in Eq. 1.
     pub rtt_ns: Time,
+    /// Use each path's measured probe RTT as d instead, seeded from
+    /// `rtt_ns`: paths of different lengths then each run a loop damped for
+    /// their own round trip.
+    pub measure_rtt: bool,
     /// Uniform link capacity (known to the control plane).
     pub capacity_mbps: f64,
     /// Initial flow rate (paper: "all flows start at 1Mb/s").
@@ -148,6 +160,7 @@ impl Default for RcpConfig {
             alpha: f64::INFINITY,
             period_ns: 2_000_000,
             rtt_ns: 10_000_000,
+            measure_rtt: false,
             capacity_mbps: 100.0,
             start_rate_bps: 1e6,
             probe_hops: 5,
@@ -159,11 +172,8 @@ impl Default for RcpConfig {
 const GAIN_A: f64 = 0.4;
 const GAIN_B: f64 = 0.5;
 
-/// Data packet payload bytes of every RCP* sender, intra- and inter-DC.
-pub const PAYLOAD: usize = 1000;
-
-/// The app ID of RCP*'s collect and update probes, intra- and inter-DC.
-pub(crate) const APP_ID: u16 = 2;
+/// The app ID of RCP*'s collect and update probes.
+const APP_ID: u16 = 2;
 
 /// Aggregate per-link fair rates into the flow rate (Eq. 2).
 pub fn alpha_aggregate(rates_bps: &[f64], alpha: f64) -> f64 {
@@ -201,43 +211,70 @@ pub fn rcp_equation(cfg: &RcpConfig, r_old: f64, y: f64, q_avg_bytes: f64, c: f6
     (r_old * factor.clamp(0.9, 1.1)).clamp(8_000.0, 100.0 * c)
 }
 
+/// One path of an [`RcpSender`]: where its data goes, from which port, and
+/// how much of it.
+#[derive(Clone, Copy, Debug)]
+pub struct RcpPath {
+    pub dst: Ipv4Address,
+    pub sport: u16,
+    /// Transfer size in payload bytes, what the sink counts; 0 streams
+    /// forever.
+    pub transfer_bytes: u64,
+}
+
 /// One path's RCP* controller (§2.2): the pacer it drives, the per-hop
-/// queue history phase 2 averages, and the latest collect. [`RcpSender`]
-/// runs one; the inter-DC sender (`wan::InterDcSender`) runs one per path.
-pub(crate) struct RcpLoop {
-    pub(crate) pacer: PacedSender,
+/// queue history phase 2 averages, the latest collect, and the path's
+/// measured round trip.
+struct RcpLoop {
+    path: RcpPath,
+    pacer: PacedSender,
     qhist: HopWindows,
     latest: Vec<HopSample>,
+    /// EWMA of measured probe RTTs, in ns: completion time minus the
+    /// launch time the executor kept for the probe (a retry does not reset
+    /// it).
+    rtt_est_ns: f64,
+    payload_sent: u64,
 }
 
 impl RcpLoop {
-    pub(crate) fn new(cfg: &RcpConfig) -> Self {
+    fn new(cfg: &RcpConfig, path: RcpPath) -> Self {
         RcpLoop {
-            pacer: PacedSender::new(cfg.start_rate_bps, PAYLOAD),
+            path,
+            pacer: PacedSender::new(cfg.start_rate_bps),
             qhist: HopWindows::new(cfg.probe_hops),
             latest: Vec::new(),
+            rtt_est_ns: cfg.rtt_ns as f64,
+            payload_sent: 0,
         }
     }
 
+    /// Whether a fixed-size transfer has sent all its payload.
+    fn done(&self) -> bool {
+        self.path.transfer_bytes > 0 && self.payload_sent >= self.path.transfer_bytes
+    }
+
     /// Phase 1's result: a completed collect probe.
-    pub(crate) fn absorb(&mut self, collect: &TppBuf) {
+    fn absorb(&mut self, collect: &TppBuf) {
         self.latest = parse_collect(collect);
         for (h, s) in self.latest.iter().enumerate() {
             self.qhist.record(h, s.queue_bytes);
         }
     }
 
-    /// Phases 2 and 3 under the equation parameters `eq`: a new rate per
-    /// hop, the flow's own rate set on the pacer, and the update TPP that
-    /// writes the per-hop rates back. `None` until a collect has completed.
-    pub(crate) fn step<'u>(
-        &mut self,
-        eq: &RcpConfig,
-        update: &'u mut UpdateTpps,
-    ) -> Option<&'u Tpp> {
+    /// Phases 2 and 3: a new rate per hop, the flow's own rate set on the
+    /// pacer, and the update TPP that writes the per-hop rates back. `None`
+    /// until a collect has completed.
+    fn step<'u>(&mut self, cfg: &RcpConfig, update: &'u mut UpdateTpps) -> Option<&'u Tpp> {
         if self.latest.is_empty() {
             return None;
         }
+        // Eq. 1's d: the configured RTT, or this path's measured one.
+        let eq = if cfg.measure_rtt {
+            RcpConfig { rtt_ns: self.rtt_est_ns.max(1.0) as Time, ..*cfg }
+        } else {
+            *cfg
+        };
         let c = eq.capacity_mbps * 1e6;
         let mut new_rates = Vec::new();
         let mut updates = Vec::new();
@@ -246,7 +283,7 @@ impl RcpLoop {
             let q_avg = self.qhist.mean(h, s.queue_bytes);
             // An uninitialized register is seeded at 10% of capacity.
             let r_old = if s.rate_kbps == 0 { c * 0.1 } else { s.rate_kbps as f64 * 1e3 };
-            let r_new = rcp_equation(eq, r_old, y, q_avg, c);
+            let r_new = rcp_equation(&eq, r_old, y, q_avg, c);
             new_rates.push(r_new);
             updates.push((s.version, (r_new / 1e3) as u32));
         }
@@ -260,19 +297,20 @@ impl RcpLoop {
 }
 
 const TIMER_CONTROL: u64 = 1;
+/// Path `i` paces on token `TIMER_PACE + i`.
 const TIMER_PACE: u64 = 2;
 
-/// A sending flow with an RCP* rate controller. Construct with
-/// [`RcpSender::new`]; control traffic (probes, updates, retries) is
-/// accounted by the harness's `probe_bytes_sent`.
+/// An RCP* sender over one or more paths, each with its own control loop
+/// and pacer. Construct with [`RcpSender::new`] (one path that streams
+/// forever) or [`RcpSender::with_paths`]; control traffic (probes, updates,
+/// retries) is accounted by the harness's `probe_bytes_sent`.
 pub struct RcpSender {
     pub cfg: RcpConfig,
-    dst: Ipv4Address,
-    sport: u16,
     /// When to start sending (flows can be staggered).
     start_at: Time,
-    rcp: RcpLoop,
+    paths: Vec<RcpLoop>,
     update: UpdateTpps,
+    /// Data bytes on the wire, headers included, over all paths.
     pub data_bytes_sent: u64,
     pub probes_completed: u64,
 }
@@ -282,65 +320,112 @@ pub type RcpSenderApp = Endhost<RcpSender>;
 
 impl RcpSender {
     pub fn new(cfg: RcpConfig, dst: Ipv4Address, sport: u16, start_at: Time) -> RcpSenderApp {
+        Self::with_paths(cfg, &[RcpPath { dst, sport, transfer_bytes: 0 }], start_at)
+    }
+
+    /// A sender over `paths`, one per destination: a probe's completion
+    /// finds its path by its source address, and a completion from any other
+    /// host is ignored.
+    pub fn with_paths(cfg: RcpConfig, paths: &[RcpPath], start_at: Time) -> RcpSenderApp {
+        debug_assert!(
+            paths.iter().enumerate().all(|(i, p)| paths[..i].iter().all(|q| q.dst != p.dst)),
+            "one RCP* path per destination"
+        );
         let state = RcpSender {
             cfg,
-            dst,
-            sport,
             start_at,
-            rcp: RcpLoop::new(&cfg),
+            paths: paths.iter().map(|&path| RcpLoop::new(&cfg, path)).collect(),
             update: UpdateTpps::default(),
             data_bytes_sent: 0,
             probes_completed: 0,
         };
         Harness::new(state)
             .executor(control_executor(cfg.period_ns))
-            .launch(collect_probe().app_id(APP_ID).hops(cfg.probe_hops), |s, _io, c| {
-                s.rcp.absorb(&c.tpp);
+            .launch(collect_probe().app_id(APP_ID).hops(cfg.probe_hops), |s, io, c| {
+                let Some(p) = s.paths.iter_mut().find(|p| p.path.dst == c.from) else {
+                    return;
+                };
+                if let Some(sent_at) = c.sent_at {
+                    // The same halved EWMA the switch uses for utilization:
+                    // fast to converge, cheap to hold.
+                    p.rtt_est_ns = (p.rtt_est_ns + (io.ctx.now - sent_at) as f64) / 2.0;
+                }
+                p.absorb(&c.tpp);
                 s.probes_completed += 1;
             })
             .on_start(|s, io| {
                 io.ctx.set_timer_at(s.start_at, TIMER_CONTROL);
-                io.ctx.set_timer_at(s.start_at, TIMER_PACE);
+                for i in 0..s.paths.len() {
+                    io.ctx.set_timer_at(s.start_at, TIMER_PACE + i as u64);
+                }
             })
             .on_timer(|s, io, token| match token {
                 TIMER_CONTROL => s.control_step(io),
-                TIMER_PACE => s.pace(io),
+                t if t >= TIMER_PACE => s.pace((t - TIMER_PACE) as usize, io),
                 _ => {}
             })
             .build()
             .expect("static wiring")
     }
 
+    /// Path `i`'s current sending rate, in b/s.
+    pub fn rate_bps(&self, i: usize) -> f64 {
+        self.paths[i].pacer.rate_bps
+    }
+
+    /// Path `i`'s measured probe RTT (EWMA), in ns.
+    pub fn rtt_est_ns(&self, i: usize) -> f64 {
+        self.paths[i].rtt_est_ns
+    }
+
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
-        if let Some(update) = self.rcp.step(&self.cfg, &mut self.update) {
-            io.send_standalone(update, self.dst);
+        for p in &mut self.paths {
+            if let Some(update) = p.step(&self.cfg, &mut self.update) {
+                io.send_standalone(update, p.path.dst);
+            }
+            // Phase 1 for the next period. A finished transfer stops probing
+            // too: control traffic is not free.
+            if !p.done() {
+                io.launch(APP_ID, p.path.dst, None);
+            }
         }
-        // Phase 1 for the next period.
-        io.launch(APP_ID, self.dst, None);
         io.ctx.set_timer(self.cfg.period_ns, TIMER_CONTROL);
     }
 
-    fn pace(&mut self, io: &mut Io<'_, '_>) {
-        let n = self.rcp.pacer.due(io.ctx.now);
-        let hdr = udp_hdr(io.ctx.ip, self.dst, self.sport, DATA_PORT);
-        for _ in 0..n {
+    fn pace(&mut self, i: usize, io: &mut Io<'_, '_>) {
+        let p = &mut self.paths[i];
+        if p.done() {
+            return; // the transfer is complete: the pace timer chain stops
+        }
+        let hdr = udp_hdr(io.ctx.ip, p.path.dst, p.path.sport, DATA_PORT);
+        for _ in 0..p.pacer.due(io.ctx.now) {
             // In a buffer a sink handed back (see `RcpSink`).
             let mut frame = io.ctx.take_buf();
-            udp_frame_into(&mut frame, &hdr, PAYLOAD, &[]);
+            udp_frame_into(&mut frame, &hdr, PacedSender::PAYLOAD, &[]);
             self.data_bytes_sent += frame.len() as u64;
+            p.payload_sent += PacedSender::PAYLOAD as u64;
             io.ctx.send(frame);
+            if p.done() {
+                break;
+            }
         }
-        io.ctx.set_timer_at(self.rcp.pacer.next_deadline(), TIMER_PACE);
+        io.ctx.set_timer_at(p.pacer.next_deadline(), TIMER_PACE + i as u64);
     }
 }
 
-/// A sink that meters per-flow goodput and echoes probes. Construct with
-/// [`RcpSink::new`].
+/// A sink that meters per-flow goodput, records when a fixed-size transfer
+/// completes, and echoes probes. Construct with [`RcpSink::new`] or
+/// [`RcpSink::with_transfer`].
 pub struct RcpSink {
     /// (source ip, source port) -> rate meter.
     // A `RefCell` only because `benchmark/` reads it with `borrow()` (ROADMAP 1a).
     pub meters: RefCell<BTreeMap<(Ipv4Address, u16), RateMeter>>,
     pub bucket_ns: Time,
+    /// The payload bytes a flow's transfer completes at; 0 for none.
+    pub transfer_bytes: u64,
+    /// (source ip, source port) -> the instant the flow's meter crossed
+    /// `transfer_bytes`.
+    pub fct_ns: BTreeMap<(Ipv4Address, u16), Time>,
 }
 
 /// The wired RCP* sink application.
@@ -348,17 +433,32 @@ pub type RcpSinkApp = Endhost<RcpSink>;
 
 impl RcpSink {
     pub fn new(bucket_ns: Time) -> RcpSinkApp {
-        let state = RcpSink { meters: RefCell::default(), bucket_ns };
+        Self::with_transfer(bucket_ns, 0)
+    }
+
+    /// A sink whose flows are `transfer_bytes`-byte transfers.
+    pub fn with_transfer(bucket_ns: Time, transfer_bytes: u64) -> RcpSinkApp {
+        let state = RcpSink {
+            meters: RefCell::default(),
+            bucket_ns,
+            transfer_bytes,
+            fct_ns: BTreeMap::new(),
+        };
         Harness::new(state)
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
                     if info.dst_port == DATA_PORT {
+                        let key = (info.src, info.src_port);
                         let m = s
                             .meters
                             .get_mut()
-                            .entry((info.src, info.src_port))
+                            .entry(key)
                             .or_insert_with(|| RateMeter::new(s.bucket_ns));
+                        let before = m.total_bytes;
                         m.record(io.ctx.now, info.payload_len as u64);
+                        if before < s.transfer_bytes && m.total_bytes >= s.transfer_bytes {
+                            s.fct_ns.insert(key, io.ctx.now);
+                        }
                     }
                 }
                 // The senders build their next data frames in it.
@@ -528,13 +628,14 @@ mod tests {
         assert_eq!(s[0].rate_kbps, 40_000);
     }
 
-    #[test]
-    fn a_forged_collect_echo_with_more_hops_than_the_probe_does_not_panic() {
+    /// The sender launches its second collect (token 2) at 3 ms. A third
+    /// host answers it first with an echo of 12 hop windows, more than the 5
+    /// the probe asked for, its last memory word that token, and its source
+    /// address `echo_src`. Returns the sender's `probes_completed` and its
+    /// executor's `completed` after 20 ms.
+    fn forged_collect_echo(echo_src: impl Fn(&[Ipv4Address; 3]) -> Ipv4Address) -> (u64, u64) {
         use tpp_core::wire::{udp_frame_with, UdpFrameRepr};
         use tpp_endhost::shim::{mac_of_ip, TPP_ECHO_PORT};
-        // The sender launches its second collect (token 2) at 3 ms. A third
-        // host answers it first with an echo of 12 hop windows, more than
-        // the 5 the probe asked for, its last memory word that token.
         let mut topo = TopologySpec::Star { hosts: 3 }
             .builder()
             .host_mbps(1000)
@@ -542,8 +643,8 @@ mod tests {
             .seed(1)
             .build();
         let h = topo.hosts.clone();
-        let ip = |i: usize| topo.net.host(h[i]).ip;
-        let (sender, sink, forger) = (ip(0), ip(1), ip(2));
+        let ips = [0, 1, 2].map(|i| topo.net.host(h[i]).ip);
+        let (sender, sink, src_ip) = (ips[0], ips[1], echo_src(&ips));
         let mut forged = collect_probe().app_id(2).hops(12).compile().unwrap();
         for w in 0..forged.memory.len() / 4 {
             forged.write_word(w, w as u32 + 1).unwrap();
@@ -552,9 +653,9 @@ mod tests {
         forged.hop = 12;
         forged.write_word(forged.memory.len() / 4 - 1, 2).unwrap();
         let hdr = UdpFrameRepr {
-            src_mac: mac_of_ip(forger),
+            src_mac: mac_of_ip(src_ip),
             dst_mac: mac_of_ip(sender),
-            src_ip: forger,
+            src_ip,
             dst_ip: sender,
             src_port: 9,
             dst_port: TPP_ECHO_PORT,
@@ -569,7 +670,47 @@ mod tests {
         topo.net.set_app(h[1], Box::new(RcpSink::new(100 * MILLIS)));
         topo.net.set_app(h[2], Box::new(attacker));
         topo.net.run_until(20 * MILLIS);
-        assert!(topo.net.app_mut::<RcpSenderApp>(h[0]).probes_completed > 5);
+        let s = topo.net.app_mut::<RcpSenderApp>(h[0]);
+        (s.probes_completed, s.executor().expect("the sender launches probes").completed)
+    }
+
+    #[test]
+    fn a_forged_collect_echo_with_more_hops_than_the_probe_does_not_panic() {
+        // Sent in the sink's name, the echo is absorbed as the path's collect.
+        let (absorbed, completed) = forged_collect_echo(|ips| ips[1]);
+        assert!(absorbed > 5, "{absorbed} collects absorbed");
+        assert_eq!(absorbed, completed);
+    }
+
+    #[test]
+    fn a_collect_echo_from_a_host_no_path_leads_to_is_ignored() {
+        // The executor matches the echo to the probe it launched, but the
+        // forger is no path's destination: the sender absorbs every other
+        // completion and not that one.
+        let (absorbed, completed) = forged_collect_echo(|ips| ips[2]);
+        assert!(absorbed > 5, "{absorbed} collects absorbed");
+        assert_eq!(absorbed + 1, completed);
+    }
+
+    #[test]
+    fn failed_probes_are_forgotten() {
+        // The destination runs `NullApp`: no probe is ever echoed, so every
+        // one exhausts its retries and leaves the executor, the only ledger
+        // of a launched probe, as a failure.
+        let mut topo = TopologySpec::Star { hosts: 2 }
+            .builder()
+            .host_mbps(1000)
+            .delay_ns(1000)
+            .seed(1)
+            .build();
+        let (src, dst) = (topo.hosts[0], topo.hosts[1]);
+        let dst_ip = topo.net.host(dst).ip;
+        topo.net.set_app(src, Box::new(RcpSender::new(RcpConfig::default(), dst_ip, 7001, 0)));
+        topo.net.run_until(SECONDS);
+        let sender = topo.net.app_mut::<RcpSenderApp>(src);
+        let exec = sender.executor().expect("the sender launches probes");
+        assert!(exec.failed > 100, "{} probes failed", exec.failed);
+        assert_eq!((sender.probes_completed, exec.completed), (0, 0));
     }
 
     #[test]

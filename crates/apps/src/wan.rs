@@ -35,26 +35,21 @@
 //!    writes the register of its own WAN egress link — per-subtree state
 //!    on one shared branch switch, no hand-indexed memory anywhere.
 //!
-//! # Inter-DC RCP* ([`InterDcSender`])
+//! # Inter-DC RCP* ([`run_interdc`])
 //!
-//! The existing RCP* TPP program (`rcp::collect_probe` /
-//! `rcp::update_probe`, registers `AppSpecific_0/1`) and its controller
-//! reused unchanged over WAN paths: one `rcp::RcpLoop` per
-//! (src-DC, dst-DC) path, each with its own pacer and queue history. Only
-//! the equation's parameters differ per path: `c` is the path's WAN
-//! capacity, and `d` — the WAN twist — its own *measured* RTT, so
-//! heterogeneous-RTT paths each run a correctly-damped loop. The RTT sample
-//! is the completion time minus the launch time the executor kept for the
-//! probe and reports with its completion (a retry does not reset it),
-//! EWMA-smoothed; the sender finds the path by the completion's source
-//! address, one path per destination. Fixed-size transfers record sink-side
-//! flow-completion times, the metric that separates shallow from deep WAN
-//! buffer profiles.
-
-use std::collections::BTreeMap;
+//! The RCP* sender and sink of [`crate::rcp`], unchanged programs and
+//! registers (`AppSpecific_0/1`), over WAN paths: one `RcpSender` in site 0
+//! runs a path, with its own control loop and pacer, to a sink in every
+//! other site. The sender is configured with `RcpConfig::measure_rtt`, so
+//! Eq. 1's `d` is each path's own *measured* probe RTT and
+//! heterogeneous-RTT paths each run a loop damped for their own round trip.
+//! Each path carries a fixed-size transfer, and the sink records its
+//! completion time.
 
 use crate::common::{control_executor, parse_udp, udp_frame, HopWindows, RateMeter, DATA_PORT};
-use crate::rcp::{self, alpha_aggregate, RcpConfig, RcpLoop, UpdateTpps};
+use crate::rcp::{
+    alpha_aggregate, RcpConfig, RcpPath, RcpSender, RcpSenderApp, RcpSink, RcpSinkApp,
+};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, Tpp};
 use tpp_endhost::harness::{Endhost, Harness, Io};
@@ -135,8 +130,6 @@ const FANOUT_PERIOD_NS: Time = 5_000_000;
 const FANOUT_DRAIN_NS: Time = 20_000_000;
 /// Weight of the queue-drain term in the available-bandwidth estimate.
 const FANOUT_DRAIN_GAIN: f64 = 0.5;
-/// Fan-out data payload bytes.
-const FANOUT_PAYLOAD: usize = 1000;
 /// Initial per-subtree rate.
 const FANOUT_START_RATE_BPS: f64 = 1e6;
 /// Max hops a fan-out probe must cover (source → relay crosses two
@@ -182,7 +175,7 @@ impl FanoutSource {
             .map(|(dst, branch)| Subtree {
                 dst,
                 branch,
-                pacer: PacedSender::new(FANOUT_START_RATE_BPS, FANOUT_PAYLOAD),
+                pacer: PacedSender::new(FANOUT_START_RATE_BPS),
                 qhist: HopWindows::new(FANOUT_PROBE_HOPS),
                 uhist: HopWindows::new(FANOUT_PROBE_HOPS),
                 latest: Vec::new(),
@@ -288,7 +281,8 @@ impl FanoutSource {
         let sub = &mut self.subtrees[idx];
         let n = sub.pacer.due(io.ctx.now);
         for _ in 0..n {
-            let frame = udp_frame(io.ctx.ip, sub.dst, 7000 + idx as u16, DATA_PORT, FANOUT_PAYLOAD);
+            let frame =
+                udp_frame(io.ctx.ip, sub.dst, 7000 + idx as u16, DATA_PORT, PacedSender::PAYLOAD);
             sub.data_bytes_sent += frame.len() as u64;
             io.ctx.send(frame);
         }
@@ -326,213 +320,6 @@ impl FanoutRelay {
             })
             .build()
             .expect("static wiring")
-    }
-}
-
-/// A WAN sink that meters per-flow goodput and records the flow
-/// completion time of a fixed-size transfer: once a flow's delivered
-/// bytes cross `expect_bytes`, its FCT is pinned.
-pub struct WanSink {
-    pub expect_bytes: u64,
-    got: BTreeMap<(Ipv4Address, u16), u64>,
-    /// (source ip, source port) -> completion time.
-    pub fct_ns: BTreeMap<(Ipv4Address, u16), Time>,
-}
-
-/// The wired WAN sink application.
-pub type WanSinkApp = Endhost<WanSink>;
-
-impl WanSink {
-    pub fn new(expect_bytes: u64) -> WanSinkApp {
-        let state = WanSink { expect_bytes, got: BTreeMap::new(), fct_ns: BTreeMap::new() };
-        Harness::new(state)
-            .on_deliver(|s, io, inner| {
-                if let Some(info) = parse_udp(&inner) {
-                    if info.dst_port == DATA_PORT {
-                        let key = (info.src, info.src_port);
-                        let got = s.got.entry(key).or_insert(0);
-                        let before = *got;
-                        *got += info.payload_len as u64;
-                        if before < s.expect_bytes && *got >= s.expect_bytes {
-                            s.fct_ns.insert(key, io.ctx.now);
-                        }
-                    }
-                }
-            })
-            .build()
-            .expect("static wiring")
-    }
-}
-
-/// One inter-DC path: destination, identity, and control-plane knowledge.
-#[derive(Clone, Copy, Debug)]
-pub struct InterDcPath {
-    pub dst: Ipv4Address,
-    /// Destination datacenter index, the path's key at its sender.
-    pub dst_dc: u32,
-    pub sport: u16,
-    /// The path's WAN bottleneck capacity (known to the control plane).
-    pub capacity_mbps: f64,
-    /// Fixed transfer size in *payload* bytes (what the sink counts);
-    /// 0 streams forever.
-    pub transfer_bytes: u64,
-}
-
-/// Inter-DC RCP* parameters.
-#[derive(Clone, Debug)]
-pub struct InterDcConfig {
-    /// The RCP* knobs; `rtt_ns` seeds each path's estimate until probes
-    /// measure the real one.
-    pub rcp: RcpConfig,
-    pub paths: Vec<InterDcPath>,
-}
-
-struct PathState {
-    path: InterDcPath,
-    rcp: RcpLoop,
-    /// EWMA of measured probe RTTs (launch → completion), in ns.
-    rtt_est_ns: f64,
-    data_bytes_sent: u64,
-}
-
-/// An inter-DC sender: one RCP* control loop per destination DC, reusing the intra-DC RCP TPP program over multi-ms links.
-pub struct InterDcSender {
-    pub cfg: InterDcConfig,
-    start_at: Time,
-    paths: Vec<PathState>,
-    update: UpdateTpps,
-    pub probes_completed: u64,
-}
-
-/// The wired inter-DC sender application.
-pub type InterDcSenderApp = Endhost<InterDcSender>;
-
-/// Per-path report: identity, state, and sender-side counters.
-#[derive(Clone, Copy, Debug)]
-pub struct PathReport {
-    pub dst_dc: u32,
-    pub rate_bps: f64,
-    pub rtt_est_ms: f64,
-    pub data_bytes_sent: u64,
-}
-
-impl InterDcSender {
-    /// A sender for `cfg.paths`, which name one path per destination: a
-    /// probe's completion finds its path by its source address.
-    pub fn new(cfg: InterDcConfig, start_at: Time) -> InterDcSenderApp {
-        debug_assert!(
-            cfg.paths
-                .iter()
-                .enumerate()
-                .all(|(i, p)| cfg.paths[..i].iter().all(|q| q.dst != p.dst)),
-            "one inter-DC path per destination"
-        );
-        let rcp_cfg = cfg.rcp;
-        let paths = cfg
-            .paths
-            .iter()
-            .map(|&path| PathState {
-                path,
-                rcp: RcpLoop::new(&rcp_cfg),
-                rtt_est_ns: rcp_cfg.rtt_ns as f64,
-                data_bytes_sent: 0,
-            })
-            .collect();
-        let state = InterDcSender {
-            cfg,
-            start_at,
-            paths,
-            update: UpdateTpps::default(),
-            probes_completed: 0,
-        };
-        Harness::new(state)
-            .executor(control_executor(rcp_cfg.period_ns))
-            .launch(
-                rcp::collect_probe().app_id(rcp::APP_ID).hops(rcp_cfg.probe_hops),
-                |s, io, c| {
-                    let Some(p) = s.paths.iter_mut().find(|p| p.path.dst == c.from) else {
-                        return;
-                    };
-                    if let Some(sent_at) = c.sent_at {
-                        let sample = (io.ctx.now - sent_at) as f64;
-                        // The same halved EWMA the switch uses for
-                        // utilization: fast to converge, cheap to hold.
-                        p.rtt_est_ns = (p.rtt_est_ns + sample) / 2.0;
-                    }
-                    p.rcp.absorb(&c.tpp);
-                    s.probes_completed += 1;
-                },
-            )
-            .on_start(|s, io| {
-                io.ctx.set_timer_at(s.start_at, TIMER_CONTROL);
-                for i in 0..s.paths.len() {
-                    io.ctx.set_timer_at(s.start_at, TIMER_PACE_BASE + i as u64);
-                }
-            })
-            .on_timer(|s, io, token| match token {
-                TIMER_CONTROL => s.control_step(io),
-                t if t >= TIMER_PACE_BASE => s.pace((t - TIMER_PACE_BASE) as usize, io),
-                _ => {}
-            })
-            .build()
-            .expect("static wiring")
-    }
-
-    /// Per-path state, in path construction order.
-    pub fn path_reports(&self) -> Vec<PathReport> {
-        self.paths
-            .iter()
-            .map(|p| PathReport {
-                dst_dc: p.path.dst_dc,
-                rate_bps: p.rcp.pacer.rate_bps,
-                rtt_est_ms: p.rtt_est_ns / 1e6,
-                data_bytes_sent: p.data_bytes_sent,
-            })
-            .collect()
-    }
-
-    fn control_step(&mut self, io: &mut Io<'_, '_>) {
-        for idx in 0..self.paths.len() {
-            let p = &mut self.paths[idx];
-            // Per-path equation: the path's own measured RTT damps its loop,
-            // its WAN bottleneck capacity is `c`.
-            let eq = RcpConfig {
-                rtt_ns: p.rtt_est_ns.max(1.0) as Time,
-                capacity_mbps: p.path.capacity_mbps,
-                ..self.cfg.rcp
-            };
-            if let Some(update) = p.rcp.step(&eq, &mut self.update) {
-                io.send_standalone(update, p.path.dst);
-            }
-            let (dst, done) = (
-                p.path.dst,
-                p.path.transfer_bytes > 0 && p.data_bytes_sent >= p.path.transfer_bytes,
-            );
-            // A finished transfer stops probing too — WAN control traffic
-            // is not free.
-            if !done {
-                io.launch(rcp::APP_ID, dst, None);
-            }
-        }
-        io.ctx.set_timer(self.cfg.rcp.period_ns, TIMER_CONTROL);
-    }
-
-    fn pace(&mut self, idx: usize, io: &mut Io<'_, '_>) {
-        let p = &mut self.paths[idx];
-        if p.path.transfer_bytes > 0 && p.data_bytes_sent >= p.path.transfer_bytes {
-            return; // transfer complete: stop the pace timer chain
-        }
-        let n = p.rcp.pacer.due(io.ctx.now);
-        for _ in 0..n {
-            let frame = udp_frame(io.ctx.ip, p.path.dst, p.path.sport, DATA_PORT, rcp::PAYLOAD);
-            // Payload bytes, to line up with the sink's FCT accounting.
-            p.data_bytes_sent += rcp::PAYLOAD as u64;
-            io.ctx.send(frame);
-            if p.path.transfer_bytes > 0 && p.data_bytes_sent >= p.path.transfer_bytes {
-                break;
-            }
-        }
-        io.ctx.set_timer_at(p.rcp.pacer.next_deadline(), TIMER_PACE_BASE + idx as u64);
     }
 }
 
@@ -677,52 +464,41 @@ pub fn run_interdc(
     let ips: Vec<Ipv4Address> = hosts.iter().map(|&n| topo.net.host(n).ip).collect();
     let ip = |i: usize| ips[i];
 
-    let rcp_cfg = RcpConfig {
+    let cfg = RcpConfig {
         period_ns: 5_000_000,
         rtt_ns: 20_000_000,
+        measure_rtt: true,
         capacity_mbps: wan_mbps as f64,
         probe_hops: 10,
         ..RcpConfig::default()
     };
-    let paths: Vec<InterDcPath> = (1..sites)
-        .map(|site| InterDcPath {
-            dst: ip(site * per_site),
-            dst_dc: site as u32,
-            sport: 7000 + site as u16,
-            capacity_mbps: wan_mbps as f64,
-            transfer_bytes,
-        })
+    let paths: Vec<RcpPath> = (1..sites)
+        .map(|site| RcpPath { dst: ip(site * per_site), sport: 7000 + site as u16, transfer_bytes })
         .collect();
-    let cfg = InterDcConfig { rcp: rcp_cfg, paths };
-    topo.net.set_app(hosts[0], Box::new(InterDcSender::new(cfg, start_at)));
+    topo.net.set_app(hosts[0], Box::new(RcpSender::with_paths(cfg, &paths, start_at)));
     for site in 1..sites {
-        topo.net.set_app(hosts[site * per_site], Box::new(WanSink::new(transfer_bytes)));
+        let sink = RcpSink::with_transfer(100_000_000, transfer_bytes);
+        topo.net.set_app(hosts[site * per_site], Box::new(sink));
     }
     topo.net.run_until(duration);
 
     let src_ip = ip(0);
-    let mut fcts: BTreeMap<u32, f64> = BTreeMap::new();
-    for site in 1..sites {
-        let sink = topo.net.app_mut::<WanSinkApp>(hosts[site * per_site]);
-        if let Some(&t) = sink.fct_ns.get(&(src_ip, 7000 + site as u16)) {
-            fcts.insert(site as u32, (t - start_at) as f64 / 1e6);
-        }
-    }
-    let sender = topo.net.app_mut::<InterDcSenderApp>(hosts[0]);
-    let paths = sender
-        .path_reports()
-        .into_iter()
-        .map(|r| InterDcPathReport {
-            // The sender is in site 0.
+    let mut reports = Vec::new();
+    // Path `i` runs to site `i + 1`; the sender is in site 0.
+    for (i, path) in paths.iter().enumerate() {
+        let sink = topo.net.app_mut::<RcpSinkApp>(hosts[(i + 1) * per_site]);
+        let fct_ms = sink.fct_ns.get(&(src_ip, path.sport)).map(|&t| (t - start_at) as f64 / 1e6);
+        let sender = topo.net.app_mut::<RcpSenderApp>(hosts[0]);
+        reports.push(InterDcPathReport {
             src_dc: 0,
-            dst_dc: r.dst_dc,
+            dst_dc: i as u32 + 1,
             capacity_mbps: wan_mbps as f64,
-            rate_mbps: r.rate_bps / 1e6,
-            rtt_est_ms: r.rtt_est_ms,
-            fct_ms: fcts.get(&r.dst_dc).copied(),
-        })
-        .collect();
-    InterDcRunResult { paths }
+            rate_mbps: sender.rate_bps(i) / 1e6,
+            rtt_est_ms: sender.rtt_est_ns(i) / 1e6,
+            fct_ms,
+        });
+    }
+    InterDcRunResult { paths: reports }
 }
 
 #[cfg(test)]
@@ -734,7 +510,7 @@ mod tests {
     #[test]
     fn wan_programs_validate_against_their_register_window() {
         let mut cp = tpp_endhost::CentralCp::new();
-        // RCP owns AppSpecific_0/1 (the inter-DC variant reuses them);
+        // RCP owns AppSpecific_0/1 (inter-DC RCP* runs the same sender);
         // the fan-out app gets the next window: AppSpecific_2/3.
         let (_rcp, first) = cp.register_app_with_regs("rcp", 2).unwrap();
         assert_eq!(first, 0);
@@ -820,34 +596,6 @@ mod tests {
         );
         assert!(p1.fct_ms.is_some() && p2.fct_ms.is_some(), "transfers must complete");
         assert!(p1.fct_ms.unwrap() < p2.fct_ms.unwrap(), "nearer DC finishes first");
-    }
-
-    #[test]
-    fn failed_probes_are_forgotten() {
-        // The destination runs `NullApp`: no probe is ever echoed, so every
-        // one exhausts its retries and leaves the executor, the only ledger
-        // of a launched probe, as a failure.
-        let mut topo = TopologySpec::Star { hosts: 2 }
-            .builder()
-            .host_mbps(1000)
-            .delay_ns(1000)
-            .seed(1)
-            .build();
-        let (src, dst) = (topo.hosts[0], topo.hosts[1]);
-        let path = InterDcPath {
-            dst: topo.net.host(dst).ip,
-            dst_dc: 1,
-            sport: 7001,
-            capacity_mbps: 100.0,
-            transfer_bytes: 0,
-        };
-        let cfg = InterDcConfig { rcp: RcpConfig::default(), paths: vec![path] };
-        topo.net.set_app(src, Box::new(InterDcSender::new(cfg, 0)));
-        topo.net.run_until(SECONDS);
-        let sender = topo.net.app_mut::<InterDcSenderApp>(src);
-        let exec = sender.executor().expect("the sender launches probes");
-        assert!(exec.failed > 100, "{} probes failed", exec.failed);
-        assert_eq!((sender.probes_completed, exec.completed), (0, 0));
     }
 
     #[test]

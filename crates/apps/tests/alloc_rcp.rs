@@ -13,8 +13,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tpp_apps::common::udp_frame;
-use tpp_apps::rcp::{self, RcpConfig, RcpSender, RcpSenderApp, RcpSink};
+use tpp_apps::rcp::{RcpConfig, RcpSender, RcpSenderApp, RcpSink};
 use tpp_core::wire::Ipv4Address;
+use tpp_endhost::PacedSender;
 use tpp_netsim::{Network, NodeId, Time, TopologySpec, MILLIS};
 
 struct CountingAlloc;
@@ -91,7 +92,8 @@ fn fig2_replay() -> (Network, Vec<NodeId>) {
 
 fn data_frames_sent(net: &mut Network, hosts: &[NodeId]) -> u64 {
     let frame_len =
-        udp_frame(Ipv4Address::default(), Ipv4Address::default(), 0, 0, rcp::PAYLOAD).len() as u64;
+        udp_frame(Ipv4Address::default(), Ipv4Address::default(), 0, 0, PacedSender::PAYLOAD).len()
+            as u64;
     FLOWS
         .iter()
         .map(|&(src, _, _)| net.app_mut::<RcpSenderApp>(hosts[src]).data_bytes_sent / frame_len)

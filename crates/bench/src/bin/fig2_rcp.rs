@@ -3,9 +3,12 @@
 //! one each), plus the §2.2 control-overhead numbers.
 //!
 //! Expected shape: max-min converges all three flows to ~C/2; proportional
-//! fairness gives flow `a` ~C/3 and `b`, `c` ~2C/3.
+//! fairness gives flow `a` ~C/3 and `b`, `c` ~2C/3. The bin asserts that
+//! shape after printing it: under max-min every flow within 12 Mb/s of C/2,
+//! under α = 1 flow `a` below both others, and the control overhead inside
+//! the paper's 1–6 % under both.
 
-use tpp_apps::rcp::run_rcp_fig2;
+use tpp_apps::rcp::{run_rcp_fig2, RcpResult};
 use tpp_netsim::SECONDS;
 
 fn main() {
@@ -29,5 +32,22 @@ fn main() {
             "## TPP control overhead: {:.2}% of data bytes (paper: 1.0-6.0%)\n",
             100.0 * r.control_overhead_fraction
         );
+        check_shape(alpha, &r);
     }
+}
+
+/// The Figure 2 shape, with the tolerance of the `#[ignore]`d max-min test
+/// beside `run_rcp_fig2`.
+fn check_shape(alpha: f64, r: &RcpResult) {
+    let steady = |flow: &str| r.steady_mbps.iter().find(|(n, _)| n == flow).expect("flow").1;
+    if alpha.is_infinite() {
+        for (name, mbps) in &r.steady_mbps {
+            assert!((mbps - 50.0).abs() < 12.0, "max-min: flow {name} {mbps:.1} Mb/s, not ~C/2");
+        }
+    } else {
+        let (a, b, c) = (steady("a"), steady("b"), steady("c"));
+        assert!(a < b && a < c, "alpha = {alpha}: flow a {a:.1} Mb/s, b {b:.1}, c {c:.1}");
+    }
+    let overhead = 100.0 * r.control_overhead_fraction;
+    assert!((1.0..=6.0).contains(&overhead), "alpha = {alpha}: overhead {overhead:.2}%");
 }

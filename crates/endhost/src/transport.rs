@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use tpp_core::wire::{ethernet, ipv4, EthernetRepr, Ipv4Address, Ipv4Packet};
+use tpp_core::wire::{ethernet, ipv4, udp, EthernetRepr, Ipv4Address, Ipv4Packet};
 
 use crate::shim::mac_of_ip;
 
@@ -351,23 +351,22 @@ impl TcpConn {
 
 /// A paced constant-bit-rate UDP sender whose rate can be retargeted at any
 /// time — the "rate limiter" of the RCP* end-host implementation (§2.2).
+/// Its one setting is the rate; every frame it paces carries
+/// [`PacedSender::PAYLOAD`] bytes.
 #[derive(Clone, Debug)]
 pub struct PacedSender {
     pub rate_bps: f64,
-    pub payload_len: usize,
-    /// Wire-level frame length used for pacing (payload + UDP/IP/Ethernet).
-    pub frame_overhead: usize,
     next_send_ns: u64,
 }
 
 impl PacedSender {
-    pub fn new(rate_bps: f64, payload_len: usize) -> Self {
-        PacedSender {
-            rate_bps,
-            payload_len,
-            frame_overhead: ethernet::HEADER_LEN + ipv4::HEADER_LEN + 8,
-            next_send_ns: 0,
-        }
+    /// Payload bytes of every paced data frame (RCP*, the WAN fan-out and
+    /// CONGA* build theirs with it). The pacer spaces frames by this payload
+    /// plus the Ethernet, IPv4 and UDP headers, 1,042 bytes on the wire.
+    pub const PAYLOAD: usize = 1000;
+
+    pub fn new(rate_bps: f64) -> Self {
+        PacedSender { rate_bps, next_send_ns: 0 }
     }
 
     pub fn set_rate(&mut self, rate_bps: f64) {
@@ -375,7 +374,8 @@ impl PacedSender {
     }
 
     fn interval_ns(&self) -> u64 {
-        let bits = ((self.payload_len + self.frame_overhead) * 8) as f64;
+        let wire = Self::PAYLOAD + ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
+        let bits = (wire * 8) as f64;
         (bits / self.rate_bps * 1e9) as u64
     }
 
@@ -607,7 +607,7 @@ mod tests {
     fn paced_sender_rate() {
         // 10 Mb/s with 1000B payloads (+42B overhead): one packet per
         // 833.6 us.
-        let mut p = PacedSender::new(10e6, 1000);
+        let mut p = PacedSender::new(10e6);
         let mut sent = 0;
         let mut now = 0;
         while now < 1_000_000_000 {
@@ -620,7 +620,7 @@ mod tests {
 
     #[test]
     fn paced_sender_rate_change() {
-        let mut p = PacedSender::new(1e6, 1000);
+        let mut p = PacedSender::new(1e6);
         let d1 = p.interval_ns();
         p.set_rate(2e6);
         assert!(p.interval_ns() < d1);
