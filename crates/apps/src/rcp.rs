@@ -19,18 +19,22 @@
 //! paper's refactoring: had max-min RCP been baked into the ASIC, other
 //! fairness criteria would be unreachable.
 //!
-//! One sender and one sink serve every RCP* experiment. An [`RcpSender`]
-//! runs a control loop per path (a destination, a source port and a
-//! transfer size), and finds a completed collect's path by its source
-//! address. Eq. 1's `d` is [`RcpConfig::rtt_ns`] (Figure 2 and the repo
-//! benchmark) or, with [`RcpConfig::measure_rtt`], each path's measured
-//! probe RTT (inter-DC RCP*, `wan::run_interdc`). An [`RcpSink`] meters
-//! each flow's goodput and records when a fixed-size transfer completes.
+//! One sender and one sink serve every periodic path controller. An
+//! [`RcpSender`] runs a control loop per path (a destination, a source port
+//! and a transfer size), and finds a completed collect's path by its source
+//! address. What a loop collects, computes and writes back is its [`Law`]:
+//! [`Law::Rcp`] is the RCP* above, [`Law::Fanout`] the coordinated WAN
+//! fan-out of [`crate::wan`]. Eq. 1's `d` is [`RcpConfig::rtt_ns`] (Figure 2
+//! and the repo benchmark) or, with [`RcpConfig::measure_rtt`], each path's
+//! measured probe RTT (inter-DC RCP*, `wan::run_interdc`). An [`RcpSink`]
+//! meters each flow's goodput and records when a fixed-size transfer
+//! completes.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::common::{control_executor, parse_udp, udp_hdr, HopWindows, RateMeter, DATA_PORT};
+use crate::wan;
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{udp_frame_into, Ipv4Address, Tpp, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
@@ -60,32 +64,32 @@ pub fn update_probe() -> Probe {
         .store("rate", "Link:AppSpecific_1")
 }
 
-/// The schema every [`UpdateTpps`] compiles from (built once).
-fn update_schema() -> &'static Probe {
-    crate::common::static_schema!(update_probe)
-}
-
-/// A sender's phase-3 update TPPs: compiled from [`update_probe`] once per
-/// hop count, then re-filled every control period. Only the argument words
-/// change, so a re-filled TPP is byte for byte a fresh compile's.
+/// A sender's write-back TPPs: compiled from its law's schema once per hop
+/// count, then refilled every control period. Only the argument words
+/// change, so a refilled TPP is byte for byte a fresh compile's.
 #[derive(Default)]
 pub struct UpdateTpps {
-    /// The template for `n` hops at index `n`, once a period has needed it.
-    by_hops: Vec<Option<Tpp>>,
+    /// The template for each hop count a period has needed.
+    by_hops: BTreeMap<usize, Tpp>,
 }
 
 impl UpdateTpps {
-    /// The update TPP of app `app_id`, one hop per `(version, rate_kbps)`
-    /// entry.
-    pub fn fill(&mut self, app_id: u16, updates: &[(u32, u32)]) -> &Tpp {
-        let (probe, hops) = (update_schema(), updates.len());
-        if self.by_hops.len() <= hops {
-            self.by_hops.resize_with(hops + 1, || None);
-        }
-        let t = self.by_hops[hops]
-            .get_or_insert_with(|| probe.compile_hops(hops).expect("static probe"));
-        t.app_id = app_id;
-        for (h, &(version, rate_kbps)) in updates.iter().enumerate() {
+    /// `law`'s write-back TPP, one hop per `(version, rate_kbps)` entry. A
+    /// sender runs one law, so one `UpdateTpps` serves one law.
+    pub fn fill(&mut self, law: Law, updates: impl ExactSizeIterator<Item = (u32, u32)>) -> &Tpp {
+        let (probe, hops) = (law.schemas().1, updates.len());
+        let t = self.by_hops.entry(hops).or_insert_with(|| {
+            let mut t = probe.compile_hops(hops).expect("static probe");
+            t.app_id = law.app_id();
+            // The fan-out's branch is a constant of the law: its CEXEC
+            // arguments are written once.
+            for h in (0..hops).filter(|_| law == Law::Fanout) {
+                let at = probe.set_args(&mut t, h, "at", &[u32::MAX, wan::SITE0_BORDER]);
+                at.expect("the template has a window per hop");
+            }
+            t
+        });
+        for (h, (version, rate_kbps)) in updates.enumerate() {
             let args = probe
                 .set_args(t, h, "version", &[version, version.wrapping_add(1)])
                 .and_then(|()| probe.set_args(t, h, "rate", &[rate_kbps]));
@@ -95,7 +99,8 @@ impl UpdateTpps {
     }
 }
 
-/// One hop's state from a completed collect probe.
+/// One hop's state from a completed collect probe. A law's collect reads
+/// the fields it uses; the others read 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HopSample {
     pub switch_id: u32,
@@ -103,34 +108,10 @@ pub struct HopSample {
     /// Basis points of link capacity (0..=10000).
     pub util_bps: u32,
     pub version: u32,
+    /// The stored fair rate (RCP*).
     pub rate_kbps: u32,
-}
-
-/// The schema instance shared by all decode paths (built once; decoding
-/// runs per completed probe, every control period per flow).
-fn collect_schema() -> &'static Probe {
-    crate::common::static_schema!(collect_probe)
-}
-
-/// Decode a completed collect probe into hop samples (stopping at the end
-/// of the actual path).
-pub fn parse_collect<T: TppData>(tpp: &T) -> Vec<HopSample> {
-    let p = collect_schema();
-    // Resolve names once per TPP, not once per hop (one probe per flow
-    // per control period).
-    let idx = |n| p.index_of(n).unwrap();
-    let (switch, qsize, util, version, rate) =
-        (idx("switch"), idx("qsize"), idx("util"), idx("version"), idx("rate"));
-    p.records(tpp)
-        .map(|r| HopSample {
-            switch_id: r.at(switch).unwrap_or(0),
-            queue_bytes: r.at(qsize).unwrap_or(0),
-            util_bps: r.at(util).unwrap_or(0),
-            version: r.at(version).unwrap_or(0),
-            rate_kbps: r.at(rate).unwrap_or(0),
-        })
-        .take_while(|s| s.switch_id != 0) // probe memory beyond the path
-        .collect()
+    /// The link's capacity (the fan-out).
+    pub speed_mbps: u32,
 }
 
 /// RCP* parameters.
@@ -171,9 +152,6 @@ impl Default for RcpConfig {
 /// The stability gains `a` and `b` of the RCP control equation (Eq. 1).
 const GAIN_A: f64 = 0.4;
 const GAIN_B: f64 = 0.5;
-
-/// The app ID of RCP*'s collect and update probes.
-const APP_ID: u16 = 2;
 
 /// Aggregate per-link fair rates into the flow rate (Eq. 2).
 pub fn alpha_aggregate(rates_bps: &[f64], alpha: f64) -> f64 {
@@ -222,30 +200,104 @@ pub struct RcpPath {
     pub transfer_bytes: u64,
 }
 
-/// One path's RCP* controller (§2.2): the pacer it drives, the per-hop
-/// queue history phase 2 averages, the latest collect, and the path's
+/// A periodic path controller's law: the probe its loop collects with, how
+/// a collect becomes the path's rate, and what it writes back. The loop
+/// around it (one per path, with its control and pace timers) is the same
+/// for both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Law {
+    /// RCP* (§2.2): Eq. 1 per hop of a [`collect_probe`], the α-fair
+    /// aggregate (Eq. 2) as the path's rate, and a versioned write-back at
+    /// every hop ([`update_probe`]; app ID 2, `AppSpecific_0/1`).
+    Rcp,
+    /// The coordinated fan-out of [`crate::wan`]: a [`wan::discover_probe`],
+    /// a rate slewed toward the least available bandwidth, and an install at
+    /// the branch switch alone ([`wan::install_probe`]; app ID 3,
+    /// `AppSpecific_2/3`).
+    Fanout,
+}
+
+/// Horizon, in seconds, over which the fan-out drains a standing queue.
+const FANOUT_DRAIN_S: f64 = 0.02;
+/// Weight of the queue-drain term in the fan-out's available bandwidth.
+const FANOUT_DRAIN_GAIN: f64 = 0.5;
+
+impl Law {
+    /// The app ID of the law's collect and write-back TPPs.
+    fn app_id(self) -> u16 {
+        match self {
+            Law::Rcp => 2,
+            Law::Fanout => 3,
+        }
+    }
+
+    /// The law's collect and write-back schemas (each built once).
+    fn schemas(self) -> (&'static Probe, &'static Probe) {
+        use crate::common::static_schema;
+        use wan::{discover_probe, install_probe};
+        match self {
+            Law::Rcp => (static_schema!(collect_probe), static_schema!(update_probe)),
+            Law::Fanout => (static_schema!(discover_probe), static_schema!(install_probe)),
+        }
+    }
+
+    /// Decode a completed collect into hop samples (stopping at the end of
+    /// the actual path).
+    pub fn samples<T: TppData>(self, tpp: &T) -> Vec<HopSample> {
+        let p = self.schemas().0;
+        // Resolve names once per TPP, not once per hop (one probe per path
+        // per control period).
+        let idx = |n| p.index_of(n);
+        let (switch, qsize, util, version, rate, speed) =
+            (idx("switch"), idx("qsize"), idx("util"), idx("version"), idx("rate"), idx("speed"));
+        p.records(tpp)
+            .map(|r| {
+                let at = |i: Option<usize>| i.and_then(|i| r.at(i)).unwrap_or(0);
+                HopSample {
+                    switch_id: at(switch),
+                    queue_bytes: at(qsize),
+                    util_bps: at(util),
+                    version: at(version),
+                    rate_kbps: at(rate),
+                    speed_mbps: at(speed),
+                }
+            })
+            .take_while(|s| s.switch_id != 0) // probe memory beyond the path
+            .collect()
+    }
+}
+
+/// One path's controller: the pacer it drives, the per-hop queue and
+/// utilization history it averages, the latest collect, and the path's
 /// measured round trip.
 struct RcpLoop {
     path: RcpPath,
     pacer: PacedSender,
     qhist: HopWindows,
+    /// The fan-out's, to de-noise the switch's 1 ms utilization EWMA against
+    /// frame quantization. RCP*'s Eq. 1 reads that EWMA as is: it keeps none.
+    uhist: HopWindows,
     latest: Vec<HopSample>,
     /// EWMA of measured probe RTTs, in ns: completion time minus the
     /// launch time the executor kept for the probe (a retry does not reset
     /// it).
     rtt_est_ns: f64,
     payload_sent: u64,
+    /// `(t seconds, Mb/s)` after every fan-out step; RCP* records none.
+    series: Vec<(f64, f64)>,
 }
 
 impl RcpLoop {
-    fn new(cfg: &RcpConfig, path: RcpPath) -> Self {
+    fn new(law: Law, cfg: &RcpConfig, path: RcpPath) -> Self {
         RcpLoop {
             path,
             pacer: PacedSender::new(cfg.start_rate_bps),
             qhist: HopWindows::new(cfg.probe_hops),
+            uhist: HopWindows::new(if law == Law::Fanout { cfg.probe_hops } else { 0 }),
             latest: Vec::new(),
             rtt_est_ns: cfg.rtt_ns as f64,
             payload_sent: 0,
+            series: Vec::new(),
         }
     }
 
@@ -255,44 +307,74 @@ impl RcpLoop {
     }
 
     /// Phase 1's result: a completed collect probe.
-    fn absorb(&mut self, collect: &TppBuf) {
-        self.latest = parse_collect(collect);
+    fn absorb(&mut self, law: Law, collect: &TppBuf) {
+        self.latest = law.samples(collect);
         for (h, s) in self.latest.iter().enumerate() {
             self.qhist.record(h, s.queue_bytes);
+            self.uhist.record(h, s.util_bps);
         }
     }
 
-    /// Phases 2 and 3: a new rate per hop, the flow's own rate set on the
-    /// pacer, and the update TPP that writes the per-hop rates back. `None`
-    /// until a collect has completed.
-    fn step<'u>(&mut self, cfg: &RcpConfig, update: &'u mut UpdateTpps) -> Option<&'u Tpp> {
+    /// Phases 2 and 3: the path's new rate set on the pacer, and the TPP
+    /// that writes it back. `None` until a collect has completed, or when the
+    /// fan-out's path misses its branch switch.
+    fn step<'u>(
+        &mut self,
+        law: Law,
+        cfg: &RcpConfig,
+        now: Time,
+        wb: &'u mut UpdateTpps,
+    ) -> Option<&'u Tpp> {
         if self.latest.is_empty() {
             return None;
         }
         // Eq. 1's d: the configured RTT, or this path's measured one.
-        let eq = if cfg.measure_rtt {
-            RcpConfig { rtt_ns: self.rtt_est_ns.max(1.0) as Time, ..*cfg }
-        } else {
-            *cfg
-        };
-        let c = eq.capacity_mbps * 1e6;
-        let mut new_rates = Vec::new();
-        let mut updates = Vec::new();
+        let measured = self.rtt_est_ns.max(1.0) as Time;
+        let eq = RcpConfig { rtt_ns: if cfg.measure_rtt { measured } else { cfg.rtt_ns }, ..*cfg };
+        let (r_old, cap) = (self.pacer.rate_bps, eq.capacity_mbps * 1e6);
+        let mut per_link = Vec::with_capacity(self.latest.len());
         for (h, s) in self.latest.iter().enumerate() {
-            let y = s.util_bps as f64 / 10_000.0 * c;
             let q_avg = self.qhist.mean(h, s.queue_bytes);
-            // An uninitialized register is seeded at 10% of capacity.
-            let r_old = if s.rate_kbps == 0 { c * 0.1 } else { s.rate_kbps as f64 * 1e3 };
-            let r_new = rcp_equation(&eq, r_old, y, q_avg, c);
-            new_rates.push(r_new);
-            updates.push((s.version, (r_new / 1e3) as u32));
+            per_link.push(match law {
+                Law::Rcp => {
+                    let y = s.util_bps as f64 / 10_000.0 * cap;
+                    // An uninitialized register is seeded at 10% of capacity.
+                    let r = if s.rate_kbps == 0 { cap * 0.1 } else { s.rate_kbps as f64 * 1e3 };
+                    rcp_equation(&eq, r, y, q_avg, cap)
+                }
+                // Available bandwidth: capacity minus traffic that isn't ours
+                // minus a term that drains any standing queue over the drain
+                // horizon.
+                Law::Fanout => {
+                    let c = (s.speed_mbps.max(1)) as f64 * 1e6;
+                    let cross = (self.uhist.mean(h, s.util_bps) / 10_000.0 * c - r_old).max(0.0);
+                    (c - cross - FANOUT_DRAIN_GAIN * (q_avg * 8.0) / FANOUT_DRAIN_S).max(64_000.0)
+                }
+            });
         }
-        // Flow rate: α-fair aggregate of the per-link rates (Eq. 2), capped
-        // at line rate (R may legitimately exceed C on uncongested links;
-        // the NIC cannot).
-        self.pacer.set_rate(alpha_aggregate(&new_rates, eq.alpha).min(c));
-        // Phase 3: versioned write-back.
-        Some(update.fill(APP_ID, &updates))
+        let target = alpha_aggregate(&per_link, eq.alpha);
+        match law {
+            Law::Rcp => {
+                // Capped at line rate: R may legitimately exceed C on
+                // uncongested links; the NIC cannot.
+                self.pacer.set_rate(target.min(cap));
+                // Phase 3: a versioned write-back of every hop's rate.
+                let rates = self.latest.iter().zip(&per_link);
+                Some(wb.fill(law, rates.map(|(s, r)| (s.version, (r / 1e3) as u32))))
+            }
+            Law::Fanout => {
+                // At most ±10% a period toward an absolute target: the rate
+                // converges from below, with no standing bottleneck queue.
+                let r = r_old * (target / r_old.max(1.0)).clamp(0.9, 1.1);
+                self.pacer.set_rate(r);
+                self.series.push((now as f64 / 1e9, r / 1e6));
+                // Install at the branch switch: the CEXEC predicate
+                // suppresses the write at every other hop.
+                let branch = self.latest.iter().rfind(|s| s.switch_id == wan::SITE0_BORDER)?;
+                let install = (branch.version, (r / 1e3) as u32);
+                Some(wb.fill(law, std::iter::repeat_n(install, self.latest.len())))
+            }
+        }
     }
 }
 
@@ -300,12 +382,14 @@ const TIMER_CONTROL: u64 = 1;
 /// Path `i` paces on token `TIMER_PACE + i`.
 const TIMER_PACE: u64 = 2;
 
-/// An RCP* sender over one or more paths, each with its own control loop
-/// and pacer. Construct with [`RcpSender::new`] (one path that streams
-/// forever) or [`RcpSender::with_paths`]; control traffic (probes, updates,
-/// retries) is accounted by the harness's `probe_bytes_sent`.
+/// A periodic path controller over one or more paths, each with its own
+/// control loop and pacer, under one [`Law`]. Construct with
+/// [`RcpSender::new`] (one RCP* path that streams forever) or
+/// [`RcpSender::with_paths`]; control traffic (probes, updates, retries) is
+/// accounted by the harness's `probe_bytes_sent`.
 pub struct RcpSender {
     pub cfg: RcpConfig,
+    law: Law,
     /// When to start sending (flows can be staggered).
     start_at: Time,
     paths: Vec<RcpLoop>,
@@ -320,28 +404,30 @@ pub type RcpSenderApp = Endhost<RcpSender>;
 
 impl RcpSender {
     pub fn new(cfg: RcpConfig, dst: Ipv4Address, sport: u16, start_at: Time) -> RcpSenderApp {
-        Self::with_paths(cfg, &[RcpPath { dst, sport, transfer_bytes: 0 }], start_at)
+        Self::with_paths(Law::Rcp, cfg, &[RcpPath { dst, sport, transfer_bytes: 0 }], start_at)
     }
 
-    /// A sender over `paths`, one per destination: a probe's completion
-    /// finds its path by its source address, and a completion from any other
-    /// host is ignored.
-    pub fn with_paths(cfg: RcpConfig, paths: &[RcpPath], start_at: Time) -> RcpSenderApp {
+    /// A sender over `paths`, one per destination, under `law`: a probe's
+    /// completion finds its path by its source address, and a completion
+    /// from any other host is ignored.
+    pub fn with_paths(law: Law, cfg: RcpConfig, paths: &[RcpPath], start_at: Time) -> RcpSenderApp {
         debug_assert!(
             paths.iter().enumerate().all(|(i, p)| paths[..i].iter().all(|q| q.dst != p.dst)),
-            "one RCP* path per destination"
+            "one path per destination"
         );
         let state = RcpSender {
             cfg,
+            law,
             start_at,
-            paths: paths.iter().map(|&path| RcpLoop::new(&cfg, path)).collect(),
+            paths: paths.iter().map(|&path| RcpLoop::new(law, &cfg, path)).collect(),
             update: UpdateTpps::default(),
             data_bytes_sent: 0,
             probes_completed: 0,
         };
+        let collect = law.schemas().0.clone().app_id(law.app_id()).hops(cfg.probe_hops);
         Harness::new(state)
             .executor(control_executor(cfg.period_ns))
-            .launch(collect_probe().app_id(APP_ID).hops(cfg.probe_hops), |s, io, c| {
+            .launch(collect, |s, io, c| {
                 let Some(p) = s.paths.iter_mut().find(|p| p.path.dst == c.from) else {
                     return;
                 };
@@ -350,7 +436,7 @@ impl RcpSender {
                     // fast to converge, cheap to hold.
                     p.rtt_est_ns = (p.rtt_est_ns + (io.ctx.now - sent_at) as f64) / 2.0;
                 }
-                p.absorb(&c.tpp);
+                p.absorb(s.law, &c.tpp);
                 s.probes_completed += 1;
             })
             .on_start(|s, io| {
@@ -378,15 +464,21 @@ impl RcpSender {
         self.paths[i].rtt_est_ns
     }
 
+    /// Path `i`'s `(t seconds, Mb/s)` rate series ([`Law::Fanout`] only).
+    pub fn rate_series(&self, i: usize) -> &[(f64, f64)] {
+        &self.paths[i].series
+    }
+
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
+        let (law, now) = (self.law, io.ctx.now);
         for p in &mut self.paths {
-            if let Some(update) = p.step(&self.cfg, &mut self.update) {
+            if let Some(update) = p.step(law, &self.cfg, now, &mut self.update) {
                 io.send_standalone(update, p.path.dst);
             }
             // Phase 1 for the next period. A finished transfer stops probing
             // too: control traffic is not free.
             if !p.done() {
-                io.launch(APP_ID, p.path.dst, None);
+                io.launch(law.app_id(), p.path.dst, None);
             }
         }
         io.ctx.set_timer(self.cfg.period_ns, TIMER_CONTROL);
@@ -548,21 +640,23 @@ mod tests {
         assert_eq!(first, 0);
         let policy = cp.policy_for(app, false).unwrap();
         policy.validate(&collect_probe().hops(5).compile().unwrap()).unwrap();
-        policy.validate(UpdateTpps::default().fill(app, &[(1, 100), (2, 200)])).unwrap();
+        policy
+            .validate(UpdateTpps::default().fill(Law::Rcp, [(1, 100), (2, 200)].into_iter()))
+            .unwrap();
     }
 
     #[test]
     fn refilled_update_tpps_equal_a_fresh_compile() {
         // What every control period built before the templates: the schema,
         // compiled for that many hops, its arguments written.
-        let fresh = |updates: &[(u32, u32)]| {
-            let probe = update_probe();
-            let mut t = probe.compile_hops(updates.len()).unwrap();
-            for (h, &(version, rate_kbps)) in updates.iter().enumerate() {
-                probe.set_args(&mut t, h, "version", &[version, version.wrapping_add(1)]).unwrap();
-                probe.set_args(&mut t, h, "rate", &[rate_kbps]).unwrap();
+        let fresh = |probe: Probe, app_id, args: &[Vec<(&str, Vec<u32>)>]| {
+            let mut t = probe.compile_hops(args.len()).unwrap();
+            for (h, hop) in args.iter().enumerate() {
+                for (name, words) in hop {
+                    probe.set_args(&mut t, h, name, words).unwrap();
+                }
             }
-            t.app_id = 2;
+            t.app_id = app_id;
             t
         };
         let mut tpps = UpdateTpps::default();
@@ -574,7 +668,26 @@ mod tests {
             &[(0, 0), (0, 0)],
         ];
         for updates in periods {
-            assert_eq!(tpps.fill(2, updates), &fresh(updates), "{updates:?}");
+            let args: Vec<_> = updates
+                .iter()
+                .map(|&(v, r)| vec![("version", vec![v, v.wrapping_add(1)]), ("rate", vec![r])])
+                .collect();
+            let refilled = tpps.fill(Law::Rcp, updates.iter().copied());
+            assert_eq!(refilled, &fresh(update_probe(), 2, &args), "{updates:?}");
+        }
+        // The fan-out's install: the same (branch, version, rate) at every hop.
+        let mut installs = UpdateTpps::default();
+        for (hops, version, rate_kbps) in [(8, 1, 12_000), (3, 7, 5), (8, u32::MAX, 0), (10, 0, 1)]
+        {
+            let hop = vec![
+                ("at", vec![u32::MAX, wan::SITE0_BORDER]),
+                ("version", vec![version, version.wrapping_add(1)]),
+                ("rate", vec![rate_kbps]),
+            ];
+            let want = fresh(wan::install_probe(), 3, &vec![hop; hops]);
+            let refilled =
+                installs.fill(Law::Fanout, std::iter::repeat_n((version, rate_kbps), hops));
+            assert_eq!(refilled, &want, "{hops} hops");
         }
     }
 
@@ -622,7 +735,7 @@ mod tests {
         }
         t.hop = 2;
         t.sp = 10;
-        let s = parse_collect(&t);
+        let s = Law::Rcp.samples(&t);
         assert_eq!(s.len(), 2);
         assert_eq!(s[1].switch_id, 2);
         assert_eq!(s[0].rate_kbps, 40_000);

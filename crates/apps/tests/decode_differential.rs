@@ -6,7 +6,7 @@
 use tpp_apps::common::{udp_frame, DATA_PORT};
 use tpp_apps::microburst::microburst_probe;
 use tpp_apps::netsight::{history_probe, TracedHost};
-use tpp_apps::rcp::{collect_probe, parse_collect};
+use tpp_apps::rcp::{collect_probe, Law};
 use tpp_core::addr::resolve_mnemonic;
 use tpp_core::exec::{execute, ExecOptions, MapBus};
 use tpp_core::probe::Probe;
@@ -145,7 +145,8 @@ fn typed_decode_matches_legacy_on_rcp_collect() {
                 tpp.read_word(base + 4).unwrap_or(0),
             ]);
         }
-        let typed: Vec<[u32; 5]> = parse_collect(&tpp)
+        let typed: Vec<[u32; 5]> = Law::Rcp
+            .samples(&tpp)
             .iter()
             .map(|s| [s.switch_id, s.queue_bytes, s.util_bps, s.version, s.rate_kbps])
             .collect();
