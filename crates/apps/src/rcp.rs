@@ -745,8 +745,8 @@ mod tests {
     /// host answers it first with an echo of 12 hop windows, more than the 5
     /// the probe asked for, its last memory word that token, and its source
     /// address `echo_src`. Returns the sender's `probes_completed` and its
-    /// executor's `completed` after 20 ms.
-    fn forged_collect_echo(echo_src: impl Fn(&[Ipv4Address; 3]) -> Ipv4Address) -> (u64, u64) {
+    /// executor's `completed` and `unmatched` after 20 ms.
+    fn forged_collect_echo(echo_src: impl Fn(&[Ipv4Address; 3]) -> Ipv4Address) -> (u64, u64, u64) {
         use tpp_core::wire::{udp_frame_with, UdpFrameRepr};
         use tpp_endhost::shim::{mac_of_ip, TPP_ECHO_PORT};
         let mut topo = TopologySpec::Star { hosts: 3 }
@@ -784,25 +784,26 @@ mod tests {
         topo.net.set_app(h[2], Box::new(attacker));
         topo.net.run_until(20 * MILLIS);
         let s = topo.net.app_mut::<RcpSenderApp>(h[0]);
-        (s.probes_completed, s.executor().expect("the sender launches probes").completed)
+        let exec = s.executor().expect("the sender launches probes");
+        (s.probes_completed, exec.completed, exec.unmatched)
     }
 
     #[test]
     fn a_forged_collect_echo_with_more_hops_than_the_probe_does_not_panic() {
         // Sent in the sink's name, the echo is absorbed as the path's collect.
-        let (absorbed, completed) = forged_collect_echo(|ips| ips[1]);
+        let (absorbed, completed, _) = forged_collect_echo(|ips| ips[1]);
         assert!(absorbed > 5, "{absorbed} collects absorbed");
         assert_eq!(absorbed, completed);
     }
 
     #[test]
     fn a_collect_echo_from_a_host_no_path_leads_to_is_ignored() {
-        // The executor matches the echo to the probe it launched, but the
-        // forger is no path's destination: the sender absorbs every other
-        // completion and not that one.
-        let (absorbed, completed) = forged_collect_echo(|ips| ips[2]);
+        // The forger is not the probe's destination, so the executor matches
+        // nothing to its echo, and the sink's genuine echo still completes
+        // that period's collect.
+        let (absorbed, completed, unmatched) = forged_collect_echo(|ips| ips[2]);
         assert!(absorbed > 5, "{absorbed} collects absorbed");
-        assert_eq!(absorbed + 1, completed);
+        assert_eq!((absorbed, unmatched), (completed, 1));
     }
 
     #[test]

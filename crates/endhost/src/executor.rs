@@ -16,10 +16,11 @@
 //! with the completion. A completion names its probe by one of two keys:
 //! its nonce, or, when a hop window that runs past the probe's memory
 //! overwrote the nonce, the source port it was launched from. Either key
-//! matches only if the completion's instruction bytes equal the pending
-//! probe's. Execution never rewrites instructions, so an echo of some other
-//! program (one sent from a port in the executor's range, or one whose last
-//! word happens to equal a pending token) completes nothing; it counts as
+//! matches only if the completion comes from the probe's destination and its
+//! instruction bytes equal the pending probe's. Execution never rewrites
+//! instructions, so an echo of some other program (one sent from a port in
+//! the executor's range, or one whose last word happens to equal a pending
+//! token), or one from any other host, completes nothing; it counts as
 //! [`Executor::unmatched`].
 
 use std::collections::BTreeMap;
@@ -94,6 +95,9 @@ pub enum ProbeOutcome {
 
 struct Pending {
     frame: Vec<u8>,
+    /// The host or switch the probe was sent to, the one its echo must come
+    /// from.
+    dst: Ipv4Address,
     /// Where the probe's instruction bytes sit in `frame`.
     program: Range<usize>,
     src_port: u16,
@@ -177,6 +181,7 @@ impl Executor {
         let at = frame.len() - tpp.section_len() + HEADER_LEN;
         let pending = Pending {
             frame: frame.clone(),
+            dst,
             program: at..at + tpp.instrs.len() * INSTR_BYTES,
             src_port,
             sent_at: now,
@@ -192,11 +197,12 @@ impl Executor {
     /// outcome, which takes over the completion's section, if it matches a
     /// pending probe: by its nonce or, when a long hop-addressed path
     /// overwrote the nonce, by the probe's source port, and in either case
-    /// only if it carries the probe's instructions.
+    /// only if it comes from the probe's destination and carries the probe's
+    /// instructions.
     pub fn on_completed(&mut self, done: CompletedTpp) -> Option<ProbeOutcome> {
         let section = done.tpp.as_bytes();
         let program = &section[HEADER_LEN..section.len() - done.tpp.memory().len()];
-        let ours = |p: &Pending| p.frame[p.program.clone()] == *program;
+        let ours = |p: &Pending| p.dst == done.from && p.frame[p.program.clone()] == *program;
         let token = match Self::nonce_of(&done.tpp) {
             Some(nonce) if self.pending.get(&nonce).is_some_and(ours) => Some(nonce),
             _ => self
@@ -461,6 +467,24 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!((e.completed, e.unmatched), (1, 1));
+    }
+
+    #[test]
+    fn echo_of_the_probe_from_another_host_completes_nothing() {
+        // The right program and token, but host 3 sent it: a forgery, or a
+        // copy the probe's destination did not echo.
+        let mut e = exec();
+        let (token, frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
+        let genuine = completion(frame);
+        let forged = CompletedTpp { from: Ipv4Address::from_host_id(3), ..genuine.clone() };
+        assert_eq!(Executor::nonce_of(&forged.tpp), Some(token));
+        assert!(e.on_completed(forged).is_none());
+        assert_eq!((e.completed, e.unmatched, e.next_deadline()), (0, 1, Some(e.cfg.timeout_ns)));
+        // The destination's own echo still completes the probe.
+        match e.on_completed(genuine) {
+            Some(ProbeOutcome::Completed { token: t2, .. }) => assert_eq!(t2, token),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
