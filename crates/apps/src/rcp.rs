@@ -471,15 +471,14 @@ impl RcpSender {
 
     fn control_step(&mut self, io: &mut Io<'_, '_>) {
         let (law, now) = (self.law, io.ctx.now);
-        for p in &mut self.paths {
+        // A finished transfer stops its loop: control traffic is not free,
+        // and an update of a stale collect would write nothing.
+        for p in self.paths.iter_mut().filter(|p| !p.done()) {
             if let Some(update) = p.step(law, &self.cfg, now, &mut self.update) {
                 io.send_standalone(update, p.path.dst);
             }
-            // Phase 1 for the next period. A finished transfer stops probing
-            // too: control traffic is not free.
-            if !p.done() {
-                io.launch(law.app_id(), p.path.dst, None);
-            }
+            // Phase 1 for the next period.
+            io.launch(law.app_id(), p.path.dst, None);
         }
         io.ctx.set_timer(self.cfg.period_ns, TIMER_CONTROL);
     }

@@ -205,7 +205,8 @@ pub struct InterDcPathReport {
     pub src_dc: u32,
     pub dst_dc: u32,
     pub capacity_mbps: f64,
-    /// Final adapted rate.
+    /// The rate when the path finished its transfer (at the end of the run
+    /// if it did not).
     pub rate_mbps: f64,
     /// The sender's measured RTT estimate.
     pub rtt_est_ms: f64,
