@@ -25,10 +25,10 @@ const CONTROL_RETRIES: u32 = 3;
 /// of its probes, every one of which is answered.
 const CONTROL_TIMEOUT_PERIODS: u64 = 8;
 
-/// The executor settings of the three periodic controllers (RCP*, its
-/// inter-DC form and the WAN fan-out), which launch one probe per path every
-/// `period_ns`: [`CONTROL_RETRIES`] retries, the first after
-/// [`CONTROL_TIMEOUT_PERIODS`] periods.
+/// The executor settings of the periodic path controller (`rcp::RcpSender`,
+/// under either law), which launches one probe per path every `period_ns`:
+/// [`CONTROL_RETRIES`] retries, the first after [`CONTROL_TIMEOUT_PERIODS`]
+/// periods.
 pub(crate) fn control_executor(period_ns: Time) -> ExecutorConfig {
     ExecutorConfig { max_retries: CONTROL_RETRIES, timeout_ns: CONTROL_TIMEOUT_PERIODS * period_ns }
 }

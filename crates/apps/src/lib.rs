@@ -19,9 +19,9 @@
 //!   (§2.6).
 //! * [`transient`] — transient-safety monitor for live churn: loops,
 //!   blackholes, and path-conformance violations from TPP path traces.
-//! * [`wan`] — WAN domains beyond the paper: coordinated video fan-out
-//!   with branch-switch rate installation, and inter-DC RCP* over
-//!   heterogeneous-RTT multi-ms links.
+//! * [`wan`] — WAN domains beyond the paper, each a [`rcp::Law`] of RCP*'s
+//!   one sender: coordinated video fan-out with branch-switch rate
+//!   installation, and inter-DC RCP* over heterogeneous-RTT multi-ms links.
 //! * [`common`] — frame builders, rate meters, CDFs.
 //!
 //! [`builtin_probes`] lists every application probe with the TPP-CP policy
