@@ -246,13 +246,13 @@ impl Law {
     pub fn samples<T: TppData>(self, tpp: &T) -> Vec<HopSample> {
         let p = self.schemas().0;
         // Resolve names once per TPP, not once per hop (one probe per path
-        // per control period).
-        let idx = |n| p.index_of(n);
+        // per control period). A field the schema lacks reads no slot.
+        let idx = |n| p.index_of(n).unwrap_or(usize::MAX);
         let (switch, qsize, util, version, rate, speed) =
             (idx("switch"), idx("qsize"), idx("util"), idx("version"), idx("rate"), idx("speed"));
         p.records(tpp)
             .map(|r| {
-                let at = |i: Option<usize>| i.and_then(|i| r.at(i)).unwrap_or(0);
+                let at = |i| r.at(i).unwrap_or(0);
                 HopSample {
                     switch_id: at(switch),
                     queue_bytes: at(qsize),

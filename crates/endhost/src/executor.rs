@@ -31,7 +31,9 @@ use tpp_core::asm::AsmError;
 use tpp_core::isa::{Instruction, INSTR_BYTES, MAX_INSTRUCTIONS};
 use tpp_core::probe::TppData;
 use tpp_core::wire::tpp::HEADER_LEN;
-use tpp_core::wire::{build_standalone, AddrMode, EthernetAddress, Ipv4Address, Tpp, TppBuf};
+use tpp_core::wire::{
+    build_standalone, ethernet, AddrMode, EthernetAddress, Ipv4Address, Ipv4Packet, Tpp, TppBuf,
+};
 
 use crate::shim::{mac_of_ip, CompletedTpp, TPP_UPDATE_PORT};
 
@@ -95,9 +97,6 @@ pub enum ProbeOutcome {
 
 struct Pending {
     frame: Vec<u8>,
-    /// The host or switch the probe was sent to, the one its echo must come
-    /// from.
-    dst: Ipv4Address,
     /// Where the probe's instruction bytes sit in `frame`.
     program: Range<usize>,
     src_port: u16,
@@ -181,7 +180,6 @@ impl Executor {
         let at = frame.len() - tpp.section_len() + HEADER_LEN;
         let pending = Pending {
             frame: frame.clone(),
-            dst,
             program: at..at + tpp.instrs.len() * INSTR_BYTES,
             src_port,
             sent_at: now,
@@ -202,7 +200,10 @@ impl Executor {
     pub fn on_completed(&mut self, done: CompletedTpp) -> Option<ProbeOutcome> {
         let section = done.tpp.as_bytes();
         let program = &section[HEADER_LEN..section.len() - done.tpp.memory().len()];
-        let ours = |p: &Pending| p.dst == done.from && p.frame[p.program.clone()] == *program;
+        // The launch frame names the probe's destination: IPv4 follows
+        // Ethernet in every frame `build_standalone` makes.
+        let dst = |p: &Pending| Ipv4Packet::new_unchecked(&p.frame[ethernet::HEADER_LEN..]).dst();
+        let ours = |p: &Pending| dst(p) == done.from && p.frame[p.program.clone()] == *program;
         let token = match Self::nonce_of(&done.tpp) {
             Some(nonce) if self.pending.get(&nonce).is_some_and(ours) => Some(nonce),
             _ => self
