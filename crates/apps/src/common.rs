@@ -11,7 +11,7 @@ use tpp_core::wire::{
 };
 use tpp_endhost::shim::mac_of_ip;
 use tpp_endhost::ExecutorConfig;
-use tpp_netsim::Time;
+use tpp_netsim::{Time, Topology};
 
 /// Default UDP port for application data traffic in experiments.
 pub const DATA_PORT: u16 = 5001;
@@ -31,6 +31,15 @@ const CONTROL_TIMEOUT_PERIODS: u64 = 8;
 /// periods.
 pub(crate) fn control_executor(period_ns: Time) -> ExecutorConfig {
     ExecutorConfig { max_retries: CONTROL_RETRIES, timeout_ns: CONTROL_TIMEOUT_PERIODS * period_ns }
+}
+
+/// Leave the destination port out of ECMP hashing on every switch (§2.4): a
+/// standalone TPP (UDP port 0x6666) sent from its flow's source port then
+/// follows the flow's data, and reads and writes the links the data crosses.
+pub(crate) fn hash_ecmp_without_dst_port(topo: &mut Topology) {
+    for &s in &topo.switches {
+        topo.net.switch_mut(s).cfg.ecmp_hash_dst_port = false;
+    }
 }
 
 /// Expand to a `&'static Probe` built once from the given constructor —

@@ -25,13 +25,13 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::common::{parse_udp, udp_frame, RateMeter};
+use crate::common::{hash_ecmp_without_dst_port, parse_udp, udp_frame, RateMeter};
 use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::{ExecutorConfig, PacedSender};
 use tpp_netsim::Time;
-use tpp_netsim::TopologySpec;
+use tpp_netsim::{Topology, TopologySpec};
 
 /// Base destination port for CONGA data flows (flow i uses `BASE + i`).
 pub const FLOW_PORT_BASE: u16 = 6000;
@@ -383,9 +383,10 @@ pub struct Fig4Result {
     pub path_switches: u64,
 }
 
-/// Run the Figure 4 scenario: 2 spines, 3 leaves, L0→L2 pinned to one
-/// path at 50 Mb/s, L1→L2 at 120 Mb/s over two paths.
-pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64) -> Fig4Result {
+/// The Figure 4 network, its senders and sink installed: 2 spines, 3
+/// leaves, L0→L2 pinned to one path at 50 Mb/s, L1→L2 at 120 Mb/s over two
+/// paths. Hosts are `[h_L0, h_L1, h_L2]`.
+pub fn conga_fig4_net(mode: Balancer, metric: Metric, seed: u64) -> Topology {
     let mut topo = TopologySpec::LeafSpine { leaves: 3, spines: 2, hosts_per_leaf: 1 }
         .builder()
         .link_mbps(100)
@@ -393,15 +394,12 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
         .delay_ns(10_000)
         .seed(seed)
         .build();
-    // Exclude the dst port from ECMP hashing everywhere (probes follow data).
-    let switches = topo.switches.clone();
-    for &s in &switches {
-        topo.net.switch_mut(s).cfg.ecmp_hash_dst_port = false;
-    }
+    // Probes follow data.
+    hash_ecmp_without_dst_port(&mut topo);
     let hosts = topo.hosts.clone(); // [h_L0, h_L1, h_L2]
     let ips: Vec<Ipv4Address> = hosts.iter().map(|&h| topo.net.host(h).ip).collect();
     // Pin L0 -> L2 to the first spine (the paper's "uses only one path").
-    let leaf0 = switches[0];
+    let leaf0 = topo.switches[0];
     topo.net.switch_mut(leaf0).add_host_route(ips[2], tpp_switch::Action::Output(0));
 
     let bucket = 100_000_000;
@@ -415,7 +413,14 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
     topo.net.set_app(hosts[0], Box::new(CongaSender::new(l0_cfg, ips[2])));
     topo.net.set_app(hosts[1], Box::new(CongaSender::new(l1_cfg, ips[2])));
     topo.net.set_app(hosts[2], Box::new(CongaSink::new(bucket)));
+    topo
+}
 
+/// Run the Figure 4 scenario ([`conga_fig4_net`]).
+pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64) -> Fig4Result {
+    let mut topo = conga_fig4_net(mode, metric, seed);
+    let hosts = topo.hosts.clone();
+    let ips: Vec<Ipv4Address> = hosts.iter().map(|&h| topo.net.host(h).ip).collect();
     // Warm up, then measure fabric byte counters over the second half.
     let half = duration / 2;
     topo.net.run_until(half);
@@ -434,29 +439,20 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
         max_util = max_util.max(util);
     }
 
-    let half_s = half as f64 / 1e9;
-    let end_s = duration as f64 / 1e9;
-    let (l0_mbps, l1_mbps) = {
-        let sink = topo.net.app_mut::<CongaSinkApp>(hosts[2]);
-        let mut l0 = 0.0;
-        let mut l1 = 0.0;
-        for ((src, _), m) in &sink.meters {
-            let rate = m.avg_mbps(half_s, end_s);
-            if *src == ips[0] {
-                l0 += rate;
-            } else if *src == ips[1] {
-                l1 += rate;
-            }
-        }
-        (l0, l1)
+    let (half_s, end_s) = (half as f64 / 1e9, duration as f64 / 1e9);
+    let sink = topo.net.app_mut::<CongaSinkApp>(hosts[2]);
+    let goodput = |ip| {
+        let from = sink.meters.iter().filter(|((src, _), _)| *src == ip);
+        from.fold(0.0, |sum, (_, m)| sum + m.avg_mbps(half_s, end_s))
     };
+    let (l0_mbps, l1_mbps) = (goodput(ips[0]), goodput(ips[1]));
     let path_switches = topo.net.app_mut::<CongaSenderApp>(hosts[1]).path_switches;
     Fig4Result { mode, l0_mbps, l1_mbps, max_util_percent: max_util * 100.0, path_switches }
 }
 
 /// All leaf-uplink and spine ports (fabric links) of a leaf-spine topology
 /// built from [`tpp_netsim::TopologySpec::LeafSpine`].
-fn fabric_ports(topo: &tpp_netsim::Topology) -> Vec<(tpp_netsim::NodeId, u8)> {
+fn fabric_ports(topo: &Topology) -> Vec<(tpp_netsim::NodeId, u8)> {
     let mut out = Vec::new();
     for &s in &topo.switches {
         for (p, peer) in topo.net.neighbors(s) {

@@ -80,7 +80,7 @@ impl UpdateTpps {
         let (probe, hops) = (law.schemas().1, updates.len());
         let t = self.by_hops.entry(hops).or_insert_with(|| {
             let mut t = probe.compile_hops(hops).expect("static probe");
-            t.app_id = law.app_id();
+            t.app_id = law.app_ids().1;
             // The fan-out's branch is a constant of the law: its CEXEC
             // arguments are written once.
             for h in (0..hops).filter(|_| law == Law::Fanout) {
@@ -208,11 +208,11 @@ pub struct RcpPath {
 pub enum Law {
     /// RCP* (§2.2): Eq. 1 per hop of a [`collect_probe`], the α-fair
     /// aggregate (Eq. 2) as the path's rate, and a versioned write-back at
-    /// every hop ([`update_probe`]; app ID 2, `AppSpecific_0/1`).
+    /// every hop ([`update_probe`]; app IDs 2 and 6, `AppSpecific_0/1`).
     Rcp,
     /// The coordinated fan-out of [`crate::wan`]: a [`wan::discover_probe`],
     /// a rate slewed toward the least available bandwidth, and an install at
-    /// the branch switch alone ([`wan::install_probe`]; app ID 3,
+    /// the branch switch alone ([`wan::install_probe`]; app IDs 3 and 7,
     /// `AppSpecific_2/3`).
     Fanout,
 }
@@ -223,11 +223,13 @@ const FANOUT_DRAIN_S: f64 = 0.02;
 const FANOUT_DRAIN_GAIN: f64 = 0.5;
 
 impl Law {
-    /// The app ID of the law's collect and write-back TPPs.
-    fn app_id(self) -> u16 {
+    /// The app IDs of the law's collects and of its write-backs. No other
+    /// app uses the second: a path's destination aggregates it itself, so
+    /// it consumes write-backs unechoed (§4.2).
+    pub(crate) fn app_ids(self) -> (u16, u16) {
         match self {
-            Law::Rcp => 2,
-            Law::Fanout => 3,
+            Law::Rcp => (2, 6),
+            Law::Fanout => (3, 7),
         }
     }
 
@@ -424,7 +426,7 @@ impl RcpSender {
             data_bytes_sent: 0,
             probes_completed: 0,
         };
-        let collect = law.schemas().0.clone().app_id(law.app_id()).hops(cfg.probe_hops);
+        let collect = law.schemas().0.clone().app_id(law.app_ids().0).hops(cfg.probe_hops);
         Harness::new(state)
             .executor(control_executor(cfg.period_ns))
             .launch(collect, |s, io, c| {
@@ -474,11 +476,13 @@ impl RcpSender {
         // A finished transfer stops its loop: control traffic is not free,
         // and an update of a stale collect would write nothing.
         for p in self.paths.iter_mut().filter(|p| !p.done()) {
+            // Collect and write-back leave from the data's port: ECMP hashes
+            // all three onto one path, the links the loop reads and writes.
             if let Some(update) = p.step(law, &self.cfg, now, &mut self.update) {
-                io.send_standalone(update, p.path.dst);
+                io.send_standalone(update, p.path.dst, p.path.sport);
             }
             // Phase 1 for the next period.
-            io.launch(law.app_id(), p.path.dst, None);
+            io.launch(law.app_ids().0, p.path.dst, Some(p.path.sport));
         }
         io.ctx.set_timer(self.cfg.period_ns, TIMER_CONTROL);
     }
@@ -505,8 +509,8 @@ impl RcpSender {
 }
 
 /// A sink that meters per-flow goodput, records when a fixed-size transfer
-/// completes, and echoes probes. Construct with [`RcpSink::new`] or
-/// [`RcpSink::with_transfer`].
+/// completes, echoes collects and consumes write-backs. Construct with
+/// [`RcpSink::new`] or [`RcpSink::with_transfer`].
 pub struct RcpSink {
     /// (source ip, source port) -> rate meter.
     // A `RefCell` only because `benchmark/` reads it with `borrow()` (ROADMAP 1a).
@@ -536,6 +540,7 @@ impl RcpSink {
             fct_ns: BTreeMap::new(),
         };
         Harness::new(state)
+            .aggregate_local(Law::Rcp.app_ids().1)
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
                     if info.dst_port == DATA_PORT {
@@ -672,7 +677,7 @@ mod tests {
                 .map(|&(v, r)| vec![("version", vec![v, v.wrapping_add(1)]), ("rate", vec![r])])
                 .collect();
             let refilled = tpps.fill(Law::Rcp, updates.iter().copied());
-            assert_eq!(refilled, &fresh(update_probe(), 2, &args), "{updates:?}");
+            assert_eq!(refilled, &fresh(update_probe(), 6, &args), "{updates:?}");
         }
         // The fan-out's install: the same (branch, version, rate) at every hop.
         let mut installs = UpdateTpps::default();
@@ -683,7 +688,7 @@ mod tests {
                 ("version", vec![version, version.wrapping_add(1)]),
                 ("rate", vec![rate_kbps]),
             ];
-            let want = fresh(wan::install_probe(), 3, &vec![hop; hops]);
+            let want = fresh(wan::install_probe(), 7, &vec![hop; hops]);
             let refilled =
                 installs.fill(Law::Fanout, std::iter::repeat_n((version, rate_kbps), hops));
             assert_eq!(refilled, &want, "{hops} hops");

@@ -45,12 +45,13 @@
 //! Each path carries a fixed-size transfer, and the sink records its
 //! completion time.
 
-use crate::common::{parse_udp, udp_frame, RateMeter, DATA_PORT};
+use crate::common::{hash_ecmp_without_dst_port, parse_udp, udp_frame, RateMeter, DATA_PORT};
 use crate::rcp::{Law, RcpConfig, RcpPath, RcpSender, RcpSenderApp, RcpSink, RcpSinkApp};
 use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness};
-use tpp_netsim::{viewer_fanout, Time, TopologySpec, MILLIS};
+use tpp_endhost::shim::host_id_of_ip;
+use tpp_netsim::{viewer_fanout, NodeId, Time, Topology, TopologySpec, MILLIS};
 
 /// The fan-out discovery schema: per-hop link speed + utilization + queue
 /// + the branch register version (needed for the versioned write-back).
@@ -74,8 +75,9 @@ pub fn install_probe() -> Probe {
         .store("rate", "Link:AppSpecific_3")
 }
 
-/// A viewer-site relay: meters the stream arriving from the source and
-/// re-publishes every data frame to its local viewers.
+/// A viewer-site relay: meters the stream arriving from the source,
+/// re-publishes every data frame to its local viewers, echoes discovery
+/// probes and consumes installs.
 pub struct FanoutRelay {
     viewers: Vec<Ipv4Address>,
     pub meter: RateMeter,
@@ -89,6 +91,7 @@ impl FanoutRelay {
     pub fn new(viewers: Vec<Ipv4Address>, bucket_ns: Time) -> FanoutRelayApp {
         let state = FanoutRelay { viewers, meter: RateMeter::new(bucket_ns), forwarded: 0 };
         Harness::new(state)
+            .aggregate_local(Law::Fanout.app_ids().1)
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
                     if info.dst_port == DATA_PORT {
@@ -136,10 +139,37 @@ pub struct FanoutRunResult {
     pub probes_retransmitted: u64,
 }
 
-/// Run the coordinated fan-out experiment on the [`viewer_fanout`] preset:
-/// the source in site 0 streams to one relay per viewer site, each relay
-/// republishes to two local viewers, and each subtree's rate adapts to its
-/// own throttled WAN link (`wan_mbps / (site + 1)`).
+/// The fan-out experiment's network on the [`viewer_fanout`] preset: the
+/// source (host 0) streams to one relay per viewer site (the site's first
+/// host), and each relay republishes to two local viewers.
+pub fn fanout_net(sites: usize, site_k: usize, wan_mbps: u64, seed: u64) -> Topology {
+    let mut topo = viewer_fanout(sites, site_k, wan_mbps)
+        .builder()
+        .link_mbps(1000)
+        .delay_ns(1000)
+        .seed(seed)
+        .build();
+    hash_ecmp_without_dst_port(&mut topo);
+    let per_site = topo.hosts.len() / sites;
+    let ips: Vec<Ipv4Address> = topo.hosts.iter().map(|&n| topo.net.host(n).ip).collect();
+    let ip = |i: usize| ips[i];
+    let cfg = RcpConfig { period_ns: 5_000_000, probe_hops: 10, ..RcpConfig::default() };
+    // Subtree `i` feeds the relay of site `i + 1`, its data from port 7000 + i.
+    let paths: Vec<RcpPath> = (0..sites - 1)
+        .map(|i| RcpPath { dst: ip((i + 1) * per_site), sport: 7000 + i as u16, transfer_bytes: 0 })
+        .collect();
+    let source = RcpSender::with_paths(Law::Fanout, cfg, &paths, MILLIS);
+    topo.net.set_app(topo.hosts[0], Box::new(source));
+    for relay in (per_site..topo.hosts.len()).step_by(per_site) {
+        let viewers = ips[relay + 1..=relay + 2.min(per_site - 1)].to_vec();
+        // 50 ms meter buckets.
+        topo.net.set_app(topo.hosts[relay], Box::new(FanoutRelay::new(viewers, 50 * MILLIS)));
+    }
+    topo
+}
+
+/// Run [`fanout_net`] for `duration`: each subtree's rate adapts to its own
+/// throttled WAN link (`wan_mbps / (site + 1)`).
 pub fn run_fanout(
     sites: usize,
     site_k: usize,
@@ -147,29 +177,9 @@ pub fn run_fanout(
     duration: Time,
     seed: u64,
 ) -> FanoutRunResult {
-    let mut topo = viewer_fanout(sites, site_k, wan_mbps)
-        .builder()
-        .link_mbps(1000)
-        .delay_ns(1000)
-        .seed(seed)
-        .build();
+    let mut topo = fanout_net(sites, site_k, wan_mbps, seed);
     let hosts = topo.hosts.clone();
     let per_site = hosts.len() / sites;
-    let ips: Vec<Ipv4Address> = hosts.iter().map(|&n| topo.net.host(n).ip).collect();
-    let ip = |i: usize| ips[i];
-
-    let bucket = 50_000_000; // 50 ms meter buckets
-    let cfg = RcpConfig { period_ns: 5_000_000, probe_hops: 10, ..RcpConfig::default() };
-    // Subtree `i` feeds the relay of site `i + 1`, its data from port 7000 + i.
-    let paths: Vec<RcpPath> = (0..sites - 1)
-        .map(|i| RcpPath { dst: ip((i + 1) * per_site), sport: 7000 + i as u16, transfer_bytes: 0 })
-        .collect();
-    topo.net.set_app(hosts[0], Box::new(RcpSender::with_paths(Law::Fanout, cfg, &paths, MILLIS)));
-    for site in 1..sites {
-        let relay = site * per_site;
-        let viewers: Vec<Ipv4Address> = (1..=2.min(per_site - 1)).map(|v| ip(relay + v)).collect();
-        topo.net.set_app(hosts[relay], Box::new(FanoutRelay::new(viewers, bucket)));
-    }
     topo.net.run_until(duration);
 
     let half = duration as f64 / 2e9;
@@ -199,10 +209,9 @@ pub fn run_fanout(
     }
 }
 
-/// One path's outcome in a [`run_interdc`] experiment.
+/// One path's outcome in a [`run_interdc`] experiment, from site 0.
 #[derive(Clone, Copy, Debug)]
 pub struct InterDcPathReport {
-    pub src_dc: u32,
     pub dst_dc: u32,
     pub capacity_mbps: f64,
     /// The rate when the path finished its transfer (at the end of the run
@@ -220,20 +229,22 @@ pub struct InterDcRunResult {
     pub paths: Vec<InterDcPathReport>,
 }
 
-/// Run fixed-size inter-DC transfers from site 0 to every other site of a
-/// [`TopologySpec::MultiSite`] fabric. WAN delays grow with site distance
-/// (heterogeneous RTTs); `wan_queue_bytes` selects the border buffer
-/// profile (0 = deep default, small = shallow).
-pub fn run_interdc(
+/// When the inter-DC sender starts.
+const INTERDC_START_NS: Time = MILLIS;
+
+/// The inter-DC experiment's network, a [`TopologySpec::MultiSite`] fabric:
+/// the sender (host 0) runs path `i`, with a fixed-size transfer, to a sink
+/// in site `i + 1` (the site's first host). WAN delays grow with site
+/// distance (heterogeneous RTTs); `wan_queue_bytes` selects the border
+/// buffer profile (0 = deep default, small = shallow).
+pub fn interdc_net(
     sites: usize,
     site_k: usize,
     wan_mbps: u64,
     wan_queue_bytes: u32,
     transfer_bytes: u64,
-    duration: Time,
     seed: u64,
-) -> InterDcRunResult {
-    let start_at = 1_000_000;
+) -> (Topology, Vec<RcpPath>) {
     let mut topo = TopologySpec::MultiSite {
         sites,
         site_k,
@@ -248,11 +259,8 @@ pub fn run_interdc(
     .delay_ns(1000)
     .seed(seed)
     .build();
-    let hosts = topo.hosts.clone();
-    let per_site = hosts.len() / sites;
-    let ips: Vec<Ipv4Address> = hosts.iter().map(|&n| topo.net.host(n).ip).collect();
-    let ip = |i: usize| ips[i];
-
+    hash_ecmp_without_dst_port(&mut topo);
+    let per_site = topo.hosts.len() / sites;
     let cfg = RcpConfig {
         period_ns: 5_000_000,
         rtt_ns: 20_000_000,
@@ -262,24 +270,42 @@ pub fn run_interdc(
         ..RcpConfig::default()
     };
     let paths: Vec<RcpPath> = (1..sites)
-        .map(|site| RcpPath { dst: ip(site * per_site), sport: 7000 + site as u16, transfer_bytes })
+        .map(|site| {
+            let dst = topo.net.host(topo.hosts[site * per_site]).ip;
+            RcpPath { dst, sport: 7000 + site as u16, transfer_bytes }
+        })
         .collect();
-    topo.net.set_app(hosts[0], Box::new(RcpSender::with_paths(Law::Rcp, cfg, &paths, start_at)));
-    for site in 1..sites {
+    let sender = RcpSender::with_paths(Law::Rcp, cfg, &paths, INTERDC_START_NS);
+    topo.net.set_app(topo.hosts[0], Box::new(sender));
+    for p in &paths {
         let sink = RcpSink::with_transfer(100_000_000, transfer_bytes);
-        topo.net.set_app(hosts[site * per_site], Box::new(sink));
+        topo.net.set_app(NodeId(host_id_of_ip(p.dst)), Box::new(sink));
     }
-    topo.net.run_until(duration);
+    (topo, paths)
+}
 
-    let src_ip = ip(0);
+/// Run [`interdc_net`]'s transfers for `duration`.
+pub fn run_interdc(
+    sites: usize,
+    site_k: usize,
+    wan_mbps: u64,
+    wan_queue_bytes: u32,
+    transfer_bytes: u64,
+    duration: Time,
+    seed: u64,
+) -> InterDcRunResult {
+    let (mut topo, paths) =
+        interdc_net(sites, site_k, wan_mbps, wan_queue_bytes, transfer_bytes, seed);
+    topo.net.run_until(duration);
+    let sender = topo.hosts[0];
+    let src_ip = topo.net.host(sender).ip;
     let mut reports = Vec::new();
-    // Path `i` runs to site `i + 1`; the sender is in site 0.
     for (i, path) in paths.iter().enumerate() {
-        let sink = topo.net.app_mut::<RcpSinkApp>(hosts[(i + 1) * per_site]);
-        let fct_ms = sink.fct_ns.get(&(src_ip, path.sport)).map(|&t| (t - start_at) as f64 / 1e6);
-        let sender = topo.net.app_mut::<RcpSenderApp>(hosts[0]);
+        let sink = topo.net.app_mut::<RcpSinkApp>(NodeId(host_id_of_ip(path.dst)));
+        let fct_ms =
+            sink.fct_ns.get(&(src_ip, path.sport)).map(|&t| (t - INTERDC_START_NS) as f64 / 1e6);
+        let sender = topo.net.app_mut::<RcpSenderApp>(sender);
         reports.push(InterDcPathReport {
-            src_dc: 0,
             dst_dc: i as u32 + 1,
             capacity_mbps: wan_mbps as f64,
             rate_mbps: sender.rate_bps(i) / 1e6,

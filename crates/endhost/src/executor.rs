@@ -11,17 +11,20 @@
 //!   split's hop windows cover a later slice of the path.
 //!
 //! The [`Executor`] is the one ledger of a launched probe. It keeps the
-//! frame it built, the source port the probe left from and the time it was
-//! first sent, retransmits that frame unchanged, and reports the launch time
-//! with the completion. A completion names its probe by one of two keys:
-//! its nonce, or, when a hop window that runs past the probe's memory
-//! overwrote the nonce, the source port it was launched from. Either key
-//! matches only if the completion comes from the probe's destination and its
-//! instruction bytes equal the pending probe's. Execution never rewrites
-//! instructions, so an echo of some other program (one sent from a port in
-//! the executor's range, or one whose last word happens to equal a pending
-//! token), or one from any other host, completes nothing; it counts as
-//! [`Executor::unmatched`].
+//! frame it built and the time it was first sent, retransmits that frame
+//! unchanged, and reports the launch time with the completion. A completion
+//! names its probe by its nonce. A probe launched from a port the executor
+//! picked has a second key, that port, which no other pending probe shares:
+//! it names the probe when a hop window that runs past the probe's memory
+//! overwrote the nonce (a looping probe does). A probe launched from the
+//! caller's port matches by nonce alone, because several of one flow's
+//! probes can be pending from that port at once, and a late echo of one
+//! must not complete another. Either key matches only if the completion
+//! comes from the probe's destination and its instruction bytes equal the
+//! pending probe's. Execution never rewrites instructions, so an echo of
+//! some other program (one sent from the probe's port, or one whose last
+//! word happens to equal a pending token), or one from any other host,
+//! completes nothing; it counts as [`Executor::unmatched`].
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -35,7 +38,7 @@ use tpp_core::wire::{
     build_standalone, ethernet, AddrMode, EthernetAddress, Ipv4Address, Ipv4Packet, Tpp, TppBuf,
 };
 
-use crate::shim::{mac_of_ip, CompletedTpp, TPP_UPDATE_PORT};
+use crate::shim::{mac_of_ip, CompletedTpp};
 
 /// Executor tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -57,10 +60,6 @@ impl Default for ExecutorConfig {
 /// `PORT_BASE + token % PORTS`, so its port doubles as a completion key.
 const PORT_BASE: u16 = 40_000;
 const PORTS: u16 = 16_384;
-
-// An echo of a fire-and-forget TPP must never name a probe by its port (and
-// the shim sends none).
-const _: () = assert!(TPP_UPDATE_PORT < PORT_BASE || TPP_UPDATE_PORT - PORT_BASE >= PORTS);
 
 /// Exponential backoff cap: retry `k` waits `timeout_ns << min(k,
 /// MAX_BACKOFF_EXP)` plus jitter, saturating.
@@ -99,7 +98,9 @@ struct Pending {
     frame: Vec<u8>,
     /// Where the probe's instruction bytes sit in `frame`.
     program: Range<usize>,
-    src_port: u16,
+    /// The port the executor picked for the probe, a completion key of its
+    /// own; `None` when the caller chose the port.
+    port_key: Option<u16>,
     sent_at: u64,
     retries_left: u32,
     deadline: u64,
@@ -141,8 +142,8 @@ impl Executor {
     /// by one word so the program's own accesses can't clobber it. A probe
     /// already at the wire memory budget cannot grow (the one-byte length
     /// field would wrap): its last word is overwritten instead, and if the
-    /// program then clobbers it, completion falls back to the source-port
-    /// match ([`Executor::on_completed`]).
+    /// program then clobbers it, only a port the executor picked still names
+    /// the probe ([`Executor::on_completed`]).
     fn stamp_nonce(tpp: &mut Tpp, token: u32) {
         if tpp.memory.len() + 4 <= tpp_core::wire::MAX_MEMORY_BYTES {
             tpp.memory.extend_from_slice(&token.to_be_bytes());
@@ -173,15 +174,15 @@ impl Executor {
         Self::stamp_nonce(&mut tpp, token);
         // The shim's echo channel carries the probe's source port back, so
         // a port of its own doubles as a completion key.
-        let src_port = src_port.unwrap_or(PORT_BASE + (token % u32::from(PORTS)) as u16);
-        let frame =
-            build_standalone(self.src_mac, mac_of_ip(dst), self.src_ip, dst, src_port, &tpp);
+        let own = PORT_BASE + (token % u32::from(PORTS)) as u16;
+        let (sport, port_key) = src_port.map_or((own, Some(own)), |p| (p, None));
+        let frame = build_standalone(self.src_mac, mac_of_ip(dst), self.src_ip, dst, sport, &tpp);
         // The section is the frame's payload, so it ends where the frame does.
         let at = frame.len() - tpp.section_len() + HEADER_LEN;
         let pending = Pending {
             frame: frame.clone(),
             program: at..at + tpp.instrs.len() * INSTR_BYTES,
-            src_port,
+            port_key,
             sent_at: now,
             retries_left: self.cfg.max_retries,
             deadline: now.saturating_add(self.cfg.timeout_ns),
@@ -194,9 +195,9 @@ impl Executor {
     /// Feed a completed TPP (from the shim's echo channel). Returns the
     /// outcome, which takes over the completion's section, if it matches a
     /// pending probe: by its nonce or, when a long hop-addressed path
-    /// overwrote the nonce, by the probe's source port, and in either case
-    /// only if it comes from the probe's destination and carries the probe's
-    /// instructions.
+    /// overwrote the nonce, by a source port the executor picked for the
+    /// probe, and in either case only if it comes from the probe's
+    /// destination and carries the probe's instructions.
     pub fn on_completed(&mut self, done: CompletedTpp) -> Option<ProbeOutcome> {
         let section = done.tpp.as_bytes();
         let program = &section[HEADER_LEN..section.len() - done.tpp.memory().len()];
@@ -209,7 +210,7 @@ impl Executor {
             _ => self
                 .pending
                 .iter()
-                .find(|(_, p)| p.src_port == done.flow.src_port && ours(p))
+                .find(|(_, p)| p.port_key == Some(done.flow.src_port) && ours(p))
                 .map(|(&t, _)| t),
         };
         let Some((token, p)) = token.and_then(|token| self.pending.remove_entry(&token)) else {
@@ -438,6 +439,39 @@ mod tests {
         assert!(e.on_completed(done.clone()).is_some());
         assert!(e.on_completed(done).is_none());
         assert_eq!((e.completed, e.unmatched), (1, 1));
+    }
+
+    #[test]
+    fn a_late_echo_on_a_shared_port_completes_nothing() {
+        // Two probes of one flow pending from the flow's port: after the
+        // first completes, a duplicate of its echo names no pending nonce,
+        // and the port is no key, so it must not complete the second.
+        let mut e = exec();
+        let dst = Ipv4Address::from_host_id(2);
+        let (first, first_frame) = e.send(0, dst, probe(), Some(7_001));
+        let (second, second_frame) = e.send(1, dst, probe(), Some(7_001));
+        let echo = completion(first_frame);
+        match e.on_completed(echo.clone()) {
+            Some(ProbeOutcome::Completed { token, .. }) => assert_eq!(token, first),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(e.on_completed(echo).is_none());
+        assert_eq!((e.completed, e.unmatched), (1, 1));
+        // Nor does an echo of the second whose nonce the path overwrote.
+        let (loc, mut tpp) = tpp_core::wire::extract_tpp(&second_frame).unwrap();
+        tpp.write_word(tpp.memory_words() - 1, 0xDEAD_BEEF).unwrap();
+        let mut overwritten = second_frame.clone();
+        tpp_core::wire::replace_tpp(&mut overwritten, loc, &tpp).unwrap();
+        assert!(e.on_completed(completion(overwritten)).is_none());
+        assert_eq!((e.unmatched, e.next_deadline()), (2, Some(1 + e.cfg.timeout_ns)));
+        // Its own echo completes it.
+        match e.on_completed(completion(second_frame)) {
+            Some(ProbeOutcome::Completed { token, sent_at, .. }) => {
+                assert_eq!((token, sent_at), (second, 1));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!((e.completed, e.next_deadline()), (2, None));
     }
 
     /// A fire-and-forget write program, sent from `src_port` to host 2 with

@@ -10,12 +10,14 @@
 //! `HostApp` with a single `on_frame`/`on_timer` entry.
 //!
 //! A launched probe lives in the [`Executor`] alone, from launch to
-//! completion or failure: it keeps the frame, the source port it left from
-//! and its launch time, and retransmits the frame as it was first sent. A
-//! completion reaches a launch callback only if the executor matches it to
-//! a pending probe, by nonce or by launch port, and only if it carries that
+//! completion or failure: it keeps the frame and its launch time, and
+//! retransmits the frame as it was first sent. A completion reaches a launch
+//! callback only if the executor matches it to a pending probe (by nonce, or
+//! by a launch port the executor picked itself), and only if it carries that
 //! probe's instructions. Fire-and-forget TPPs ([`Io::send_standalone`]) are
-//! not echoed: the destination's shim absorbs them, so no reply comes back.
+//! not echoed when their app ID is one the destination aggregates itself
+//! ([`Harness::aggregate_local`]): its shim consumes them, so no reply comes
+//! back.
 //!
 //! An application's state `S` is plain data. Callbacks get `&mut S` while
 //! the host runs; after (or between) runs the experiment reads them off
@@ -64,7 +66,7 @@ use tpp_netsim::{HostApp, HostCtx, Time};
 use crate::cp::{CentralCp, CpError, Policy};
 use crate::executor::{Executor, ExecutorConfig, ProbeOutcome};
 use crate::filter::Filter;
-use crate::shim::{mac_of_ip, CompletedTpp, FlowRef, Shim, TPP_UPDATE_PORT};
+use crate::shim::{mac_of_ip, CompletedTpp, FlowRef, Shim};
 
 /// Timer token reserved for the harness's executor retry sweep; application
 /// tokens must stay below it.
@@ -355,7 +357,8 @@ impl<S: Send + 'static> Harness<S> {
 
     /// Consume completions of `app_id` locally (sets this host as the
     /// app's aggregator) without decoding them — keeps foreign TPP echoes
-    /// off the network, e.g. on a throughput sink's ACK path.
+    /// off the network, e.g. on a throughput sink's ACK path, or a
+    /// fire-and-forget write-back at its destination.
     #[must_use]
     pub fn aggregate_local(mut self, app_id: u16) -> Self {
         self.core.aggregate_local.push(app_id);
@@ -471,13 +474,13 @@ impl Io<'_, '_> {
         true
     }
 
-    /// Fire-and-forget a standalone TPP (e.g. a write/update program whose
-    /// effect the next collect probe verifies, §2.2). It leaves from
-    /// [`TPP_UPDATE_PORT`], so the destination's shim sends no echo. Counted
-    /// in [`Endhost::probe_bytes_sent`].
-    pub fn send_standalone(&mut self, tpp: &Tpp, dst: Ipv4Address) {
-        let frame =
-            build_standalone(self.ctx.mac, mac_of_ip(dst), self.ctx.ip, dst, TPP_UPDATE_PORT, tpp);
+    /// Fire-and-forget a standalone TPP from `src_port` (e.g. a write-back
+    /// whose effect the next collect probe verifies, §2.2, sent from its
+    /// flow's data port so that it crosses the flow's links). Nothing tracks
+    /// it: a destination that aggregates its app ID consumes it without an
+    /// echo. Counted in [`Endhost::probe_bytes_sent`].
+    pub fn send_standalone(&mut self, tpp: &Tpp, dst: Ipv4Address, src_port: u16) {
+        let frame = build_standalone(self.ctx.mac, mac_of_ip(dst), self.ctx.ip, dst, src_port, tpp);
         self.core.probe_bytes_sent += frame.len() as u64;
         self.ctx.send(frame);
     }

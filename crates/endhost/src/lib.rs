@@ -12,7 +12,8 @@
 //! * [`shim`] — the dataplane shim on the host's critical path: stamps
 //!   outgoing packets, strips incoming ones, echoes completed standalone
 //!   TPPs to their source and piggy-backed ones to per-app aggregators
-//!   (§4.2). Fire-and-forget TPPs are not echoed.
+//!   (§4.2). A fire-and-forget TPP is consumed by a destination that
+//!   aggregates its app ID, so it is not echoed.
 //! * [`executor`] — reliable / targeted / split execution patterns (§4.4).
 //! * [`transport`] — a Reno-like TCP model and paced UDP senders: the
 //!   substrate for the paper's congestion-control and overhead experiments
@@ -34,5 +35,5 @@ pub use cp::{CentralCp, CpError, Policy};
 pub use executor::{Executor, ExecutorConfig, ProbeOutcome};
 pub use filter::{Filter, FilterTable};
 pub use harness::{Aggregator, Completion, Endhost, Harness, HarnessError, Io};
-pub use shim::{CompletedTpp, FlowRef, Incoming, Shim, TPP_ECHO_PORT, TPP_UPDATE_PORT};
+pub use shim::{CompletedTpp, FlowRef, Incoming, Shim, TPP_ECHO_PORT};
 pub use transport::{PacedSender, SegHeader, TcpConn};

@@ -10,9 +10,10 @@
 //!   application's aggregator.
 //!
 //! Completed TPPs travel on a dedicated UDP port ([`TPP_ECHO_PORT`]) as
-//! *payload*, so switches do not re-execute them on the return path.
-//! Fire-and-forget TPPs (a standalone TPP from [`TPP_UPDATE_PORT`]) are not
-//! echoed: the switches have done their work, and no one awaits a reply.
+//! *payload*, so switches do not re-execute them on the return path. A
+//! fire-and-forget TPP (a write-back that no one awaits) carries an app ID
+//! its destination aggregates itself ([`Shim::set_aggregator`]), so it is
+//! consumed there and never echoed.
 //!
 //! Both directions work in the frame they are handed: a stamped frame is the
 //! caller's buffer with the filter entry's pre-serialized section spliced in,
@@ -40,11 +41,6 @@ use tpp_switch::FlowKey;
 /// datagrams to this port (one above the TPP execution port 0x6666, which
 /// switches would execute).
 pub const TPP_ECHO_PORT: u16 = 0x6667;
-
-/// Fire-and-forget standalone TPPs (e.g. RCP* rate updates, §2.2) leave
-/// from this UDP source port. The destination's shim absorbs them: no echo,
-/// no completion, nothing delivered.
-pub const TPP_UPDATE_PORT: u16 = 0x6669;
 
 /// Recover the simulated node id behind a host IP (hosts are `10.x.y.z`
 /// with `x.y.z` = node id; see `Ipv4Address::from_host_id`).
@@ -255,9 +251,6 @@ impl Shim {
             }
             TppLocation::Standalone { section, ip, udp } => {
                 let src_port = u16::from_be_bytes([frame[udp], frame[udp + 1]]);
-                if src_port == TPP_UPDATE_PORT {
-                    return Incoming::default();
-                }
                 let (src, dst) = match Ipv4Packet::new_checked(&frame[ip..]) {
                     Some(p) => (p.src(), p.dst()),
                     None => {
@@ -653,29 +646,31 @@ mod tests {
     }
 
     #[test]
-    fn fire_and_forget_tpps_are_absorbed() {
-        // The same section from the update port yields nothing at all, and
-        // from any other port is echoed to its source.
-        let standalone = |src_port| {
+    fn write_backs_are_consumed_where_their_app_is_aggregated() {
+        // A fire-and-forget write-back leaves from its flow's data port, and
+        // a destination that aggregates its app ID consumes it: no echo,
+        // nothing delivered, whatever the port. Another app's standalone TPP
+        // from the same ports is echoed to its source.
+        let standalone = |src_port, app| {
             tpp_core::wire::build_standalone(
                 EthernetAddress::from_node_id(1),
                 EthernetAddress::from_node_id(2),
                 Ipv4Address::from_host_id(1),
                 Ipv4Address::from_host_id(2),
                 src_port,
-                &probe_tpp(3),
+                &probe_tpp(app),
             )
         };
         let mut rx = shim_for(2);
-        assert_eq!(rx.incoming(standalone(TPP_UPDATE_PORT)), Incoming::default());
-        assert_eq!(rx.counters.echoes_sent, 0);
-        for src_port in [TPP_UPDATE_PORT - 1, TPP_UPDATE_PORT + 1, 40_001] {
-            assert!(rx.incoming(standalone(src_port)).echo.is_some(), "port {src_port}");
+        rx.set_aggregator(6, rx.ip);
+        let ports = [7_001, 0x6669, 40_001];
+        for src_port in ports {
+            let out = rx.incoming(standalone(src_port, 6));
+            assert!(out.echo.is_none() && out.deliver.is_none(), "port {src_port}");
+            assert_eq!(out.completed.map(|c| c.app_id), Some(6), "port {src_port}");
+            assert!(rx.incoming(standalone(src_port, 3)).echo.is_some(), "port {src_port}");
         }
-        // Where this host aggregates the app, the update still surfaces nothing.
-        rx.set_aggregator(3, rx.ip);
-        assert_eq!(rx.incoming(standalone(TPP_UPDATE_PORT)), Incoming::default());
-        assert!(rx.incoming(standalone(9999)).completed.is_some());
+        assert_eq!(rx.counters.echoes_sent, ports.len() as u64);
     }
 
     #[test]

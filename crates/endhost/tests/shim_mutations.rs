@@ -5,11 +5,12 @@
 //! `tests/support/mutate.rs` at the workspace root, shared with the
 //! switch's loop). On the receive side each case takes
 //! one of the kinds of frame a shim receives with a TPP — stamped
-//! (transparent), standalone, a fire-and-forget update (standalone from
-//! [`TPP_UPDATE_PORT`], which the shim absorbs), an echo carrying a
-//! completion home, and the echo of a probe an [`Executor`] launched — and
-//! damages it. Every case goes to a host that echoes, to one that is its own
-//! aggregator and to the probe's origin. Every completion a shim surfaces is
+//! (transparent), standalone, a fire-and-forget write-back (standalone from
+//! a data port, with an app ID every receiver aggregates itself, so it is
+//! consumed without an echo), an echo carrying a completion home, and the
+//! echo of a probe an [`Executor`] launched — and damages it. Every case
+//! goes to a host that echoes, to one that is its own aggregator and to the
+//! probe's origin. Every completion a shim surfaces is
 //! fed to an executor that holds the launched probe: a completion it matches
 //! must carry the probe's program, whatever else the damage changed.
 //!
@@ -30,9 +31,7 @@ use tpp_core::wire::{
     build_standalone, locate_tpp, udp_frame_into, EthernetAddress, Ipv4Address, Tpp, TppLocation,
     TppView, UdpFrameRepr,
 };
-use tpp_endhost::{
-    Executor, ExecutorConfig, Filter, Incoming, ProbeOutcome, Shim, TPP_UPDATE_PORT,
-};
+use tpp_endhost::{Executor, ExecutorConfig, Filter, Incoming, ProbeOutcome, Shim};
 
 #[path = "../../../tests/support/mutate.rs"]
 mod mutate;
@@ -41,9 +40,24 @@ use mutate::{mutate, Base, Rng};
 const CASES: u64 = 100_000;
 const DEFAULT_SEED: u64 = 0x5EED_5A1F;
 const APP: u16 = 7;
+/// The app ID of the fire-and-forget write-back, which every receiving
+/// shim aggregates itself.
+const WRITE_BACK: u16 = 6;
 
+/// A receiving shim: it consumes write-backs.
 fn shim_for(host: u32) -> Shim {
-    Shim::new(Ipv4Address::from_host_id(host), EthernetAddress::from_node_id(host), host as u64)
+    let ip = Ipv4Address::from_host_id(host);
+    let mut shim = Shim::new(ip, EthernetAddress::from_node_id(host), host as u64);
+    shim.set_aggregator(WRITE_BACK, ip);
+    shim
+}
+
+/// Whether `out` is a write-back consumed where it landed: surfaced to this
+/// host, neither echoed nor delivered.
+fn consumed_write_back(out: &Incoming) -> bool {
+    out.echo.is_none()
+        && out.deliver.is_none()
+        && out.completed.as_ref().is_some_and(|c| c.app_id == WRITE_BACK)
 }
 
 fn probe() -> Tpp {
@@ -74,11 +88,11 @@ fn bases() -> Vec<Base> {
     };
     udp_frame_into(&mut plain, &hdr, 64, &[]);
     let stamped = sender.outgoing(plain);
-    let from_port = |src_port| {
+    let from_port = |src_port, app_id| {
         let (m1, m2) = (EthernetAddress::from_node_id(1), EthernetAddress::from_node_id(2));
-        build_standalone(m1, m2, h1, h2, src_port, &probe())
+        build_standalone(m1, m2, h1, h2, src_port, &Tpp { app_id, ..probe() })
     };
-    let (standalone, update) = (from_port(40_001), from_port(TPP_UPDATE_PORT));
+    let (standalone, write_back) = (from_port(40_001, APP), from_port(7100, WRITE_BACK));
     let echo = shim_for(2).incoming(stamped.clone()).echo.expect("receiver echoes");
     let (_, launched) = launcher();
     let launched_echo = shim_for(2).incoming(launched).echo.expect("receiver echoes");
@@ -87,7 +101,7 @@ fn bases() -> Vec<Base> {
     vec![
         Base { name: "stamped", frame: stamped, section: 14, ip, udp: ip + 20 },
         Base { name: "standalone", frame: standalone, section: 42, ip: 14, udp: 34 },
-        Base { name: "update", frame: update, section: 42, ip: 14, udp: 34 },
+        Base { name: "write-back", frame: write_back, section: 42, ip: 14, udp: 34 },
         Base { name: "echo", frame: echo, section: 42, ip: 14, udp: 34 },
         Base { name: "launched echo", frame: launched_echo, section: 42, ip: 14, udp: 34 },
     ]
@@ -125,6 +139,11 @@ fn damaged_frames_never_panic_the_shim() {
     let mut local = shim_for(2);
     local.set_aggregator(APP, local.ip);
     let mut origin = shim_for(1);
+    // Undamaged, a write-back is consumed by every receiver.
+    let write_back = bases.iter().find(|b| b.name == "write-back").expect("a base");
+    for shim in [&mut echoing, &mut local, &mut origin] {
+        assert!(consumed_write_back(&shim.incoming(write_back.frame.clone())), "{:?}", shim.ip);
+    }
     let (mut completed, mut matched, mut absorbed) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = Rng::for_case(seed, case);
@@ -134,15 +153,14 @@ fn damaged_frames_never_panic_the_shim() {
             let input = frame.clone();
             let run = || {
                 let out = shim.incoming(input);
-                // Only an update's absorption leaves every field empty.
-                let nothing = out == Incoming::default();
-                check(&out).map(|hit| (out.completed.is_some(), hit, nothing))
+                let consumed = consumed_write_back(&out);
+                check(&out).map(|hit| (out.completed.is_some(), hit, consumed))
             };
             match catch_unwind(AssertUnwindSafe(run)) {
-                Ok(Ok((surfaced, hit, nothing))) => {
+                Ok(Ok((surfaced, hit, consumed))) => {
                     completed += usize::from(surfaced);
                     matched += usize::from(hit);
-                    absorbed += usize::from(nothing);
+                    absorbed += usize::from(consumed);
                 }
                 Ok(Err(e)) => panic!("seed {seed}, case {case} ({}): {e}: {frame:02x?}", base.name),
                 Err(_) => panic!("seed {seed}, case {case} ({}) panicked: {frame:02x?}", base.name),
@@ -150,10 +168,10 @@ fn damaged_frames_never_panic_the_shim() {
         }
     }
     // The loop reaches the completion paths, the executor's matches and the
-    // update rule, not only the rejections.
+    // write-back rule, not only the rejections.
     assert!(completed > 0, "no mutated frame surfaced a completion");
     assert!(matched > 0, "no surfaced completion matched the launched probe");
-    assert!(absorbed > 0, "no mutated update was absorbed");
+    assert!(absorbed > 0, "no mutated write-back was consumed");
 }
 
 /// A sender's shim: every UDP frame is stamped, and one in two of any other

@@ -58,7 +58,7 @@ use crate::link::LinkFabric;
 use crate::nodes::{NodeKind, NodeStore, NIC_LIMIT_BYTES};
 use crate::reconfig::{ReconfigAction, ReconfigPlan};
 use tpp_core::wire::{EthernetAddress, Ipv4Address};
-use tpp_switch::{DropReason, ReceiveOutcome, Switch, SwitchConfig, UTIL_INTERVAL_NS};
+use tpp_switch::{DropReason, FlowKey, ReceiveOutcome, Switch, SwitchConfig, UTIL_INTERVAL_NS};
 
 pub use crate::link::LinkSpec;
 pub use crate::nodes::{FramePool, Host};
@@ -1139,6 +1139,39 @@ impl Network {
 
     pub fn switch_ids(&self) -> Vec<NodeId> {
         self.nodes.switch_ids().collect()
+    }
+
+    /// The switch IDs (`Switch:SwitchID`) `frame` would visit, in order,
+    /// from the host that owns its source address, without sending it. Each
+    /// switch contributes its routing stage's choice for the frame's flow
+    /// key ([`Switch::route`]), so two frames take one route exactly when
+    /// the network would forward them alike. The route ends at a host, a
+    /// drop, an unconnected port, a node of another shard, or the switch
+    /// the frame is addressed to; a forwarding loop ends once it is longer
+    /// than the network has nodes. Empty when the frame has no IPv4 flow
+    /// key or no host here owns its source.
+    pub fn route_of(&self, frame: &[u8]) -> Vec<u32> {
+        let mut route = Vec::new();
+        let Some(key) = FlowKey::from_frame(frame) else { return route };
+        let Some(mut node) = self.nodes.host_ids().find(|&h| self.nodes.host(h).ip == key.src)
+        else {
+            return route;
+        };
+        // A host sends out of its one NIC, port 0.
+        let mut port = 0;
+        while route.len() < self.nodes.len() {
+            let Some((_, peer)) = self.links.neighbors(node).nth(usize::from(port)) else { break };
+            if !self.nodes.is_switch(peer) {
+                break;
+            }
+            let sw = self.nodes.switch(peer);
+            route.push(sw.cfg.switch_id);
+            match sw.route(&key) {
+                Some(out) if key.dst != sw.cfg.ip => (node, port) = (peer, out),
+                _ => break,
+            }
+        }
+        route
     }
 
     pub fn host_ids(&self) -> Vec<NodeId> {

@@ -410,14 +410,8 @@ impl Switch {
                             },
                         );
                     }
-                    match entry.action {
-                        Action::Output(p) => Some(p),
-                        Action::Group(g) => {
-                            let hash = tpp.as_ref().map_or_else(path_hash, |t| t.ctx.path_hash);
-                            self.groups.select(g, hash)
-                        }
-                        Action::Drop => None,
-                    }
+                    let hash = || tpp.as_ref().map_or_else(path_hash, |t| t.ctx.path_hash);
+                    self.groups.port_for(entry.action, hash)
                 }
                 None => None,
             }
@@ -487,6 +481,17 @@ impl Switch {
         }
         self.nonempty[out_port as usize] |= 1 << queue;
         ReceiveOutcome::Enqueued { port: out_port, queue, proc_latency_ns }
+    }
+
+    /// The output port the routing stage picks for a packet of flow `key`,
+    /// read-only: the flow-table match for its destination and, on a group
+    /// route, the member its flow hash selects, as [`Switch::receive`] picks
+    /// them. No counter moves. `None` is a drop. A packet to the switch's
+    /// own IP, or a TPP that rewrites its output port, goes elsewhere.
+    pub fn route(&self, key: &FlowKey) -> Option<u8> {
+        let entry = self.table.find(key.dst)?;
+        let hash = || key.hash_with(self.cfg.ecmp_hash_dst_port);
+        Some(self.groups.port_for(entry.action, hash)? % self.cfg.n_ports as u8)
     }
 
     fn drop_malformed(&mut self, in_port: u8, frame: Vec<u8>) -> ReceiveOutcome {

@@ -168,21 +168,32 @@ impl FlowTable {
     }
 
     /// Longest-prefix match; updates the entry's counters on hit.
-    ///
-    /// One index probe per distinct prefix length present in the table,
-    /// longest first, stopping at the first hit; among entries with the
-    /// same prefix the first-inserted one matches. No scan, no allocation.
     pub fn lookup(&mut self, dst: Ipv4Address, pkt_bytes: u64) -> Option<&FlowEntry> {
+        let i = self.match_position(dst)?;
+        let e = &mut self.entries[i];
+        e.match_pkts += 1;
+        e.match_bytes += pkt_bytes;
+        Some(e)
+    }
+
+    /// The entry [`FlowTable::lookup`] matches for `dst`, with no counter
+    /// update.
+    pub fn find(&self, dst: Ipv4Address) -> Option<&FlowEntry> {
+        self.match_position(dst).map(|i| &self.entries[i])
+    }
+
+    /// Longest-prefix match: one index probe per distinct prefix length
+    /// present in the table, longest first, stopping at the first hit; among
+    /// entries with the same prefix the first-inserted one matches. No scan,
+    /// no allocation.
+    fn match_position(&self, dst: Ipv4Address) -> Option<usize> {
         let addr = dst.to_u32();
         let mut lens = self.lens;
         while lens != 0 {
             let len = lens.ilog2() as u8;
             lens ^= 1 << len;
             if let Some(&i) = self.index.get(&index_key(addr & mask(len), len)) {
-                let e = &mut self.entries[i];
-                e.match_pkts += 1;
-                e.match_bytes += pkt_bytes;
-                return Some(e);
+                return Some(i);
             }
         }
         None
@@ -230,6 +241,16 @@ impl GroupTable {
     pub fn select(&self, group: u16, hash: u32) -> Option<u8> {
         let ports = self.groups.get(group as usize)?;
         Some(ports[hash as usize % ports.len()])
+    }
+
+    /// The port `action` forwards out of, `None` for a drop: a group picks
+    /// its member by the flow hash, which only a group reads.
+    pub fn port_for(&self, action: Action, hash: impl FnOnce() -> u32) -> Option<u8> {
+        match action {
+            Action::Output(p) => Some(p),
+            Action::Group(g) => self.select(g, hash()),
+            Action::Drop => None,
+        }
     }
 
     pub fn ports(&self, group: u16) -> Option<&[u8]> {
