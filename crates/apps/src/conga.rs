@@ -439,13 +439,22 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
         max_util = max_util.max(util);
     }
 
-    let (half_s, end_s) = (half as f64 / 1e9, duration as f64 / 1e9);
-    let sink = topo.net.app_mut::<CongaSinkApp>(hosts[2]);
-    let goodput = |ip| {
-        let from = sink.meters.iter().filter(|((src, _), _)| *src == ip);
-        from.fold(0.0, |sum, (_, m)| sum + m.avg_mbps(half_s, end_s))
+    let half_s = half as f64 / 1e9;
+    let end_s = duration as f64 / 1e9;
+    let (l0_mbps, l1_mbps) = {
+        let sink = topo.net.app_mut::<CongaSinkApp>(hosts[2]);
+        let mut l0 = 0.0;
+        let mut l1 = 0.0;
+        for ((src, _), m) in &sink.meters {
+            let rate = m.avg_mbps(half_s, end_s);
+            if *src == ips[0] {
+                l0 += rate;
+            } else if *src == ips[1] {
+                l1 += rate;
+            }
+        }
+        (l0, l1)
     };
-    let (l0_mbps, l1_mbps) = (goodput(ips[0]), goodput(ips[1]));
     let path_switches = topo.net.app_mut::<CongaSenderApp>(hosts[1]).path_switches;
     Fig4Result { mode, l0_mbps, l1_mbps, max_util_percent: max_util * 100.0, path_switches }
 }

@@ -50,8 +50,7 @@ use crate::rcp::{Law, RcpConfig, RcpPath, RcpSender, RcpSenderApp, RcpSink, RcpS
 use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness};
-use tpp_endhost::shim::host_id_of_ip;
-use tpp_netsim::{viewer_fanout, NodeId, Time, Topology, TopologySpec, MILLIS};
+use tpp_netsim::{viewer_fanout, Time, Topology, TopologySpec, MILLIS};
 
 /// The fan-out discovery schema: per-hop link speed + utilization + queue
 /// + the branch register version (needed for the versioned write-back).
@@ -150,20 +149,22 @@ pub fn fanout_net(sites: usize, site_k: usize, wan_mbps: u64, seed: u64) -> Topo
         .seed(seed)
         .build();
     hash_ecmp_without_dst_port(&mut topo);
-    let per_site = topo.hosts.len() / sites;
-    let ips: Vec<Ipv4Address> = topo.hosts.iter().map(|&n| topo.net.host(n).ip).collect();
+    let hosts = topo.hosts.clone();
+    let per_site = hosts.len() / sites;
+    let ips: Vec<Ipv4Address> = hosts.iter().map(|&n| topo.net.host(n).ip).collect();
     let ip = |i: usize| ips[i];
+
+    let bucket = 50_000_000; // 50 ms meter buckets
     let cfg = RcpConfig { period_ns: 5_000_000, probe_hops: 10, ..RcpConfig::default() };
     // Subtree `i` feeds the relay of site `i + 1`, its data from port 7000 + i.
     let paths: Vec<RcpPath> = (0..sites - 1)
         .map(|i| RcpPath { dst: ip((i + 1) * per_site), sport: 7000 + i as u16, transfer_bytes: 0 })
         .collect();
-    let source = RcpSender::with_paths(Law::Fanout, cfg, &paths, MILLIS);
-    topo.net.set_app(topo.hosts[0], Box::new(source));
-    for relay in (per_site..topo.hosts.len()).step_by(per_site) {
-        let viewers = ips[relay + 1..=relay + 2.min(per_site - 1)].to_vec();
-        // 50 ms meter buckets.
-        topo.net.set_app(topo.hosts[relay], Box::new(FanoutRelay::new(viewers, 50 * MILLIS)));
+    topo.net.set_app(hosts[0], Box::new(RcpSender::with_paths(Law::Fanout, cfg, &paths, MILLIS)));
+    for site in 1..sites {
+        let relay = site * per_site;
+        let viewers: Vec<Ipv4Address> = (1..=2.min(per_site - 1)).map(|v| ip(relay + v)).collect();
+        topo.net.set_app(hosts[relay], Box::new(FanoutRelay::new(viewers, bucket)));
     }
     topo
 }
@@ -209,9 +210,10 @@ pub fn run_fanout(
     }
 }
 
-/// One path's outcome in a [`run_interdc`] experiment, from site 0.
+/// One path's outcome in a [`run_interdc`] experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct InterDcPathReport {
+    pub src_dc: u32,
     pub dst_dc: u32,
     pub capacity_mbps: f64,
     /// The rate when the path finished its transfer (at the end of the run
@@ -232,10 +234,10 @@ pub struct InterDcRunResult {
 /// When the inter-DC sender starts.
 const INTERDC_START_NS: Time = MILLIS;
 
-/// The inter-DC experiment's network, a [`TopologySpec::MultiSite`] fabric:
-/// the sender (host 0) runs path `i`, with a fixed-size transfer, to a sink
-/// in site `i + 1` (the site's first host). WAN delays grow with site
-/// distance (heterogeneous RTTs); `wan_queue_bytes` selects the border
+/// The inter-DC experiment's network, a [`TopologySpec::MultiSite`] fabric,
+/// and its paths: the sender (host 0) runs path `i`, a fixed-size transfer,
+/// to a sink in site `i + 1` (the site's first host). WAN delays grow with
+/// site distance (heterogeneous RTTs); `wan_queue_bytes` selects the border
 /// buffer profile (0 = deep default, small = shallow).
 pub fn interdc_net(
     sites: usize,
@@ -260,7 +262,11 @@ pub fn interdc_net(
     .seed(seed)
     .build();
     hash_ecmp_without_dst_port(&mut topo);
-    let per_site = topo.hosts.len() / sites;
+    let hosts = topo.hosts.clone();
+    let per_site = hosts.len() / sites;
+    let ips: Vec<Ipv4Address> = hosts.iter().map(|&n| topo.net.host(n).ip).collect();
+    let ip = |i: usize| ips[i];
+
     let cfg = RcpConfig {
         period_ns: 5_000_000,
         rtt_ns: 20_000_000,
@@ -270,16 +276,13 @@ pub fn interdc_net(
         ..RcpConfig::default()
     };
     let paths: Vec<RcpPath> = (1..sites)
-        .map(|site| {
-            let dst = topo.net.host(topo.hosts[site * per_site]).ip;
-            RcpPath { dst, sport: 7000 + site as u16, transfer_bytes }
-        })
+        .map(|site| RcpPath { dst: ip(site * per_site), sport: 7000 + site as u16, transfer_bytes })
         .collect();
     let sender = RcpSender::with_paths(Law::Rcp, cfg, &paths, INTERDC_START_NS);
-    topo.net.set_app(topo.hosts[0], Box::new(sender));
-    for p in &paths {
+    topo.net.set_app(hosts[0], Box::new(sender));
+    for site in 1..sites {
         let sink = RcpSink::with_transfer(100_000_000, transfer_bytes);
-        topo.net.set_app(NodeId(host_id_of_ip(p.dst)), Box::new(sink));
+        topo.net.set_app(hosts[site * per_site], Box::new(sink));
     }
     (topo, paths)
 }
@@ -296,16 +299,20 @@ pub fn run_interdc(
 ) -> InterDcRunResult {
     let (mut topo, paths) =
         interdc_net(sites, site_k, wan_mbps, wan_queue_bytes, transfer_bytes, seed);
+    let hosts = topo.hosts.clone();
+    let per_site = hosts.len() / sites;
     topo.net.run_until(duration);
-    let sender = topo.hosts[0];
-    let src_ip = topo.net.host(sender).ip;
+
+    let src_ip = topo.net.host(hosts[0]).ip;
     let mut reports = Vec::new();
+    // Path `i` runs to site `i + 1`; the sender is in site 0.
     for (i, path) in paths.iter().enumerate() {
-        let sink = topo.net.app_mut::<RcpSinkApp>(NodeId(host_id_of_ip(path.dst)));
+        let sink = topo.net.app_mut::<RcpSinkApp>(hosts[(i + 1) * per_site]);
         let fct_ms =
             sink.fct_ns.get(&(src_ip, path.sport)).map(|&t| (t - INTERDC_START_NS) as f64 / 1e6);
-        let sender = topo.net.app_mut::<RcpSenderApp>(sender);
+        let sender = topo.net.app_mut::<RcpSenderApp>(hosts[0]);
         reports.push(InterDcPathReport {
+            src_dc: 0,
             dst_dc: i as u32 + 1,
             capacity_mbps: wan_mbps as f64,
             rate_mbps: sender.rate_bps(i) / 1e6,

@@ -115,9 +115,12 @@ fn rcp_replay_sends_its_data_frames_in_recycled_buffers() {
     // Measured: 536 of 559. At the parent commit none: every data frame was a
     // fresh `Vec`.
     assert!(recycled * 10 >= sent * 9, "{recycled} recycled buffers for {sent} data frames");
-    // Build and replay together. Measured: 974 over 2,656 frame-hops. It was
+    // Build and replay together. Measured: 1,049 over 2,656 frame-hops, 75 of
+    // them the copy a sink's shim makes of each write-back it consumes as
+    // the write-back app's aggregator (the bound is that count plus under
+    // 5 %). It was 974 while the shim dropped updates by their source port,
     // 1,049 while every control period gathered its update's arguments into
-    // a `Vec` (the bound is that count plus under 5 %), 1,118 over 2,886
+    // a `Vec`, 1,118 over 2,886
     // while the sinks echoed every update, and 2,563 while every completed
     // probe was decoded into an owned `Tpp` and cloned into the executor's
     // outcome, every standalone probe frame was built a layer at a time, and

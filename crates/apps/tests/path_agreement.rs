@@ -16,7 +16,7 @@ use tpp_apps::conga::{conga_fig4_net, Balancer, Metric};
 use tpp_apps::rcp::{collect_probe, update_probe, Law};
 use tpp_apps::wan::{discover_probe, fanout_net, install_probe, interdc_net};
 use tpp_core::probe::Probe;
-use tpp_core::wire::{extract_tpp, Ipv4Address, Ipv4Packet};
+use tpp_core::wire::{ethernet, extract_tpp, Ipv4Address, Ipv4Packet};
 use tpp_netsim::{HostApp, HostCtx, Network, NodeId, NullApp, Topology, MILLIS};
 
 /// A host's app, with every frame that reaches the host recorded first.
@@ -49,8 +49,8 @@ fn run_tapped(topo: &mut Topology, hosts: &[NodeId], until: u64) -> Vec<Vec<Vec<
     hosts.iter().map(|&h| std::mem::take(&mut topo.net.app_mut::<Tap>(h).frames)).collect()
 }
 
-fn src_of(frame: &[u8]) -> Ipv4Address {
-    Ipv4Packet::new_checked(&frame[14..]).expect("an IPv4 frame").src()
+fn ipv4(frame: &[u8]) -> Ipv4Packet<&[u8]> {
+    Ipv4Packet::new_checked(&frame[ethernet::HEADER_LEN..]).expect("an IPv4 frame")
 }
 
 /// A schema's instructions: the program of every TPP compiled from it.
@@ -69,7 +69,7 @@ fn check_paths(net: &Network, law: Law, src: Ipv4Address, arrived: &[Vec<Vec<u8>
     for (path, frames) in arrived.iter().enumerate() {
         let mut routes: BTreeMap<Vec<u32>, [u64; 3]> = BTreeMap::new();
         let mut collects_read: Vec<Vec<u32>> = Vec::new();
-        for frame in frames.iter().filter(|f| src_of(f) == src) {
+        for frame in frames.iter().filter(|f| ipv4(f).src() == src) {
             let kind = match extract_tpp(frame) {
                 None => 2,
                 Some((_, tpp)) if tpp.instrs == write_back => 1,
@@ -122,7 +122,7 @@ fn conga_probes_and_data_of_a_port_take_one_route() {
     // (source, source port) -> route -> [probes, data].
     let mut ports: BTreeMap<(Ipv4Address, u16), BTreeMap<Vec<u32>, [u64; 2]>> = BTreeMap::new();
     for frame in &arrived {
-        let ip = Ipv4Packet::new_checked(&frame[14..]).expect("an IPv4 frame");
+        let ip = ipv4(frame);
         let sport = u16::from_be_bytes([ip.payload()[0], ip.payload()[1]]);
         let kind = usize::from(extract_tpp(frame).is_none());
         let routes = ports.entry((ip.src(), sport)).or_default();

@@ -32,13 +32,13 @@ fn main() {
         let r = run_interdc(sites, 4, wan_mbps, queue_bytes, transfer_bytes, duration, 7);
         let mut last_fct = 0.0;
         for p in &r.paths {
-            let fct = p
-                .fct_ms
-                .unwrap_or_else(|| panic!("{label}: DC0->DC{} transfer must complete", p.dst_dc));
+            let fct = p.fct_ms.unwrap_or_else(|| {
+                panic!("{label}: DC{}->DC{} transfer must complete", p.src_dc, p.dst_dc)
+            });
             println!(
                 "{:>14} {:>6} {:>10.1} {:>10.2} {:>10.2} {:>10.1}",
                 label,
-                format!("0->{}", p.dst_dc),
+                format!("{}->{}", p.src_dc, p.dst_dc),
                 p.capacity_mbps,
                 p.rate_mbps,
                 p.rtt_est_ms,
@@ -52,7 +52,8 @@ fn main() {
             // The same bound `fig_fanout_rate` holds each subtree to.
             assert!(
                 (p.rate_mbps - p.capacity_mbps).abs() <= 0.25 * p.capacity_mbps,
-                "{label}: DC0->DC{} ended at {:.2} Mb/s of {:.1}",
+                "{label}: DC{}->DC{} ended at {:.2} Mb/s of {:.1}",
+                p.src_dc,
                 p.dst_dc,
                 p.rate_mbps,
                 p.capacity_mbps

@@ -646,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn write_backs_are_consumed_where_their_app_is_aggregated() {
+    fn fire_and_forget_tpps_are_absorbed() {
         // A fire-and-forget write-back leaves from its flow's data port, and
         // a destination that aggregates its app ID consumes it: no echo,
         // nothing delivered, whatever the port. Another app's standalone TPP
