@@ -15,10 +15,9 @@
 //!   Fig. 5).
 //! * [`overhead`] — the Figure 10 / Table 5 end-host overhead experiments
 //!   (§6.2).
-//! * [`netverify`] — route-convergence verification and fault localization
-//!   (§2.6).
-//! * [`transient`] — transient-safety monitor for live churn: loops,
-//!   blackholes, and path-conformance violations from TPP path traces.
+//! * [`netverify`] — route-convergence verification, fault localization
+//!   and the transient-safety monitor for live churn: loops, blackholes
+//!   and path-conformance violations from TPP path traces (§2.6).
 //! * [`wan`] — WAN domains beyond the paper, each a [`rcp::Law`] of RCP*'s
 //!   one sender: coordinated video fan-out with branch-switch rate
 //!   installation, and inter-DC RCP* over heterogeneous-RTT multi-ms links.
@@ -38,7 +37,6 @@ pub mod netverify;
 pub mod overhead;
 pub mod rcp;
 pub mod sketch;
-pub mod transient;
 pub mod wan;
 
 use tpp_core::probe::Probe;
@@ -78,8 +76,6 @@ pub fn builtin_probes(cp: &mut CentralCp) -> Vec<BuiltinProbe> {
         row("conga-path", conga::conga_probe(), 8, &reader),
         row("netsight-history", netsight::history_probe(), 8, &reader),
         row("netverify-trace", netverify::trace_probe(), 8, &reader),
-        // The transient-safety monitor launches the netverify trace schema.
-        row("transient-trace", netverify::trace_probe(), 8, &reader),
         row("sketch", sketch::sketch_probe(), 8, &reader),
         row("overhead", overhead::overhead_probe(), 8, &reader),
         // RCP*: the collect probe reads its registers, the update writes them.

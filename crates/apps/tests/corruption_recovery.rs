@@ -5,7 +5,7 @@
 //! retries go through and the monitor returns to a clean bill of health.
 
 use tpp_apps::common::Responder;
-use tpp_apps::transient::{TransientMonitor, TransientMonitorApp};
+use tpp_apps::netverify::{PathMonitor, PathMonitorApp};
 use tpp_netsim::{LinkSpec, Network, NullApp, ReconfigAction, MILLIS};
 use tpp_switch::{Action, SwitchConfig};
 
@@ -33,7 +33,7 @@ fn corrupted_probes_retry_until_the_fault_clears() {
     net.switch_mut(s1).add_host_route(src_ip, Action::Output(1));
     net.switch_mut(s2).add_host_route(src_ip, Action::Output(0));
     net.set_app(h_dst, Box::new(Responder::new()));
-    net.set_app(h_src, Box::new(TransientMonitor::new(dst_ip, PROBE_PERIOD, Vec::new())));
+    net.set_app(h_src, Box::new(PathMonitor::new(dst_ip, PROBE_PERIOD, Vec::new())));
 
     // Fault in from the start; repair is itself a reconfiguration event.
     net.set_link_faults(s1, 0, 0.0, 1.0);
@@ -49,13 +49,13 @@ fn corrupted_probes_retry_until_the_fault_clears() {
     assert!(net.stats.frames_corrupted > 0, "corruption fired");
     assert_eq!(net.stats.reconfigs_applied, 1, "the repair applied");
 
-    let m = net.app_mut::<TransientMonitorApp>(h_src);
+    let m = net.app_mut::<PathMonitorApp>(h_src);
     let exec = m.executor().expect("monitor has an executor");
     assert!(exec.retransmitted > 0, "timeouts drove retries");
     assert!(exec.completed > 0, "probes complete once the fault clears");
     // During the fault window the monitor saw blackholes (checksum-rejected
     // probes look like losses end to end)...
-    let v = &m.violations;
+    let v: Vec<_> = m.violations().collect();
     assert!(
         v.iter().any(|r| r.t_ns < FAULT_CLEAR_NS + MILLIS),
         "corruption window must surface as violations: {v:?}"
@@ -68,6 +68,6 @@ fn corrupted_probes_retry_until_the_fault_clears() {
     // (monitor side sees corrupted echoes; switches drop mangled requests
     // as malformed).
     let rejected = net.stats.drops_malformed
-        + net.app_mut::<TransientMonitorApp>(h_src).shim().map_or(0, |s| s.counters.parse_failures);
+        + net.app_mut::<PathMonitorApp>(h_src).shim().map_or(0, |s| s.counters.parse_failures);
     assert!(rejected > 0, "corrupted TPPs were rejected by checksum somewhere");
 }

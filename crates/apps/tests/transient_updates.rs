@@ -6,7 +6,7 @@
 //! produces exactly zero.
 
 use tpp_apps::common::Responder;
-use tpp_apps::transient::{TransientMonitor, TransientMonitorApp};
+use tpp_apps::netverify::{PathMonitor, PathMonitorApp};
 use tpp_core::wire::Ipv4Address;
 use tpp_netsim::{
     order_route_updates, plan_route_updates, LinkSpec, Network, NodeId, NullApp, ReconfigPlan,
@@ -44,7 +44,7 @@ fn triangle() -> (Network, Ipv4Address, [RouteUpdate; 2]) {
     net.set_app(h_dst, Box::new(Responder::new()));
     net.set_app(
         h_src,
-        Box::new(TransientMonitor::new(dst_ip, PROBE_PERIOD, vec![vec![1, 2, 3], vec![1, 3]])),
+        Box::new(PathMonitor::new(dst_ip, PROBE_PERIOD, vec![vec![1, 2, 3], vec![1, 3]])),
     );
     let updates = [
         RouteUpdate { switch: s1, dst: dst_ip, action: Action::Output(1) }, // direct
@@ -74,9 +74,9 @@ fn ordered_plan_is_transient_safe() {
     assert_eq!(net.stats.drops_no_route, 0);
     let h_src = net.host_ids()[0];
     let mut net = net;
-    let m = net.app_mut::<TransientMonitorApp>(h_src);
-    assert!(m.probes >= 100, "monitor kept probing throughout");
-    assert!(m.violations.is_empty());
+    let m = net.app_mut::<PathMonitorApp>(h_src);
+    assert!(m.observations.len() >= 100, "monitor kept probing throughout");
+    assert!(m.violations().next().is_none());
 }
 
 #[test]

@@ -37,7 +37,7 @@ fn all_builtin_app_probes_verify_clean_against_cp_segments() {
     // again returns the first grant).
     assert_eq!(cp.register_app_with_regs("rcp", 2).unwrap().1, 0);
     assert_eq!(cp.register_app_with_regs("wan-fanout", 2).unwrap().1, 2);
-    assert_eq!(probes.len(), 11);
+    assert_eq!(probes.len(), 10);
     for p in &probes {
         assert_verifies(p.name, &p.probe, p.hops, &p.policy);
     }

@@ -284,7 +284,7 @@ enum Effect {
 }
 
 /// What a transient-safety monitor observed going wrong during a
-/// convergence window (see `tpp_apps::transient`). Recorded into
+/// convergence window (see `tpp_apps::netverify`). Recorded into
 /// [`NetStats`] via [`HostCtx::record_violation`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ViolationKind {
@@ -602,7 +602,7 @@ impl NetStats {
             + self.drops_policy
     }
 
-    /// Total transient-monitor violations across all kinds.
+    /// Total path-monitor violations across all kinds.
     pub fn violations(&self) -> u64 {
         self.violations_loop + self.violations_blackhole + self.violations_path
     }

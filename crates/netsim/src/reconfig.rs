@@ -3,8 +3,8 @@
 //!
 //! A live network is never frozen: routes move, links flap, rates degrade.
 //! This module gives the simulator a deterministic way to *create* those
-//! conditions so the TPP detection apps (netverify, `NetSight` histories,
-//! the transient monitor) have something to police.
+//! conditions so the TPP detection apps (netverify's path monitor,
+//! `NetSight` histories) have something to police.
 //!
 //! # Scheduled reconfiguration
 //!
@@ -25,9 +25,10 @@
 //! loop-free (the classic consensus-routing / Snowcap observation).
 //! [`order_route_updates`] computes a safe order greedily: an update is
 //! applied only when the mixed old/new forwarding graph it produces stays
-//! loop-free for its destination. The transient monitor
-//! (`tpp_apps::transient`) validates the property end to end: a misordered
-//! plan must trip violations, the ordered plan must produce zero.
+//! loop-free for its destination. The path monitor
+//! (`tpp_apps::netverify::PathMonitor`) validates the property end to end:
+//! a misordered plan must trip violations, the ordered plan must produce
+//! zero.
 
 use std::collections::BTreeMap;
 
@@ -166,7 +167,7 @@ fn forwarding_graph(
 ///
 /// The returned order, spaced out in time and applied through
 /// [`Network::schedule_reconfig`](crate::Network::schedule_reconfig), is
-/// what the transient monitor validates: zero violations for this order,
+/// what the path monitor validates: zero violations for this order,
 /// at least one for a crafted misorder.
 pub fn order_route_updates(net: &Network, updates: &[RouteUpdate]) -> Vec<RouteUpdate> {
     // Per-destination groups: loops in /32 forwarding are per-destination,

@@ -783,7 +783,7 @@ pub enum ChurnSpec {
         /// down (and restore them when it comes back). Detours are
         /// computed against the pre-churn tables, best effort: entries
         /// with no loop-free alternate are left to blackhole — which is
-        /// exactly what the transient monitor exists to catch.
+        /// exactly what the path monitor exists to catch.
         reroute: bool,
     },
 }
@@ -859,7 +859,7 @@ impl ChurnSpec {
 /// `(dst, original action, detour action)` per entry with a usable
 /// alternate. The alternate is the first other switch port whose peer has
 /// a route for `dst` that does not point straight back at `sw` (one-hop
-/// loop avoidance; multi-hop loops are the transient monitor's job).
+/// loop avoidance; multi-hop loops are the path monitor's job).
 fn detours(net: &Network, sw: NodeId, port: u8) -> Vec<(Ipv4Address, Action, Action)> {
     let mut out = Vec::new();
     for e in net.switch(sw).table.entries() {

@@ -2,7 +2,7 @@
 //! wire formats, switches, simulator — exercised together.
 
 use minions::apps::common::Responder;
-use minions::apps::netverify::{PathVerifier, PathVerifierApp};
+use minions::apps::netverify::{PathMonitor, PathMonitorApp};
 use minions::core::asm::TppBuilder;
 use minions::core::wire::Ipv4Address;
 use minions::endhost::{Executor, ExecutorConfig, ProbeOutcome, Shim};
@@ -250,7 +250,7 @@ fn path_visibility_tracks_link_failure_and_recovery() {
     let switches = topo.switches.clone();
     let dst_ip = topo.net.host(hosts[1]).ip;
     topo.net.set_app(hosts[1], Box::new(Responder::new()));
-    topo.net.set_app(hosts[0], Box::new(PathVerifier::new(dst_ip, MILLIS)));
+    topo.net.set_app(hosts[0], Box::new(PathMonitor::new(dst_ip, MILLIS, Vec::new())));
     topo.net.run_until(50 * MILLIS);
     // Kill both of leaf0's uplinks: the destination becomes unreachable
     // and the verifier observes the losses (end-to-end reachability alone
@@ -258,21 +258,21 @@ fn path_visibility_tracks_link_failure_and_recovery() {
     topo.net.set_link_up(switches[0], 0, false);
     topo.net.set_link_up(switches[0], 1, false);
     topo.net.run_until(200 * MILLIS);
-    let v = topo.net.app_mut::<PathVerifierApp>(hosts[0]);
+    let v = topo.net.app_mut::<PathMonitorApp>(hosts[0]);
     let obs = &v.observations;
     let before_fail = obs.iter().filter(|o| o.t_ns < 50 * MILLIS).count();
     assert!(before_fail > 20, "steady probing before failure");
     assert!(
-        obs.iter().filter(|o| o.t_ns < 50 * MILLIS).all(|o| o.completed && o.path.len() == 3),
+        obs.iter().filter(|o| o.t_ns < 50 * MILLIS).all(|o| o.completed() && o.path.len() == 3),
         "leaf-spine-leaf paths pre-failure"
     );
     // After the failure, probes blackhole and the verifier records losses.
     assert!(
-        obs.iter().any(|o| o.t_ns > 100 * MILLIS && !o.completed),
+        obs.iter().any(|o| o.t_ns > 100 * MILLIS && !o.completed()),
         "losses observed after the failure"
     );
     // The last healthy observation reached the far leaf (id 2).
-    let first_loss = obs.iter().position(|o| !o.completed).expect("losses");
+    let first_loss = obs.iter().position(|o| !o.completed()).expect("losses");
     assert_eq!(obs[first_loss - 1].path.last(), Some(&2));
 }
 
