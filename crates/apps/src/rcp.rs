@@ -24,11 +24,10 @@
 //! and a transfer size), and finds a completed collect's path by its source
 //! address. What a loop collects, computes and writes back is its [`Law`]:
 //! [`Law::Rcp`] is the RCP* above, [`Law::Fanout`] the coordinated WAN
-//! fan-out of [`crate::wan`]. Eq. 1's `d` is [`RcpConfig::rtt_ns`] (Figure 2
-//! and the repo benchmark) or, with [`RcpConfig::measure_rtt`], each path's
-//! measured probe RTT (inter-DC RCP*, `wan::run_interdc`). An [`RcpSink`]
-//! meters each flow's goodput and records when a fixed-size transfer
-//! completes.
+//! fan-out of [`crate::wan`]. Eq. 1's `d` is [`RcpConfig::rtt_ns`] on every
+//! path; each path also keeps its measured probe RTT, which is reported, not
+//! used. An [`RcpSink`] meters each flow's goodput and records when a
+//! fixed-size transfer completes.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -123,10 +122,6 @@ pub struct RcpConfig {
     pub period_ns: Time,
     /// Average RTT estimate d used in Eq. 1.
     pub rtt_ns: Time,
-    /// Use each path's measured probe RTT as d instead, seeded from
-    /// `rtt_ns`: paths of different lengths then each run a loop damped for
-    /// their own round trip.
-    pub measure_rtt: bool,
     /// Uniform link capacity (known to the control plane).
     pub capacity_mbps: f64,
     /// Initial flow rate (paper: "all flows start at 1Mb/s").
@@ -141,7 +136,6 @@ impl Default for RcpConfig {
             alpha: f64::INFINITY,
             period_ns: 2_000_000,
             rtt_ns: 10_000_000,
-            measure_rtt: false,
             capacity_mbps: 100.0,
             start_rate_bps: 1e6,
             probe_hops: 5,
@@ -330,10 +324,7 @@ impl RcpLoop {
         if self.latest.is_empty() {
             return None;
         }
-        // Eq. 1's d: the configured RTT, or this path's measured one.
-        let measured = self.rtt_est_ns.max(1.0) as Time;
-        let eq = RcpConfig { rtt_ns: if cfg.measure_rtt { measured } else { cfg.rtt_ns }, ..*cfg };
-        let (r_old, cap) = (self.pacer.rate_bps, eq.capacity_mbps * 1e6);
+        let (r_old, cap) = (self.pacer.rate_bps, cfg.capacity_mbps * 1e6);
         let mut per_link = Vec::with_capacity(self.latest.len());
         for (h, s) in self.latest.iter().enumerate() {
             let q_avg = self.qhist.mean(h, s.queue_bytes);
@@ -342,7 +333,7 @@ impl RcpLoop {
                     let y = s.util_bps as f64 / 10_000.0 * cap;
                     // An uninitialized register is seeded at 10% of capacity.
                     let r = if s.rate_kbps == 0 { cap * 0.1 } else { s.rate_kbps as f64 * 1e3 };
-                    rcp_equation(&eq, r, y, q_avg, cap)
+                    rcp_equation(cfg, r, y, q_avg, cap)
                 }
                 // Available bandwidth: capacity minus traffic that isn't ours
                 // minus a term that drains any standing queue over the drain
@@ -354,7 +345,7 @@ impl RcpLoop {
                 }
             });
         }
-        let target = alpha_aggregate(&per_link, eq.alpha);
+        let target = alpha_aggregate(&per_link, cfg.alpha);
         match law {
             Law::Rcp => {
                 // Capped at line rate: R may legitimately exceed C on

@@ -39,11 +39,10 @@
 //! The RCP* sender and sink of [`crate::rcp`], unchanged programs and
 //! registers (`AppSpecific_0/1`), over WAN paths: one `RcpSender` in site 0
 //! runs a path, with its own control loop and pacer, to a sink in every
-//! other site. The sender is configured with `RcpConfig::measure_rtt`, so
-//! Eq. 1's `d` is each path's own *measured* probe RTT and
-//! heterogeneous-RTT paths each run a loop damped for their own round trip.
-//! Each path carries a fixed-size transfer, and the sink records its
-//! completion time.
+//! other site. Eq. 1's `d` is one configured RTT (20 ms) on every path;
+//! each path's measured probe RTT is reported
+//! ([`InterDcPathReport::rtt_est_ms`]). Each path carries a fixed-size
+//! transfer, and the sink records its completion time.
 
 use crate::common::{hash_ecmp_without_dst_port, parse_udp, udp_frame, RateMeter, DATA_PORT};
 use crate::rcp::{Law, RcpConfig, RcpPath, RcpSender, RcpSenderApp, RcpSink, RcpSinkApp};
@@ -270,7 +269,6 @@ pub fn interdc_net(
     let cfg = RcpConfig {
         period_ns: 5_000_000,
         rtt_ns: 20_000_000,
-        measure_rtt: true,
         capacity_mbps: wan_mbps as f64,
         probe_hops: 10,
         ..RcpConfig::default()

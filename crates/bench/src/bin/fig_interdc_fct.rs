@@ -3,8 +3,9 @@
 //! buffers.
 //!
 //! Site 0 runs one fixed-size transfer to every other site; WAN delay
-//! grows with site distance, so the RCP* sender sees a different measured
-//! RTT per path and runs each path's control loop on its own timescale.
+//! grows with site distance, so each path has a round trip of its own: the
+//! RCP* sender measures it (the `rtt ms` column), and every path's control
+//! loop runs with one configured RTT as Eq. 1's `d`.
 //! The experiment repeats with the border switches' queues clamped
 //! shallow — flow completion must survive both buffer profiles, with the
 //! longer-RTT path always finishing later, and every path's rate ends within
