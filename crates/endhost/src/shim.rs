@@ -18,11 +18,13 @@
 //! Both directions work in the frame they are handed: a stamped frame is the
 //! caller's buffer with the filter entry's pre-serialized section spliced in,
 //! a stripped frame is the received buffer with the section closed up, and a
-//! completion that arrives on the echo channel is the received frame itself,
-//! handed on as a validated [`TppBuf`]. The shim allocates only for what it
-//! surfaces beside the frame — an echo frame, or the copy of the section a
-//! completion consumed at this host (its aggregator) travels in — and, on
-//! transmit, when the caller's buffer has no room for the section.
+//! completion that arrives on the echo channel, or a standalone TPP consumed
+//! at this host (its aggregator), is the received frame itself, handed on as
+//! a validated [`TppBuf`]. The shim allocates only for what it surfaces
+//! beside the frame — an echo frame, or the copy of the section a
+//! piggy-backed completion consumed here travels in while its packet is
+//! delivered — and, on transmit, when the caller's buffer has no room for
+//! the section.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -104,8 +106,9 @@ impl FlowRef {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompletedTpp {
     pub app_id: u16,
-    /// The executed section, validated, in the buffer it reached this host
-    /// in (an echo frame) or in a copy of its own.
+    /// The executed section, validated, in the frame it reached this host
+    /// in (an echo frame or a standalone TPP) or, when it rode a packet that
+    /// is delivered, in a copy of its own.
     pub tpp: TppBuf,
     /// Source of the packet that carried (or echoed) the TPP.
     pub from: Ipv4Address,
@@ -215,9 +218,9 @@ impl Shim {
     /// Receive-side interposition. TPP sections are validated and read
     /// through borrowed [`TppView`]s over the frame bytes, echo frames carry
     /// the section bytes verbatim, and no completion is decoded into a
-    /// [`Tpp`]: one that arrives on the echo channel keeps its frame as its
-    /// [`TppBuf`], one consumed here at its aggregator is a copy of the
-    /// section.
+    /// [`Tpp`]: one that arrives on the echo channel, or a standalone one
+    /// consumed here at its aggregator, keeps its frame as its [`TppBuf`]; a
+    /// piggy-backed one consumed here is a copy of the section.
     pub fn incoming(&mut self, mut frame: Vec<u8>) -> Incoming {
         self.counters.rx_frames += 1;
         match locate_tpp(&frame) {
@@ -258,11 +261,14 @@ impl Shim {
                         return Incoming { discarded: true, ..Incoming::default() };
                     }
                 };
-                match TppView::parse(&frame[section..]) {
-                    Ok((view, _)) => self.route_completed(
-                        &view,
-                        FlowRef { src, dst, src_port, dst_port: udp::TPP_PORT },
-                    ),
+                let flow = FlowRef { src, dst, src_port, dst_port: udp::TPP_PORT };
+                let within = section..frame.len();
+                match TppBuf::parse(frame, within) {
+                    // Consumed here: the received frame is the completion.
+                    Ok(tpp) if self.completion_to(&tpp.view(), &flow) == self.ip => {
+                        self.surface(tpp, flow)
+                    }
+                    Ok(tpp) => self.route_completed(&tpp.view(), flow),
                     Err(_) => {
                         self.counters.parse_failures += 1;
                         Incoming { discarded: true, ..Incoming::default() }
@@ -279,28 +285,31 @@ impl Shim {
         }
     }
 
-    /// Route a freshly executed TPP: locally if this host is the app's
-    /// aggregator, otherwise as an echo frame toward the aggregator (or
-    /// the packet source when no aggregator is registered; §4.2).
+    /// Where a freshly executed TPP goes: its app's aggregator, or the
+    /// packet source when no aggregator is registered (§4.2).
+    fn completion_to(&self, view: &TppView<'_>, flow: &FlowRef) -> Ipv4Address {
+        self.aggregators.get(&view.app_id()).copied().unwrap_or(flow.src)
+    }
+
+    /// Route a freshly executed TPP: locally, in a copy of the section, if
+    /// this host is where it goes, otherwise as an echo frame toward there.
     fn route_completed(&mut self, view: &TppView<'_>, flow: FlowRef) -> Incoming {
-        let to = self.aggregators.get(&view.app_id()).copied().unwrap_or(flow.src);
+        let to = self.completion_to(view, &flow);
         if to == self.ip {
-            self.counters.completed_delivered += 1;
-            return Incoming {
-                completed: Some(CompletedTpp {
-                    app_id: view.app_id(),
-                    from: flow.src,
-                    tpp: view.to_buf(),
-                    flow,
-                }),
-                ..Incoming::default()
-            };
+            return self.surface(view.to_buf(), flow);
         }
         self.counters.echoes_sent += 1;
         Incoming {
             echo: Some(self.build_echo_frame(view.as_bytes(), to, flow)),
             ..Incoming::default()
         }
+    }
+
+    /// A completion this host consumes, surfaced to its application.
+    fn surface(&mut self, tpp: TppBuf, flow: FlowRef) -> Incoming {
+        self.counters.completed_delivered += 1;
+        let completed = CompletedTpp { app_id: tpp.view().app_id(), from: flow.src, tpp, flow };
+        Incoming { completed: Some(completed), ..Incoming::default() }
     }
 
     /// Build a completed-TPP frame around the executed section bytes,

@@ -15,7 +15,8 @@ use std::cell::Cell;
 
 use tpp_core::asm::TppBuilder;
 use tpp_core::wire::{
-    ethernet, udp_frame_into, EthernetAddress, EthernetRepr, Ipv4Address, Tpp, UdpFrameRepr,
+    build_standalone, ethernet, udp_frame_into, EthernetAddress, EthernetRepr, Ipv4Address, Tpp,
+    UdpFrameRepr,
 };
 use tpp_endhost::{Filter, Shim};
 
@@ -199,4 +200,23 @@ fn incoming_allocates_only_for_what_it_surfaces() {
     assert!(back.deliver.is_none());
     assert_eq!(done.tpp.buffer().as_ptr(), received, "the completion keeps the echo frame");
     assert_eq!(allocs, 0, "echo to completion");
+
+    // A standalone TPP (a write-back) that host 2 consumes as its app's
+    // aggregator surfaces in the received frame itself: nothing is built.
+    let mut write_back = probe();
+    write_back.app_id = APP;
+    let frame = build_standalone(
+        EthernetAddress::from_node_id(1),
+        EthernetAddress::from_node_id(2),
+        Ipv4Address::from_host_id(1),
+        Ipv4Address::from_host_id(2),
+        7001,
+        &write_back,
+    );
+    let received = frame.as_ptr();
+    let (out, allocs) = counting(|| rx.incoming(frame));
+    let done = out.completed.expect("completion surfaced");
+    assert!(out.deliver.is_none() && out.echo.is_none());
+    assert_eq!(done.tpp.buffer().as_ptr(), received, "the completion keeps the received frame");
+    assert_eq!(allocs, 0, "standalone to completion");
 }
