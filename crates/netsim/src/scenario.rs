@@ -21,9 +21,6 @@
 //! * [`TopologySpec::AsymFatTree`] — a fat-tree where every pod's first
 //!   aggregation switch has half-rate core uplinks: equal-cost paths with
 //!   unequal capacity, the CONGA* stress case.
-//! * [`TopologySpec::EdgeList`] — an arbitrary switch graph imported from
-//!   a TopologyZoo-style edge list (see [`parse_edge_list`] and the
-//!   bundled [`abilene`] preset).
 //!
 //! ```
 //! use tpp_netsim::scenario::{TopologyBuilder, TopologySpec};
@@ -114,17 +111,6 @@ pub enum TopologySpec {
         /// Hosts on every switch.
         hosts_per_switch: usize,
     },
-    /// An arbitrary switch graph from a TopologyZoo-style edge list.
-    /// Labels are mapped to switches in ascending label order; duplicate
-    /// edges and self-loops are ignored.
-    EdgeList {
-        /// Display name (used by [`TopologySpec::label`]).
-        name: String,
-        /// Undirected switch-graph edges as label pairs.
-        edges: Vec<(u16, u16)>,
-        /// Hosts on every switch.
-        hosts_per_switch: usize,
-    },
     /// An inter-datacenter fabric: `sites` identical `site_k`-ary
     /// fat-trees, each fronted by one border switch wired to all of the
     /// site's core switches, with the borders joined in a full mesh of
@@ -164,7 +150,7 @@ pub enum TopologySpec {
 
 impl TopologySpec {
     /// A short, filesystem-safe label for matrix output
-    /// (e.g. `fat_tree4`, `jellyfish16x4`, `edge_abilene`).
+    /// (e.g. `fat_tree4`, `jellyfish16x4`).
     pub fn label(&self) -> String {
         match self {
             TopologySpec::Star { hosts } => format!("star{hosts}"),
@@ -183,7 +169,6 @@ impl TopologySpec {
             TopologySpec::Jellyfish { switches, degree, .. } => {
                 format!("jellyfish{switches}x{degree}")
             }
-            TopologySpec::EdgeList { name, .. } => format!("edge_{name}"),
             TopologySpec::MultiSite { sites, site_k, .. } => {
                 format!("multi_site{sites}x{site_k}")
             }
@@ -279,9 +264,6 @@ impl TopologyBuilder {
             }
             TopologySpec::Jellyfish { switches, degree, hosts_per_switch } => {
                 build_jellyfish(switches, degree, hosts_per_switch, link, host_mbps, delay, seed)
-            }
-            TopologySpec::EdgeList { edges, hosts_per_switch, .. } => {
-                build_edge_list(&edges, hosts_per_switch, link, host_mbps, delay, seed)
             }
             TopologySpec::MultiSite {
                 sites,
@@ -556,49 +538,6 @@ fn build_jellyfish(
     Topology { net, hosts, switches }
 }
 
-fn build_edge_list(
-    edges: &[(u16, u16)],
-    hosts_per_switch: usize,
-    link_mbps: u64,
-    host_mbps: u64,
-    delay_ns: u64,
-    seed: u64,
-) -> Topology {
-    assert!(!edges.is_empty(), "edge list must name at least one edge");
-    let mut labels: Vec<u16> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
-    labels.sort_unstable();
-    labels.dedup();
-    let index_of = |l: u16| labels.binary_search(&l).unwrap();
-    let n = labels.len();
-
-    let mut deg = vec![0usize; n];
-    let mut seen = std::collections::BTreeSet::new();
-    let mut wires: Vec<(usize, usize)> = Vec::new();
-    for &(a, b) in edges {
-        if a == b {
-            continue;
-        }
-        let (ia, ib) = (index_of(a), index_of(b));
-        if !seen.insert((ia.min(ib), ia.max(ib))) {
-            continue;
-        }
-        deg[ia] += 1;
-        deg[ib] += 1;
-        wires.push((ia, ib));
-    }
-
-    let mut net = Network::new(seed);
-    let switches: Vec<NodeId> = (0..n)
-        .map(|i| net.add_switch(switch_cfg(1 + i as u32, deg[i] + hosts_per_switch)))
-        .collect();
-    for &(a, b) in &wires {
-        net.connect(switches[a], switches[b], LinkSpec::new(link_mbps, delay_ns));
-    }
-    let link = LinkSpec::new(host_mbps, delay_ns);
-    let hosts = add_hosts(&mut net, switches.iter().copied(), hosts_per_switch, link);
-    Topology { net, hosts, switches }
-}
-
 /// The WAN half of a [`TopologySpec::MultiSite`], bundled so the builder
 /// dispatch stays readable.
 struct WanKnobs {
@@ -693,61 +632,6 @@ pub fn viewer_fanout(sites: usize, site_k: usize, wan_mbps: u64) -> TopologySpec
         wan_mbps,
         wan_site_mbps,
         wan_queue_bytes: 0,
-    }
-}
-
-/// Parse a TopologyZoo-style edge list: one `a b` pair of numeric labels
-/// per line, `#` starting a comment. Returns a [`TopologySpec::EdgeList`].
-pub fn parse_edge_list(
-    name: &str,
-    text: &str,
-    hosts_per_switch: usize,
-) -> Result<TopologySpec, String> {
-    let mut edges = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let (a, b) = (it.next(), it.next());
-        match (a, b) {
-            (Some(a), Some(b)) => {
-                let a = a.parse::<u16>().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                let b = b.parse::<u16>().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                edges.push((a, b));
-            }
-            _ => return Err(format!("line {}: expected two labels", lineno + 1)),
-        }
-    }
-    if edges.is_empty() {
-        return Err("edge list is empty".into());
-    }
-    Ok(TopologySpec::EdgeList { name: name.to_string(), edges, hosts_per_switch })
-}
-
-/// The Abilene (Internet2) backbone as a bundled TopologyZoo-style edge
-/// list: 11 switches, 14 links, `hosts_per_switch` hosts each.
-pub fn abilene(hosts_per_switch: usize) -> TopologySpec {
-    TopologySpec::EdgeList {
-        name: "abilene".to_string(),
-        edges: vec![
-            (0, 1),  // Seattle - Sunnyvale
-            (0, 2),  // Seattle - Denver
-            (1, 3),  // Sunnyvale - Los Angeles
-            (1, 2),  // Sunnyvale - Denver
-            (2, 5),  // Denver - Kansas City
-            (3, 4),  // Los Angeles - Houston
-            (4, 5),  // Houston - Kansas City
-            (4, 7),  // Houston - Atlanta
-            (5, 6),  // Kansas City - Indianapolis
-            (6, 7),  // Indianapolis - Atlanta
-            (6, 8),  // Indianapolis - Chicago
-            (7, 9),  // Atlanta - Washington DC
-            (8, 10), // Chicago - New York
-            (9, 10), // Washington DC - New York
-        ],
-        hosts_per_switch,
     }
 }
 
@@ -989,32 +873,6 @@ mod tests {
         // through agg 0 of each pod; links_iter yields both directions.
         assert_eq!(slow, 16);
         assert_eq!(fast, 16);
-    }
-
-    #[test]
-    fn abilene_imports_and_connects() {
-        let t = TopologyBuilder::new(abilene(1)).build();
-        assert_eq!(t.switches.len(), 11);
-        assert_eq!(t.hosts.len(), 11);
-        assert!(connected(&t));
-    }
-
-    #[test]
-    fn edge_list_parser_roundtrips() {
-        let spec = parse_edge_list("tiny", "0 1\n1 2 # ring\n2 0\n# done\n", 2).unwrap();
-        let label = spec.label();
-        assert_eq!(label, "edge_tiny");
-        let t = TopologyBuilder::new(spec).build();
-        assert_eq!(t.switches.len(), 3);
-        assert_eq!(t.hosts.len(), 6);
-        assert!(connected(&t));
-    }
-
-    #[test]
-    fn edge_list_parser_rejects_garbage() {
-        assert!(parse_edge_list("x", "0\n", 1).is_err());
-        assert!(parse_edge_list("x", "a b\n", 1).is_err());
-        assert!(parse_edge_list("x", "# nothing\n", 1).is_err());
     }
 
     #[test]

@@ -77,10 +77,3 @@ proptest! {
         prop_assert!(routes_complete(&t));
     }
 }
-
-#[test]
-fn edge_list_import_connects_and_routes() {
-    let t = tpp_netsim::scenario::abilene(2).builder().build();
-    assert!(connected(&t));
-    assert!(routes_complete(&t));
-}
