@@ -158,7 +158,7 @@ mod tests {
             let v = topo.net.app_mut::<PathMonitorApp>(hosts[0]);
             let obs = &v.observations;
             assert!(obs.len() >= 10);
-            assert!(obs.iter().all(|o| o.completed()));
+            assert!(obs.iter().all(PathObservation::completed));
             assert_eq!(obs.last().unwrap().path, vec![1, 2, 3]);
         }
     }
