@@ -110,7 +110,7 @@ pub fn parse_udp(frame: &[u8]) -> Option<UdpInfo> {
         dst: ip.dst(),
         src_port: u.src_port(),
         dst_port: u.dst_port(),
-        payload_len: u.len() as usize - udp::HEADER_LEN,
+        payload_len: u.length() as usize - udp::HEADER_LEN,
     })
 }
 

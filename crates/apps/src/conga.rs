@@ -30,7 +30,7 @@ use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::{ExecutorConfig, PacedSender};
-use tpp_netsim::Time;
+use tpp_netsim::{Time, MILLIS};
 use tpp_netsim::{Topology, TopologySpec};
 
 /// Base destination port for CONGA data flows (flow i uses `BASE + i`).
@@ -199,7 +199,6 @@ impl CongaSender {
             data_bytes: 0,
         };
         Harness::new(state)
-            .shim_seed(cfg.seed ^ 0xC0C0)
             .executor(ExecutorConfig { max_retries: 2, timeout_ns: 20_000_000 })
             // A completion's flow names the port its probe was steered on.
             .launch(conga_probe().app_id(APP_ID).hops(PROBE_HOPS), |s, io, c| {
@@ -341,26 +340,28 @@ impl CongaSender {
     }
 }
 
+/// Bucket of the CONGA* sink's goodput meters.
+const SINK_BUCKET_NS: Time = 100 * MILLIS;
+
 /// Sink that meters goodput per `(source, destination port)` — the flow
-/// identity under CONGA's moving source ports. Construct with
-/// [`CongaSink::new`].
+/// identity under CONGA's moving source ports, in 100 ms buckets.
+/// Construct with [`CongaSink::new`].
 pub struct CongaSink {
     pub meters: BTreeMap<(Ipv4Address, u16), RateMeter>,
-    pub bucket_ns: Time,
 }
 
 /// The wired CONGA* sink application.
 pub type CongaSinkApp = Endhost<CongaSink>;
 
 impl CongaSink {
-    pub fn new(bucket_ns: Time) -> CongaSinkApp {
-        Harness::new(CongaSink { meters: BTreeMap::new(), bucket_ns })
+    pub fn new() -> CongaSinkApp {
+        Harness::new(CongaSink { meters: BTreeMap::new() })
             .on_deliver(|s, io, inner| {
                 if let Some(info) = parse_udp(&inner) {
                     if (FLOW_PORT_BASE..FLOW_PORT_BASE + 1000).contains(&info.dst_port) {
                         s.meters
                             .entry((info.src, info.dst_port))
-                            .or_insert_with(|| RateMeter::new(s.bucket_ns))
+                            .or_insert_with(|| RateMeter::new(SINK_BUCKET_NS))
                             .record(io.ctx.now, info.payload_len as u64);
                     }
                 }
@@ -402,7 +403,6 @@ pub fn conga_fig4_net(mode: Balancer, metric: Metric, seed: u64) -> Topology {
     let leaf0 = topo.switches[0];
     topo.net.switch_mut(leaf0).add_host_route(ips[2], tpp_switch::Action::Output(0));
 
-    let bucket = 100_000_000;
     let l0_cfg = CongaConfig {
         mode: Balancer::Ecmp, // single path anyway
         n_flows: 5,
@@ -412,7 +412,7 @@ pub fn conga_fig4_net(mode: Balancer, metric: Metric, seed: u64) -> Topology {
     let l1_cfg = CongaConfig { mode, metric, n_flows: 12, seed: seed ^ 2 };
     topo.net.set_app(hosts[0], Box::new(CongaSender::new(l0_cfg, ips[2])));
     topo.net.set_app(hosts[1], Box::new(CongaSender::new(l1_cfg, ips[2])));
-    topo.net.set_app(hosts[2], Box::new(CongaSink::new(bucket)));
+    topo.net.set_app(hosts[2], Box::new(CongaSink::new()));
     topo
 }
 
@@ -539,7 +539,7 @@ mod tests {
         let dst_ip = topo.net.host(hosts[2]).ip;
         let cfg = CongaConfig { n_flows: 0, ..CongaConfig::default() };
         topo.net.set_app(hosts[1], Box::new(CongaSender::new(cfg, dst_ip)));
-        topo.net.set_app(hosts[2], Box::new(CongaSink::new(100_000_000)));
+        topo.net.set_app(hosts[2], Box::new(CongaSink::new()));
         topo.net.run_until(SECONDS / 10);
         let sender = topo.net.app_mut::<CongaSenderApp>(hosts[1]);
         assert_eq!(sender.paths.len(), 2, "two spines = two distinct paths");

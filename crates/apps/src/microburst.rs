@@ -100,7 +100,6 @@ impl BurstHost {
             bytes_received: 0,
         };
         Harness::new(state)
-            .shim_seed(cfg.seed ^ 0xB00B)
             // Observe completed TPPs locally at the receiver — the paper
             // collects "fully executed TPPs carrying network state at one
             // host" from the packets arriving there.

@@ -129,7 +129,7 @@ impl Collector {
 const TIMER_SEND: u64 = 1;
 
 /// A traced host: sends paced UDP packets to a destination with the history
-/// TPP attached (aggregated at the collector), via [`TracedHost::new`].
+/// TPP attached (aggregated at the collector), via [`TracedHost::with_sampling`].
 pub struct TracedHost {
     pub dst: Ipv4Address,
     pub collector: Ipv4Address,
@@ -143,11 +143,7 @@ pub struct TracedHost {
 pub type TracedApp = Endhost<TracedHost>;
 
 impl TracedHost {
-    pub fn new(dst: Ipv4Address, collector: Ipv4Address, sport: u16) -> TracedApp {
-        TracedHost::with_sampling(dst, collector, sport, 1)
-    }
-
-    /// Like [`TracedHost::new`] with a 1-in-`sample_frequency` stamp rate.
+    /// A traced host that stamps 1 frame in `sample_frequency`.
     pub fn with_sampling(
         dst: Ipv4Address,
         collector: Ipv4Address,

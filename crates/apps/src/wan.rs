@@ -73,6 +73,9 @@ pub fn install_probe() -> Probe {
         .store("rate", "Link:AppSpecific_3")
 }
 
+/// Bucket of a relay's goodput meter.
+const RELAY_BUCKET_NS: Time = 50 * MILLIS;
+
 /// A viewer-site relay: meters the stream arriving from the source,
 /// re-publishes every data frame to its local viewers, echoes discovery
 /// probes and consumes installs.
@@ -86,8 +89,8 @@ pub struct FanoutRelay {
 pub type FanoutRelayApp = Endhost<FanoutRelay>;
 
 impl FanoutRelay {
-    pub fn new(viewers: Vec<Ipv4Address>, bucket_ns: Time) -> FanoutRelayApp {
-        let state = FanoutRelay { viewers, meter: RateMeter::new(bucket_ns), forwarded: 0 };
+    pub fn new(viewers: Vec<Ipv4Address>) -> FanoutRelayApp {
+        let state = FanoutRelay { viewers, meter: RateMeter::new(RELAY_BUCKET_NS), forwarded: 0 };
         Harness::new(state)
             .aggregate_local(Law::Fanout.app_ids().1)
             .on_deliver(|s, io, inner| {
@@ -153,7 +156,6 @@ pub fn fanout_net(sites: usize, site_k: usize, wan_mbps: u64, seed: u64) -> Topo
     let ips: Vec<Ipv4Address> = hosts.iter().map(|&n| topo.net.host(n).ip).collect();
     let ip = |i: usize| ips[i];
 
-    let bucket = 50_000_000; // 50 ms meter buckets
     let cfg = RcpConfig { period_ns: 5_000_000, probe_hops: 10, ..RcpConfig::default() };
     // Subtree `i` feeds the relay of site `i + 1`, its data from port 7000 + i.
     let paths: Vec<RcpPath> = (0..sites - 1)
@@ -163,7 +165,7 @@ pub fn fanout_net(sites: usize, site_k: usize, wan_mbps: u64, seed: u64) -> Topo
     for site in 1..sites {
         let relay = site * per_site;
         let viewers: Vec<Ipv4Address> = (1..=2.min(per_site - 1)).map(|v| ip(relay + v)).collect();
-        topo.net.set_app(hosts[relay], Box::new(FanoutRelay::new(viewers, bucket)));
+        topo.net.set_app(hosts[relay], Box::new(FanoutRelay::new(viewers)));
     }
     topo
 }

@@ -80,11 +80,11 @@ fn typed_decode_matches_legacy_on_recorded_runs() {
 
     topo.net.set_app(hosts[0], Box::new(recorder(ips[3], microburst_probe().app_id(1).hops(8))));
     topo.net.set_app(hosts[3], Box::new(tpp_apps::common::Responder::new()));
-    topo.net.set_app(hosts[2], Box::new(TracedHost::new(ips[4], ips[5], 6000)));
+    topo.net.set_app(hosts[2], Box::new(TracedHost::with_sampling(ips[4], ips[5], 6000, 1)));
     // The receiver is also a traced host (as in the Figure 3 deployment):
     // its shim owns the app-3 aggregator entry that routes completions to
     // the collector.
-    topo.net.set_app(hosts[4], Box::new(TracedHost::new(ips[2], ips[5], 6001)));
+    topo.net.set_app(hosts[4], Box::new(TracedHost::with_sampling(ips[2], ips[5], 6001, 1)));
     topo.net.set_app(hosts[5], Box::new(raw_collector(3, history_probe())));
     topo.net.run_until(60 * MILLIS);
 

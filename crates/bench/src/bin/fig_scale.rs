@@ -21,8 +21,6 @@ fn traffic(horizon: Time) -> TrafficConfig {
     TrafficConfig {
         frames_per_tick: 16,
         tick_ns: 5_000,
-        payload: 256,
-        tpp_every: 4,
         stop_at: horizon,
         seed: 8,
         pattern: TrafficPattern::Uniform,

@@ -34,13 +34,7 @@ fn usage() -> ExitCode {
 /// Print a verdict rustc-style; returns whether it denied.
 fn report(name: &str, tpp: &Tpp, verdict: &Verdict) -> bool {
     let denied = !verdict.passed();
-    for d in &verdict.diagnostics {
-        println!("{d}");
-        match d.instr.and_then(|i| tpp.instrs.get(i).map(|ins| (i, ins))) {
-            Some((i, ins)) => println!("  --> {name}: instr {i}: {ins}"),
-            None => println!("  --> {name}"),
-        }
-    }
+    print!("{}", verdict.render(&tpp.instrs));
     if denied {
         println!("{name}: DENY ({} error(s))", verdict.denials().count());
     } else {

@@ -205,8 +205,6 @@ fn heavy() -> (TrafficConfig, u64) {
     let cfg = TrafficConfig {
         frames_per_tick: 16,
         tick_ns: 5_000,
-        payload: 256,
-        tpp_every: 4,
         stop_at: 100_000,
         seed: 8,
         pattern: TrafficPattern::Uniform,

@@ -260,23 +260,35 @@ pub fn assemble(src: &str) -> Result<Tpp, AsmError> {
     if tpp.instrs.len() > MAX_INSTRUCTIONS {
         return Err(AsmError::TooManyInstructions(tpp.instrs.len()));
     }
-    let mem = match (mem_bytes, hops) {
-        (Some(m), _) => m,
-        (None, Some(h)) => h * tpp.per_hop_len as usize,
-        // Default: enough stack space for one pushed word per instruction
-        // over 8 hops.
-        (None, None) => 8 * tpp.instrs.len() * 4,
-    };
-    if mem > MAX_MEMORY_BYTES {
-        return Err(AsmError::MemoryTooLarge(mem));
-    }
-    tpp.memory = vec![0; mem];
+    tpp.memory = vec![0; memory_bytes(&tpp, mem_bytes, hops)?];
     for (idx, val) in word_inits {
         if tpp.write_word(idx, val).is_none() {
             return Err(AsmError::OperandOutOfRange(0, format!(".word index {idx}")));
         }
     }
     Ok(tpp)
+}
+
+/// Packet-memory bytes for `tpp`, the one sizing rule of [`assemble`] and
+/// [`TppBuilder::build`]: `explicit` bytes when given, else room for `hops`
+/// hops, one window per hop in hop mode and one pushed word per instruction
+/// per hop in stack mode, else one word per instruction over 8 hops. A size
+/// past [`MAX_MEMORY_BYTES`], overflow included, is refused.
+fn memory_bytes(
+    tpp: &Tpp,
+    explicit: Option<usize>,
+    hops: Option<usize>,
+) -> Result<usize, AsmError> {
+    let bytes = match (explicit, tpp.mode, hops) {
+        (Some(bytes), ..) => bytes,
+        (None, AddrMode::Hop, Some(h)) => h.saturating_mul(tpp.per_hop_len as usize),
+        (None, AddrMode::Stack, Some(h)) => h.saturating_mul(tpp.instrs.len() * 4),
+        (None, _, None) => 8 * tpp.instrs.len().max(1) * 4,
+    };
+    if bytes > MAX_MEMORY_BYTES {
+        return Err(AsmError::MemoryTooLarge(bytes));
+    }
+    Ok(bytes)
 }
 
 /// Disassemble a TPP back to text (inverse of [`assemble`] up to formatting).
@@ -328,7 +340,6 @@ pub struct TppBuilder {
     tpp: Tpp,
     hops: Option<usize>,
     explicit_memory: Option<usize>,
-    pending_words: Vec<(usize, u32)>,
 }
 
 impl TppBuilder {
@@ -353,12 +364,6 @@ impl TppBuilder {
         self
     }
 
-    #[must_use]
-    pub fn reflect(mut self) -> Self {
-        self.tpp.reflect = true;
-        self
-    }
-
     /// Preallocate memory for `n` hops (hop mode) or `n` pushed words
     /// (stack mode).
     #[must_use]
@@ -369,7 +374,7 @@ impl TppBuilder {
 
     #[must_use]
     pub fn memory_words(mut self, n: usize) -> Self {
-        self.explicit_memory = Some(n * 4);
+        self.explicit_memory = Some(n.saturating_mul(4));
         self
     }
 
@@ -409,46 +414,12 @@ impl TppBuilder {
         let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
         Ok(self.push(a))
     }
-    pub fn store_m(self, m: &str, off: u8) -> Result<Self, AsmError> {
-        let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
-        Ok(self.store(a, off))
-    }
-    pub fn cstore_m(self, m: &str, pre: u8, post: u8) -> Result<Self, AsmError> {
-        let a = resolve_mnemonic(m).map_err(|e| AsmError::Syntax(0, e.to_string()))?;
-        Ok(self.cstore(a, pre, post))
-    }
-
-    /// Initialize packet-memory word `idx` (applied at build).
-    #[must_use]
-    pub fn init_word(mut self, idx: usize, value: u32) -> Self {
-        // Deferred: memory is sized at build time; stash as instructions in
-        // error-free form by growing a pending list.
-        self.pending_words.push((idx, value));
-        self
-    }
 
     pub fn build(mut self) -> Result<Tpp, AsmError> {
         if self.tpp.instrs.len() > MAX_INSTRUCTIONS {
             return Err(AsmError::TooManyInstructions(self.tpp.instrs.len()));
         }
-        let mem = if let Some(m) = self.explicit_memory {
-            m
-        } else {
-            match (self.tpp.mode, self.hops) {
-                (AddrMode::Hop, Some(h)) => h * self.tpp.per_hop_len as usize,
-                (AddrMode::Stack, Some(h)) => h * self.tpp.instrs.len() * 4,
-                _ => 8 * self.tpp.instrs.len().max(1) * 4,
-            }
-        };
-        if mem > MAX_MEMORY_BYTES {
-            return Err(AsmError::MemoryTooLarge(mem));
-        }
-        self.tpp.memory = vec![0; mem];
-        for (idx, val) in std::mem::take(&mut self.pending_words) {
-            if self.tpp.write_word(idx, val).is_none() {
-                return Err(AsmError::OperandOutOfRange(0, format!("init word {idx}")));
-            }
-        }
+        self.tpp.memory = vec![0; memory_bytes(&self.tpp, self.explicit_memory, self.hops)?];
         // Validate nibble operands.
         for ins in &self.tpp.instrs {
             if matches!(ins.opcode, Opcode::Cstore | Opcode::Cexec)
@@ -595,6 +566,27 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(from_asm, from_builder);
+
+        // Stack mode: one pushed word per instruction per hop, both ways.
+        let from_asm = assemble(".mode stack\n.hops 5\nPUSH [Switch:SwitchID]").unwrap();
+        let from_builder =
+            TppBuilder::stack_mode().push_m("Switch:SwitchID").unwrap().hops(5).build().unwrap();
+        assert_eq!(from_asm.memory.len(), 20);
+        assert_eq!(from_asm, from_builder);
+    }
+
+    #[test]
+    fn hop_budgets_past_the_address_space_are_refused() {
+        let src = ".mode hop\n.perhop 8\n.hops 2305843009213693952\nPUSH [Switch:SwitchID]";
+        assert!(matches!(assemble(src), Err(AsmError::MemoryTooLarge(_))));
+        let built = TppBuilder::hop_mode(2).push_m("Switch:SwitchID").unwrap().hops(usize::MAX);
+        assert!(matches!(built.build(), Err(AsmError::MemoryTooLarge(_))));
+        let built = TppBuilder::stack_mode().push_m("Switch:SwitchID").unwrap().hops(usize::MAX);
+        assert!(matches!(built.build(), Err(AsmError::MemoryTooLarge(_))));
+        let built = TppBuilder::stack_mode().memory_words(usize::MAX);
+        assert!(matches!(built.build(), Err(AsmError::MemoryTooLarge(_))));
+        let src = ".mode stack\n.memory 8\n.word 4611686018427387904 1\nPUSH [Switch:SwitchID]";
+        assert!(matches!(assemble(src), Err(AsmError::OperandOutOfRange(..))));
     }
 
     #[test]
@@ -614,14 +606,13 @@ mod tests {
 
     #[test]
     fn builder_init_words() {
-        let t = TppBuilder::hop_mode(3)
-            .cstore_m("Link:AppSpecific_0", 0, 1)
-            .unwrap()
-            .init_word(0, 42)
-            .init_word(1, 43)
+        let mut t = TppBuilder::hop_mode(3)
+            .cstore(resolve_mnemonic("Link:AppSpecific_0").unwrap(), 0, 1)
             .hops(2)
             .build()
             .unwrap();
+        t.write_word(0, 42).unwrap();
+        t.write_word(1, 43).unwrap();
         assert_eq!(t.read_word(0), Some(42));
         assert_eq!(t.read_word(1), Some(43));
     }

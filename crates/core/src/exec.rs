@@ -66,12 +66,6 @@ impl MapBus {
         }
         b
     }
-    pub fn mark_read_only(&mut self, addr: Address) {
-        self.read_only.insert(addr.raw());
-    }
-    pub fn get(&self, addr: Address) -> Option<Word> {
-        self.mem.get(&addr.raw()).copied()
-    }
 }
 
 impl MemoryBus for MapBus {
@@ -134,28 +128,6 @@ pub struct ExecOutcome {
     pub wrote: bool,
     /// TPP was rejected before execution (over budget).
     pub rejected: bool,
-}
-
-impl ExecOutcome {
-    pub fn executed_count(&self) -> usize {
-        self.status.iter().filter(|s| matches!(s, InstrStatus::Executed)).count()
-    }
-    /// The opcodes that actually touched the datapath, for cost accounting.
-    pub fn executed_ops<'a>(
-        &'a self,
-        instrs: &'a [Instruction],
-    ) -> impl Iterator<Item = Opcode> + 'a {
-        self.status
-            .iter()
-            .zip(instrs)
-            .filter(|(s, _)| {
-                matches!(
-                    s,
-                    InstrStatus::Executed | InstrStatus::CondFailed | InstrStatus::PredicateFalse
-                )
-            })
-            .map(|(_, i)| i.opcode)
-    }
 }
 
 /// Execute `tpp` in program order against `bus`.
@@ -332,12 +304,6 @@ impl StatusVec {
     }
     pub fn as_slice(&self) -> &[InstrStatus] {
         &self.arr[..self.len as usize]
-    }
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -586,7 +552,7 @@ mod tests {
         let out = execute(&mut tpp, &mut bus, &ExecOptions::default());
         assert_eq!(out.status, vec![InstrStatus::Executed, InstrStatus::Executed]);
         assert!(out.wrote);
-        assert_eq!(bus.get(reg), Some(42));
+        assert_eq!(bus.read(reg), Some(42));
         assert_eq!(tpp.sp, 0);
         assert!(tpp.wrote);
     }
@@ -598,7 +564,7 @@ mod tests {
         let mut bus = MapBus::with(&[(reg, 5)]);
         let out = execute(&mut tpp, &mut bus, &ExecOptions::default());
         assert_eq!(out.status, vec![InstrStatus::Skipped]);
-        assert_eq!(bus.get(reg), Some(5));
+        assert_eq!(bus.read(reg), Some(5));
     }
 
     #[test]
@@ -645,16 +611,16 @@ mod tests {
         let mut bus = MapBus::with(&[(v_addr, 10), (r_addr, 0)]);
         let out = execute(&mut tpp, &mut bus, &ExecOptions::default());
         assert_eq!(out.status, vec![InstrStatus::Executed, InstrStatus::Executed]);
-        assert_eq!(bus.get(v_addr), Some(11));
-        assert_eq!(bus.get(r_addr), Some(5000));
+        assert_eq!(bus.read(v_addr), Some(11));
+        assert_eq!(bus.read(r_addr), Some(5000));
         assert_eq!(tpp.read_word(0), Some(11)); // observed value written back
 
         // Hop 1: version mismatch -> swap fails, STORE suppressed.
         let mut bus = MapBus::with(&[(v_addr, 20), (r_addr, 0)]);
         let out = execute(&mut tpp, &mut bus, &ExecOptions::default());
         assert_eq!(out.status, vec![InstrStatus::CondFailed, InstrStatus::Suppressed]);
-        assert_eq!(bus.get(v_addr), Some(20)); // untouched
-        assert_eq!(bus.get(r_addr), Some(0)); // untouched
+        assert_eq!(bus.read(v_addr), Some(20)); // untouched
+        assert_eq!(bus.read(r_addr), Some(0)); // untouched
         assert_eq!(tpp.read_word(3), Some(20)); // observed value tells the host
     }
 
@@ -699,7 +665,7 @@ mod tests {
         let mut bus = MapBus::with(&[(reg, 0)]);
         let out = execute(&mut tpp, &mut bus, &ExecOptions { allow_writes: false });
         assert_eq!(out.status, vec![InstrStatus::Skipped]);
-        assert_eq!(bus.get(reg), Some(0));
+        assert_eq!(bus.read(reg), Some(0));
         assert!(!tpp.wrote);
     }
 
@@ -712,7 +678,7 @@ mod tests {
         let mut bus = MapBus::with(&[(reg, 10)]);
         let out = execute(&mut tpp, &mut bus, &ExecOptions { allow_writes: false });
         assert_eq!(out.status, vec![InstrStatus::CondFailed]);
-        assert_eq!(bus.get(reg), Some(10));
+        assert_eq!(bus.read(reg), Some(10));
         // Observed value still written back so the host learns the state.
         assert_eq!(tpp.read_word(0), Some(10));
     }
@@ -722,10 +688,10 @@ mod tests {
         let counter = a("Link:RX-Bytes");
         let mut tpp = hop_tpp(vec![Instruction::store(counter, 0)], 4, 1);
         let mut bus = MapBus::with(&[(counter, 555)]);
-        bus.mark_read_only(counter);
+        bus.read_only.insert(counter.raw());
         let out = execute(&mut tpp, &mut bus, &ExecOptions::default());
         assert_eq!(out.status, vec![InstrStatus::Skipped]);
-        assert_eq!(bus.get(counter), Some(555));
+        assert_eq!(bus.read(counter), Some(555));
     }
 
     #[test]

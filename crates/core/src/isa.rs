@@ -67,12 +67,6 @@ impl Opcode {
         matches!(self, Opcode::Store | Opcode::Pop | Opcode::Cstore)
     }
 
-    /// Whether this opcode writes to *packet* memory.
-    pub fn writes_packet_memory(self) -> bool {
-        // CSTORE writes the observed old value back into the packet (§3.3.3).
-        matches!(self, Opcode::Load | Opcode::Push | Opcode::Cstore)
-    }
-
     /// Whether this opcode can suppress execution of subsequent instructions.
     pub fn is_conditional(self) -> bool {
         matches!(self, Opcode::Cstore | Opcode::Cexec)
@@ -202,15 +196,6 @@ impl fmt::Display for Instruction {
     }
 }
 
-/// Encode a program (instruction slice) to bytes.
-pub fn encode_program(instrs: &[Instruction]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(instrs.len() * INSTR_BYTES);
-    for i in instrs {
-        out.extend_from_slice(&i.encode());
-    }
-    out
-}
-
 /// Why a program failed to decode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProgramError {
@@ -254,6 +239,10 @@ pub fn validate_program(bytes: &[u8]) -> Result<(), ProgramError> {
 mod tests {
     use super::*;
     use crate::addr::resolve_mnemonic;
+
+    fn encode_program(instrs: &[Instruction]) -> Vec<u8> {
+        instrs.iter().flat_map(|i| i.encode()).collect()
+    }
 
     fn qsize() -> Address {
         resolve_mnemonic("Queue:QueueOccupancy").unwrap()
@@ -322,7 +311,6 @@ mod tests {
         assert!(!Opcode::Load.writes_switch_memory());
         assert!(!Opcode::Push.writes_switch_memory());
         assert!(!Opcode::Cexec.writes_switch_memory());
-        assert!(Opcode::Cstore.writes_packet_memory());
     }
 
     #[test]

@@ -199,7 +199,6 @@ pub struct Probe {
     name: String,
     mode: AddrMode,
     app_id: u16,
-    reflect: bool,
     hops: usize,
     pad_to: Option<usize>,
     fields: Vec<Field>,
@@ -213,7 +212,6 @@ impl Probe {
             name: name.to_string(),
             mode,
             app_id: 0,
-            reflect: false,
             hops: 8,
             pad_to: None,
             fields: Vec::new(),
@@ -280,13 +278,6 @@ impl Probe {
     #[must_use]
     pub fn app_id(mut self, id: u16) -> Self {
         self.app_id = id;
-        self
-    }
-
-    /// Set the reflect bit: switches send the TPP straight back (§4.4).
-    #[must_use]
-    pub fn reflect(mut self) -> Self {
-        self.reflect = true;
         self
     }
 
@@ -389,9 +380,6 @@ impl Probe {
             AddrMode::Hop => TppBuilder::hop_mode(self.words_per_hop as u8),
         };
         b = b.app_id(self.app_id);
-        if self.reflect {
-            b = b.reflect();
-        }
         for f in &self.fields {
             let off = f.offset as u8;
             b = match f.kind {
@@ -558,24 +546,10 @@ pub struct HopRecord<'a> {
 }
 
 impl HopRecord<'_> {
-    /// Index of this hop along the path (0 = first switch).
-    pub fn hop(&self) -> usize {
-        self.hop
-    }
-
     /// The value of field `name` (its first slot) at this hop.
     pub fn get(&self, name: &str) -> Option<u32> {
         let f = self.probe.field_named(name).ok()?;
         self.word(f.offset)
-    }
-
-    /// Slot `slot` of field `name` at this hop (cstore/cexec carry two).
-    pub fn get_slot(&self, name: &str, slot: usize) -> Option<u32> {
-        let f = self.probe.field_named(name).ok()?;
-        if slot >= f.kind.slots() {
-            return None;
-        }
-        self.word(f.offset + slot)
     }
 
     /// The value of the `idx`-th declared field (its first slot).
@@ -671,7 +645,6 @@ mod tests {
         let recs: Vec<_> = p.records(&t).collect();
         assert_eq!(recs.len(), 3);
         for (h, r) in recs.iter().enumerate() {
-            assert_eq!(r.hop(), h);
             assert_eq!(r.get("switch"), Some(10 + h as u32));
             assert_eq!(r.at(1), Some(h as u32));
             assert_eq!(r.get("q"), Some(100 + h as u32));
@@ -729,7 +702,8 @@ mod tests {
         t.hop = 1;
         let recs: Vec<_> = update.records(&t).collect();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].get_slot("version", 1), Some(0));
+        let version = &update.fields()[update.index_of("version").unwrap()];
+        assert_eq!(t.read_word(version.offset + 1), Some(0)); // hop 0, slot 1
     }
 
     #[test]

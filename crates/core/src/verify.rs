@@ -16,8 +16,8 @@
 //!   memory, the declared hop budget, and [`MAX_MEMORY_BYTES`];
 //! * **switch addresses** per instruction, checked against granted
 //!   [`Segment`] tables and architectural writability;
-//! * **CEXEC/CSTORE gating** — which suffix of the program is conditional
-//!   and what switch state it may touch ([`Gate`]);
+//! * **CEXEC/CSTORE gating** — the suffix after the first conditional may
+//!   not run, so its packet writes initialize nothing for later hops;
 //! * **uninitialized packet-memory reads** (stack mode: a read of a word
 //!   neither below the initial SP nor written by an earlier instruction) and
 //!   **dead stores** (a packet word overwritten in the same hop before
@@ -46,10 +46,9 @@
 //! instructions gracefully (§3.3). Those skips are environment-dependent and
 //! outside the proof.
 
-use crate::addr::{is_architecturally_writable, Address};
+use crate::addr::is_architecturally_writable;
 use crate::analysis::{
-    check_segments, find_hazards, instruction_access, Access, Hazard, Segment, Violation,
-    ViolationReason,
+    check_segments, find_hazards, instruction_access, Hazard, Segment, Violation, ViolationReason,
 };
 use crate::isa::{Instruction, Opcode, PacketOperands, MAX_INSTRUCTIONS};
 use crate::wire::tpp::{AddrMode, Tpp, MAX_MEMORY_BYTES};
@@ -210,24 +209,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The conditional structure of a program: the first CSTORE/CEXEC and the
-/// switch accesses its gated suffix may perform when the condition holds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Gate {
-    /// Index of the first conditional instruction.
-    pub index: usize,
-    pub opcode: Opcode,
-    /// Switch accesses of the gated suffix, in program order.
-    pub suffix: Vec<(Address, Access)>,
-}
-
-impl Gate {
-    /// Does the gated suffix write switch memory when the condition holds?
-    pub fn suffix_writes_switch(&self) -> bool {
-        self.suffix.iter().any(|(_, a)| a.is_write())
-    }
-}
-
 /// Inputs to [`verify`] beyond the program itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VerifyOptions<'a> {
@@ -239,26 +220,19 @@ pub struct VerifyOptions<'a> {
     pub segments: Option<&'a [Segment]>,
 }
 
-/// The structured result of [`verify`]: every diagnostic, the derived or
-/// checked hop coverage and the conditional gate (if any).
+/// The structured result of [`verify`]: every diagnostic and the derived or
+/// checked hop coverage.
 #[derive(Clone, Debug)]
 pub struct Verdict {
     pub diagnostics: Vec<Diagnostic>,
     /// Hops proven safe, starting at the program's current hop counter.
     pub hops_verified: usize,
-    /// Conditional gate structure, when the program has one.
-    pub gate: Option<Gate>,
 }
 
 impl Verdict {
     /// No deny-class diagnostics: the program may be installed.
     pub fn passed(&self) -> bool {
         self.denials().next().is_none()
-    }
-
-    /// No diagnostics at all, lints included.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
     }
 
     pub fn denials(&self) -> impl Iterator<Item = &Diagnostic> {
@@ -294,11 +268,6 @@ fn low_bits(n: usize) -> u64 {
     }
 }
 
-/// Verify a program for a fixed hop budget (`VerifyOptions { hops, .. }`).
-pub fn verify_for_hops(tpp: &Tpp, hops: usize) -> Verdict {
-    verify(tpp, VerifyOptions { hops: Some(hops), segments: None })
-}
-
 /// Run the abstract interpreter. See the module docs for what is checked;
 /// see [`Verdict`] for what comes back.
 pub fn verify(tpp: &Tpp, opts: VerifyOptions<'_>) -> Verdict {
@@ -332,28 +301,24 @@ pub fn verify(tpp: &Tpp, opts: VerifyOptions<'_>) -> Verdict {
         }
     }
     if !diags.is_empty() {
-        return Verdict { diagnostics: diags, hops_verified: 0, gate: None };
+        return Verdict { diagnostics: diags, hops_verified: 0 };
     }
 
-    // Conditional gate structure.
+    // The first conditional gates every instruction after it.
     let gate_idx = tpp.instrs.iter().position(|i| i.opcode.is_conditional());
-    let gate = gate_idx.map(|index| Gate {
-        index,
-        opcode: tpp.instrs[index].opcode,
-        suffix: tpp.instrs[index + 1..].iter().map(instruction_access).collect(),
-    });
     if gate_idx == Some(n.wrapping_sub(1)) && n > 0 {
         diags.push(Diagnostic { kind: DiagKind::UselessConditional, instr: gate_idx });
     }
 
     // Declared hop budget vs. preallocated memory (hop mode reserves a full
-    // window per hop whether or not an instruction touches it).
+    // window per hop whether or not an instruction touches it). A budget
+    // whose footprint overflows is over capacity too.
     if let Some(h) = opts.hops {
-        if tpp.mode == AddrMode::Hop && phw > 0 && h * phw > words {
+        if tpp.mode == AddrMode::Hop && phw > 0 && h.checked_mul(phw).is_none_or(|n| n > words) {
             diags.push(Diagnostic {
                 kind: DiagKind::OverCapacity {
                     hops: h,
-                    needed_bytes: h * tpp.per_hop_len as usize,
+                    needed_bytes: h.saturating_mul(tpp.per_hop_len as usize),
                     have_bytes: tpp.memory.len(),
                 },
                 instr: None,
@@ -588,18 +553,38 @@ pub fn verify(tpp: &Tpp, opts: VerifyOptions<'_>) -> Verdict {
         None => clean_hops,
     };
 
-    Verdict { diagnostics: diags, hops_verified, gate }
+    Verdict { diagnostics: diags, hops_verified }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::resolve_mnemonic;
-    use crate::asm::TppBuilder;
+    use crate::addr::{resolve_mnemonic, Address};
+    use crate::asm::{assemble, TppBuilder};
     use crate::isa::Instruction;
 
     fn a(m: &str) -> Address {
         resolve_mnemonic(m).unwrap()
+    }
+
+    fn verify_for_hops(tpp: &Tpp, hops: usize) -> Verdict {
+        verify(tpp, VerifyOptions { hops: Some(hops), segments: None })
+    }
+
+    #[test]
+    fn hop_budget_past_the_address_space_is_over_capacity() {
+        // `tpp-lint --hops 9223372036854775808` on a one-hop, 8-byte-window
+        // program: the footprint overflows a usize, so it cannot fit.
+        let t = assemble(".mode hop\n.perhop 8\n.hops 1\nLOAD [Switch:SwitchID], [Packet:Hop[0]]")
+            .unwrap();
+        for hops in [1usize << 63, usize::MAX] {
+            let v = verify_for_hops(&t, hops);
+            assert!(!v.passed());
+            assert!(v.diagnostics.iter().any(|d| matches!(
+                d.kind,
+                DiagKind::OverCapacity { hops: h, needed_bytes: usize::MAX, have_bytes: 8 } if h == hops
+            )));
+        }
     }
 
     #[test]
@@ -613,7 +598,7 @@ mod tests {
             .build()
             .unwrap();
         let v = verify(&t, VerifyOptions::default());
-        assert!(v.is_clean(), "{:?}", v.diagnostics);
+        assert!(v.diagnostics.is_empty(), "{:?}", v.diagnostics);
         assert_eq!(v.hops_verified, 5);
         assert!(v.passed());
         // A sixth hop would overflow: asked for explicitly, it is denied
@@ -734,10 +719,7 @@ mod tests {
             .unwrap();
         let v = verify_for_hops(&t, 2);
         assert!(v.passed(), "{:?}", v.diagnostics);
-        let gate = v.gate.unwrap();
-        assert_eq!(gate.index, 0);
-        assert_eq!(gate.opcode, Opcode::Cstore);
-        assert!(gate.suffix_writes_switch());
+        assert_eq!(v.hops_verified, 2);
     }
 
     #[test]

@@ -176,19 +176,6 @@ pub struct Repr {
 }
 
 impl Repr {
-    pub fn parse<T: AsRef<[u8]>>(p: &Packet<T>) -> Option<Repr> {
-        if !p.verify_checksum() {
-            return None;
-        }
-        Some(Repr {
-            src: p.src(),
-            dst: p.dst(),
-            protocol: p.protocol(),
-            ttl: p.ttl(),
-            payload_len: p.total_len() as usize - p.header_len(),
-        })
-    }
-
     pub fn buffer_len(&self) -> usize {
         HEADER_LEN + self.payload_len
     }
@@ -220,6 +207,22 @@ impl Repr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The decode, as the oracle of `emit`.
+    impl Repr {
+        fn parse<T: AsRef<[u8]>>(p: &Packet<T>) -> Option<Repr> {
+            if !p.verify_checksum() {
+                return None;
+            }
+            Some(Repr {
+                src: p.src(),
+                dst: p.dst(),
+                protocol: p.protocol(),
+                ttl: p.ttl(),
+                payload_len: p.total_len() as usize - p.header_len(),
+            })
+        }
+    }
 
     fn sample_repr() -> Repr {
         Repr {

@@ -146,33 +146,6 @@ pub fn restore_inner_frame_in_place(
     frame.truncate(frame.len() - consumed);
 }
 
-/// Remove a transparent-mode TPP from a frame, restoring the original
-/// ethertype. Returns the TPP and the restored inner frame.
-pub fn strip_transparent(frame: &[u8]) -> Option<(Tpp, Vec<u8>)> {
-    let TppLocation::Transparent { section } = locate_tpp(frame) else {
-        return None;
-    };
-    let (tpp, consumed) = Tpp::parse(&frame[section..]).ok()?;
-    let inner = restore_inner_frame(frame, section, consumed, tpp.encap_proto);
-    Some((tpp, inner))
-}
-
-/// Rewrite the TPP section of a frame in place with an updated TPP of the
-/// same shape (same instruction count and memory length). This is what a
-/// switch does after executing a TPP. Returns `None` on shape mismatch.
-pub fn replace_tpp(frame: &mut [u8], loc: TppLocation, tpp: &Tpp) -> Option<()> {
-    let section = match loc {
-        TppLocation::Transparent { section } | TppLocation::Standalone { section, .. } => section,
-        TppLocation::None => return None,
-    };
-    let len = tpp.section_len();
-    if frame.len() < section + len {
-        return None;
-    }
-    tpp.emit(&mut frame[section..section + len]);
-    Some(())
-}
-
 /// Build a standalone TPP packet: Ethernet/IPv4/UDP(dport 0x6666)/TPP, in
 /// one buffer ([`udp_frame_with`]) with the section emitted as the payload.
 #[allow(clippy::too_many_arguments)]
@@ -268,6 +241,17 @@ mod tests {
     use crate::addr::resolve_mnemonic;
     use crate::isa::Instruction;
 
+    /// Remove a transparent-mode TPP from a frame, restoring the original
+    /// ethertype. Returns the TPP and the restored inner frame.
+    fn strip_transparent(frame: &[u8]) -> Option<(Tpp, Vec<u8>)> {
+        let TppLocation::Transparent { section } = locate_tpp(frame) else {
+            return None;
+        };
+        let (tpp, consumed) = Tpp::parse(&frame[section..]).ok()?;
+        let inner = restore_inner_frame(frame, section, consumed, tpp.encap_proto);
+        Some((tpp, inner))
+    }
+
     fn mac(i: u32) -> EthernetAddress {
         EthernetAddress::from_node_id(i)
     }
@@ -358,11 +342,12 @@ mod tests {
             5000,
             &tpp,
         );
-        let loc = locate_tpp(&frame);
-        let mut executed = tpp.clone();
-        executed.hop = 3;
-        executed.write_word(0, 0x1234_5678).unwrap();
-        replace_tpp(&mut frame, loc, &executed).unwrap();
+        let TppLocation::Standalone { section, .. } = locate_tpp(&frame) else {
+            panic!("a standalone TPP");
+        };
+        let (mut view, _) = TppViewMut::parse(&mut frame[section..]).unwrap();
+        view.set_hop(3);
+        view.write_word(0, 0x1234_5678).unwrap();
         let (_, back) = extract_tpp(&frame).unwrap();
         assert_eq!(back.hop, 3);
         assert_eq!(back.read_word(0), Some(0x1234_5678));

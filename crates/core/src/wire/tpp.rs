@@ -148,14 +148,14 @@ impl Tpp {
 
     /// Read packet-memory word `idx` (word-granular indexing).
     pub fn read_word(&self, idx: usize) -> Option<u32> {
-        let b = self.memory.get(idx * 4..idx * 4 + 4)?;
+        let b = self.memory.get(idx.checked_mul(4)?..)?.get(..4)?;
         Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Write packet-memory word `idx`. Returns `None` (and leaves memory
     /// untouched) when out of bounds.
     pub fn write_word(&mut self, idx: usize, value: u32) -> Option<()> {
-        let b = self.memory.get_mut(idx * 4..idx * 4 + 4)?;
+        let b = self.memory.get_mut(idx.checked_mul(4)?..)?.get_mut(..4)?;
         b.copy_from_slice(&value.to_be_bytes());
         Some(())
     }
@@ -184,22 +184,6 @@ impl Tpp {
     /// Iterate the packet-memory words without allocating.
     pub fn iter_words(&self) -> impl Iterator<Item = u32> + '_ {
         self.memory.chunks_exact(4).map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// The values collected for hop `h` as a word slice view.
-    pub fn hop_words(&self, h: u8) -> Vec<u32> {
-        self.iter_hop_words(h).collect()
-    }
-
-    /// Iterate the per-hop window of hop `h` without allocating. Empty when
-    /// hop addressing is off; truncated at the end of memory.
-    pub fn iter_hop_words(&self, h: u8) -> impl Iterator<Item = u32> + '_ {
-        let phw = self.per_hop_words();
-        let start = (h as usize * phw * 4).min(self.memory.len());
-        let end = (start + phw * 4).min(self.memory.len());
-        self.memory[start..end]
-            .chunks_exact(4)
-            .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Serialize to wire bytes, computing the checksum (Figure 7b field 6).
@@ -247,17 +231,25 @@ impl Tpp {
         let (view, total) = TppView::parse(bytes)?;
         Ok((view.to_tpp(), total))
     }
-
-    /// Whether every hop up to `n_hops` fits in the preallocated memory.
-    pub fn fits_hops(&self, n_hops: usize) -> bool {
-        self.per_hop_words() == 0 || n_hops * self.per_hop_len as usize <= self.memory.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::resolve_mnemonic;
+
+    impl Tpp {
+        /// Iterate the per-hop window of hop `h` without allocating. Empty when
+        /// hop addressing is off; truncated at the end of memory.
+        fn iter_hop_words(&self, h: u8) -> impl Iterator<Item = u32> + '_ {
+            let phw = self.per_hop_words();
+            let start = (h as usize * phw * 4).min(self.memory.len());
+            let end = (start + phw * 4).min(self.memory.len());
+            self.memory[start..end]
+                .chunks_exact(4)
+                .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        }
+    }
 
     fn sample() -> Tpp {
         Tpp {
@@ -344,18 +336,18 @@ mod tests {
         // Hop addressing: hop=2, offset 1 -> word 7.
         t.write_hop_word(1, 77).unwrap();
         assert_eq!(t.read_word(7), Some(77));
-        assert_eq!(t.hop_words(2), vec![0, 77, 0]);
-        // The alloc-free iterators agree with the Vec-returning accessors.
+        assert_eq!(t.iter_hop_words(2).collect::<Vec<_>>(), vec![0, 77, 0]);
+        // The alloc-free iterator agrees with the Vec-returning accessor.
         assert_eq!(t.iter_words().collect::<Vec<_>>(), t.words());
-        assert_eq!(t.iter_hop_words(2).collect::<Vec<_>>(), t.hop_words(2));
         assert_eq!(t.iter_hop_words(200).count(), 0); // window past the end
     }
 
     #[test]
     fn fits_hops() {
-        let t = sample(); // 60B memory, 12B/hop
-        assert!(t.fits_hops(5));
-        assert!(!t.fits_hops(6));
+        // 60 B of memory at 12 B per hop: hops 0-4 have a window, hop 5 none.
+        let t = sample();
+        assert_eq!(t.iter_hop_words(4).count(), 3);
+        assert_eq!(t.iter_hop_words(5).count(), 0);
     }
 
     #[test]

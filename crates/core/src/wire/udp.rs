@@ -21,7 +21,7 @@ impl<T: AsRef<[u8]>> Datagram<T> {
             return None;
         }
         let d = Datagram { buffer };
-        let l = d.len() as usize;
+        let l = d.length() as usize;
         if l < HEADER_LEN || l > len {
             return None;
         }
@@ -40,30 +40,13 @@ impl<T: AsRef<[u8]>> Datagram<T> {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
-    pub fn len(&self) -> u16 {
+    /// The length field: header and payload bytes.
+    pub fn length(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[4], b[5]])
     }
-    pub fn is_empty(&self) -> bool {
-        self.len() as usize == HEADER_LEN
-    }
-    pub fn checksum_field(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[6], b[7]])
-    }
     pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[HEADER_LEN..self.len() as usize]
-    }
-
-    /// Verify the UDP checksum given the IPv4 pseudo-header. A zero checksum
-    /// field means "not computed" and always verifies (RFC 768).
-    pub fn verify_checksum(&self, src: Ipv4Address, dst: Ipv4Address) -> bool {
-        if self.checksum_field() == 0 {
-            return true;
-        }
-        let data = &self.buffer.as_ref()[..self.len() as usize];
-        let ph = checksum::pseudo_header_sum(src.0, dst.0, super::ipv4::protocol::UDP, self.len());
-        checksum::combine(&[ph, checksum::sum(data)]) == 0xFFFF
+        &self.buffer.as_ref()[HEADER_LEN..self.length() as usize]
     }
 }
 
@@ -78,11 +61,11 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Datagram<T> {
         self.buffer.as_mut()[4..6].copy_from_slice(&v.to_be_bytes());
     }
     pub fn payload_mut(&mut self) -> &mut [u8] {
-        let l = self.len() as usize;
+        let l = self.length() as usize;
         &mut self.buffer.as_mut()[HEADER_LEN..l]
     }
     pub fn fill_checksum(&mut self, src: Ipv4Address, dst: Ipv4Address) {
-        let len = self.len() as usize;
+        let len = self.length() as usize;
         self.fill_checksum_over(src, dst, len);
     }
 
@@ -99,7 +82,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Datagram<T> {
         covered: usize,
     ) {
         self.buffer.as_mut()[6..8].copy_from_slice(&[0, 0]);
-        let len = self.len();
+        let len = self.length();
         let data = &self.buffer.as_ref()[..covered];
         let ph = checksum::pseudo_header_sum(src.0, dst.0, super::ipv4::protocol::UDP, len);
         let mut c = !checksum::combine(&[ph, checksum::sum(data)]);
@@ -119,14 +102,6 @@ pub struct Repr {
 }
 
 impl Repr {
-    pub fn parse<T: AsRef<[u8]>>(d: &Datagram<T>) -> Repr {
-        Repr {
-            src_port: d.src_port(),
-            dst_port: d.dst_port(),
-            payload_len: d.len() as usize - HEADER_LEN,
-        }
-    }
-
     pub fn buffer_len(&self) -> usize {
         HEADER_LEN + self.payload_len
     }
@@ -148,6 +123,41 @@ impl Repr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The receive-side checks and decode, as the oracles of `fill_checksum`
+    // and `encapsulate`.
+    impl<T: AsRef<[u8]>> Datagram<T> {
+        pub(crate) fn checksum_field(&self) -> u16 {
+            let b = self.buffer.as_ref();
+            u16::from_be_bytes([b[6], b[7]])
+        }
+
+        /// Verify the UDP checksum given the IPv4 pseudo-header. A zero checksum
+        /// field means "not computed" and always verifies (RFC 768).
+        fn verify_checksum(&self, src: Ipv4Address, dst: Ipv4Address) -> bool {
+            if self.checksum_field() == 0 {
+                return true;
+            }
+            let data = &self.buffer.as_ref()[..self.length() as usize];
+            let ph = checksum::pseudo_header_sum(
+                src.0,
+                dst.0,
+                crate::wire::ipv4::protocol::UDP,
+                self.length(),
+            );
+            checksum::combine(&[ph, checksum::sum(data)]) == 0xFFFF
+        }
+    }
+
+    impl Repr {
+        fn parse<T: AsRef<[u8]>>(d: &Datagram<T>) -> Repr {
+            Repr {
+                src_port: d.src_port(),
+                dst_port: d.dst_port(),
+                payload_len: d.length() as usize - HEADER_LEN,
+            }
+        }
+    }
 
     fn addrs() -> (Ipv4Address, Ipv4Address) {
         (Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(10, 0, 0, 2))

@@ -218,11 +218,6 @@ macro_rules! view_accessors {
             self.hop() as usize * self.per_hop_words() + offset as usize
         }
 
-        /// Read the word at hop-relative `offset` for the current hop.
-        pub fn read_hop_word(&self, offset: u8) -> Option<u32> {
-            self.read_word(self.hop_word_index(offset))
-        }
-
         /// The raw section bytes (exactly [`Self::section_len`] long).
         pub fn as_bytes(&self) -> &[u8] {
             &self.bytes
@@ -388,11 +383,6 @@ impl<'a> TppViewMut<'a> {
 
     view_accessors!();
 
-    /// Downgrade to a read-only view.
-    pub fn as_view(&self) -> TppView<'_> {
-        TppView { bytes: self.bytes, shape: self.shape }
-    }
-
     /// Replace the 16-bit group at even offset `off` and return its
     /// [`term`] for [`Self::fold`].
     fn put16(&mut self, off: usize, new: u16) -> u32 {
@@ -468,11 +458,6 @@ impl<'a> TppViewMut<'a> {
         *word = value.to_be_bytes();
         self.fold(term((old >> 16) as u16, (value >> 16) as u16) + term(old as u16, value as u16));
         Some(())
-    }
-
-    /// Write the word at hop-relative `offset` for the current hop.
-    pub fn write_hop_word(&mut self, offset: u8, value: u32) -> Option<()> {
-        self.write_word(self.hop_word_index(offset), value)
     }
 }
 
@@ -578,7 +563,7 @@ mod tests {
             v.set_sp(4);
             v.set_wrote(true);
             v.write_word(0, 0xDEAD_BEEF).unwrap();
-            v.write_hop_word(1, 77).unwrap();
+            v.write_word(v.hop_word_index(1), 77).unwrap();
             assert_eq!(v.write_word(15, 1), None);
         }
         assert!(checksum::verify(&bytes));
@@ -611,7 +596,7 @@ mod tests {
         }
         assert!(checksum::verify(v.as_bytes()));
         // Identical to a from-scratch re-serialization of the same state.
-        let owned = v.as_view().to_tpp();
+        let owned = v.to_tpp();
         assert_eq!(v.as_bytes(), &owned.serialize()[..]);
     }
 

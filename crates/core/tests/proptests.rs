@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tpp_core::addr::{resolve_mnemonic, Address};
 use tpp_core::asm::{assemble, disassemble};
 use tpp_core::exec::{execute, execute_in_place, ExecOptions, MapBus};
-use tpp_core::isa::{encode_program, Instruction, Opcode};
+use tpp_core::isa::{Instruction, Opcode};
 use tpp_core::wire::{
     checksum, insert_transparent, insert_transparent_in_place, restore_inner_frame,
     restore_inner_frame_in_place, AddrMode, Tpp, TppView, TppViewMut,
@@ -131,7 +131,7 @@ proptest! {
     /// Instruction encode/decode is bijective over valid instructions.
     #[test]
     fn instruction_roundtrip(instrs in prop::collection::vec(arb_instruction(), 0..=16)) {
-        let bytes = encode_program(&instrs);
+        let bytes: Vec<u8> = instrs.iter().flat_map(|i| i.encode()).collect();
         let back: Vec<_> = bytes
             .chunks_exact(4)
             .map(|c| Instruction::decode([c[0], c[1], c[2], c[3]]))
@@ -281,7 +281,7 @@ proptest! {
                 bus.mem.insert(ins.addr.raw(), (x >> 32) as u32);
             }
             if ro_mask & (1 << i) != 0 {
-                bus.mark_read_only(ins.addr);
+                bus.read_only.insert(ins.addr.raw());
             }
         }
         let opts = ExecOptions { allow_writes };

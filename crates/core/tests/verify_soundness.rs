@@ -2,7 +2,7 @@
 //!
 //! The verifier's contract: a program it accepts for `h` hops executes
 //! those hops with **zero** packet-memory bounds faults and zero permission
-//! faults. These tests pit [`verify_for_hops`] against the in-place
+//! faults. These tests pit [`verify`] with a fixed hop budget against the in-place
 //! interpreter on random programs, memory layouts and hop counts:
 //!
 //! * accepted ⇒ no runtime `Skipped` on a fully-mapped bus (soundness);
@@ -14,8 +14,12 @@ use proptest::prelude::*;
 use tpp_core::addr::{is_architecturally_writable, resolve_mnemonic, Address};
 use tpp_core::exec::{execute_in_place, ExecOptions, InstrStatus, MapBus};
 use tpp_core::isa::{Instruction, Opcode};
-use tpp_core::verify::verify_for_hops;
+use tpp_core::verify::{verify, Verdict, VerifyOptions};
 use tpp_core::wire::{AddrMode, Tpp, TppViewMut};
+
+fn verify_for_hops(tpp: &Tpp, hops: usize) -> Verdict {
+    verify(tpp, VerifyOptions { hops: Some(hops), segments: None })
+}
 
 fn arb_opcode() -> impl Strategy<Value = Opcode> {
     prop_oneof![
@@ -93,7 +97,7 @@ fn full_bus(tpp: &Tpp) -> MapBus {
     for ins in &tpp.instrs {
         bus.mem.insert(ins.addr.raw(), 0x5EED_0000 | u32::from(ins.addr.raw()));
         if !is_architecturally_writable(ins.addr) {
-            bus.mark_read_only(ins.addr);
+            bus.read_only.insert(ins.addr.raw());
         }
     }
     bus

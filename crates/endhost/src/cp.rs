@@ -198,6 +198,7 @@ impl Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpp_core::addr::resolve_mnemonic;
     use tpp_core::asm::{assemble, TppBuilder};
 
     #[test]
@@ -306,8 +307,7 @@ mod tests {
         let mut cp = CentralCp::new();
         let app = cp.register_app("rerouter");
         let reroute = TppBuilder::hop_mode(1)
-            .store_m("PacketMetadata:OutputPort", 0)
-            .unwrap()
+            .store(resolve_mnemonic("PacketMetadata:OutputPort").unwrap(), 0)
             .hops(1)
             .build()
             .unwrap();

@@ -358,6 +358,7 @@ mod tests {
     use crate::Shim;
     use tpp_core::asm::TppBuilder;
     use tpp_core::exec::{execute, ExecOptions, MapBus};
+    use tpp_core::wire;
 
     fn probe() -> Tpp {
         TppBuilder::stack_mode().push_m("Switch:SwitchID").unwrap().hops(3).build().unwrap()
@@ -378,6 +379,15 @@ mod tests {
             |id| Shim::new(Ipv4Address::from_host_id(id), EthernetAddress::from_node_id(id), 0);
         let echo = host(2).incoming(frame).echo.expect("probe echoed");
         host(1).incoming(echo).completed.expect("completion surfaced")
+    }
+
+    /// Overwrite the probe's last memory word, its nonce, as a path would.
+    fn overwrite_nonce(frame: &mut [u8], value: u32) {
+        let wire::TppLocation::Standalone { section, .. } = wire::locate_tpp(frame) else {
+            panic!("a standalone probe");
+        };
+        let (mut view, _) = wire::TppViewMut::parse(&mut frame[section..]).unwrap();
+        view.write_word(view.memory_words() - 1, value).unwrap();
     }
 
     #[test]
@@ -419,9 +429,7 @@ mod tests {
         // the echo carries back in its flow trailer, still names it.
         let mut e = exec();
         let (token, mut frame) = e.send(0, Ipv4Address::from_host_id(2), probe(), None);
-        let (loc, mut tpp) = tpp_core::wire::extract_tpp(&frame).unwrap();
-        tpp.write_word(tpp.memory_words() - 1, 0xDEAD_BEEF).unwrap();
-        tpp_core::wire::replace_tpp(&mut frame, loc, &tpp).unwrap();
+        overwrite_nonce(&mut frame, 0xDEAD_BEEF);
         let done = completion(frame);
         assert_eq!(Executor::nonce_of(&done.tpp), Some(0xDEAD_BEEF));
         match e.on_completed(done) {
@@ -458,10 +466,8 @@ mod tests {
         assert!(e.on_completed(echo).is_none());
         assert_eq!((e.completed, e.unmatched), (1, 1));
         // Nor does an echo of the second whose nonce the path overwrote.
-        let (loc, mut tpp) = tpp_core::wire::extract_tpp(&second_frame).unwrap();
-        tpp.write_word(tpp.memory_words() - 1, 0xDEAD_BEEF).unwrap();
         let mut overwritten = second_frame.clone();
-        tpp_core::wire::replace_tpp(&mut overwritten, loc, &tpp).unwrap();
+        overwrite_nonce(&mut overwritten, 0xDEAD_BEEF);
         assert!(e.on_completed(completion(overwritten)).is_none());
         assert_eq!((e.unmatched, e.next_deadline()), (2, Some(1 + e.cfg.timeout_ns)));
         // Its own echo completes it.

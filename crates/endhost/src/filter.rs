@@ -58,10 +58,6 @@ impl Filter {
         Filter { protocol: Some(6), ..Filter::default() }
     }
 
-    pub fn dst_port(port: u16) -> Filter {
-        Filter { dst_port: Some(port), ..Filter::default() }
-    }
-
     /// Whether `key` satisfies every field the filter fixes: the linear
     /// oracle the indexed [`FilterTable`] is checked against.
     #[cfg(test)]
@@ -206,16 +202,8 @@ impl FilterTable {
         positions.insert(positions.partition_point(|&p| p < pos), pos);
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    pub fn entries(&self) -> &[FilterEntry] {
-        &self.entries
     }
 
     /// Find the TPP to stamp on an IPv4 packet with flow key `key`, if any:
@@ -256,6 +244,22 @@ impl FilterTable {
 mod tests {
     use super::*;
     use tpp_core::asm::TppBuilder;
+
+    impl FilterTable {
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        fn entries(&self) -> &[FilterEntry] {
+            &self.entries
+        }
+    }
+
+    impl Filter {
+        pub(crate) fn dst_port(port: u16) -> Filter {
+            Filter { dst_port: Some(port), ..Filter::default() }
+        }
+    }
 
     fn key(proto: u8, sport: u16, dport: u16) -> FlowKey {
         FlowKey {

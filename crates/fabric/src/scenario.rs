@@ -14,7 +14,7 @@
 //! * **Workload** — a [`WorkloadSpec`]: a named [`TrafficConfig`] preset
 //!   ([`WorkloadSpec::uniform`], [`WorkloadSpec::heavy_tailed`],
 //!   [`WorkloadSpec::incast`], [`WorkloadSpec::shuffle`]). The in-band
-//!   "app" is the §2.1 visibility TPP every `tpp_every`-th frame.
+//!   "app" is the §2.1 visibility TPP every fourth frame.
 //! * **Fidelity** — [`Scenario::speedup`] divides the simulated horizon:
 //!   `speedup(8)` runs one eighth of the configured duration, trading
 //!   statistical weight for wall-clock time without touching per-frame
@@ -118,12 +118,6 @@ impl WorkloadSpec {
     pub fn custom(name: impl Into<String>, cfg: TrafficConfig) -> Self {
         WorkloadSpec { name: name.into(), cfg }
     }
-
-    /// Workload RNG seed (combined per host with the node id).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
 }
 
 /// One experiment cell: topology + workload + runtime shape + duration.
@@ -136,10 +130,8 @@ pub struct Scenario {
     /// Traffic under test.
     pub workload: WorkloadSpec,
     /// 1 runs the single-threaded [`tpp_netsim::Network`] loop; ≥ 2 runs
-    /// the sharded [`Fabric`].
+    /// the sharded [`Fabric`], partitioned by locality.
     pub shards: usize,
-    /// How the fabric partitions nodes (ignored at 1 shard).
-    pub strategy: PartitionStrategy,
     /// Workers driving the fabric's epoch loop (ignored at 1 shard).
     pub mode: ExecMode,
     /// Simulated horizon in nanoseconds, *before* the speedup division.
@@ -152,14 +144,12 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A scenario with defaults: 1 shard, locality partitioning,
-    /// [`ExecMode::Auto`], 8 ms horizon, no speedup.
+    /// A scenario with defaults: 1 shard, [`ExecMode::Auto`], 8 ms horizon, no speedup.
     pub fn new(topo: TopologyBuilder, workload: WorkloadSpec) -> Self {
         Scenario {
             topo,
             workload,
             shards: 1,
-            strategy: PartitionStrategy::Locality,
             mode: ExecMode::Auto,
             duration_ns: 8 * MILLIS,
             speedup: 1,
@@ -206,11 +196,6 @@ impl Scenario {
         self.duration_ns / self.speedup.max(1)
     }
 
-    /// `topology:workload:shards`, the cell's identity in matrix output.
-    pub fn label(&self) -> String {
-        format!("{}:{}:x{}", self.topo.label(), self.workload.name, self.shards)
-    }
-
     /// Build the topology, install the workload, run the chosen runtime to
     /// the (speedup-adjusted) horizon, and report the cell.
     pub fn run(&self) -> Cell {
@@ -232,7 +217,7 @@ impl Scenario {
             t.net.run_until(horizon);
             t.net.stats
         } else {
-            let mut fabric = Fabric::new(t.net, self.shards, self.strategy);
+            let mut fabric = Fabric::new(t.net, self.shards, PartitionStrategy::Locality);
             fabric.set_mode(self.mode);
             fabric.run_until(horizon);
             fabric.stats()

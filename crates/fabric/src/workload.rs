@@ -61,6 +61,11 @@ pub enum TrafficPattern {
     },
 }
 
+/// UDP payload bytes of every generated frame (before the TPP).
+const PAYLOAD: usize = 256;
+/// Every `TPP_EVERY`-th generated frame carries the transparent TPP.
+const TPP_EVERY: u64 = 4;
+
 /// Workload knobs.
 #[derive(Clone, Debug)]
 pub struct TrafficConfig {
@@ -68,10 +73,6 @@ pub struct TrafficConfig {
     pub frames_per_tick: usize,
     /// Timer cadence.
     pub tick_ns: Time,
-    /// UDP payload bytes (pre-TPP).
-    pub payload: usize,
-    /// Every `tpp_every`-th frame carries a transparent TPP (0 = never).
-    pub tpp_every: usize,
     /// Stop generating at this simulation time (sinks keep counting).
     pub stop_at: Time,
     /// Base RNG seed (combined with the host's node id).
@@ -85,8 +86,6 @@ impl Default for TrafficConfig {
         TrafficConfig {
             frames_per_tick: 4,
             tick_ns: 10_000,
-            payload: 256,
-            tpp_every: 4,
             stop_at: Time::MAX,
             seed: 1,
             pattern: TrafficPattern::Uniform,
@@ -101,7 +100,7 @@ pub struct TrafficGen {
     /// Node ids of all hosts in the topology (potential destinations).
     peers: Arc<Vec<u32>>,
     rng: Option<StdRng>,
-    /// The visibility TPP as the wire section every `tpp_every`-th frame
+    /// The visibility TPP as the wire section every `TPP_EVERY`-th frame
     /// carries, serialized once: nothing in it varies per frame.
     section: Vec<u8>,
     sent: u64,
@@ -237,7 +236,7 @@ impl TrafficGen {
     }
 
     /// Write the next frame to `dst` into `buf` (a buffer from
-    /// [`HostCtx::take_buf`]) in one pass: every `tpp_every`-th carries the
+    /// [`HostCtx::take_buf`]) in one pass: every `TPP_EVERY`-th carries the
     /// TPP section between the Ethernet and IPv4 headers.
     fn build_frame(
         &mut self,
@@ -247,8 +246,7 @@ impl TrafficGen {
         dst: u32,
     ) {
         self.sent += 1;
-        let with_tpp =
-            self.cfg.tpp_every > 0 && self.sent.is_multiple_of(self.cfg.tpp_every as u64);
+        let with_tpp = self.sent.is_multiple_of(TPP_EVERY);
         let hdr = UdpFrameRepr {
             src_mac,
             dst_mac: EthernetAddress::from_node_id(dst),
@@ -258,7 +256,7 @@ impl TrafficGen {
             dst_port: TRAFFIC_PORT,
         };
         let section: &[u8] = if with_tpp { &self.section } else { &[] };
-        udp_frame_into(buf, &hdr, self.cfg.payload, section);
+        udp_frame_into(buf, &hdr, PAYLOAD, section);
     }
 
     /// Seat the generator on host `node`: its private RNG stream and its
@@ -365,41 +363,25 @@ mod tests {
         let peers = Arc::new(vec![20u32, 300, 70_000, 9, 0x00ab_cdef, 41, 5, 1_000_000]);
         let tpp = visibility_tpp();
         for pattern in patterns {
-            for (tpp_every, payload) in [(0usize, 256usize), (1, 0), (3, 1000), (4, 256)] {
-                // Between them peers 0 and 3 send under every pattern: peer
-                // 0 is an Incast sink, peer 3 only listens under FanOut.
-                for node in [peers[0], peers[3]] {
-                    let cfg = TrafficConfig {
-                        pattern: pattern.clone(),
-                        tpp_every,
-                        payload,
-                        ..TrafficConfig::default()
-                    };
-                    let mut g = TrafficGen::new(cfg, peers.clone(), Arc::default());
-                    g.seat(node);
-                    if g.is_passive() {
-                        continue;
-                    }
-                    let (src_ip, src_mac) =
-                        (Ipv4Address::from_host_id(node), EthernetAddress::from_node_id(node));
-                    // One buffer reused dirty, like one coming off the pool.
-                    let mut buf = vec![0xEEu8; 64];
-                    let (mut with, mut without) = (0, 0);
-                    for n in 1..=24u64 {
-                        let dst = g.next_dst(node);
-                        g.build_frame(&mut buf, src_ip, src_mac, dst);
-                        let carries = tpp_every > 0 && n % tpp_every as u64 == 0;
-                        let want =
-                            nested_frame(src_ip, src_mac, dst, payload, carries.then_some(&tpp));
-                        assert_eq!(buf, want, "{pattern:?} every {tpp_every} frame {n} to {dst}");
-                        if carries {
-                            with += 1;
-                        } else {
-                            without += 1;
-                        }
-                    }
-                    assert_eq!(with > 0, tpp_every > 0);
-                    assert_eq!(without > 0, tpp_every != 1);
+            // Between them peers 0 and 3 send under every pattern: peer 0 is
+            // an Incast sink, peer 3 only listens under FanOut.
+            for node in [peers[0], peers[3]] {
+                let cfg = TrafficConfig { pattern: pattern.clone(), ..TrafficConfig::default() };
+                let mut g = TrafficGen::new(cfg, peers.clone(), Arc::default());
+                g.seat(node);
+                if g.is_passive() {
+                    continue;
+                }
+                let (src_ip, src_mac) =
+                    (Ipv4Address::from_host_id(node), EthernetAddress::from_node_id(node));
+                // One buffer reused dirty, like one coming off the pool.
+                let mut buf = vec![0xEEu8; 64];
+                for n in 1..=24u64 {
+                    let dst = g.next_dst(node);
+                    g.build_frame(&mut buf, src_ip, src_mac, dst);
+                    let carries = n.is_multiple_of(TPP_EVERY);
+                    let want = nested_frame(src_ip, src_mac, dst, PAYLOAD, carries.then_some(&tpp));
+                    assert_eq!(buf, want, "{pattern:?} frame {n} to {dst}");
                 }
             }
         }

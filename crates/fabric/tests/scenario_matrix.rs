@@ -7,7 +7,7 @@
 
 use tpp_fabric::partition::lookahead;
 use tpp_fabric::scenario::{Cell, Scenario, WorkloadSpec};
-use tpp_fabric::{partition, PartitionStrategy};
+use tpp_fabric::{install_traffic, partition, Fabric, PartitionStrategy, TrafficConfig};
 use tpp_netsim::{TopologySpec, MILLIS};
 
 fn run(w: WorkloadSpec, shards: usize) -> Cell {
@@ -128,17 +128,14 @@ fn round_robin_partitioning_matches_too() {
     // The adversarial partition under the adversarial workload.
     let w = WorkloadSpec::incast(2);
     let reference = run(w.clone(), 1);
-    let got = Scenario {
-        strategy: PartitionStrategy::RoundRobin,
-        ..Scenario::new(
-            TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(5),
-            w,
-        )
-    }
-    .shards(4)
-    .duration_ns(2 * MILLIS)
-    .run();
-    assert_eq!(got.digest, reference.digest, "round-robin digest diverged");
+    let mut t =
+        TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(5).build();
+    let hosts = t.hosts.clone();
+    let cfg = TrafficConfig { stop_at: 2 * MILLIS, ..w.cfg };
+    install_traffic(&mut t.net, &hosts, &cfg);
+    let mut fabric = Fabric::new(t.net, 4, PartitionStrategy::RoundRobin);
+    fabric.run_until(2 * MILLIS);
+    assert_eq!(fabric.stats().digest(), reference.digest, "round-robin digest diverged");
 }
 
 #[test]

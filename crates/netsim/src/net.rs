@@ -718,12 +718,6 @@ impl Network {
         self.nodes.is_switch(id)
     }
 
-    /// Whether this kernel owns `id` (false for remote slots of a
-    /// partitioned run).
-    pub fn is_local(&self, id: NodeId) -> bool {
-        self.nodes.is_local(id)
-    }
-
     pub fn host(&self, id: NodeId) -> &Host {
         self.nodes.host(id)
     }
@@ -1132,11 +1126,6 @@ impl Network {
         self.links.links()
     }
 
-    /// Every directed link, as a `Vec` (tests / topology setup).
-    pub fn links(&self) -> Vec<(NodeId, u8, NodeId, u8, LinkSpec)> {
-        self.links_iter().collect()
-    }
-
     pub fn switch_ids(&self) -> Vec<NodeId> {
         self.nodes.switch_ids().collect()
     }
@@ -1227,6 +1216,14 @@ mod tests {
     use std::sync::{Arc, Mutex};
     use tpp_core::wire::{ethernet, ipv4, udp, EthernetRepr};
     use tpp_switch::Action;
+
+    impl Network {
+        /// Whether this kernel owns `id` (false for remote slots of a
+        /// partitioned run).
+        fn is_local(&self, id: NodeId) -> bool {
+            self.nodes.is_local(id)
+        }
+    }
 
     type ReceivedLog = Arc<Mutex<Vec<(Time, Vec<u8>)>>>;
     /// A frame arrival as [`Network`] records it: `(time, node, port, frame)`.

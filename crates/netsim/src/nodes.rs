@@ -111,12 +111,8 @@ pub struct NodeStore {
 }
 
 impl NodeStore {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     pub(crate) fn add_switch(&mut self, cfg: SwitchConfig) -> NodeId {

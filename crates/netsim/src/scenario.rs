@@ -226,11 +226,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// The spec this builder will construct.
-    pub fn spec(&self) -> &TopologySpec {
-        &self.spec
-    }
-
     /// A short label for matrix output (delegates to the spec).
     pub fn label(&self) -> String {
         self.spec.label()

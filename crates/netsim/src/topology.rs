@@ -39,11 +39,6 @@ impl<T> NodeMap<T> {
     pub fn contains(&self, node: NodeId) -> bool {
         self.get(node).is_some()
     }
-
-    /// `(node, value)` pairs in ascending node-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|v| (NodeId(i as u32), v)))
-    }
 }
 
 /// A built topology: the network plus the roles of its nodes.
@@ -150,6 +145,16 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use tpp_core::wire::{ethernet, ipv4, udp, EthernetAddress, EthernetRepr, Ipv4Address};
+
+    impl<T> NodeMap<T> {
+        /// `(node, value)` pairs in ascending node-id order.
+        fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
+            self.slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.as_ref().map(|v| (NodeId(i as u32), v)))
+        }
+    }
 
     struct Pinger {
         dst: NodeId,

@@ -38,11 +38,13 @@ pub struct PipelineConfig {
     pub n_egress: usize,
 }
 
+/// Every switch's pipeline: the `NetFPGA` prototype's four stages (§5), plus
+/// two egress stages for link and queue state.
+pub const PIPELINE: PipelineConfig = PipelineConfig { n_ingress: 4, n_egress: 2 };
+
 impl Default for PipelineConfig {
     fn default() -> Self {
-        // The NetFPGA prototype has a four-stage pipeline (§5); we add two
-        // egress stages for link/queue state.
-        PipelineConfig { n_ingress: 4, n_egress: 2 }
+        PIPELINE
     }
 }
 

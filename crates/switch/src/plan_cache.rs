@@ -126,20 +126,6 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Total slots (the bound on resident plans).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Slots currently holding a plan.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
-    }
-
     /// Counters since construction.
     pub fn stats(&self) -> PlanCacheStats {
         self.stats
@@ -221,6 +207,22 @@ mod tests {
     use super::*;
     use tpp_core::asm::TppBuilder;
     use tpp_core::wire::Tpp;
+
+    impl PlanCache {
+        /// Total slots (the bound on resident plans).
+        fn capacity(&self) -> usize {
+            self.slots.len()
+        }
+
+        /// Slots currently holding a plan.
+        fn len(&self) -> usize {
+            self.slots.iter().filter(|s| s.is_some()).count()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.slots.iter().all(Option::is_none)
+        }
+    }
 
     fn plan_fresh(bytes: &[u8], opts: &ExecOptions, cfg: &PipelineConfig) -> TppRun {
         let (view, _) = TppView::parse(bytes).unwrap();

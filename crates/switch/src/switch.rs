@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use crate::cost::{CostProfile, ASIC};
 use crate::memmap::{FlowEntryStats, PacketContext, SwitchBus, SwitchMemory};
-use crate::pipeline::{PipelineConfig, TppRun};
+use crate::pipeline::{TppRun, PIPELINE};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::tables::{Action, FlowKey, FlowTable, GroupTable};
 use tpp_core::addr::layout;
@@ -33,7 +33,6 @@ pub struct SwitchConfig {
     /// The switch's own IP, used for targeted TPPs (§4.4).
     pub ip: Ipv4Address,
     pub n_ports: usize,
-    pub pipeline: PipelineConfig,
     /// Administrative write kill-switch (§4.3).
     pub allow_writes: bool,
     /// Drop-tail limit per queue, bytes.
@@ -50,7 +49,6 @@ impl SwitchConfig {
             switch_id,
             ip: Ipv4Address::new(192, 168, (switch_id >> 8) as u8, switch_id as u8),
             n_ports,
-            pipeline: PipelineConfig::default(),
             allow_writes: true,
             queue_limit_bytes: 150_000,
             ecmp_hash_dst_port: true,
@@ -161,7 +159,7 @@ const MAX_RETIRED: usize = 64;
 
 impl Switch {
     pub fn new(cfg: SwitchConfig) -> Self {
-        let mem = SwitchMemory::new(cfg.switch_id, cfg.n_ports, cfg.pipeline.total_stages());
+        let mem = SwitchMemory::new(cfg.switch_id, cfg.n_ports, PIPELINE.total_stages());
         let mut sw = Switch {
             mem,
             table: FlowTable::default(),
@@ -246,7 +244,7 @@ impl Switch {
     }
 
     fn sync_table_meta(&mut self) {
-        let rs = self.cfg.pipeline.routing_stage();
+        let rs = PIPELINE.routing_stage();
         self.mem.stages[rs].version = self.table.version;
         self.mem.stages[rs].refcount = self.table.len() as u32;
         self.mem.version = self.mem.version.wrapping_add(1);
@@ -298,7 +296,7 @@ impl Switch {
         // then executes in place against the frame bytes. Only a frame that
         // carries a TPP gets per-packet TPP state (Fig. 6: everything else
         // forwards without engaging the TCPU), built in a free slab entry.
-        let pcfg = self.cfg.pipeline;
+        let pcfg = PIPELINE;
         let loc = locate_tpp(&frame);
         let (plan_cache, slab, free) =
             (&mut self.plan_cache, &mut self.tpp_slab, &mut self.tpp_free);
@@ -547,7 +545,7 @@ impl Switch {
             let at = q.tpps.pop_front().expect("queued with its frame");
             let t = &mut self.tpp_slab[at as usize];
             t.ctx.queue_wait_ns = Some(now_ns.saturating_sub(t.enq_ns).min(u32::MAX as u64) as u32);
-            let cfg = self.cfg.pipeline;
+            let cfg = PIPELINE;
             let mut bus = SwitchBus { mem: &mut self.mem, ctx: &mut t.ctx };
             t.run.exec_stages(&mut frame, &mut bus, cfg.egress_stage()..cfg.total_stages(), opts);
             // In-place completion: SP/wrote/hop land in the frame with the
@@ -856,8 +854,7 @@ mod tests {
         let mut sw = basic_switch();
         let inner = host_frame(1, 2, 64, 1, 2);
         let mut tpp = TppBuilder::hop_mode(1)
-            .store_m("PacketMetadata:OutputPort", 0)
-            .unwrap()
+            .store(resolve_mnemonic("PacketMetadata:OutputPort").unwrap(), 0)
             .hops(1)
             .build()
             .unwrap();
@@ -875,8 +872,7 @@ mod tests {
         sw.add_host_route(Ipv4Address::from_host_id(2), Action::Output(2));
         let inner = host_frame(1, 2, 64, 1, 2);
         let mut tpp = TppBuilder::hop_mode(1)
-            .store_m("Link:AppSpecific_0", 0)
-            .unwrap()
+            .store(resolve_mnemonic("Link:AppSpecific_0").unwrap(), 0)
             .hops(1)
             .build()
             .unwrap();
@@ -980,7 +976,7 @@ mod tests {
     #[test]
     fn flow_table_version_exposed_to_tpps() {
         let mut sw = basic_switch();
-        let rs = sw.cfg.pipeline.routing_stage();
+        let rs = PIPELINE.routing_stage();
         let v0 = sw.mem.stages[rs].version;
         sw.add_host_route(Ipv4Address::from_host_id(3), Action::Output(1));
         assert_eq!(sw.mem.stages[rs].version, v0 + 1);
@@ -1011,6 +1007,7 @@ mod tests {
 #[cfg(test)]
 mod scheduler_tests {
     use super::*;
+    use tpp_core::addr::resolve_mnemonic;
     use tpp_core::asm::TppBuilder;
     use tpp_core::wire::{self, insert_transparent, ipv4, udp, EthernetAddress};
 
@@ -1032,8 +1029,7 @@ mod scheduler_tests {
         // Steer into a queue via a TPP that writes [PacketMetadata:OutputQueue].
         let inner = plain_frame(src, dst, payload);
         let mut tpp = TppBuilder::hop_mode(1)
-            .store_m("PacketMetadata:OutputQueue", 0)
-            .unwrap()
+            .store(resolve_mnemonic("PacketMetadata:OutputQueue").unwrap(), 0)
             .hops(1)
             .build()
             .unwrap();
@@ -1079,8 +1075,7 @@ mod scheduler_tests {
         let mut s = sw();
         // An admin TPP shrinks queue 0's drop-tail limit to ~1 packet.
         let mut tpp = TppBuilder::hop_mode(1)
-            .store_m("Queue$2$0:LimitBytes", 0)
-            .unwrap()
+            .store(resolve_mnemonic("Queue$2$0:LimitBytes").unwrap(), 0)
             .hops(1)
             .build()
             .unwrap();
@@ -1107,8 +1102,8 @@ mod scheduler_tests {
         );
         reflect_frame(&mut frame);
         let eth = EthernetFrame::new_checked(&frame[..]).unwrap();
-        assert_eq!(eth.dst(), EthernetAddress::from_node_id(1));
-        assert_eq!(eth.src(), EthernetAddress::from_node_id(9));
+        assert_eq!(frame[0..6], EthernetAddress::from_node_id(1).0);
+        assert_eq!(frame[6..12], EthernetAddress::from_node_id(9).0);
         let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
         assert_eq!(ip.dst(), Ipv4Address::from_host_id(1));
         assert!(ip.verify_checksum(), "address swap must not break the checksum");

@@ -3,6 +3,7 @@
 
 use minions::apps::common::Responder;
 use minions::apps::netverify::{PathMonitor, PathMonitorApp};
+use minions::core::addr::resolve_mnemonic;
 use minions::core::asm::TppBuilder;
 use minions::core::wire::Ipv4Address;
 use minions::endhost::{Executor, ExecutorConfig, ProbeOutcome, Shim};
@@ -172,13 +173,12 @@ fn admin_write_disable_is_honored_network_wide() {
     let hosts = topo.hosts.clone();
     let dst_ip = topo.net.host(hosts[1]).ip;
     topo.net.set_app(hosts[1], Box::new(Responder::new()));
-    let tpp = TppBuilder::hop_mode(3)
-        .cstore_m("Link:AppSpecific_0", 0, 1)
-        .unwrap()
-        .init_word(1, 999) // try to write 999
+    let mut tpp = TppBuilder::hop_mode(3)
+        .cstore(resolve_mnemonic("Link:AppSpecific_0").unwrap(), 0, 1)
         .hops(4)
         .build()
         .unwrap();
+    tpp.write_word(1, 999).unwrap(); // try to write 999
     let (app, outcome) = OneProbe::new(dst_ip, tpp);
     topo.net.set_app(hosts[0], Box::new(app));
     topo.net.run_until(100 * MILLIS);
@@ -212,13 +212,12 @@ fn concurrent_cstore_writers_serialize_by_version() {
             // Interleave order pseudo-randomly.
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(round);
             let mut tpp = TppBuilder::hop_mode(3)
-                .cstore_m("Link:AppSpecific_0", 0, 1)
-                .unwrap()
-                .init_word(0, v)
-                .init_word(1, v + 1)
+                .cstore(resolve_mnemonic("Link:AppSpecific_0").unwrap(), 0, 1)
                 .hops(1)
                 .build()
                 .unwrap();
+            tpp.write_word(0, v).unwrap();
+            tpp.write_word(1, v + 1).unwrap();
             let mut ctx = PacketContext::new(0, 100, 0, 6);
             ctx.out_port = Some(2);
             let mut bus = SwitchBus { mem: &mut mem, ctx: &mut ctx };
