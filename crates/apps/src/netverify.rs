@@ -20,12 +20,11 @@
 //! * **path conformance** — the probe completed on a path outside the
 //!   allowed set.
 //!
-//! Each violation is also counted into the simulator's
-//! [`NetStats`](tpp_netsim::NetStats) (`violations_loop`,
-//! `violations_blackhole`, `violations_path`) via
-//! [`HostCtx::record_violation`], so sharded runs can assert transient
-//! safety without digging into app state. The monitor is the validation
-//! oracle for the dependency-ordered update scheduler
+//! The verdicts are the host's own: the monitor's
+//! [`observations`](PathMonitor::observations) are the only record of
+//! them, read through `Network::app_mut` (the simulator counts frames and
+//! drops, not what an end host concluded from them). The monitor is the
+//! validation oracle for the dependency-ordered update scheduler
 //! ([`tpp_netsim::order_route_updates`]): a safely ordered plan must
 //! produce **zero** violations, a misordered one at least one.
 
@@ -35,7 +34,20 @@ use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness};
 use tpp_endhost::ExecutorConfig;
-use tpp_netsim::{HostCtx, Time, ViolationKind};
+use tpp_netsim::Time;
+
+/// What a path-monitor round violated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ViolationKind {
+    /// A probe's packet history visited the same switch twice: a transient
+    /// forwarding loop (terminated by the TTL guard in the switch path).
+    Loop,
+    /// A probe was lost after all retries: traffic blackholed, e.g. by a
+    /// withdrawn route.
+    Blackhole,
+    /// A probe completed over a path outside the allowed set.
+    PathConformance,
+}
 
 /// One resolved probe round: when, which switches the probe traversed, and
 /// what the round violated, if anything.
@@ -64,8 +76,8 @@ pub fn trace_probe() -> Probe {
 
 const TIMER_PROBE: u64 = 1;
 
-/// Periodically traces the path to `dst`, records every round and counts
-/// its violations. Construct with [`PathMonitor::new`].
+/// Periodically traces the path to `dst` and records every round with its
+/// verdict. Construct with [`PathMonitor::new`].
 pub struct PathMonitor {
     /// Destination under watch.
     pub dst: Ipv4Address,
@@ -104,9 +116,9 @@ impl PathMonitor {
                     (!allowed.is_empty() && !allowed.contains(&path))
                         .then_some(ViolationKind::PathConformance)
                 };
-                s.observe(io.ctx, path, violation);
+                s.observe(io.ctx.now, path, violation);
             })
-            .on_failed(|s, io| s.observe(io.ctx, Vec::new(), Some(ViolationKind::Blackhole)))
+            .on_failed(|s, io| s.observe(io.ctx.now, Vec::new(), Some(ViolationKind::Blackhole)))
             .on_start(|_s, io| io.ctx.set_timer(0, TIMER_PROBE))
             .on_timer(|s, io, token| {
                 if token == TIMER_PROBE {
@@ -123,11 +135,8 @@ impl PathMonitor {
         self.observations.iter().filter(|o| o.violation.is_some())
     }
 
-    fn observe(&mut self, ctx: &mut HostCtx<'_>, path: Vec<u32>, violation: Option<ViolationKind>) {
-        if let Some(kind) = violation {
-            ctx.record_violation(kind);
-        }
-        self.observations.push(PathObservation { t_ns: ctx.now, path, violation });
+    fn observe(&mut self, t_ns: Time, path: Vec<u32>, violation: Option<ViolationKind>) {
+        self.observations.push(PathObservation { t_ns, path, violation });
     }
 }
 
@@ -245,9 +254,10 @@ mod tests {
         // seen *before* failure; after failure probes die beyond switch 2).
         let first_loss = obs.iter().position(|o| !o.completed()).expect("losses");
         assert_eq!(obs[first_loss - 1].path.last(), Some(&3), "last healthy one reached switch 3");
-        // Every failed round is a blackhole counted into the run's stats.
-        let failed = obs.iter().filter(|o| !o.completed()).count() as u64;
-        assert_eq!(topo.net.stats.violations_blackhole, failed);
+        // Every failed round is recorded as a blackhole, and only those.
+        let failed = obs.iter().filter(|o| !o.completed()).count();
+        let blackholes = v.violations().filter(|o| o.violation == Some(ViolationKind::Blackhole));
+        assert_eq!(blackholes.count(), failed);
     }
 
     /// Line s1 - s2 with src on s1, dst on s2.
@@ -279,7 +289,6 @@ mod tests {
         let m = net.app_mut::<PathMonitorApp>(h_src);
         assert!(m.observations.len() >= 10);
         assert!(m.violations().next().is_none());
-        assert_eq!(net.stats.violations(), 0);
     }
 
     #[test]
@@ -297,7 +306,6 @@ mod tests {
         );
         net.run_until(20 * MILLIS);
         assert!(net.stats.drops_no_route > 0, "withdrawn route must drop");
-        assert!(net.stats.violations_blackhole > 0);
         let m = net.app_mut::<PathMonitorApp>(h_src);
         let v: Vec<_> = m.violations().collect();
         assert!(v.iter().any(|r| r.violation == Some(ViolationKind::Blackhole)), "{v:?}");
@@ -320,7 +328,6 @@ mod tests {
             ReconfigAction::RouteSet { switch: s1, dst: dst_ip, action: Action::Output(2) },
         );
         net.run_until(20 * MILLIS);
-        assert!(net.stats.violations_path > 0);
         let m = net.app_mut::<PathMonitorApp>(h_src);
         let v: Vec<_> = m.violations().collect();
         assert!(v.iter().any(|r| r.violation == Some(ViolationKind::PathConformance)), "{v:?}");

@@ -15,12 +15,11 @@
 //!   ([`WorkloadSpec::uniform`], [`WorkloadSpec::heavy_tailed`],
 //!   [`WorkloadSpec::incast`], [`WorkloadSpec::shuffle`]). The in-band
 //!   "app" is the §2.1 visibility TPP every fourth frame.
-//! * **Fidelity** — [`Scenario::speedup`] divides the simulated horizon:
-//!   `speedup(8)` runs one eighth of the configured duration, trading
-//!   statistical weight for wall-clock time without touching per-frame
-//!   fidelity (every frame still serializes, queues, and executes TPPs
-//!   exactly). Digest cross-checks stay valid at any speedup because both
-//!   runtimes see the same shrunk horizon.
+//! * **Horizon** — [`Scenario::duration_ns`] is the simulated time. A
+//!   shorter horizon trades statistical weight for wall-clock time without
+//!   touching per-frame fidelity (every frame still serializes, queues,
+//!   and executes TPPs exactly), and digest cross-checks hold at any
+//!   horizon because every runtime sees the same one.
 //!
 //! ```
 //! use tpp_fabric::scenario::{Scenario, WorkloadSpec};
@@ -30,8 +29,7 @@
 //!     TopologySpec::Star { hosts: 4 }.builder(),
 //!     WorkloadSpec::uniform(),
 //! )
-//! .duration_ns(2 * MILLIS)
-//! .speedup(2)
+//! .duration_ns(MILLIS)
 //! .run();
 //! assert!(cell.stats.frames_delivered > 0);
 //! assert!(cell.to_json().starts_with('{'));
@@ -134,17 +132,15 @@ pub struct Scenario {
     pub shards: usize,
     /// Workers driving the fabric's epoch loop (ignored at 1 shard).
     pub mode: ExecMode,
-    /// Simulated horizon in nanoseconds, *before* the speedup division.
+    /// Simulated horizon in nanoseconds.
     pub duration_ns: Time,
-    /// Fidelity knob: divide the horizon by this factor (≥ 1).
-    pub speedup: u64,
     /// Runtime churn: compiled against the built network and installed
     /// before the runtime starts, for every shard count alike.
     pub churn: ChurnSpec,
 }
 
 impl Scenario {
-    /// A scenario with defaults: 1 shard, [`ExecMode::Auto`], 8 ms horizon, no speedup.
+    /// A scenario with defaults: 1 shard, [`ExecMode::Auto`], 8 ms horizon, no churn.
     pub fn new(topo: TopologyBuilder, workload: WorkloadSpec) -> Self {
         Scenario {
             topo,
@@ -152,7 +148,6 @@ impl Scenario {
             shards: 1,
             mode: ExecMode::Auto,
             duration_ns: 8 * MILLIS,
-            speedup: 1,
             churn: ChurnSpec::None,
         }
     }
@@ -169,15 +164,9 @@ impl Scenario {
         self
     }
 
-    /// Simulated horizon (pre-speedup), in nanoseconds.
+    /// Simulated horizon, in nanoseconds.
     pub fn duration_ns(mut self, ns: Time) -> Self {
         self.duration_ns = ns;
-        self
-    }
-
-    /// Fidelity knob: run `duration_ns / factor` of simulated time.
-    pub fn speedup(mut self, factor: u64) -> Self {
-        self.speedup = factor;
         self
     }
 
@@ -191,15 +180,10 @@ impl Scenario {
         self
     }
 
-    /// The horizon actually simulated: `duration_ns / speedup`.
-    pub fn effective_duration(&self) -> Time {
-        self.duration_ns / self.speedup.max(1)
-    }
-
     /// Build the topology, install the workload, run the chosen runtime to
-    /// the (speedup-adjusted) horizon, and report the cell.
+    /// the horizon, and report the cell.
     pub fn run(&self) -> Cell {
-        let horizon = self.effective_duration();
+        let horizon = self.duration_ns;
         let started = Instant::now();
         let mut t = self.topo.clone().build();
         let hosts = t.hosts.clone();
@@ -227,7 +211,6 @@ impl Scenario {
             workload: self.workload.name.clone(),
             churn: self.churn.label().to_string(),
             shards: self.shards,
-            speedup: self.speedup.max(1),
             duration_ns: horizon,
             hosts: n_hosts,
             switches: n_switches,
@@ -251,9 +234,7 @@ pub struct Cell {
     pub churn: String,
     /// Shard count the cell ran at.
     pub shards: usize,
-    /// Fidelity divisor the cell ran at.
-    pub speedup: u64,
-    /// Simulated nanoseconds (post-speedup).
+    /// Simulated nanoseconds.
     pub duration_ns: Time,
     /// Hosts in the topology.
     pub hosts: usize,
@@ -276,12 +257,12 @@ impl Cell {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"schema\":2,\"topology\":\"{}\",\"workload\":\"{}\",",
+                "{{\"schema\":3,\"topology\":\"{}\",\"workload\":\"{}\",",
                 "\"churn\":\"{}\",",
-                "\"shards\":{},\"speedup\":{},\"duration_ns\":{},",
+                "\"shards\":{},\"duration_ns\":{},",
                 "\"hosts\":{},\"switches\":{},\"frames_delivered\":{},",
                 "\"frames_dropped\":{},\"frames_corrupted\":{},",
-                "\"reconfigs\":{},\"violations\":{},",
+                "\"reconfigs\":{},",
                 "\"events\":{},",
                 "\"plan_cache_hits\":{},\"plan_cache_misses\":{},",
                 "\"plan_cache_evictions\":{},",
@@ -292,7 +273,6 @@ impl Cell {
             self.workload,
             self.churn,
             self.shards,
-            self.speedup,
             self.duration_ns,
             self.hosts,
             self.switches,
@@ -300,7 +280,6 @@ impl Cell {
             self.stats.frames_dropped_in_flight,
             self.stats.frames_corrupted,
             self.stats.reconfigs_applied,
-            self.stats.violations(),
             self.stats.events_processed,
             self.stats.plan_cache_hits,
             self.stats.plan_cache_misses,

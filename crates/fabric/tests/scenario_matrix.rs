@@ -3,7 +3,7 @@
 //! on the `NetStats` digest — for every traffic pattern the workload
 //! layer knows, not just the uniform one the older determinism tests
 //! cover. Plus the contract details of the cell output itself (JSON
-//! shape, speedup semantics).
+//! shape, horizon semantics).
 
 use tpp_fabric::partition::lookahead;
 use tpp_fabric::scenario::{Cell, Scenario, WorkloadSpec};
@@ -139,16 +139,16 @@ fn round_robin_partitioning_matches_too() {
 }
 
 #[test]
-fn speedup_shrinks_the_horizon() {
+fn shorter_duration_shrinks_the_horizon() {
     let full = run(WorkloadSpec::uniform(), 1);
+    let d = full.duration_ns;
     let fast = Scenario::new(
         TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(5),
         WorkloadSpec::uniform(),
     )
-    .duration_ns(2 * MILLIS)
-    .speedup(2)
+    .duration_ns(d / 2)
     .run();
-    assert_eq!(fast.duration_ns, MILLIS, "speedup 2 halves the simulated horizon");
+    assert_eq!(fast.duration_ns, MILLIS, "half the duration is half the simulated horizon");
     assert!(
         fast.stats.events_processed < full.stats.events_processed,
         "shorter horizon must process fewer events"
@@ -161,11 +161,10 @@ fn cell_json_has_the_schema_fields() {
     let cell = run(WorkloadSpec::uniform(), 2);
     let json = cell.to_json();
     for key in [
-        "\"schema\":2",
+        "\"schema\":3",
         "\"topology\":\"fat_tree4\"",
         "\"workload\":\"uniform\"",
         "\"shards\":2",
-        "\"speedup\":1",
         "\"duration_ns\":2000000",
         "\"frames_delivered\":",
         "\"plan_cache_hits\":",
@@ -176,6 +175,9 @@ fn cell_json_has_the_schema_fields() {
         "\"wall_ms\":",
     ] {
         assert!(json.contains(key), "cell JSON missing {key}: {json}");
+    }
+    for gone in ["\"speedup\"", "\"violations\""] {
+        assert!(!json.contains(gone), "cell JSON still carries {gone}: {json}");
     }
     assert!(json.starts_with('{') && json.ends_with('}'));
 }

@@ -15,7 +15,7 @@
 //!   the shard kernel of `tpp-fabric`).
 //! * [`scenario`] — declarative topology construction: a [`TopologySpec`]
 //!   (star, dumbbell, line, leaf-spine, fat-trees plain/oversubscribed/
-//!   asymmetric, jellyfish, edge-list import) built by [`TopologyBuilder`],
+//!   asymmetric, jellyfish, multi-site) built by [`TopologyBuilder`],
 //!   plus [`ChurnSpec`] compiling timed or seeded-random churn into a
 //!   reconfiguration plan.
 //! * [`topology`] — the [`Topology`] type plus BFS shortest-path route
@@ -41,7 +41,6 @@ pub use engine::{Scheduler, Time, MILLIS, SECONDS};
 pub use link::LinkFabric;
 pub use net::{
     FramePool, Host, HostApp, HostCtx, LinkSpec, NetStats, Network, NodeId, NullApp, RemoteFrame,
-    ViolationKind,
 };
 pub use nodes::NodeStore;
 pub use reconfig::{

@@ -19,7 +19,11 @@
 //!   [`FramePool`] buffer freelist.
 //!
 //! The coordinator owns only the glue: event dispatch, host effect
-//! application, statistics, and the cross-shard outbox. A `tpp-fabric`
+//! application, statistics, and the cross-shard outbox. A host's effects
+//! are frames to send and timers to set; what a host concludes from the
+//! frames it receives (a path monitor's verdicts, a controller's rates)
+//! stays in its app, read through [`Network::app_mut`], and [`NetStats`]
+//! counts only what the network did to frames. A `tpp-fabric`
 //! shard drives the *same* three layers through the same coordinator — a
 //! shard kernel is not a different engine, just a `Network` whose node
 //! store holds `Remote` markers for non-local slots.
@@ -280,22 +284,6 @@ pub struct HostCtx<'a> {
 enum Effect {
     Send(Vec<u8>),
     Timer { at: Time, token: u64 },
-    Violation(ViolationKind),
-}
-
-/// What a transient-safety monitor observed going wrong during a
-/// convergence window (see `tpp_apps::netverify`). Recorded into
-/// [`NetStats`] via [`HostCtx::record_violation`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ViolationKind {
-    /// A probe's packet history visited the same switch twice: a transient
-    /// forwarding loop (terminated by the TTL guard in the switch path).
-    Loop,
-    /// A probe was lost after all retries: traffic blackholed, e.g. by a
-    /// withdrawn route.
-    Blackhole,
-    /// A probe completed over a path outside the allowed set.
-    PathConformance,
 }
 
 impl HostCtx<'_> {
@@ -322,13 +310,6 @@ impl HostCtx<'_> {
     /// Hand a fully consumed frame back to the simulation's frame pool.
     pub fn recycle(&mut self, frame: Vec<u8>) {
         self.pool.put(frame);
-    }
-    /// Count one transient-safety violation into the run's [`NetStats`].
-    /// The full per-violation record stays with the monitoring app; the
-    /// aggregate counters make violations visible to scenario drivers and
-    /// differential tests without downcasting app state.
-    pub fn record_violation(&mut self, kind: ViolationKind) {
-        self.effects.push(Effect::Violation(kind));
     }
 }
 
@@ -466,14 +447,6 @@ pub struct NetStats {
     pub drops_malformed: u64,
     /// Explicit drop actions (policy).
     pub drops_policy: u64,
-    /// Transient-monitor violations recorded via
-    /// [`HostCtx::record_violation`]: forwarding loops observed in packet
-    /// histories.
-    pub violations_loop: u64,
-    /// Probes lost after all retries (blackholed traffic).
-    pub violations_blackhole: u64,
-    /// Probes completing over paths outside the allowed set.
-    pub violations_path: u64,
     /// Frames handed to `Switch::receive`. Kept, with `rx_batch_frames`,
     /// only because the repo benchmark reads both; they leave with ROADMAP 1a.
     pub rx_batches: u64,
@@ -533,9 +506,9 @@ impl NetStats {
     /// `reconfigs_applied` are deliberately excluded — they count
     /// per-queue, per-pool, and per-shard bookkeeping, which differs
     /// across partitionings without any difference in simulated behavior.
-    /// The per-cause drop and violation counters are also excluded to keep
-    /// historical golden digests valid; they *are* partitioning-invariant,
-    /// and the churn differential suite asserts them equal directly.
+    /// The per-cause drop counters are also excluded to keep historical
+    /// golden digests valid; they *are* partitioning-invariant, and the
+    /// churn differential suite asserts them equal directly.
     pub fn digest(&self) -> u64 {
         let mut h = 0x9AE1_6A3B_2F90_404Fu64;
         for v in [
@@ -562,9 +535,6 @@ impl NetStats {
         self.drops_queue_full += other.drops_queue_full;
         self.drops_malformed += other.drops_malformed;
         self.drops_policy += other.drops_policy;
-        self.violations_loop += other.violations_loop;
-        self.violations_blackhole += other.violations_blackhole;
-        self.violations_path += other.violations_path;
         self.rx_batches += other.rx_batches;
         self.rx_batch_frames += other.rx_batch_frames;
         self.plan_cache_hits += other.plan_cache_hits;
@@ -584,15 +554,6 @@ impl NetStats {
         }
     }
 
-    /// Attribute one monitor violation to its kind counter.
-    fn count_violation(&mut self, kind: ViolationKind) {
-        match kind {
-            ViolationKind::Loop => self.violations_loop += 1,
-            ViolationKind::Blackhole => self.violations_blackhole += 1,
-            ViolationKind::PathConformance => self.violations_path += 1,
-        }
-    }
-
     /// Total switch guard drops across all causes.
     pub fn switch_drops(&self) -> u64 {
         self.drops_ttl_expired
@@ -600,11 +561,6 @@ impl NetStats {
             + self.drops_queue_full
             + self.drops_malformed
             + self.drops_policy
-    }
-
-    /// Total path-monitor violations across all kinds.
-    pub fn violations(&self) -> u64 {
-        self.violations_loop + self.violations_blackhole + self.violations_path
     }
 }
 
@@ -890,7 +846,6 @@ impl Network {
                     let slot = self.timers.insert(node, token);
                     self.schedule_ev(at, Ev::HostTimer { slot });
                 }
-                Effect::Violation(kind) => self.stats.count_violation(kind),
             }
         }
         self.effects = effects;

@@ -26,9 +26,10 @@
 //! [`order_route_updates`] computes a safe order greedily: an update is
 //! applied only when the mixed old/new forwarding graph it produces stays
 //! loop-free for its destination. The path monitor
-//! (`tpp_apps::netverify::PathMonitor`) validates the property end to end:
-//! a misordered plan must trip violations, the ordered plan must produce
-//! zero.
+//! (`tpp_apps::netverify::PathMonitor`) validates the property end to end,
+//! in the record of rounds it keeps (read through
+//! [`Network::app_mut`](crate::Network::app_mut)): a misordered plan must
+//! trip violations, the ordered plan must produce zero.
 
 use std::collections::BTreeMap;
 

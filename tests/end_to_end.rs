@@ -2,7 +2,7 @@
 //! wire formats, switches, simulator — exercised together.
 
 use minions::apps::common::Responder;
-use minions::apps::netverify::{PathMonitor, PathMonitorApp};
+use minions::apps::netverify::{PathMonitor, PathMonitorApp, ViolationKind};
 use minions::core::addr::resolve_mnemonic;
 use minions::core::asm::TppBuilder;
 use minions::core::wire::Ipv4Address;
@@ -273,6 +273,9 @@ fn path_visibility_tracks_link_failure_and_recovery() {
     // The last healthy observation reached the far leaf (id 2).
     let first_loss = obs.iter().position(|o| !o.completed()).expect("losses");
     assert_eq!(obs[first_loss - 1].path.last(), Some(&2));
+    // The monitor's verdict on every lost round is a blackhole, and no
+    // round traced a loop.
+    assert!(v.violations().all(|o| o.violation == Some(ViolationKind::Blackhole)));
 }
 
 #[test]
