@@ -300,38 +300,8 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
     }
 
-    /// The seven programs `crates/apps` sends (microburst, RCP* collect and
-    /// update, CONGA*, netsight, sketch, netverify), field for field.
-    fn app_probes() -> [tpp_core::probe::Probe; 7] {
-        use tpp_core::probe::Probe;
-        [
-            Probe::stack("microburst")
-                .field("switch", "Switch:SwitchID")
-                .field("port", "PacketMetadata:OutputPort")
-                .field("q", "Queue:QueueOccupancyPkts"),
-            Probe::hop("rcp-collect")
-                .field("switch", "Switch:SwitchID")
-                .field("qsize", "Link:QueueSize")
-                .field("util", "Link:TX-Utilization")
-                .field("version", "Link:AppSpecific_0")
-                .field("rate", "Link:AppSpecific_1"),
-            Probe::hop("rcp-update")
-                .cstore("version", "Link:AppSpecific_0")
-                .store("rate", "Link:AppSpecific_1"),
-            Probe::hop("conga-path")
-                .field("link", "Link:ID")
-                .field("util", "Link:TX-Utilization")
-                .field("tx_bytes", "Link:TX-Bytes"),
-            Probe::stack("netsight-history")
-                .field("switch", "Switch:ID")
-                .field("entry", "PacketMetadata:MatchedEntryID")
-                .field("in_port", "PacketMetadata:InputPort"),
-            Probe::stack("sketch")
-                .field("switch", "Switch:ID")
-                .field("out_port", "PacketMetadata:OutputPort"),
-            Probe::stack("netverify-trace").field("switch", "Switch:SwitchID"),
-        ]
-    }
+    // `app_probes()`: the seven programs `crates/apps` sends.
+    include!("../../../tests/support/app_probes.rs");
 
     #[test]
     fn the_apps_working_set_is_resident_all_at_once() {
