@@ -162,6 +162,100 @@ pub fn alpha_aggregate(rates_bps: &[f64], alpha: f64) -> f64 {
     min * sum.powf(-1.0 / alpha)
 }
 
+/// The α-fair allocation an RCP\* loop should settle at: the flow rates
+/// that maximise `Σ U_α(x)` with no link over its capacity, where `U_α` is
+/// `ln x` at α = 1 and `x^(1-α) / (1-α)` otherwise. `routes[f]` lists the
+/// indices into `capacities` of the links flow `f` crosses; rates come back
+/// in the unit of `capacities`, and a flow that crosses no link gets
+/// `f64::INFINITY`.
+///
+/// α = ∞ (max-min) is water-filling. A finite α solves the KKT conditions,
+/// `x = (Σ pₗ over the flow's links)^(-1/α)` with each link's price `pₗ`
+/// either 0 or what fills the link exactly, by bisection on one link's price
+/// at a time, the others held, sweeping the links until no price moves.
+pub fn fair_share(capacities: &[f64], routes: &[&[usize]], alpha: f64) -> Vec<f64> {
+    assert!(alpha > 0.0, "α-fairness needs α > 0, got {alpha}");
+    if alpha.is_infinite() {
+        return water_fill(capacities, routes);
+    }
+    let rate = |others: f64, p: f64| (others + p).powf(-1.0 / alpha);
+    let mut price = vec![0.0; capacities.len()];
+    for _sweep in 0..1000 {
+        let mut settled = true;
+        for (l, &cap) in capacities.iter().enumerate() {
+            // Each flow on the link with the summed price of its other links.
+            let others: Vec<f64> = routes
+                .iter()
+                .filter(|r| r.contains(&l))
+                .map(|r| r.iter().filter(|&&k| k != l).map(|&k| price[k]).sum())
+                .collect();
+            let over = |p: f64| others.iter().map(|&o| rate(o, p)).sum::<f64>() > cap;
+            let p = if !over(0.0) {
+                0.0
+            } else {
+                // Bracket geometrically (prices span many decades as α
+                // grows), then bisect: over(lo), !over(hi).
+                let (mut lo, mut hi) = (1.0, 1.0);
+                while over(hi) {
+                    hi *= 2.0;
+                }
+                while !over(lo) {
+                    lo /= 2.0;
+                }
+                loop {
+                    let mid = 0.5 * (lo + hi);
+                    if mid <= lo || mid >= hi {
+                        break hi;
+                    }
+                    if over(mid) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+            };
+            settled &= (p - price[l]).abs() <= 1e-12 * p;
+            price[l] = p;
+        }
+        if settled {
+            break;
+        }
+    }
+    routes.iter().map(|r| rate(r.iter().map(|&l| price[l]).sum(), 0.0)).collect()
+}
+
+/// Max-min fair rates: raise every unfrozen flow together, and freeze the
+/// flows on whichever link fills first, until every flow is frozen.
+fn water_fill(capacities: &[f64], routes: &[&[usize]]) -> Vec<f64> {
+    let mut rate: Vec<f64> =
+        routes.iter().map(|r| if r.is_empty() { f64::INFINITY } else { 0.0 }).collect();
+    let mut frozen: Vec<bool> = routes.iter().map(|r| r.is_empty()).collect();
+    let mut left = capacities.to_vec();
+    loop {
+        // The link that fills first: least capacity left per unfrozen flow.
+        let fills_first = (0..left.len())
+            .filter_map(|l| {
+                let n = routes.iter().zip(&frozen).filter(|(r, &f)| !f && r.contains(&l)).count();
+                (n > 0).then(|| (left[l].max(0.0) / n as f64, l))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0));
+        let Some((step, full)) = fills_first else {
+            return rate;
+        };
+        for (f, r) in routes.iter().enumerate() {
+            if !frozen[f] {
+                rate[f] += step;
+                for &l in *r {
+                    left[l] -= step;
+                }
+            }
+        }
+        for (f, r) in routes.iter().enumerate() {
+            frozen[f] |= r.contains(&full);
+        }
+    }
+}
+
 /// Evaluate the RCP control equation (Eq. 1) at the end-host.
 ///
 /// `r_old` and the result are in b/s; `y` is the measured link utilization
@@ -627,6 +721,47 @@ mod tests {
 
     /// Words per hop in the collect probe.
     const COLLECT_WORDS: usize = 5;
+
+    /// Fig. 2's two links: 100 Mb/s of wire is 95.97 Mb/s of 1,000-byte
+    /// payloads in 1,042-byte frames. Flow `a` crosses both, `b` the first
+    /// and `c` the second.
+    const FIG2_PAYLOAD_MBPS: f64 = 100.0 * 1000.0 / 1042.0;
+    const FIG2_ROUTES: [&[usize]; 3] = [&[0, 1], &[0], &[1]];
+
+    fn assert_rates(got: &[f64], want: &[f64]) {
+        for (g, w) in got.iter().zip(want) {
+            assert!((g - w).abs() < 0.01, "{got:?} against {want:?}");
+        }
+        assert_eq!(got.len(), want.len());
+    }
+
+    #[test]
+    fn fair_share_is_fig2_closed_form_under_max_min() {
+        let c = [FIG2_PAYLOAD_MBPS; 2];
+        assert_rates(&fair_share(&c, &FIG2_ROUTES, f64::INFINITY), &[47.98; 3]);
+    }
+
+    #[test]
+    fn fair_share_is_fig2_closed_form_under_proportional_fairness() {
+        // α = 1: C/3 for the two-link flow, 2C/3 for each one-link flow.
+        let c = [FIG2_PAYLOAD_MBPS; 2];
+        assert_rates(&fair_share(&c, &FIG2_ROUTES, 1.0), &[31.99, 63.98, 63.98]);
+    }
+
+    #[test]
+    fn fair_share_meets_other_closed_forms() {
+        // α = 2: x = p^(-1/2), so the two-link flow runs at 1/√2 of the others.
+        let c = [FIG2_PAYLOAD_MBPS; 2];
+        let one_link = FIG2_PAYLOAD_MBPS / (1.0 + 0.5f64.sqrt());
+        let want = [one_link * 0.5f64.sqrt(), one_link, one_link];
+        assert_rates(&fair_share(&c, &FIG2_ROUTES, 2.0), &want);
+        // Max-min with a 10 Mb/s first link: `a` and `b` split it, `c` takes
+        // what `a` leaves of the second, and a flow on no link is unbounded.
+        let routes: [&[usize]; 4] = [&[0, 1], &[0], &[1], &[]];
+        let got = fair_share(&[10.0, 100.0], &routes, f64::INFINITY);
+        assert_rates(&got[..3], &[5.0, 5.0, 95.0]);
+        assert_eq!(got[3], f64::INFINITY);
+    }
 
     #[test]
     fn collect_and_update_programs_validate() {

@@ -3,13 +3,24 @@
 //! one each), plus the §2.2 control-overhead numbers.
 //!
 //! Expected shape: max-min converges all three flows to ~C/2; proportional
-//! fairness gives flow `a` ~C/3 and `b`, `c` ~2C/3. The bin asserts that
-//! shape after printing it: under max-min every flow within 12 Mb/s of C/2,
-//! under α = 1 flow `a` below both others, and the control overhead inside
-//! the paper's 1–6 % under both.
+//! fairness gives flow `a` ~C/3 and `b`, `c` ~2C/3. Beside each flow's
+//! steady goodput the bin prints its α-fair reference (`rcp::fair_share`
+//! over the links' payload capacity, 1,000 of every 1,042 bytes on the
+//! wire) and the gap to it. It asserts the shape after printing it: under
+//! max-min every flow within 12 Mb/s of C/2, under α = 1 flow `a` below
+//! both others, and the control overhead inside the paper's 1–6 % under
+//! both.
 
-use tpp_apps::rcp::{run_rcp_fig2, RcpResult};
+use tpp_apps::rcp::{fair_share, run_rcp_fig2, RcpResult};
+use tpp_core::wire::{ethernet, ipv4, udp};
+use tpp_endhost::PacedSender;
 use tpp_netsim::SECONDS;
+
+/// Fig. 2's links: 100 Mb/s of wire, in payload terms.
+fn payload_mbps() -> f64 {
+    let headers = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
+    100.0 * PacedSender::PAYLOAD as f64 / (PacedSender::PAYLOAD + headers) as f64
+}
 
 fn main() {
     let duration = 20 * SECONDS;
@@ -24,9 +35,12 @@ fn main() {
                 r.flows.iter().map(|(_, s)| s.get(i).map(|&(_, v)| v).unwrap_or(0.0)).collect();
             println!("{t:>8.1} {:>10.1} {:>10.1} {:>10.1}", vals[0], vals[1], vals[2]);
         }
-        println!("\n## steady-state (second half) goodput, Mb/s");
-        for (name, mbps) in &r.steady_mbps {
-            println!("  flow {name}: {mbps:.1}");
+        // Flow `a` crosses both links, `b` the first and `c` the second.
+        let reference = fair_share(&[payload_mbps(); 2], &[&[0, 1], &[0], &[1]], alpha);
+        println!("\n## steady-state (second half) goodput against the alpha-fair reference, Mb/s");
+        for ((name, mbps), want) in r.steady_mbps.iter().zip(&reference) {
+            let gap = 100.0 * (mbps / want - 1.0);
+            println!("  flow {name}: {mbps:.1}  reference {want:.2}  gap {gap:+.1}%");
         }
         println!(
             "## TPP control overhead: {:.2}% of data bytes (paper: 1.0-6.0%)\n",
