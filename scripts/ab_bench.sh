@@ -6,20 +6,24 @@
 # of runs, the side that runs first alternating too.
 #
 # Usage:
-#   scripts/ab_bench.sh <workloads> [--pairs N] [--seconds S] [--seeds a,b]
+#   scripts/ab_bench.sh <workloads> [--parent REV] [--pairs N] [--seconds S]
+#                       [--seeds a,b]
 #
 #   <workloads>  a name from BENCHMARK.json (switch_plain, sim_dc, app_rcp,
 #                ...) or a comma list of them (sim_dc,app_rcp,sim_wan_x2),
 #                measured one after the other on the same two builds
+#   --parent REV the commit to measure against (any git revision). Needed
+#                when the working tree is clean: a change committed as
+#                several commits has no one commit before it that the script
+#                could guess. Without it a dirty tree is measured against HEAD
 #   --pairs N    alternating parent/change pairs per workload (default 10)
 #   --seconds S  length of each run (default: BENCHMARK.json's run_seconds)
 #   --seeds a,b  workload seeds; the pairs are split evenly over them in
 #                order (default 1,5: the second half is a seed the change was
 #                not written against)
 #
-# The parent is HEAD when the working tree has changes and HEAD~1 when it is
-# clean (the change is already committed). The change is every tracked and
-# untracked-but-not-ignored file of the working tree.
+# The change is every tracked and untracked-but-not-ignored file of the
+# working tree.
 #
 # Output, per workload: one line per run, then per side the median and
 # quartiles of ops_per_s and setup_s, the pairs the change won on ops_per_s,
@@ -46,8 +50,10 @@ shift
 PAIRS=10
 SECONDS_PER_RUN="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 SEEDS="1,5"
+PARENT=""
 while [ $# -gt 0 ]; do
     case "$1" in
+        --parent) PARENT="${2:?--parent needs a revision}"; shift 2 ;;
         --pairs) PAIRS="${2:?--pairs needs a count}"; shift 2 ;;
         --seconds) SECONDS_PER_RUN="${2:?--seconds needs a number}"; shift 2 ;;
         --seeds) SEEDS="${2:?--seeds needs a list}"; shift 2 ;;
@@ -63,11 +69,16 @@ for name in sys.argv[1:]:
 EOF
 
 SCRATCH="${AB_BENCH_DIR:-/root/scratch/ab_bench}"
-if git diff --quiet HEAD && [ -z "$(git ls-files --others --exclude-standard)" ]; then
-    PARENT=HEAD~1
-else
+if [ -z "$PARENT" ]; then
+    if git diff --quiet HEAD && [ -z "$(git ls-files --others --exclude-standard)" ]; then
+        echo "ab_bench.sh: the working tree is clean; name the commit to measure against" \
+            "with --parent REV (e.g. the commit the change branched from)" >&2
+        exit 2
+    fi
     PARENT=HEAD
 fi
+git rev-parse --verify --quiet "$PARENT^{commit}" >/dev/null ||
+    { echo "ab_bench.sh: --parent $PARENT is not a commit" >&2; exit 2; }
 echo "# parent $(git rev-parse --short "$PARENT"), change = working tree, scratch $SCRATCH"
 
 # Two clean checkouts: what the driver measures is the committed files alone.
