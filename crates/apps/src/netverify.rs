@@ -254,10 +254,6 @@ mod tests {
         // seen *before* failure; after failure probes die beyond switch 2).
         let first_loss = obs.iter().position(|o| !o.completed()).expect("losses");
         assert_eq!(obs[first_loss - 1].path.last(), Some(&3), "last healthy one reached switch 3");
-        // Every failed round is recorded as a blackhole, and only those.
-        let failed = obs.iter().filter(|o| !o.completed()).count();
-        let blackholes = v.violations().filter(|o| o.violation == Some(ViolationKind::Blackhole));
-        assert_eq!(blackholes.count(), failed);
     }
 
     /// Line s1 - s2 with src on s1, dst on s2.
