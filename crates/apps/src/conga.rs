@@ -30,8 +30,8 @@ use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{Ipv4Address, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::{ExecutorConfig, PacedSender};
-use tpp_netsim::{Time, MILLIS};
-use tpp_netsim::{Topology, TopologySpec};
+use tpp_fabric::{Fabric, PartitionStrategy};
+use tpp_netsim::{NodeId, Time, Topology, TopologySpec, MILLIS};
 
 /// Base destination port for CONGA data flows (flow i uses `BASE + i`).
 pub const FLOW_PORT_BASE: u16 = 6000;
@@ -386,8 +386,8 @@ pub struct Fig4Result {
 
 /// The Figure 4 network, its senders and sink installed: 2 spines, 3
 /// leaves, L0→L2 pinned to one path at 50 Mb/s, L1→L2 at 120 Mb/s over two
-/// paths. Hosts are `[h_L0, h_L1, h_L2]`.
-pub fn conga_fig4_net(mode: Balancer, metric: Metric, seed: u64) -> Topology {
+/// paths. Hosts are `[h_L0, h_L1, h_L2]`; the ports are the fabric links'.
+pub fn conga_fig4_net(mode: Balancer, metric: Metric, seed: u64) -> (Topology, Vec<(NodeId, u8)>) {
     let mut topo = TopologySpec::LeafSpine { leaves: 3, spines: 2, hosts_per_leaf: 1 }
         .builder()
         .link_mbps(100)
@@ -413,26 +413,43 @@ pub fn conga_fig4_net(mode: Balancer, metric: Metric, seed: u64) -> Topology {
     topo.net.set_app(hosts[0], Box::new(CongaSender::new(l0_cfg, ips[2])));
     topo.net.set_app(hosts[1], Box::new(CongaSender::new(l1_cfg, ips[2])));
     topo.net.set_app(hosts[2], Box::new(CongaSink::new()));
-    topo
+    // Every leaf-uplink and spine port.
+    let mut ports = Vec::new();
+    for &s in &topo.switches {
+        for (p, peer) in topo.net.neighbors(s) {
+            if topo.net.is_switch(peer) {
+                ports.push((s, p));
+            }
+        }
+    }
+    (topo, ports)
 }
 
 /// Run the Figure 4 scenario ([`conga_fig4_net`]).
 pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64) -> Fig4Result {
-    let mut topo = conga_fig4_net(mode, metric, seed);
-    let hosts = topo.hosts.clone();
-    let ips: Vec<Ipv4Address> = hosts.iter().map(|&h| topo.net.host(h).ip).collect();
+    let (topo, ports) = conga_fig4_net(mode, metric, seed);
+    let mut fabric = Fabric::new(topo.net, 1, PartitionStrategy::Locality);
+    run_conga_fig4_on(&mut fabric, &topo.hosts, &ports, duration)
+}
+
+/// Run a fabric of [`conga_fig4_net`], its hosts and ports, to `duration`.
+pub fn run_conga_fig4_on(
+    fabric: &mut Fabric,
+    hosts: &[NodeId],
+    fabric_ports: &[(NodeId, u8)],
+    duration: Time,
+) -> Fig4Result {
     // Warm up, then measure fabric byte counters over the second half.
     let half = duration / 2;
-    topo.net.run_until(half);
-    let fabric_ports = fabric_ports(&topo);
+    fabric.run_until(half);
     let before: Vec<u64> = fabric_ports
         .iter()
-        .map(|&(s, p)| topo.net.switch(s).mem.links[p as usize].tx_bytes)
+        .map(|&(s, p)| fabric.switch(s).mem.links[p as usize].tx_bytes)
         .collect();
-    topo.net.run_until(duration);
+    fabric.run_until(duration);
     let mut max_util = 0.0f64;
     for (i, &(s, p)) in fabric_ports.iter().enumerate() {
-        let link = &topo.net.switch(s).mem.links[p as usize];
+        let link = &fabric.switch(s).mem.links[p as usize];
         let bytes = link.tx_bytes - before[i];
         let util =
             bytes as f64 * 8.0 / ((duration - half) as f64 / 1e9) / (link.speed_mbps as f64 * 1e6);
@@ -442,35 +459,22 @@ pub fn run_conga_fig4(mode: Balancer, metric: Metric, duration: Time, seed: u64)
     let half_s = half as f64 / 1e9;
     let end_s = duration as f64 / 1e9;
     let (l0_mbps, l1_mbps) = {
-        let sink = topo.net.app_mut::<CongaSinkApp>(hosts[2]);
+        let sink = fabric.app_mut::<CongaSinkApp>(hosts[2]);
         let mut l0 = 0.0;
         let mut l1 = 0.0;
         for ((src, _), m) in &sink.meters {
             let rate = m.avg_mbps(half_s, end_s);
-            if *src == ips[0] {
+            if *src == Ipv4Address::from_host_id(hosts[0].0) {
                 l0 += rate;
-            } else if *src == ips[1] {
+            } else if *src == Ipv4Address::from_host_id(hosts[1].0) {
                 l1 += rate;
             }
         }
         (l0, l1)
     };
-    let path_switches = topo.net.app_mut::<CongaSenderApp>(hosts[1]).path_switches;
+    let sender = fabric.app_mut::<CongaSenderApp>(hosts[1]);
+    let (mode, path_switches) = (sender.cfg.mode, sender.path_switches);
     Fig4Result { mode, l0_mbps, l1_mbps, max_util_percent: max_util * 100.0, path_switches }
-}
-
-/// All leaf-uplink and spine ports (fabric links) of a leaf-spine topology
-/// built from [`tpp_netsim::TopologySpec::LeafSpine`].
-fn fabric_ports(topo: &Topology) -> Vec<(tpp_netsim::NodeId, u8)> {
-    let mut out = Vec::new();
-    for &s in &topo.switches {
-        for (p, peer) in topo.net.neighbors(s) {
-            if topo.net.is_switch(peer) {
-                out.push((s, p));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

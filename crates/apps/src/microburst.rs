@@ -26,8 +26,8 @@ use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Aggregator, Completion, Endhost, Harness, Io};
 use tpp_endhost::Filter;
-use tpp_netsim::Time;
-use tpp_netsim::TopologySpec;
+use tpp_fabric::{Fabric, PartitionStrategy};
+use tpp_netsim::{NodeId, Time, Topology, TopologySpec};
 
 /// One queue-occupancy observation extracted from a completed TPP.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,9 +178,8 @@ pub struct MicroburstResult {
     pub total_messages: u64,
 }
 
-/// Run the Figure 1 experiment on a `per_side`-per-switch dumbbell for
-/// `duration_ns`. The observer is host 0.
-pub fn run_microburst(per_side: usize, duration_ns: Time, seed: u64) -> MicroburstResult {
+/// The Figure 1 network: a `per_side`-per-switch dumbbell of bursting hosts, host 0 the observer.
+pub fn microburst_net(per_side: usize, seed: u64) -> Topology {
     let mut topo = TopologySpec::Dumbbell { per_side }
         .builder()
         .link_mbps(LINK_MBPS)
@@ -196,12 +195,24 @@ pub fn run_microburst(per_side: usize, duration_ns: Time, seed: u64) -> Microbur
         let cfg = BurstConfig { peers, seed: seed ^ (i as u64 + 1) };
         topo.net.set_app(h, Box::new(BurstHost::new(cfg)));
     }
-    topo.net.run_until(duration_ns);
+    topo
+}
+
+/// Run the Figure 1 experiment ([`microburst_net`]) for `duration_ns`.
+pub fn run_microburst(per_side: usize, duration_ns: Time, seed: u64) -> MicroburstResult {
+    let topo = microburst_net(per_side, seed);
+    let mut fabric = Fabric::new(topo.net, 1, PartitionStrategy::Locality);
+    run_microburst_on(&mut fabric, &topo.hosts, duration_ns)
+}
+
+/// Run a fabric of [`microburst_net`], whose hosts are `hosts`, to `horizon`.
+pub fn run_microburst_on(fabric: &mut Fabric, hosts: &[NodeId], horizon: Time) -> MicroburstResult {
+    fabric.run_until(horizon);
     let mut all = Vec::new();
     let mut observer = Vec::new();
     let mut total_messages = 0;
     for (i, &h) in hosts.iter().enumerate() {
-        let app = topo.net.app_mut::<BurstApp>(h);
+        let app = fabric.app_mut::<BurstApp>(h);
         total_messages += app.messages_sent;
         let samples = std::mem::take(&mut app.samples);
         if i == 0 {

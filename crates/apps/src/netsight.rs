@@ -333,12 +333,13 @@ pub fn run_netsight(duration: Time, sample_frequency: u32, seed: u64) -> Netsigh
         let app = TracedHost::with_sampling(dst, collector_ip, 6000 + i as u16, sample_frequency);
         topo.net.set_app(hosts[i], Box::new(app));
     }
-    topo.net.run_until(duration);
+    let mut fabric = tpp_fabric::Fabric::new(topo.net, 1, tpp_fabric::PartitionStrategy::Locality);
+    fabric.run_until(duration);
     let mut packets_sent = 0;
     for &h in &hosts[..senders] {
-        packets_sent += topo.net.app_mut::<TracedApp>(h).packets_sent;
+        packets_sent += fabric.app_mut::<TracedApp>(h).packets_sent;
     }
-    let histories = std::mem::take(&mut topo.net.app_mut::<CollectorApp>(collector_host).histories);
+    let histories = std::mem::take(&mut fabric.app_mut::<CollectorApp>(collector_host).histories);
     NetsightRun { histories, hosts, host_ips: ips, packets_sent }
 }
 

@@ -192,10 +192,11 @@ pub fn run_fig10_point(
         Box::new(TcpSenderApp::new(rcv_ip, n_flows, 1240, sample_frequency, tpp_bytes)),
     );
     net.set_app(rcv, Box::new(TcpSinkApp::new()));
-    net.run_until(duration);
+    let mut fabric = tpp_fabric::Fabric::new(net, 1, tpp_fabric::PartitionStrategy::Locality);
+    fabric.run_until(duration);
     let secs = duration as f64 / 1e9;
     let (goodput, wire) = {
-        let sink = net.app_mut::<TcpSink>(rcv);
+        let sink = fabric.app_mut::<TcpSink>(rcv);
         let total: u64 = sink.delivered.values().sum();
         (total as f64 * 8.0 / secs / 1e9, sink.wire_bytes_received as f64 * 8.0 / secs / 1e9)
     };

@@ -38,8 +38,8 @@ use tpp_core::probe::{Probe, TppData};
 use tpp_core::wire::{udp_frame_into, Ipv4Address, Tpp, TppBuf};
 use tpp_endhost::harness::{Endhost, Harness, Io};
 use tpp_endhost::PacedSender;
-use tpp_netsim::Time;
-use tpp_netsim::TopologySpec;
+use tpp_fabric::{Fabric, PartitionStrategy};
+use tpp_netsim::{NodeId, Time, Topology, TopologySpec};
 
 /// The phase-1 collect schema (§2.2).
 ///
@@ -659,16 +659,19 @@ pub struct RcpResult {
     pub control_overhead_fraction: f64,
 }
 
-/// Run the Figure 2 topology: flow `a` over two links, `b` and `c` over one
-/// each; every link 100 Mb/s; flows start at 1 Mb/s.
-pub fn run_rcp_fig2(alpha: f64, duration: Time, seed: u64) -> RcpResult {
+/// Figure 2's flows, `(source, sink, source port, name)` by index into the hosts
+/// `[h0a, h0b (S0), h1a, h1b (S1), h2a, h2b (S2)]`: `a` crosses both trunks, `b` and `c` one each.
+const FIG2_FLOWS: [(usize, usize, u16, &str); 3] =
+    [(0, 4, 7001, "a"), (1, 2, 7002, "b"), (3, 5, 7003, "c")];
+
+/// The Figure 2 network with its senders and sinks: 100 Mb/s links, flows start at 1 Mb/s.
+pub fn rcp_fig2_net(alpha: f64, seed: u64) -> Topology {
     let mut topo = TopologySpec::Line { switches: 3, hosts_per_switch: 2 }
         .builder()
         .link_mbps(100)
         .delay_ns(10_000)
         .seed(seed)
         .build();
-    // Hosts: [h0a, h0b (S0), h1a, h1b (S1), h2a, h2b (S2)].
     let h = topo.hosts.clone();
     let ips: Vec<Ipv4Address> = h.iter().map(|&n| topo.net.host(n).ip).collect();
     let ip = |i: usize| ips[i];
@@ -676,34 +679,40 @@ pub fn run_rcp_fig2(alpha: f64, duration: Time, seed: u64) -> RcpResult {
     let cfg = RcpConfig { alpha, ..RcpConfig::default() };
     let bucket = 100_000_000; // 100 ms
 
-    // flow a: h0a -> h2a (both trunks); flow b: h0b -> h1a (first trunk);
-    // flow c: h1b -> h2b (second trunk) — all in the same direction, so `a`
-    // shares one link with each of `b` and `c` (the Figure 2 inset).
-    let flows: [(usize, usize, u16, &str); 3] =
-        [(0, 4, 7001, "a"), (1, 2, 7002, "b"), (3, 5, 7003, "c")];
-    for &(src, dst, sport, _) in &flows {
+    for &(src, dst, sport, _) in &FIG2_FLOWS {
         topo.net.set_app(h[src], Box::new(RcpSender::new(cfg, ip(dst), sport, 1_000_000)));
     }
-    for &(_, dst, _, _) in &flows {
+    for &(_, dst, _, _) in &FIG2_FLOWS {
         topo.net.set_app(h[dst], Box::new(RcpSink::new(bucket)));
     }
-    topo.net.run_until(duration);
+    topo
+}
 
+/// Run the Figure 2 experiment ([`rcp_fig2_net`]) for `duration`.
+pub fn run_rcp_fig2(alpha: f64, duration: Time, seed: u64) -> RcpResult {
+    let topo = rcp_fig2_net(alpha, seed);
+    let mut fabric = Fabric::new(topo.net, 1, PartitionStrategy::Locality);
+    run_rcp_fig2_on(&mut fabric, &topo.hosts, duration)
+}
+
+/// Run a fabric of [`rcp_fig2_net`], whose hosts are `hosts`, to `duration`.
+pub fn run_rcp_fig2_on(fabric: &mut Fabric, hosts: &[NodeId], duration: Time) -> RcpResult {
+    fabric.run_until(duration);
     let mut series = Vec::new();
     let mut steady = Vec::new();
     let mut control_bytes = 0u64;
     let mut data_bytes = 0u64;
     let half = duration as f64 / 2e9;
     let end = duration as f64 / 1e9;
-    for &(src, dst, sport, name) in &flows {
-        let src_ip = ip(src);
+    for &(src, dst, sport, name) in &FIG2_FLOWS {
+        let src_ip = Ipv4Address::from_host_id(hosts[src].0);
         {
-            let sink = topo.net.app_mut::<RcpSinkApp>(h[dst]);
+            let sink = fabric.app_mut::<RcpSinkApp>(hosts[dst]);
             let m = sink.meters.get_mut().get(&(src_ip, sport));
             series.push((name.to_string(), m.map(RateMeter::series_mbps).unwrap_or_default()));
             steady.push((name.to_string(), m.map(|m| m.avg_mbps(half, end)).unwrap_or(0.0)));
         }
-        let sender = topo.net.app_mut::<RcpSenderApp>(h[src]);
+        let sender = fabric.app_mut::<RcpSenderApp>(hosts[src]);
         control_bytes += sender.probe_bytes_sent();
         data_bytes += sender.data_bytes_sent;
     }

@@ -27,8 +27,7 @@ use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Aggregator, Endhost, Harness};
 use tpp_endhost::Filter;
-use tpp_netsim::Time;
-use tpp_netsim::TopologySpec;
+use tpp_netsim::{Time, TopologySpec};
 
 /// The §2.5 routing-context probe schema.
 pub fn sketch_probe() -> Probe {
@@ -216,7 +215,8 @@ pub fn run_sketch(
             Box::new(SketchHost::new(peers, bitmap_bits, sample_frequency, seed ^ (i as u64 + 1))),
         );
     }
-    topo.net.run_until(duration);
+    let mut fabric = tpp_fabric::Fabric::new(topo.net, 1, tpp_fabric::PartitionStrategy::Locality);
+    fabric.run_until(duration);
 
     // Aggregate (the collector service): OR bitmaps, union truth sets.
     let mut agg: BTreeMap<LinkKey, BitmapSketch> = BTreeMap::new();
@@ -224,7 +224,7 @@ pub fn run_sketch(
     let mut packets_sent = 0;
     let mut mem_per_host = 0usize;
     for &h in &hosts {
-        let app = topo.net.app_mut::<SketchApp>(h);
+        let app = fabric.app_mut::<SketchApp>(h);
         packets_sent += app.packets_sent;
         let maps = &app.bitmaps;
         mem_per_host = mem_per_host.max(maps.values().map(BitmapSketch::size_bytes).sum());

@@ -49,7 +49,8 @@ use crate::rcp::{Law, RcpConfig, RcpPath, RcpSender, RcpSenderApp, RcpSink, RcpS
 use tpp_core::probe::Probe;
 use tpp_core::wire::Ipv4Address;
 use tpp_endhost::harness::{Endhost, Harness};
-use tpp_netsim::{viewer_fanout, Time, Topology, TopologySpec, MILLIS};
+use tpp_fabric::{Fabric, PartitionStrategy};
+use tpp_netsim::{viewer_fanout, NodeId, Time, Topology, TopologySpec, MILLIS};
 
 /// The fan-out discovery schema: per-hop link speed + utilization + queue
 /// + the branch register version (needed for the versioned write-back).
@@ -179,18 +180,29 @@ pub fn run_fanout(
     duration: Time,
     seed: u64,
 ) -> FanoutRunResult {
-    let mut topo = fanout_net(sites, site_k, wan_mbps, seed);
-    let hosts = topo.hosts.clone();
+    let topo = fanout_net(sites, site_k, wan_mbps, seed);
+    let mut fabric = Fabric::new(topo.net, 1, PartitionStrategy::Locality);
+    run_fanout_on(&mut fabric, &topo.hosts, sites, wan_mbps, duration)
+}
+
+/// Run a fabric of [`fanout_net`], whose hosts are `hosts`, to `duration`.
+pub fn run_fanout_on(
+    fabric: &mut Fabric,
+    hosts: &[NodeId],
+    sites: usize,
+    wan_mbps: u64,
+    duration: Time,
+) -> FanoutRunResult {
     let per_site = hosts.len() / sites;
-    topo.net.run_until(duration);
+    fabric.run_until(duration);
 
     let half = duration as f64 / 2e9;
     let end = duration as f64 / 1e9;
     let mut subtrees = Vec::new();
     for (i, site) in (1..sites).enumerate() {
-        let relay = topo.net.app_mut::<FanoutRelayApp>(hosts[site * per_site]);
+        let relay = fabric.app_mut::<FanoutRelayApp>(hosts[site * per_site]);
         let relay_goodput_mbps = relay.meter.avg_mbps(half, end);
-        let src = topo.net.app_mut::<RcpSenderApp>(hosts[0]);
+        let src = fabric.app_mut::<RcpSenderApp>(hosts[0]);
         subtrees.push(SubtreeReport {
             site,
             bottleneck_mbps: (wan_mbps / (site as u64 + 1)) as f64,
@@ -199,7 +211,7 @@ pub fn run_fanout(
             series: src.rate_series(i).to_vec(),
         });
     }
-    let src = topo.net.app_mut::<RcpSenderApp>(hosts[0]);
+    let src = fabric.app_mut::<RcpSenderApp>(hosts[0]);
     let control_overhead_fraction =
         src.probe_bytes_sent() as f64 / src.data_bytes_sent.max(1) as f64;
     let exec = src.executor().expect("the source launches probes");
@@ -297,24 +309,34 @@ pub fn run_interdc(
     duration: Time,
     seed: u64,
 ) -> InterDcRunResult {
-    let (mut topo, paths) =
-        interdc_net(sites, site_k, wan_mbps, wan_queue_bytes, transfer_bytes, seed);
-    let hosts = topo.hosts.clone();
-    let per_site = hosts.len() / sites;
-    topo.net.run_until(duration);
+    let (topo, paths) = interdc_net(sites, site_k, wan_mbps, wan_queue_bytes, transfer_bytes, seed);
+    let mut fabric = Fabric::new(topo.net, 1, PartitionStrategy::Locality);
+    run_interdc_on(&mut fabric, &topo.hosts, &paths, duration)
+}
 
-    let src_ip = topo.net.host(hosts[0]).ip;
+/// Run a fabric of [`interdc_net`], its hosts and paths, to `duration`.
+pub fn run_interdc_on(
+    fabric: &mut Fabric,
+    hosts: &[NodeId],
+    paths: &[RcpPath],
+    duration: Time,
+) -> InterDcRunResult {
+    // Path `i` runs to site `i + 1`; the sender is in site 0.
+    let per_site = hosts.len() / (paths.len() + 1);
+    fabric.run_until(duration);
+
+    let src_ip = Ipv4Address::from_host_id(hosts[0].0);
     let mut reports = Vec::new();
     // Path `i` runs to site `i + 1`; the sender is in site 0.
     for (i, path) in paths.iter().enumerate() {
-        let sink = topo.net.app_mut::<RcpSinkApp>(hosts[(i + 1) * per_site]);
+        let sink = fabric.app_mut::<RcpSinkApp>(hosts[(i + 1) * per_site]);
         let fct_ms =
             sink.fct_ns.get(&(src_ip, path.sport)).map(|&t| (t - INTERDC_START_NS) as f64 / 1e6);
-        let sender = topo.net.app_mut::<RcpSenderApp>(hosts[0]);
+        let sender = fabric.app_mut::<RcpSenderApp>(hosts[0]);
         reports.push(InterDcPathReport {
             src_dc: 0,
             dst_dc: i as u32 + 1,
-            capacity_mbps: wan_mbps as f64,
+            capacity_mbps: sender.cfg.capacity_mbps,
             rate_mbps: sender.rate_bps(i) / 1e6,
             rtt_est_ms: sender.rtt_est_ns(i) / 1e6,
             fct_ms,

@@ -116,7 +116,7 @@ fn fanout_discover_install_and_data_take_one_route() {
 
 #[test]
 fn conga_probes_and_data_of_a_port_take_one_route() {
-    let mut topo = conga_fig4_net(Balancer::Conga, Metric::Max, 1);
+    let (mut topo, _) = conga_fig4_net(Balancer::Conga, Metric::Max, 1);
     let sink = topo.hosts[2];
     let arrived = run_tapped(&mut topo, &[sink], 300 * MILLIS).remove(0);
     // (source, source port) -> route -> [probes, data].

@@ -183,12 +183,13 @@ fn main() {
                 emit(&cell, &args.out);
                 cells += 1;
                 let key = (cell.topology.clone(), cell.workload.clone());
+                let digest = cell.stats.digest();
                 if shards == 1 {
-                    reference.insert(key, cell.digest);
+                    reference.insert(key, digest);
                 } else {
                     let want = reference[&key];
                     assert_eq!(
-                        cell.digest, want,
+                        digest, want,
                         "digest diverged: {}:{} at {} shards",
                         cell.topology, cell.workload, shards
                     );
@@ -215,10 +216,11 @@ fn main() {
             .run();
         emit(&cell, &args.out);
         cells += 1;
+        let digest = cell.stats.digest();
         match churn_ref {
-            None => churn_ref = Some(cell.digest),
+            None => churn_ref = Some(digest),
             Some(want) => assert_eq!(
-                cell.digest, want,
+                digest, want,
                 "churn digest diverged: {}:{}:{} at {} shards",
                 cell.topology, cell.workload, cell.churn, shards
             ),
@@ -235,10 +237,11 @@ fn main() {
             let cell = scenario(&wan_topology(), &w, shards).run();
             emit(&cell, &args.out);
             cells += 1;
+            let digest = cell.stats.digest();
             match wan_ref {
-                None => wan_ref = Some(cell.digest),
+                None => wan_ref = Some(digest),
                 Some(want) => assert_eq!(
-                    cell.digest, want,
+                    digest, want,
                     "WAN digest diverged: {}:{} at {} shards",
                     cell.topology, cell.workload, shards
                 ),

@@ -64,17 +64,15 @@ fn main() {
             "-",
             "-",
             "-",
-            single.digest
+            single.stats.digest()
         );
         let speedup = |c: &Cell| single.wall_ms as f64 / c.wall_ms.max(1) as f64;
         for shards in [2usize, 4] {
             let seq = run_case(k, shards, horizon, ExecMode::Sequential);
             let thr = run_case(k, shards, horizon, ExecMode::Threaded);
             for c in [&seq, &thr] {
-                assert_eq!(
-                    c.digest, single.digest,
-                    "k={k} shards={shards}: sharded digest diverged from single-threaded"
-                );
+                let (got, want) = (c.stats.digest(), single.stats.digest());
+                assert_eq!(got, want, "k={k} shards={shards}: digest diverged from 1 shard");
             }
             println!(
                 "{:>4} {:>7} {:>10} {:>12} {:>8} {:>8} {:>6.2}x {:>6.2}x  {:016x}",
@@ -86,7 +84,7 @@ fn main() {
                 thr.wall_ms,
                 speedup(&seq),
                 speedup(&thr),
-                seq.digest
+                seq.stats.digest()
             );
         }
     }

@@ -11,28 +11,40 @@
 //!   must give the row.
 //! - `smoke.*`: the repo benchmark's `output_digest` of each workload set up
 //!   at seed 1, the value its `--smoke` run prints.
+//! - `counts.*`: every value the repo benchmark's traced pass reports of each
+//!   workload at seed 1 that is not a timing (event, drop, plan-cache and
+//!   allocation counts and shares), by its bits, and the ops it attempted.
 //! - `rcp_fig2.*`, `conga_fig4.*`, `microburst.*`, `interdc.*`,
 //!   `interdc_fct.*`, `fanout.*`: every `f64` these experiments report, by
 //!   its bits, at horizons a debug build runs in seconds. A series is pinned by its length and by
 //!   [`fnv1a`] over the bits of every point. The statistical tests beside
-//!   each application allow wide bands; these catch any change at all.
+//!   each application allow wide bands; these catch any change at all. Each
+//!   group runs at 1 and at 4 shards: the experiment's `run_*`, which drives
+//!   one fabric shard, and the same builder and reader on 4 threaded shards.
+//!   Both runs must give every row.
 //!
 //! After an intended behaviour change, re-record with
 //! `PINS_RECORD=1 cargo test -p tpp-bench --test pins`. It rewrites the rows
 //! that moved in place, keeping order and comments, and prints each move as
 //! `name: old -> new`. The diff of `pins.txt` is then the change to review.
 
+use std::process::Command;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, PoisonError};
 
-use tpp_apps::conga::{run_conga_fig4, Balancer, Metric};
-use tpp_apps::microburst::run_microburst;
-use tpp_apps::rcp::run_rcp_fig2;
-use tpp_apps::wan::{run_fanout, run_interdc};
+use tpp_apps::conga::{
+    conga_fig4_net, run_conga_fig4, run_conga_fig4_on, Balancer, Fig4Result, Metric,
+};
+use tpp_apps::microburst::{microburst_net, run_microburst, run_microburst_on, MicroburstResult};
+use tpp_apps::rcp::{rcp_fig2_net, run_rcp_fig2, run_rcp_fig2_on, RcpResult};
+use tpp_apps::wan::{
+    fanout_net, interdc_net, run_fanout, run_fanout_on, run_interdc, run_interdc_on,
+    FanoutRunResult, InterDcRunResult,
+};
 use tpp_fabric::{
     install_traffic, ExecMode, Fabric, PartitionStrategy, TrafficConfig, TrafficPattern,
 };
-use tpp_netsim::{NodeId, Topology, TopologySpec, MILLIS, SECONDS};
+use tpp_netsim::{Network, NodeId, Topology, TopologySpec, MILLIS, SECONDS};
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/pins.txt");
 
@@ -67,8 +79,17 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// The groups, one test each.
-const GROUPS: [&str; 8] =
-    ["golden", "smoke", "rcp_fig2", "conga_fig4", "microburst", "interdc", "interdc_fct", "fanout"];
+const GROUPS: [&str; 9] = [
+    "golden",
+    "smoke",
+    "counts",
+    "rcp_fig2",
+    "conga_fig4",
+    "microburst",
+    "interdc",
+    "interdc_fct",
+    "fanout",
+];
 
 /// `(line index, name, value)` of every row of the table.
 fn rows(text: &str) -> Vec<(usize, &str, &str)> {
@@ -277,20 +298,87 @@ fn smoke() {
     check("smoke", seen.collect());
 }
 
+/// The traced pass's values that are timings, by the end of their name.
+/// Host time moves from run to run, so a local A/B judges them.
+const TIMINGS: [&str; 6] =
+    ["_ns", "_ns_per_event", "_s", "trace_overhead_ratio", "speedup_vs_1shard", "switch_share_est"];
+
+/// Not pinned either: `sim_wan_x2`'s two shard threads allocate at once, so
+/// its peak of live bytes depends on their interleaving (7,628,576 to
+/// 7,631,648 B over four passes).
+const UNSTABLE: [(&str, &str); 1] = [("sim_wan_x2", "netsim.net.live_bytes_peak")];
+
+/// The benchmark's allocation counters are process-wide, so the traced
+/// passes run in a process of their own, [`counts_pass`], while the other
+/// groups run here.
+#[test]
+fn counts() {
+    let exe = std::env::current_exe().expect("the test binary knows its path");
+    let out = Command::new(exe)
+        .args(["counts_pass", "--exact", "--ignored", "--test-threads=1", "--nocapture"])
+        .output()
+        .expect("the test binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "counts_pass failed:\n{stdout}\n{stderr}");
+    let rows = stderr.lines().filter_map(|line| line.split_once(" = "));
+    let seen = rows.filter(|(name, _)| name.starts_with("counts."));
+    check("counts", seen.map(|(name, value)| pin(name, value.to_string())).collect());
+}
+
+/// Prints the `counts.*` rows to stderr, apart from the harness's own lines
+/// on stdout. One test thread keeps the harness from allocating while a
+/// pass counts; a budget of 0 runs each pass's fixed minimum, and the counts
+/// do not depend on the budget.
+#[test]
+#[ignore = "`counts` runs it in a process of its own"]
+fn counts_pass() {
+    for spec in &tpp_benchmark::WORKLOADS {
+        let t = tpp_benchmark::runner::traced_pass(spec, 1, 0.0, &mut std::io::sink())
+            .unwrap_or_else(|e| panic!("{e}"));
+        eprintln!("counts.{}.attempted = {}", spec.name, t.attempted);
+        for (name, value) in t.values {
+            if !TIMINGS.iter().any(|t| name.ends_with(t)) && !UNSTABLE.contains(&(spec.name, name))
+            {
+                eprintln!("counts.{}.{name} = {}", spec.name, bits(value));
+            }
+        }
+    }
+}
+
+/// `net` on 4 fabric shards, one thread each: the second run of every
+/// application group.
+fn four_shards(net: Network) -> Fabric {
+    let mut fabric = Fabric::new(net, 4, PartitionStrategy::Locality);
+    fabric.set_mode(ExecMode::Threaded);
+    fabric
+}
+
+/// An application group's rows from its 1-shard and its 4-shard run.
+fn both(one: Vec<Seen>, four: Vec<Seen>) -> Vec<Seen> {
+    let label = |rows: Vec<Seen>, run| rows.into_iter().map(move |(name, _, v)| (name, run, v));
+    label(one, "1-shard").chain(label(four, "4-shard")).collect()
+}
+
 /// RCP* at α = ∞: per flow, the steady goodput and the throughput series.
 #[test]
 fn rcp_fig2() {
-    let r = run_rcp_fig2(f64::INFINITY, 1500 * MILLIS, 1);
-    let mut seen =
-        vec![pin("rcp_fig2.control_overhead_fraction", bits(r.control_overhead_fraction))];
-    for ((name, series), (steady_name, steady)) in r.flows.iter().zip(&r.steady_mbps) {
-        assert_eq!(name, steady_name);
-        let points = series.iter().flat_map(|&(t, mbps)| [t.to_bits(), mbps.to_bits()]);
-        seen.push(pin(format!("rcp_fig2.{name}.steady_mbps"), bits(*steady)));
-        seen.push(pin(format!("rcp_fig2.{name}.series_len"), series.len().to_string()));
-        seen.push(pin(format!("rcp_fig2.{name}.series_hash"), hex(fnv1a(points))));
-    }
-    check("rcp_fig2", seen);
+    let rows = |r: RcpResult| {
+        let mut seen =
+            vec![pin("rcp_fig2.control_overhead_fraction", bits(r.control_overhead_fraction))];
+        for ((name, series), (steady_name, steady)) in r.flows.iter().zip(&r.steady_mbps) {
+            assert_eq!(name, steady_name);
+            let points = series.iter().flat_map(|&(t, mbps)| [t.to_bits(), mbps.to_bits()]);
+            seen.push(pin(format!("rcp_fig2.{name}.steady_mbps"), bits(*steady)));
+            seen.push(pin(format!("rcp_fig2.{name}.series_len"), series.len().to_string()));
+            seen.push(pin(format!("rcp_fig2.{name}.series_hash"), hex(fnv1a(points))));
+        }
+        seen
+    };
+    let horizon = 1500 * MILLIS;
+    let t = rcp_fig2_net(f64::INFINITY, 1);
+    let four = run_rcp_fig2_on(&mut four_shards(t.net), &t.hosts, horizon);
+    check("rcp_fig2", both(rows(run_rcp_fig2(f64::INFINITY, horizon, 1)), rows(four)));
 }
 
 /// ECMP and CONGA*, both with the `max` metric.
@@ -298,12 +386,19 @@ fn rcp_fig2() {
 fn conga_fig4() {
     let mut seen = Vec::new();
     for (mode, name) in [(Balancer::Ecmp, "ecmp"), (Balancer::Conga, "conga")] {
-        let r = run_conga_fig4(mode, Metric::Max, 600 * MILLIS, 1);
-        assert_eq!(r.mode, mode);
-        seen.push(pin(format!("conga_fig4.{name}.l0_mbps"), bits(r.l0_mbps)));
-        seen.push(pin(format!("conga_fig4.{name}.l1_mbps"), bits(r.l1_mbps)));
-        seen.push(pin(format!("conga_fig4.{name}.max_util_percent"), bits(r.max_util_percent)));
-        seen.push(pin(format!("conga_fig4.{name}.path_switches"), r.path_switches.to_string()));
+        let rows = |r: Fig4Result| {
+            assert_eq!(r.mode, mode);
+            vec![
+                pin(format!("conga_fig4.{name}.l0_mbps"), bits(r.l0_mbps)),
+                pin(format!("conga_fig4.{name}.l1_mbps"), bits(r.l1_mbps)),
+                pin(format!("conga_fig4.{name}.max_util_percent"), bits(r.max_util_percent)),
+                pin(format!("conga_fig4.{name}.path_switches"), r.path_switches.to_string()),
+            ]
+        };
+        let horizon = 600 * MILLIS;
+        let (t, ports) = conga_fig4_net(mode, Metric::Max, 1);
+        let four = run_conga_fig4_on(&mut four_shards(t.net), &t.hosts, &ports, horizon);
+        seen.extend(both(rows(run_conga_fig4(mode, Metric::Max, horizon, 1)), rows(four)));
     }
     check("conga_fig4", seen);
 }
@@ -312,18 +407,21 @@ fn conga_fig4() {
 /// switch, port, queue length).
 #[test]
 fn microburst() {
-    let r = run_microburst(3, 300 * MILLIS, 1);
-    let words = r
-        .all_samples
-        .iter()
-        .flat_map(|s| [s.t_ns, u64::from(s.switch_id), u64::from(s.port), u64::from(s.q_pkts)]);
-    let seen = vec![
-        pin("microburst.total_messages", r.total_messages.to_string()),
-        pin("microburst.observer_samples", r.observer_samples.len().to_string()),
-        pin("microburst.all_samples", r.all_samples.len().to_string()),
-        pin("microburst.samples_hash", hex(fnv1a(words))),
-    ];
-    check("microburst", seen);
+    let rows = |r: MicroburstResult| {
+        let words = r
+            .all_samples
+            .iter()
+            .flat_map(|s| [s.t_ns, u64::from(s.switch_id), u64::from(s.port), u64::from(s.q_pkts)]);
+        vec![
+            pin("microburst.total_messages", r.total_messages.to_string()),
+            pin("microburst.observer_samples", r.observer_samples.len().to_string()),
+            pin("microburst.all_samples", r.all_samples.len().to_string()),
+            pin("microburst.samples_hash", hex(fnv1a(words))),
+        ]
+    };
+    let t = microburst_net(3, 1);
+    let four = run_microburst_on(&mut four_shards(t.net), &t.hosts, 300 * MILLIS);
+    check("microburst", both(rows(run_microburst(3, 300 * MILLIS, 1)), rows(four)));
 }
 
 /// Per border buffer profile and path. A transfer that did not finish has
@@ -332,14 +430,21 @@ fn microburst() {
 fn interdc() {
     let mut seen = Vec::new();
     for (profile, wan_queue_bytes) in [("deep", 0), ("shallow", 30_000)] {
-        let r = run_interdc(3, 4, 24, wan_queue_bytes, 400_000, 600 * MILLIS, 5);
-        for p in &r.paths {
-            let row = |field: &str| format!("interdc.{profile}.dc{}.{field}", p.dst_dc);
-            seen.push(pin(row("capacity_mbps"), bits(p.capacity_mbps)));
-            seen.push(pin(row("rate_mbps"), bits(p.rate_mbps)));
-            seen.push(pin(row("rtt_est_ms"), bits(p.rtt_est_ms)));
-            seen.push(pin(row("fct_ms"), hex(p.fct_ms.map_or(u64::MAX, f64::to_bits))));
-        }
+        let rows = |r: InterDcRunResult| {
+            let mut seen = Vec::new();
+            for p in &r.paths {
+                let row = |field: &str| format!("interdc.{profile}.dc{}.{field}", p.dst_dc);
+                seen.push(pin(row("capacity_mbps"), bits(p.capacity_mbps)));
+                seen.push(pin(row("rate_mbps"), bits(p.rate_mbps)));
+                seen.push(pin(row("rtt_est_ms"), bits(p.rtt_est_ms)));
+                seen.push(pin(row("fct_ms"), hex(p.fct_ms.map_or(u64::MAX, f64::to_bits))));
+            }
+            seen
+        };
+        let one = run_interdc(3, 4, 24, wan_queue_bytes, 400_000, 600 * MILLIS, 5);
+        let (t, paths) = interdc_net(3, 4, 24, wan_queue_bytes, 400_000, 5);
+        let four = run_interdc_on(&mut four_shards(t.net), &t.hosts, &paths, 600 * MILLIS);
+        seen.extend(both(rows(one), rows(four)));
     }
     check("interdc", seen);
 }
@@ -351,13 +456,20 @@ fn interdc() {
 fn interdc_fct() {
     let mut seen = Vec::new();
     for (profile, wan_queue_bytes) in [("deep", 0), ("shallow", 12_000)] {
-        let r = run_interdc(3, 4, 20, wan_queue_bytes, 200_000, 3 * SECONDS, 7);
-        for p in &r.paths {
-            let row = |field: &str| format!("interdc_fct.{profile}.dc{}.{field}", p.dst_dc);
-            seen.push(pin(row("rate_mbps"), bits(p.rate_mbps)));
-            seen.push(pin(row("rtt_est_ms"), bits(p.rtt_est_ms)));
-            seen.push(pin(row("fct_ms"), hex(p.fct_ms.map_or(u64::MAX, f64::to_bits))));
-        }
+        let rows = |r: InterDcRunResult| {
+            let mut seen = Vec::new();
+            for p in &r.paths {
+                let row = |field: &str| format!("interdc_fct.{profile}.dc{}.{field}", p.dst_dc);
+                seen.push(pin(row("rate_mbps"), bits(p.rate_mbps)));
+                seen.push(pin(row("rtt_est_ms"), bits(p.rtt_est_ms)));
+                seen.push(pin(row("fct_ms"), hex(p.fct_ms.map_or(u64::MAX, f64::to_bits))));
+            }
+            seen
+        };
+        let one = run_interdc(3, 4, 20, wan_queue_bytes, 200_000, 3 * SECONDS, 7);
+        let (t, paths) = interdc_net(3, 4, 20, wan_queue_bytes, 200_000, 7);
+        let four = run_interdc_on(&mut four_shards(t.net), &t.hosts, &paths, 3 * SECONDS);
+        seen.extend(both(rows(one), rows(four)));
     }
     check("interdc_fct", seen);
 }
@@ -366,16 +478,21 @@ fn interdc_fct() {
 /// rate series (one point per control period).
 #[test]
 fn fanout() {
-    let r = run_fanout(3, 4, 24, 600 * MILLIS, 11);
-    let mut seen = vec![pin("fanout.control_overhead_fraction", bits(r.control_overhead_fraction))];
-    for s in &r.subtrees {
-        let row = |field: &str| format!("fanout.site{}.{field}", s.site);
-        let points = s.series.iter().flat_map(|&(t, mbps)| [t.to_bits(), mbps.to_bits()]);
-        seen.push(pin(row("bottleneck_mbps"), bits(s.bottleneck_mbps)));
-        seen.push(pin(row("adapted_mbps"), bits(s.adapted_mbps)));
-        seen.push(pin(row("relay_goodput_mbps"), bits(s.relay_goodput_mbps)));
-        seen.push(pin(row("series_len"), s.series.len().to_string()));
-        seen.push(pin(row("series_hash"), hex(fnv1a(points))));
-    }
-    check("fanout", seen);
+    let rows = |r: FanoutRunResult| {
+        let mut seen =
+            vec![pin("fanout.control_overhead_fraction", bits(r.control_overhead_fraction))];
+        for s in &r.subtrees {
+            let row = |field: &str| format!("fanout.site{}.{field}", s.site);
+            let points = s.series.iter().flat_map(|&(t, mbps)| [t.to_bits(), mbps.to_bits()]);
+            seen.push(pin(row("bottleneck_mbps"), bits(s.bottleneck_mbps)));
+            seen.push(pin(row("adapted_mbps"), bits(s.adapted_mbps)));
+            seen.push(pin(row("relay_goodput_mbps"), bits(s.relay_goodput_mbps)));
+            seen.push(pin(row("series_len"), s.series.len().to_string()));
+            seen.push(pin(row("series_hash"), hex(fnv1a(points))));
+        }
+        seen
+    };
+    let t = fanout_net(3, 4, 24, 11);
+    let four = run_fanout_on(&mut four_shards(t.net), &t.hosts, 3, 24, 600 * MILLIS);
+    check("fanout", both(rows(run_fanout(3, 4, 24, 600 * MILLIS, 11)), rows(four)));
 }

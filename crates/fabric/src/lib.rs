@@ -34,8 +34,8 @@
 //!   hook: the differential tests assert digest equality between the
 //!   single-threaded `Network` loop and 2- and 4-shard fabrics.
 //!
-//! Applications implement the ordinary [`tpp_netsim::HostApp`] trait and
-//! run unchanged on either runtime.
+//! Applications implement [`tpp_netsim::HostApp`] and run unchanged. Every experiment of
+//! `tpp-apps` runs on a `Fabric` (1 shard in its `run_*`); [`Fabric::app_mut`] reads its apps.
 
 #![forbid(unsafe_code)]
 

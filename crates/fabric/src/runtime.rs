@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use tpp_netsim::{NetStats, Network, RemoteFrame, Time};
+use tpp_netsim::{HostApp, NetStats, Network, NodeId, RemoteFrame, Time};
 
 use crate::partition::{lookahead, partition, PartitionStrategy};
 
@@ -38,14 +38,15 @@ pub enum ExecMode {
 /// Scaling a scenario up is three lines:
 ///
 /// ```
-/// use tpp_fabric::{install_traffic, Fabric, PartitionStrategy, TrafficConfig};
+/// use tpp_fabric::{install_traffic, Fabric, PartitionStrategy, TrafficConfig, TrafficGen};
 /// use tpp_netsim::{TopologySpec, MILLIS};
 /// let cfg = TrafficConfig { stop_at: MILLIS / 4, ..TrafficConfig::default() };
 /// let mut t = TopologySpec::FatTree { k: 4 }.builder().link_mbps(10_000).delay_ns(1_000).build();
-/// let delivered = install_traffic(&mut t.net, &t.hosts.clone(), &cfg);
+/// install_traffic(&mut t.net, &t.hosts, &cfg);
 /// let mut fabric = Fabric::new(t.net, 4, PartitionStrategy::Locality);
 /// fabric.run_until(MILLIS / 2); // apps implement HostApp, unchanged
-/// assert!(delivered.load(std::sync::atomic::Ordering::Relaxed) > 0);
+/// let app = fabric.app_mut::<TrafficGen>(t.hosts[0]);
+/// assert!(app.delivered.load(std::sync::atomic::Ordering::Relaxed) > 0);
 /// ```
 pub struct Fabric {
     shards: Vec<Network>,
@@ -116,6 +117,16 @@ impl Fabric {
             out.merge(&s.stats);
         }
         out
+    }
+
+    /// [`Network::app_mut`] on the shard that owns the host.
+    pub fn app_mut<T: HostApp>(&mut self, id: NodeId) -> &mut T {
+        self.shards[self.assignment[id.0 as usize]].app_mut(id)
+    }
+
+    /// A switch, from the shard that owns it.
+    pub fn switch(&self, id: NodeId) -> &tpp_switch::Switch {
+        self.shards[self.assignment[id.0 as usize]].switch(id)
     }
 
     /// The fabric-wide clock: the barrier time every shard has reached.

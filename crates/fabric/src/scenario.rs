@@ -215,7 +215,6 @@ impl Scenario {
             hosts: n_hosts,
             switches: n_switches,
             delivered: delivered.load(Ordering::Relaxed),
-            digest: stats.digest(),
             stats,
             wall_ms: started.elapsed().as_millis() as u64,
         }
@@ -242,10 +241,9 @@ pub struct Cell {
     pub switches: usize,
     /// Frames delivered to host apps (the shared workload counter).
     pub delivered: u64,
-    /// Full simulator statistics.
+    /// Full simulator statistics; [`NetStats::digest`] is equal across
+    /// shard counts iff the runs matched.
     pub stats: NetStats,
-    /// `stats.digest()` — equal across shard counts iff the runs matched.
-    pub digest: u64,
     /// Wall-clock milliseconds for build + run.
     pub wall_ms: u64,
 }
@@ -285,7 +283,7 @@ impl Cell {
             self.stats.plan_cache_misses,
             self.stats.plan_cache_evictions,
             self.stats.trace,
-            self.digest,
+            self.stats.digest(),
             self.wall_ms,
         )
     }

@@ -26,9 +26,12 @@ fn assert_pattern_shards_match(w: WorkloadSpec) {
     for shards in [2usize, 4] {
         let got = run(w.clone(), shards);
         assert_eq!(
-            got.digest, reference.digest,
+            got.stats.digest(),
+            reference.stats.digest(),
             "{}: digest diverged at {shards} shards (single={:?} sharded={:?})",
-            w.name, reference.stats, got.stats
+            w.name,
+            reference.stats,
+            got.stats
         );
     }
 }
@@ -81,7 +84,8 @@ fn assert_wan_shards_match(w: WorkloadSpec) {
     for shards in [2usize, 4] {
         let got = run_wan(w.clone(), shards);
         assert_eq!(
-            got.digest, reference.digest,
+            got.stats.digest(),
+            reference.stats.digest(),
             "{}: WAN digest diverged at {shards} shards",
             w.name
         );
@@ -135,7 +139,7 @@ fn round_robin_partitioning_matches_too() {
     install_traffic(&mut t.net, &hosts, &cfg);
     let mut fabric = Fabric::new(t.net, 4, PartitionStrategy::RoundRobin);
     fabric.run_until(2 * MILLIS);
-    assert_eq!(fabric.stats().digest(), reference.digest, "round-robin digest diverged");
+    assert_eq!(fabric.stats().digest(), reference.stats.digest(), "round-robin digest diverged");
 }
 
 #[test]
