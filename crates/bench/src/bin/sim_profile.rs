@@ -13,11 +13,15 @@
 //! the inline chain `addr2line -i` recovers is the part of the stack that
 //! matters. The samples are written one per line as hexadecimal offsets from
 //! the executable's load address, which `addr2line -e <this binary>` reads;
-//! a sample outside the executable is written as `@` and the name of the
-//! mapping it fell in (`@libc.so.6`, `@[vdso]`), from `/proc/self/maps`.
-//! `scripts/profile.sh` folds them into shares per function and library. Linux on
-//! `x86_64` only (the `ucontext` layout is read by hand); elsewhere the
-//! binary prints `unsupported` and exits 0.
+//! a sample outside the executable is written as `@`, the path of the file
+//! mapped there and its offset from that file's load address
+//! (`@/usr/lib/x86_64-linux-gnu/libc.so.6+0x98a41`, which `nm -D` reads), or
+//! as `@` and the kernel's name for an unnamed mapping (`@[vdso]`), from
+//! `/proc/self/maps`. `scripts/profile.sh` folds them into shares per
+//! function. The summary on stderr also counts the process's minor page
+//! faults in the first sampled slice and in the others: the others take 0
+//! once the workload's memory is mapped and stays mapped. Linux on `x86_64` only (the `ucontext` layout
+//! is read by hand); elsewhere the binary prints `unsupported` and exits 0.
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 fn main() {
@@ -125,23 +129,28 @@ mod linux_x86_64 {
         assert_eq!(rc, 0, "setitimer(ITIMER_PROF) failed");
     }
 
-    /// One line of `/proc/self/maps`: an address range and what is mapped
-    /// there, as the file's name (`libc.so.6`) or the kernel's bracketed
-    /// name (`[vdso]`, `[heap]`); anonymous memory has none.
+    /// One line of `/proc/self/maps`: an address range, the file offset it
+    /// maps, and what is mapped there, as the file's path or the kernel's
+    /// bracketed name (`[vdso]`, `[heap]`); anonymous memory has none.
     struct Mapping {
         start: u64,
         end: u64,
+        offset: u64,
         path: String,
     }
 
     impl Mapping {
-        /// The row a sample in this mapping gets: the file name without its
-        /// directory.
-        fn name(&self) -> &str {
-            match self.path.rsplit_once('/') {
-                Some((_, file)) => file,
-                None if self.path.is_empty() => "[anonymous]",
-                None => &self.path,
+        /// How a sample at `rip` in this mapping is written: a file's path
+        /// and the address relative to the file's load address (a shared
+        /// library's segments sit at their file offsets, so that is the
+        /// address `nm -D` gives its symbols), or the mapping's name.
+        fn locate(&self, rip: u64) -> String {
+            match self.path.as_str() {
+                "" => "[anonymous]".into(),
+                path if path.starts_with('/') => {
+                    format!("{path}+{:#x}", rip - self.start + self.offset)
+                }
+                name => name.into(),
             }
         }
     }
@@ -157,10 +166,12 @@ mod linux_x86_64 {
                     .next()
                     .and_then(|range| range.split_once('-'))
                     .expect("start-end in a maps line");
+                let offset = fields.nth(1).expect("an offset in a maps line");
                 Mapping {
                     start: u64::from_str_radix(start, 16).expect("hex start"),
                     end: u64::from_str_radix(end, 16).expect("hex end"),
-                    path: fields.nth(4).unwrap_or("").trim().to_owned(),
+                    offset: u64::from_str_radix(offset, 16).expect("hex offset"),
+                    path: fields.nth(2).unwrap_or("").trim().to_owned(),
                 }
             })
             .collect()
@@ -178,6 +189,15 @@ mod linux_x86_64 {
         }
         assert!(lo < hi, "no mapping of {exe} in /proc/self/maps");
         (lo, hi)
+    }
+
+    /// The process's minor page faults so far, all threads included: the
+    /// tenth field of `/proc/self/stat`, the eighth after the parenthesised
+    /// command name.
+    fn minor_faults() -> u64 {
+        let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
+        let (_, fields) = stat.rsplit_once(')').expect("(comm) in /proc/self/stat");
+        fields.split_whitespace().nth(7).and_then(|f| f.parse().ok()).expect("minflt")
     }
 
     fn fail(message: String) -> ! {
@@ -198,19 +218,36 @@ mod linux_x86_64 {
         let mut workload = (spec.setup)(SEED).unwrap_or_else(|e| fail(format!("{name}: {e}")));
 
         install_handler();
+        // Fault the sample buffer in now, not in the handler, so the count
+        // below is the workload's alone.
+        for slot in SAMPLES.iter().step_by(512) {
+            slot.store(0, Ordering::Relaxed);
+        }
         let (mut slices, mut ops, mut failed) = (0u64, 0u64, 0u64);
+        let before = minor_faults();
+        let mut after_first = before;
         let started = Instant::now();
         set_timer(PERIOD_US);
         while slices == 0 || started.elapsed().as_secs_f64() < seconds {
             let s = workload.slice().unwrap_or_else(|e| fail(format!("{name}: {e}")));
             (slices, ops, failed) = (slices + 1, ops + s.ops, failed + s.failed);
+            if slices == 1 {
+                after_first = minor_faults();
+            }
         }
         set_timer(0);
+        let after_all = minor_faults();
         eprintln!(
             "# sim_profile: {name} at seed {SEED}, {slices} slices, {ops} ops ({}), {failed} failed, \
              output digest {:#018x}",
             spec.op,
             workload.output_digest()
+        );
+        eprintln!(
+            "# minor page faults: {} in the first slice, {} in the other {}",
+            after_first - before,
+            after_all - after_first,
+            slices - 1
         );
 
         let taken = TAKEN.load(Ordering::Relaxed);
@@ -226,11 +263,11 @@ mod linux_x86_64 {
                 // The C library or the vDSO: no line tables of ours, so the
                 // sample names the mapping it fell in.
                 outside += 1;
-                let name = maps
+                let at = maps
                     .iter()
                     .find(|m| (m.start..m.end).contains(&rip))
-                    .map_or("[unmapped]", Mapping::name);
-                writeln!(out, "@{name}").expect("write sample");
+                    .map_or_else(|| "[unmapped]".into(), |m| m.locate(rip));
+                writeln!(out, "@{at}").expect("write sample");
             }
         }
         out.flush().expect("flush samples");

@@ -26,6 +26,10 @@
 //!   barrier between windows — null-message synchronization degenerated to
 //!   its barrier form. One epoch loop does this for every [`ExecMode`]: one
 //!   worker per shard, or one worker (the calling thread) for all of them.
+//!   The workers besides the calling thread are helper threads the whole
+//!   process shares: they park between runs and never exit, and a run hands
+//!   each its shards by value and takes them back, so running a fabric
+//!   spawns no thread once the helpers exist.
 //! * **Determinism** — the shard kernel orders same-timestamp events by a
 //!   content-derived key, draws link faults from per-link RNG streams, and
 //!   stamps cross-shard frames with per-link sequence numbers, so a run is

@@ -8,7 +8,8 @@
 use std::sync::atomic::Ordering;
 
 use tpp_fabric::{
-    install_traffic, ExecMode, Fabric, PartitionStrategy, Scenario, TrafficConfig, WorkloadSpec,
+    install_traffic, partition, ExecMode, Fabric, PartitionStrategy, Scenario, TrafficConfig,
+    WorkloadSpec,
 };
 use tpp_netsim::{ChurnSpec, HostApp, HostCtx, NetStats, Time, Topology, TopologySpec, MILLIS};
 
@@ -228,20 +229,41 @@ impl HostApp for LateApp {
     }
 }
 
-/// A panic in one worker's window left the other workers at that window's
-/// barrier for good. Every worker now reaches it, all leave the loop there
-/// and the panic is re-raised on the caller. A run to the end of time does
-/// not return, so a host timer past the first horizon ends this one.
-#[test]
-#[should_panic(expected = "ran past the first horizon")]
-fn a_panic_in_one_shard_fails_the_threaded_run_instead_of_hanging_it() {
+/// A 2-shard threaded run to the end of time, which does not return: a host
+/// timer past the first horizon panics on shard 1, a helper's share.
+fn run_past_the_first_horizon() {
     let mut t =
         TopologySpec::Star { hosts: 4 }.builder().host_mbps(1000).delay_ns(1000).seed(3).build();
     t.net.set_app(t.hosts[0], Box::new(LateApp));
-    let mut fabric = Fabric::new(t.net, 2, PartitionStrategy::RoundRobin);
+    let assignment = partition(&t.net, 2, PartitionStrategy::RoundRobin);
+    assert_eq!(assignment[t.hosts[0].0 as usize], 1, "the late host must be a helper's");
+    let mut fabric = Fabric::from_assignment(t.net, assignment, 2);
     fabric.set_mode(ExecMode::Threaded);
     fabric.run_until(MILLIS);
     fabric.run_until(Time::MAX);
+}
+
+/// A panic in one worker's window left the other workers at that window's
+/// barrier for good. Every worker now reaches it, all leave the loop there
+/// and the panic is re-raised on the caller.
+#[test]
+#[should_panic(expected = "ran past the first horizon")]
+fn a_panic_in_one_shard_fails_the_threaded_run_instead_of_hanging_it() {
+    run_past_the_first_horizon();
+}
+
+/// The helper that panicked outlives its run: the run hands it back to the
+/// process's parked helpers, and the next threaded fabric in the process
+/// checks helpers out again and runs to the end on the sequential result.
+#[test]
+fn a_threaded_fabric_runs_to_the_end_after_a_panicked_one() {
+    let payload = std::panic::catch_unwind(run_past_the_first_horizon).expect_err("it panics");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"ran past the first horizon"));
+    let build =
+        || TopologySpec::Star { hosts: 4 }.builder().host_mbps(1000).delay_ns(1000).seed(3).build();
+    let threaded = sharded(&build, 2, PartitionStrategy::RoundRobin, ExecMode::Threaded);
+    assert!(threaded.frames_delivered > 100, "the second run must carry traffic");
+    assert_eq!(threaded, sharded(&build, 2, PartitionStrategy::RoundRobin, ExecMode::Sequential));
 }
 
 /// The threaded run under real concurrency, over and over: 4 workers on this

@@ -1,13 +1,13 @@
 //! Property tests: [`Scheduler`] against a model of its ordering contract
 //! that shares no code with `engine.rs`.
 //!
-//! The model keeps pending events in a `Vec` and each pop scans for the
-//! minimum `(time, key, insertion index)`, which is the contract read
-//! literally. Both are driven with identical arbitrary schedules: delays
-//! at awkward distances (0/1, the powers of 64 that were once timing-wheel
-//! level boundaries, a 1 ms WAN delay among ns events, `1 << 36`),
-//! arbitrary order keys, interleaved pops. They must agree on every pop,
-//! every peek, and every length along the way. Same-timestamp keyed
+//! The model (`support/model.rs`) keeps pending events in a `Vec` and each
+//! pop scans for the minimum `(time, key, insertion index)`, which is the
+//! contract read literally. Both are driven with identical arbitrary
+//! schedules: delays at awkward distances (0/1, the powers of 64 that were
+//! once timing-wheel level boundaries, a 1 ms WAN delay among ns events,
+//! `1 << 36`), arbitrary order keys, interleaved pops. They must agree on
+//! every pop, every peek, and every length along the way. Same-timestamp keyed
 //! ordering is the load-bearing property: the sharded fabric replays
 //! tie-breaks from keys alone, so a queue that reordered a single
 //! equal-time pair would silently break digest determinism.
@@ -25,38 +25,9 @@
 use proptest::prelude::*;
 use tpp_netsim::engine::Scheduler;
 
-/// `(time, key, insertion index, id)`: field order is pop order.
-#[derive(Default)]
-struct Model {
-    pending: Vec<(u64, u64, u64, u64)>,
-    inserted: u64,
-    now: u64,
-}
-
-impl Model {
-    fn schedule_keyed(&mut self, at: u64, key: u64, id: u64) {
-        self.pending.push((at.max(self.now), key, self.inserted, id));
-        self.inserted += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u64, u64)> {
-        let first = (0..self.pending.len()).min_by_key(|&i| self.pending[i])?;
-        let (time, _, _, id) = self.pending.swap_remove(first);
-        self.now = time;
-        Some((time, id))
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        self.pending.iter().map(|e| e.0).min()
-    }
-
-    fn take_due(&mut self, until: u64) -> Option<(u64, u64)> {
-        if self.peek_time()? > until {
-            return None;
-        }
-        self.pop()
-    }
-}
+#[path = "support/model.rs"]
+mod model;
+use model::Model;
 
 prop_compose! {
     /// One operation: `(kind, delay, key)`. Kinds 0-1 schedule, 2-3 pop,

@@ -17,10 +17,14 @@
 #            CPU second)
 #
 # Output: the workload's slice, op and failure counts, its output digest
-# (the one `--smoke` prints) and the sample counts, then two tables of the
-# 25 largest rows.
-# A sample outside the executable is a row named after the mapping it fell
-# in, such as `libc.so.6` (malloc, memmove) or `[vdso]` (the clock).
+# (the one `--smoke` prints), the minor page faults in the first sampled
+# slice and in the rest, and the sample counts, then two tables of the 25
+# largest rows.
+# A sample in a shared library is a row named after the library and the
+# nearest symbol it exports at or below the sample (`nm -D`), such as
+# `libc.so.6~malloc`: the C library's internals export no symbol, so a
+# `_int_malloc` sample shows under the export just below it. A sample in an
+# unnamed mapping is a row of its own, such as `[vdso]` (the clock).
 # `self` is the share of samples whose innermost frame is the function;
 # `inclusive` the share whose inline chain holds it anywhere. Only the
 # instruction pointer is sampled, so "inclusive" reaches as far up as the
@@ -54,15 +58,39 @@ fi
 
 # -a prints each address before its inline chain (innermost frame first, a
 # function line and a file:line line per frame), which delimits the groups.
-# Samples outside the executable are `@<mapping>` lines (`@libc.so.6`,
-# `@[vdso]`): each is a row of its own, named after the library.
+# Samples outside the executable are `@<path>+<offset>` lines
+# (`@/usr/lib/x86_64-linux-gnu/libc.so.6+0x98a41`), each resolved by bisection
+# over the library's `nm -D` symbols, or `@<mapping>` lines (`@[vdso]`).
 grep '^0x' "$DIR/samples.txt" | addr2line -a -f -i -C -e "$BIN" |
     python3 -c '
-import collections, re, sys
+import bisect, collections, re, subprocess, sys
+
+exports = {}
+def export_below(path, offset):
+    """The nearest symbol `path` exports at or below `offset`, or None."""
+    if path not in exports:
+        nm = subprocess.run(["nm", "-D", "--defined-only", path], capture_output=True, text=True)
+        symbols = sorted(
+            (int(addr, 16), name.split("@")[0])
+            for addr, kind, name in (line.split() for line in nm.stdout.splitlines() if line.count(" ") == 2)
+            if kind in "TtWi" and int(addr, 16) > 0
+        )
+        exports[path] = ([a for a, _ in symbols], [n for _, n in symbols])
+    addrs, names = exports[path]
+    i = bisect.bisect_right(addrs, offset) - 1
+    return names[i] if i >= 0 else None
+
+def outside(at):
+    path, plus, offset = at.rpartition("+0x")
+    if not plus:
+        return at
+    library = path.rsplit("/", 1)[-1]
+    symbol = export_below(path, int(offset, 16))
+    return f"{library}~{symbol}" if symbol else library
 
 chains, chain = [], None
 with open(sys.argv[1]) as samples:
-    chains += [[line[1:].strip()] for line in samples if line.startswith("@")]
+    chains += [[outside(line[1:].strip())] for line in samples if line.startswith("@")]
 lines = iter(sys.stdin.read().splitlines())
 for line in lines:
     if re.fullmatch(r"0x[0-9a-f]+", line):
